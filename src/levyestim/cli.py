@@ -42,6 +42,26 @@ def _parse_params(text: str) -> dict:
     return out
 
 
+# model -> (required keys, allowed keys) of simulate --params
+_MODEL_PARAMS = {
+    "stable": ({"beta"}, {"beta", "sigma", "rho", "gamma", "p_pos"}),
+    "timevarying": ({"beta", "p_pos"}, {"beta", "p_pos", "sigma"}),
+    "gamma": ({"delta", "gamma"}, {"delta", "gamma"}),
+    "ig": ({"delta", "gamma"}, {"delta", "gamma"}),
+}
+
+
+def _check_param_keys(model: str, params: dict) -> None:
+    required, allowed = _MODEL_PARAMS[model]
+    missing = sorted(required - params.keys())
+    if missing:
+        raise ValueError(f"{model} model needs key {missing[0]!r}")
+    unknown = sorted(params.keys() - allowed)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for the {model} model "
+                         f"(allowed: {', '.join(sorted(allowed))})")
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) == 1:
@@ -70,14 +90,11 @@ def _write_lines(path, lines: list[str]) -> None:
 def _cmd_simulate(args) -> int:
     try:
         params = _parse_params(args.params)
+        _check_param_keys(args.model, params)
     except ValueError as exc:
         print(f"error: --params: {exc}", file=sys.stderr)
         return 2
     if args.model == "timevarying":
-        if "beta" not in params or "p_pos" not in params:
-            print("error: timevarying model needs beta and p_pos params",
-                  file=sys.stderr)
-            return 2
         if args.path == "cosine":
             path = ScalePath.cosine(params["beta"])
         else:
@@ -340,16 +357,13 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except LevyEstimError as exc:
-        print(json.dumps(exc.to_json_dict(), sort_keys=True), file=sys.stderr)
-        return 1
+        payload = exc.to_json_dict()
     except OSError as exc:
-        print(json.dumps({"code": "io_error", "message": str(exc),
-                          "context": {}}), file=sys.stderr)
-        return 1
+        payload = {"code": "io_error", "message": str(exc), "context": {}}
     except ValueError as exc:
-        print(json.dumps({"code": "value_error", "message": str(exc),
-                          "context": {}}), file=sys.stderr)
-        return 1
+        payload = {"code": "value_error", "message": str(exc), "context": {}}
+    print(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

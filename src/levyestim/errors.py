@@ -8,13 +8,18 @@ part of the public contract and must not change.
 
 from __future__ import annotations
 
+import math
+
 
 def _plain(value):
-    # keep error payloads JSON-serializable; numpy scalars carry .item()
+    # keep error payloads strict JSON: numpy scalars carry .item(), and
+    # NaN/inf have no JSON spelling, so they become null
     if hasattr(value, "item"):
-        return value.item()
+        value = value.item()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 

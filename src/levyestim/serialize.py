@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,13 +74,19 @@ def read_increments(path) -> IncrementSample:
                     meta[key] = _meta_value(raw)
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise DataError("unparseable increment value",
                                 line=lineno, text=line) from exc
+            if not math.isfinite(value):
+                raise DataError("non-finite increment value",
+                                line=lineno, text=line)
+            values.append(value)
     if "h" not in meta:
         raise DataError("increment file lacks an h metadata line", path=str(path))
     h = float(meta.pop("h"))
+    if not math.isfinite(h):
+        raise DataError("non-finite mesh h", path=str(path), h=h)
     declared_n = meta.pop("n", None)
     if declared_n is not None and int(declared_n) != len(values):
         raise DataError("declared n disagrees with the number of values",
@@ -252,7 +258,3 @@ def read_summary(path) -> tuple[list[SummaryRow], dict]:
     if not header_seen:
         raise DataError("summary file lacks a header", path=str(path))
     return rows, meta
-
-
-def summary_records(rows: Iterable[SummaryRow]) -> list[tuple]:
-    return [row.as_record() for row in rows]

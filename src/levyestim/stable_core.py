@@ -150,13 +150,15 @@ class ScalePath:
     """Deterministic scale profile t -> sigma_t^beta on [0, 1].
 
     ``profile(t)`` returns sigma_t^beta; ``primitive``, when given, is its
-    antiderivative (used for closed-form block integrals, otherwise adaptive
-    quadrature at relative tolerance 1e-10 takes over).
+    antiderivative and must accept a NumPy array as well as a float:
+    ``sigma_bars(n)`` evaluates it once on the n + 1 block edges
+    ``arange(n + 1) / n``.  Without a primitive every block integral falls
+    back to adaptive quadrature at relative tolerance 1e-10.
     """
 
     beta: float
     profile: Callable[[float], float]
-    primitive: Callable[[float], float] | None = None
+    primitive: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     label: str = "custom"
 
     def __post_init__(self):
@@ -176,15 +178,15 @@ class ScalePath:
         def prof(t: float) -> float:
             return 0.4 * (math.cos(2.0 * math.pi * t) + 1.5)
 
-        def prim(t: float) -> float:
-            return 0.4 * (math.sin(2.0 * math.pi * t) / (2.0 * math.pi) + 1.5 * t)
+        def prim(t):
+            return 0.4 * (np.sin(2.0 * np.pi * t) / (2.0 * np.pi) + 1.5 * t)
 
         return cls(beta, prof, prim, "cosine")
 
     def integral(self, a: float, b: float) -> float:
         """integral_a^b sigma_s^beta ds."""
         if self.primitive is not None:
-            return self.primitive(b) - self.primitive(a)
+            return float(self.primitive(b) - self.primitive(a))
         val, _ = quad(self.profile, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
         return val
 
@@ -195,7 +197,10 @@ class ScalePath:
         return n * self.integral((j - 1) / n, j / n)
 
     def sigma_bars(self, n: int) -> np.ndarray:
-        return np.array([self.sigma_bar(j, n) for j in range(1, n + 1)])
+        """All n block averages sigma_bar(1, n), ..., sigma_bar(n, n)."""
+        if self.primitive is None:
+            return np.array([self.sigma_bar(j, n) for j in range(1, n + 1)])
+        return n * np.diff(self.primitive(np.arange(n + 1) / n))
 
     def sigma_star(self, q: float) -> float:
         """integral_0^1 sigma_s^q ds."""

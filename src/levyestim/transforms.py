@@ -64,10 +64,6 @@ class TransformedSample(IncrementSample):
 
     kind: str = "unknown"
 
-    @property
-    def n_effective(self) -> int:
-        return self.n
-
 
 def symmetrize(sample: IncrementSample) -> TransformedSample:
     """Non-overlapping pairwise differences Delta_{2l} X - Delta_{2l-1} X,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from levyestim.cli import main
+from levyestim.errors import DataError, DomainError
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
@@ -130,6 +131,78 @@ def test_simulate_timevarying_cosine(tmp_path):
                  "--seed", "11", "--out", str(out))
     assert rc == 0
     assert read_increments(out).n == 400
+
+
+@pytest.mark.parametrize("model,params,key", [
+    ("gamma", "delta=1", "'gamma'"),
+    ("stable", "sigma=1", "'beta'"),
+    ("timevarying", "beta=1.5", "'p_pos'"),
+])
+def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
+                                              params, key):
+    rc = run_cli("simulate", "--model", model, "--params", params,
+                 "--n", "10", "--T", "1", "--seed", "1",
+                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("model,params,key", [
+    ("gamma", "delta=1,gamma=2,rho=0", "'rho'"),
+    ("stable", "beta=1.5,delta=1", "'delta'"),
+    ("timevarying", "beta=1.5,p_pos=0.6,gamma=0", "'gamma'"),
+])
+def test_simulate_unknown_param_key_exits_two(tmp_path, capsys, model,
+                                              params, key):
+    rc = run_cli("simulate", "--model", model, "--params", params,
+                 "--n", "10", "--T", "1", "--seed", "1",
+                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("lines,bad_line", [
+    (["# h=0.01", "# n=3", "0.5", "nan", "1.0"], 4),
+    (["# h=0.01", "# n=3", "0.5", "-0.2", "inf"], 5),
+    (["# h=0.01", "-inf", "0.5"], 2),
+])
+def test_estimate_rejects_non_finite_increments(tmp_path, capsys, lines,
+                                                bad_line):
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError):
+        read_increments(src)
+    assert run_cli("estimate", "--in", str(src), "--method", "log") == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "data_error"
+    assert payload["context"]["line"] == bad_line
+
+
+def test_non_finite_mesh_is_data_error(tmp_path):
+    src = tmp_path / "bad.csv"
+    src.write_text("# h=inf\n0.5\n")
+    with pytest.raises(DataError):
+        read_increments(src)
+
+
+def test_error_payload_is_strict_json(tmp_path, capsys):
+    rc = run_cli("simulate", "--model", "stable", "--params", "beta=nan",
+                 "--n", "10", "--T", "1", "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "domain_error"
+    assert payload["context"] == {"beta": None}
+    err = DomainError("x", values=[np.float64(np.inf), 1.0], level=np.nan)
+    assert err.to_json_dict()["context"] == {"values": [None, 1.0],
+                                             "level": None}
 
 
 def test_estimate_log_reports_three_parameters(tmp_path, capsys):

@@ -207,6 +207,42 @@ def test_cosine_path_block_integral():
     assert abs(bars.mean() - 0.6) < 1e-12
 
 
+def _cosine_primitive_scalar(t):
+    return 0.4 * (math.sin(2.0 * math.pi * t) / (2.0 * math.pi) + 1.5 * t)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000, 5000])
+@pytest.mark.parametrize("kind", ["cosine", "constant"])
+def test_sigma_bars_equal_per_block_reference(kind, n):
+    # reference: one scalar primitive difference per block, as a loop
+    if kind == "cosine":
+        path, prim = ScalePath.cosine(1.5), _cosine_primitive_scalar
+    else:
+        c = 0.7 ** 1.3
+        path, prim = ScalePath.constant(0.7, 1.3), lambda t: c * t
+    ref = np.array([n * (prim(j / n) - prim((j - 1) / n))
+                    for j in range(1, n + 1)])
+    np.testing.assert_array_equal(path.sigma_bars(n), ref)
+
+
+def test_sigma_bars_without_primitive_use_quadrature():
+    def profile(t):
+        return 0.4 * (math.cos(2.0 * math.pi * t) + 1.5)
+
+    custom = ScalePath(1.5, profile)
+    n = 64
+    np.testing.assert_allclose(custom.sigma_bars(n),
+                               ScalePath.cosine(1.5).sigma_bars(n),
+                               rtol=0, atol=1e-10)
+
+
+def test_scale_path_scalars_are_python_floats():
+    for path in (ScalePath.cosine(1.5), ScalePath.constant(0.7, 1.3)):
+        assert type(path.integral(0.1, 0.3)) is float
+        assert type(path.sigma_bar(3, 7)) is float
+        assert type(path.sigma_star(path.beta)) is float
+
+
 def test_sigma_star_values():
     path = ScalePath.cosine(1.5)
     assert abs(path.sigma_star(1.5) - 0.6) < 1e-12

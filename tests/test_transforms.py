@@ -47,7 +47,7 @@ def test_symmetrize_hand_values():
     out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0]))
     assert np.array_equal(out.values, [3.0, -7.0])
     assert out.kind == "symmetrized"
-    assert out.n_effective == 2
+    assert out.n == 2
 
 
 def test_center_hand_values():
