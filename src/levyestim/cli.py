@@ -10,7 +10,9 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,7 +40,11 @@ def _parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise ValueError(f"expected key=value, got {chunk!r}")
         key, _, raw = chunk.partition("=")
-        out[key.strip()] = float(raw)
+        key = key.strip()
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value for key {key!r}")
+        out[key] = value
     return out
 
 
@@ -351,9 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves every
+    # main() call of the process; built on first use, not at import
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except LevyEstimError as exc:

@@ -41,7 +41,12 @@ from .errors import (
     SingularJacobian,
 )
 from .serialize import EstimateReport
-from .special_fn import RootBracket, find_root_monotone, log_gamma
+from .special_fn import (
+    RootBracket,
+    find_root_monotone,
+    log_gamma,
+    log_gamma_ratio,
+)
 from .stable_core import IncrementSample
 
 __all__ = [
@@ -199,7 +204,10 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
 
     The map beta -> Gamma(1-q/beta)^2 / Gamma(1-2q/beta) is strictly
     increasing on (max(4q, 1), 2), which is the search interval; a ratio
-    outside its image raises RootOutOfBracket.
+    outside its image raises RootOutOfBracket.  The root solved is that of
+    the log form
+
+        log Gamma(1-q/beta)^2 / Gamma(1-2q/beta) = log(ratio / (C_1 C_2)).
     """
     if not (0.0 < q < 0.5):
         raise DomainError("power q must lie in (0, 1/2)", q=q)
@@ -209,7 +217,8 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
     x = np.abs(sample.values)
     if x.size < 2:
         raise DomainError("need at least 2 increments", n=int(x.size))
-    num = float(np.sum(x[:-1] ** q * x[1:] ** q))
+    xq = x ** q
+    num = float(np.sum(xq[:-1] * xq[1:]))
     den = float(np.sum(x ** (2.0 * q)))
     if den <= 0.0 or num <= 0.0:
         raise InadmissiblePositivity("degenerate power sums", num=num, den=den)
@@ -219,10 +228,10 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
     ang = math.pi * q * (p_hat - 0.5)
     c2 = math.cos(ang) ** 2 / math.cos(2.0 * ang)
     target = num / den / (c1 * c2)
+    log_target = math.log(target)
 
     def gap(beta: float) -> float:
-        return math.exp(2.0 * log_gamma(1.0 - q / beta)
-                        - log_gamma(1.0 - 2.0 * q / beta)) - target
+        return log_gamma_ratio(beta, q) - log_target
 
     bracket = RootBracket(max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9)
     try:
@@ -257,7 +266,8 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
     if x.size < 2:
         raise DomainError("need at least 2 increments", n=int(x.size))
     n = x.size
-    num = float(np.sum(x[:-1] ** power * x[1:] ** power))
+    xp = x ** power
+    num = float(np.sum(xp[:-1] * xp[1:]))
     return n ** (2.0 * power / beta_hat - 1.0) * num / (mu * mu)
 
 
@@ -277,7 +287,8 @@ def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
         raise DomainError("need at least 3 increments", n=int(x.size))
     third = beta_hat / 3.0
     mu = mu_abs(beta_hat, p_hat, third)
-    mstar = float(np.sum(x[:-2] ** third * x[1:-1] ** third * x[2:] ** third))
+    xt = x ** third
+    mstar = float(np.sum(xt[:-2] * xt[1:-1] * xt[2:]))
     return mstar / mu ** 3
 
 

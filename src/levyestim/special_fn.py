@@ -39,6 +39,17 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def log_gamma_ratio(beta: float, r: float) -> float:
+    """log{Gamma(1 - r/beta)^2 / Gamma(1 - 2r/beta)}, the beta-dependent part
+    of the moment ratios behind the fractional-moment and bipower index
+    equations.  Strictly increasing in beta for 0 < 2r < beta.
+
+    Unchecked (plain math.lgamma) because root solvers evaluate it many
+    times per solve; callers keep 0 < 2r < beta.
+    """
+    return 2.0 * math.lgamma(1.0 - r / beta) - math.lgamma(1.0 - 2.0 * r / beta)
+
+
 # Asymptotic tail of psi(x) = log x - 1/(2x) - sum_k c_k x^{-2k} with
 # c_k = B_{2k}/(2k); truncated after x^{-12} the error is below 1e-11 once
 # the recurrence psi(x) = psi(x+1) - 1/x has lifted the argument to x >= 6.

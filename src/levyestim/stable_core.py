@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 
 __all__ = [
     "StableParams",
@@ -120,7 +120,10 @@ class PositivityStable:
 
 @dataclass(frozen=True)
 class IncrementSample:
-    """Equispaced increments of one observed path: values, mesh h, metadata."""
+    """Equispaced increments of one observed path: values, mesh h, metadata.
+
+    Values must be finite; a NaN or infinity raises DataError naming the
+    first bad index and the count of bad values."""
 
     values: np.ndarray
     h: float
@@ -131,6 +134,10 @@ class IncrementSample:
         if values.ndim != 1 or values.size == 0:
             raise DomainError("values must be a nonempty 1-d array",
                               shape=list(np.shape(self.values)))
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))
+            raise DataError("increment values must be finite",
+                            first_index=int(bad[0]), count=int(bad.size))
         object.__setattr__(self, "values", values)
         if not self.h > 0.0:
             raise DomainError("mesh h must be positive", h=self.h)

@@ -44,6 +44,7 @@ from .special_fn import (
     digamma,
     find_root_monotone,
     log_gamma,
+    log_gamma_ratio,
 )
 from .stable_core import IncrementSample
 from .stable_density import median_asymptotic_sd
@@ -79,7 +80,7 @@ def _odd_values(sample: IncrementSample) -> np.ndarray:
 def _median_split(values: np.ndarray) -> tuple[float, np.ndarray, int]:
     xs = np.sort(values)
     k = (xs.size - 1) // 2
-    return float(xs[k]), np.delete(xs, k), k
+    return float(xs[k]), np.concatenate((xs[:k], xs[k + 1:])), k
 
 
 def median_gamma(sample: IncrementSample) -> float:
@@ -282,9 +283,12 @@ def c_moment(beta: float, q: float) -> float:
                                - log_gamma(1.0 - 0.5 * q)) / math.sqrt(math.pi)
 
 
-def _frac_ratio(beta: float, p: float) -> float:
-    # C(beta, p)^2 / C(beta, 2p), strictly increasing in beta on (6p, 2)
-    return c_moment(beta, p) ** 2 / c_moment(beta, 2.0 * p)
+def _log_frac_k(p: float) -> float:
+    # log K(p), the beta-free factor of C(beta, p)^2 / C(beta, 2p) (see
+    # frac_moment_estimate)
+    return (2.0 * log_gamma(0.5 * (p + 1.0)) + log_gamma(1.0 - p)
+            - 2.0 * log_gamma(1.0 - 0.5 * p) - log_gamma(p + 0.5)
+            - 0.5 * math.log(math.pi))
 
 
 def frac_moment_estimate(sample: IncrementSample, p: float,
@@ -297,7 +301,14 @@ def frac_moment_estimate(sample: IncrementSample, p: float,
         C(beta, p)^2 / C(beta, 2p) = H_1^2 / H_2
 
     on the admissible interval (6p, 2), where the left side is strictly
-    increasing, and
+    increasing.  The beta-free Gamma factors are split off once, so the
+    root solved is that of the log form
+
+        log Gamma(1 - p/beta)^2 / Gamma(1 - 2p/beta)
+            = log(H_1^2 / H_2) - log K(p),
+
+    K(p) = Gamma((p+1)/2)^2 Gamma(1-p) / {sqrt(pi) Gamma(1-p/2)^2 Gamma(p+1/2)},
+    and
 
         sigma_hat = {h^{-p/beta_hat} H_1 / C(beta_hat, p)}^{1/p}.
 
@@ -314,10 +325,11 @@ def frac_moment_estimate(sample: IncrementSample, p: float,
     if h1 <= 0.0 or h2 <= 0.0:
         raise ZeroResidual("fractional moments vanish", h1=h1, h2=h2)
     target = h1 * h1 / h2
+    log_rhs = math.log(target) - _log_frac_k(p)
     bracket = RootBracket(6.0 * p + 1e-9, 2.0 - 1e-9)
     try:
-        beta_hat = find_root_monotone(lambda b: _frac_ratio(b, p) - target,
-                                      bracket)
+        beta_hat = find_root_monotone(
+            lambda b: log_gamma_ratio(b, p) - log_rhs, bracket)
     except NoSignChange as exc:
         raise RootOutOfBracket("moment ratio outside the admissible index "
                                "interval", target=target, p=p,

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levyestim.cli import main
+import levyestim
+from levyestim.cli import build_parser, main
 from levyestim.errors import DataError, DomainError
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
@@ -137,6 +142,10 @@ def test_simulate_timevarying_cosine(tmp_path):
     ("gamma", "delta=1", "'gamma'"),
     ("stable", "sigma=1", "'beta'"),
     ("timevarying", "beta=1.5", "'p_pos'"),
+    # a non-finite value is as unusable as a missing one
+    ("stable", "beta=nan", "'beta'"),
+    ("stable", "beta=inf", "'beta'"),
+    ("gamma", "delta=1,gamma=-inf", "'gamma'"),
 ])
 def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
                                               params, key):
@@ -194,8 +203,7 @@ def test_non_finite_mesh_is_data_error(tmp_path):
 
 
 def test_error_payload_is_strict_json(tmp_path, capsys):
-    rc = run_cli("simulate", "--model", "stable", "--params", "beta=nan",
-                 "--n", "10", "--T", "1", "--out", str(tmp_path / "x.csv"))
+    rc = run_cli("fisher", "--beta", "nan")
     assert rc == 1
     payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["code"] == "domain_error"
@@ -349,3 +357,46 @@ def test_variance_single_beta_without_p(capsys):
     lines = _run_to_lines(capsys, "variance", "--beta", "1.5")
     assert "v_p_11" not in lines[0]
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def _fresh_process(*argv):
+    src = str(Path(levyestim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LEVY_ESTIM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "levyestim.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable",
+                   "--params", "beta=1.5,sigma=0.5,rho=0,gamma=-0.5",
+                   "--n", "1001", "--T", "5", "--seed", "7",
+                   "--out", str(src)) == 0
+    table_args = ("table", "--id", "table1", "--reps", "2", "--beta", "1.5",
+                  "--n", "501", "--threads", "1")
+    # one process: a frac call sets --p, then pipeline and table run without
+    # it; any argument state kept by the shared parser would show here
+    capsys.readouterr()
+    assert run_cli("estimate", "--in", str(src), "--method", "frac",
+                   "--p", "0.1") == 0
+    frac_out = capsys.readouterr().out
+    assert run_cli("estimate", "--in", str(src), "--method", "pipeline") == 0
+    pipeline_out = capsys.readouterr().out
+    assert run_cli(*table_args, "--out", str(tmp_path / "in.csv")) == 0
+
+    assert frac_out == _fresh_process("estimate", "--in", str(src),
+                                      "--method", "frac", "--p", "0.1")
+    assert pipeline_out == _fresh_process("estimate", "--in", str(src),
+                                          "--method", "pipeline")
+    _fresh_process(*table_args, "--out", str(tmp_path / "fresh.csv"))
+    assert ((tmp_path / "in.csv").read_text()
+            == (tmp_path / "fresh.csv").read_text())

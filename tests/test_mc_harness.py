@@ -1,8 +1,10 @@
 """Monte Carlo harness: seeded replication, aggregation, table presets,
 summary emission."""
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +267,44 @@ def test_table4_tripower_cell_reproduces_published_row(table4_beta15):
     row = table4_beta15[("tripower", "sigma_star")]
     assert abs(row.mean - 0.615) <= 0.02
     assert abs(row.rmse - 0.141) <= 0.3 * 0.141
+
+
+_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+# golden file -> (preset, replications) designs it was written from
+_GOLDEN_DESIGNS = {
+    "symmetric_tables.csv": (("table1", 40), ("table2", 40)),
+    "skewed_tables.csv": (("table3", 20), ("table4", 5)),
+}
+
+
+def _within_sixth_digit(value, ref):
+    # at most one unit in the 6th significant digit of the golden value
+    if math.isnan(ref) or math.isnan(value):
+        return math.isnan(ref) and math.isnan(value)
+    if ref == 0.0:
+        return value == 0.0
+    unit = 10.0 ** (math.floor(math.log10(abs(ref))) - 5)
+    return abs(value - ref) <= unit * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("golden", sorted(_GOLDEN_DESIGNS))
+def test_benchmark_golden_rows_at_default_seed(golden):
+    with open(_GOLDEN_DIR / golden, encoding="utf8", newline="") as fh:
+        want = {(r["table"], r["estimator"], r["param"], int(r["n"])): r
+                for r in csv.DictReader(fh)}
+    got = {}
+    for table_id, reps in _GOLDEN_DESIGNS[golden]:
+        for row in run_preset(table_id, replications=reps,
+                              master_seed=DEFAULT_MASTER_SEED, threads=1):
+            got[(row.table, row.estimator, row.param, row.n)] = row
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        row = got[key]
+        assert row.replications == int(ref["replications"]), key
+        assert row.failures == int(ref["failures"]), key
+        assert _within_sixth_digit(row.mean, float(ref["mean"])), key
+        assert _within_sixth_digit(row.rmse, float(ref["rmse"])), key
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from levyestim.errors import DomainError, InadmissiblePositivity, RootOutOfBracket
 from levyestim.skewed import (
@@ -31,6 +32,7 @@ from levyestim.stable_core import (
     PositivityStable,
     StableParams,
     sample_increments,
+    skew_to_positivity,
     sprime_increment_sampler,
 )
 from levyestim.symmetric import c_moment
@@ -218,12 +220,17 @@ def test_mpv_validation():
 # bipower index estimate
 
 
-def _ratio_rhs(beta, q, p_hat):
+def _ratio_const(q, p_hat):
+    # C_1(q) C_2(q, p_hat)
     c1 = math.gamma(1.0 - 2.0 * q) * math.cos(math.pi * q) \
         / (math.gamma(1.0 - q) * math.cos(0.5 * math.pi * q)) ** 2
     ang = math.pi * q * (p_hat - 0.5)
     c2 = math.cos(ang) ** 2 / math.cos(2.0 * ang)
-    return c1 * c2 * math.gamma(1.0 - q / beta) ** 2 \
+    return c1 * c2
+
+
+def _ratio_rhs(beta, q, p_hat):
+    return _ratio_const(q, p_hat) * math.gamma(1.0 - q / beta) ** 2 \
         / math.gamma(1.0 - 2.0 * q / beta)
 
 
@@ -272,6 +279,27 @@ def test_bipower_out_of_bracket():
                           seed=11)
     with pytest.raises(RootOutOfBracket):
         bipower_beta(s, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("q", [0.2, 0.25])
+def test_bipower_root_matches_the_ratio_equation(beta, q):
+    # reference: Brent on the ratio itself, Gamma(1-q/b)^2/Gamma(1-2q/b) =
+    # target, where bipower_beta solves the log of both sides
+    law = PositivityStable(beta, skew_to_positivity(beta, -0.5), 1.0)
+    s = sprime_increment_sampler(law, 1.0 / 4000, 4000, seed=17)
+    p_hat = sign_statistic(s)
+    x = np.abs(s.values)
+    ratio = float(np.sum(x[:-1] ** q * x[1:] ** q)) / float(np.sum(x ** (2 * q)))
+    target = ratio / _ratio_const(q, p_hat)
+
+    def gap(b):
+        return math.exp(2.0 * math.lgamma(1.0 - q / b)
+                        - math.lgamma(1.0 - 2.0 * q / b)) - target
+
+    ref = brentq(gap, max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9, xtol=1e-12,
+                 maxiter=200)
+    assert abs(bipower_beta(s, q, p_hat) - ref) <= 1e-10
 
 
 def test_bipower_validation():
@@ -332,6 +360,28 @@ def test_tripower_homogeneity():
     assert tripower_integrated_scale(scaled, P_POS, beta_hat) == pytest.approx(
         2.0 ** beta_hat * tripower_integrated_scale(s, P_POS, beta_hat),
         rel=1e-12)
+
+
+def test_power_sums_equal_per_slice_powers():
+    # one |x|^r array multiplied along shifted slices is bit-identical to
+    # raising every slice separately
+    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=23)
+    x = np.abs(s.values)
+    n = x.size
+    for q in (0.2, 0.25, 0.3):
+        xq = x ** q
+        np.testing.assert_array_equal(xq[:-1] * xq[1:], x[:-1] ** q * x[1:] ** q)
+    for beta_hat in (1.2, 1.47, 1.9):
+        third = beta_hat / 3.0
+        mstar = float(np.sum(x[:-2] ** third * x[1:-1] ** third
+                             * x[2:] ** third))
+        mu = mu_abs(beta_hat, P_POS, third)
+        assert tripower_integrated_scale(s, P_POS, beta_hat) == mstar / mu ** 3
+        for power in (0.2, 0.25):
+            num = float(np.sum(x[:-1] ** power * x[1:] ** power))
+            mu = mu_abs(beta_hat, P_POS, power)
+            assert sigma_star_bipower(s, P_POS, beta_hat, power) == \
+                n ** (2.0 * power / beta_hat - 1.0) * num / (mu * mu)
 
 
 def test_scale_functionals_need_enough_data():

@@ -17,6 +17,7 @@ from levyestim.special_fn import (
     euler_gamma,
     find_root_monotone,
     log_gamma,
+    log_gamma_ratio,
     zeta3,
 )
 
@@ -118,3 +119,17 @@ def test_root_image_property(c):
     f = lambda x: x ** 3 + x - c
     root = find_root_monotone(f, RootBracket(-10.0, 10.0))
     assert abs(f(root)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# log-Gamma ratio of the index equations
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.25, 0.3])
+def test_log_gamma_ratio_matches_scipy_and_increases(r):
+    betas = np.linspace(2.0 * r + 0.05, 2.0, 60)
+    got = np.array([log_gamma_ratio(b, r) for b in betas])
+    ref = 2.0 * ss.gammaln(1.0 - r / betas) - ss.gammaln(1.0 - 2.0 * r / betas)
+    # math.lgamma and scipy gammaln agree to ~1e-15 absolute near 1
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
+    assert np.all(np.diff(got) > 0.0)

@@ -8,7 +8,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyestim.errors import DomainError
+from levyestim.errors import DataError, DomainError
 from levyestim.stable_core import (
     IncrementSample,
     PositivityStable,
@@ -275,6 +275,15 @@ def test_increment_sample_basic():
     assert abs(s.horizon - 1.5) < 1e-15
     with pytest.raises(DomainError):
         IncrementSample(np.array([1.0]), -0.5, {})
+
+
+def test_increment_sample_rejects_non_finite_values():
+    values = np.array([1.0, np.nan, 2.0, np.inf] * 50)
+    with pytest.raises(DataError) as exc:
+        IncrementSample(values, 0.01)
+    assert exc.value.context == {"first_index": 1, "count": 100}
+    with pytest.raises(DataError):
+        IncrementSample(np.array([0.5, -np.inf]), 0.01)
 
 
 @given(st.floats(min_value=1.05, max_value=1.95),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as ss
+from scipy.optimize import brentq
 
 from levyestim.errors import (
     DenominatorNearZero,
@@ -13,9 +14,12 @@ from levyestim.errors import (
     RootOutOfBracket,
     ZeroResidual,
 )
+from levyestim.special_fn import log_gamma_ratio
 from levyestim.stable_core import IncrementSample, StableParams, sample_increments
 from levyestim.stable_density import median_asymptotic_sd
 from levyestim.symmetric import (
+    _log_frac_k,
+    _median_split,
     beta_inv_sq_unbiased,
     c_moment,
     frac_moment_estimate,
@@ -235,6 +239,45 @@ def test_frac_moment_out_of_bracket():
     s = _sym_sample(0.8, 0.5, -0.5, 2001, 5.0, 24)
     with pytest.raises(RootOutOfBracket):
         frac_moment_estimate(s, 0.2)
+
+
+# (beta, p) pairs with the admissible interval (6p, 2) well below beta
+_FRAC_GRID = [(beta, p) for beta in (0.8, 1.0, 1.5, 1.8)
+              for p in (0.05, 0.1, 0.15, 0.2, 0.3) if 6.0 * p < beta - 0.1]
+
+
+@pytest.mark.parametrize("beta,p", _FRAC_GRID)
+def test_frac_log_form_splits_the_moment_ratio(beta, p):
+    # log{C(b,p)^2 / C(b,2p)} = log_gamma_ratio(b, p) + log K(p) on the whole
+    # admissible interval; the reference takes the log of a ratio near 1,
+    # which costs it ~1e-15 absolute
+    for b in np.linspace(6.0 * p + 1e-3, 2.0, 25):
+        ref = math.log(c_moment(b, p) ** 2 / c_moment(b, 2.0 * p))
+        got = log_gamma_ratio(b, p) + _log_frac_k(p)
+        assert got == pytest.approx(ref, rel=1e-13, abs=2e-15)
+
+
+@pytest.mark.parametrize("beta,p", _FRAC_GRID)
+def test_frac_root_matches_the_moment_ratio_equation(beta, p):
+    # reference: Brent on C(b,p)^2 / C(b,2p) = H_1^2 / H_2 directly
+    s = _sym_sample(beta, 0.5, -0.5, 2001, 5.0, 31)
+    rep = frac_moment_estimate(s, p)
+    resid = np.abs(s.values - np.median(s.values))
+    target = np.mean(resid ** p) ** 2 / np.mean(resid ** (2.0 * p))
+    ref = brentq(lambda b: c_moment(b, p) ** 2 / c_moment(b, 2.0 * p) - target,
+                 6.0 * p + 1e-9, 2.0 - 1e-9, xtol=1e-12, maxiter=200)
+    assert abs(rep.beta_hat - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5, 501, 2001])
+def test_median_split_equals_delete(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_cauchy(n), rng.integers(-2, 3, n) * 1.0):
+        m, rest, k = _median_split(values)
+        xs = np.sort(values)
+        assert k == (n - 1) // 2
+        assert m == xs[k]
+        np.testing.assert_array_equal(rest, np.delete(xs, k))
 
 
 def test_frac_moment_p_validation():
