@@ -84,13 +84,24 @@ def read_increments(path) -> IncrementSample:
             values.append(value)
     if "h" not in meta:
         raise DataError("increment file lacks an h metadata line", path=str(path))
-    h = float(meta.pop("h"))
+    raw_h = meta.pop("h")
+    try:
+        h = float(raw_h)
+    except ValueError:
+        h = math.nan
     if not math.isfinite(h):
-        raise DataError("non-finite mesh h", path=str(path), h=h)
+        raise DataError(f"metadata h={raw_h!r} is not a finite number",
+                        path=str(path), key="h", value=str(raw_h))
     declared_n = meta.pop("n", None)
-    if declared_n is not None and int(declared_n) != len(values):
-        raise DataError("declared n disagrees with the number of values",
-                        declared=int(declared_n), found=len(values))
+    if declared_n is not None:
+        if not isinstance(declared_n, (int, float)) \
+                or not float(declared_n).is_integer():
+            raise DataError(f"metadata n={declared_n!r} is not a finite "
+                            "integer", path=str(path), key="n",
+                            value=str(declared_n))
+        if int(declared_n) != len(values):
+            raise DataError("declared n disagrees with the number of values",
+                            declared=int(declared_n), found=len(values))
     if not values:
         raise DataError("increment file holds no values", path=str(path))
     return IncrementSample(np.array(values), h, meta)

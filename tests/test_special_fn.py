@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special as ss
+from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyestim import skewed, symmetric
 from levyestim.errors import DomainError, NoSignChange
 from levyestim.special_fn import (
     EULER_GAMMA,
@@ -19,6 +21,12 @@ from levyestim.special_fn import (
     log_gamma,
     log_gamma_ratio,
     zeta3,
+)
+from levyestim.stable_core import (
+    PositivityStable,
+    StableParams,
+    sample_increments,
+    sprime_increment_sampler,
 )
 
 # frozen reference values (math.lgamma / scipy at higher context, checked once)
@@ -109,6 +117,48 @@ def test_bracket_validation():
         RootBracket(2.0, 1.0)
     with pytest.raises(DomainError):
         RootBracket(1.0, 2.0, tol=0.0)
+
+
+def _two_pass_root(f, bracket):
+    # reference: sign check at both ends, then a brentq that evaluates
+    # them again
+    flo, fhi = f(bracket.lo), f(bracket.hi)
+    if flo == 0.0:
+        return bracket.lo
+    if fhi == 0.0:
+        return bracket.hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise NoSignChange("same sign", lo=bracket.lo, hi=bracket.hi)
+    return float(brentq(f, bracket.lo, bracket.hi, xtol=bracket.tol,
+                        maxiter=bracket.max_iter))
+
+
+def test_root_evaluates_each_end_once():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.3
+
+    assert find_root_monotone(f, RootBracket(0.0, 1.0)) == 0.3
+    assert calls == [0.0, 1.0, 0.3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
+    frac_sample = sample_increments(StableParams(1.4, 1.0), 1.0 / 2000, 2001,
+                                    seed=seed)
+    bip_sample = sprime_increment_sampler(PositivityStable(1.5, 0.55), 1e-3,
+                                          2000, seed=seed)
+
+    def roots():
+        return (symmetric.frac_moment_estimate(frac_sample, 0.2).beta_hat,
+                skewed.bipower_beta(bip_sample, 0.25, 0.55))
+
+    new = roots()
+    monkeypatch.setattr(symmetric, "find_root_monotone", _two_pass_root)
+    monkeypatch.setattr(skewed, "find_root_monotone", _two_pass_root)
+    assert roots() == new
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0,

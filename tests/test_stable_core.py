@@ -50,6 +50,59 @@ def test_cauchy_reduction_exact():
     assert np.max(np.abs(s - np.tan(u))) < 1e-12
 
 
+def _sin_cos_cms(beta, rho, u, v):
+    # reference: the Chambers-Mallows-Stuck transform in its sin/cos form
+    t = rho * math.tan(0.5 * math.pi * beta)
+    a = (1.0 + t * t) ** (0.5 / beta)
+    b = math.atan(t) / beta
+    phase = beta * (u + b)
+    return (a * np.sin(phase) / np.cos(u) ** (1.0 / beta)
+            * (np.cos(u - phase) / v) ** ((1.0 - beta) / beta))
+
+
+@pytest.mark.parametrize("beta,rho", [
+    (beta, rho) for beta in (0.5, 0.8, 1.2, 1.5, 1.9, 2.0)
+    for rho in (-1.0, -0.5, 0.0, 0.9, 1.0) if beta < 2.0 or rho == 0.0])
+def test_cms_matches_sin_cos_form(beta, rho):
+    rng = make_rng("cms-reference", beta, rho)
+    gap = 10.0 ** -np.linspace(3.0, 15.0, 25)
+    u = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, size=20_000),
+                        np.pi / 2 - gap, -np.pi / 2 + gap])
+    v = rng.standard_exponential(size=u.size)
+    got = sample_standard_stable(beta, rho, u, v)
+    ref = _sin_cos_cms(beta, rho, u, v)
+    assert np.isfinite(got).all() and np.isfinite(ref).all()
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_cms_scalar_call_matches_array_call():
+    # NumPy's one-element ufunc loops may round the last bit differently
+    # from its vectorised array loops (pow did so for the sin/cos form too)
+    rng = make_rng("cms-scalar")
+    u = rng.uniform(-np.pi / 2, np.pi / 2, size=8)
+    v = rng.standard_exponential(size=8)
+    for beta, rho in [(1.5, -0.5), (0.7, 1.0), (2.0, 0.0), (1.0, 0.3),
+                      (1.0, 0.0)]:
+        arr = sample_standard_stable(beta, rho, u, v)
+        for i in range(u.size):
+            for args in ((u[i], v[i]), (float(u[i]), float(v[i])),
+                         (np.asarray(u[i]), np.asarray(v[i]))):
+                one = sample_standard_stable(beta, rho, *args)
+                assert np.ndim(one) == 0
+                assert one == pytest.approx(arr[i], rel=1e-15, abs=0.0)
+
+
+def test_cms_leaves_inputs_unchanged():
+    rng = make_rng("cms-inputs")
+    u = rng.uniform(-np.pi / 2, np.pi / 2, size=500)
+    v = rng.standard_exponential(size=500)
+    u0, v0 = u.copy(), v.copy()
+    for beta, rho in [(1.5, 0.5), (0.8, -1.0), (2.0, 0.0), (1.0, 0.4),
+                      (1.0, 0.0)]:
+        sample_standard_stable(beta, rho, u, v)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
 def test_gaussian_variance():
     s = sample_increments(StableParams(2.0, 1.0, 0.0, 0.0), 1.0, 100_000, seed=11)
     # X ~ N(0, 2): sample variance within 3 MC std errs (se ~ sqrt(2/n)*var)
