@@ -3,8 +3,7 @@
 Subcommands: simulate, estimate, montecarlo, table, fisher, density,
 variance.  Exit codes: 0 success, 1 runtime error (machine-readable JSON
 {code, message, context} on stderr), 2 flag validation (argparse usage on
-stderr).  LEVY_ESTIM_THREADS caps Monte Carlo worker counts when --threads
-is not given.
+stderr).
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ import sys
 import numpy as np
 
 from . import mc, serialize, skewed, subordinators, symmetric, transforms
-from .errors import LevyEstimError
-from .stable_core import (
-    PositivityStable,
-    ScalePath,
-    StableParams,
-    sample_increments,
-    sample_timevarying,
-)
+from .errors import DomainError, LevyEstimError
 from .stable_density import fisher_matrix, median_asymptotic_sd, phi, phi_deriv
 
 __all__ = ["main", "build_parser"]
@@ -46,26 +38,6 @@ def _parse_params(text: str) -> dict:
             raise ValueError(f"non-finite value for key {key!r}")
         out[key] = value
     return out
-
-
-# model -> (required keys, allowed keys) of simulate --params
-_MODEL_PARAMS = {
-    "stable": ({"beta"}, {"beta", "sigma", "rho", "gamma", "p_pos"}),
-    "timevarying": ({"beta", "p_pos"}, {"beta", "p_pos", "sigma"}),
-    "gamma": ({"delta", "gamma"}, {"delta", "gamma"}),
-    "ig": ({"delta", "gamma"}, {"delta", "gamma"}),
-}
-
-
-def _check_param_keys(model: str, params: dict) -> None:
-    required, allowed = _MODEL_PARAMS[model]
-    missing = sorted(required - params.keys())
-    if missing:
-        raise ValueError(f"{model} model needs key {missing[0]!r}")
-    unknown = sorted(params.keys() - allowed)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} for the {model} model "
-                         f"(allowed: {', '.join(sorted(allowed))})")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -95,43 +67,25 @@ def _write_lines(path, lines: list[str]) -> None:
 
 def _cmd_simulate(args) -> int:
     try:
-        params = _parse_params(args.params)
-        _check_param_keys(args.model, params)
-    except ValueError as exc:
+        truth = _parse_params(args.params)
+        model = {"stable": "skewed_stable" if "p_pos" in truth
+                 else "symmetric_stable",
+                 "timevarying": "timevarying_stable", "gamma": "gamma_sub",
+                 "ig": "ig_sub"}[args.model]
+        if args.model == "timevarying":
+            truth["path"] = args.path
+        entry = mc.check_truth(model, truth, exact=True)
+    except (ValueError, DomainError) as exc:
         print(f"error: --params: {exc}", file=sys.stderr)
         return 2
-    if args.model == "timevarying":
-        if args.path == "cosine":
-            path = ScalePath.cosine(params["beta"])
-        else:
-            path = ScalePath.constant(params.get("sigma", 1.0), params["beta"])
-        sample = sample_timevarying(path, params["p_pos"], args.n, args.seed)
-    else:
+    h = None  # timevarying: the scale path fixes the horizon [0, 1]
+    if args.model != "timevarying":
         if args.T is None and args.h is None:
             print("error: need --T or --h", file=sys.stderr)
             return 2
         h = args.h if args.h is not None else args.T / args.n
-        if args.model == "stable":
-            if "p_pos" in params:
-                pp = PositivityStable(params["beta"], params["p_pos"],
-                                      params.get("sigma", 1.0) ** params["beta"])
-                from .stable_core import sprime_increment_sampler
-
-                sample = sprime_increment_sampler(pp, h, args.n, args.seed)
-            else:
-                sp = StableParams(params["beta"], params.get("sigma", 1.0),
-                                  params.get("rho", 0.0),
-                                  params.get("gamma", 0.0))
-                sample = sample_increments(sp, h, args.n, args.seed)
-        elif args.model == "gamma":
-            sample = subordinators.sample_gamma_sub(
-                subordinators.GammaSubParams(params["delta"], params["gamma"]),
-                h, args.n, args.seed)
-        else:  # ig
-            sample = subordinators.sample_ig_sub(
-                subordinators.IGSubParams(params["delta"], params["gamma"]),
-                h, args.n, args.seed)
-    serialize.write_increments(args.out, sample)
+    serialize.write_increments(args.out,
+                               entry.sample(truth, h, args.n, args.seed))
     return 0
 
 
@@ -186,13 +140,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     with open(args.config, "r", encoding="utf8") as fh:
         payload = json.load(fh)
-    if isinstance(payload, dict):
+    if not isinstance(payload, list):
         payload = [payload]
     rows = []
     echo = {"configs": len(payload)}
     for entry in payload:
         config = mc.ExperimentConfig.from_json_dict(entry)
-        rows.extend(mc.run_experiment(config, threads=args.threads))
+        rows.extend(mc.run_experiment(config))
         echo[f"label_{entry.get('label', 'custom')}"] = config.model
     mc.emit(rows, args.format, args.out, echo)
     return 0
@@ -200,8 +154,7 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = mc.run_preset(args.table_id, replications=args.reps,
-                         master_seed=args.seed, threads=args.threads,
-                         beta=args.beta,
+                         master_seed=args.seed, beta=args.beta,
                          n_list=args.n if args.n else None)
     echo = {"table": args.table_id, "master_seed": args.seed,
             "replications": args.reps if args.reps else "preset-default"}
@@ -313,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     mcp.add_argument("--config", required=True)
     mcp.add_argument("--out", required=True)
     mcp.add_argument("--format", choices=("csv", "json"), default="csv")
-    mcp.add_argument("--threads", type=int, default=None)
     mcp.set_defaults(handler=_cmd_montecarlo)
 
     tab = sub.add_parser("table", help="reproduce a simulation table")
@@ -323,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--seed", type=int, default=mc.DEFAULT_MASTER_SEED)
     tab.add_argument("--out", required=True)
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
-    tab.add_argument("--threads", type=int, default=None)
     tab.add_argument("--beta", type=float, default=None,
                      help="restrict to one true index")
     tab.add_argument("--n", type=int, nargs="+", default=None,

@@ -1,9 +1,10 @@
 """Deterministic Monte Carlo harness reproducing the simulation tables.
 
 Each replication draws its own RNG stream from
-hash(master_seed, n, estimator_id, replication_index), so results are
-bit-identical for any worker count: replications are pure functions of the
-seed and aggregation reduces in replication order.
+hash(master_seed, n, estimator_id, replication_index), so it is a pure
+function of the design and the master seed, in whatever order replications
+run; aggregation reduces in replication order.  The MODELS and ESTIMATORS
+tables drive simulation and estimation.
 
 Estimation failures (EstimationError subclasses, e.g. an index root
 outside the admissible interval) are counted per cell and excluded from
@@ -15,10 +16,12 @@ successes.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+import numbers
+import operator
+import sys
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .symmetric import (
 
 __all__ = [
     "ExperimentConfig",
+    "MODELS", "ESTIMATORS", "check_truth",
     "run_experiment",
     "preset",
     "run_preset",
@@ -68,31 +72,174 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260814
 
-_MODELS = ("symmetric_stable", "skewed_stable", "timevarying_stable",
-           "gamma_sub", "ig_sub")
+# The table entries call the samplers and estimators through this module's
+# names at call time (lambdas, not bound references), so a caller that
+# replaces a name here, such as a tracer, sees every call.
 
-_H_RULES = ("fixed_T", "power")
 
-# parameters each estimator kind emits, in row order
-_ESTIMATOR_PARAMS = {
-    "log": ("beta", "sigma", "gamma"),
-    "frac": ("beta", "sigma", "gamma"),
-    "known_scale": ("beta",),
-    "median": ("gamma",),
-    "sign": ("p_pos",),
-    "bipower": ("beta",),
-    "power_scale": ("sigma",),
-    "tripower": ("sigma_star",),
-    "gamma_mle": ("delta", "gamma"),
-    "gamma_moment": ("delta", "gamma"),
-    "ig_mle": ("delta", "gamma"),
+class Model(NamedTuple):
+    required: tuple[str, ...]  # truth keys the sampler needs
+    optional: tuple[str, ...]  # truth keys it reads when present
+    sample: Callable  # (truth, h, n, seed) -> IncrementSample
+
+
+class Estimator(NamedTuple):
+    params: tuple[str, ...]  # reported parameters, in row order
+    tuning: tuple[str, ...]  # keys of the estimator entry, floats
+    estimate: Callable  # (sample, entry) -> tuple of params
+
+
+# scale path name -> (truth keys it reads besides beta, constructor)
+_PATHS = {
+    "cosine": ((), lambda truth: ScalePath.cosine(truth["beta"])),
+    "constant": (("sigma",), lambda truth: ScalePath.constant(
+        truth.get("sigma", 1.0), truth["beta"])),
 }
+
+
+MODELS = {
+    "symmetric_stable": Model(
+        ("beta",), ("sigma", "rho", "gamma"),
+        lambda t, h, n, seed: sample_increments(
+            StableParams(t["beta"], t.get("sigma", 1.0), t.get("rho", 0.0),
+                         t.get("gamma", 0.0)), h, n, seed)),
+    "skewed_stable": Model(
+        ("beta", "p_pos"), ("sigma",),
+        lambda t, h, n, seed: sprime_increment_sampler(
+            PositivityStable(t["beta"], t["p_pos"],
+                             t.get("sigma", 1.0) ** t["beta"]), h, n, seed)),
+    # the scale path fixes the horizon [0, 1], so h is not read
+    "timevarying_stable": Model(
+        ("beta", "p_pos"), ("path",),
+        lambda t, h, n, seed: sample_timevarying(
+            _PATHS[t.get("path", "cosine")][1](t), t["p_pos"], n, seed)),
+    "gamma_sub": Model(
+        ("delta", "gamma"), (),
+        lambda t, h, n, seed: sample_gamma_sub(
+            GammaSubParams(t["delta"], t["gamma"]), h, n, seed)),
+    "ig_sub": Model(
+        ("delta", "gamma"), (),
+        lambda t, h, n, seed: sample_ig_sub(
+            IGSubParams(t["delta"], t["gamma"]), h, n, seed)),
+}
+
+
+def _bipower(sample, est):
+    p_hat = sign_statistic(sample)
+    return p_hat, bipower_beta(sample, est["q"], p_hat)
+
+
+def _power_scale(sample, est):
+    p_hat, beta_hat = _bipower(sample, est)
+    power = 2.0 * est["q"]
+    s_p = sigma_star_power(sample, p_hat, beta_hat, power)
+    if s_p <= 0.0:
+        raise EstimationError("nonpositive scale functional", s_p=s_p)
+    return (s_p ** (1.0 / power),)
+
+
+def _tripower(sample, est):
+    p_hat, beta_hat = _bipower(sample, est)
+    return (tripower_integrated_scale(sample, p_hat, beta_hat),)
+
+
+_triple = operator.attrgetter("beta_hat", "sigma_hat", "gamma_hat")
+
+ESTIMATORS = {
+    "log": Estimator(("beta", "sigma", "gamma"), (),
+                     lambda s, e: _triple(log_moment_estimate(s))),
+    "frac": Estimator(("beta", "sigma", "gamma"), ("p",),
+                      lambda s, e: _triple(frac_moment_estimate(s, e["p"]))),
+    "known_scale": Estimator(("beta",), ("sigma",),
+                             lambda s, e: (known_scale_beta(s, e["sigma"]),)),
+    "median": Estimator(("gamma",), (), lambda s, e: (median_gamma(s),)),
+    "sign": Estimator(("p_pos",), (), lambda s, e: (sign_statistic(s),)),
+    "bipower": Estimator(("beta",), ("q",), lambda s, e: _bipower(s, e)[1:]),
+    "power_scale": Estimator(("sigma",), ("q",), _power_scale),
+    "tripower": Estimator(("sigma_star",), ("q",), _tripower),
+    "gamma_mle": Estimator(("delta", "gamma"), (), lambda s, e: gamma_mle(s)),
+    "gamma_moment": Estimator(("delta", "gamma"), (),
+                              lambda s, e: gamma_moment_estimate(s)[:2]),
+    "ig_mle": Estimator(("delta", "gamma"), (), lambda s, e: ig_mle(s)),
+}
+
+
+def _finite(value, field: str) -> float:
+    # the bound also rejects nan, inf and ints past the float range
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise DomainError(f"{field} must be a finite number", field=field)
+
+
+def _integer(value, field: str, low=-math.inf) -> int:
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        return int(value)
+    raise DomainError(f"{field} must be an integer >= {low}", field=field)
+
+
+def check_truth(model: str, truth: Mapping, exact: bool = False) -> Model:
+    """The MODELS entry of ``model`` after checking ``truth``: required keys
+    present, read keys finite numbers, ``path`` a known scale path and, if
+    ``exact``, no other key.  Raises DomainError naming the key."""
+    entry = MODELS[model]
+    allowed = entry.required + entry.optional
+    if "path" in entry.optional:
+        path = truth.get("path", "cosine")
+        if not isinstance(path, str) or path not in _PATHS:
+            raise DomainError("unknown scale path", field="truth.path",
+                              path=str(path), known=list(_PATHS))
+        allowed += _PATHS[path][0]
+    for key in allowed:
+        if key in truth and key != "path":
+            _finite(truth[key], f"truth.{key}")
+        elif key in entry.required:
+            raise DomainError(f"{model} model needs key {key!r}",
+                              field=f"truth.{key}")
+    unknown = sorted(set(truth) - set(allowed)) if exact else ()
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} for the {model} model "
+                          f"(allowed: {', '.join(sorted(allowed))})",
+                          field=f"truth.{unknown[0]}")
+    return entry
+
+
+def _check_estimator(est, truth: dict) -> dict:
+    if not isinstance(est, Mapping) or "id" not in est or "kind" not in est:
+        raise DomainError("estimator entries need id and kind",
+                          field="estimators")
+    est = dict(est)
+    kind = est["kind"]
+    if not isinstance(kind, str) or kind not in ESTIMATORS:
+        raise DomainError("unknown estimator kind", field="estimators.kind",
+                          kind=str(kind), known=sorted(ESTIMATORS))
+    entry = ESTIMATORS[kind]
+    for key in entry.tuning:
+        # a key the entry lacks is read from the truth: known_scale's sigma
+        if key not in est and key not in truth:
+            raise DomainError(f"{kind} estimator needs {key!r}",
+                              field=f"estimators.{key}",
+                              estimator=str(est["id"]))
+        est[key] = _finite(est.get(key, truth.get(key)), f"estimators.{key}")
+    for param in entry.params:
+        if param not in truth:
+            raise DomainError("truth record lacks a parameter the "
+                              "estimator reports",
+                              field=f"truth.{param}",
+                              estimator=str(est["id"]))
+        _finite(truth[param], f"truth.{param}")
+    return est
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo design: a model with true parameters, sample sizes,
-    a mesh rule, estimators with tuning, and a master seed."""
+    a mesh rule, estimators with tuning, and a master seed.
+
+    Construction checks every field against MODELS and ESTIMATORS and
+    raises DomainError naming the first bad one; tuning keys become floats.
+    """
 
     model: str
     truth: dict
@@ -104,43 +251,41 @@ class ExperimentConfig:
     label: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "estimators",
-                           tuple(dict(e) for e in self.estimators))
-        object.__setattr__(self, "truth", dict(self.truth))
-        object.__setattr__(self, "h_rule", dict(self.h_rule))
-        if self.model not in _MODELS:
-            raise DomainError("unknown model", model=self.model,
-                              known=list(_MODELS))
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1",
-                              replications=self.replications)
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise DomainError("n_list must hold positive sizes",
-                              n_list=list(self.n_list))
-        kind = self.h_rule.get("kind")
-        if kind not in _H_RULES:
+        if not isinstance(self.model, str) or self.model not in MODELS:
+            raise DomainError("unknown model", field="model",
+                              model=str(self.model), known=list(MODELS))
+        if not isinstance(self.label, str):
+            raise DomainError("label must be a string", field="label")
+        for name, types in (("truth", Mapping), ("h_rule", Mapping),
+                            ("n_list", (list, tuple)),
+                            ("estimators", (list, tuple))):
+            if not isinstance(getattr(self, name), types) \
+                    or not getattr(self, name):
+                raise DomainError(f"{name} must be a nonempty "
+                                  + ("object" if types is Mapping else "list"),
+                                  field=name)
+        truth = dict(self.truth)
+        check_truth(self.model, truth)
+        h_rule = dict(self.h_rule)
+        kind = h_rule.get("kind")
+        if kind not in ("fixed_T", "power"):
             raise DomainError("h_rule kind must be fixed_T or power",
-                              h_rule=self.h_rule)
-        if kind == "fixed_T" and not float(self.h_rule.get("T", 0.0)) > 0.0:
-            raise DomainError("fixed_T rule needs T > 0", h_rule=self.h_rule)
-        if kind == "power" and not 0.0 < float(self.h_rule.get("a", 0.0)):
-            raise DomainError("power rule needs a > 0", h_rule=self.h_rule)
-        if not self.estimators:
-            raise DomainError("estimator list must be nonempty")
-        for est in self.estimators:
-            if "id" not in est or "kind" not in est:
-                raise DomainError("estimator entries need id and kind",
-                                  entry=dict(est))
-            if est["kind"] not in _ESTIMATOR_PARAMS:
-                raise DomainError("unknown estimator kind",
-                                  kind=est["kind"],
-                                  known=sorted(_ESTIMATOR_PARAMS))
-            for param in _ESTIMATOR_PARAMS[est["kind"]]:
-                if param not in self.truth:
-                    raise DomainError("truth record lacks a parameter the "
-                                      "estimator reports",
-                                      estimator=est["id"], param=param)
+                              field="h_rule.kind")
+        key = "T" if kind == "fixed_T" else "a"
+        if not _finite(h_rule.get(key), f"h_rule.{key}") > 0.0:
+            raise DomainError(f"{kind} rule needs {key} > 0",
+                              field=f"h_rule.{key}")
+        checked = {
+            "truth": truth,
+            "h_rule": h_rule,
+            "n_list": tuple(_integer(n, "n_list", 1) for n in self.n_list),
+            "replications": _integer(self.replications, "replications", 1),
+            "estimators": tuple(_check_estimator(e, truth)
+                                for e in self.estimators),
+            "master_seed": _integer(self.master_seed, "master_seed"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def mesh(self, n: int) -> float:
         if self.h_rule["kind"] == "fixed_T":
@@ -148,145 +293,45 @@ class ExperimentConfig:
         return float(n) ** (-float(self.h_rule["a"]))
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "truth": dict(self.truth),
-            "n_list": list(self.n_list),
-            "h_rule": dict(self.h_rule),
-            "replications": self.replications,
-            "estimators": [dict(e) for e in self.estimators],
-            "master_seed": self.master_seed,
-            "label": self.label,
-        }
+        """A copy of every field; tuples encode as JSON arrays."""
+        return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        return cls(
-            model=payload["model"],
-            truth=dict(payload["truth"]),
-            n_list=tuple(payload["n_list"]),
-            h_rule=dict(payload["h_rule"]),
-            replications=int(payload["replications"]),
-            estimators=tuple(payload["estimators"]),
-            master_seed=int(payload.get("master_seed", DEFAULT_MASTER_SEED)),
-            label=payload.get("label", "custom"),
-        )
+    def from_json_dict(cls, payload) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise DomainError("config entry must be a JSON object",
+                              field="config")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in payload:
+                raise DomainError(f"config lacks field {f.name!r}",
+                                  field=f.name)
+        return cls(**{f.name: payload[f.name] for f in fields(cls)
+                      if f.name in payload})
 
 
-def _simulate(model: str, truth: dict, n: int, h: float, seed: int):
-    if model == "symmetric_stable":
-        params = StableParams(truth["beta"], truth["sigma"],
-                              truth.get("rho", 0.0), truth.get("gamma", 0.0))
-        return sample_increments(params, h, n, seed)
-    if model == "skewed_stable":
-        beta = truth["beta"]
-        pp = PositivityStable(beta, truth["p_pos"],
-                              truth.get("sigma", 1.0) ** beta)
-        return sprime_increment_sampler(pp, h, n, seed)
-    if model == "timevarying_stable":
-        path_name = truth.get("path", "cosine")
-        if path_name == "cosine":
-            path = ScalePath.cosine(truth["beta"])
-        elif path_name == "constant":
-            path = ScalePath.constant(truth.get("sigma", 1.0), truth["beta"])
-        else:
-            raise DomainError("unknown scale path", path=path_name)
-        return sample_timevarying(path, truth["p_pos"], n, seed)
-    if model == "gamma_sub":
-        return sample_gamma_sub(GammaSubParams(truth["delta"], truth["gamma"]),
-                                h, n, seed)
-    if model == "ig_sub":
-        return sample_ig_sub(IGSubParams(truth["delta"], truth["gamma"]),
-                             h, n, seed)
-    raise DomainError("unknown model", model=model)
-
-
-def _apply_estimator(est: dict, sample, truth: dict) -> tuple[float, ...]:
-    kind = est["kind"]
-    if kind == "log":
-        rep = log_moment_estimate(sample)
-        return rep.beta_hat, rep.sigma_hat, rep.gamma_hat
-    if kind == "frac":
-        rep = frac_moment_estimate(sample, float(est["p"]))
-        return rep.beta_hat, rep.sigma_hat, rep.gamma_hat
-    if kind == "known_scale":
-        sigma = float(est.get("sigma", truth.get("sigma")))
-        return (known_scale_beta(sample, sigma),)
-    if kind == "median":
-        return (median_gamma(sample),)
-    if kind == "sign":
-        return (sign_statistic(sample),)
-    if kind == "bipower":
-        p_hat = sign_statistic(sample)
-        return (bipower_beta(sample, float(est["q"]), p_hat),)
-    if kind == "power_scale":
-        q = float(est["q"])
-        p_hat = sign_statistic(sample)
-        beta_hat = bipower_beta(sample, q, p_hat)
-        power = 2.0 * q
-        s_p = sigma_star_power(sample, p_hat, beta_hat, power)
-        if s_p <= 0.0:
-            raise EstimationError("nonpositive scale functional", s_p=s_p)
-        return (s_p ** (1.0 / power),)
-    if kind == "tripower":
-        q = float(est["q"])
-        p_hat = sign_statistic(sample)
-        beta_hat = bipower_beta(sample, q, p_hat)
-        return (tripower_integrated_scale(sample, p_hat, beta_hat),)
-    if kind == "gamma_mle":
-        return gamma_mle(sample)
-    if kind == "gamma_moment":
-        delta_hat, gamma_hat, _ = gamma_moment_estimate(sample)
-        return delta_hat, gamma_hat
-    if kind == "ig_mle":
-        return ig_mle(sample)
-    raise DomainError("unknown estimator kind", kind=kind)
-
-
-def _replicate(model: str, truth: dict, n: int, h: float, est: dict,
-               master_seed: int, rep: int):
-    seed = derive_seed(master_seed, n, est["id"], rep)
-    sample = _simulate(model, truth, n, h, seed)
+def _replicate(config: ExperimentConfig, n: int, h: float, est: dict,
+               rep: int):
+    seed = derive_seed(config.master_seed, n, est["id"], rep)
+    sample = MODELS[config.model].sample(config.truth, h, n, seed)
     try:
-        return _apply_estimator(est, sample, truth)
+        return ESTIMATORS[est["kind"]].estimate(sample, est)
     except EstimationError:
         return None
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("LEVY_ESTIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def run_experiment(config: ExperimentConfig,
-                   threads: int | None = None) -> list[SummaryRow]:
+def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Run the full design and return one SummaryRow per
     (n, estimator, parameter) cell, in that deterministic order."""
-    workers = _thread_count(threads)
     rows: list[SummaryRow] = []
     for n in config.n_list:
         h = config.mesh(n)
         t_total = n * h
         for est in config.estimators:
-            reps = range(config.replications)
-
-            def one(rep: int, est=est, n=n, h=h):
-                return _replicate(config.model, config.truth, n, h, est,
-                                  config.master_seed, rep)
-
-            if workers == 1:
-                results = [one(rep) for rep in reps]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(one, reps))
-            params = _ESTIMATOR_PARAMS[est["kind"]]
+            results = [_replicate(config, n, h, est, rep)
+                       for rep in range(config.replications)]
             failures = sum(1 for r in results if r is None)
             kept = [r for r in results if r is not None]
-            for idx, param in enumerate(params):
+            for idx, param in enumerate(ESTIMATORS[est["kind"]].params):
                 truth_val = float(config.truth[param])
                 if kept:
                     vals = np.array([r[idx] for r in kept])
@@ -390,7 +435,6 @@ def preset(table_id: str,
 
 def run_preset(table_id: str, replications: int | None = None,
                master_seed: int = DEFAULT_MASTER_SEED,
-               threads: int | None = None,
                beta: float | None = None,
                n_list: Sequence[int] | None = None) -> list[SummaryRow]:
     """Run one preset, optionally overriding replications, restricting to a
@@ -403,7 +447,7 @@ def run_preset(table_id: str, replications: int | None = None,
             config = replace(config, replications=int(replications))
         if n_list is not None:
             config = replace(config, n_list=tuple(int(n) for n in n_list))
-        rows.extend(run_experiment(config, threads=threads))
+        rows.extend(run_experiment(config))
     if not rows:
         raise DomainError("preset filter selected no design",
                           table_id=table_id, beta=beta)

@@ -161,6 +161,10 @@ def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
     ("gamma", "delta=1,gamma=2,rho=0", "'rho'"),
     ("stable", "beta=1.5,delta=1", "'delta'"),
     ("timevarying", "beta=1.5,p_pos=0.6,gamma=0", "'gamma'"),
+    # the skewed form reads no rho or gamma, the cosine path no sigma
+    ("stable", "beta=1.5,p_pos=0.6,rho=0.9", "'rho'"),
+    ("stable", "beta=1.5,p_pos=0.6,gamma=7", "'gamma'"),
+    ("timevarying", "beta=1.5,p_pos=0.6,sigma=9", "'sigma'"),
 ])
 def test_simulate_unknown_param_key_exits_two(tmp_path, capsys, model,
                                               params, key):
@@ -323,6 +327,95 @@ def test_montecarlo_matches_library_run(tmp_path):
     assert [r.as_record() for r in rows] == [r.as_record() for r in direct]
 
 
+_GOOD_ENTRY = {
+    "model": "symmetric_stable",
+    "truth": {"beta": 1.5, "sigma": 0.5, "gamma": -0.5},
+    "n_list": [101], "h_rule": {"kind": "fixed_T", "T": 5.0},
+    "replications": 2, "estimators": [{"id": "log", "kind": "log"}],
+}
+
+
+def _with(**changes):
+    entry = json.loads(json.dumps(_GOOD_ENTRY))
+    for dotted, value in changes.items():
+        *path, last = dotted.split("__")
+        target = entry
+        for key in path:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+    return entry
+
+
+@pytest.mark.parametrize("payload,field", [
+    (_with(model="skewed_stable",
+           estimators=[{"id": "sign", "kind": "sign"}]), "truth.p_pos"),
+    # no sigma: the sampler defaults it to 1, the log estimator reports it
+    (_with(truth__sigma=None), "truth.sigma"),
+    (_with(estimators=[{"id": "f", "kind": "frac"}]), "estimators.p"),
+    (_with(estimators=[{"id": "b", "kind": "bipower"}],
+           truth={"beta": 1.5, "p_pos": 0.6}, model="skewed_stable"),
+     "estimators.q"),
+    (_with(truth__sigma=None,
+           estimators=[{"id": "k", "kind": "known_scale"}]),
+     "estimators.sigma"),
+    (_with(model=None), "model"),
+    ([[1, 2]], "config"),
+    ([1, 2], "config"),
+    (_with(replications="3"), "replications"),
+    (_with(truth__beta="1.5"), "truth.beta"),
+    (_with(truth__gamma=float("nan")), "truth.gamma"),
+    (_with(n_list=[101.5]), "n_list"),
+    (_with(h_rule={"kind": "fixed_T", "T": "5"}), "h_rule.T"),
+    (_with(model="timevarying_stable",
+           truth={"beta": 1.5, "p_pos": 0.6, "path": "sine"},
+           estimators=[{"id": "sign", "kind": "sign"}]), "truth.path"),
+    (_with(estimators=[{"id": "m", "kind": ["median"]}]),
+     "estimators.kind"),
+    # the label is written into the output as it is
+    (_with(label={"x": float("nan")}), "label"),
+])
+def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
+                                                      payload, field):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "rows.csv"
+    assert run_cli("montecarlo", "--config", str(cfg_path),
+                   "--out", str(out)) == 1
+    err = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "domain_error"
+    assert err["context"]["field"] == field
+    assert not out.exists()
+
+
+def test_montecarlo_symmetric_sigma_defaults_to_one(tmp_path):
+    # the same default as simulate --model stable without sigma
+    median = [{"id": "m", "kind": "median"}]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_with(truth__sigma=None,
+                                         estimators=median)))
+    out = tmp_path / "rows.csv"
+    assert run_cli("montecarlo", "--config", str(cfg_path),
+                   "--out", str(out)) == 0
+    with_sigma = ExperimentConfig.from_json_dict(
+        _with(truth__sigma=1.0, estimators=median))
+    assert [r.as_record() for r in read_summary(out)[0]] == \
+        [r.as_record() for r in run_experiment(with_sigma)]
+
+
+@pytest.mark.parametrize("command", [
+    ("table", "--id", "table1", "--out", "x.csv"),
+    ("montecarlo", "--config", "c.json", "--out", "x.csv"),
+])
+def test_threads_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--threads", "1")
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # figure-data dumps
 
@@ -391,7 +484,7 @@ def test_build_parser_returns_a_fresh_parser():
 
 def _fresh_process(*argv):
     src = str(Path(levyestim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, LEVY_ESTIM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "levyestim.cli", *argv],
                           capture_output=True, text=True, env=env, check=True)
     return proc.stdout
@@ -404,7 +497,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
                    "--n", "1001", "--T", "5", "--seed", "7",
                    "--out", str(src)) == 0
     table_args = ("table", "--id", "table1", "--reps", "2", "--beta", "1.5",
-                  "--n", "501", "--threads", "1")
+                  "--n", "501")
     # one process: a frac call sets --p, then pipeline and table run without
     # it; any argument state kept by the shared parser would show here
     capsys.readouterr()

@@ -1,7 +1,9 @@
-"""Generated inputs at the two text boundaries: the increment CSV reader and
-the ``simulate --params`` parser.  Each either accepts its input or fails
-with its documented error type, never with anything else."""
+"""Generated inputs at three boundaries: the increment CSV reader, the
+``simulate --params`` parser and the ``montecarlo`` config decoder.  Each
+either accepts its input or fails with its documented error type, never
+with anything else."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from levyestim.cli import _parse_params
 from levyestim.errors import LevyEstimError
+from levyestim.mc import ESTIMATORS, MODELS, ExperimentConfig
 from levyestim.serialize import read_increments
 from levyestim.stable_core import IncrementSample
 
@@ -67,3 +70,91 @@ def test_parse_params_returns_finite_floats_or_value_error(text):
     for key, value in params.items():
         assert isinstance(key, str)
         assert isinstance(value, float) and math.isfinite(value)
+
+
+# JSON-like values: what json.load can return, nan/inf and huge ints included
+_SCALAR = (st.none() | st.booleans() | st.floats() | st.integers()
+           | st.sampled_from([10 ** 400, 0, -1, 2.5, "cosine", "log"]) | _TEXT)
+_JSON = _SCALAR | st.lists(_SCALAR, max_size=3) \
+    | st.dictionaries(_TEXT, _SCALAR, max_size=2)
+
+# valid entries, one per model; each generated config mutates one of them
+_BASES = [
+    {"model": "symmetric_stable",
+     "truth": {"beta": 1.5, "sigma": 0.5, "gamma": -0.5, "rho": 0.0},
+     "n_list": [101, 201], "h_rule": {"kind": "fixed_T", "T": 5.0},
+     "replications": 3, "master_seed": 7, "label": "s",
+     "estimators": [{"id": "k", "kind": "known_scale"},
+                    {"id": "f", "kind": "frac", "p": 0.1}]},
+    {"model": "skewed_stable", "truth": {"beta": 1.5, "p_pos": 0.6},
+     "n_list": [500], "h_rule": {"kind": "power", "a": 1.0},
+     "replications": 2,
+     "estimators": [{"id": "b", "kind": "bipower", "q": 0.25}]},
+    {"model": "timevarying_stable",
+     "truth": {"beta": 1.5, "p_pos": 0.6, "sigma_star": 0.6,
+               "path": "constant", "sigma": 0.8},
+     "n_list": [500], "h_rule": {"kind": "fixed_T", "T": 1.0},
+     "replications": 2,
+     "estimators": [{"id": "t", "kind": "tripower", "q": 0.25}]},
+    {"model": "gamma_sub", "truth": {"delta": 2.0, "gamma": 1.5},
+     "n_list": [400], "h_rule": {"kind": "fixed_T", "T": 200.0},
+     "replications": 2, "estimators": [{"id": "g", "kind": "gamma_mle"}]},
+]
+# where an edit lands: the key path to a field, a truth/h_rule key, the
+# first n or a key of the first estimator
+_SPOTS = st.sampled_from(
+    [(k,) for k in ("model", "truth", "n_list", "h_rule", "replications",
+                    "estimators", "master_seed", "label", "extra")]
+    + [("truth", k) for k in ("beta", "sigma", "gamma", "rho", "p_pos",
+                              "delta", "sigma_star", "path")]
+    + [("h_rule", k) for k in ("kind", "T", "a")]
+    + [("n_list", 0), ("estimators", 0)]
+    + [("estimators", 0, k) for k in ("id", "kind", "p", "q", "sigma")])
+
+
+def _mutate(base, edits):
+    entry = json.loads(json.dumps(base))
+    for (*path, key), delete, value in edits:
+        owner = entry
+        for step in path:
+            try:
+                owner = owner[step]
+            except (KeyError, IndexError, TypeError):
+                owner = None  # an earlier edit replaced the container
+        if isinstance(owner, dict):
+            if delete:
+                owner.pop(key, None)
+            else:
+                owner[key] = value
+        elif isinstance(owner, list) and key < len(owner):
+            owner[key] = value
+    return entry
+
+
+_CONFIG = st.builds(_mutate, st.sampled_from(_BASES),
+                    st.lists(st.tuples(_SPOTS, st.booleans(), _JSON),
+                             max_size=2))
+# one payload in ten is not built from an entry: a scalar, list or dict
+_PAYLOAD = st.integers(0, 9).flatmap(lambda k: _JSON if k == 0 else _CONFIG)
+
+
+@given(_PAYLOAD)
+@settings(max_examples=150, deadline=None)
+def test_config_decoder_builds_config_or_raises_typed_error(payload):
+    # construction only: no design is run
+    try:
+        config = ExperimentConfig.from_json_dict(payload)
+    except LevyEstimError as exc:
+        # the CLI writes this payload as strict JSON
+        json.dumps(exc.to_json_dict(), allow_nan=False)
+        return
+    assert isinstance(config, ExperimentConfig) and config.model in MODELS
+    assert isinstance(config.label, str)
+    assert config.replications >= 1 and config.n_list
+    assert all(isinstance(n, int) and n >= 1 for n in config.n_list)
+    for est in config.estimators:
+        entry = ESTIMATORS[est["kind"]]
+        for key in entry.tuning:
+            assert isinstance(est[key], float) and math.isfinite(est[key])
+        for param in entry.params:
+            assert math.isfinite(config.truth[param])

@@ -14,6 +14,7 @@ from levyestim.mc import (
     DEFAULT_MASTER_SEED,
     PRESET_NAMES,
     ExperimentConfig,
+    _replicate,
     emit,
     preset,
     run_experiment,
@@ -153,7 +154,10 @@ def test_all_replications_failed_gives_nan_row():
     assert math.isnan(row.mean) and math.isnan(row.rmse)
 
 
-def test_worker_count_never_changes_rows():
+def test_replication_order_never_changes_values():
+    # the seed contract: a replication's value depends only on the design,
+    # the master seed, n, the estimator id and its index, not on what ran
+    # before it
     cfg = ExperimentConfig(
         model="skewed_stable",
         truth={"beta": 1.5, "p_pos": 0.5984, "sigma": 1.0},
@@ -163,15 +167,20 @@ def test_worker_count_never_changes_rows():
         estimators=({"id": "sign", "kind": "sign"},
                     {"id": "bipower", "kind": "bipower", "q": 0.25}),
         master_seed=7)
-    rows1 = run_experiment(cfg, threads=1)
-    assert run_experiment(cfg, threads=2) == rows1
-    assert run_experiment(cfg, threads=4) == rows1
-
-
-def test_thread_env_var_drives_default_worker_count(monkeypatch):
-    monkeypatch.setenv("LEVY_ESTIM_THREADS", "3")
-    cfg = _small_config(replications=6)
-    assert run_experiment(cfg) == run_experiment(cfg, threads=1)
+    h = cfg.mesh(400)
+    cells = [(est["id"], rep) for est in cfg.estimators
+             for rep in range(cfg.replications)]
+    by_id = {est["id"]: est for est in cfg.estimators}
+    forward = {cell: _replicate(cfg, 400, h, by_id[cell[0]], cell[1])
+               for cell in cells}
+    backward = {cell: _replicate(cfg, 400, h, by_id[cell[0]], cell[1])
+                for cell in reversed(cells)}
+    assert backward == forward
+    assert sum(v is not None for v in forward.values()) > 40
+    # the rows are these values, aggregated in replication order
+    rows = run_experiment(cfg)
+    sign = [forward[("sign", rep)][0] for rep in range(24)]
+    assert rows[0].mean == float(np.array(sign).mean())
 
 
 def test_rows_cover_every_cell_in_order():
@@ -296,7 +305,7 @@ def test_benchmark_golden_rows_at_default_seed(golden):
     got = {}
     for table_id, reps in _GOLDEN_DESIGNS[golden]:
         for row in run_preset(table_id, replications=reps,
-                              master_seed=DEFAULT_MASTER_SEED, threads=1):
+                              master_seed=DEFAULT_MASTER_SEED):
             got[(row.table, row.estimator, row.param, row.n)] = row
     assert got.keys() == want.keys()
     for key, ref in want.items():
