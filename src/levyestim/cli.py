@@ -78,6 +78,9 @@ def _cmd_simulate(args) -> int:
     except (ValueError, DomainError) as exc:
         print(f"error: --params: {exc}", file=sys.stderr)
         return 2
+    if args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return 2
     h = None  # timevarying: the scale path fixes the horizon [0, 1]
     if args.model != "timevarying":
         if args.T is None and args.h is None:
@@ -118,22 +121,18 @@ def _cmd_estimate(args) -> int:
     elif method == "pipeline":
         report = transforms.full_pipeline(sample, q=args.q, p=args.p,
                                           level=args.level)
-    elif method == "gamma-mle":
-        delta_hat, gamma_hat = subordinators.gamma_mle(sample)
-        fisher = subordinators.gamma_fisher(
-            subordinators.GammaSubParams(delta_hat, gamma_hat))
+    else:  # gamma-mle, ig-mle; built per call, so patched names are seen
+        mle, fisher, params = {
+            "gamma-mle": (subordinators.gamma_mle, subordinators.gamma_fisher,
+                          subordinators.GammaSubParams),
+            "ig-mle": (subordinators.ig_mle, subordinators.ig_fisher,
+                       subordinators.IGSubParams)}[method]
+        delta_hat, gamma_hat = mle(sample)
+        info = fisher(params(delta_hat, gamma_hat))
         report = serialize.EstimateReport(
-            method="gamma-mle", n=sample.n, h=sample.h, gamma_hat=gamma_hat,
+            method=method, n=sample.n, h=sample.h, gamma_hat=gamma_hat,
             extra={"delta_hat": delta_hat,
-                   "fisher": [float(v) for v in fisher.ravel()]})
-    else:  # ig-mle
-        delta_hat, gamma_hat = subordinators.ig_mle(sample)
-        fisher = subordinators.ig_fisher(
-            subordinators.IGSubParams(delta_hat, gamma_hat))
-        report = serialize.EstimateReport(
-            method="ig-mle", n=sample.n, h=sample.h, gamma_hat=gamma_hat,
-            extra={"delta_hat": delta_hat,
-                   "fisher": [float(v) for v in fisher.ravel()]})
+                   "fisher": [float(v) for v in info.ravel()]})
     return _report_out(report, args.out)
 
 
@@ -297,7 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--out", default=None)
     den.set_defaults(handler=_cmd_density)
 
-    var = sub.add_parser("variance", help="asymptotic variance dump")
+    var = sub.add_parser(
+        "variance", help="fixed-mesh (h = 1) asymptotic variance dump",
+        description="Dump the fixed-mesh (h = 1) covariances V^log and V^p. "
+        "At a shrinking mesh sigma_hat carries an extra "
+        "-sigma log(1/h) / beta^2 (beta_hat - beta) term they omit.")
     var.add_argument("--beta", type=float, default=None)
     var.add_argument("--beta-grid", default=None, help="lo:hi:step")
     var.add_argument("--sigma", type=float, default=1.0)

@@ -4,7 +4,8 @@ Each replication draws its own RNG stream from
 hash(master_seed, n, estimator_id, replication_index), so it is a pure
 function of the design and the master seed, in whatever order replications
 run; aggregation reduces in replication order.  The MODELS and ESTIMATORS
-tables drive simulation and estimation.
+tables drive simulation and estimation; the estimators are the point cores,
+so no replication computes a covariance.
 
 Estimation failures (EstimationError subclasses, e.g. an index root
 outside the admissible interval) are counted per cell and excluded from
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -29,9 +29,9 @@ from .errors import DomainError, EstimationError
 from .serialize import SummaryRow, write_summary
 from .skewed import (
     bipower_beta,
+    sign_bipower_point,
     sign_statistic,
-    sigma_star_power,
-    tripower_integrated_scale,
+    tripower_point,
 )
 from .stable_core import (
     PositivityStable,
@@ -53,9 +53,9 @@ from .subordinators import (
     sample_ig_sub,
 )
 from .symmetric import (
-    frac_moment_estimate,
+    frac_moment_point,
     known_scale_beta,
-    log_moment_estimate,
+    log_moment_point,
     median_gamma,
 )
 
@@ -124,39 +124,21 @@ MODELS = {
 }
 
 
-def _bipower(sample, est):
-    p_hat = sign_statistic(sample)
-    return p_hat, bipower_beta(sample, est["q"], p_hat)
-
-
-def _power_scale(sample, est):
-    p_hat, beta_hat = _bipower(sample, est)
-    power = 2.0 * est["q"]
-    s_p = sigma_star_power(sample, p_hat, beta_hat, power)
-    if s_p <= 0.0:
-        raise EstimationError("nonpositive scale functional", s_p=s_p)
-    return (s_p ** (1.0 / power),)
-
-
-def _tripower(sample, est):
-    p_hat, beta_hat = _bipower(sample, est)
-    return (tripower_integrated_scale(sample, p_hat, beta_hat),)
-
-
-_triple = operator.attrgetter("beta_hat", "sigma_hat", "gamma_hat")
-
 ESTIMATORS = {
     "log": Estimator(("beta", "sigma", "gamma"), (),
-                     lambda s, e: _triple(log_moment_estimate(s))),
+                     lambda s, e: log_moment_point(s)),
     "frac": Estimator(("beta", "sigma", "gamma"), ("p",),
-                      lambda s, e: _triple(frac_moment_estimate(s, e["p"]))),
+                      lambda s, e: frac_moment_point(s, e["p"])),
     "known_scale": Estimator(("beta",), ("sigma",),
                              lambda s, e: (known_scale_beta(s, e["sigma"]),)),
     "median": Estimator(("gamma",), (), lambda s, e: (median_gamma(s),)),
     "sign": Estimator(("p_pos",), (), lambda s, e: (sign_statistic(s),)),
-    "bipower": Estimator(("beta",), ("q",), lambda s, e: _bipower(s, e)[1:]),
-    "power_scale": Estimator(("sigma",), ("q",), _power_scale),
-    "tripower": Estimator(("sigma_star",), ("q",), _tripower),
+    "bipower": Estimator(("beta",), ("q",), lambda s, e: (
+        bipower_beta(s, e["q"], sign_statistic(s)),)),
+    "power_scale": Estimator(("sigma",), ("q",),
+                             lambda s, e: sign_bipower_point(s, e["q"])[2:3]),
+    "tripower": Estimator(("sigma_star",), ("q",),
+                          lambda s, e: tripower_point(s, e["q"])[2:]),
     "gamma_mle": Estimator(("delta", "gamma"), (), lambda s, e: gamma_mle(s)),
     "gamma_moment": Estimator(("delta", "gamma"), (),
                               lambda s, e: gamma_moment_estimate(s)[:2]),

@@ -61,6 +61,8 @@ __all__ = [
     "tripower_integrated_scale",
     "mpv_cov",
     "delta_cov",
+    "sign_bipower_point",
+    "tripower_point",
     "sign_bipower_estimate",
     "tripower_estimate",
 ]
@@ -144,10 +146,7 @@ def _check_powers(beta: float, r: Sequence[float]) -> np.ndarray:
 def mu_product(beta: float, p_pos: float, r: Sequence[float]) -> float:
     """mu(r; p, beta) = prod_l mu_{r_l}, the multipower-variation mean."""
     arr = _check_powers(beta, r)
-    out = 1.0
-    for rl in arr:
-        out *= mu_abs(beta, p_pos, float(rl))
-    return out
+    return math.prod(mu_abs(beta, p_pos, float(rl)) for rl in arr)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +314,7 @@ def a_cross(beta: float, p_pos: float, r: Sequence[float]) -> float:
     mus = [mu_abs(beta, p_pos, float(rl)) for rl in arr]
     total = 0.0
     for qi in range(arr.size):
-        rest = 1.0
-        for l, m in enumerate(mus):
-            if l != qi:
-                rest *= m
+        rest = math.prod(m for l, m in enumerate(mus) if l != qi)
         nu = nu_signed(beta, p_pos, float(arr[qi]))
         total += rest * (nu - (2.0 * p_pos - 1.0) * mus[qi])
     return total
@@ -349,10 +345,7 @@ def b_cross(beta: float, p_pos: float, r: Sequence[float],
 
     mus = [mu(float(v)) for v in arr]
     mus2 = [mu(float(v)) for v in arr2]
-    total = 1.0
-    for l in range(m):
-        total_l = mu(float(arr[l] + arr2[l]))
-        total *= total_l
+    total = math.prod(mu(float(a + a2)) for a, a2 in zip(arr, arr2))
     total -= (2.0 * m - 1.0) * math.prod(mus) * math.prod(mus2)
     for qi in range(1, m):
         part1 = 1.0
@@ -452,20 +445,37 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
 # ---------------------------------------------------------------------------
 # multi-step drivers
 
-def sign_bipower_estimate(sample: IncrementSample,
-                          q: float = 0.25) -> EstimateReport:
-    """Three-step estimate for constant scale: p_hat from signs, beta_hat
-    from the bipower ratio at power q, then sigma_hat = (sigma*_hat_p)^{1/p}
-    with p = 2q.  The report covariance is the delta-method V for
-    (p_hat, beta_hat, sigma*_hat_p)."""
+def sign_bipower_point(sample: IncrementSample,
+                       q: float) -> tuple[float, float, float, float]:
+    """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
+    scale: p_hat from signs, beta_hat from the bipower ratio at power q, then
+    s_p = sigma*_hat_p (InadmissiblePositivity unless positive) and
+    sigma_hat = s_p^{1/p} with p = 2q."""
     p_hat = sign_statistic(sample)
     beta_hat = bipower_beta(sample, q, p_hat)
     p = 2.0 * q
     s_p = sigma_star_power(sample, p_hat, beta_hat, p)
-    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)
     if s_p <= 0.0:
         raise InadmissiblePositivity("nonpositive scale functional", s_p=s_p)
-    sigma_hat = s_p ** (1.0 / p)
+    return p_hat, beta_hat, s_p ** (1.0 / p), s_p
+
+
+def tripower_point(sample: IncrementSample,
+                   q: float) -> tuple[float, float, float]:
+    """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta) of the
+    integrated scale under time-varying scale: p_hat and beta_hat as in
+    sign_bipower_point, then the self-normalizing tripower statistic."""
+    p_hat = sign_statistic(sample)
+    beta_hat = bipower_beta(sample, q, p_hat)
+    return p_hat, beta_hat, tripower_integrated_scale(sample, p_hat, beta_hat)
+
+
+def sign_bipower_estimate(sample: IncrementSample,
+                          q: float = 0.25) -> EstimateReport:
+    """sign_bipower_point plus the delta-method covariance V of
+    (p_hat, beta_hat, sigma*_hat_p)."""
+    p_hat, beta_hat, sigma_hat, s_p = sign_bipower_point(sample, q)
+    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
     cov = delta_cov(beta_hat, p_hat, q, s_p, s_2p)
     return EstimateReport(
         method="sign-bipower", n=sample.n, h=sample.h,
@@ -478,14 +488,10 @@ def sign_bipower_estimate(sample: IncrementSample,
 
 def tripower_estimate(sample: IncrementSample,
                       q: float = 0.25) -> EstimateReport:
-    """Three-step estimate of the integrated scale sigma*_beta under
-    time-varying scale: p_hat from signs, beta_hat from the bipower ratio,
-    then the self-normalizing tripower statistic.  sigma_hat carries
-    sigma*_hat_beta; its (log n / sqrt(n))-rate asymptotic variance
-    (sigma*_beta / beta)^2 V_22 is reported in extra."""
-    p_hat = sign_statistic(sample)
-    beta_hat = bipower_beta(sample, q, p_hat)
-    s_star = tripower_integrated_scale(sample, p_hat, beta_hat)
+    """tripower_point with sigma_hat carrying sigma*_hat_beta; its
+    (log n / sqrt(n))-rate asymptotic variance (sigma*_beta / beta)^2 V_22
+    is reported in extra."""
+    p_hat, beta_hat, s_star = tripower_point(sample, q)
     p = 2.0 * q
     s_p = sigma_star_power(sample, p_hat, beta_hat, p)
     s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)

@@ -22,16 +22,6 @@ EULER_GAMMA = 0.5772156649015329
 ZETA3 = 1.2020569031595943
 
 
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant C = lim_n (sum_{k<=n} 1/k - log n)."""
-    return EULER_GAMMA
-
-
-def zeta3() -> float:
-    """Riemann zeta function at 3."""
-    return ZETA3
-
-
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0.0:

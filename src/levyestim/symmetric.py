@@ -8,7 +8,10 @@ giving gamma_hat = m_n / h, and works with the residuals x_(j) - m_n of the
 order statistics (the middle one is zero and is excluded from log-type
 statistics).
 
-Asymptotics are reported in the normalization
+Each *_point core returns (beta_hat, sigma_hat, gamma_hat); its *_estimate
+report adds the covariance and the drift interval.
+
+Reports carry the fixed-mesh (h = 1) covariance V of
 
     diag(sqrt(n), sqrt(n), sqrt(n) h^{1 - 1/beta_hat}) (theta_hat - theta)
         -> N_3(0, V),
@@ -16,7 +19,9 @@ Asymptotics are reported in the normalization
 where V is V^log for the log-moment pair and V^p for the fractional-moment
 pair; in both cases the (gamma, gamma) entry is
 {sigma pi / (2 Gamma(1 + 1/beta))}^2 and the gamma component is
-asymptotically independent of the rest.
+asymptotically independent of the rest.  This holds only at h = 1: at
+any other mesh, notably a shrinking one, sigma_hat carries an extra term
+-sigma log(1/h) / beta^2 (beta_hat - beta) that V omits.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .stable_density import median_asymptotic_sd
 __all__ = [
     "median_gamma",
     "log_residuals",
+    "log_moment_point",
     "log_moment_estimate",
     "log_moment_nu",
     "v_log",
@@ -59,6 +65,7 @@ __all__ = [
     "beta_inv_sq_unbiased",
     "known_scale_beta",
     "c_moment",
+    "frac_moment_point",
     "frac_moment_estimate",
     "v_p",
     "gamma_confidence_interval",
@@ -141,8 +148,8 @@ def log_moment_nu(beta: float, sigma: float) -> NuMoments:
 
 
 def v_log(beta: float, sigma: float, log_scale: bool = False) -> np.ndarray:
-    """Asymptotic covariance V^log of the log-moment estimates
-    (beta_hat, sigma_hat, gamma_hat):
+    """Fixed-mesh (h = 1) covariance V^log of the log-moment estimates
+    (beta_hat, sigma_hat, gamma_hat; other meshes: module docstring):
 
     V_11 = (11/10) beta^2 + (1/2) beta^4 + (13/20) beta^6
     V_12 = (sigma/pi^4) {9 C beta^4 (nu4 - nu2^2) - 3 pi^2 beta^3 nu3}
@@ -195,9 +202,8 @@ def _log_stats(sample: IncrementSample):
     return logs, float(logs.mean()), m, k
 
 
-def log_moment_estimate(sample: IncrementSample,
-                        level: float = 0.95) -> EstimateReport:
-    """Log-moment estimates of (beta, sigma, gamma).
+def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
+    """Log-moment estimates (beta_hat, sigma_hat, gamma_hat).
 
     With L_j = log|x_(j) - m_n| over the 2k off-median order statistics and
     Lbar their mean,
@@ -206,9 +212,6 @@ def log_moment_estimate(sample: IncrementSample,
         sigma_hat = exp{(1/beta_hat) log(1/h) + Lbar
                         - C (1/beta_hat - 1)}
         gamma_hat = m_n / h.
-
-    The report carries the plug-in V^log covariance and the gamma
-    confidence interval at the given level.
     """
     logs, lbar, m, k = _log_stats(sample)
     gap = 6.0 / (2.0 * k * _PI2) * float(np.sum((logs - lbar) ** 2)) - 0.5
@@ -219,15 +222,28 @@ def log_moment_estimate(sample: IncrementSample,
     h = sample.h
     sigma_hat = math.exp(math.log(1.0 / h) / beta_hat + lbar
                          - EULER_GAMMA * (1.0 / beta_hat - 1.0))
-    gamma_hat = m / h
+    return beta_hat, sigma_hat, m / h
+
+
+def _report(method: str, sample: IncrementSample, point, cov, level: float,
+            **extra) -> EstimateReport:
+    beta_hat, sigma_hat, gamma_hat = point
+    k = (sample.n - 1) // 2  # the odd-sample rule keeps 2k + 1 increments
     n_used = 2 * k + 1
-    cov = v_log(beta_hat, sigma_hat)
     ci = gamma_confidence_interval(gamma_hat, beta_hat, sigma_hat,
-                                   n_used, h, level)
-    return EstimateReport(method="log", n=n_used, h=h, beta_hat=beta_hat,
-                          sigma_hat=sigma_hat, gamma_hat=gamma_hat,
-                          ci_gamma=ci, cov_matrix=cov,
-                          extra={"k": k, "level": level})
+                                   n_used, sample.h, level)
+    return EstimateReport(method=method, n=n_used, h=sample.h,
+                          beta_hat=beta_hat, sigma_hat=sigma_hat,
+                          gamma_hat=gamma_hat, ci_gamma=ci, cov_matrix=cov,
+                          extra={**extra, "k": k, "level": level})
+
+
+def log_moment_estimate(sample: IncrementSample,
+                        level: float = 0.95) -> EstimateReport:
+    """log_moment_point plus the plug-in V^log covariance and the gamma
+    confidence interval at the given level."""
+    point = log_moment_point(sample)
+    return _report("log", sample, point, v_log(*point[:2]), level)
 
 
 def beta_inv_sq_unbiased(sample: IncrementSample) -> float:
@@ -291,9 +307,10 @@ def _log_frac_k(p: float) -> float:
             - 0.5 * math.log(math.pi))
 
 
-def frac_moment_estimate(sample: IncrementSample, p: float,
-                         level: float = 0.95) -> EstimateReport:
-    """Fractional-moment estimates of (beta, sigma, gamma) at order p.
+def frac_moment_point(sample: IncrementSample,
+                      p: float) -> tuple[float, float, float]:
+    """Fractional-moment estimates (beta_hat, sigma_hat, gamma_hat) at
+    order p.
 
     With H_l = (1/n) sum_j |x_j - gamma_hat h|^{lp} over all n increments
     (the median one contributes zero), beta_hat solves
@@ -318,7 +335,7 @@ def frac_moment_estimate(sample: IncrementSample, p: float,
     if not (0.0 < p < 1.0 / 3.0):
         raise DomainError("moment order p must lie in (0, 1/3)", p=p)
     values = _odd_values(sample)
-    m, _, k = _median_split(values)
+    m, _, _ = _median_split(values)
     res = np.abs(values - m)
     h1 = float(np.mean(res ** p))
     h2 = float(np.mean(res ** (2.0 * p)))
@@ -336,20 +353,21 @@ def frac_moment_estimate(sample: IncrementSample, p: float,
                                lo=bracket.lo, hi=bracket.hi) from exc
     h = sample.h
     sigma_hat = (h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p)) ** (1.0 / p)
-    gamma_hat = m / h
-    n_used = 2 * k + 1
-    cov = v_p(beta_hat, sigma_hat, p)
-    ci = gamma_confidence_interval(gamma_hat, beta_hat, sigma_hat,
-                                   n_used, h, level)
-    return EstimateReport(method="frac", n=n_used, h=h, beta_hat=beta_hat,
-                          sigma_hat=sigma_hat, gamma_hat=gamma_hat,
-                          ci_gamma=ci, cov_matrix=cov,
-                          extra={"p": p, "k": k, "level": level})
+    return beta_hat, sigma_hat, m / h
+
+
+def frac_moment_estimate(sample: IncrementSample, p: float,
+                         level: float = 0.95) -> EstimateReport:
+    """frac_moment_point plus the plug-in V^p covariance and the gamma
+    confidence interval at the given level."""
+    point = frac_moment_point(sample, p)
+    return _report("frac", sample, point, v_p(*point[:2], p), level, p=p)
 
 
 def v_p(beta: float, sigma: float, p: float) -> np.ndarray:
-    """Asymptotic covariance V^p of the fractional-moment estimates at
-    order p.  Writing C(q) = C(beta, q) and
+    """Fixed-mesh (h = 1) covariance V^p of the fractional-moment estimates
+    at order p (other meshes: module docstring).  Writing C(q) = C(beta, q)
+    and
 
         eta = psi(1 - p/beta) - psi(1 - 2p/beta),
 

@@ -138,19 +138,32 @@ def test_simulate_timevarying_cosine(tmp_path):
     assert read_increments(out).n == 400
 
 
-@pytest.mark.parametrize("model,params,key", [
-    ("gamma", "delta=1", "'gamma'"),
-    ("stable", "sigma=1", "'beta'"),
-    ("timevarying", "beta=1.5", "'p_pos'"),
+_MISSING_CASES = [
+    ("gamma", "delta=1", "'gamma'", "10"),
+    ("stable", "sigma=1", "'beta'", "10"),
+    ("timevarying", "beta=1.5", "'p_pos'", "10"),
     # a non-finite value is as unusable as a missing one
-    ("stable", "beta=nan", "'beta'"),
-    ("stable", "beta=inf", "'beta'"),
-    ("gamma", "delta=1,gamma=-inf", "'gamma'"),
-])
+    ("stable", "beta=nan", "'beta'", "10"),
+    ("stable", "beta=inf", "'beta'", "10"),
+    ("gamma", "delta=1,gamma=-inf", "'gamma'", "10"),
+    # so is a sample size below 1, for every model (0 was a
+    # ZeroDivisionError in T / n)
+    *[(model, params, "--n", n) for n in ("0", "-3")
+      for model, params in (("gamma", "delta=1,gamma=1"),
+                            ("ig", "delta=1,gamma=1"),
+                            ("stable", "beta=1.5"),
+                            ("stable", "beta=1.5,p_pos=0.45"),
+                            ("timevarying", "beta=1.5,p_pos=0.45"))],
+]
+
+
+@pytest.mark.parametrize("model,params,key,n", _MISSING_CASES, ids=[
+    f"{m}-{p}-{k}" if n == "10" else f"{m}-{p}-n={n}"
+    for m, p, k, n in _MISSING_CASES])
 def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
-                                              params, key):
+                                              params, key, n):
     rc = run_cli("simulate", "--model", model, "--params", params,
-                 "--n", "10", "--T", "1", "--seed", "1",
+                 "--n", n, "--T", "1", "--seed", "1",
                  "--out", str(tmp_path / "x.csv"))
     assert rc == 2
     assert key in capsys.readouterr().err

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levyestim import skewed, symmetric
 from levyestim.errors import DomainError, EstimationError
 from levyestim.mc import (
     DEFAULT_MASTER_SEED,
+    ESTIMATORS,
+    MODELS,
     PRESET_NAMES,
     ExperimentConfig,
     _replicate,
@@ -181,6 +184,42 @@ def test_replication_order_never_changes_values():
     rows = run_experiment(cfg)
     sign = [forward[("sign", rep)][0] for rep in range(24)]
     assert rows[0].mean == float(np.array(sign).mean())
+
+
+# (model, truth, n, h, the estimator kinds run on its samples)
+_KIND_SAMPLES = (
+    ("symmetric_stable", {"beta": 1.5, "sigma": 0.5, "gamma": -0.5},
+     2001, 5.0 / 2001, ("log", "frac", "known_scale", "median")),
+    ("skewed_stable", {"beta": 1.5, "p_pos": skew_to_positivity(1.5, -0.5)},
+     2000, 1.0 / 2000, ("sign", "bipower", "power_scale")),
+    ("timevarying_stable",
+     {"beta": 1.5, "p_pos": skew_to_positivity(1.5, -0.5)},
+     2000, None, ("tripower",)),
+    ("gamma_sub", {"delta": 2.0, "gamma": 1.5}, 2000, 0.1,
+     ("gamma_mle", "gamma_moment")),
+    ("ig_sub", {"delta": 2.0, "gamma": 1.5}, 2000, 0.1, ("ig_mle",)),
+)
+
+
+def test_monte_carlo_computes_no_covariance(monkeypatch):
+    """Every estimator kind runs a point core: with the covariances and
+    the drift interval made to raise, each still returns finite values."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a replication computed a covariance")
+
+    for module, name in ((symmetric, "v_log"), (symmetric, "v_p"),
+                         (symmetric, "gamma_confidence_interval"),
+                         (skewed, "delta_cov")):
+        monkeypatch.setattr(module, name, forbidden)
+    kinds = [k for *_, ks in _KIND_SAMPLES for k in ks]
+    assert sorted(kinds) == sorted(ESTIMATORS)
+    tuning = {"p": 0.1, "q": 0.25, "sigma": 0.5}
+    for model, truth, n, h, ks in _KIND_SAMPLES:
+        sample = MODELS[model].sample(truth, h, n, 5)
+        for kind in ks:
+            values = ESTIMATORS[kind].estimate(sample, tuning)
+            assert len(values) == len(ESTIMATORS[kind].params), kind
+            assert all(math.isfinite(v) for v in values), kind
 
 
 def test_rows_cover_every_cell_in_order():

@@ -23,9 +23,11 @@ from levyestim.skewed import (
     sigma_star_bipower,
     sigma_star_power,
     sign_bipower_estimate,
+    sign_bipower_point,
     sign_statistic,
     tripower_estimate,
     tripower_integrated_scale,
+    tripower_point,
 )
 from levyestim.stable_core import (
     IncrementSample,
@@ -478,6 +480,19 @@ def test_sign_bipower_estimate_report():
     assert rep.extra["p_pos_hat"] == sign_statistic(s)
     assert np.asarray(rep.cov_matrix).shape == (3, 3)
     assert rep.extra["sigma_star_p"] > 0.0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("q", [0.2, 0.25, 0.3])
+def test_point_cores_equal_their_reports(seed, q):
+    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=seed)
+    rep = sign_bipower_estimate(s, q)
+    assert sign_bipower_point(s, q) == (
+        rep.extra["p_pos_hat"], rep.beta_hat, rep.sigma_hat,
+        rep.extra["sigma_star_p"])
+    rep = tripower_estimate(s, q)
+    assert tripower_point(s, q) == (rep.extra["p_pos_hat"], rep.beta_hat,
+                                    rep.sigma_hat)
 
 
 def test_tripower_estimate_report():

@@ -23,9 +23,11 @@ from levyestim.symmetric import (
     beta_inv_sq_unbiased,
     c_moment,
     frac_moment_estimate,
+    frac_moment_point,
     gamma_confidence_interval,
     known_scale_beta,
     log_moment_estimate,
+    log_moment_point,
     log_moment_nu,
     median_gamma,
     psi_transform,
@@ -93,6 +95,24 @@ def test_log_moment_basic_report():
     assert rep.ci_gamma[0] < rep.gamma_hat < rep.ci_gamma[1]
     assert rep.cov_matrix.shape == (3, 3)
     assert rep.extra["k"] == 1000
+
+
+@pytest.mark.parametrize("beta,n,seed", [
+    (1.5, 2001, 1), (1.5, 2000, 2), (0.8, 501, 3), (1.8, 1000, 4),
+])
+def test_point_cores_equal_their_reports(beta, n, seed):
+    s = _sym_sample(beta, 0.5, -0.5, n, 5.0, seed)
+    rep = log_moment_estimate(s, level=0.9)
+    assert log_moment_point(s) == (rep.beta_hat, rep.sigma_hat, rep.gamma_hat)
+    # the odd-sample rule keeps 2k + 1 increments
+    assert rep.n == 2 * rep.extra["k"] + 1 == n - (1 - n % 2)
+    for p in (0.05, 0.1, 0.2):
+        if 6.0 * p >= beta:
+            continue
+        rep = frac_moment_estimate(s, p)
+        assert frac_moment_point(s, p) == (rep.beta_hat, rep.sigma_hat,
+                                           rep.gamma_hat)
+        assert rep.n == 2 * rep.extra["k"] + 1
 
 
 def test_log_moment_scale_equivariance():
