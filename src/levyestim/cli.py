@@ -49,7 +49,10 @@ def _parse_grid(text: str) -> list[float]:
     lo, hi, step = (float(p) for p in parts)
     if step <= 0.0 or hi < lo:
         raise ValueError("grid needs lo <= hi and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    if not all(map(math.isfinite, (lo, hi, step, span))):
+        raise ValueError("grid lo, hi, step and step count must be finite")
+    count = int(round(span)) + 1
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
 
 
@@ -179,10 +182,11 @@ def _cmd_fisher(args) -> int:
 def _cmd_density(args) -> int:
     y_min = -args.y_max if args.y_min is None else args.y_min
     grid = np.linspace(y_min, args.y_max, args.points)
+    dens = phi(grid, args.beta, args.sigma)
+    deriv = phi_deriv(grid, args.beta, 1, args.sigma)
     lines = ["y,phi,dphi"]
-    for y in grid:
-        lines.append(f"{y:.10g},{phi(y, args.beta, args.sigma):.10g},"
-                     f"{phi_deriv(y, args.beta, 1, args.sigma):.10g}")
+    lines += [f"{y:.10g},{f:.10g},{d:.10g}"
+              for y, f, d in zip(grid, dens, deriv)]
     _write_lines(args.out, lines)
     return 0
 

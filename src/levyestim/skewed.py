@@ -294,17 +294,6 @@ def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
 # ---------------------------------------------------------------------------
 # asymptotic covariances
 
-def _sigma_star_value(sigma_star, q: float) -> float:
-    if hasattr(sigma_star, "sigma_star"):
-        return float(sigma_star.sigma_star(q))
-    if callable(sigma_star):
-        return float(sigma_star(q))
-    for key, val in sigma_star.items():
-        if abs(float(key) - q) <= 1e-12 * (1.0 + abs(q)):
-            return float(val)
-    raise DomainError("sigma_star mapping lacks the required power", q=q)
-
-
 def a_cross(beta: float, p_pos: float, r: Sequence[float]) -> float:
     """Sign/power covariance weight
 
@@ -375,18 +364,18 @@ def mpv_cov(beta: float, p_pos: float, r: Sequence[float],
          [.,                    B(r, r) sigma*_{2 r+},   B(r, r') sigma*_{r+ + r'+}],
          [.,                    .,                       B(r', r') sigma*_{2 r'+}]].
 
-    sigma_star may be a ScalePath, a callable q -> sigma*_q, or a mapping
-    from power to value.
+    sigma_star is a callable q -> sigma*_q; pass ``path.sigma_star`` for a
+    ScalePath.
     """
     arr = _check_powers(beta, r)
     arr2 = _check_powers(beta, r_prime)
     rp = float(arr.sum())
     rp2 = float(arr2.sum())
-    s_rp = _sigma_star_value(sigma_star, rp)
-    s_rp2 = _sigma_star_value(sigma_star, rp2)
-    s_2rp = _sigma_star_value(sigma_star, 2.0 * rp)
-    s_cross = _sigma_star_value(sigma_star, rp + rp2)
-    s_2rp2 = _sigma_star_value(sigma_star, 2.0 * rp2)
+    s_rp = float(sigma_star(rp))
+    s_rp2 = float(sigma_star(rp2))
+    s_2rp = float(sigma_star(2.0 * rp))
+    s_cross = float(sigma_star(rp + rp2))
+    s_2rp2 = float(sigma_star(2.0 * rp2))
     out = np.empty((3, 3))
     out[0, 0] = 4.0 * p_pos * (1.0 - p_pos)
     out[0, 1] = out[1, 0] = a_cross(beta, p_pos, arr) * s_rp
@@ -415,8 +404,10 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
     r = (2.0 * q, 0.0)
     rp = (q, q)
     s = float(sigma_star_2q)
-    table = {2.0 * q: sigma_star_2q, 4.0 * q: sigma_star_4q}
-    sigma = mpv_cov(beta, p_pos, r, rp, table)
+    # the power sums of r and r' are 2q and the cross/doubled sums 4q,
+    # all exact in floating point, so the lookups hit these keys
+    powers = {2.0 * q: sigma_star_2q, 4.0 * q: sigma_star_4q}
+    sigma = mpv_cov(beta, p_pos, r, rp, powers.__getitem__)
 
     def mu_r(pv: float, bv: float, powers) -> float:
         return mu_product(bv, pv, powers)

@@ -26,6 +26,10 @@ The information integrals
 
 (at sigma = 1) split at |y| = 30 into the quadrature core and a series-based
 tail handled on a log grid, since the integrands decay only like |y|^{-beta-1}.
+H and M are integrated together as one 2-vector, so each node costs one
+(phi, phi') pair.  Each call evaluates every distinct |y|/sigma once, with no
+process-wide cache, and a quadrature whose convergence flag reports failure
+raises QuadratureError (code quadrature_error).
 """
 
 from __future__ import annotations
@@ -33,12 +37,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .special_fn import log_gamma
 
 __all__ = [
@@ -50,8 +53,6 @@ __all__ = [
     "FisherInfo",
     "fisher_matrix",
     "median_asymptotic_sd",
-    "DensityGrid",
-    "density_grid",
 ]
 
 # crossover from oscillatory quadrature to the tail expansion
@@ -77,9 +78,19 @@ def _u_upper(beta: float, k: int) -> float:
     return L ** (1.0 / beta)
 
 
-@lru_cache(maxsize=200_000)
+def _checked_quad(context: dict, *args, **kwargs) -> float:
+    # with full_output, quad appends a message exactly when its ier flag
+    # reports failure (ier = 6, invalid input, raises ValueError itself)
+    val, _, _, *failure = quad(*args, full_output=1, **kwargs)
+    if failure:
+        raise QuadratureError("quadrature did not converge: "
+                              + " ".join(failure[0].split()), **context)
+    return val
+
+
 def _fourier_point(y: float, beta: float, k: int) -> float:
     """(d/dy)^k phi_beta at y >= 0 by weighted (QAWO) quadrature."""
+    context = {"beta": beta, "y": y, "k": k}
     upper = _u_upper(beta, k)
     sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
 
@@ -89,16 +100,16 @@ def _fourier_point(y: float, beta: float, k: int) -> float:
     if y == 0.0:
         if k % 2 == 1:
             return 0.0
-        val, _ = quad(integrand, 0.0, upper,
-                      epsabs=1e-13, epsrel=1e-11, limit=300)
+        val = _checked_quad(context, integrand, 0.0, upper,
+                            epsabs=1e-13, epsrel=1e-11, limit=300)
     else:
         weight = "sin" if k % 2 == 1 else "cos"
-        val, _ = quad(integrand, 0.0, upper, weight=weight, wvar=y,
-                      epsabs=1e-13, epsrel=1e-11, limit=400, maxp1=100)
+        val = _checked_quad(context, integrand, 0.0, upper, weight=weight,
+                            wvar=y, epsabs=1e-13, epsrel=1e-11, limit=400,
+                            maxp1=100)
     return sign * val / math.pi
 
 
-@lru_cache(maxsize=200_000)
 def _series_point(y: float, beta: float, k: int) -> float:
     """(d/dy)^k phi_beta at large y > 0 from the tail expansion."""
     acc = 0.0
@@ -125,18 +136,14 @@ def _eval(y, beta: float, sigma: float, k: int):
     if np.any(np.abs(arr) / sigma > 50.0):
         warnings.warn("density evaluated at |y|/sigma > 50: series tail "
                       "accuracy only", stacklevel=3)
-    out = np.empty(arr.shape, dtype=float)
     flat = arr.ravel()
-    oflat = out.ravel()
-    scale = sigma ** (k + 1)
-    for i, yi in enumerate(flat):
-        z = abs(yi) / sigma
-        val = _point(float(z), beta, k)
-        if k == 0:
-            val = max(val, _PHI_FLOOR)  # guard ratios against tail roundoff
-        if yi < 0.0 and k % 2 == 1:
-            val = -val
-        oflat[i] = val / scale
+    zs, inverse = np.unique(np.abs(flat) / sigma, return_inverse=True)
+    vals = np.array([_point(float(z), beta, k) for z in zs])[inverse]
+    if k == 0:
+        vals = np.maximum(vals, _PHI_FLOOR)  # guard ratios against roundoff
+    elif k % 2 == 1:
+        vals = np.where(flat < 0.0, -vals, vals)
+    out = (vals / sigma ** (k + 1)).reshape(arr.shape)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -168,47 +175,54 @@ def phi_zero(beta: float, sigma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # information integrals
 
-def _information_integral(beta: float, which: str) -> float:
+def _vector_integral(f, b: float, beta: float, epsabs: float) -> np.ndarray:
+    # each round quad_vec splits every interval it must until the error left
+    # is below tol/8, so epsrel = 8e-9 asks for scalar quad's 1e-9
+    val, _, info = quad_vec(f, 0.0, b, epsabs=epsabs, epsrel=8e-9, limit=200,
+                            full_output=True)
+    if info.status != 0:
+        raise QuadratureError("vector quadrature did not converge",
+                              status=int(info.status), beta=beta,
+                              interval=[0.0, b])
+    return val
+
+
+def _information(beta: float) -> tuple[float, float]:
+    """(H_beta, M_beta) from one pass over the core and one over the tail."""
     _check_density_domain(beta, 1.0)
 
-    def num(f: float, d: float, yv: float) -> float:
-        if which == "h":
-            g = f + yv * d
-            return g * g
-        return d * d
+    def pair(f: float, d: float, yv: float) -> np.ndarray:
+        g = f + yv * d
+        return np.array([g * g / f, d * d / f])
 
-    def core(yv: float) -> float:
-        return num(phi(yv, beta), phi_deriv(yv, beta, 1), yv) / phi(yv, beta)
+    def core(yv: float) -> np.ndarray:
+        f = max(_point(yv, beta, 0), _PHI_FLOOR)
+        return pair(f, _point(yv, beta, 1), yv)
 
-    core_val, _ = quad(core, 0.0, _Y_SERIES,
-                       epsabs=1e-11, epsrel=1e-9, limit=200)
+    core_val = _vector_integral(core, _Y_SERIES, beta, 1e-11)
 
     # tail on y = 30 e^t: the integrand decays like y^{-beta-1}, so the
     # substitution gives an exponentially decaying smooth integrand
-    def tail_log(t: float) -> float:
+    def tail_log(t: float) -> np.ndarray:
         yv = _Y_SERIES * math.exp(t)
         f = max(_series_point(yv, beta, 0), _PHI_FLOOR)
-        d = _series_point(yv, beta, 1)
-        return num(f, d, yv) / f * yv
+        return pair(f, _series_point(yv, beta, 1), yv) * yv
 
-    ttop = 60.0 / beta + 10.0
-    tail_val, _ = quad(tail_log, 0.0, ttop,
-                       epsabs=1e-12, epsrel=1e-9, limit=200)
-    return 2.0 * (core_val + tail_val)
+    tail_val = _vector_integral(tail_log, 60.0 / beta + 10.0, beta, 1e-12)
+    h, m = 2.0 * (core_val + tail_val)
+    return float(h), float(m)
 
 
-@lru_cache(maxsize=1024)
 def h_beta(beta: float) -> float:
     """H_beta = int (phi + y phi')^2 / phi dy, the (index, scale)-block
     information weight at sigma = 1.  H_1 = 1/2."""
-    return _information_integral(beta, "h")
+    return _information(beta)[0]
 
 
-@lru_cache(maxsize=1024)
 def m_beta(beta: float) -> float:
     """M_beta = int (phi')^2 / phi dy, the location information weight at
     sigma = 1.  M_1 = 1/2."""
-    return _information_integral(beta, "m")
+    return _information(beta)[1]
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,7 @@ def fisher_matrix(beta: float, sigma: float) -> FisherInfo:
     is singular for every parameter value, which is why joint maximum
     likelihood in the usual normalization degenerates."""
     _check_density_domain(beta, sigma)
-    return FisherInfo(beta, sigma, h_beta(beta), m_beta(beta))
+    return FisherInfo(beta, sigma, *_information(beta))
 
 
 def median_asymptotic_sd(beta: float, sigma: float = 1.0) -> float:
@@ -257,21 +271,3 @@ def median_asymptotic_sd(beta: float, sigma: float = 1.0) -> float:
     if not sigma > 0.0:
         raise DomainError("scale sigma must be positive", sigma=sigma)
     return sigma * math.pi / (2.0 * math.exp(log_gamma(1.0 + 1.0 / beta)))
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Cached (y, phi, phi') evaluations for one (beta, sigma)."""
-
-    beta: float
-    sigma: float
-    y: np.ndarray
-    density: np.ndarray
-    deriv: np.ndarray
-
-
-def density_grid(beta: float, y, sigma: float = 1.0) -> DensityGrid:
-    yarr = np.atleast_1d(np.asarray(y, dtype=float))
-    return DensityGrid(beta, sigma, yarr,
-                       phi(yarr, beta, sigma),
-                       phi_deriv(yarr, beta, 1, sigma))

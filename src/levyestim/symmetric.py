@@ -84,6 +84,11 @@ def _odd_values(sample: IncrementSample) -> np.ndarray:
     return values
 
 
+def _median(values: np.ndarray) -> float:
+    k = (values.size - 1) // 2
+    return float(np.partition(values, k)[k])
+
+
 def _median_split(values: np.ndarray) -> tuple[float, np.ndarray, int]:
     xs = np.sort(values)
     k = (xs.size - 1) // 2
@@ -93,9 +98,7 @@ def _median_split(values: np.ndarray) -> tuple[float, np.ndarray, int]:
 def median_gamma(sample: IncrementSample) -> float:
     """Drift estimate gamma_hat = m_n / h from the sample median of the
     increments (even samples drop their last increment)."""
-    values = _odd_values(sample)
-    m, _, _ = _median_split(values)
-    return m / sample.h
+    return _median(_odd_values(sample)) / sample.h
 
 
 def log_residuals(sample: IncrementSample) -> tuple[np.ndarray, float, int]:
@@ -335,7 +338,7 @@ def frac_moment_point(sample: IncrementSample,
     if not (0.0 < p < 1.0 / 3.0):
         raise DomainError("moment order p must lie in (0, 1/3)", p=p)
     values = _odd_values(sample)
-    m, _, _ = _median_split(values)
+    m = _median(values)
     res = np.abs(values - m)
     h1 = float(np.mean(res ** p))
     h2 = float(np.mean(res ** (2.0 * p)))

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import levyestim
+from levyestim import stable_density
 from levyestim.cli import build_parser, main
-from levyestim.errors import DataError, DomainError
+from levyestim.errors import DataError, DomainError, QuadratureError
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
@@ -83,9 +85,11 @@ def test_frac_without_p_is_flag_error(tmp_path, capsys):
 
 
 def test_grid_validation_exits_one(capsys):
-    assert run_cli("fisher", "--beta-grid", "2:1:0.5") == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["code"] == "value_error"
+    for command, grid in (("fisher", "2:1:0.5"), ("fisher", "1.2:inf:0.1"),
+                          ("variance", "0.5:1e300:1e-300")):
+        assert run_cli(command, "--beta-grid", grid) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["code"] == "value_error"
     assert run_cli("fisher") == 1
     capsys.readouterr()
 
@@ -250,6 +254,20 @@ def test_error_payload_is_strict_json(tmp_path, capsys):
     err = DomainError("x", values=[np.float64(np.inf), 1.0], level=np.nan)
     assert err.to_json_dict()["context"] == {"values": [None, 1.0],
                                              "level": None}
+
+
+def test_quadrature_failure_exits_one(monkeypatch, capsys):
+    # one subinterval cannot reach the density tolerance, so quad's flag
+    # reports non-convergence
+    real_quad = stable_density.quad
+    monkeypatch.setattr(stable_density, "quad",
+                        lambda *a, **kw: real_quad(*a, **{**kw, "limit": 1}))
+    with pytest.raises(QuadratureError):
+        stable_density.phi(1.0, 1.5)
+    assert run_cli("fisher", "--beta", "1.5") == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "quadrature_error"
+    assert payload["context"]["beta"] == 1.5
 
 
 def test_estimate_log_reports_three_parameters(tmp_path, capsys):
@@ -452,7 +470,7 @@ def test_density_dump_normalizes(capsys):
     assert lines[0] == "y,phi,dphi"
     arr = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert arr.shape == (2501, 3)
-    assert np.trapezoid(arr[:, 1], arr[:, 0]) == pytest.approx(1.0, abs=1e-4)
+    assert trapezoid(arr[:, 1], arr[:, 0]) == pytest.approx(1.0, abs=1e-4)
     # symmetric density, antisymmetric derivative
     assert np.allclose(arr[:, 1], arr[::-1, 1], rtol=1e-8, atol=1e-12)
     assert np.allclose(arr[:, 2], -arr[::-1, 2], rtol=1e-8, atol=1e-10)

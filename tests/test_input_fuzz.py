@@ -126,7 +126,8 @@ def _mutate(base, edits):
                 owner.pop(key, None)
             else:
                 owner[key] = value
-        elif isinstance(owner, list) and key < len(owner):
+        elif isinstance(owner, list) and isinstance(key, int) \
+                and key < len(owner):
             owner[key] = value
     return entry
 

@@ -1,16 +1,18 @@
 """Symmetric stable density, derivatives and Fisher information."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from levyestim.errors import DomainError
+from levyestim import stable_density
+from levyestim.errors import DomainError, QuadratureError
 from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
     FisherInfo,
-    density_grid,
     fisher_matrix,
     h_beta,
     m_beta,
@@ -118,6 +120,55 @@ def test_information_integrals_frozen():
     assert m_beta(1.5) == pytest.approx(M_BETA_15, rel=1e-6)
 
 
+def _information_reference(beta, which):
+    # one scalar quad per integral, as H and M were computed before they
+    # shared one vector quadrature; the memo lives for one integral only
+    series = stable_density._series_point
+
+    @functools.cache
+    def pair(yv):
+        return phi(yv, beta), phi_deriv(yv, beta, 1)
+
+    def num(f, d, yv):
+        return (f + yv * d) ** 2 if which == "h" else d * d
+
+    def core(yv):
+        f, d = pair(yv)
+        return num(f, d, yv) / f
+
+    def tail_log(t):
+        yv = 30.0 * math.exp(t)
+        f = max(series(yv, beta, 0), 1e-300)
+        return num(f, series(yv, beta, 1), yv) / f * yv
+
+    core_val, _ = scipy.integrate.quad(core, 0.0, 30.0, epsabs=1e-11,
+                                       epsrel=1e-9, limit=200)
+    tail_val, _ = scipy.integrate.quad(tail_log, 0.0, 60.0 / beta + 10.0,
+                                       epsabs=1e-12, epsrel=1e-9, limit=200)
+    return 2.0 * (core_val + tail_val)
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.3, 1.77, 1.95])
+def test_information_pass_matches_scalar_quadratures(beta):
+    assert h_beta(beta) == pytest.approx(_information_reference(beta, "h"),
+                                         rel=1e-12, abs=0)
+    assert m_beta(beta) == pytest.approx(_information_reference(beta, "m"),
+                                         rel=1e-12, abs=0)
+    if beta == 1.0:
+        assert abs(h_beta(beta) - 0.5) < 1e-12
+        assert abs(m_beta(beta) - 0.5) < 1e-12
+
+
+def test_information_quadrature_failure_raises(monkeypatch):
+    real_quad_vec = stable_density.quad_vec
+    monkeypatch.setattr(
+        stable_density, "quad_vec",
+        lambda *a, **kw: real_quad_vec(*a, **{**kw, "limit": 1}))
+    with pytest.raises(QuadratureError) as info:
+        fisher_matrix(1.5, 1.0)
+    assert info.value.context["beta"] == 1.5
+
+
 def test_fisher_matrix_structure():
     info = fisher_matrix(1.5, 0.7)
     m = info.matrix
@@ -150,11 +201,38 @@ def test_median_asymptotic_sd():
             1 / (2 * phi_zero(beta, 1.0)), rel=1e-12)
 
 
-def test_density_grid():
-    g = density_grid(1.5, np.linspace(-1, 1, 5), 1.0)
-    assert g.density.shape == (5,)
-    assert np.all(g.density > 0)
-    assert g.deriv[2] == pytest.approx(0.0, abs=1e-12)
+def test_arrays_match_scalar_calls():
+    # repeated and mirrored points, evaluated once each per call
+    y = np.array([[-2.5, 0.0, 2.5], [0.7, -0.7, 2.5], [31.0, -31.0, 0.0]])
+    for beta, sigma in ((0.7, 1.0), (1.5, 0.8)):
+        cases = [(phi, {}), (phi_deriv, {"k": 1}), (phi_deriv, {"k": 2})]
+        for fn, kw in cases:
+            for arr in (y, y[1], np.asarray(-2.5)):
+                out = fn(arr, beta, sigma=sigma, **kw)
+                assert np.shape(out) == np.shape(arr)
+                expect = [fn(float(v), beta, sigma=sigma, **kw)
+                          for v in np.ravel(arr)]
+                assert np.ravel(out).tolist() == expect
+
+
+def test_calls_retain_no_memory():
+    grid = np.linspace(-10.0, 10.0, 101)
+
+    def requests(betas):
+        for beta in betas:
+            phi(grid, beta)
+            phi_deriv(grid, beta, 1)
+        fisher_matrix(betas[-1] + 0.001, 1.0)
+
+    requests([1.3])  # warm-up: imports and first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        requests([1.301 + 0.01 * i for i in range(10)])
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_domain_errors_and_far_tail_warning():

@@ -19,6 +19,7 @@ from levyestim.stable_core import IncrementSample, StableParams, sample_incremen
 from levyestim.stable_density import median_asymptotic_sd
 from levyestim.symmetric import (
     _log_frac_k,
+    _median,
     _median_split,
     beta_inv_sq_unbiased,
     c_moment,
@@ -296,7 +297,7 @@ def test_median_split_equals_delete(n):
         m, rest, k = _median_split(values)
         xs = np.sort(values)
         assert k == (n - 1) // 2
-        assert m == xs[k]
+        assert m == xs[k] == _median(values)
         np.testing.assert_array_equal(rest, np.delete(xs, k))
 
 
