@@ -95,16 +95,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _report_out(report: serialize.EstimateReport, out) -> int:
-    text = report.to_json()
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w", encoding="utf8") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
 def _cmd_estimate(args) -> int:
     sample = serialize.read_increments(args.infile)
     method = args.method
@@ -136,7 +126,8 @@ def _cmd_estimate(args) -> int:
             method=method, n=sample.n, h=sample.h, gamma_hat=gamma_hat,
             extra={"delta_hat": delta_hat,
                    "fisher": [float(v) for v in info.ravel()]})
-    return _report_out(report, args.out)
+    _write_lines(args.out, [report.to_json()])
+    return 0
 
 
 def _cmd_montecarlo(args) -> int:
@@ -180,6 +171,11 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+        if value is not None and not math.isfinite(value):
+            print(f"error: {flag} must be finite, got {value}",
+                  file=sys.stderr)
+            return 2
     y_min = -args.y_max if args.y_min is None else args.y_min
     grid = np.linspace(y_min, args.y_max, args.points)
     dens = phi(grid, args.beta, args.sigma)

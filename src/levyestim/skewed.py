@@ -42,7 +42,6 @@ from .errors import (
 )
 from .serialize import EstimateReport
 from .special_fn import (
-    RootBracket,
     find_root_monotone,
     log_gamma,
     log_gamma_ratio,
@@ -165,6 +164,31 @@ def sign_statistic(sample: IncrementSample) -> float:
     return 0.5 * (h_n + 1.0)
 
 
+def _power_sums(sample: IncrementSample, *rs) -> tuple[float, ...]:
+    """For each power vector r = (r_1, ..., r_m) the raw multipower sum
+
+        sum_{j=1}^{n-m+1} prod_{l=1}^m |D_{j+l-1}|^{r_l}
+
+    of the increments D_j.  |D_j| is taken once and raised to each distinct
+    power once; the products multiply shifted slices of those arrays."""
+    x = np.abs(sample.values)
+    n = x.size
+    powered = {}
+    sums = []
+    for r in rs:
+        m = len(r)
+        if n < m:
+            raise DomainError("sample shorter than the power vector", n=n, m=m)
+        prod = None
+        for l, rl in enumerate(r):
+            if rl not in powered:
+                powered[rl] = x ** rl
+            term = powered[rl][l:n - m + 1 + l]
+            prod = term if prod is None else prod * term
+        sums.append(float(prod.sum()))
+    return tuple(sums)
+
+
 def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
     """Normalized multipower variation
 
@@ -178,16 +202,9 @@ def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
                           r=list(np.atleast_1d(r)))
     if not (0.0 < beta <= 2.0):
         raise DomainError("index beta must lie in (0, 2]", beta=beta)
-    x = np.abs(sample.values)
-    n = x.size
-    m = arr.size
-    if n < m:
-        raise DomainError("sample shorter than the power vector", n=n, m=m)
-    prod = np.ones(n - m + 1)
-    for l, rl in enumerate(arr):
-        prod = prod * x[l:n - m + 1 + l] ** rl
+    total, = _power_sums(sample, arr)
     r_plus = float(arr.sum())
-    return n ** (r_plus / beta - 1.0) * float(prod.sum())
+    return sample.n ** (r_plus / beta - 1.0) * total
 
 
 def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
@@ -213,12 +230,7 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
     if not (0.0 <= p_hat <= 1.0):
         raise DomainError("positivity estimate must lie in [0, 1]",
                           p_hat=p_hat)
-    x = np.abs(sample.values)
-    if x.size < 2:
-        raise DomainError("need at least 2 increments", n=int(x.size))
-    xq = x ** q
-    num = float(np.sum(xq[:-1] * xq[1:]))
-    den = float(np.sum(x ** (2.0 * q)))
+    num, den = _power_sums(sample, (q, q), (2.0 * q,))
     if den <= 0.0 or num <= 0.0:
         raise InadmissiblePositivity("degenerate power sums", num=num, den=den)
     c1 = math.exp(log_gamma(1.0 - 2.0 * q)
@@ -232,13 +244,13 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
     def gap(beta: float) -> float:
         return log_gamma_ratio(beta, q) - log_target
 
-    bracket = RootBracket(max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9)
+    lo, hi = max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9
     try:
-        return find_root_monotone(gap, bracket)
+        return find_root_monotone(gap, lo, hi)
     except NoSignChange as exc:
         raise RootOutOfBracket("bipower ratio outside the admissible index "
                                "interval", target=target, q=q,
-                               lo=bracket.lo, hi=bracket.hi) from exc
+                               lo=lo, hi=hi) from exc
 
 
 def sigma_star_power(sample: IncrementSample, p_hat: float, beta_hat: float,
@@ -248,9 +260,7 @@ def sigma_star_power(sample: IncrementSample, p_hat: float, beta_hat: float,
         n^{power/beta_hat - 1} sum_j |D_j|^{power} / mu_{power}(p_hat, beta_hat).
     """
     mu = mu_abs(beta_hat, p_hat, power)
-    x = np.abs(sample.values)
-    n = x.size
-    return n ** (power / beta_hat - 1.0) * float(np.sum(x ** power)) / mu
+    return mpv(sample, beta_hat, (power,)) / mu
 
 
 def sigma_star_bipower(sample: IncrementSample, p_hat: float,
@@ -261,13 +271,7 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
             / mu_{power}(p_hat, beta_hat)^2.
     """
     mu = mu_abs(beta_hat, p_hat, power)
-    x = np.abs(sample.values)
-    if x.size < 2:
-        raise DomainError("need at least 2 increments", n=int(x.size))
-    n = x.size
-    xp = x ** power
-    num = float(np.sum(xp[:-1] * xp[1:]))
-    return n ** (2.0 * power / beta_hat - 1.0) * num / (mu * mu)
+    return mpv(sample, beta_hat, (power, power)) / (mu * mu)
 
 
 def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
@@ -281,14 +285,11 @@ def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
     separate moment condition arises; the n^{.}-normalizations cancel at
     total power beta.
     """
-    x = np.abs(sample.values)
-    if x.size < 3:
-        raise DomainError("need at least 3 increments", n=int(x.size))
     third = beta_hat / 3.0
-    mu = mu_abs(beta_hat, p_hat, third)
-    xt = x ** third
-    mstar = float(np.sum(xt[:-2] * xt[1:-1] * xt[2:]))
-    return mstar / mu ** 3
+    # not through mpv: its factor n^{(t+t+t)/beta_hat - 1} need not be
+    # exactly 1 in floating point and would move the result by ulps
+    mstar, = _power_sums(sample, (third, third, third))
+    return mstar / mu_abs(beta_hat, p_hat, third) ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ in a single place.  All functions are scalar-in, scalar-out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy.optimize import brentq
@@ -68,41 +67,26 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x + tail
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Interval [lo, hi] expected to straddle a root, plus solver budget."""
-
-    lo: float
-    hi: float
-    tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("bracket endpoints must be finite",
-                              lo=self.lo, hi=self.hi)
-        if not self.lo < self.hi:
-            raise DomainError("bracket requires lo < hi",
-                              lo=self.lo, hi=self.hi)
-        if not self.tol > 0.0:
-            raise DomainError("bracket tolerance must be positive",
-                              tol=self.tol)
-        if self.max_iter < 1:
-            raise DomainError("bracket iteration budget must be >= 1",
-                              max_iter=self.max_iter)
+# Brent tolerance and iteration budget of every root solve
+_XTOL = 1e-12
+_MAXITER = 200
 
 
-def find_root_monotone(f: Callable[[float], float],
-                       bracket: RootBracket) -> float:
+def find_root_monotone(f: Callable[[float], float], lo: float,
+                       hi: float) -> float:
     """Root of a continuous monotone f on [lo, hi] by Brent's method.
 
-    f(lo) and f(hi) must differ in sign; an exact zero at an endpoint is
+    The bracket ends must be finite with lo < hi (DomainError otherwise),
+    and f(lo) and f(hi) must differ in sign; an exact zero at an endpoint is
     returned as is.  Raises NoSignChange when the bracket does not straddle
     a root and MaxIterExceeded when the iteration budget runs out.  Each end
     is evaluated once: Brent's first two evaluations, at lo and hi, reuse
     the values of the sign check.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("bracket endpoints must be finite", lo=lo, hi=hi)
+    if not lo < hi:
+        raise DomainError("bracket requires lo < hi", lo=lo, hi=hi)
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -120,9 +104,8 @@ def find_root_monotone(f: Callable[[float], float],
             return fhi
         return f(x)
 
-    root, info = brentq(g, lo, hi, xtol=bracket.tol,
-                        maxiter=bracket.max_iter, full_output=True,
-                        disp=False)
+    root, info = brentq(g, lo, hi, xtol=_XTOL, maxiter=_MAXITER,
+                        full_output=True, disp=False)
     if not info.converged:
         raise MaxIterExceeded("root search did not converge",
                               iterations=info.iterations, lo=lo, hi=hi)

@@ -89,24 +89,24 @@ def _checked_quad(context: dict, *args, **kwargs) -> float:
 
 
 def _fourier_point(y: float, beta: float, k: int) -> float:
-    """(d/dy)^k phi_beta at y >= 0 by weighted (QAWO) quadrature."""
+    """(d/dy)^k phi_beta at y >= 0 by weighted (QAWO) quadrature; at y = 0
+    the closed form (-1)^{k/2} Gamma((k+1)/beta) / (beta pi) for even k
+    and 0 for odd k."""
+    if y == 0.0:
+        if k % 2 == 1:
+            return 0.0
+        return ((-1.0) ** (k // 2) * math.gamma((k + 1.0) / beta)
+                / (beta * math.pi))
     context = {"beta": beta, "y": y, "k": k}
-    upper = _u_upper(beta, k)
     sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
 
     def integrand(u: float) -> float:
         return u ** k * math.exp(-u ** beta)
 
-    if y == 0.0:
-        if k % 2 == 1:
-            return 0.0
-        val = _checked_quad(context, integrand, 0.0, upper,
-                            epsabs=1e-13, epsrel=1e-11, limit=300)
-    else:
-        weight = "sin" if k % 2 == 1 else "cos"
-        val = _checked_quad(context, integrand, 0.0, upper, weight=weight,
-                            wvar=y, epsabs=1e-13, epsrel=1e-11, limit=400,
-                            maxp1=100)
+    weight = "sin" if k % 2 == 1 else "cos"
+    val = _checked_quad(context, integrand, 0.0, _u_upper(beta, k),
+                        weight=weight, wvar=y, epsabs=1e-13, epsrel=1e-11,
+                        limit=400, maxp1=100)
     return sign * val / math.pi
 
 
@@ -133,6 +133,10 @@ def _point(z: float, beta: float, k: int) -> float:
 
 def _eval(y, beta: float, sigma: float, k: int):
     arr = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise DomainError("density argument y must be finite",
+                          first_index=int(bad[0]), count=int(bad.size))
     if np.any(np.abs(arr) / sigma > 50.0):
         warnings.warn("density evaluated at |y|/sigma > 50: series tail "
                       "accuracy only", stacklevel=3)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, NonpositiveBrace, NonpositiveK
-from .special_fn import RootBracket, digamma, find_root_monotone
+from .special_fn import digamma, find_root_monotone
 from .stable_core import IncrementSample, _as_rng
 
 __all__ = [
@@ -157,7 +157,7 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
             if gap(hi) < 0.0:
                 break
             hi *= 8.0
-        delta_hat = find_root_monotone(gap, RootBracket(lo, hi))
+        delta_hat = find_root_monotone(gap, lo, hi)
     gamma_hat = delta_hat * t_total / x_total
     return delta_hat, gamma_hat
 

@@ -45,7 +45,6 @@ from .serialize import EstimateReport
 from .special_fn import (
     EULER_GAMMA,
     ZETA3,
-    RootBracket,
     digamma,
     find_root_monotone,
     log_gamma,
@@ -150,7 +149,7 @@ def log_moment_nu(beta: float, sigma: float) -> NuMoments:
     )
 
 
-def v_log(beta: float, sigma: float, log_scale: bool = False) -> np.ndarray:
+def v_log(beta: float, sigma: float) -> np.ndarray:
     """Fixed-mesh (h = 1) covariance V^log of the log-moment estimates
     (beta_hat, sigma_hat, gamma_hat; other meshes: module docstring):
 
@@ -160,9 +159,8 @@ def v_log(beta: float, sigma: float, log_scale: bool = False) -> np.ndarray:
                            - 6 C pi^2 beta nu3}
     V_33 = {sigma pi / (2 Gamma(1 + 1/beta))}^2,   V_13 = V_23 = 0.
 
-    With log_scale=True the middle coordinate is log sigma_hat, which
-    removes sigma from the upper block.  Raises NotPositiveDefinite when a
-    Cholesky factorization of the result fails.
+    Raises NotPositiveDefinite when a Cholesky factorization of the result
+    fails.
     """
     nu = log_moment_nu(beta, sigma)
     d4 = nu.nu4 - nu.nu2 ** 2
@@ -173,9 +171,6 @@ def v_log(beta: float, sigma: float, log_scale: bool = False) -> np.ndarray:
     v22 = sigma * sigma / _PI4 * (9.0 * EULER_GAMMA ** 2 * b2 * d4
                                   + _PI4 * nu.nu2
                                   - 6.0 * EULER_GAMMA * _PI2 * beta * nu.nu3)
-    if log_scale:
-        v12 /= sigma
-        v22 /= sigma * sigma
     v33 = median_asymptotic_sd(beta, sigma) ** 2
     out = np.array([[v11, v12, 0.0], [v12, v22, 0.0], [0.0, 0.0, v33]])
     try:
@@ -346,14 +341,14 @@ def frac_moment_point(sample: IncrementSample,
         raise ZeroResidual("fractional moments vanish", h1=h1, h2=h2)
     target = h1 * h1 / h2
     log_rhs = math.log(target) - _log_frac_k(p)
-    bracket = RootBracket(6.0 * p + 1e-9, 2.0 - 1e-9)
+    lo, hi = 6.0 * p + 1e-9, 2.0 - 1e-9
     try:
         beta_hat = find_root_monotone(
-            lambda b: log_gamma_ratio(b, p) - log_rhs, bracket)
+            lambda b: log_gamma_ratio(b, p) - log_rhs, lo, hi)
     except NoSignChange as exc:
         raise RootOutOfBracket("moment ratio outside the admissible index "
                                "interval", target=target, p=p,
-                               lo=bracket.lo, hi=bracket.hi) from exc
+                               lo=lo, hi=hi) from exc
     h = sample.h
     sigma_hat = (h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p)) ** (1.0 / p)
     return beta_hat, sigma_hat, m / h

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .symmetric import (
 )
 
 __all__ = [
-    "TransformedSample",
     "symmetrize",
     "center_triple",
     "deskew_triple",
@@ -58,14 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransformedSample(IncrementSample):
-    """Increment sample produced by one of the block transforms."""
-
-    kind: str = "unknown"
-
-
-def symmetrize(sample: IncrementSample) -> TransformedSample:
+def symmetrize(sample: IncrementSample) -> IncrementSample:
     """Non-overlapping pairwise differences Delta_{2l} X - Delta_{2l-1} X,
     l = 1..floor(n/2): symmetric stable of scale 2^{1/beta} sigma, zero
     trend, any beta."""
@@ -74,12 +65,11 @@ def symmetrize(sample: IncrementSample) -> TransformedSample:
     if n2 < 1:
         raise DomainError("need at least 2 increments", n=int(x.size))
     vals = x[1:2 * n2:2] - x[0:2 * n2:2]
-    return TransformedSample(vals, sample.h,
-                             dict(sample.meta, transform="symmetrized"),
-                             kind="symmetrized")
+    return IncrementSample(vals, sample.h,
+                           dict(sample.meta, transform="symmetrized"))
 
 
-def center_triple(sample: IncrementSample) -> TransformedSample:
+def center_triple(sample: IncrementSample) -> IncrementSample:
     """Non-overlapping triples Delta_{3l} + Delta_{3l-2} - 2 Delta_{3l-1},
     l = 1..floor(n/3): trend cancels exactly (1 + 1 - 2 = 0) and the skew
     maps to rho (2 - 2^beta)/(2 + 2^beta); requires model beta != 1."""
@@ -90,12 +80,11 @@ def center_triple(sample: IncrementSample) -> TransformedSample:
     a = x[0:3 * n3:3]
     b = x[1:3 * n3:3]
     c = x[2:3 * n3:3]
-    return TransformedSample(c + a - 2.0 * b, sample.h,
-                             dict(sample.meta, transform="centered"),
-                             kind="centered")
+    return IncrementSample(c + a - 2.0 * b, sample.h,
+                           dict(sample.meta, transform="centered"))
 
 
-def deskew_triple(sample: IncrementSample, beta: float) -> TransformedSample:
+def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
     """Non-overlapping triples Delta_{3l} + Delta_{3l-2}
     - 2^{1/beta} Delta_{3l-1}: symmetric with trend (2 - 2^{1/beta}) h gamma.
 
@@ -114,10 +103,9 @@ def deskew_triple(sample: IncrementSample, beta: float) -> TransformedSample:
     a = x[0:3 * n3:3]
     b = x[1:3 * n3:3]
     c = x[2:3 * n3:3]
-    return TransformedSample(c + a - w * b, sample.h,
-                             dict(sample.meta, transform="deskewed",
-                                  beta_used=beta),
-                             kind="deskewed")
+    return IncrementSample(c + a - w * b, sample.h,
+                           dict(sample.meta, transform="deskewed",
+                                beta_used=beta))
 
 
 def center_skew_factor(beta: float) -> float:

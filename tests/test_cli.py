@@ -476,6 +476,16 @@ def test_density_dump_normalizes(capsys):
     assert np.allclose(arr[:, 2], -arr[::-1, 2], rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("flag", ["--y-min", "--y-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_density_non_finite_bound_exits_two(capsys, flag, value):
+    # "--y-max=-inf": argparse reads a separate "-inf" as an option
+    assert run_cli("density", "--beta", "1.5", f"{flag}={value}") == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
 def test_variance_grid_with_inadmissible_cells(tmp_path, capsys):
     out = tmp_path / "var.csv"
     rc = run_cli("variance", "--beta-grid", "0.5:1.95:0.05", "--p", "0.2",

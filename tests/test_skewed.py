@@ -386,6 +386,23 @@ def test_power_sums_equal_per_slice_powers():
                 n ** (2.0 * power / beta_hat - 1.0) * num / (mu * mu)
 
 
+def test_mpv_mixed_powers_equal_per_slice_reference():
+    # repeated and distinct powers share one |x|^r array per distinct power;
+    # the reference raises every shifted slice separately
+    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=29)
+    x = np.abs(s.values)
+    n = x.size
+    for r in ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
+              (0.1, 0.3, 0.1, 0.3)):
+        m = len(r)
+        prod = np.ones(n - m + 1)
+        for l, rl in enumerate(r):
+            prod = prod * x[l:n - m + 1 + l] ** rl
+        for beta in (1.2, 1.5, 1.9):
+            expect = n ** (float(np.sum(r)) / beta - 1.0) * float(prod.sum())
+            assert mpv(s, beta, r) == expect
+
+
 def test_scale_functionals_need_enough_data():
     with pytest.raises(DomainError):
         sigma_star_bipower(_sample([1.0]), P_POS, 1.5, 0.25)

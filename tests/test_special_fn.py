@@ -14,7 +14,6 @@ from levyestim.errors import DomainError, NoSignChange
 from levyestim.special_fn import (
     EULER_GAMMA,
     ZETA3,
-    RootBracket,
     digamma,
     find_root_monotone,
     log_gamma,
@@ -88,45 +87,44 @@ def test_domain_errors():
 
 def test_root_log_minus_psi():
     root = find_root_monotone(lambda x: math.log(x) - digamma(x) - 1.0,
-                              RootBracket(0.1, 10.0))
+                              0.1, 10.0)
     assert abs(root - LOG_PSI_ROOT) < 1e-10
     assert abs(math.log(root) - digamma(root) - 1.0) < 1e-10
 
 
 def test_root_cube():
-    root = find_root_monotone(lambda x: x ** 3 - 2.0, RootBracket(0.0, 2.0))
+    root = find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 2.0)
     assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-12
 
 
 def test_root_at_endpoint():
-    assert find_root_monotone(lambda x: x - 1.0, RootBracket(1.0, 2.0)) == 1.0
-    assert find_root_monotone(lambda x: x - 2.0, RootBracket(1.0, 2.0)) == 2.0
+    assert find_root_monotone(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert find_root_monotone(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
 
 def test_root_no_sign_change():
     with pytest.raises(NoSignChange):
-        find_root_monotone(lambda x: x + 10.0, RootBracket(1.0, 2.0))
+        find_root_monotone(lambda x: x + 10.0, 1.0, 2.0)
 
 
 def test_bracket_validation():
     with pytest.raises(DomainError):
-        RootBracket(2.0, 1.0)
+        find_root_monotone(lambda x: x, 2.0, 1.0)
     with pytest.raises(DomainError):
-        RootBracket(1.0, 2.0, tol=0.0)
+        find_root_monotone(lambda x: x, -1.0, math.inf)
 
 
-def _two_pass_root(f, bracket):
+def _two_pass_root(f, lo, hi):
     # reference: sign check at both ends, then a brentq that evaluates
     # them again
-    flo, fhi = f(bracket.lo), f(bracket.hi)
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return bracket.lo
+        return lo
     if fhi == 0.0:
-        return bracket.hi
+        return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange("same sign", lo=bracket.lo, hi=bracket.hi)
-    return float(brentq(f, bracket.lo, bracket.hi, xtol=bracket.tol,
-                        maxiter=bracket.max_iter))
+        raise NoSignChange("same sign", lo=lo, hi=hi)
+    return float(brentq(f, lo, hi, xtol=1e-12, maxiter=200))
 
 
 def test_root_evaluates_each_end_once():
@@ -136,7 +134,7 @@ def test_root_evaluates_each_end_once():
         calls.append(x)
         return x - 0.3
 
-    assert find_root_monotone(f, RootBracket(0.0, 1.0)) == 0.3
+    assert find_root_monotone(f, 0.0, 1.0) == 0.3
     assert calls == [0.0, 1.0, 0.3]
 
 
@@ -163,7 +161,7 @@ def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
 def test_root_image_property(c):
     # for a strictly increasing function the returned point nearly zeroes it
     f = lambda x: x ** 3 + x - c
-    root = find_root_monotone(f, RootBracket(-10.0, 10.0))
+    root = find_root_monotone(f, -10.0, 10.0)
     assert abs(f(root)) < 1e-8
 
 

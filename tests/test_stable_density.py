@@ -46,6 +46,30 @@ def test_phi_zero_formula():
         assert abs(phi_zero(beta, 2.0) - exact / 2) < 1e-14
 
 
+@pytest.mark.parametrize("beta", [0.5, 0.8, 1.0, 1.3, 1.5, 1.9])
+def test_phi_at_zero_is_closed_form(beta):
+    assert phi(0.0, beta) == pytest.approx(phi_zero(beta), rel=1e-15, abs=0.0)
+    assert phi_deriv(0.0, beta, 1) == 0.0
+
+
+def test_second_derivative_at_zero_is_closed_form():
+    # Cauchy: phi''(0) = -2/pi
+    assert phi_deriv(0.0, 1.0, 2) == pytest.approx(-2.0 / math.pi, rel=1e-15,
+                                                   abs=0.0)
+
+
+@pytest.mark.parametrize("y, first, count", [
+    (np.array([0.0, np.nan]), 1, 1),
+    (np.array([0.0, np.nan, 1.0, np.inf]), 1, 2),
+    (-np.inf, 0, 1),
+])
+def test_non_finite_argument_is_domain_error(y, first, count):
+    for k in (0, 1, 2):
+        with pytest.raises(DomainError) as exc:
+            phi(y, 1.5) if k == 0 else phi_deriv(y, 1.5, k)
+        assert exc.value.context == {"first_index": first, "count": count}
+
+
 @pytest.mark.parametrize("beta", [0.6, 1.0, 1.5, 1.9])
 def test_normalization(beta):
     # quadrature over [0, 50] plus the tail integral from the asymptotic

@@ -46,21 +46,21 @@ def _quiet_pipeline(sample, **kw):
 def test_symmetrize_hand_values():
     out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0]))
     assert np.array_equal(out.values, [3.0, -7.0])
-    assert out.kind == "symmetrized"
+    assert out.meta["transform"] == "symmetrized"
     assert out.n == 2
 
 
 def test_center_hand_values():
     out = center_triple(_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     assert np.array_equal(out.values, [3.0 + 1.0 - 4.0, 6.0 + 4.0 - 10.0])
-    assert out.kind == "centered"
+    assert out.meta["transform"] == "centered"
 
 
 def test_deskew_hand_values():
     w = 2.0 ** (1.0 / 1.5)
     out = deskew_triple(_sample([1.0, 2.0, 3.0]), 1.5)
     assert out.values[0] == pytest.approx(3.0 + 1.0 - 2.0 * w, rel=1e-14)
-    assert out.kind == "deskewed"
+    assert out.meta["transform"] == "deskewed"
     assert out.meta["beta_used"] == 1.5
 
 
