@@ -26,10 +26,7 @@ and uncorrected for the use of beta_hat from step 1.
 
 from __future__ import annotations
 
-import math
 import warnings
-
-import numpy as np
 
 from .errors import DomainError, EstimationError
 from .serialize import EstimateReport

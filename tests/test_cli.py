@@ -258,12 +258,13 @@ def test_error_payload_is_strict_json(tmp_path, capsys):
 
 def test_quadrature_failure_exits_one(monkeypatch, capsys):
     # one subinterval cannot reach the density tolerance, so quad's flag
-    # reports non-convergence
+    # reports non-convergence wherever the QAWO fallback still runs: near
+    # the Cauchy index, and at the information core's nodes next to y = 0
     real_quad = stable_density.quad
     monkeypatch.setattr(stable_density, "quad",
                         lambda *a, **kw: real_quad(*a, **{**kw, "limit": 1}))
     with pytest.raises(QuadratureError):
-        stable_density.phi(1.0, 1.5)
+        stable_density.phi(1.0, 1.01)
     assert run_cli("fisher", "--beta", "1.5") == 1
     payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["code"] == "quadrature_error"

@@ -1,7 +1,6 @@
 """Sign, moment and multipower-variation estimators for skewed stable laws."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -12,7 +12,6 @@ from levyestim import stable_density
 from levyestim.errors import DomainError, QuadratureError
 from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
-    FisherInfo,
     fisher_matrix,
     h_beta,
     m_beta,
@@ -184,13 +183,12 @@ def test_information_pass_matches_scalar_quadratures(beta):
 
 
 def test_information_quadrature_failure_raises(monkeypatch):
-    real_quad_vec = stable_density.quad_vec
-    monkeypatch.setattr(
-        stable_density, "quad_vec",
-        lambda *a, **kw: real_quad_vec(*a, **{**kw, "limit": 1}))
+    # a one-panel budget runs out in the first round of the panel rule
+    monkeypatch.setattr(stable_density, "_PANEL_LIMIT", 1)
     with pytest.raises(QuadratureError) as info:
         fisher_matrix(1.5, 1.0)
     assert info.value.context["beta"] == 1.5
+    assert info.value.context["interval"] == [0.0, 30.0]
 
 
 def test_fisher_matrix_structure():
@@ -271,3 +269,73 @@ def test_domain_errors_and_far_tail_warning():
     with pytest.warns(UserWarning):
         val = phi(51.0, 1.5)
     assert val > 0
+
+
+def _qawo_reference(y, beta, k):
+    # (d/dy)^k phi_beta(y), y > 0, by one oscillatory (QAWO) quadrature of
+    # the Fourier integral (-1)^{ceil(k/2)} / pi int u^k trig(u y) e^{-u^beta}
+    upper = (math.log(1e13 / beta) + 40.0) ** (1.0 / beta)
+    val, _ = scipy.integrate.quad(lambda u: u ** k * math.exp(-u ** beta),
+                                  0.0, upper, weight="sin" if k else "cos",
+                                  wvar=y, epsabs=1e-13, epsrel=1e-11,
+                                  limit=400, maxp1=100)
+    return (-val if k else val) / math.pi
+
+
+# below, at and above the tiny-z fallback (0.02), and both sides of the
+# switch to the tail series (30)
+ACCURACY_GRID = [1e-3, 0.01, 0.0199, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5,
+                 2.0, 3.5, 5.0, 8.0, 12.0, 20.0, 29.9, 30.1, 40.0, 50.0]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.7, 0.95, 1.05, 1.2, 1.5, 1.8, 1.99])
+def test_routing_matches_qawo_reference(beta):
+    # 0.95 and 1.05 are the edges of the near-Cauchy fallback band; the
+    # integral-form kernel covers phi and phi' (k = 2 stays on QAWO)
+    y = np.array(ACCURACY_GRID)
+    for k, values in ((0, phi(y, beta)), (1, phi_deriv(y, beta, 1))):
+        ref = np.array([_qawo_reference(v, beta, k) for v in y])
+        assert np.max(np.abs(values - ref)) <= 1e-10, (k, values - ref)
+
+
+def test_cauchy_is_exact():
+    y = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 7.0, 29.0, 31.0, 45.0])
+    q = 1.0 + y * y
+    np.testing.assert_allclose(phi(y, 1.0), 1.0 / (math.pi * q),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(phi_deriv(y, 1.0, 1),
+                               -2.0 * y / (math.pi * q * q), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(phi_deriv(y, 1.0, 2),
+                               (6.0 * y * y - 2.0) / (math.pi * q ** 3),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(phi(-y, 1.0, sigma=2.0),
+                               0.5 / (math.pi * (1.0 + y * y / 4.0)),
+                               rtol=1e-15, atol=0)
+
+
+def test_peak_memory_of_a_request_pair():
+    # the kernel works in chunks, so a Fisher request and a 101-point
+    # density pair stay far below the benchmark's resident-memory bound
+    grid = np.linspace(-10.0, 10.0, 101)
+    fisher_matrix(1.3, 1.0)  # warm-up: imports and the node tables
+    phi(grid, 1.3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fisher_matrix(1.4567, 1.0)
+        phi(grid, 1.4567)
+        phi_deriv(grid, 1.4567, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.5])
+def test_kernel_rows_do_not_depend_on_chunk_position(beta):
+    # several kernel chunks, and the QAWO and series routes, in one call
+    y = np.concatenate([np.linspace(0.01, 29.0, 90), [33.0]])
+    for fn, kw in ((phi, {}), (phi_deriv, {"k": 1})):
+        batch = fn(y, beta, **kw)
+        for i in (0, 1, 30, 31, 32, 62, 89, 90):
+            assert batch[i] == fn(y[i], beta, **kw)

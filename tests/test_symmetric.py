@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from levyestim.errors import (
     DenominatorNearZero,
     DomainError,
-    NotPositiveDefinite,
     RootOutOfBracket,
     ZeroResidual,
 )

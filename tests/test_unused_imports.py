@@ -1,0 +1,52 @@
+"""Every name a package module imports is read somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import levyestim
+
+MODULES = sorted(Path(levyestim.__file__).parent.glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    # names listed in a top-level __all__ count as read: they are re-exports
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    read |= _exported(tree)
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_checker_sees_unused_and_exported_names():
+    source = ("import math\nimport os.path\n"
+              "from numpy import sqrt as root, pi\nfrom x import y\n"
+              "__all__ = ['y']\nprint(os.path.sep, root(pi))\n")
+    assert _unused_imports(source) == ["math (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf8")) == []
