@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mc, serialize, skewed, subordinators, symmetric, transforms
 from .errors import DomainError, LevyEstimError
-from .stable_density import fisher_matrix, median_asymptotic_sd, phi, phi_deriv
+from .stable_density import fisher_matrix, median_asymptotic_sd, phi_pair
 
 __all__ = ["main", "build_parser"]
 
@@ -176,10 +176,17 @@ def _cmd_density(args) -> int:
             print(f"error: {flag} must be finite, got {value}",
                   file=sys.stderr)
             return 2
+    if args.points < 1:
+        print(f"error: --points must be at least 1, got {args.points}",
+              file=sys.stderr)
+        return 2
     y_min = -args.y_max if args.y_min is None else args.y_min
     grid = np.linspace(y_min, args.y_max, args.points)
-    dens = phi(grid, args.beta, args.sigma)
-    deriv = phi_deriv(grid, args.beta, 1, args.sigma)
+    if args.points > 1 and y_min == -args.y_max:
+        # mirror exactly, so y and -y share one |y| and are evaluated once
+        # (a 1-point grid is y_min alone)
+        grid = 0.5 * (grid - grid[::-1])
+    dens, deriv = phi_pair(grid, args.beta, args.sigma)
     lines = ["y,phi,dphi"]
     lines += [f"{y:.10g},{f:.10g},{d:.10g}"
               for y, f, d in zip(grid, dens, deriv)]

@@ -1,4 +1,4 @@
-"""Symmetric stable density, its y-derivatives, and information integrals.
+"""Symmetric stable density, its y-derivative, and information integrals.
 
 phi_beta(y; sigma) denotes the density of S_beta(sigma) (symmetric stable,
 characteristic function exp{-(sigma |u|)^beta}), with
@@ -24,25 +24,26 @@ Newton solve in the logit variable log(theta / (pi/2 - theta)), splits
 every trigonometric, logarithmic and exponential evaluation, and points are
 processed in chunks of at most 2^13 points x nodes (64 KB per array).
 
-Each distinct |y|/sigma is routed once per call:
+Each distinct |y|/sigma is routed once per call, and every route yields
+the pair (phi, phi'):
 
-* z = 0: closed form (-1)^{k/2} Gamma((k+1)/beta) / (beta pi), 0 for odd k;
-* beta = 1: the exact Cauchy density and its derivatives;
-* z > 30: the large-argument expansion, differentiated term by term,
+* z = 0: phi_zero and phi' = 0;
+* beta = 1: the exact Cauchy density and its derivative;
+* z > 30: the large-argument expansion and its term-by-term derivative,
 
       phi_beta(z) = (1/pi) sum_{m>=1} (-1)^{m+1} Gamma(1 + m beta) / m!
                     sin(m pi beta / 2) z^{-1 - m beta};
 
-* otherwise the Nolan kernel for phi and phi', except in the fallback
-  region below, which keeps the oscillatory (QAWO) quadrature of
+* otherwise the Nolan kernel, except in the fallback region below, which
+  keeps two oscillatory (QAWO) quadratures,
 
-      phi_beta^(k)(z) = (-1)^{ceil(k/2)} (1/pi)
-                        int_0^inf u^k trig(u z) exp(-u^beta) du,
+      phi_beta(z) = (1/pi) int_0^inf cos(u z) exp(-u^beta) du,
+      phi_beta'(z) = -(1/pi) int_0^inf u sin(u z) exp(-u^beta) du.
 
-  trig = cos for even k, sin for odd k.  The fallback region is
-  |beta - 1| < 0.05 (the peak narrows like 1/|a| and the node counts above
-  no longer resolve it), z < 0.02 (phi' is an O(z^2) remainder of two O(1)
-  integrals, so the kernel's error grows like 1/z) and every k = 2 point.
+  The fallback region is |beta - 1| < 0.05 (the peak narrows like 1/|a|
+  and the node counts above no longer resolve it) and z < 0.02 (phi' is an
+  O(z^2) remainder of two O(1) integrals, so the kernel's error grows like
+  1/z).
 
 Supported domain: beta in [0.5, 2), sigma > 0; absolute accuracy is ~1e-10
 for |y| <= 50 (the kernel agrees with QAWO to ~1e-11 or better).
@@ -80,10 +81,8 @@ from .special_fn import log_gamma
 
 __all__ = [
     "phi",
-    "phi_deriv",
+    "phi_pair",
     "phi_zero",
-    "h_beta",
-    "m_beta",
     "FisherInfo",
     "fisher_matrix",
     "median_asymptotic_sd",
@@ -168,43 +167,37 @@ def _checked_quad(context: dict, *args, **kwargs) -> float:
     return val
 
 
-def _fourier_point(y: float, beta: float, k: int) -> float:
-    """(d/dy)^k phi_beta at y > 0 by weighted (QAWO) quadrature."""
-    context = {"beta": beta, "y": y, "k": k}
-    sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
-
-    def integrand(u: float) -> float:
-        return u ** k * math.exp(-u ** beta)
-
-    weight = "sin" if k % 2 == 1 else "cos"
-    val = _checked_quad(context, integrand, 0.0, _u_upper(beta, k),
-                        weight=weight, wvar=y, epsabs=1e-13, epsrel=1e-11,
-                        limit=400, maxp1=100)
-    return sign * val / math.pi
+def _fourier_point(y: float, beta: float) -> tuple[float, float]:
+    """(phi_beta(y), phi_beta'(y)) at y > 0 by weighted (QAWO) quadrature,
+    each integral cut at its own upper limit."""
+    context = {"beta": beta, "y": y}
+    opts = {"wvar": y, "epsabs": 1e-13, "epsrel": 1e-11, "limit": 400,
+            "maxp1": 100}
+    f = _checked_quad(context, lambda u: math.exp(-u ** beta), 0.0,
+                      _u_upper(beta, 0), weight="cos", **opts)
+    d = _checked_quad(context, lambda u: u * math.exp(-u ** beta), 0.0,
+                      _u_upper(beta, 1), weight="sin", **opts)
+    return f / math.pi, -d / math.pi
 
 
-def _series_point(z, beta: float, k: int):
-    """(d/dz)^k phi_beta at large z > 0 (scalar or array) from the tail
-    expansion."""
-    acc = 0.0
+def _series(z, beta: float) -> np.ndarray:
+    """Rows (phi_beta(z), phi_beta'(z)) at large z > 0 (scalar or array)
+    from the tail expansion."""
+    f = d = 0.0
     for m in range(1, _SERIES_TERMS + 1):
         c = math.exp(log_gamma(1.0 + m * beta) - log_gamma(m + 1.0))
         c *= math.sin(0.5 * m * math.pi * beta)
         e = 1.0 + m * beta
-        for i in range(k):
-            c *= -(e + i)
-        acc = acc + (-1.0) ** (m + 1) * c * z ** (-(e + k))
-    return acc / math.pi
+        sign = (-1.0) ** (m + 1)
+        f = f + sign * c * z ** -e
+        d = d + sign * (c * -e) * z ** -(e + 1.0)
+    return np.array([f, d]) / math.pi
 
 
-def _cauchy(z: np.ndarray, k: int) -> np.ndarray:
-    """(d/dz)^k of the Cauchy density 1 / (pi (1 + z^2))."""
+def _cauchy(z: np.ndarray) -> np.ndarray:
+    """Rows (phi_1(z), phi_1'(z)) of the Cauchy density 1 / (pi (1 + z^2))."""
     q = 1.0 + z * z
-    if k == 0:
-        return 1.0 / (math.pi * q)
-    if k == 1:
-        return -2.0 * z / (math.pi * q * q)
-    return (6.0 * z * z - 2.0) / (math.pi * q * q * q)
+    return np.array([1.0 / (math.pi * q), -2.0 * z / (math.pi * q * q)])
 
 
 @functools.cache
@@ -275,8 +268,7 @@ def _theta_star(logz: np.ndarray,
 
 def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
     """Rows (phi_beta(z), phi_beta'(z)) at unit scale for an array of z > 0,
-    beta != 1, from Nolan's integral (module docstring).  k = 2 is not
-    covered: it stays on QAWO."""
+    beta != 1, from Nolan's integral (module docstring)."""
     a = beta / (beta - 1.0)
     n = _TS_NODES if abs(beta - 1.0) >= _TS_NEAR else _TS_NODES_NEAR
     s, sc, w = _tanh_sinh(n)
@@ -304,37 +296,28 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
     return scale * sums / np.array([z, z * z])
 
 
-def _at_zero(beta: float, k: int) -> float:
-    if k % 2 == 1:
-        return 0.0
-    return (-1.0) ** (k // 2) * math.gamma((k + 1.0) / beta) / (beta * math.pi)
-
-
-def _unit(z: np.ndarray, beta: float, ks: tuple) -> np.ndarray:
-    """Rows (d/dz)^k phi_beta(z), k in ks, at unit scale for z >= 0."""
-    out = np.empty((len(ks), z.size))
+def _unit(z: np.ndarray, beta: float) -> np.ndarray:
+    """Rows (phi_beta(z), phi_beta'(z)) at unit scale for z >= 0."""
     if beta == 1.0:
-        for r, k in enumerate(ks):
-            out[r] = _cauchy(z, k)
-        return out
+        return _cauchy(z)
+    out = np.empty((2, z.size))
     zero = z == 0.0
     tail = z > _Y_SERIES
-    for r, k in enumerate(ks):
-        out[r, zero] = _at_zero(beta, k)
-        out[r, tail] = _series_point(z[tail], beta, k)
+    out[0, zero] = phi_zero(beta)
+    out[1, zero] = 0.0
+    out[:, tail] = _series(z[tail], beta)
     rest = ~(zero | tail)
-    if abs(beta - 1.0) >= _NEAR_CAUCHY and max(ks) <= 1:
+    if abs(beta - 1.0) >= _NEAR_CAUCHY:
         kernel = rest & (z >= _Z_TINY)
         rest &= ~kernel
         if kernel.any():
-            out[:, kernel] = _nolan(z[kernel], beta)[list(ks)]
+            out[:, kernel] = _nolan(z[kernel], beta)
     for i in np.flatnonzero(rest):
-        for r, k in enumerate(ks):
-            out[r, i] = _fourier_point(float(z[i]), beta, k)
+        out[:, i] = _fourier_point(float(z[i]), beta)
     return out
 
 
-def _eval(y, beta: float, sigma: float, k: int):
+def _eval(y, beta: float, sigma: float):
     arr = np.asarray(y, dtype=float)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
@@ -345,38 +328,37 @@ def _eval(y, beta: float, sigma: float, k: int):
                       "accuracy only", stacklevel=3)
     flat = arr.ravel()
     zs, inverse = np.unique(np.abs(flat) / sigma, return_inverse=True)
-    vals = _unit(zs, beta, (k,))[0][inverse]
-    if k == 0:
-        vals = np.maximum(vals, _PHI_FLOOR)  # guard ratios against roundoff
-    elif k % 2 == 1:
-        vals = np.where(flat < 0.0, -vals, vals)
-    out = (vals / sigma ** (k + 1)).reshape(arr.shape)
+    f, d = _unit(zs, beta)[:, inverse]
+    f = np.maximum(f, _PHI_FLOOR)  # guard ratios against roundoff
+    d = np.where(flat < 0.0, -d, d)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(f[0] / sigma), float(d[0] / sigma ** 2)
+    return ((f / sigma).reshape(arr.shape),
+            (d / sigma ** 2).reshape(arr.shape))
 
 
 def phi(y, beta: float, sigma: float = 1.0):
-    """Density of S_beta(sigma) at y (scalar or array).
+    """Density of S_beta(sigma) at y (scalar or array): the first row of
+    phi_pair."""
+    _check_density_domain(beta, sigma)
+    return _eval(y, beta, sigma)[0]
+
+
+def phi_pair(y, beta: float, sigma: float = 1.0):
+    """(phi_beta(y; sigma), d/dy phi_beta(y; sigma)) at y (scalar or array)
+    from one evaluation of each distinct |y|/sigma.
 
     Scale enters through phi_beta(y; sigma) = sigma^{-1} phi_beta(y / sigma).
     """
     _check_density_domain(beta, sigma)
-    return _eval(y, beta, sigma, 0)
-
-
-def phi_deriv(y, beta: float, k: int = 1, sigma: float = 1.0):
-    """k-th y-derivative of the S_beta(sigma) density, k in {1, 2}."""
-    if k not in (1, 2):
-        raise DomainError("derivative order k must be 1 or 2", k=k)
-    _check_density_domain(beta, sigma)
-    return _eval(y, beta, sigma, k)
+    return _eval(y, beta, sigma)
 
 
 def phi_zero(beta: float, sigma: float = 1.0) -> float:
-    """Closed-form mode value phi_beta(0; sigma) = Gamma(1 + 1/beta) / (sigma pi)."""
+    """Closed-form mode value phi_beta(0; sigma) = Gamma(1 + 1/beta) / (sigma pi),
+    computed as Gamma(1/beta) / (beta sigma pi)."""
     _check_density_domain(beta, sigma)
-    return math.exp(log_gamma(1.0 + 1.0 / beta)) / (sigma * math.pi)
+    return math.gamma(1.0 / beta) / (beta * sigma * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +405,7 @@ def _information(beta: float) -> tuple[float, float]:
         return np.array([g * g / f, d * d / f])
 
     def core(y: np.ndarray) -> np.ndarray:
-        return pair(*_unit(y, beta, (0, 1)), y)
+        return pair(*_unit(y, beta), y)
 
     core_val = _panel_integral(core, _CORE_EDGES, 1e-11, beta)
 
@@ -431,8 +413,7 @@ def _information(beta: float) -> tuple[float, float]:
     # substitution gives an exponentially decaying smooth integrand
     def tail_log(t: np.ndarray) -> np.ndarray:
         y = _Y_SERIES * np.exp(t)
-        return pair(_series_point(y, beta, 0), _series_point(y, beta, 1),
-                    y) * y
+        return pair(*_series(y, beta), y) * y
 
     tail_edges = np.linspace(0.0, 60.0 / beta + 10.0, 9)
     tail_val = _panel_integral(tail_log, tail_edges, 1e-12, beta)
@@ -440,22 +421,12 @@ def _information(beta: float) -> tuple[float, float]:
     return float(h), float(m)
 
 
-def h_beta(beta: float) -> float:
-    """H_beta = int (phi + y phi')^2 / phi dy, the (index, scale)-block
-    information weight at sigma = 1.  H_1 = 1/2."""
-    return _information(beta)[0]
-
-
-def m_beta(beta: float) -> float:
-    """M_beta = int (phi')^2 / phi dy, the location information weight at
-    sigma = 1.  M_1 = 1/2."""
-    return _information(beta)[1]
-
-
 @dataclass(frozen=True)
 class FisherInfo:
     """Fisher information of (beta, sigma, gamma) for symmetric stable
-    increments, in the natural rate normalization."""
+    increments, in the natural rate normalization.  h_value is
+    H_beta = int (phi + y phi')^2 / phi dy and m_value is
+    M_beta = int (phi')^2 / phi dy, both at sigma = 1 (H_1 = M_1 = 1/2)."""
 
     beta: float
     sigma: float

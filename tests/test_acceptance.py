@@ -19,7 +19,7 @@ from levyestim.stable_core import (
     sample_increments,
     skew_to_positivity,
 )
-from levyestim.stable_density import fisher_matrix, h_beta, m_beta, phi
+from levyestim.stable_density import fisher_matrix, phi
 from levyestim.subordinators import (
     GammaSubParams,
     IGSubParams,
@@ -75,8 +75,9 @@ def test_criterion_5_table4_integrated_scale(table4_beta15):
 
 def test_criterion_6_special_values():
     assert abs(skew_to_positivity(1.5, -0.5) - 0.5984) <= 5e-5
-    assert abs(h_beta(1.0) - 0.5) <= 1e-5
-    assert abs(m_beta(1.0) - 0.5) <= 1e-5
+    cauchy = fisher_matrix(1.0, 1.0)
+    assert abs(cauchy.h_value - 0.5) <= 1e-5
+    assert abs(cauchy.m_value - 0.5) <= 1e-5
     assert abs(phi(0.0, 1.0, 1.0) - 1.0 / math.pi) <= 1e-8
     for beta in (0.6, 1.0, 1.5, 1.9):
         core, _ = scipy.integrate.quad(lambda y: phi(y, beta), 0, 50,

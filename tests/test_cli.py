@@ -487,6 +487,37 @@ def test_density_non_finite_bound_exits_two(capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_density_points_below_one_exits_two(capsys, points):
+    assert run_cli("density", "--beta", "1.5", "--points", points) == 2
+    captured = capsys.readouterr()
+    assert "--points" in captured.err
+    assert captured.out == ""
+
+
+def test_density_single_point_is_the_lower_bound(capsys):
+    lines = _run_to_lines(capsys, "density", "--beta", "1.5", "--points", "1")
+    assert [float(v) for v in lines[1].split(",")][0] == -10.0
+    assert len(lines) == 2
+
+
+def test_density_dump_evaluates_each_abs_y_once(monkeypatch, capsys):
+    # 101 symmetric points share 51 distinct |y|, all in one pass for phi
+    # and phi'
+    sizes = []
+    real_unit = stable_density._unit
+
+    def counting_unit(z, beta):
+        sizes.append(z.size)
+        return real_unit(z, beta)
+
+    monkeypatch.setattr(stable_density, "_unit", counting_unit)
+    lines = _run_to_lines(capsys, "density", "--beta", "1.4567",
+                          "--points", "101")
+    assert len(lines) == 102
+    assert sizes == [51]
+
+
 def test_variance_grid_with_inadmissible_cells(tmp_path, capsys):
     out = tmp_path / "var.csv"
     rc = run_cli("variance", "--beta-grid", "0.5:1.95:0.05", "--p", "0.2",

@@ -1,4 +1,4 @@
-"""Symmetric stable density, derivatives and Fisher information."""
+"""Symmetric stable density, its derivative and Fisher information."""
 
 import functools
 import math
@@ -13,11 +13,9 @@ from levyestim.errors import DomainError, QuadratureError
 from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
     fisher_matrix,
-    h_beta,
-    m_beta,
     median_asymptotic_sd,
     phi,
-    phi_deriv,
+    phi_pair,
     phi_zero,
 )
 
@@ -32,9 +30,7 @@ def test_cauchy_closed_form():
     for y in (0.5, 1.0, 2.0, 10.0):
         assert phi(y, 1.0) == pytest.approx(1 / (np.pi * (1 + y * y)), abs=1e-10)
         exact_d1 = -2 * y / (np.pi * (1 + y * y) ** 2)
-        assert phi_deriv(y, 1.0, 1) == pytest.approx(exact_d1, abs=1e-10)
-        exact_d2 = (6 * y * y - 2) / (np.pi * (1 + y * y) ** 3)
-        assert phi_deriv(y, 1.0, 2) == pytest.approx(exact_d2, abs=1e-10)
+        assert phi_pair(y, 1.0)[1] == pytest.approx(exact_d1, abs=1e-10)
 
 
 def test_phi_zero_formula():
@@ -47,14 +43,8 @@ def test_phi_zero_formula():
 
 @pytest.mark.parametrize("beta", [0.5, 0.8, 1.0, 1.3, 1.5, 1.9])
 def test_phi_at_zero_is_closed_form(beta):
-    assert phi(0.0, beta) == pytest.approx(phi_zero(beta), rel=1e-15, abs=0.0)
-    assert phi_deriv(0.0, beta, 1) == 0.0
-
-
-def test_second_derivative_at_zero_is_closed_form():
-    # Cauchy: phi''(0) = -2/pi
-    assert phi_deriv(0.0, 1.0, 2) == pytest.approx(-2.0 / math.pi, rel=1e-15,
-                                                   abs=0.0)
+    assert phi(0.0, beta) == phi_zero(beta)
+    assert phi_pair(0.0, beta)[1] == 0.0
 
 
 @pytest.mark.parametrize("y, first, count", [
@@ -63,9 +53,9 @@ def test_second_derivative_at_zero_is_closed_form():
     (-np.inf, 0, 1),
 ])
 def test_non_finite_argument_is_domain_error(y, first, count):
-    for k in (0, 1, 2):
+    for fn in (phi, phi_pair):
         with pytest.raises(DomainError) as exc:
-            phi(y, 1.5) if k == 0 else phi_deriv(y, 1.5, k)
+            fn(y, 1.5)
         assert exc.value.context == {"first_index": first, "count": count}
 
 
@@ -95,9 +85,7 @@ def test_gaussian_limit():
 def test_derivative_finite_difference(beta, y):
     eps = 1e-5
     fd1 = (phi(y + eps, beta) - phi(y - eps, beta)) / (2 * eps)
-    assert phi_deriv(y, beta, 1) == pytest.approx(fd1, rel=1e-5, abs=1e-9)
-    fd2 = (phi_deriv(y + eps, beta, 1) - phi_deriv(y - eps, beta, 1)) / (2 * eps)
-    assert phi_deriv(y, beta, 2) == pytest.approx(fd2, rel=1e-5, abs=1e-9)
+    assert phi_pair(y, beta)[1] == pytest.approx(fd1, rel=1e-5, abs=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.6, 1.0, 1.5])
@@ -118,9 +106,8 @@ def test_symmetry_and_parity():
     for beta in (0.7, 1.4):
         for y in (0.3, 1.7, 35.0):
             assert phi(-y, beta) == phi(y, beta)
-            assert phi_deriv(-y, beta, 1) == -phi_deriv(y, beta, 1)
-            assert phi_deriv(-y, beta, 2) == phi_deriv(y, beta, 2)
-    assert phi_deriv(0.0, 1.3, 1) == 0.0
+            assert phi_pair(-y, beta)[1] == -phi_pair(y, beta)[1]
+    assert phi_pair(0.0, 1.3)[1] == 0.0
 
 
 def test_scale_family():
@@ -128,29 +115,31 @@ def test_scale_family():
         for y in (0.4, 3.0):
             assert phi(y, 1.5, sigma) == pytest.approx(
                 phi(y / sigma, 1.5) / sigma, rel=1e-12)
-            assert phi_deriv(y, 1.5, 1, sigma) == pytest.approx(
-                phi_deriv(y / sigma, 1.5, 1) / sigma ** 2, rel=1e-12)
+            assert phi_pair(y, 1.5, sigma)[1] == pytest.approx(
+                phi_pair(y / sigma, 1.5)[1] / sigma ** 2, rel=1e-12)
 
 
 def test_information_integrals_cauchy():
     # H_1 = M_1 = 1/2 analytically
-    assert abs(h_beta(1.0) - 0.5) < 1e-5
-    assert abs(m_beta(1.0) - 0.5) < 1e-5
+    info = fisher_matrix(1.0, 1.0)
+    assert abs(info.h_value - 0.5) < 1e-5
+    assert abs(info.m_value - 0.5) < 1e-5
 
 
 def test_information_integrals_frozen():
-    assert h_beta(1.5) == pytest.approx(H_BETA_15, rel=1e-6)
-    assert m_beta(1.5) == pytest.approx(M_BETA_15, rel=1e-6)
+    info = fisher_matrix(1.5, 1.0)
+    assert info.h_value == pytest.approx(H_BETA_15, rel=1e-6)
+    assert info.m_value == pytest.approx(M_BETA_15, rel=1e-6)
 
 
 def _information_reference(beta, which):
     # one scalar quad per integral, as H and M were computed before they
     # shared one vector quadrature; the memo lives for one integral only
-    series = stable_density._series_point
+    series = stable_density._series
 
     @functools.cache
     def pair(yv):
-        return phi(yv, beta), phi_deriv(yv, beta, 1)
+        return phi_pair(yv, beta)
 
     def num(f, d, yv):
         return (f + yv * d) ** 2 if which == "h" else d * d
@@ -161,8 +150,9 @@ def _information_reference(beta, which):
 
     def tail_log(t):
         yv = 30.0 * math.exp(t)
-        f = max(series(yv, beta, 0), 1e-300)
-        return num(f, series(yv, beta, 1), yv) / f * yv
+        f, d = series(yv, beta)
+        f = max(f, 1e-300)
+        return num(f, d, yv) / f * yv
 
     core_val, _ = scipy.integrate.quad(core, 0.0, 30.0, epsabs=1e-11,
                                        epsrel=1e-9, limit=200)
@@ -173,13 +163,14 @@ def _information_reference(beta, which):
 
 @pytest.mark.parametrize("beta", [0.6, 1.0, 1.3, 1.77, 1.95])
 def test_information_pass_matches_scalar_quadratures(beta):
-    assert h_beta(beta) == pytest.approx(_information_reference(beta, "h"),
+    info = fisher_matrix(beta, 1.0)
+    assert info.h_value == pytest.approx(_information_reference(beta, "h"),
                                          rel=1e-12, abs=0)
-    assert m_beta(beta) == pytest.approx(_information_reference(beta, "m"),
+    assert info.m_value == pytest.approx(_information_reference(beta, "m"),
                                          rel=1e-12, abs=0)
     if beta == 1.0:
-        assert abs(h_beta(beta) - 0.5) < 1e-12
-        assert abs(m_beta(beta) - 0.5) < 1e-12
+        assert abs(info.h_value - 0.5) < 1e-12
+        assert abs(info.m_value - 0.5) < 1e-12
 
 
 def test_information_quadrature_failure_raises(monkeypatch):
@@ -227,14 +218,15 @@ def test_arrays_match_scalar_calls():
     # repeated and mirrored points, evaluated once each per call
     y = np.array([[-2.5, 0.0, 2.5], [0.7, -0.7, 2.5], [31.0, -31.0, 0.0]])
     for beta, sigma in ((0.7, 1.0), (1.5, 0.8)):
-        cases = [(phi, {}), (phi_deriv, {"k": 1}), (phi_deriv, {"k": 2})]
-        for fn, kw in cases:
-            for arr in (y, y[1], np.asarray(-2.5)):
-                out = fn(arr, beta, sigma=sigma, **kw)
+        for arr in (y, y[1], np.asarray(-2.5)):
+            # phi, then both rows of phi_pair
+            outs = [phi(arr, beta, sigma), *phi_pair(arr, beta, sigma)]
+            scalars = [(phi(float(v), beta, sigma),
+                        *phi_pair(float(v), beta, sigma))
+                       for v in np.ravel(arr)]
+            for out, expect in zip(outs, zip(*scalars)):
                 assert np.shape(out) == np.shape(arr)
-                expect = [fn(float(v), beta, sigma=sigma, **kw)
-                          for v in np.ravel(arr)]
-                assert np.ravel(out).tolist() == expect
+                assert np.ravel(out).tolist() == list(expect)
 
 
 def test_calls_retain_no_memory():
@@ -242,8 +234,7 @@ def test_calls_retain_no_memory():
 
     def requests(betas):
         for beta in betas:
-            phi(grid, beta)
-            phi_deriv(grid, beta, 1)
+            phi_pair(grid, beta)
         fisher_matrix(betas[-1] + 0.001, 1.0)
 
     requests([1.3])  # warm-up: imports and first-call allocations
@@ -264,8 +255,6 @@ def test_domain_errors_and_far_tail_warning():
         phi(0.0, 2.0)
     with pytest.raises(DomainError):
         phi(0.0, 1.5, -1.0)
-    with pytest.raises(DomainError):
-        phi_deriv(1.0, 1.5, 3)
     with pytest.warns(UserWarning):
         val = phi(51.0, 1.5)
     assert val > 0
@@ -290,10 +279,9 @@ ACCURACY_GRID = [1e-3, 0.01, 0.0199, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5,
 
 @pytest.mark.parametrize("beta", [0.5, 0.7, 0.95, 1.05, 1.2, 1.5, 1.8, 1.99])
 def test_routing_matches_qawo_reference(beta):
-    # 0.95 and 1.05 are the edges of the near-Cauchy fallback band; the
-    # integral-form kernel covers phi and phi' (k = 2 stays on QAWO)
+    # 0.95 and 1.05 are the edges of the near-Cauchy fallback band
     y = np.array(ACCURACY_GRID)
-    for k, values in ((0, phi(y, beta)), (1, phi_deriv(y, beta, 1))):
+    for k, values in enumerate(phi_pair(y, beta)):
         ref = np.array([_qawo_reference(v, beta, k) for v in y])
         assert np.max(np.abs(values - ref)) <= 1e-10, (k, values - ref)
 
@@ -303,11 +291,8 @@ def test_cauchy_is_exact():
     q = 1.0 + y * y
     np.testing.assert_allclose(phi(y, 1.0), 1.0 / (math.pi * q),
                                rtol=1e-15, atol=0)
-    np.testing.assert_allclose(phi_deriv(y, 1.0, 1),
+    np.testing.assert_allclose(phi_pair(y, 1.0)[1],
                                -2.0 * y / (math.pi * q * q), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(phi_deriv(y, 1.0, 2),
-                               (6.0 * y * y - 2.0) / (math.pi * q ** 3),
-                               rtol=1e-15, atol=0)
     np.testing.assert_allclose(phi(-y, 1.0, sigma=2.0),
                                0.5 / (math.pi * (1.0 + y * y / 4.0)),
                                rtol=1e-15, atol=0)
@@ -315,16 +300,15 @@ def test_cauchy_is_exact():
 
 def test_peak_memory_of_a_request_pair():
     # the kernel works in chunks, so a Fisher request and a 101-point
-    # density pair stay far below the benchmark's resident-memory bound
+    # density dump stay far below the benchmark's resident-memory bound
     grid = np.linspace(-10.0, 10.0, 101)
     fisher_matrix(1.3, 1.0)  # warm-up: imports and the node tables
-    phi(grid, 1.3)
+    phi_pair(grid, 1.3)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fisher_matrix(1.4567, 1.0)
-        phi(grid, 1.4567)
-        phi_deriv(grid, 1.4567, 1)
+        phi_pair(grid, 1.4567)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -335,7 +319,8 @@ def test_peak_memory_of_a_request_pair():
 def test_kernel_rows_do_not_depend_on_chunk_position(beta):
     # several kernel chunks, and the QAWO and series routes, in one call
     y = np.concatenate([np.linspace(0.01, 29.0, 90), [33.0]])
-    for fn, kw in ((phi, {}), (phi_deriv, {"k": 1})):
-        batch = fn(y, beta, **kw)
-        for i in (0, 1, 30, 31, 32, 62, 89, 90):
-            assert batch[i] == fn(y[i], beta, **kw)
+    f, d = phi_pair(y, beta)
+    batch = phi(y, beta)
+    for i in (0, 1, 30, 31, 32, 62, 89, 90):
+        assert batch[i] == phi(y[i], beta)
+        assert (f[i], d[i]) == phi_pair(y[i], beta)

@@ -1,6 +1,9 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module,
+and every name it lists in __all__ is defined there."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,21 @@ def test_checker_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf8")) == []
+
+
+def _stale_exports(module: types.ModuleType) -> list[str]:
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_checker_sees_stale_exports():
+    module = types.ModuleType("sample")
+    exec("import math\n__all__ = ['math', 'kept', 'gone']\nkept = 1\n",
+         module.__dict__)
+    assert _stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_export(path):
+    name = "levyestim" if path.stem == "__init__" else f"levyestim.{path.stem}"
+    assert _stale_exports(importlib.import_module(name)) == []
