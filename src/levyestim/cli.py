@@ -41,17 +41,22 @@ def _parse_params(text: str) -> dict:
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
+    # argparse type of --beta-grid: lo:hi:step, or a single value
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
-        raise ValueError("grid must be lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
+        raise argparse.ArgumentTypeError("grid must be lo:hi:step numbers")
+    lo, hi, step = parts
     if step <= 0.0 or hi < lo:
-        raise ValueError("grid needs lo <= hi and step > 0")
+        raise argparse.ArgumentTypeError("grid needs lo <= hi and step > 0")
     span = (hi - lo) / step
     if not all(map(math.isfinite, (lo, hi, step, span))):
-        raise ValueError("grid lo, hi, step and step count must be finite")
+        raise argparse.ArgumentTypeError(
+            "grid lo, hi, step and step count must be finite")
     count = int(round(span)) + 1
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
 
@@ -156,7 +161,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
-    betas = _grid_or_single(args)
+    betas = [args.beta] if args.beta_grid is None else args.beta_grid
     lines = ["beta,sigma,i_beta_beta,i_beta_sigma,i_sigma_sigma,"
              "i_gamma_gamma,top_left_det"]
     for beta in betas:
@@ -195,7 +200,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    betas = _grid_or_single(args)
+    betas = [args.beta] if args.beta_grid is None else args.beta_grid
     header = ["beta", "sigma", "v_log_11", "v_log_12", "v_log_22",
               "v_log_33", "median_sd"]
     if args.p is not None:
@@ -219,14 +224,6 @@ def _cmd_variance(args) -> int:
         lines.append(",".join(cells))
     _write_lines(args.out, lines)
     return 0
-
-
-def _grid_or_single(args) -> list[float]:
-    if getattr(args, "beta_grid", None):
-        return _parse_grid(args.beta_grid)
-    if args.beta is None:
-        raise LevyEstimError("need --beta or --beta-grid")
-    return [args.beta]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(handler=_cmd_table)
 
     fis = sub.add_parser("fisher", help="Fisher information dump")
-    fis.add_argument("--beta", type=float, default=None)
-    fis.add_argument("--beta-grid", default=None, help="lo:hi:step")
+    fis_beta = fis.add_mutually_exclusive_group(required=True)
+    fis_beta.add_argument("--beta", type=float)
+    fis_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
     fis.add_argument("--sigma", type=float, default=1.0)
     fis.add_argument("--out", default=None)
     fis.set_defaults(handler=_cmd_fisher)
@@ -308,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dump the fixed-mesh (h = 1) covariances V^log and V^p. "
         "At a shrinking mesh sigma_hat carries an extra "
         "-sigma log(1/h) / beta^2 (beta_hat - beta) term they omit.")
-    var.add_argument("--beta", type=float, default=None)
-    var.add_argument("--beta-grid", default=None, help="lo:hi:step")
+    var_beta = var.add_mutually_exclusive_group(required=True)
+    var_beta.add_argument("--beta", type=float)
+    var_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
     var.add_argument("--sigma", type=float, default=1.0)
     var.add_argument("--p", type=float, default=None)
     var.add_argument("--out", default=None)

@@ -131,7 +131,8 @@ class NotPositiveDefinite(EstimationError):
 
 class NonpositiveK(EstimationError):
     """The gamma-subordinator likelihood statistic K is nonpositive (all
-    increments equal), so the shape equation has no root."""
+    increments equal) or at rounding level (equal to working precision), so
+    the shape equation has no root that double precision can locate."""
 
     code = "nonpositive_k"
 

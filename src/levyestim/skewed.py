@@ -71,16 +71,13 @@ __all__ = [
 # closed-form moments
 
 def _gamma_signed(x: float) -> float:
-    # Gamma(x) on (-2, -1) u (-1, 0) u (0, inf) via Gamma(x) = Gamma(x+1)/x
+    # Gamma(x) on (-2, -1) u (-1, 0) u (0, inf); the table moments use
+    # exp(log_gamma(x)) above 0, so those bits stay as they are
     if x > 0.0:
         return math.exp(log_gamma(x))
     if x in (0.0, -1.0) or x <= -2.0:
         raise DomainError("Gamma argument outside (-2, inf) minus poles", x=x)
-    den = 1.0
-    while x < 0.0:
-        den *= x
-        x += 1.0
-    return math.exp(log_gamma(x)) / den
+    return math.gamma(x)
 
 
 def _xi_admissible(beta: float, p_pos: float) -> float:

@@ -2,7 +2,8 @@
 
 One home for the Gamma-type functions and the monotone scalar root solver
 used by the estimators, so domains, tolerances and failure modes are fixed
-in a single place.  All functions are scalar-in, scalar-out.
+in a single place.  All functions are scalar-in, scalar-out; psi is
+scipy.special.digamma behind the package's domain check.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from scipy import special
 from scipy.optimize import brentq
 
 from .errors import DomainError, MaxIterExceeded, NoSignChange
@@ -39,32 +41,11 @@ def log_gamma_ratio(beta: float, r: float) -> float:
     return 2.0 * math.lgamma(1.0 - r / beta) - math.lgamma(1.0 - 2.0 * r / beta)
 
 
-# Asymptotic tail of psi(x) = log x - 1/(2x) - sum_k c_k x^{-2k} with
-# c_k = B_{2k}/(2k); truncated after x^{-12} the error is below 1e-11 once
-# the recurrence psi(x) = psi(x+1) - 1/x has lifted the argument to x >= 6.
-_PSI_TAIL = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-)
-
-
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0."""
+    """psi(x) = d/dx log Gamma(x) for x > 0, from scipy.special.digamma."""
     if not x > 0.0:
         raise DomainError("digamma requires x > 0", x=x)
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    z = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_TAIL):
-        tail = (tail + c) * z
-    return acc + math.log(x) - 0.5 / x + tail
+    return float(special.digamma(x))
 
 
 # Brent tolerance and iteration budget of every root solve

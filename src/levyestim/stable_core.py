@@ -310,8 +310,11 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
             * (sec2_w * v * v / sec2_u) ** ((beta - 1.0) / (2.0 * beta)))
 
 
-def _standard_draws(beta: float, rho: float, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _standard_draws(beta: float, rho: float, n: int, seed) -> np.ndarray:
+    # n S_beta(1, rho, 0) draws: n uniforms, then n exponentials
+    if n < 1:
+        raise DomainError("sample size n must be >= 1", n=n)
+    rng = _as_rng(seed)
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=n)
     v = rng.standard_exponential(size=n)
     return sample_standard_stable(beta, rho, u, v)
@@ -337,10 +340,7 @@ def sample_increments(params: StableParams, h: float, n: int,
                       seed=None) -> IncrementSample:
     """n i.i.d. increments over mesh h of the Levy process with
     L(X_1) = S_beta(sigma, rho, gamma)."""
-    if n < 1:
-        raise DomainError("sample size n must be >= 1", n=n)
-    rng = _as_rng(seed)
-    s = _standard_draws(params.beta, params.rho, n, rng)
+    s = _standard_draws(params.beta, params.rho, n, seed)
     scale, shift = increment_scale_shift(params, h)
     meta = {"model": "stable", "beta": params.beta, "sigma": params.sigma,
             "rho": params.rho, "gamma": params.gamma}
@@ -352,12 +352,9 @@ def sprime_increment_sampler(pp: PositivityStable, h: float, n: int,
     """n i.i.d. increments over mesh h of the strictly stable process with
     L(X_t) = S'_beta(p, t * scale): each equals (h * scale)^{1/beta} S for
     S ~ S_beta(1, rho(p), 0)."""
-    if n < 1:
-        raise DomainError("sample size n must be >= 1", n=n)
     if not h > 0.0:
         raise DomainError("mesh h must be positive", h=h)
-    rng = _as_rng(seed)
-    s = _standard_draws(pp.beta, pp.rho, n, rng)
+    s = _standard_draws(pp.beta, pp.rho, n, seed)
     values = (h * pp.scale) ** (1.0 / pp.beta) * s
     meta = {"model": "skewed_stable", "beta": pp.beta, "p_pos": pp.p_pos,
             "scale": pp.scale}
@@ -374,19 +371,8 @@ def sample_timevarying(path: ScalePath, p_pos: float, n: int,
     sigma^beta, which is what gets sampled; a constant path therefore
     reproduces sprime_increment_sampler draw for draw at equal seeds.
     """
-    if n < 1:
-        raise DomainError("sample size n must be >= 1", n=n)
     beta = path.beta
-    if not (1.0 < beta < 2.0):
-        raise DomainError("time-varying model requires beta in (1, 2)",
-                          beta=beta)
-    lo, hi = 1.0 - 1.0 / beta, 1.0 / beta
-    if not (lo < p_pos < hi):
-        raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
-                          p_pos=p_pos, lo=lo, hi=hi)
-    rng = _as_rng(seed)
-    rho = positivity_to_skew(beta, p_pos)
-    s = _standard_draws(beta, rho, n, rng)
+    s = _standard_draws(beta, PositivityStable(beta, p_pos).rho, n, seed)
     bars = path.sigma_bars(n)
     values = (bars / n) ** (1.0 / beta) * s
     meta = {"model": "timevarying_stable", "beta": beta, "p_pos": p_pos,

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, NonpositiveBrace, NonpositiveK
+from .errors import (
+    DataError,
+    DomainError,
+    NonpositiveBrace,
+    NonpositiveK,
+    NoSignChange,
+)
 from .special_fn import digamma, find_root_monotone
 from .stable_core import IncrementSample, _as_rng
 
@@ -128,8 +134,10 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     the left side decreases strictly from +inf (delta -> 0) to 0
     (delta -> inf), and K > 0 by strict concavity of the logarithm unless
     all increments are equal (NonpositiveK).  Then
-    gamma_hat = delta_hat T / X_T.  The bracket expands geometrically from
-    delta_0 = exp(-K / (n h)) / h until it straddles the root.
+    gamma_hat = delta_hat T / X_T.  The bounds 1/(2x) < log x - psi(x) < 1/x
+    put delta_hat h in (T/(2K), T/K), so one solve on [n/(4K), 2n/K] (a
+    factor 2 per side against rounding) finds it; no sign change there means
+    K is at rounding level, which raises NonpositiveK as well.
     """
     values = _positive_increments(sample)
     h = sample.h
@@ -145,19 +153,13 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     def gap(delta: float) -> float:
         return t_total * (math.log(delta * h) - digamma(delta * h)) - k_stat
 
-    lo = hi = math.exp(-k_stat / t_total) / h
-    if gap(lo) == 0.0:
-        delta_hat = lo
-    else:
-        for _ in range(200):
-            if gap(lo) > 0.0:
-                break
-            lo /= 8.0
-        for _ in range(200):
-            if gap(hi) < 0.0:
-                break
-            hi *= 8.0
-        delta_hat = find_root_monotone(gap, lo, hi)
+    try:
+        delta_hat = find_root_monotone(gap, n / (4.0 * k_stat),
+                                       2.0 * n / k_stat)
+    except NoSignChange:
+        raise NonpositiveK("likelihood statistic K is at rounding level: "
+                           "increments equal to working precision",
+                           K=k_stat, T=t_total) from None
     gamma_hat = delta_hat * t_total / x_total
     return delta_hat, gamma_hat
 

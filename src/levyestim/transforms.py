@@ -37,9 +37,9 @@ from .stable_core import (
     skew_to_positivity,
 )
 from .symmetric import (
-    frac_moment_estimate,
+    frac_moment_point,
     gamma_confidence_interval,
-    log_moment_estimate,
+    log_moment_point,
     median_gamma,
 )
 
@@ -66,19 +66,21 @@ def symmetrize(sample: IncrementSample) -> IncrementSample:
                            dict(sample.meta, transform="symmetrized"))
 
 
-def center_triple(sample: IncrementSample) -> IncrementSample:
-    """Non-overlapping triples Delta_{3l} + Delta_{3l-2} - 2 Delta_{3l-1},
-    l = 1..floor(n/3): trend cancels exactly (1 + 1 - 2 = 0) and the skew
-    maps to rho (2 - 2^beta)/(2 + 2^beta); requires model beta != 1."""
+def _triples(sample: IncrementSample, w: float, **meta) -> IncrementSample:
+    # Delta_{3l} + Delta_{3l-2} - w Delta_{3l-1}, l = 1..floor(n/3)
     x = sample.values
     n3 = x.size // 3
     if n3 < 1:
         raise DomainError("need at least 3 increments", n=int(x.size))
-    a = x[0:3 * n3:3]
-    b = x[1:3 * n3:3]
-    c = x[2:3 * n3:3]
-    return IncrementSample(c + a - 2.0 * b, sample.h,
-                           dict(sample.meta, transform="centered"))
+    return IncrementSample(x[2:3 * n3:3] + x[0:3 * n3:3] - w * x[1:3 * n3:3],
+                           sample.h, dict(sample.meta, **meta))
+
+
+def center_triple(sample: IncrementSample) -> IncrementSample:
+    """Non-overlapping triples Delta_{3l} + Delta_{3l-2} - 2 Delta_{3l-1},
+    l = 1..floor(n/3): trend cancels exactly (1 + 1 - 2 = 0) and the skew
+    maps to rho (2 - 2^beta)/(2 + 2^beta); requires model beta != 1."""
+    return _triples(sample, 2.0, transform="centered")
 
 
 def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
@@ -92,17 +94,8 @@ def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
     if not (0.0 < beta <= 2.0) or beta == 1.0:
         raise DomainError("deskew requires beta in (0, 1) or (1, 2]",
                           beta=beta)
-    x = sample.values
-    n3 = x.size // 3
-    if n3 < 1:
-        raise DomainError("need at least 3 increments", n=int(x.size))
-    w = 2.0 ** (1.0 / beta)
-    a = x[0:3 * n3:3]
-    b = x[1:3 * n3:3]
-    c = x[2:3 * n3:3]
-    return IncrementSample(c + a - w * b, sample.h,
-                           dict(sample.meta, transform="deskewed",
-                                beta_used=beta))
+    return _triples(sample, 2.0 ** (1.0 / beta), transform="deskewed",
+                    beta_used=beta)
 
 
 def center_skew_factor(beta: float) -> float:
@@ -168,18 +161,17 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
 
     sym = symmetrize(sample)
     if p is None:
-        step1 = _step("symmetrize", lambda: log_moment_estimate(sym, level))
+        method, core = "log", lambda: log_moment_point(sym)
     else:
-        step1 = _step("symmetrize",
-                      lambda: frac_moment_estimate(sym, p, level))
-    beta_hat = step1.beta_hat
+        method, core = "frac", lambda: frac_moment_point(sym, p)
+    beta_hat, sigma_sym, _ = _step("symmetrize", core)
     if not (0.0 < beta_hat < 2.0) or beta_hat == 1.0:
         # the skew/positivity inversion degenerates at 1 and 2, so an index
         # estimate outside (0,1) or (1,2) cannot be pushed through steps 2-3
         raise EstimationError(
             "index estimate outside the invertible range (0,1) or (1,2)",
             beta_hat=float(beta_hat), pipeline_step="symmetrize")
-    sigma_hat = step1.sigma_hat / 2.0 ** (1.0 / beta_hat)
+    sigma_hat = sigma_sym / 2.0 ** (1.0 / beta_hat)
 
     cen = center_triple(sample)
     p_cen = _step("center", lambda: sign_statistic(cen))
@@ -210,9 +202,9 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
         "rho_hat": rho_hat,
         "level": level,
         "ci_note": "plug-in, uncorrected",
-        "step1": {"method": step1.method, "beta_hat": beta_hat,
-                  "sigma_hat_symmetrized": step1.sigma_hat,
-                  "n": step1.n},
+        "step1": {"method": method, "beta_hat": beta_hat,
+                  "sigma_hat_symmetrized": sigma_sym,
+                  "n": sym.n if sym.n % 2 == 1 else sym.n - 1},
         "step2": {"p_pos_centered": p_cen, "rho_centered": rho_cen,
                   "n": cen.n},
         "step3": {"gamma_deskewed": gamma_des, "trend_factor": trend,

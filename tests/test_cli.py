@@ -84,14 +84,18 @@ def test_frac_without_p_is_flag_error(tmp_path, capsys):
     assert "--p" in capsys.readouterr().err
 
 
-def test_grid_validation_exits_one(capsys):
-    for command, grid in (("fisher", "2:1:0.5"), ("fisher", "1.2:inf:0.1"),
-                          ("variance", "0.5:1e300:1e-300")):
-        assert run_cli(command, "--beta-grid", grid) == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["code"] == "value_error"
-    assert run_cli("fisher") == 1
-    capsys.readouterr()
+def test_grid_validation_exits_two(capsys):
+    for argv in (("fisher", "--beta-grid", "2:1:0.5"),
+                 ("fisher", "--beta-grid", "1.2:inf:0.1"),
+                 ("variance", "--beta-grid", "0.5:1e300:1e-300"),
+                 ("variance", "--beta-grid", "1:2"),
+                 ("fisher", "--beta-grid", "a:2:0.1"),
+                 ("fisher",), ("variance",),
+                 ("fisher", "--beta", "1.5", "--beta-grid", "1.2:1.3:0.1")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "--beta-grid" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ def test_against_scipy_grid():
         assert abs(digamma(x) - ss.digamma(x)) < 1e-10 * (1 + abs(ss.digamma(x)))
 
 
+def test_digamma_is_scipy_digamma():
+    # the package evaluates scipy.special.digamma, returned as a Python float
+    for x in np.geomspace(1e-6, 1e6, 241):
+        psi = digamma(float(x))
+        assert type(psi) is float
+        assert abs(psi - ss.digamma(x)) <= 1e-15 * abs(ss.digamma(x))
+
+
 @given(st.floats(min_value=0.05, max_value=50.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)

@@ -112,6 +112,17 @@ def test_gamma_mle_near_equal_data_blows_up():
     assert delta_hat > 1e3
 
 
+def test_gamma_mle_rounding_level_k_raises():
+    # increments equal to 1e-7 leave K at rounding level: the psi-bound
+    # bracket [n/(4K), 2n/K] shows no sign change
+    vals = 1.0 + 1e-7 * np.array([0.5, -0.5, 0.25, -0.25, 0.1, -0.1] * 50)
+    with pytest.raises(NonpositiveK) as exc:
+        gamma_mle(_sample(vals, h=0.01))
+    assert exc.value.code == "nonpositive_k"
+    assert exc.value.context["T"] == pytest.approx(3.0)
+    assert exc.value.context["K"] > 0.0
+
+
 def test_gamma_mle_estimating_equation_residual():
     s = sample_gamma_sub(GammaSubParams(2.0, 1.0), 0.05, 400, seed=3)
     delta_hat, gamma_hat = gamma_mle(s)

@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every name it lists in __all__ is defined there."""
+every name it lists in __all__ is defined there, and every module-level
+private name it defines is read by some package module."""
 
 import ast
 import importlib
@@ -71,3 +72,49 @@ def test_checker_sees_stale_exports():
 def test_module_defines_every_export(path):
     name = "levyestim" if path.stem == "__init__" else f"levyestim.{path.stem}"
     assert _stale_exports(importlib.import_module(name)) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    # module-level _name functions, classes and constants (no dunders)
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _orphaned_privates(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in read)
+
+
+def test_checker_sees_orphaned_privates():
+    sources = {
+        "a": ("_KEPT = 1\n_GONE: int = 2\n__all__ = []\n"
+              "def _used():\n    return _KEPT\n"
+              "def _orphan():\n    pass\nclass _Unused:\n    pass\n"),
+        "b": "from . import a\nfrom .a import _used\nprint(_used, a._x)\n",
+        "c": "_x = 3\n_y = 4\n",
+    }
+    assert _orphaned_privates(sources) == ["a._GONE", "a._Unused",
+                                           "a._orphan", "c._y"]
+
+
+def test_package_reads_every_private_name():
+    assert _orphaned_privates({path.stem: path.read_text(encoding="utf8")
+                               for path in MODULES}) == []
