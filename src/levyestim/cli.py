@@ -22,6 +22,8 @@ from .stable_density import fisher_matrix, median_asymptotic_sd, phi_pair
 
 __all__ = ["main", "build_parser"]
 
+_GRID_POINTS = 10_001  # most points --beta-grid may expand to
+
 
 def _parse_params(text: str) -> dict:
     out = {}
@@ -58,7 +60,22 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             "grid lo, hi, step and step count must be finite")
     count = int(round(span)) + 1
+    if count > _GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {count:.3g} points, more than {_GRID_POINTS}")
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
+
+
+def _scale(text: str) -> float:
+    # argparse type of --sigma: a finite number > 0
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -288,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     fis_beta = fis.add_mutually_exclusive_group(required=True)
     fis_beta.add_argument("--beta", type=float)
     fis_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
-    fis.add_argument("--sigma", type=float, default=1.0)
+    fis.add_argument("--sigma", type=_scale, default=1.0)
     fis.add_argument("--out", default=None)
     fis.set_defaults(handler=_cmd_fisher)
 
     den = sub.add_parser("density", help="density grid dump")
     den.add_argument("--beta", type=float, required=True)
-    den.add_argument("--sigma", type=float, default=1.0)
+    den.add_argument("--sigma", type=_scale, default=1.0)
     den.add_argument("--y-min", type=float, default=None)
     den.add_argument("--y-max", type=float, default=10.0)
     den.add_argument("--points", type=int, default=201)
@@ -309,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     var_beta = var.add_mutually_exclusive_group(required=True)
     var_beta.add_argument("--beta", type=float)
     var_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
-    var.add_argument("--sigma", type=float, default=1.0)
+    var.add_argument("--sigma", type=_scale, default=1.0)
     var.add_argument("--p", type=float, default=None)
     var.add_argument("--out", default=None)
     var.set_defaults(handler=_cmd_variance)

@@ -1,69 +1,64 @@
 """Symmetric stable density, its y-derivative, and information integrals.
 
-phi_beta(y; sigma) denotes the density of S_beta(sigma) (symmetric stable,
-characteristic function exp{-(sigma |u|)^beta}), with
-phi_beta(y; sigma) = phi_beta(y / sigma) / sigma.  At unit scale and z > 0,
-beta != 1, Nolan (1997, after Zolotarev) writes it as a smooth integral over
-a finite interval,
+phi_beta(y; sigma) = phi_beta(y / sigma) / sigma is the density of
+S_beta(sigma), characteristic function exp{-(sigma |u|)^beta}.  At unit
+scale, z > 0 and beta != 1, Nolan (1997, after Zolotarev) writes it over a
+finite interval, and integrating the g^2 e^{-g} part of its z-derivative by
+parts (d(g e^{-g}) = L' g (1 - g) e^{-g} dtheta, L = log V) gives
 
     phi_beta(z) = beta / (pi |beta - 1| z) int_0^{pi/2} g e^{-g} dtheta,
-    g(theta) = z^{a} V(theta),   a = beta / (beta - 1),
-    V(theta) = (cos theta / sin(beta theta))^{a}
-               cos((beta - 1) theta) / cos theta,
-
-and differentiating under the integral (dg/dz = a g / z) gives
-
     phi_beta'(z) = beta / (pi |beta - 1| z^2)
-                   int_0^{pi/2} g e^{-g} (a - 1 - a g) dtheta.
+                   int_0^{pi/2} g e^{-g} (a L'' - L'^2) / L'^2 dtheta,
+    g = z^a V(theta),  a = beta / (beta - 1),
+    V(theta) = (cos theta / sin(beta theta))^a cos((beta-1) theta) / cos theta.
 
-V is monotone on (0, pi/2), so the integrand peaks once, where g = 1.  The
-kernel (_nolan) finds that theta* for every z at once by a safeguarded
-Newton solve in the logit variable log(theta / (pi/2 - theta)), splits
-[0, pi/2] there and sums tanh-sinh nodes on both panels: 257 per panel, or
-513 when |beta - 1| < 0.25, where the peak is sharper.  phi and phi' share
-every trigonometric, logarithmic and exponential evaluation, and points are
-processed in chunks of at most 2^13 points x nodes (64 KB per array).
+The direct weight a - 1 - a g cancels two O(|a|) integrals as beta -> 1;
+this one is O(1).  With T = tan theta, C = cot(beta theta),
+R = tan((beta-1) theta) and D = T + beta^2 C + (beta-1)^2 R = -(beta-1) L',
+it is [3 beta^2 (beta-1) - 2 D (D - beta^2 C) - (beta-1) (T - (beta-1) R)^2]
+/ D^2, csc^2 - cot^2 = 1 having cancelled.  g e^{-g} peaks once, at g = 1;
+the kernel (_nolan) finds that theta* for every z by a safeguarded Newton
+solve in log(theta / (pi/2 - theta)), splits [0, pi/2] there and sums
+tanh-sinh nodes on both panels, _TS_NODES per panel by beta (each count
+within ~3e-12 of 4097 nodes on z in [1e-3, 30]; 1025 next to beta = 1,
+where the peak narrows like 1/|a|).  The abscissae span t in [-3.5, 3.5]:
+at 3.15 the outermost nodes stopped ~1e-16 panel widths short of the peak
+at the panels' shared end, leaving phi off by ~ -2e-17 / (|beta - 1| z),
+-2.1e-10 at beta = 0.9999, z = 1e-3.  Chunks hold at most 2^13 points x
+nodes (64 KB per array).
 
-Each distinct |y|/sigma is routed once per call, and every route yields
-the pair (phi, phi'):
+Each distinct |y|/sigma goes once per call to the first route that
+applies, and every route yields the pair (phi, phi'):
 
-* z = 0: phi_zero and phi' = 0;
-* beta = 1: the exact Cauchy density and its derivative;
-* z > 30: the large-argument expansion and its term-by-term derivative,
+* z < 1e-3: seven terms of the series about 0 (Zolotarev 1986),
+  phi_beta(z) = (pi beta)^{-1} sum_k (-1)^k Gamma((2k+1)/beta) z^{2k}/(2k)!,
+  and its derivative, started at phi_zero so that z = 0 returns it exactly;
+  convergent for beta > 1, asymptotic below (next term < 1e-18 at 0.5);
+* |beta - 1| < 5e-6: the first-order expansion about the Cauchy law,
+  p = 1 - i z, exactly the Cauchy pair at beta = 1,
+      phi_beta(z) = (1 / (1 + z^2) - (beta-1) Re[(psi(2) - log p) / p^2]) / pi,
+      phi_beta'(z) = (-2 z / (1 + z^2)^2
+                      + (beta-1) Im[2 (psi(3) - log p) / p^3]) / pi;
+  its error grows like (beta - 1)^2 and the kernel's like 1/|beta - 1|
+  (a log z + log V cancels at the peak); the bound balances them at ~3e-11;
+* z > 30: the large-argument expansion and its derivative,
+  phi_beta(z) = (1/pi) sum_{m>=1} (-1)^{m+1} Gamma(1 + m beta) / m!
+                sin(m pi beta / 2) z^{-1 - m beta};
+* otherwise the kernel.
 
-      phi_beta(z) = (1/pi) sum_{m>=1} (-1)^{m+1} Gamma(1 + m beta) / m!
-                    sin(m pi beta / 2) z^{-1 - m beta};
+No route runs an adaptive or oscillatory (QAWO) quadrature.  Domain: beta
+in [0.5, 2), finite sigma > 0.  Against QAWO quadrature of the Fourier
+integral the worst errors for |y| <= 50 are 4e-11 (phi) and 3e-11 (phi').
 
-* otherwise the Nolan kernel, except in the fallback region below, which
-  keeps two oscillatory (QAWO) quadratures,
-
-      phi_beta(z) = (1/pi) int_0^inf cos(u z) exp(-u^beta) du,
-      phi_beta'(z) = -(1/pi) int_0^inf u sin(u z) exp(-u^beta) du.
-
-  The fallback region is |beta - 1| < 0.05 (the peak narrows like 1/|a|
-  and the node counts above no longer resolve it) and z < 0.02 (phi' is an
-  O(z^2) remainder of two O(1) integrals, so the kernel's error grows like
-  1/z).
-
-Supported domain: beta in [0.5, 2), sigma > 0; absolute accuracy is ~1e-10
-for |y| <= 50 (the kernel agrees with QAWO to ~1e-11 or better).
-
-The information integrals
-
-    H_beta = int (phi + y phi')^2 / phi dy,
-    M_beta = int (phi')^2 / phi dy
-
-(at sigma = 1) split at |y| = 30 into a core on [0, 30] and a series-based
-tail on y = 30 e^t, since the integrands decay only like |y|^{-beta-1}.
-Both parts use one batched adaptive Gauss-Kronrod (7-15) panel rule: each
-round evaluates the (phi, phi') pairs at every unresolved panel's nodes in
-one call, and a panel whose Kronrod-Gauss difference exceeds its width's
-share of the tolerance max(epsabs, 1e-9 |estimate|) (epsabs 1e-11 on the
-core, 1e-12 on the tail) is bisected.  H and M are integrated together, so
-each node costs one (phi, phi') pair.  A panel rule that runs out of its
-panel budget (400 panels), like a QAWO call whose convergence flag reports
-failure, raises QuadratureError (code quadrature_error).  Nothing is cached
-across calls except the two tanh-sinh node tables, built on first use.
+H_beta = int (phi + y phi')^2 / phi dy and M_beta = int (phi')^2 / phi dy
+(sigma = 1) split at |y| = 30 into a core and a series tail on y = 30 e^t
+(the integrands decay like |y|^{-beta-1}), each by one batched adaptive
+Gauss-Kronrod (7-15) panel rule: a round evaluates (phi, phi') at every
+open panel's nodes in one call and bisects a panel whose Kronrod-Gauss
+difference exceeds its width's share of max(epsabs, 1e-9 |estimate|)
+(epsabs 1e-11 core, 1e-12 tail).  Running out of the 400-panel budget
+raises QuadratureError (quadrature_error), the only quadrature failure
+left.  Nothing is cached across calls except the tanh-sinh node tables.
 """
 
 from __future__ import annotations
@@ -74,19 +69,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .special_fn import log_gamma
 
-__all__ = [
-    "phi",
-    "phi_pair",
-    "phi_zero",
-    "FisherInfo",
-    "fisher_matrix",
-    "median_asymptotic_sd",
-]
+__all__ = ["phi", "phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
+           "median_asymptotic_sd"]
 
 # crossover from the integral forms to the tail expansion
 _Y_SERIES = 30.0
@@ -94,24 +82,24 @@ _SERIES_TERMS = 8
 _PHI_FLOOR = 1e-300
 _HALF_PI = 0.5 * math.pi
 
-# Fallback region of the Nolan kernel (see the module docstring); both
-# bounds keep its error below ~1e-11 on a grid against QAWO.
-_NEAR_CAUCHY = 0.05
-_Z_TINY = 0.02
-# tanh-sinh nodes per panel, abscissae t in [-_TS_T, _TS_T]; the outermost
-# node lies ~1e-16 panel widths from the panel's end
-_TS_NODES = 257
-_TS_NODES_NEAR = 513
-_TS_NEAR = 0.25
-_TS_T = 3.15
+# the series about 0 below _Z_SMALL, the expansion about the Cauchy law
+# within _NEAR_ONE of beta = 1
+_Z_SMALL = 1e-3
+_SMALL_TERMS = 7
+_NEAR_ONE = 5e-6
+# tanh-sinh nodes per panel as (upper beta bound, count), and the abscissae
+# t in [-_TS_T, _TS_T] (outermost node ~3e-23 panel widths from the end)
+_TS_NODES = ((0.6, 177), (0.7, 257), (0.8, 385), (0.9, 513), (0.98, 641),
+             (1.0005, 1025), (1.02, 513), (1.1, 321), (1.2, 225), (1.3, 193),
+             (1.5, 161), (1.95, 129), (2.0, 257))
+_TS_T = 3.5
 # points x nodes per chunk of the kernel
 _BLOCK = 1 << 13
 # panels one information integral may evaluate before giving up, and the
 # relative tolerance (scalar quad's default) next to each absolute one
 _PANEL_LIMIT = 400
 _EPSREL = 1e-9
-# first panels of the core [0, 30], widening as the integrand flattens; the
-# narrow first panel settles at once, so few nodes fall below _Z_TINY
+# first panels of the core [0, 30], widening as the integrand flattens
 _CORE_EDGES = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, _Y_SERIES])
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15); the Gauss nodes are
@@ -143,41 +131,8 @@ _GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 def _check_density_domain(beta: float, sigma: float):
     if not (0.5 <= beta < 2.0):
         raise DomainError("density index beta must lie in [0.5, 2)", beta=beta)
-    if not sigma > 0.0:
-        raise DomainError("scale sigma must be positive", sigma=sigma)
-
-
-def _u_upper(beta: float, k: int) -> float:
-    # upper limit U with int_U^inf u^k exp(-u^beta) du below ~1e-13:
-    # iterate L = log(1e13/beta) + ((k+1)/beta - 1) log L, U = L^{1/beta}
-    c = max((k + 1.0) / beta - 1.0, 0.0)
-    L = 35.0
-    for _ in range(4):
-        L = math.log(1e13 / beta) + c * math.log(L)
-    return L ** (1.0 / beta)
-
-
-def _checked_quad(context: dict, *args, **kwargs) -> float:
-    # with full_output, quad appends a message exactly when its ier flag
-    # reports failure (ier = 6, invalid input, raises ValueError itself)
-    val, _, _, *failure = quad(*args, full_output=1, **kwargs)
-    if failure:
-        raise QuadratureError("quadrature did not converge: "
-                              + " ".join(failure[0].split()), **context)
-    return val
-
-
-def _fourier_point(y: float, beta: float) -> tuple[float, float]:
-    """(phi_beta(y), phi_beta'(y)) at y > 0 by weighted (QAWO) quadrature,
-    each integral cut at its own upper limit."""
-    context = {"beta": beta, "y": y}
-    opts = {"wvar": y, "epsabs": 1e-13, "epsrel": 1e-11, "limit": 400,
-            "maxp1": 100}
-    f = _checked_quad(context, lambda u: math.exp(-u ** beta), 0.0,
-                      _u_upper(beta, 0), weight="cos", **opts)
-    d = _checked_quad(context, lambda u: u * math.exp(-u ** beta), 0.0,
-                      _u_upper(beta, 1), weight="sin", **opts)
-    return f / math.pi, -d / math.pi
+    if not 0.0 < sigma < math.inf:
+        raise DomainError("scale sigma must be finite and > 0", sigma=sigma)
 
 
 def _series(z, beta: float) -> np.ndarray:
@@ -194,10 +149,30 @@ def _series(z, beta: float) -> np.ndarray:
     return np.array([f, d]) / math.pi
 
 
-def _cauchy(z: np.ndarray) -> np.ndarray:
-    """Rows (phi_1(z), phi_1'(z)) of the Cauchy density 1 / (pi (1 + z^2))."""
+def _small(z: np.ndarray, beta: float) -> np.ndarray:
+    """Rows (phi_beta(z), phi_beta'(z)) at small z >= 0 from the series
+    about 0, started at phi_zero so that z = 0 returns it exactly."""
+    f, d = np.full_like(z, phi_zero(beta)), np.zeros_like(z)
+    for k in range(1, _SMALL_TERMS):
+        c = (-1.0) ** k * math.gamma((2 * k + 1) / beta) / (math.pi * beta)
+        f = f + (c / math.factorial(2 * k)) * z ** (2 * k)
+        d = d + (c / math.factorial(2 * k - 1)) * z ** (2 * k - 1)
+    return np.array([f, d])
+
+
+def _near_cauchy(z: np.ndarray, beta: float) -> np.ndarray:
+    """Rows (phi_beta(z), phi_beta'(z)) for beta next to 1: the Cauchy
+    density and its derivative plus (beta - 1) times their beta-derivatives
+    at beta = 1, exactly the Cauchy rows at beta = 1."""
     q = 1.0 + z * z
-    return np.array([1.0 / (math.pi * q), -2.0 * z / (math.pi * q * q)])
+    p = 1.0 - 1j * z
+    r = 1.0 / p
+    log_p = np.log(p)
+    psi2 = 1.0 - np.euler_gamma  # psi(2), and psi(3) = psi(2) + 1/2
+    slope = np.array([-((psi2 - log_p) * r * r).real,
+                      (2.0 * (psi2 + 0.5 - log_p) * r * r * r).imag])
+    cauchy = np.array([1.0 / (math.pi * q), -2.0 * z / (math.pi * q * q)])
+    return cauchy + ((beta - 1.0) / math.pi) * slope
 
 
 @functools.cache
@@ -214,21 +189,26 @@ def _tanh_sinh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _log_v(theta, comp, beta: float, a: float):
-    # log V(theta) with cos(theta) = sin(comp), comp = pi/2 - theta.  The
-    # sines and the cosine come from tangent half-angles, sin x = 2t/(1+t^2)
-    # and cos x = (1-t^2)/(1+t^2) with t = tan(x/2): accurate to a few ulp
-    # here (0 < x < pi), and numpy's vectorised tan is several times faster
-    # than its sin and cos (2.3 against 11-14 ns per element, numpy 2.4 on
-    # an AVX-512 x86-64 core).
+    """(log V(theta), (t_c, t_b, t_r)) with comp = pi/2 - theta and the
+    three terms t_c = 2 tan theta, t_b = 2 beta^2 cot(beta theta),
+    t_r = 2 (beta-1)^2 tan((beta-1) theta) of -2 (beta-1) d/dtheta log V."""
+    # t = tan(x/2) gives 2 csc x = 1/t + t, 2 cot x = 1/t - t, 2 tan x =
+    # 4t/(1-t^2), cos x = (1-t^2)/(1+t^2) to a few ulp for 0 < x < pi; tan
+    # takes 2.3 ns per element, sin and cos 11-14 (numpy 2.4, AVX-512 core)
     tc = np.tan(0.5 * comp)
     tb = np.tan((0.5 * beta) * theta)
     tr = np.tan((0.5 * (beta - 1.0)) * theta)
-    tc2 = 1.0 + tc * tc
+    inv_c = 1.0 / tc
+    inv_b = 1.0 / tb
+    csc_c = inv_c + tc  # 2 / cos(theta)
     tr2 = tr * tr
-    # log(sin comp / sin(beta theta)), log(sin comp / cos((beta-1) theta))
-    ratio_b = tc * (1.0 + tb * tb) / (tb * tc2)
-    ratio_r = 2.0 * tc * (1.0 + tr2) / (tc2 * (1.0 - tr2))
-    return a * np.log(ratio_b) - np.log(ratio_r)
+    cos_r = 1.0 - tr2  # (1 + tr^2) cos((beta-1) theta)
+    # V = (cos theta / sin(beta theta))^a cos((beta-1) theta) / cos theta
+    logv = (a * np.log((inv_b + tb) / csc_c)
+            + np.log(csc_c * cos_r / (2.0 + 2.0 * tr2)))
+    b = beta - 1.0
+    return logv, (inv_c - tc, (beta * beta) * (inv_b - tb),
+                  (4.0 * b * b) * tr / cos_r)
 
 
 def _theta_star(logz: np.ndarray,
@@ -239,7 +219,8 @@ def _theta_star(logz: np.ndarray,
     to linear, kept inside a bisection bracket; a point stops once its step
     falls below 1e-10, so its result does not depend on the other points.
     """
-    a = beta / (beta - 1.0)
+    b = beta - 1.0
+    a = beta / b
     sign = 1.0 if beta > 1.0 else -1.0  # log V decreases in theta iff beta > 1
     target = -a * logz
     u = np.zeros_like(logz)
@@ -250,12 +231,12 @@ def _theta_star(logz: np.ndarray,
         ul = u[live]
         theta = _HALF_PI / (1.0 + np.exp(-ul))
         comp = _HALF_PI / (1.0 + np.exp(ul))
-        f = _log_v(theta, comp, beta, a) - target[live]
+        logv, terms = _log_v(theta, comp, beta, a)
+        f = logv - target[live]
         right = sign * f > 0.0
         lo[live] = np.where(right, ul, lo[live])
         hi[live] = np.where(right, hi[live], ul)
-        dlogv = (-(a - 1.0) / np.tan(comp) - a * beta / np.tan(beta * theta)
-                 - (beta - 1.0) * np.tan((beta - 1.0) * theta))
+        dlogv = -sum(terms) / (2.0 * b)
         step = f / (dlogv * theta * comp / _HALF_PI)
         un = ul - step
         inside = (un >= lo[live]) & (un <= hi[live])
@@ -269,8 +250,9 @@ def _theta_star(logz: np.ndarray,
 def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
     """Rows (phi_beta(z), phi_beta'(z)) at unit scale for an array of z > 0,
     beta != 1, from Nolan's integral (module docstring)."""
-    a = beta / (beta - 1.0)
-    n = _TS_NODES if abs(beta - 1.0) >= _TS_NEAR else _TS_NODES_NEAR
+    b = beta - 1.0
+    a = beta / b
+    n = next(count for bound, count in _TS_NODES if beta < bound)
     s, sc, w = _tanh_sinh(n)
     logz = np.log(z)
     star, comp_star = _theta_star(logz, beta)
@@ -286,34 +268,33 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
         for left, width, right in ((0.0, t, c), (t, c, 0.0)):
             theta = left + width * s
             comp = right + width * sc
-            g = np.exp(np.minimum(alogz + _log_v(theta, comp, beta, a), 7.0))
+            logv, (t_c, t_b, t_r) = _log_v(theta, comp, beta, a)
+            g = np.exp(np.minimum(alogz + logv, 7.0))
             e = np.exp(-g) * g * (w * width)  # exp(-e^7) underflows to 0
+            # by-parts weight 2 (top / lead^2 - 1), lead = 2 D (module doc)
+            lead = t_c + t_b + t_r
+            skew = t_c - t_r / b
+            top = t_b * lead + 6.0 * beta * beta * b - (0.5 * b) * skew * skew
             f0 = f0 + e.sum(axis=1)
-            f1 = f1 + (e * g).sum(axis=1)
+            f1 = f1 + (e * top / (lead * lead)).sum(axis=1)
         sums[0, i:i + rows] = f0
-        sums[1, i:i + rows] = (a - 1.0) * f0 - a * f1
-    scale = beta / (math.pi * abs(beta - 1.0))
+        sums[1, i:i + rows] = 2.0 * (f1 - f0)
+    scale = beta / (math.pi * abs(b))
     return scale * sums / np.array([z, z * z])
 
 
 def _unit(z: np.ndarray, beta: float) -> np.ndarray:
     """Rows (phi_beta(z), phi_beta'(z)) at unit scale for z >= 0."""
-    if beta == 1.0:
-        return _cauchy(z)
     out = np.empty((2, z.size))
-    zero = z == 0.0
+    small = z < _Z_SMALL
+    out[:, small] = _small(z[small], beta)
+    if abs(beta - 1.0) < _NEAR_ONE:
+        out[:, ~small] = _near_cauchy(z[~small], beta)
+        return out
     tail = z > _Y_SERIES
-    out[0, zero] = phi_zero(beta)
-    out[1, zero] = 0.0
     out[:, tail] = _series(z[tail], beta)
-    rest = ~(zero | tail)
-    if abs(beta - 1.0) >= _NEAR_CAUCHY:
-        kernel = rest & (z >= _Z_TINY)
-        rest &= ~kernel
-        if kernel.any():
-            out[:, kernel] = _nolan(z[kernel], beta)
-    for i in np.flatnonzero(rest):
-        out[:, i] = _fourier_point(float(z[i]), beta)
+    kernel = ~(small | tail)
+    out[:, kernel] = _nolan(z[kernel], beta)
     return out
 
 
@@ -396,9 +377,7 @@ def _panel_integral(f, edges: np.ndarray, epsabs: float,
 
 def _information(beta: float) -> tuple[float, float]:
     """(H_beta, M_beta) from one panel rule over the core and one over the
-    tail."""
-    _check_density_domain(beta, 1.0)
-
+    tail; fisher_matrix has checked beta."""
     def pair(f: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
         f = np.maximum(f, _PHI_FLOOR)
         g = f + y * d

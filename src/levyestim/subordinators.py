@@ -93,10 +93,14 @@ def _check_mesh(h: float, n: int, shape: float):
 
 def sample_gamma_sub(params: GammaSubParams, h: float, n: int,
                      seed=None) -> IncrementSample:
-    """n i.i.d. Gamma(delta h, gamma) increments."""
+    """n i.i.d. Gamma(delta h, gamma) increments, none of them 0."""
     _check_mesh(h, n, params.delta * h)
     rng = _as_rng(seed)
     values = rng.gamma(params.delta * h, scale=1.0 / params.gamma_rate, size=n)
+    if not values.all():  # small shapes underflow; the estimators reject 0
+        raise DomainError("gamma draws underflowed to 0 at this mesh",
+                          shape=params.delta * h,
+                          zeros=int(values.size - np.count_nonzero(values)))
     meta = {"model": "gamma_sub", "delta": params.delta,
             "gamma": params.gamma_rate}
     return IncrementSample(values, h, meta)

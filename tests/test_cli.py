@@ -13,8 +13,8 @@ from scipy.integrate import trapezoid
 
 import levyestim
 from levyestim import stable_density
-from levyestim.cli import build_parser, main
-from levyestim.errors import DataError, DomainError, QuadratureError
+from levyestim.cli import _parse_grid, build_parser, main
+from levyestim.errors import DataError, DomainError
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
@@ -96,6 +96,26 @@ def test_grid_validation_exits_two(capsys):
             run_cli(*argv)
         assert exc.value.code == 2
         assert "--beta-grid" in capsys.readouterr().err
+
+
+def test_grid_point_count_is_capped(capsys):
+    # 10 001 points pass; one step finer is refused before any work
+    assert len(_parse_grid("1:2:1e-4")) == 10_001
+    for argv in (("variance", "--beta-grid", "1:2:1e-5"),
+                 ("fisher", "--beta-grid", "1.2:1.3:1e-300")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "--beta-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fisher", "density", "variance"])
+@pytest.mark.parametrize("sigma", ["inf", "-inf", "nan", "0", "-1", "abc"])
+def test_sigma_must_be_finite_and_positive(command, sigma, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--beta", "1.5", "--sigma", sigma)
+    assert exc.value.code == 2
+    assert "--sigma" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +281,9 @@ def test_error_payload_is_strict_json(tmp_path, capsys):
 
 
 def test_quadrature_failure_exits_one(monkeypatch, capsys):
-    # one subinterval cannot reach the density tolerance, so quad's flag
-    # reports non-convergence wherever the QAWO fallback still runs: near
-    # the Cauchy index, and at the information core's nodes next to y = 0
-    real_quad = stable_density.quad
-    monkeypatch.setattr(stable_density, "quad",
-                        lambda *a, **kw: real_quad(*a, **{**kw, "limit": 1}))
-    with pytest.raises(QuadratureError):
-        stable_density.phi(1.0, 1.01)
+    # a one-panel budget runs out in the first round of the information
+    # integrals' panel rule, the only quadrature left that can fail
+    monkeypatch.setattr(stable_density, "_PANEL_LIMIT", 1)
     assert run_cli("fisher", "--beta", "1.5") == 1
     payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["code"] == "quadrature_error"

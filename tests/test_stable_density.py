@@ -41,7 +41,8 @@ def test_phi_zero_formula():
         assert abs(phi_zero(beta, 2.0) - exact / 2) < 1e-14
 
 
-@pytest.mark.parametrize("beta", [0.5, 0.8, 1.0, 1.3, 1.5, 1.9])
+@pytest.mark.parametrize("beta", [0.5, 0.8, 0.97, 1.0, 1.0 + 1e-9, 1.3, 1.5,
+                                  1.9])
 def test_phi_at_zero_is_closed_form(beta):
     assert phi(0.0, beta) == phi_zero(beta)
     assert phi_pair(0.0, beta)[1] == 0.0
@@ -255,6 +256,13 @@ def test_domain_errors_and_far_tail_warning():
         phi(0.0, 2.0)
     with pytest.raises(DomainError):
         phi(0.0, 1.5, -1.0)
+    for sigma in (np.inf, np.nan):
+        for call in (lambda: phi(0.0, 1.5, sigma),
+                     lambda: phi_pair(1.0, 1.5, sigma),
+                     lambda: fisher_matrix(1.5, sigma)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert exc.value.code == "domain_error"
     with pytest.warns(UserWarning):
         val = phi(51.0, 1.5)
     assert val > 0
@@ -271,15 +279,19 @@ def _qawo_reference(y, beta, k):
     return (-val if k else val) / math.pi
 
 
-# below, at and above the tiny-z fallback (0.02), and both sides of the
-# switch to the tail series (30)
-ACCURACY_GRID = [1e-3, 0.01, 0.0199, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5,
-                 2.0, 3.5, 5.0, 8.0, 12.0, 20.0, 29.9, 30.1, 40.0, 50.0]
+# the series about 0 and both sides of its bound (1e-3), the kernel down to
+# that bound, and both sides of the switch to the tail series (30)
+ACCURACY_GRID = [1e-8, 1e-6, 1e-4, 9.99e-4, 1e-3, 1.001e-3, 0.01, 0.0199,
+                 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5, 2.0, 3.5, 5.0, 8.0,
+                 12.0, 20.0, 29.9, 30.1, 40.0, 50.0]
+# both sides of the expansion about the Cauchy law (|beta - 1| < 5e-6)
+NEAR_ONE_EDGES = [1.0 - 5.1e-6, 1.0 - 4.9e-6, 1.0 + 4.9e-6, 1.0 + 5.1e-6]
 
 
-@pytest.mark.parametrize("beta", [0.5, 0.7, 0.95, 1.05, 1.2, 1.5, 1.8, 1.99])
+@pytest.mark.parametrize("beta", [0.5, 0.7, 0.9, 0.95, 0.97, 0.99, 0.999,
+                                  0.9999, 1.0 + 1e-9, *NEAR_ONE_EDGES, 1.05,
+                                  1.2, 1.5, 1.8, 1.99])
 def test_routing_matches_qawo_reference(beta):
-    # 0.95 and 1.05 are the edges of the near-Cauchy fallback band
     y = np.array(ACCURACY_GRID)
     for k, values in enumerate(phi_pair(y, beta)):
         ref = np.array([_qawo_reference(v, beta, k) for v in y])
@@ -317,10 +329,26 @@ def test_peak_memory_of_a_request_pair():
 
 @pytest.mark.parametrize("beta", [0.7, 1.5])
 def test_kernel_rows_do_not_depend_on_chunk_position(beta):
-    # several kernel chunks, and the QAWO and series routes, in one call
-    y = np.concatenate([np.linspace(0.01, 29.0, 90), [33.0]])
+    # several kernel chunks (31 rows at 0.7, 50 at 1.5), and the series
+    # routes, in one call
+    y = np.concatenate([[5e-4], np.linspace(0.01, 29.0, 90), [33.0]])
     f, d = phi_pair(y, beta)
     batch = phi(y, beta)
-    for i in (0, 1, 30, 31, 32, 62, 89, 90):
+    for i in (0, 1, 2, 31, 32, 33, 50, 51, 63, 90, 91):
         assert batch[i] == phi(y[i], beta)
         assert (f[i], d[i]) == phi_pair(y[i], beta)
+
+
+def test_density_needs_no_quadrature(monkeypatch):
+    # every density route is a closed form or the fixed-node kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("density evaluation ran scipy.integrate.quad")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    monkeypatch.setattr(stable_density, "quad", refuse, raising=False)
+    y = np.array(ACCURACY_GRID)
+    for beta in (0.6, 0.97, 1.02, 1.0 + 1e-9):
+        for row in phi_pair(np.concatenate([-y, [0.0], y]), beta):
+            assert np.all(np.isfinite(row))
+    info = fisher_matrix(1.02, 1.0)
+    assert 0.0 < info.m_value < info.h_value

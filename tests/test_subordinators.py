@@ -72,8 +72,22 @@ def test_sampler_mesh_validation():
         sample_gamma_sub(params, -0.1, 10)
     with pytest.raises(DomainError):
         sample_gamma_sub(params, 0.1, 0)
+    # below shape 1e-12 the sampler warns, and its draws underflow to 0
     with pytest.warns(UserWarning, match="degenerate"):
-        sample_gamma_sub(GammaSubParams(1e-11, 1.0), 1e-3, 3, seed=0)
+        with pytest.raises(DomainError):
+            sample_gamma_sub(GammaSubParams(1e-11, 1.0), 1e-3, 3, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gamma_sampler_refuses_zero_draws(seed):
+    # at delta h = 0.001 numpy's gamma draws underflow to exact zeros, which
+    # gamma_mle and gamma_moment_estimate reject; at 0.1 none do
+    with pytest.raises(DomainError) as exc:
+        sample_gamma_sub(GammaSubParams(1.0, 1.0), 0.001, 2000, seed=seed)
+    assert exc.value.context["shape"] == 0.001
+    assert exc.value.context["zeros"] > 0
+    s = sample_gamma_sub(GammaSubParams(1.0, 1.0), 0.1, 2000, seed=seed)
+    assert np.all(s.values > 0.0)
 
 
 def test_sampler_determinism():
