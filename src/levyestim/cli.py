@@ -67,7 +67,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _scale(text: str) -> float:
-    # argparse type of --sigma: a finite number > 0
+    # argparse type of --sigma, --h and --T: a finite number > 0
     try:
         value = float(text)
     except ValueError:
@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--params", required=True,
                      help="comma-separated key=value parameter list")
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--T", type=float, default=None)
-    sim.add_argument("--h", type=float, default=None)
+    sim.add_argument("--T", type=_scale, default=None)
+    sim.add_argument("--h", type=_scale, default=None)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--path", choices=("cosine", "constant"),
                      default="cosine", help="scale path for timevarying")

@@ -47,6 +47,28 @@ class DomainError(LevyEstimError):
     code = "domain_error"
 
 
+# the three domain rules shared across modules; each raises DomainError with
+# the argument's name as its context key
+
+def positive(name: str, value) -> None:
+    """A scale, mesh or rate: a finite number > 0."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be a finite number > 0",
+                          **{name: value})
+
+
+def stable_index(beta) -> None:
+    """A stable index beta in (0, 2]."""
+    if not 0.0 < beta <= 2.0:
+        raise DomainError("index beta must lie in (0, 2]", beta=beta)
+
+
+def skew(rho) -> None:
+    """A skewness rho in [-1, 1]."""
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError("skew rho must lie in [-1, 1]", rho=rho)
+
+
 class DataError(LevyEstimError):
     """Malformed or inconsistent input data."""
 

@@ -39,6 +39,7 @@ from .errors import (
     NoSignChange,
     RootOutOfBracket,
     SingularJacobian,
+    stable_index,
 )
 from .serialize import EstimateReport
 from .special_fn import (
@@ -197,8 +198,7 @@ def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("power vector must be a nonempty sequence",
                           r=list(np.atleast_1d(r)))
-    if not (0.0 < beta <= 2.0):
-        raise DomainError("index beta must lie in (0, 2]", beta=beta)
+    stable_index(beta)
     total, = _power_sums(sample, arr)
     r_plus = float(arr.sum())
     return sample.n ** (r_plus / beta - 1.0) * total
@@ -330,26 +330,21 @@ def b_cross(beta: float, p_pos: float, r: Sequence[float],
     def mu(v: float) -> float:
         return mu_abs(beta, p_pos, v)
 
+    def lagged(a, mus_a, b, mus_b, q: int) -> float:
+        # (prod_{l<=m-q} mu_{b_l}) (prod_{l>m-q} mu_{b_l + a_{l-m+q}})
+        # (prod_{l>q} mu_{a_l}), l 1-based as in the docstring
+        return math.prod([*mus_b[:m - q],
+                          *(mu(float(b[k] + a[k - m + q]))
+                            for k in range(m - q, m)),
+                          *mus_a[q:]])
+
     mus = [mu(float(v)) for v in arr]
     mus2 = [mu(float(v)) for v in arr2]
     total = math.prod(mu(float(a + a2)) for a, a2 in zip(arr, arr2))
     total -= (2.0 * m - 1.0) * math.prod(mus) * math.prod(mus2)
     for qi in range(1, m):
-        part1 = 1.0
-        for l in range(1, m - qi + 1):            # l = 1..m-q
-            part1 *= mus2[l - 1]
-        for l in range(m - qi + 1, m + 1):        # l = m-q+1..m
-            part1 *= mu(float(arr2[l - 1] + arr[l - m + qi - 1]))
-        for l in range(qi + 1, m + 1):            # l = q+1..m
-            part1 *= mus[l - 1]
-        part2 = 1.0
-        for l in range(1, m - qi + 1):
-            part2 *= mus[l - 1]
-        for l in range(m - qi + 1, m + 1):
-            part2 *= mu(float(arr[l - 1] + arr2[l - m + qi - 1]))
-        for l in range(qi + 1, m + 1):
-            part2 *= mus2[l - 1]
-        total += part1 + part2
+        total += (lagged(arr, mus, arr2, mus2, qi)
+                  + lagged(arr2, mus2, arr, mus, qi))
     return total
 
 

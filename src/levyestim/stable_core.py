@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, positive, skew, stable_index
 
 __all__ = [
     "StableParams",
@@ -74,12 +74,9 @@ class StableParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 2.0):
-            raise DomainError("index beta must lie in (0, 2]", beta=self.beta)
-        if not self.sigma > 0.0:
-            raise DomainError("scale sigma must be positive", sigma=self.sigma)
-        if not (-1.0 <= self.rho <= 1.0):
-            raise DomainError("skew rho must lie in [-1, 1]", rho=self.rho)
+        stable_index(self.beta)
+        positive("sigma", self.sigma)
+        skew(self.rho)
         if self.beta == 2.0 and self.rho != 0.0:
             warnings.warn("beta = 2 is Gaussian: rho has no effect, resetting to 0")
             object.__setattr__(self, "rho", 0.0)
@@ -106,8 +103,7 @@ class PositivityStable:
         if not (lo < self.p_pos < hi):
             raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
                               p_pos=self.p_pos, lo=lo, hi=hi)
-        if not self.scale > 0.0:
-            raise DomainError("scale must be positive", scale=self.scale)
+        positive("scale", self.scale)
 
     @property
     def xi(self) -> float:
@@ -125,7 +121,7 @@ class IncrementSample:
     """Equispaced increments of one observed path: values, mesh h, metadata.
 
     Values must be finite; a NaN or infinity raises DataError naming the
-    first bad index and the count of bad values."""
+    first bad index and the count of bad values.  h is a finite number > 0."""
 
     values: np.ndarray
     h: float
@@ -141,8 +137,7 @@ class IncrementSample:
             raise DataError("increment values must be finite",
                             first_index=int(bad[0]), count=int(bad.size))
         object.__setattr__(self, "values", values)
-        if not self.h > 0.0:
-            raise DomainError("mesh h must be positive", h=self.h)
+        positive("h", self.h)
 
     @property
     def n(self) -> int:
@@ -171,13 +166,11 @@ class ScalePath:
     label: str = "custom"
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 2.0):
-            raise DomainError("index beta must lie in (0, 2]", beta=self.beta)
+        stable_index(self.beta)
 
     @classmethod
     def constant(cls, sigma: float, beta: float) -> "ScalePath":
-        if not sigma > 0.0:
-            raise DomainError("scale sigma must be positive", sigma=sigma)
+        positive("sigma", sigma)
         c = sigma ** beta
         return cls(beta, lambda t, c=c: c, lambda t, c=c: c * t, "constant")
 
@@ -284,10 +277,8 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
     beta = 2 collapses to the Box-Muller form 2 sin(U) sqrt(V) (variance 2),
     beta = 1 with rho = 0 to the Cauchy quantile tan(U).
     """
-    if not (0.0 < beta <= 2.0):
-        raise DomainError("index beta must lie in (0, 2]", beta=beta)
-    if not (-1.0 <= rho <= 1.0):
-        raise DomainError("skew rho must lie in [-1, 1]", rho=rho)
+    stable_index(beta)
+    skew(rho)
     if beta == 2.0 and rho != 0.0:
         warnings.warn("beta = 2 is Gaussian: rho has no effect, using rho = 0")
         rho = 0.0
@@ -327,8 +318,7 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
     For beta = 1 the shift absorbs the logarithmic drift of the scaling
     relation: shift = (2 h sigma rho / pi) log(h sigma) + h gamma.
     """
-    if not h > 0.0:
-        raise DomainError("mesh h must be positive", h=h)
+    positive("h", h)
     if params.beta == 1.0:
         shift = (2.0 * h * params.sigma * params.rho / math.pi
                  * math.log(h * params.sigma) + h * params.gamma)
@@ -352,8 +342,7 @@ def sprime_increment_sampler(pp: PositivityStable, h: float, n: int,
     """n i.i.d. increments over mesh h of the strictly stable process with
     L(X_t) = S'_beta(p, t * scale): each equals (h * scale)^{1/beta} S for
     S ~ S_beta(1, rho(p), 0)."""
-    if not h > 0.0:
-        raise DomainError("mesh h must be positive", h=h)
+    positive("h", h)
     s = _standard_draws(pp.beta, pp.rho, n, seed)
     values = (h * pp.scale) ** (1.0 / pp.beta) * s
     meta = {"model": "skewed_stable", "beta": pp.beta, "p_pos": pp.p_pos,
@@ -393,8 +382,7 @@ def skew_to_positivity(beta: float, rho: float) -> float:
     """p = P(S > 0) = 1/2 + arctan(rho tan(beta pi/2)) / (beta pi) for
     S ~ S_beta(sigma, rho, 0)."""
     _check_conversion_beta(beta)
-    if not (-1.0 <= rho <= 1.0):
-        raise DomainError("skew rho must lie in [-1, 1]", rho=rho)
+    skew(rho)
     return 0.5 + math.atan(rho * math.tan(0.5 * math.pi * beta)) / (beta * math.pi)
 
 

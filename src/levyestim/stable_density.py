@@ -70,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .special_fn import log_gamma
+from .errors import DomainError, QuadratureError, positive
+from .special_fn import EULER_GAMMA, log_gamma
 
 __all__ = ["phi", "phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
            "median_asymptotic_sd"]
@@ -131,8 +131,7 @@ _GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 def _check_density_domain(beta: float, sigma: float):
     if not (0.5 <= beta < 2.0):
         raise DomainError("density index beta must lie in [0.5, 2)", beta=beta)
-    if not 0.0 < sigma < math.inf:
-        raise DomainError("scale sigma must be finite and > 0", sigma=sigma)
+    positive("sigma", sigma)
 
 
 def _series(z, beta: float) -> np.ndarray:
@@ -168,7 +167,7 @@ def _near_cauchy(z: np.ndarray, beta: float) -> np.ndarray:
     p = 1.0 - 1j * z
     r = 1.0 / p
     log_p = np.log(p)
-    psi2 = 1.0 - np.euler_gamma  # psi(2), and psi(3) = psi(2) + 1/2
+    psi2 = 1.0 - EULER_GAMMA  # psi(2), and psi(3) = psi(2) + 1/2
     slope = np.array([-((psi2 - log_p) * r * r).real,
                       (2.0 * (psi2 + 0.5 - log_p) * r * r * r).imag])
     cauchy = np.array([1.0 / (math.pi * q), -2.0 * z / (math.pi * q * q)])
@@ -440,11 +439,9 @@ def median_asymptotic_sd(beta: float, sigma: float = 1.0) -> float:
     """Asymptotic standard deviation of the normalized sample median,
     1 / (2 phi_beta(0; sigma)) = sigma pi / (2 Gamma(1 + 1/beta)).
 
-    Closed form, so any beta > 0 is accepted: plug-in intervals must stay
-    defined when an index estimate lands above 2.
+    Closed form, so any finite beta > 0 and sigma > 0 are accepted: plug-in
+    intervals must stay defined when an index estimate lands above 2.
     """
-    if not beta > 0.0:
-        raise DomainError("index beta must be positive", beta=beta)
-    if not sigma > 0.0:
-        raise DomainError("scale sigma must be positive", sigma=sigma)
+    positive("beta", beta)
+    positive("sigma", sigma)
     return sigma * math.pi / (2.0 * math.exp(log_gamma(1.0 + 1.0 / beta)))

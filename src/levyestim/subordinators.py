@@ -32,6 +32,7 @@ from .errors import (
     NonpositiveBrace,
     NonpositiveK,
     NoSignChange,
+    positive,
 )
 from .special_fn import digamma, find_root_monotone
 from .stable_core import IncrementSample, _as_rng
@@ -57,12 +58,8 @@ class GammaSubParams:
     gamma_rate: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError("shape rate delta must be positive",
-                              delta=self.delta)
-        if not self.gamma_rate > 0.0:
-            raise DomainError("rate gamma must be positive",
-                              gamma_rate=self.gamma_rate)
+        positive("delta", self.delta)
+        positive("gamma_rate", self.gamma_rate)
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,12 @@ class IGSubParams:
     gamma_ig: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError("shape rate delta must be positive",
-                              delta=self.delta)
-        if not self.gamma_ig > 0.0:
-            raise DomainError("rate gamma must be positive",
-                              gamma_ig=self.gamma_ig)
+        positive("delta", self.delta)
+        positive("gamma_ig", self.gamma_ig)
 
 
 def _check_mesh(h: float, n: int, shape: float):
-    if not h > 0.0:
-        raise DomainError("mesh h must be positive", h=h)
+    positive("h", h)
     if n < 1:
         raise DomainError("sample size n must be >= 1", n=n)
     if shape < 1e-12:
@@ -109,11 +101,15 @@ def sample_gamma_sub(params: GammaSubParams, h: float, n: int,
 def sample_ig_sub(params: IGSubParams, h: float, n: int,
                   seed=None) -> IncrementSample:
     """n i.i.d. IG(delta h, gamma) increments, drawn as Wald variates of
-    mean delta h / gamma and shape (delta h)^2."""
+    mean delta h / gamma and shape (delta h)^2; either underflowing to 0
+    raises DomainError."""
     _check_mesh(h, n, params.delta * h)
-    rng = _as_rng(seed)
     dh = params.delta * h
-    values = rng.wald(dh / params.gamma_ig, dh * dh, size=n)
+    mean, shape = dh / params.gamma_ig, dh * dh
+    if not (mean > 0.0 and shape > 0.0):  # small delta h underflows
+        raise DomainError("Wald mean or shape underflowed to 0 at this mesh",
+                          mean=mean, shape=shape)
+    values = _as_rng(seed).wald(mean, shape, size=n)
     meta = {"model": "ig_sub", "delta": params.delta,
             "gamma": params.gamma_ig}
     return IncrementSample(values, h, meta)

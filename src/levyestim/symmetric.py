@@ -40,6 +40,8 @@ from .errors import (
     NotPositiveDefinite,
     RootOutOfBracket,
     ZeroResidual,
+    positive,
+    stable_index,
 )
 from .serialize import EstimateReport
 from .special_fn import (
@@ -133,13 +135,11 @@ def log_moment_nu(beta: float, sigma: float) -> NuMoments:
     nu3 = 2 zeta(3) (1/beta^3 - 1)
     nu4 = pi^4 {3/(20 beta^4) + 1/(12 beta^2) + 19/240}
 
-    Accepts any beta > 0 so plug-in covariances stay defined when an index
-    estimate lands above 2.
+    Accepts any finite beta > 0 and sigma > 0, so plug-in covariances stay
+    defined when an index estimate lands above 2.
     """
-    if not beta > 0.0:
-        raise DomainError("index beta must be positive", beta=beta)
-    if not sigma > 0.0:
-        raise DomainError("scale sigma must be positive", sigma=sigma)
+    positive("beta", beta)
+    positive("sigma", sigma)
     b2 = beta * beta
     return NuMoments(
         EULER_GAMMA * (1.0 / beta - 1.0) + math.log(sigma),
@@ -188,8 +188,7 @@ def psi_transform(beta: float) -> float:
     Psi(x) = sqrt(5/22) [2 log x
              - log{22 + 5 x^2 + sqrt(22 (22 + 10 x^2 + 13 x^4))}].
     """
-    if not beta > 0.0:
-        raise DomainError("index beta must be positive", beta=beta)
+    positive("beta", beta)
     x2 = beta * beta
     inner = 22.0 + 5.0 * x2 + math.sqrt(22.0 * (22.0 + 10.0 * x2 + 13.0 * x2 * x2))
     return math.sqrt(5.0 / 22.0) * (2.0 * math.log(beta) - math.log(inner))
@@ -266,8 +265,7 @@ def known_scale_beta(sample: IncrementSample, sigma: float) -> float:
     S_n the mean log residual.  Raises DenominatorNearZero when the
     denominator vanishes to working precision.
     """
-    if not sigma > 0.0:
-        raise DomainError("scale sigma must be positive", sigma=sigma)
+    positive("sigma", sigma)
     _, lbar, _, _ = _log_stats(sample)
     num = math.log(1.0 / sample.h) - EULER_GAMMA
     den = math.log(sigma) - EULER_GAMMA - lbar
@@ -285,8 +283,7 @@ def c_moment(beta: float, q: float) -> float:
 
     so E|Y|^q = C(beta, q) sigma^q for Y ~ S_beta(sigma), q in (-1, beta).
     """
-    if not (0.0 < beta <= 2.0):
-        raise DomainError("index beta must lie in (0, 2]", beta=beta)
+    stable_index(beta)
     if not (-1.0 < q < beta):
         raise DomainError("moment order q must lie in (-1, beta)",
                           q=q, beta=beta)
@@ -389,8 +386,7 @@ def v_p(beta: float, sigma: float, p: float) -> np.ndarray:
     if not (4.0 * p < beta):
         raise DomainError("covariance needs moments to order 4p < beta",
                           p=p, beta=beta)
-    if not sigma > 0.0:
-        raise DomainError("scale sigma must be positive", sigma=sigma)
+    positive("sigma", sigma)
     psi1 = digamma(1.0 - p / beta)
     psi2 = digamma(1.0 - 2.0 * p / beta)
     eta = psi1 - psi2
@@ -423,8 +419,9 @@ def gamma_confidence_interval(gamma_hat: float, beta_hat: float,
     """
     if not (0.0 < level < 1.0):
         raise DomainError("level must lie in (0, 1)", level=level)
-    if n < 1 or not h > 0.0:
-        raise DomainError("need n >= 1 and h > 0", n=n, h=h)
+    if n < 1:
+        raise DomainError("need n >= 1", n=n)
+    positive("h", h)
     z = float(ndtri(0.5 * (1.0 + level)))
     half = z * median_asymptotic_sd(beta_hat, sigma_hat) / (
         math.sqrt(n) * h ** (1.0 - 1.0 / beta_hat))

@@ -109,13 +109,26 @@ def test_grid_point_count_is_capped(capsys):
         assert "--beta-grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fisher", "density", "variance"])
+_SCALE_FLAGS = {  # command -> argv up to the flag that takes a scale
+    "fisher": ("fisher", "--beta", "1.5", "--sigma"),
+    "density": ("density", "--beta", "1.5", "--sigma"),
+    "variance": ("variance", "--beta", "1.5", "--sigma"),
+    "simulate-h": ("simulate", "--model", "stable", "--params", "beta=1.5",
+                   "--n", "10", "--out", "unwritten.csv", "--h"),
+    "simulate-T": ("simulate", "--model", "stable", "--params", "beta=1.5",
+                   "--n", "10", "--out", "unwritten.csv", "--T"),
+}
+
+
+@pytest.mark.parametrize("command", list(_SCALE_FLAGS))
 @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan", "0", "-1", "abc"])
 def test_sigma_must_be_finite_and_positive(command, sigma, capsys):
+    # --sigma, and simulate's --h and --T, exit 2 naming the flag
+    argv = _SCALE_FLAGS[command]
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--beta", "1.5", "--sigma", sigma)
+        run_cli(*argv, sigma)
     assert exc.value.code == 2
-    assert "--sigma" in capsys.readouterr().err
+    assert argv[-1] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

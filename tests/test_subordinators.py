@@ -78,6 +78,17 @@ def test_sampler_mesh_validation():
             sample_gamma_sub(GammaSubParams(1e-11, 1.0), 1e-3, 3, seed=0)
 
 
+@pytest.mark.parametrize("delta, gamma, zero", [(1e-200, 1.0, "shape"),
+                                               (1e-100, 1e300, "mean")])
+def test_ig_sampler_refuses_underflowed_wald_parameters(delta, gamma, zero):
+    # numpy's wald raises a bare ValueError for a zero mean or shape
+    with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.raises(DomainError) as exc:
+            sample_ig_sub(IGSubParams(delta, gamma), 1.0, 5, seed=0)
+    assert set(exc.value.context) == {"mean", "shape"}
+    assert exc.value.context[zero] == 0.0
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_gamma_sampler_refuses_zero_draws(seed):
     # at delta h = 0.001 numpy's gamma draws underflow to exact zeros, which
