@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DataError, DomainError, positive, skew, stable_index
 
@@ -189,6 +188,8 @@ class ScalePath:
         """integral_a^b sigma_s^beta ds."""
         if self.primitive is not None:
             return float(self.primitive(b) - self.primitive(a))
+        # imported on use: no command or preset reaches this or sigma_star's
+        from scipy.integrate import quad
         val, _ = quad(self.profile, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
         return val
 
@@ -208,6 +209,7 @@ class ScalePath:
         """integral_0^1 sigma_s^q ds."""
         if q == self.beta:
             return self.integral(0.0, 1.0)
+        from scipy.integrate import quad
         val, _ = quad(lambda s: self.profile(s) ** (q / self.beta), 0.0, 1.0,
                       epsabs=0.0, epsrel=1e-10, limit=200)
         return val

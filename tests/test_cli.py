@@ -620,3 +620,67 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     _fresh_process(*table_args, "--out", str(tmp_path / "fresh.csv"))
     assert ((tmp_path / "in.csv").read_text()
             == (tmp_path / "fresh.csv").read_text())
+
+
+# every request through main in a single interpreter, then the modules it
+# loaded; pytest's own filterwarnings setting imports scipy.integrate, so
+# this has to be a fresh process
+_IMPORT_PROBE = """
+import json, sys
+from levyestim.cli import main
+failed = [argv for argv in json.loads(sys.argv[1]) if main(argv) != 0]
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.optimize", "scipy.integrate")))
+print(json.dumps({"failed": failed, "loaded": loaded}))
+"""
+
+
+def test_commands_load_neither_optimize_nor_integrate(tmp_path):
+    def out(name):
+        return str(tmp_path / name)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_GOOD_ENTRY))
+    requests = [
+        ["simulate", "--model", "stable", "--params",
+         "beta=1.25,sigma=0.5,rho=0.2,gamma=-0.5", "--n", "2001", "--T", "5",
+         "--seed", "1", "--out", out("stable.csv")],
+        ["simulate", "--model", "stable", "--params", "beta=1.45,p_pos=0.55",
+         "--n", "2000", "--T", "1", "--seed", "2", "--out", out("skewed.csv")],
+        ["simulate", "--model", "timevarying", "--path", "cosine", "--params",
+         "beta=1.45,p_pos=0.55", "--n", "2000", "--seed", "3",
+         "--out", out("cosine.csv")],
+        ["simulate", "--model", "timevarying", "--path", "constant",
+         "--params", "beta=1.45,p_pos=0.55,sigma=0.8", "--n", "2000",
+         "--seed", "4", "--out", out("constant.csv")],
+        ["simulate", "--model", "gamma", "--params", "delta=2,gamma=1.5",
+         "--n", "2000", "--T", "200", "--seed", "5", "--out", out("gamma.csv")],
+        ["simulate", "--model", "ig", "--params", "delta=2,gamma=1.5",
+         "--n", "2000", "--T", "200", "--seed", "6", "--out", out("ig.csv")],
+    ]
+    for src, method, extra in (
+            ("stable", "log", []), ("stable", "frac", ["--p", "0.1"]),
+            ("stable", "pipeline", ["--q", "0.25"]),
+            ("skewed", "sign-bipower", []), ("constant", "sign-bipower", []),
+            ("cosine", "tripower", []), ("gamma", "gamma-mle", []),
+            ("ig", "ig-mle", [])):
+        requests.append(["estimate", "--in", out(f"{src}.csv"),
+                         "--method", method, *extra,
+                         "--out", out(f"{src}-{method}.json")])
+    for table in ("table1", "table2", "table3", "table4"):
+        requests.append(["table", "--id", table, "--reps", "2",
+                         "--out", out(f"{table}.csv")])
+    requests += [
+        ["montecarlo", "--config", str(config), "--out", out("mc.csv")],
+        ["fisher", "--beta", "1.5", "--out", out("fisher.csv")],
+        ["density", "--beta", "1.5", "--points", "11",
+         "--out", out("density.csv")],
+        ["variance", "--beta", "1.5", "--out", out("variance.csv")],
+    ]
+    src = str(Path(levyestim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(requests)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"failed": [], "loaded": []}

@@ -9,8 +9,13 @@ from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyestim import skewed, symmetric
-from levyestim.errors import DomainError, NoSignChange
+from levyestim import skewed, special_fn, symmetric
+from levyestim.errors import (
+    DomainError,
+    LevyEstimError,
+    MaxIterExceeded,
+    NoSignChange,
+)
 from levyestim.special_fn import (
     EULER_GAMMA,
     ZETA3,
@@ -161,6 +166,87 @@ def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
     monkeypatch.setattr(symmetric, "find_root_monotone", _two_pass_root)
     monkeypatch.setattr(skewed, "find_root_monotone", _two_pass_root)
     assert roots() == new
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def _monotone_cases(seed, count):
+    # strictly monotone functions with a root in a random bracket: steep
+    # and flat slopes, odd powers, saturating and exponential shapes, roots
+    # anywhere inside and within 1e-9 or 1e-15 of either end (about a sixth
+    # of them round to an exact zero at an end), both orientations
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = float(rng.uniform(-5.0, 1.0))
+        hi = lo + float(10.0 ** rng.uniform(-3.0, 1.5))
+        u = float(rng.choice([rng.uniform(), 1e-9, 1.0 - 1e-9, 1e-15,
+                              1.0 - 1e-15]))
+        r = lo + (hi - lo) * u
+        s = float(10.0 ** rng.uniform(-8.0, 8.0))
+        kind = int(rng.integers(5))
+        sign = float(rng.choice([-1.0, 1.0]))
+        if kind == 0:
+            f = lambda x, r=r, s=s: s * (x - r)
+        elif kind == 1:
+            f = lambda x, r=r, s=s: s * math.copysign(abs(x - r) ** 3, x - r)
+        elif kind == 2:
+            f = lambda x, r=r, s=s: math.atan(s * (x - r))
+        elif kind == 3:
+            a = float(rng.uniform(0.1, 4.0))
+            f = lambda x, r=r, a=a: math.exp(a * x) - math.exp(a * r)
+        else:
+            f = lambda x, r=r, s=s: math.tanh(s * (x - r)) + 1e-3 * (x - r)
+        yield (lambda x, f=f, sign=sign: sign * f(x)), lo, hi
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_root_is_scipy_brentq_bit_for_bit(seed):
+    # the solver ports scipy's brentq.c: the same root, compared with ==,
+    # from the same number of evaluations
+    for f, lo, hi in _monotone_cases(seed, 100):
+        ours, ref = _counted(f), _counted(f)
+        root = find_root_monotone(ours, lo, hi)
+        assert root == brentq(ref, lo, hi, xtol=1e-12, maxiter=200)
+        assert ours.calls == ref.calls
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (-2.0, 0.5), (0.5, 0.5 + 1e-13)])
+def test_exact_zero_at_an_end_matches_brentq(lo, hi):
+    f = lambda x: (x - 0.5) * 3.0
+    ours, ref = _counted(f), _counted(f)
+    assert find_root_monotone(ours, lo, hi) == 0.5
+    assert brentq(ref, lo, hi, xtol=1e-12, maxiter=200) == 0.5
+    assert ours.calls == ref.calls == 2
+
+
+@pytest.mark.parametrize("maxiter", [1, 3, 6])
+def test_iteration_budget_matches_brentq(maxiter, monkeypatch):
+    monkeypatch.setattr(special_fn, "_MAXITER", maxiter)
+    f = lambda x: math.exp(x) - 3.0
+    _, info = brentq(f, -10.0, 10.0, xtol=1e-12, maxiter=maxiter,
+                     full_output=True, disp=False)
+    assert not info.converged
+    with pytest.raises(MaxIterExceeded) as exc:
+        find_root_monotone(f, -10.0, 10.0)
+    assert exc.value.context["iterations"] == maxiter
+
+
+def test_nan_inside_the_bracket_is_a_typed_error():
+    def f(x):
+        return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+    with pytest.raises(LevyEstimError) as exc:
+        find_root_monotone(f, 0.0, 1.0)
+    assert exc.value.code == "domain_error"
+    assert 0.3 < exc.value.context["x"] < 0.7
+    payload = exc.value.to_json_dict()["context"]
+    assert (payload["lo"], payload["hi"]) == (0.0, 1.0)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0,
