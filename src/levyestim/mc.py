@@ -8,8 +8,8 @@ tables drive simulation and estimation; the estimators are the point cores,
 so no replication computes a covariance.
 
 Estimation failures (EstimationError subclasses, e.g. an index root
-outside the admissible interval) are counted per cell and excluded from
-mean/RMSE; RMSE uses the population convention
+outside the admissible interval, and estimates that are not finite) are
+counted per cell and excluded from mean/RMSE; RMSE uses the population convention
 RMSE^2 = (mean - truth)^2 + (1/R') sum (est - mean)^2 over the R'
 successes.
 """
@@ -296,9 +296,11 @@ def _replicate(config: ExperimentConfig, n: int, h: float, est: dict,
     seed = derive_seed(config.master_seed, n, est["id"], rep)
     sample = MODELS[config.model].sample(config.truth, h, n, seed)
     try:
-        return ESTIMATORS[est["kind"]].estimate(sample, est)
+        point = ESTIMATORS[est["kind"]].estimate(sample, est)
     except EstimationError:
         return None
+    # an estimate that overflowed to inf fails like an EstimationError
+    return point if all(map(math.isfinite, point)) else None
 
 
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:

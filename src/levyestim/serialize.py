@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, EstimationError
 from .stable_core import IncrementSample
 
 __all__ = [
@@ -113,7 +113,11 @@ def read_increments(path) -> IncrementSample:
 @dataclass(frozen=True)
 class EstimateReport:
     """One estimation outcome: point estimates, gamma confidence interval,
-    plug-in asymptotic covariance, and method-specific extras."""
+    plug-in asymptotic covariance, and method-specific extras.
+
+    Every number a report carries is finite: a NaN or infinity anywhere in
+    it, e.g. a variance that overflowed, raises EstimationError naming the
+    field, so a written report is always strict JSON."""
 
     method: str
     n: int
@@ -124,6 +128,14 @@ class EstimateReport:
     ci_gamma: tuple[float, float] | None = None
     cov_matrix: np.ndarray | None = None
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("beta_hat", "sigma_hat", "gamma_hat", "ci_gamma",
+                     "cov_matrix", "extra"):
+            bad = _first_nonfinite(getattr(self, name), name)
+            if bad is not None:
+                raise EstimationError("report value is not finite",
+                                      method=self.method, field=bad)
 
     def to_json_dict(self) -> dict:
         cov = self.cov_matrix
@@ -145,7 +157,8 @@ class EstimateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "EstimateReport":
@@ -175,6 +188,23 @@ class EstimateReport:
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         return cls.from_json_dict(json.loads(text))
+
+
+def _first_nonfinite(value, name: str) -> str | None:
+    # path of the first NaN or infinity in a (nested) report value
+    if isinstance(value, dict):
+        items = ((f"{name}.{key}", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = ((f"{name}[{i}]", item) for i, item in enumerate(value))
+    elif isinstance(value, (float, np.floating)):
+        return None if math.isfinite(value) else name
+    else:
+        return None
+    for sub, item in items:
+        bad = _first_nonfinite(item, sub)
+        if bad is not None:
+            return bad
+    return None
 
 
 def _opt_float(value):

@@ -46,6 +46,7 @@ from .special_fn import (
     find_root_monotone,
     log_gamma,
     log_gamma_ratio,
+    overflow_to_inf,
 )
 from .stable_core import IncrementSample
 
@@ -284,8 +285,11 @@ def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
     """
     third = beta_hat / 3.0
     # not through mpv: its factor n^{(t+t+t)/beta_hat - 1} need not be
-    # exactly 1 in floating point and would move the result by ulps
-    mstar, = _power_sums(sample, (third, third, third))
+    # exactly 1 in floating point and would move the result by ulps.  The
+    # products reach |D|^beta_hat and saturate to inf for huge increments,
+    # which a report refuses by name
+    with np.errstate(over="ignore"):
+        mstar, = _power_sums(sample, (third, third, third))
     return mstar / mu_abs(beta_hat, p_hat, third) ** 3
 
 
@@ -418,7 +422,7 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
         grad[row, 1] = s * d_b
         grad[row, 2] = mu_r(p_pos, beta, powers)
     det = float(np.linalg.det(grad))
-    scale = float(np.abs(grad).max()) ** 3
+    scale = overflow_to_inf(math.pow, float(np.abs(grad).max()), 3)
     if abs(det) <= 1e-12 * max(scale, 1.0):
         raise SingularJacobian("estimating-equation Jacobian is singular",
                                det=det, beta=beta, p_pos=p_pos, q=q)
@@ -480,7 +484,7 @@ def tripower_estimate(sample: IncrementSample,
     s_p = sigma_star_power(sample, p_hat, beta_hat, p)
     s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)
     v22 = float(delta_cov(beta_hat, p_hat, q, s_p, s_2p)[1, 1])
-    avar = (s_star / beta_hat) ** 2 * v22
+    avar = overflow_to_inf(math.pow, s_star / beta_hat, 2) * v22
     return EstimateReport(
         method="tripower", n=sample.n, h=sample.h,
         beta_hat=beta_hat, sigma_hat=s_star,

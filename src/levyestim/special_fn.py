@@ -2,12 +2,10 @@
 
 One home for the Gamma-type functions and the monotone scalar root solver
 used by the estimators, so domains, tolerances and failure modes are fixed
-in a single place.  All functions are scalar-in, scalar-out; psi is
-scipy.special.digamma behind the package's domain check.  The root solver
-is a line-for-line port of scipy's ``brentq.c`` on Python floats: it
-returns the roots and makes the evaluations ``scipy.optimize.brentq`` would,
-bit for bit, without loading ``scipy.optimize`` (about a third of the
-package's import time).
+in a single place.  All functions are scalar-in, scalar-out and use only
+the standard library.  The root solver is a line-for-line port of scipy's
+``brentq.c`` on Python floats: it returns the roots and makes the
+evaluations ``scipy.optimize.brentq`` would, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import Callable
-
-from scipy import special
 
 from .errors import DomainError, MaxIterExceeded, NoSignChange
 
@@ -45,11 +41,44 @@ def log_gamma_ratio(beta: float, r: float) -> float:
     return 2.0 * math.lgamma(1.0 - r / beta) - math.lgamma(1.0 - 2.0 * r / beta)
 
 
+# B_2k / (2k) for k = 7, ..., 1: the asymptotic series of psi in 1/x^2
+_PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
+               1 / 12)
+
+
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0, from scipy.special.digamma."""
+    """psi(x) = d/dx log Gamma(x) for x > 0.
+
+    psi(x) = psi(x + m) - sum_{j<m} 1/(x + j) carries x to x + m >= 10,
+    where log x - 1/(2x) - sum_{k=1}^{7} B_2k / (2k x^2k) is exact to
+    rounding.  Within about 1e-15 relative of ``scipy.special.digamma``,
+    and 6e-15 absolute on [0.1, 20]; next to psi's root 1.4616..., where
+    the value cancels, only the absolute bound holds.
+    """
     if not x > 0.0:
         raise DomainError("digamma requires x > 0", x=x)
-    return float(special.digamma(x))
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = 0.0
+    for coef in _PSI_SERIES:
+        series = series * z + coef
+    return (math.log(x) - shift) - 0.5 / x - z * series
+
+
+def overflow_to_inf(fn: Callable[..., float], *args) -> float:
+    """fn(*args), or inf where the result overflows a double.
+
+    math.exp, math.pow and float ** raise OverflowError there instead of
+    returning inf; this keeps their value bit for bit otherwise, so an
+    overflow becomes a non-finite number that a report refuses by name.
+    """
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
 
 
 # Brent tolerances and iteration budget of every root solve; _RTOL is
@@ -118,11 +147,16 @@ def _brent(f, xpre, xcur, fpre, fcur):
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # extrapolate
+                # extrapolate; where a product underflows to zero, C's
+                # division gives inf or NaN, which fails the step test
+                # below, so brentq bisects
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                try:
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                except ZeroDivisionError:
+                    stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

@@ -55,6 +55,7 @@ __all__ = [
     "sample_timevarying",
     "skew_to_positivity",
     "positivity_to_skew",
+    "positivity_range",
     "derive_seed",
     "make_rng",
 ]
@@ -98,7 +99,7 @@ class PositivityStable:
         if not (1.0 < self.beta < 2.0):
             raise DomainError("positivity form requires beta in (1, 2)",
                               beta=self.beta)
-        lo, hi = 1.0 - 1.0 / self.beta, 1.0 / self.beta
+        lo, hi = positivity_range(self.beta)
         if not (lo < self.p_pos < hi):
             raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
                               p_pos=self.p_pos, lo=lo, hi=hi)
@@ -148,20 +149,23 @@ class IncrementSample:
         return self.n * self.h
 
 
+# nodes of ScalePath.sigma_star's periodic trapezoid rule
+_STAR_NODES = 32
+
+
 @dataclass(frozen=True)
 class ScalePath:
     """Deterministic scale profile t -> sigma_t^beta on [0, 1].
 
-    ``profile(t)`` returns sigma_t^beta; ``primitive``, when given, is its
+    ``profile(t)`` returns sigma_t^beta for a float t; ``primitive`` is its
     antiderivative and must accept a NumPy array as well as a float:
     ``sigma_bars(n)`` evaluates it once on the n + 1 block edges
-    ``arange(n + 1) / n``.  Without a primitive every block integral falls
-    back to adaptive quadrature at relative tolerance 1e-10.
+    ``arange(n + 1) / n``.
     """
 
     beta: float
     profile: Callable[[float], float]
-    primitive: Callable[[np.ndarray | float], np.ndarray | float] | None = None
+    primitive: Callable[[np.ndarray | float], np.ndarray | float]
     label: str = "custom"
 
     def __post_init__(self):
@@ -184,35 +188,24 @@ class ScalePath:
 
         return cls(beta, prof, prim, "cosine")
 
-    def integral(self, a: float, b: float) -> float:
-        """integral_a^b sigma_s^beta ds."""
-        if self.primitive is not None:
-            return float(self.primitive(b) - self.primitive(a))
-        # imported on use: no command or preset reaches this or sigma_star's
-        from scipy.integrate import quad
-        val, _ = quad(self.profile, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
-        return val
-
-    def sigma_bar(self, j: int, n: int) -> float:
-        """Block average n * integral over ((j-1)/n, j/n], 1-based j."""
-        if not (1 <= j <= n):
-            raise DomainError("block index out of range", j=j, n=n)
-        return n * self.integral((j - 1) / n, j / n)
-
     def sigma_bars(self, n: int) -> np.ndarray:
-        """All n block averages sigma_bar(1, n), ..., sigma_bar(n, n)."""
-        if self.primitive is None:
-            return np.array([self.sigma_bar(j, n) for j in range(1, n + 1)])
+        """The n block averages n * integral over ((j-1)/n, j/n] of
+        sigma_s^beta ds, j = 1..n."""
         return n * np.diff(self.primitive(np.arange(n + 1) / n))
 
     def sigma_star(self, q: float) -> float:
-        """integral_0^1 sigma_s^q ds."""
+        """integral_0^1 sigma_s^q ds.
+
+        At q = beta this is primitive(1) - primitive(0); otherwise it is the
+        periodic trapezoid rule on 32 equispaced nodes, which converges
+        geometrically for a smooth 1-periodic profile and is exact to
+        rounding for the profiles ``cosine`` and ``constant`` build.
+        """
         if q == self.beta:
-            return self.integral(0.0, 1.0)
-        from scipy.integrate import quad
-        val, _ = quad(lambda s: self.profile(s) ** (q / self.beta), 0.0, 1.0,
-                      epsabs=0.0, epsrel=1e-10, limit=200)
-        return val
+            return float(self.primitive(1.0) - self.primitive(0.0))
+        power = q / self.beta
+        return math.fsum(self.profile(j / _STAR_NODES) ** power
+                         for j in range(_STAR_NODES)) / _STAR_NODES
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +381,21 @@ def skew_to_positivity(beta: float, rho: float) -> float:
     return 0.5 + math.atan(rho * math.tan(0.5 * math.pi * beta)) / (beta * math.pi)
 
 
+def positivity_range(beta: float) -> tuple[float, float]:
+    """Bounds (lo, hi) of the positivity parameter p = P(S > 0) of a
+    strictly stable law of index beta: (1 - 1/beta, 1/beta) for beta > 1,
+    else (0, 1).  The closed interval is the image of rho in [-1, 1]; the
+    open one, for beta in (1, 2), is the positivity form's domain."""
+    if beta > 1.0:
+        return 1.0 - 1.0 / beta, 1.0 / beta
+    return 0.0, 1.0
+
+
 def positivity_to_skew(beta: float, p_pos: float) -> float:
     """Inverse of skew_to_positivity: rho = tan(beta pi (p - 1/2)) /
     tan(beta pi / 2)."""
     _check_conversion_beta(beta)
-    if beta > 1.0:
-        lo, hi = 1.0 - 1.0 / beta, 1.0 / beta
-    else:
-        lo, hi = 0.0, 1.0
+    lo, hi = positivity_range(beta)
     if not (lo <= p_pos <= hi):
         raise DomainError("positivity parameter outside admissible range",
                           p_pos=p_pos, lo=lo, hi=hi)

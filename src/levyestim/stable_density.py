@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, positive
-from .special_fn import EULER_GAMMA, log_gamma
+from .special_fn import EULER_GAMMA, log_gamma, overflow_to_inf
 
 __all__ = ["phi", "phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
            "median_asymptotic_sd"]
@@ -444,4 +444,5 @@ def median_asymptotic_sd(beta: float, sigma: float = 1.0) -> float:
     """
     positive("beta", beta)
     positive("sigma", sigma)
-    return sigma * math.pi / (2.0 * math.exp(log_gamma(1.0 + 1.0 / beta)))
+    return sigma * math.pi / (
+        2.0 * overflow_to_inf(math.exp, log_gamma(1.0 + 1.0 / beta)))

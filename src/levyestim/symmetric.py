@@ -27,10 +27,10 @@ any other mesh, notably a shrinking one, sigma_hat carries an extra term
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DenominatorNearZero,
@@ -51,6 +51,7 @@ from .special_fn import (
     find_root_monotone,
     log_gamma,
     log_gamma_ratio,
+    overflow_to_inf,
 )
 from .stable_core import IncrementSample
 from .stable_density import median_asymptotic_sd
@@ -171,7 +172,7 @@ def v_log(beta: float, sigma: float) -> np.ndarray:
     v22 = sigma * sigma / _PI4 * (9.0 * EULER_GAMMA ** 2 * b2 * d4
                                   + _PI4 * nu.nu2
                                   - 6.0 * EULER_GAMMA * _PI2 * beta * nu.nu3)
-    v33 = median_asymptotic_sd(beta, sigma) ** 2
+    v33 = overflow_to_inf(math.pow, median_asymptotic_sd(beta, sigma), 2)
     out = np.array([[v11, v12, 0.0], [v12, v22, 0.0], [0.0, 0.0, v33]])
     try:
         np.linalg.cholesky(out)
@@ -217,8 +218,8 @@ def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
                                      "pi^2/12", gap=gap, k=k)
     beta_hat = gap ** -0.5
     h = sample.h
-    sigma_hat = math.exp(math.log(1.0 / h) / beta_hat + lbar
-                         - EULER_GAMMA * (1.0 / beta_hat - 1.0))
+    sigma_hat = overflow_to_inf(math.exp, math.log(1.0 / h) / beta_hat + lbar
+                                - EULER_GAMMA * (1.0 / beta_hat - 1.0))
     return beta_hat, sigma_hat, m / h
 
 
@@ -347,7 +348,8 @@ def frac_moment_point(sample: IncrementSample,
                                "interval", target=target, p=p,
                                lo=lo, hi=hi) from exc
     h = sample.h
-    sigma_hat = (h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p)) ** (1.0 / p)
+    sigma_hat = overflow_to_inf(
+        math.pow, h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p), 1.0 / p)
     return beta_hat, sigma_hat, m / h
 
 
@@ -405,7 +407,7 @@ def v_p(beta: float, sigma: float, p: float) -> np.ndarray:
     v22 = sigma * sigma * base * (psi2 * psi2 * (r21 - 1.0)
                                   - psi1 * psi2 * (r312 - 1.0)
                                   + 0.25 * psi1 * psi1 * (r42 - 1.0))
-    v33 = median_asymptotic_sd(beta, sigma) ** 2
+    v33 = overflow_to_inf(math.pow, median_asymptotic_sd(beta, sigma), 2)
     return np.array([[v11, v12, 0.0], [v12, v22, 0.0], [0.0, 0.0, v33]])
 
 
@@ -415,14 +417,19 @@ def gamma_confidence_interval(gamma_hat: float, beta_hat: float,
     """Two-sided drift interval at confidence level `level` (e.g. 0.95):
 
         gamma_hat -+ z_{(1+level)/2} sigma_hat pi / {2 Gamma(1 + 1/beta_hat)
-                    sqrt(n) h^{1 - 1/beta_hat}}.
+                    sqrt(n) h^{1 - 1/beta_hat}},
+
+    with the normal quantile z from the standard library's
+    ``statistics.NormalDist().inv_cdf`` (within 1e-15 relative of
+    ``scipy.special.ndtri``).
     """
     if not (0.0 < level < 1.0):
         raise DomainError("level must lie in (0, 1)", level=level)
     if n < 1:
         raise DomainError("need n >= 1", n=n)
     positive("h", h)
-    z = float(ndtri(0.5 * (1.0 + level)))
-    half = z * median_asymptotic_sd(beta_hat, sigma_hat) / (
-        math.sqrt(n) * h ** (1.0 - 1.0 / beta_hat))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    half = (z * median_asymptotic_sd(beta_hat, sigma_hat)
+            * overflow_to_inf(math.pow, h, 1.0 / beta_hat - 1.0)
+            / math.sqrt(n))
     return gamma_hat - half, gamma_hat + half

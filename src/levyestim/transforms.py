@@ -33,6 +33,7 @@ from .serialize import EstimateReport
 from .skewed import bipower_beta, sign_statistic
 from .stable_core import (
     IncrementSample,
+    positivity_range,
     positivity_to_skew,
     skew_to_positivity,
 )
@@ -175,10 +176,7 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
 
     cen = center_triple(sample)
     p_cen = _step("center", lambda: sign_statistic(cen))
-    if beta_hat > 1.0:
-        lo, hi = 1.0 - 1.0 / beta_hat, 1.0 / beta_hat
-    else:
-        lo, hi = 0.0, 1.0
+    lo, hi = positivity_range(beta_hat)
     p_cen_adm = _clamp(p_cen, lo, hi, "centered positivity estimate")
     rho_cen = positivity_to_skew(beta_hat, p_cen_adm)
     rho_hat = _clamp(rho_cen / center_skew_factor(beta_hat), -1.0, 1.0,

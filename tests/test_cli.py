@@ -14,12 +14,18 @@ from scipy.integrate import trapezoid
 import levyestim
 from levyestim import stable_density
 from levyestim.cli import _parse_grid, build_parser, main
-from levyestim.errors import DataError, DomainError
+from levyestim.errors import DataError, DomainError, EstimationError
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
     read_increments,
     read_summary,
+    write_increments,
+)
+from levyestim.stable_core import (
+    IncrementSample,
+    StableParams,
+    sample_increments,
 )
 
 
@@ -291,6 +297,56 @@ def test_error_payload_is_strict_json(tmp_path, capsys):
     err = DomainError("x", values=[np.float64(np.inf), 1.0], level=np.nan)
     assert err.to_json_dict()["context"] == {"values": [None, 1.0],
                                              "level": None}
+
+
+def _extreme_sample(kind):
+    # increments whose plug-in variances overflow a double: a stable sample
+    # scaled by 1e290, or log|x| ~ N(80, 128^2), where beta_hat ~ 0.01
+    if kind == "scaled":
+        sample = sample_increments(StableParams(1.5, 1.0), 0.001, 2001, 3)
+        return IncrementSample(sample.values * 1e290, 0.001)
+    rng = np.random.default_rng(0)
+    signs = rng.choice([-1.0, 1.0], 2001)
+    return IncrementSample(signs * np.exp(rng.normal(80.0, 128.0, 2001)),
+                           0.001)
+
+
+@pytest.mark.parametrize("kind,method,code,field", [
+    ("scaled", ["log"], "estimation_error", "cov_matrix[1][1]"),
+    ("scaled", ["frac", "--p", "0.1"], "estimation_error", "cov_matrix[1][1]"),
+    ("scaled", ["sign-bipower"], "singular_jacobian", None),
+    ("scaled", ["tripower"], "singular_jacobian", None),
+    ("lognormal", ["log"], "estimation_error", "cov_matrix[1][1]"),
+], ids=["scaled-log", "scaled-frac", "scaled-sign-bipower", "scaled-tripower",
+        "lognormal-log"])
+def test_overflowing_estimate_is_a_strict_json_error(tmp_path, capsys, kind,
+                                                     method, code, field):
+    src = tmp_path / "x.csv"
+    write_increments(src, _extreme_sample(kind))
+    assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    payload = _strict_json(err_lines[0])
+    assert payload["code"] == code
+    if field is not None:
+        assert payload["context"]["field"] == field
+
+
+def test_report_refuses_non_finite_numbers():
+    with pytest.raises(EstimationError) as info:
+        EstimateReport(method="pipeline", n=3, h=1.0, beta_hat=1.5,
+                       extra={"step1": {"beta_hat": 1.5,
+                                        "sigma_hat": math.inf}})
+    assert info.value.context["field"] == "extra.step1.sigma_hat"
+    with pytest.raises(EstimationError) as info:
+        EstimateReport(method="log", n=3, h=1.0,
+                       cov_matrix=np.array([[1.0, 0.0], [0.0, np.nan]]))
+    assert info.value.context["field"] == "cov_matrix[1][1]"
+    with pytest.raises(EstimationError):
+        EstimateReport.from_json('{"method": "log", "n": 3, "h": 1.0, '
+                                 '"ci_gamma": [-Infinity, 1.0]}')
 
 
 def test_quadrature_failure_exits_one(monkeypatch, capsys):
@@ -622,20 +678,25 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
             == (tmp_path / "fresh.csv").read_text())
 
 
-# every request through main in a single interpreter, then the modules it
-# loaded; pytest's own filterwarnings setting imports scipy.integrate, so
-# this has to be a fresh process
+# every request through main in a single interpreter, then the scipy
+# modules it loaded; pytest's own filterwarnings setting imports
+# scipy.integrate, so this has to be a fresh process
 _IMPORT_PROBE = """
 import json, sys
 from levyestim.cli import main
 failed = [argv for argv in json.loads(sys.argv[1]) if main(argv) != 0]
 loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.optimize", "scipy.integrate")))
+                if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"failed": failed, "loaded": loaded}))
 """
 
 
-def test_commands_load_neither_optimize_nor_integrate(tmp_path):
+@pytest.fixture(scope="module")
+def every_command_probe(tmp_path_factory):
+    """{"failed": requests that did not exit 0, "loaded": scipy modules}
+    after running every command through main in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("probe")
+
     def out(name):
         return str(tmp_path / name)
 
@@ -682,5 +743,15 @@ def test_commands_load_neither_optimize_nor_integrate(tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(requests)],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src))
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"failed": [], "loaded": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_load_neither_optimize_nor_integrate(every_command_probe):
+    assert every_command_probe["failed"] == []
+    assert [m for m in every_command_probe["loaded"]
+            if m.startswith(("scipy.optimize", "scipy.integrate"))] == []
+
+
+def test_commands_load_no_scipy(every_command_probe):
+    # numpy is the only runtime dependency
+    assert every_command_probe == {"failed": [], "loaded": []}

@@ -87,7 +87,8 @@ _POSITIVE = {
 }
 _INDEX = {
     "StableParams.beta": ("beta", lambda v: StableParams(v, 1.0)),
-    "ScalePath": ("beta", lambda v: ScalePath(v, lambda t: 1.0)),
+    "ScalePath":
+        ("beta", lambda v: ScalePath(v, lambda t: 1.0, lambda t: t)),
     "sample_standard_stable.beta":
         ("beta", lambda v: sample_standard_stable(v, 0.0, _U, _E)),
     "c_moment": ("beta", lambda v: c_moment(v, 0.1)),

@@ -30,7 +30,11 @@ from levyestim.stable_core import (
     sample_increments,
     skew_to_positivity,
 )
-from levyestim.symmetric import frac_moment_estimate, log_moment_estimate
+from levyestim.symmetric import (
+    frac_moment_estimate,
+    log_moment_estimate,
+    median_gamma,
+)
 
 
 def _small_config(**overrides):
@@ -155,6 +159,21 @@ def test_all_replications_failed_gives_nan_row():
     row = run_experiment(cfg)[0]
     assert row.failures == 5
     assert math.isnan(row.mean) and math.isnan(row.rmse)
+
+
+def test_non_finite_estimates_count_as_failures(monkeypatch):
+    # a point core that overflows returns inf; the cell must not average it
+    def half_overflow(sample, est):
+        gamma = median_gamma(sample)
+        return (math.inf if gamma > -0.5 else gamma,)
+
+    monkeypatch.setitem(ESTIMATORS, "median",
+                        ESTIMATORS["median"]._replace(estimate=half_overflow))
+    cfg = _small_config(replications=20,
+                        estimators=({"id": "median", "kind": "median"},))
+    row = run_experiment(cfg)[0]
+    assert 0 < row.failures < 20
+    assert math.isfinite(row.mean) and row.mean <= -0.5
 
 
 def test_replication_order_never_changes_values():

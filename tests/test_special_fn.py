@@ -73,7 +73,8 @@ def test_against_scipy_grid():
 
 
 def test_digamma_is_scipy_digamma():
-    # the package evaluates scipy.special.digamma, returned as a Python float
+    # the package's own psi (recurrence plus asymptotic series) stays
+    # within 1e-15 relative of scipy's, returned as a Python float
     for x in np.geomspace(1e-6, 1e6, 241):
         psi = digamma(float(x))
         assert type(psi) is float
@@ -223,6 +224,17 @@ def test_exact_zero_at_an_end_matches_brentq(lo, hi):
     assert find_root_monotone(ours, lo, hi) == 0.5
     assert brentq(ref, lo, hi, xtol=1e-12, maxiter=200) == 0.5
     assert ours.calls == ref.calls == 2
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e-320])
+def test_underflowing_extrapolation_matches_brentq(scale):
+    # tiny f values underflow the extrapolation denominator to 0, where C's
+    # division gives inf and brentq bisects
+    f = lambda x: scale * (x ** 3 - 0.2)
+    ours, ref = _counted(f), _counted(f)
+    root = find_root_monotone(ours, 0.0, 1.0)
+    assert root == brentq(ref, 0.0, 1.0, xtol=1e-12, maxiter=200)
+    assert ours.calls == ref.calls
 
 
 @pytest.mark.parametrize("maxiter", [1, 3, 6])

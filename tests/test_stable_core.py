@@ -17,6 +17,7 @@ from levyestim.stable_core import (
     derive_seed,
     increment_scale_shift,
     make_rng,
+    positivity_range,
     positivity_to_skew,
     sample_increments,
     sample_standard_stable,
@@ -195,6 +196,20 @@ def test_positivity_range_beta_gt_one():
         skew_to_positivity(1.0, 0.5)
 
 
+@pytest.mark.parametrize("beta", [0.4, 0.9, 1.1, 1.6, 1.95])
+def test_positivity_range_is_the_image_of_rho(beta):
+    lo, hi = positivity_range(beta)
+    ends = sorted(skew_to_positivity(beta, rho) for rho in (-1.0, 1.0))
+    np.testing.assert_allclose(ends, [lo, hi], rtol=0, atol=1e-12)
+    assert abs(positivity_to_skew(beta, lo)) == pytest.approx(1.0)
+    if beta > 1.0:
+        assert (lo, hi) == (1.0 - 1.0 / beta, 1.0 / beta)
+        with pytest.raises(DomainError):
+            PositivityStable(beta, lo)   # the open range: ends excluded
+    else:
+        assert (lo, hi) == (0.0, 1.0)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         StableParams(0.0, 1.0)
@@ -252,11 +267,10 @@ def test_cosine_path_block_integral():
     path = ScalePath.cosine(1.5)
     # n * int_0^{1/4} of 0.4 (cos 2 pi t + 1.5) dt = 4 (1/(5 pi) + 3/20)
     exact = 4 * (1 / (5 * np.pi) + 3 / 20)
-    assert abs(path.sigma_bar(1, 4) - exact) < 1e-12
     bars = path.sigma_bars(4)
     assert bars.shape == (4,)
     assert abs(bars[0] - exact) < 1e-12
-    # blocks tile [0,1]: mean of sigma_bar is the total integral = 0.6
+    # blocks tile [0,1]: the mean block average is the total integral = 0.6
     assert abs(bars.mean() - 0.6) < 1e-12
 
 
@@ -278,31 +292,24 @@ def test_sigma_bars_equal_per_block_reference(kind, n):
     np.testing.assert_array_equal(path.sigma_bars(n), ref)
 
 
-def test_sigma_bars_without_primitive_use_quadrature():
-    def profile(t):
-        return 0.4 * (math.cos(2.0 * math.pi * t) + 1.5)
-
-    custom = ScalePath(1.5, profile)
-    n = 64
-    np.testing.assert_allclose(custom.sigma_bars(n),
-                               ScalePath.cosine(1.5).sigma_bars(n),
-                               rtol=0, atol=1e-10)
-
-
 def test_scale_path_scalars_are_python_floats():
     for path in (ScalePath.cosine(1.5), ScalePath.constant(0.7, 1.3)):
-        assert type(path.integral(0.1, 0.3)) is float
-        assert type(path.sigma_bar(3, 7)) is float
         assert type(path.sigma_star(path.beta)) is float
+        assert type(path.sigma_star(0.5 * path.beta)) is float
 
 
 def test_sigma_star_values():
-    path = ScalePath.cosine(1.5)
-    assert abs(path.sigma_star(1.5) - 0.6) < 1e-12
-    # generic exponent via independent quadrature
-    val, _ = scipy.integrate.quad(
-        lambda t: (0.4 * (np.cos(2 * np.pi * t) + 1.5)) ** (0.5 / 1.5), 0, 1)
-    assert abs(path.sigma_star(0.5) - val) < 1e-9
+    assert abs(ScalePath.cosine(1.5).sigma_star(1.5) - 0.6) < 1e-15
+    # the periodic trapezoid rule against independent adaptive quadrature
+    c = 0.7 ** 1.3
+    for path, profile in (
+            (ScalePath.cosine(1.5),
+             lambda t: 0.4 * (np.cos(2 * np.pi * t) + 1.5)),
+            (ScalePath.constant(0.7, 1.3), lambda t: c)):
+        for ratio in (0.33, 0.42, 0.53, 1.0, 1.3):
+            val, _ = scipy.integrate.quad(
+                lambda t: profile(t) ** ratio, 0, 1, epsabs=0, epsrel=1e-13)
+            assert abs(path.sigma_star(ratio * path.beta) - val) <= 1e-14
 
 
 def test_timevarying_constant_path_matches_sprime():
