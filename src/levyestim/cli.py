@@ -78,6 +78,11 @@ def _scale(text: str) -> float:
     return value
 
 
+def _dump_row(*cells) -> str:
+    # one CSV line of the fisher, density and variance dumps
+    return ",".join(f"{v:.10g}" for v in cells)
+
+
 def _write_lines(path, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -184,10 +189,8 @@ def _cmd_fisher(args) -> int:
     for beta in betas:
         info = fisher_matrix(beta, args.sigma)
         m = info.matrix
-        lines.append(",".join([f"{beta:.10g}", f"{args.sigma:.10g}",
-                               f"{m[0, 0]:.10g}", f"{m[0, 1]:.10g}",
-                               f"{m[1, 1]:.10g}", f"{m[2, 2]:.10g}",
-                               f"{info.top_left_det():.10g}"]))
+        lines.append(_dump_row(beta, args.sigma, m[0, 0], m[0, 1], m[1, 1],
+                               m[2, 2], info.top_left_det()))
     _write_lines(args.out, lines)
     return 0
 
@@ -210,8 +213,7 @@ def _cmd_density(args) -> int:
         grid = 0.5 * (grid - grid[::-1])
     dens, deriv = phi_pair(grid, args.beta, args.sigma)
     lines = ["y,phi,dphi"]
-    lines += [f"{y:.10g},{f:.10g},{d:.10g}"
-              for y, f, d in zip(grid, dens, deriv)]
+    lines += [_dump_row(*cells) for cells in zip(grid, dens, deriv)]
     _write_lines(args.out, lines)
     return 0
 
@@ -225,20 +227,17 @@ def _cmd_variance(args) -> int:
     lines = [",".join(header)]
     for beta in betas:
         vlog = symmetric.v_log(beta, args.sigma)
-        cells = [f"{beta:.10g}", f"{args.sigma:.10g}",
-                 f"{vlog[0, 0]:.10g}", f"{vlog[0, 1]:.10g}",
-                 f"{vlog[1, 1]:.10g}", f"{vlog[2, 2]:.10g}",
-                 f"{median_asymptotic_sd(beta, args.sigma):.10g}"]
+        cells = [beta, args.sigma, vlog[0, 0], vlog[0, 1], vlog[1, 1],
+                 vlog[2, 2], median_asymptotic_sd(beta, args.sigma)]
         if args.p is not None:
             try:
                 vp = symmetric.v_p(beta, args.sigma, args.p)
-                cells += [f"{vp[0, 0]:.10g}", f"{vp[0, 1]:.10g}",
-                          f"{vp[1, 1]:.10g}"]
+                cells += [vp[0, 0], vp[0, 1], vp[1, 1]]
             except LevyEstimError:
                 # outside the admissible moment range for this p: leave the
                 # curve undefined at this beta instead of aborting the dump
-                cells += ["nan", "nan", "nan"]
-        lines.append(",".join(cells))
+                cells += [math.nan] * 3
+        lines.append(_dump_row(*cells))
     _write_lines(args.out, lines)
     return 0
 

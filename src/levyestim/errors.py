@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 
 
-def _plain(value):
-    # keep error payloads strict JSON: numpy scalars carry .item(), and
-    # NaN/inf have no JSON spelling, so they become null
-    if hasattr(value, "item"):
-        value = value.item()
+def plain(value):
+    # strict JSON for error contexts and report extras: numpy arrays and
+    # scalars become lists and numbers (.tolist()), NaN/inf become null
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -37,7 +39,7 @@ class LevyEstimError(Exception):
         return {
             "code": self.code,
             "message": self.message,
-            "context": {k: _plain(v) for k, v in self.context.items()},
+            "context": plain(self.context),
         }
 
 

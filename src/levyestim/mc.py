@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .serialize import SummaryRow, write_summary
+from .serialize import SummaryRow, write_summary, write_summary_json
 from .skewed import (
     bipower_beta,
     sign_bipower_point,
@@ -443,32 +443,7 @@ def emit(rows: Sequence[SummaryRow], fmt: str, path,
     """Write summary rows as CSV (with '#' config echo) or JSON."""
     if not rows:
         raise DomainError("no rows to emit")
-    if fmt == "csv":
-        write_summary(path, rows, config_echo)
-        return
-    if fmt == "json":
-        import json
-
-        payload = {
-            "config": {k: str(v) for k, v in (config_echo or {}).items()},
-            "rows": [
-                {
-                    # lowercase field names; "t" mirrors the CSV column "T"
-                    "table": r.table, "estimator": r.estimator,
-                    "param": r.param, "n": r.n,
-                    "t": float(f"{r.T:.6g}"),
-                    "truth": float(f"{r.truth:.6g}"),
-                    "mean": float(f"{r.mean:.6g}") if r.mean == r.mean else None,
-                    "rmse": float(f"{r.rmse:.6g}") if r.rmse == r.rmse else None,
-                    "failures": r.failures,
-                    "replications": r.replications,
-                    "seed": r.seed,
-                }
-                for r in rows
-            ],
-        }
-        with open(path, "w", encoding="utf8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
-    raise DomainError("unknown emit format", fmt=fmt)
+    writer = {"csv": write_summary, "json": write_summary_json}.get(fmt)
+    if writer is None:
+        raise DomainError("unknown emit format", fmt=fmt)
+    writer(path, rows, config_echo)

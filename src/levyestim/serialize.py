@@ -2,8 +2,8 @@
 
 Increment files are one value per line, full repr precision, preceded by
 '#'-prefixed key=value metadata lines that always include h and n.  Summary
-tables are plain CSV with a '#'-prefixed config echo; floats are written
-with 6 significant digits.
+tables are plain CSV with a '#'-prefixed config echo, or JSON; floats are
+written with 6 significant digits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, plain
 from .stable_core import IncrementSample
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "write_increments",
     "read_increments",
     "write_summary",
+    "write_summary_json",
     "read_summary",
     "SUMMARY_COLUMNS",
 ]
@@ -153,7 +154,7 @@ class EstimateReport:
             "cov_matrix": cov,
             "n": int(self.n),
             "h": float(self.h),
-            "extra": {k: _jsonable(v) for k, v in self.extra.items()},
+            "extra": plain(self.extra),
         }
 
     def to_json(self) -> str:
@@ -211,16 +212,6 @@ def _opt_float(value):
     return None if value is None else float(value)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value.ravel()]
-    if hasattr(value, "item"):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo summary tables
 
@@ -266,6 +257,26 @@ def write_summary(path, rows: Sequence[SummaryRow],
         lines.append(",".join(str(v) for v in row.as_record()))
     with open(path, "w", encoding="utf8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_summary_json(path, rows: Sequence[SummaryRow],
+                       config_echo: dict | None = None) -> None:
+    """The rows of write_summary as JSON: lowercase keys ("t" for "T"), the
+    same 6-digit numbers, and null where the CSV writes nan."""
+    def cell(key: str, value):
+        if key not in ("T", "truth", "mean", "rmse"):
+            return value
+        return None if value == "nan" else float(value)
+
+    payload = {
+        "config": {k: str(v) for k, v in (config_echo or {}).items()},
+        "rows": [{key.lower(): cell(key, value)
+                  for key, value in zip(SUMMARY_COLUMNS, row.as_record())}
+                 for row in rows],
+    }
+    with open(path, "w", encoding="utf8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def read_summary(path) -> tuple[list[SummaryRow], dict]:

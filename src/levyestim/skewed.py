@@ -406,26 +406,25 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
     powers = {2.0 * q: sigma_star_2q, 4.0 * q: sigma_star_4q}
     sigma = mpv_cov(beta, p_pos, r, rp, powers.__getitem__)
 
-    def mu_r(pv: float, bv: float, powers) -> float:
-        return mu_product(bv, pv, powers)
-
     db = 1e-6 * beta
     dp = 1e-6 * max(p_pos, 0.1)
     grad = np.zeros((3, 3))
     grad[0, 0] = 2.0
-    for row, powers in ((1, r), (2, rp)):
-        d_p = (mu_r(p_pos + dp, beta, powers)
-               - mu_r(p_pos - dp, beta, powers)) / (2.0 * dp)
-        d_b = (mu_r(p_pos, beta + db, powers)
-               - mu_r(p_pos, beta - db, powers)) / (2.0 * db)
-        grad[row, 0] = s * d_p
-        grad[row, 1] = s * d_b
-        grad[row, 2] = mu_r(p_pos, beta, powers)
-    det = float(np.linalg.det(grad))
-    scale = overflow_to_inf(math.pow, float(np.abs(grad).max()), 3)
-    if abs(det) <= 1e-12 * max(scale, 1.0):
+    d_beta = []
+    for row, vec in ((1, r), (2, rp)):
+        d_p = (mu_product(beta, p_pos + dp, vec)
+               - mu_product(beta, p_pos - dp, vec)) / (2.0 * dp)
+        d_b = (mu_product(beta + db, p_pos, vec)
+               - mu_product(beta - db, p_pos, vec)) / (2.0 * db)
+        grad[row] = s * d_p, s * d_b, mu_product(beta, p_pos, vec)
+        d_beta.append(d_b)
+    # det(grad F) = 2 s {mu_b(r) mu(r') - mu_b(r') mu(r)}, mu_b = d mu / d
+    # beta; testing the bracket against its terms keeps the scale s out
+    lead, cross = d_beta[0] * grad[2, 2], d_beta[1] * grad[1, 2]
+    if abs(lead - cross) <= 1e-12 * (abs(lead) + abs(cross)):
         raise SingularJacobian("estimating-equation Jacobian is singular",
-                               det=det, beta=beta, p_pos=p_pos, q=q)
+                               det=float(np.linalg.det(grad)), beta=beta,
+                               p_pos=p_pos, q=q)
     inv = np.linalg.inv(grad)
     return inv @ sigma @ inv.T
 

@@ -15,12 +15,14 @@ through the Ahrens-Dieter identity inside numpy's standard_gamma.
 Rates: sqrt(n)(delta_hat - delta) and sqrt(T)(gamma_hat - gamma) are the
 natural normalizations, with per-observation Fisher information
 diag(1/delta^2, delta/gamma^2) for the gamma law and
-diag(2/delta^2, delta/gamma) for the IG law.
+diag(2/delta^2, delta/gamma) for the IG law; an entry beyond the double
+range saturates to 0 or inf.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -133,7 +135,9 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     delta_hat is the unique root of n h {log(delta h) - psi(delta h)} = K:
     the left side decreases strictly from +inf (delta -> 0) to 0
     (delta -> inf), and K > 0 by strict concavity of the logarithm unless
-    all increments are equal (NonpositiveK).  Then
+    all increments are equal (NonpositiveK); where Delta_j X / h leaves the
+    double range, K is taken as T {log(X_T / n) - (1/n) sum_j log Delta_j X},
+    the same number without h.  Then
     gamma_hat = delta_hat T / X_T.  The bounds 1/(2x) < log x - psi(x) < 1/x
     put delta_hat h in (T/(2K), T/K), so one solve on [n/(4K), 2n/K] (a
     factor 2 per side against rounding) finds it; no sign change there means
@@ -144,8 +148,13 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     n = values.size
     t_total = n * h
     x_total = float(values.sum())
-    k_stat = (t_total * math.log(x_total / t_total)
-              - h * float(np.sum(np.log(values / h))))
+    if (float(values.min()) / h >= sys.float_info.min
+            and float(values.max()) / h <= sys.float_info.max):
+        k_stat = (t_total * math.log(x_total / t_total)
+                  - h * float(np.sum(np.log(values / h))))
+    else:  # Delta_j X / h leaves the double range; h cancels out of K / T
+        k_stat = t_total * (math.log(x_total / n)
+                            - float(np.mean(np.log(values))))
     if k_stat <= 0.0:
         raise NonpositiveK("likelihood statistic K is nonpositive: all "
                            "increments equal", K=k_stat)
@@ -197,19 +206,23 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
         gamma_hat = delta_hat T / X_T.
 
     The braced mean is nonnegative by Cauchy-Schwarz and vanishes only when
-    all increments are equal (NonpositiveBrace).
+    all increments are equal (NonpositiveBrace).  Where h^2 leaves the
+    double range, the brace is taken over h^2 and delta_hat is 1/h over its
+    square root.
     """
     values = _positive_increments(sample)
     h = sample.h
     n = values.size
     t_total = n * h
     x_total = float(values.sum())
-    brace = (h * h * float(np.sum(1.0 / values))
-             - t_total * t_total / x_total) / n
+    s_inv = float(np.sum(1.0 / values))
+    scaled = not sys.float_info.min <= h * h <= sys.float_info.max
+    brace = (s_inv / n - n / x_total if scaled
+             else (h * h * s_inv - t_total * t_total / x_total) / n)
     if brace <= 0.0:
         raise NonpositiveBrace("shape expression is nonpositive: all "
                                "increments equal", brace=brace)
-    delta_hat = brace ** -0.5
+    delta_hat = 1.0 / h / math.sqrt(brace) if scaled else brace ** -0.5
     gamma_hat = delta_hat * t_total / x_total
     return delta_hat, gamma_hat
 
@@ -217,12 +230,14 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
 def gamma_fisher(params: GammaSubParams) -> np.ndarray:
     """Per-observation Fisher information diag(1/delta^2, delta/gamma^2) in
     the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    return np.diag([1.0 / params.delta ** 2,
-                    params.delta / params.gamma_rate ** 2])
+    delta, rate = np.float64(params.delta), np.float64(params.gamma_rate)
+    with np.errstate(over="ignore", divide="ignore"):  # saturate to 0 / inf
+        return np.diag([1.0 / delta ** 2, delta / rate ** 2])
 
 
 def ig_fisher(params: IGSubParams) -> np.ndarray:
     """Per-observation Fisher information diag(2/delta^2, delta/gamma) in
     the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    return np.diag([2.0 / params.delta ** 2,
-                    params.delta / params.gamma_ig])
+    delta, rate = np.float64(params.delta), np.float64(params.gamma_ig)
+    with np.errstate(over="ignore", divide="ignore"):  # saturate to 0 / inf
+        return np.diag([2.0 / delta ** 2, delta / rate])

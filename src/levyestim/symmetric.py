@@ -27,6 +27,7 @@ any other mesh, notably a shrinking one, sigma_hat carries an extra term
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -77,10 +78,14 @@ _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
 
 
+def _odd_count(n: int) -> int:
+    # the odd-sample rule: an even sample drops its last increment in time
+    # order, so 2k + 1 of n increments are used
+    return n if n % 2 else n - 1
+
+
 def _odd_values(sample: IncrementSample) -> np.ndarray:
-    values = sample.values
-    if values.size % 2 == 0:
-        values = values[:-1]  # drop the last increment in time order
+    values = sample.values[:_odd_count(sample.n)]
     if values.size < 3:
         raise DomainError("need at least 3 increments", n=int(sample.n))
     return values
@@ -137,11 +142,15 @@ def log_moment_nu(beta: float, sigma: float) -> NuMoments:
     nu4 = pi^4 {3/(20 beta^4) + 1/(12 beta^2) + 19/240}
 
     Accepts any finite beta > 0 and sigma > 0, so plug-in covariances stay
-    defined when an index estimate lands above 2.
+    defined when an index estimate lands above 2; a beta below ~2.7e-77,
+    where nu4 would overflow, raises DomainError.
     """
     positive("beta", beta)
     positive("sigma", sigma)
     b2 = beta * beta
+    if b2 * b2 * sys.float_info.max < _PI4:  # pi^4 / beta^4 overflows
+        raise DomainError("beta is so small that the moments of log|Y| "
+                          "overflow", beta=beta)
     return NuMoments(
         EULER_GAMMA * (1.0 / beta - 1.0) + math.log(sigma),
         _PI2 / 6.0 * (1.0 / b2 + 0.5),
@@ -226,14 +235,13 @@ def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
 def _report(method: str, sample: IncrementSample, point, cov, level: float,
             **extra) -> EstimateReport:
     beta_hat, sigma_hat, gamma_hat = point
-    k = (sample.n - 1) // 2  # the odd-sample rule keeps 2k + 1 increments
-    n_used = 2 * k + 1
+    n_used = _odd_count(sample.n)
     ci = gamma_confidence_interval(gamma_hat, beta_hat, sigma_hat,
                                    n_used, sample.h, level)
     return EstimateReport(method=method, n=n_used, h=sample.h,
                           beta_hat=beta_hat, sigma_hat=sigma_hat,
                           gamma_hat=gamma_hat, ci_gamma=ci, cov_matrix=cov,
-                          extra={**extra, "k": k, "level": level})
+                          extra={**extra, "k": n_used // 2, "level": level})
 
 
 def log_moment_estimate(sample: IncrementSample,

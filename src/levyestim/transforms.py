@@ -28,16 +28,20 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
+
 from .errors import DomainError, EstimationError
 from .serialize import EstimateReport
 from .skewed import bipower_beta, sign_statistic
 from .stable_core import (
     IncrementSample,
+    _check_conversion_beta,
     positivity_range,
     positivity_to_skew,
     skew_to_positivity,
 )
 from .symmetric import (
+    _odd_count,
     frac_moment_point,
     gamma_confidence_interval,
     log_moment_point,
@@ -73,8 +77,9 @@ def _triples(sample: IncrementSample, w: float, **meta) -> IncrementSample:
     n3 = x.size // 3
     if n3 < 1:
         raise DomainError("need at least 3 increments", n=int(x.size))
-    return IncrementSample(x[2:3 * n3:3] + x[0:3 * n3:3] - w * x[1:3 * n3:3],
-                           sample.h, dict(sample.meta, **meta))
+    with np.errstate(over="ignore"):  # IncrementSample refuses the infs
+        vals = x[2:3 * n3:3] + x[0:3 * n3:3] - w * x[1:3 * n3:3]
+    return IncrementSample(vals, sample.h, dict(sample.meta, **meta))
 
 
 def center_triple(sample: IncrementSample) -> IncrementSample:
@@ -92,27 +97,27 @@ def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
     logarithmic drift there and the trend multiplier 2 - 2^{1/beta}
     vanishes), so beta = 1 is rejected.
     """
-    if not (0.0 < beta <= 2.0) or beta == 1.0:
-        raise DomainError("deskew requires beta in (0, 1) or (1, 2]",
-                          beta=beta)
+    _check_deskew_beta(beta)
     return _triples(sample, 2.0 ** (1.0 / beta), transform="deskewed",
                     beta_used=beta)
 
 
+def _check_deskew_beta(beta: float):
+    if not (0.0 < beta <= 2.0) or beta == 1.0:
+        raise DomainError("deskew requires beta in (0, 1) or (1, 2]",
+                          beta=beta)
+
+
 def center_skew_factor(beta: float) -> float:
     """Skew multiplier (2 - 2^beta) / (2 + 2^beta) of the centered triple."""
-    if not (0.0 < beta < 2.0) or beta == 1.0:
-        raise DomainError("skew factor requires beta in (0, 1) or (1, 2)",
-                          beta=beta)
+    _check_conversion_beta(beta)
     p = 2.0 ** beta
     return (2.0 - p) / (2.0 + p)
 
 
 def deskew_trend_factor(beta: float) -> float:
     """Trend multiplier 2 - 2^{1/beta} of the deskewed triple."""
-    if not (0.0 < beta <= 2.0) or beta == 1.0:
-        raise DomainError("trend factor requires beta in (0, 1) or (1, 2]",
-                          beta=beta)
+    _check_deskew_beta(beta)
     return 2.0 - 2.0 ** (1.0 / beta)
 
 
@@ -146,26 +151,21 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     is plug-in and uncorrected for the step-1 estimation error.
 
     When q is given, a bipower index estimate at power q on the centered
-    sample is recorded in extra as a consistency diagnostic.  Step failures
-    raise with the failing step recorded in the error context.
+    sample is recorded in extra as a consistency diagnostic.  An estimation
+    failure in step 1 raises with pipeline_step "symmetrize" in its context.
     """
     if sample.n < 9:
         raise DomainError("pipeline needs at least 9 increments",
                           n=int(sample.n))
 
-    def _step(name: str, fn):
-        try:
-            return fn()
-        except EstimationError as exc:
-            exc.context = dict(exc.context, pipeline_step=name)
-            raise
-
     sym = symmetrize(sample)
-    if p is None:
-        method, core = "log", lambda: log_moment_point(sym)
-    else:
-        method, core = "frac", lambda: frac_moment_point(sym, p)
-    beta_hat, sigma_sym, _ = _step("symmetrize", core)
+    method = "log" if p is None else "frac"
+    try:  # steps 2 and 3 raise no EstimationError
+        beta_hat, sigma_sym, _ = (log_moment_point(sym) if p is None
+                                  else frac_moment_point(sym, p))
+    except EstimationError as exc:
+        exc.context = dict(exc.context, pipeline_step="symmetrize")
+        raise
     if not (0.0 < beta_hat < 2.0) or beta_hat == 1.0:
         # the skew/positivity inversion degenerates at 1 and 2, so an index
         # estimate outside (0,1) or (1,2) cannot be pushed through steps 2-3
@@ -175,7 +175,7 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     sigma_hat = sigma_sym / 2.0 ** (1.0 / beta_hat)
 
     cen = center_triple(sample)
-    p_cen = _step("center", lambda: sign_statistic(cen))
+    p_cen = sign_statistic(cen)
     lo, hi = positivity_range(beta_hat)
     p_cen_adm = _clamp(p_cen, lo, hi, "centered positivity estimate")
     rho_cen = positivity_to_skew(beta_hat, p_cen_adm)
@@ -184,15 +184,14 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     p_hat = skew_to_positivity(beta_hat, rho_hat)
 
     des = deskew_triple(sample, beta_hat)
-    gamma_des = _step("deskew", lambda: median_gamma(des))
+    gamma_des = median_gamma(des)
     trend = deskew_trend_factor(beta_hat)
     gamma_hat = gamma_des / trend
     # interval for the deskewed drift, mapped through the trend factor;
     # sigma of the deskewed sample is 2^{2/beta} sigma
-    n_des = des.n if des.n % 2 == 1 else des.n - 1
     ci_des = gamma_confidence_interval(
         gamma_des, beta_hat, 2.0 ** (2.0 / beta_hat) * sigma_hat,
-        n_des, sample.h, level)
+        _odd_count(des.n), sample.h, level)
     ci = tuple(sorted(v / trend for v in ci_des))
 
     extra = {
@@ -202,7 +201,7 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
         "ci_note": "plug-in, uncorrected",
         "step1": {"method": method, "beta_hat": beta_hat,
                   "sigma_hat_symmetrized": sigma_sym,
-                  "n": sym.n if sym.n % 2 == 1 else sym.n - 1},
+                  "n": _odd_count(sym.n)},
         "step2": {"p_pos_centered": p_cen, "rho_centered": rho_cen,
                   "n": cen.n},
         "step3": {"gamma_deskewed": gamma_des, "trend_factor": trend,

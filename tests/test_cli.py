@@ -14,7 +14,12 @@ from scipy.integrate import trapezoid
 import levyestim
 from levyestim import stable_density
 from levyestim.cli import _parse_grid, build_parser, main
-from levyestim.errors import DataError, DomainError, EstimationError
+from levyestim.errors import (
+    DataError,
+    DomainError,
+    EstimationError,
+    LevyEstimError,
+)
 from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
@@ -27,6 +32,7 @@ from levyestim.stable_core import (
     StableParams,
     sample_increments,
 )
+from levyestim.subordinators import gamma_mle, ig_mle
 
 
 def run_cli(*argv):
@@ -299,6 +305,12 @@ def test_error_payload_is_strict_json(tmp_path, capsys):
                                              "level": None}
 
 
+def test_error_context_arrays_are_strict_json():
+    payload = LevyEstimError("x", v=np.array([1.0, np.nan])).to_json_dict()
+    assert payload["context"] == {"v": [1.0, None]}
+    json.dumps(payload, allow_nan=False)
+
+
 def _extreme_sample(kind):
     # increments whose plug-in variances overflow a double: a stable sample
     # scaled by 1e290, or log|x| ~ N(80, 128^2), where beta_hat ~ 0.01
@@ -314,11 +326,9 @@ def _extreme_sample(kind):
 @pytest.mark.parametrize("kind,method,code,field", [
     ("scaled", ["log"], "estimation_error", "cov_matrix[1][1]"),
     ("scaled", ["frac", "--p", "0.1"], "estimation_error", "cov_matrix[1][1]"),
-    ("scaled", ["sign-bipower"], "singular_jacobian", None),
-    ("scaled", ["tripower"], "singular_jacobian", None),
+    ("scaled", ["tripower"], "estimation_error", "sigma_hat"),
     ("lognormal", ["log"], "estimation_error", "cov_matrix[1][1]"),
-], ids=["scaled-log", "scaled-frac", "scaled-sign-bipower", "scaled-tripower",
-        "lognormal-log"])
+], ids=["scaled-log", "scaled-frac", "scaled-tripower", "lognormal-log"])
 def test_overflowing_estimate_is_a_strict_json_error(tmp_path, capsys, kind,
                                                      method, code, field):
     src = tmp_path / "x.csv"
@@ -332,6 +342,77 @@ def test_overflowing_estimate_is_a_strict_json_error(tmp_path, capsys, kind,
     assert payload["code"] == code
     if field is not None:
         assert payload["context"]["field"] == field
+
+
+def test_scaled_sign_bipower_report_matches_unscaled(tmp_path, capsys):
+    # the 1e290-scaled sample's sigma* values stay finite, and beta_hat and
+    # its variance do not depend on the data's scale
+    src = tmp_path / "x.csv"
+    write_increments(src, _extreme_sample("scaled"))
+    assert run_cli("estimate", "--in", str(src), "--method",
+                   "sign-bipower") == 0
+    report = EstimateReport.from_json(capsys.readouterr().out)
+    assert report.cov_matrix[1, 1] == pytest.approx(8.0852743, rel=1e-7)
+
+
+@pytest.mark.parametrize("method", ["gamma-mle", "ig-mle"])
+@pytest.mark.parametrize("mu", [-600.0, -300.0, 0.0, 300.0, 600.0])
+@pytest.mark.parametrize("h", [1e-300, 1e-3, 1.0, 1e300])
+def test_extreme_scale_subordinator_mle_is_typed(tmp_path, capsys, method,
+                                                 mu, h):
+    # |x| = exp(N(mu, 1)): a report, or one strict-JSON package error; the
+    # RuntimeWarning filter of the suite turns a numpy overflow into a failure
+    values = np.exp(np.random.default_rng(1).normal(mu, 1.0, 500))
+    src = tmp_path / "x.csv"
+    write_increments(src, IncrementSample(values, h))
+    rc = run_cli("estimate", "--in", str(src), "--method", method)
+    captured = capsys.readouterr()
+    if rc == 0:
+        assert EstimateReport.from_json(captured.out).gamma_hat > 0.0
+    else:
+        assert rc == 1 and captured.out == ""
+        payload = _strict_json(captured.err.strip())
+        assert payload["code"] not in ("value_error", "io_error")
+
+
+def test_extreme_scale_subordinator_mle_keeps_the_estimate():
+    # where Delta X / h or h^2 leaves the double range, the estimates are
+    # those of the same increments at h = 1, rescaled: delta_hat by 1/h,
+    # gamma_hat not at all
+    values = np.exp(np.random.default_rng(1).normal(0.0, 1.0, 500))
+    for mle in (gamma_mle, ig_mle):
+        delta_1, gamma_1 = mle(IncrementSample(values, 1.0))
+        delta_h, gamma_h = mle(IncrementSample(values, 1e-300))
+        assert delta_h * 1e-300 == pytest.approx(delta_1, rel=1e-9)
+        assert gamma_h == pytest.approx(gamma_1, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", ["1e-100", "1e-200", "1e-78", "1e-320"])
+def test_variance_at_a_vanishing_index_is_a_typed_error(capsys, beta):
+    assert run_cli("variance", "--beta", beta) == 1
+    payload = _strict_json(capsys.readouterr().err.strip())
+    assert payload["code"] == "domain_error"
+
+
+@pytest.mark.filterwarnings("ignore:.*zero increment")
+def test_pipeline_overflowing_triples_print_only_json(tmp_path, capsys):
+    # log|x| ~ N(-300, 250^2): beta_hat is tiny, so the deskew weight
+    # 2^{1/beta_hat} overflows some triples; no numpy warning may precede
+    # the error payload
+    src = tmp_path / "x.csv"
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], 2001)
+        values = signs * np.exp(rng.normal(-300.0, 250.0, 2001))
+        write_increments(src, IncrementSample(values, 0.001))
+        rc = run_cli("estimate", "--in", str(src), "--method", "pipeline")
+        captured = capsys.readouterr()
+        if rc == 1:
+            assert captured.out == ""
+            _strict_json(captured.err.strip())
+        else:
+            assert rc == 0
+            EstimateReport.from_json(captured.out)
 
 
 def test_report_refuses_non_finite_numbers():

@@ -460,6 +460,17 @@ def test_delta_cov_validation():
         delta_cov(1.5, P_POS, 0.4, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("c", [1e3, 1e10, 1e20, 1e100, 1e250, 1e-100])
+def test_delta_cov_singularity_test_is_scale_free(c):
+    # beta_hat and its variance V_22 do not depend on the data's scale, so
+    # neither may the Jacobian's singularity test
+    base = sample_increments(StableParams(1.5, 1.0), 0.001, 2001, 3)
+    v22 = sign_bipower_estimate(base).cov_matrix[1, 1]
+    scaled = IncrementSample(base.values * c, 0.001)
+    assert sign_bipower_estimate(scaled).cov_matrix[1, 1] == pytest.approx(
+        v22, rel=1e-7)
+
+
 def test_delta_cov_matches_mc():
     # sample covariance of sqrt(n) (p_hat - p, beta_hat - beta, s_hat - 1)
     # over 2000 replications at n = 1e4; the scale statistic is normalized
