@@ -66,16 +66,22 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
 
 
-def _scale(text: str) -> float:
-    # argparse type of --sigma, --h and --T: a finite number > 0
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}")
-    return value
+def _positive_below(hi: float, what: str):
+    # an argparse type: a number in (0, hi), else a usage error naming it
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < hi:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+# --sigma, --h and --T; variance --p
+_scale = _positive_below(math.inf, "a finite number > 0")
+_moment_order = _positive_below(0.5, "a number in (0, 1/2)")
 
 
 def _dump_row(*cells) -> str:
@@ -122,38 +128,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _skewed_q(args) -> float:
+    return 0.25 if args.q is None else args.q
+
+
+# estimate --method: name -> (flag the method needs or None, report call on
+# the sample and the parsed flags).  The calls read the estimator modules'
+# attributes when they run, so a patched estimator is seen
+_ESTIMATE = {
+    "log": (None, lambda s, a: symmetric.log_moment_estimate(s, a.level)),
+    "frac": ("p", lambda s, a: symmetric.frac_moment_estimate(s, a.p,
+                                                              a.level)),
+    "sign-bipower": (None, lambda s, a: skewed.sign_bipower_estimate(
+        s, _skewed_q(a))),
+    "tripower": (None, lambda s, a: skewed.tripower_estimate(
+        s, _skewed_q(a))),
+    "gamma-mle": (None, lambda s, a: subordinators.gamma_mle_estimate(s)),
+    "ig-mle": (None, lambda s, a: subordinators.ig_mle_estimate(s)),
+    "pipeline": (None, lambda s, a: transforms.full_pipeline(
+        s, q=a.q, p=a.p, level=a.level)),
+}
+
+
 def _cmd_estimate(args) -> int:
+    needs, estimate = _ESTIMATE[args.method]
     sample = serialize.read_increments(args.infile)
-    method = args.method
-    if method == "log":
-        report = symmetric.log_moment_estimate(sample, args.level)
-    elif method == "frac":
-        if args.p is None:
-            print("error: --method frac needs --p", file=sys.stderr)
-            return 2
-        report = symmetric.frac_moment_estimate(sample, args.p, args.level)
-    elif method == "sign-bipower":
-        report = skewed.sign_bipower_estimate(
-            sample, 0.25 if args.q is None else args.q)
-    elif method == "tripower":
-        report = skewed.tripower_estimate(
-            sample, 0.25 if args.q is None else args.q)
-    elif method == "pipeline":
-        report = transforms.full_pipeline(sample, q=args.q, p=args.p,
-                                          level=args.level)
-    else:  # gamma-mle, ig-mle; built per call, so patched names are seen
-        mle, fisher, params = {
-            "gamma-mle": (subordinators.gamma_mle, subordinators.gamma_fisher,
-                          subordinators.GammaSubParams),
-            "ig-mle": (subordinators.ig_mle, subordinators.ig_fisher,
-                       subordinators.IGSubParams)}[method]
-        delta_hat, gamma_hat = mle(sample)
-        info = fisher(params(delta_hat, gamma_hat))
-        report = serialize.EstimateReport(
-            method=method, n=sample.n, h=sample.h, gamma_hat=gamma_hat,
-            extra={"delta_hat": delta_hat,
-                   "fisher": [float(v) for v in info.ravel()]})
-    _write_lines(args.out, [report.to_json()])
+    if needs is not None and getattr(args, needs) is None:
+        print(f"error: --method {args.method} needs --{needs}",
+              file=sys.stderr)
+        return 2
+    _write_lines(args.out, [estimate(sample, args).to_json()])
     return 0
 
 
@@ -182,11 +186,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _betas(args) -> list[float]:
+    return [args.beta] if args.beta_grid is None else args.beta_grid
+
+
 def _cmd_fisher(args) -> int:
-    betas = [args.beta] if args.beta_grid is None else args.beta_grid
     lines = ["beta,sigma,i_beta_beta,i_beta_sigma,i_sigma_sigma,"
              "i_gamma_gamma,top_left_det"]
-    for beta in betas:
+    for beta in _betas(args):
         info = fisher_matrix(beta, args.sigma)
         m = info.matrix
         lines.append(_dump_row(beta, args.sigma, m[0, 0], m[0, 1], m[1, 1],
@@ -219,23 +226,20 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    betas = [args.beta] if args.beta_grid is None else args.beta_grid
     header = ["beta", "sigma", "v_log_11", "v_log_12", "v_log_22",
               "v_log_33", "median_sd"]
     if args.p is not None:
         header += ["v_p_11", "v_p_12", "v_p_22"]
     lines = [",".join(header)]
-    for beta in betas:
+    for beta in _betas(args):
         vlog = symmetric.v_log(beta, args.sigma)
         cells = [beta, args.sigma, vlog[0, 0], vlog[0, 1], vlog[1, 1],
                  vlog[2, 2], median_asymptotic_sd(beta, args.sigma)]
         if args.p is not None:
-            try:
+            if 4.0 * args.p < beta:
                 vp = symmetric.v_p(beta, args.sigma, args.p)
                 cells += [vp[0, 0], vp[0, 1], vp[1, 1]]
-            except LevyEstimError:
-                # outside the admissible moment range for this p: leave the
-                # curve undefined at this beta instead of aborting the dump
+            else:  # V^p needs moments to order 4p < beta
                 cells += [math.nan] * 3
         lines.append(_dump_row(*cells))
     _write_lines(args.out, lines)
@@ -258,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--params", required=True,
                      help="comma-separated key=value parameter list")
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--T", type=_scale, default=None)
-    sim.add_argument("--h", type=_scale, default=None)
+    sim_mesh = sim.add_mutually_exclusive_group()
+    sim_mesh.add_argument("--T", type=_scale, default=None,
+                          help="horizon; the mesh is T/n")
+    sim_mesh.add_argument("--h", type=_scale, default=None, help="mesh")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--path", choices=("cosine", "constant"),
                      default="cosine", help="scale path for timevarying")
@@ -268,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate parameters from a CSV")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--method", required=True,
-                     choices=("log", "frac", "sign-bipower", "tripower",
-                              "gamma-mle", "ig-mle", "pipeline"))
+    est.add_argument("--method", required=True, choices=_ESTIMATE)
     est.add_argument("--p", type=float, default=None,
                      help="fractional moment power (frac, pipeline)")
     est.add_argument("--q", type=float, default=None,
@@ -300,12 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the preset sample sizes")
     tab.set_defaults(handler=_cmd_table)
 
-    fis = sub.add_parser("fisher", help="Fisher information dump")
-    fis_beta = fis.add_mutually_exclusive_group(required=True)
-    fis_beta.add_argument("--beta", type=float)
-    fis_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
-    fis.add_argument("--sigma", type=_scale, default=1.0)
-    fis.add_argument("--out", default=None)
+    # the flags the fisher and variance dumps share
+    dump = argparse.ArgumentParser(add_help=False)
+    dump_beta = dump.add_mutually_exclusive_group(required=True)
+    dump_beta.add_argument("--beta", type=float)
+    dump_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
+    dump.add_argument("--sigma", type=_scale, default=1.0)
+    dump.add_argument("--out", default=None)
+
+    fis = sub.add_parser("fisher", help="Fisher information dump",
+                         parents=[dump])
     fis.set_defaults(handler=_cmd_fisher)
 
     den = sub.add_parser("density", help="density grid dump")
@@ -321,13 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         "variance", help="fixed-mesh (h = 1) asymptotic variance dump",
         description="Dump the fixed-mesh (h = 1) covariances V^log and V^p. "
         "At a shrinking mesh sigma_hat carries an extra "
-        "-sigma log(1/h) / beta^2 (beta_hat - beta) term they omit.")
-    var_beta = var.add_mutually_exclusive_group(required=True)
-    var_beta.add_argument("--beta", type=float)
-    var_beta.add_argument("--beta-grid", type=_parse_grid, help="lo:hi:step")
-    var.add_argument("--sigma", type=_scale, default=1.0)
-    var.add_argument("--p", type=float, default=None)
-    var.add_argument("--out", default=None)
+        "-sigma log(1/h) / beta^2 (beta_hat - beta) term they omit.",
+        parents=[dump])
+    var.add_argument("--p", type=_moment_order, default=None,
+                     help="fractional moment order in (0, 1/2); V^p is nan "
+                          "where 4p >= beta")
     var.set_defaults(handler=_cmd_variance)
 
     return parser

@@ -20,6 +20,7 @@ from .stable_core import IncrementSample
 
 __all__ = [
     "EstimateReport",
+    "check_finite",
     "SummaryRow",
     "write_increments",
     "read_increments",
@@ -131,12 +132,10 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("beta_hat", "sigma_hat", "gamma_hat", "ci_gamma",
-                     "cov_matrix", "extra"):
-            bad = _first_nonfinite(getattr(self, name), name)
-            if bad is not None:
-                raise EstimationError("report value is not finite",
-                                      method=self.method, field=bad)
+        check_finite(self.method, beta_hat=self.beta_hat,
+                     sigma_hat=self.sigma_hat, gamma_hat=self.gamma_hat,
+                     ci_gamma=self.ci_gamma, cov_matrix=self.cov_matrix,
+                     extra=self.extra)
 
     def to_json_dict(self) -> dict:
         cov = self.cov_matrix
@@ -191,21 +190,21 @@ class EstimateReport:
         return cls.from_json_dict(json.loads(text))
 
 
-def _first_nonfinite(value, name: str) -> str | None:
-    # path of the first NaN or infinity in a (nested) report value
-    if isinstance(value, dict):
-        items = ((f"{name}.{key}", item) for key, item in value.items())
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = ((f"{name}[{i}]", item) for i, item in enumerate(value))
-    elif isinstance(value, (float, np.floating)):
-        return None if math.isfinite(value) else name
-    else:
-        return None
-    for sub, item in items:
-        bad = _first_nonfinite(item, sub)
-        if bad is not None:
-            return bad
-    return None
+def check_finite(method: str, /, **fields) -> None:
+    """Raise EstimationError naming, by its report path (e.g.
+    cov_matrix[1][1]), the first NaN or infinity in fields, taken in order
+    and searched through nested dicts, sequences and arrays."""
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            check_finite(method, **{f"{name}.{key}": item
+                                    for key, item in value.items()})
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            check_finite(method, **{f"{name}[{i}]": item
+                                    for i, item in enumerate(value)})
+        elif isinstance(value, (float, np.floating)) \
+                and not math.isfinite(value):
+            raise EstimationError("report value is not finite",
+                                  method=method, field=name)
 
 
 def _opt_float(value):

@@ -41,7 +41,7 @@ from .errors import (
     SingularJacobian,
     stable_index,
 )
-from .serialize import EstimateReport
+from .serialize import EstimateReport, check_finite
 from .special_fn import (
     find_root_monotone,
     log_gamma,
@@ -437,14 +437,14 @@ def sign_bipower_point(sample: IncrementSample,
     """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
     scale: p_hat from signs, beta_hat from the bipower ratio at power q, then
     s_p = sigma*_hat_p (InadmissiblePositivity unless positive) and
-    sigma_hat = s_p^{1/p} with p = 2q."""
+    sigma_hat = s_p^{1/p} with p = 2q (inf where that overflows)."""
     p_hat = sign_statistic(sample)
     beta_hat = bipower_beta(sample, q, p_hat)
     p = 2.0 * q
     s_p = sigma_star_power(sample, p_hat, beta_hat, p)
     if s_p <= 0.0:
         raise InadmissiblePositivity("nonpositive scale functional", s_p=s_p)
-    return p_hat, beta_hat, s_p ** (1.0 / p), s_p
+    return p_hat, beta_hat, overflow_to_inf(math.pow, s_p, 1.0 / p), s_p
 
 
 def tripower_point(sample: IncrementSample,
@@ -462,15 +462,17 @@ def sign_bipower_estimate(sample: IncrementSample,
     """sign_bipower_point plus the delta-method covariance V of
     (p_hat, beta_hat, sigma*_hat_p)."""
     p_hat, beta_hat, sigma_hat, s_p = sign_bipower_point(sample, q)
-    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
-    cov = delta_cov(beta_hat, p_hat, q, s_p, s_2p)
+    with np.errstate(over="ignore"):  # an inf sum is named below
+        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
+    extra = {"p_pos_hat": p_hat, "q": q, "sigma_star_p": s_p,
+             "sigma_star_2p": s_2p,
+             "cov_coords": ["p_pos", "beta", "sigma_star_p"]}
+    check_finite("sign-bipower", beta_hat=beta_hat, sigma_hat=sigma_hat,
+                 extra=extra)
     return EstimateReport(
         method="sign-bipower", n=sample.n, h=sample.h,
         beta_hat=beta_hat, sigma_hat=sigma_hat,
-        cov_matrix=cov,
-        extra={"p_pos_hat": p_hat, "q": q, "sigma_star_p": s_p,
-               "sigma_star_2p": s_2p,
-               "cov_coords": ["p_pos", "beta", "sigma_star_p"]})
+        cov_matrix=delta_cov(beta_hat, p_hat, q, s_p, s_2p), extra=extra)
 
 
 def tripower_estimate(sample: IncrementSample,
@@ -481,7 +483,11 @@ def tripower_estimate(sample: IncrementSample,
     p_hat, beta_hat, s_star = tripower_point(sample, q)
     p = 2.0 * q
     s_p = sigma_star_power(sample, p_hat, beta_hat, p)
-    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)
+    with np.errstate(over="ignore"):  # an inf sum is named below
+        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)
+    check_finite("tripower", beta_hat=beta_hat, sigma_hat=s_star,
+                 extra={"p_pos_hat": p_hat}, sigma_star_p=s_p,
+                 sigma_star_2p=s_2p)
     v22 = float(delta_cov(beta_hat, p_hat, q, s_p, s_2p)[1, 1])
     avar = overflow_to_inf(math.pow, s_star / beta_hat, 2) * v22
     return EstimateReport(

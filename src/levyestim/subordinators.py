@@ -1,5 +1,5 @@
 """Gamma and inverse-Gaussian subordinators: sampling, maximum likelihood,
-moment estimation, Fisher matrices.
+moment estimation, Fisher matrices, and the MLE reports.
 
 Laws of the increments over mesh h:
 
@@ -36,6 +36,7 @@ from .errors import (
     NoSignChange,
     positive,
 )
+from .serialize import EstimateReport, check_finite
 from .special_fn import digamma, find_root_monotone
 from .stable_core import IncrementSample, _as_rng
 
@@ -49,6 +50,8 @@ __all__ = [
     "ig_mle",
     "gamma_fisher",
     "ig_fisher",
+    "gamma_mle_estimate",
+    "ig_mle_estimate",
 ]
 
 
@@ -227,17 +230,45 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     return delta_hat, gamma_hat
 
 
+def _gamma_information(delta, rate) -> np.ndarray:
+    delta, rate = np.float64(delta), np.float64(rate)
+    with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
+        return np.diag([1.0 / delta ** 2, delta / rate ** 2])
+
+
+def _ig_information(delta, rate) -> np.ndarray:
+    delta, rate = np.float64(delta), np.float64(rate)
+    with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
+        return np.diag([2.0 / delta ** 2, delta / rate])
+
+
 def gamma_fisher(params: GammaSubParams) -> np.ndarray:
     """Per-observation Fisher information diag(1/delta^2, delta/gamma^2) in
     the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    delta, rate = np.float64(params.delta), np.float64(params.gamma_rate)
-    with np.errstate(over="ignore", divide="ignore"):  # saturate to 0 / inf
-        return np.diag([1.0 / delta ** 2, delta / rate ** 2])
+    return _gamma_information(params.delta, params.gamma_rate)
 
 
 def ig_fisher(params: IGSubParams) -> np.ndarray:
     """Per-observation Fisher information diag(2/delta^2, delta/gamma) in
     the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    delta, rate = np.float64(params.delta), np.float64(params.gamma_ig)
-    with np.errstate(over="ignore", divide="ignore"):  # saturate to 0 / inf
-        return np.diag([2.0 / delta ** 2, delta / rate])
+    return _ig_information(params.delta, params.gamma_ig)
+
+
+def _mle_report(method: str, sample: IncrementSample, mle,
+                information) -> EstimateReport:
+    delta_hat, gamma_hat = mle(sample)
+    check_finite(method, extra={"delta_hat": delta_hat}, gamma_hat=gamma_hat)
+    fisher = information(delta_hat, gamma_hat).ravel().tolist()
+    return EstimateReport(method=method, n=sample.n, h=sample.h,
+                          gamma_hat=gamma_hat,
+                          extra={"delta_hat": delta_hat, "fisher": fisher})
+
+
+def gamma_mle_estimate(sample: IncrementSample) -> EstimateReport:
+    """gamma_mle plus the gamma_fisher information at the estimates."""
+    return _mle_report("gamma-mle", sample, gamma_mle, _gamma_information)
+
+
+def ig_mle_estimate(sample: IncrementSample) -> EstimateReport:
+    """ig_mle plus the ig_fisher information at the estimates."""
+    return _mle_report("ig-mle", sample, ig_mle, _ig_information)

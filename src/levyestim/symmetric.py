@@ -44,7 +44,7 @@ from .errors import (
     positive,
     stable_index,
 )
-from .serialize import EstimateReport
+from .serialize import EstimateReport, check_finite
 from .special_fn import (
     EULER_GAMMA,
     ZETA3,
@@ -232,9 +232,12 @@ def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
     return beta_hat, sigma_hat, m / h
 
 
-def _report(method: str, sample: IncrementSample, point, cov, level: float,
-            **extra) -> EstimateReport:
+def _report(method: str, sample: IncrementSample, point, covariance,
+            level: float, **extra) -> EstimateReport:
     beta_hat, sigma_hat, gamma_hat = point
+    check_finite(method, beta_hat=beta_hat, sigma_hat=sigma_hat,
+                 gamma_hat=gamma_hat)
+    cov = covariance(beta_hat, sigma_hat)
     n_used = _odd_count(sample.n)
     ci = gamma_confidence_interval(gamma_hat, beta_hat, sigma_hat,
                                    n_used, sample.h, level)
@@ -248,8 +251,7 @@ def log_moment_estimate(sample: IncrementSample,
                         level: float = 0.95) -> EstimateReport:
     """log_moment_point plus the plug-in V^log covariance and the gamma
     confidence interval at the given level."""
-    point = log_moment_point(sample)
-    return _report("log", sample, point, v_log(*point[:2]), level)
+    return _report("log", sample, log_moment_point(sample), v_log, level)
 
 
 def beta_inv_sq_unbiased(sample: IncrementSample) -> float:
@@ -365,8 +367,8 @@ def frac_moment_estimate(sample: IncrementSample, p: float,
                          level: float = 0.95) -> EstimateReport:
     """frac_moment_point plus the plug-in V^p covariance and the gamma
     confidence interval at the given level."""
-    point = frac_moment_point(sample, p)
-    return _report("frac", sample, point, v_p(*point[:2], p), level, p=p)
+    return _report("frac", sample, frac_moment_point(sample, p),
+                   lambda beta, sigma: v_p(beta, sigma, p), level, p=p)
 
 
 def v_p(beta: float, sigma: float, p: float) -> np.ndarray:

@@ -31,7 +31,7 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .serialize import EstimateReport
+from .serialize import EstimateReport, check_finite
 from .skewed import bipower_beta, sign_statistic
 from .stable_core import (
     IncrementSample,
@@ -163,16 +163,17 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     try:  # steps 2 and 3 raise no EstimationError
         beta_hat, sigma_sym, _ = (log_moment_point(sym) if p is None
                                   else frac_moment_point(sym, p))
+        if not (0.0 < beta_hat < 2.0) or beta_hat == 1.0:
+            # the skew/positivity inversion degenerates at 1 and 2, so steps
+            # 2-3 need an index estimate in (0,1) or (1,2)
+            raise EstimationError(
+                "index estimate outside the invertible range (0,1) or (1,2)",
+                beta_hat=float(beta_hat))
+        sigma_hat = sigma_sym / 2.0 ** (1.0 / beta_hat)
+        check_finite("pipeline", beta_hat=beta_hat, sigma_hat=sigma_hat)
     except EstimationError as exc:
         exc.context = dict(exc.context, pipeline_step="symmetrize")
         raise
-    if not (0.0 < beta_hat < 2.0) or beta_hat == 1.0:
-        # the skew/positivity inversion degenerates at 1 and 2, so an index
-        # estimate outside (0,1) or (1,2) cannot be pushed through steps 2-3
-        raise EstimationError(
-            "index estimate outside the invertible range (0,1) or (1,2)",
-            beta_hat=float(beta_hat), pipeline_step="symmetrize")
-    sigma_hat = sigma_sym / 2.0 ** (1.0 / beta_hat)
 
     cen = center_triple(sample)
     p_cen = sign_statistic(cen)

@@ -836,3 +836,170 @@ def test_commands_load_neither_optimize_nor_integrate(every_command_probe):
 def test_commands_load_no_scipy(every_command_probe):
     # numpy is the only runtime dependency
     assert every_command_probe == {"failed": [], "loaded": []}
+
+
+# ---------------------------------------------------------------------------
+# one path from estimate to report
+
+
+def test_estimate_methods_are_one_table():
+    # the --method choices are the keys of one table; cli names each method
+    # once and builds no report itself
+    from levyestim import cli
+
+    assert list(cli._ESTIMATE) == ["log", "frac", "sign-bipower", "tripower",
+                                   "gamma-mle", "ig-mle", "pipeline"]
+    parser = build_parser()
+    for method in cli._ESTIMATE:
+        args = parser.parse_args(["estimate", "--in", "x", "--method", method])
+        assert args.method == method
+    source = Path(cli.__file__).read_text(encoding="utf8")
+    for method in cli._ESTIMATE:
+        assert source.count(f'"{method}"') == 1, method
+    for name in ("GammaSubParams", "IGSubParams", "gamma_fisher",
+                 "ig_fisher", "EstimateReport"):
+        assert name not in source
+
+
+def test_check_finite_names_the_first_bad_value_by_its_report_path():
+    from levyestim.serialize import check_finite
+
+    check_finite("m", a=1.0, b=None, c="text", d=3, e=[1.0, (2.0,)],
+                 f=np.eye(2), g={"h": np.float64(1.0)})
+    with pytest.raises(EstimationError) as info:
+        check_finite("m", a=1.0, extra={"x": [1.0, np.inf], "y": math.nan})
+    assert info.value.context == {"method": "m", "field": "extra.x[1]"}
+    with pytest.raises(EstimationError) as info:
+        check_finite("m", cov_matrix=np.array([[1.0, np.nan]]),
+                     gamma_hat=math.inf)
+    assert info.value.context["field"] == "cov_matrix[0][1]"
+
+
+def _one_error_line(captured) -> dict:
+    # a failed estimate prints nothing on stdout and one strict-JSON line,
+    # and no warning, on stderr
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1, captured.err
+    return _strict_json(err_lines[0])
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-200])
+@pytest.mark.parametrize("method", [["log"], ["frac", "--p", "0.05"],
+                                    ["pipeline"]],
+                         ids=["log", "frac", "pipeline"])
+def test_overflowing_scale_is_named_before_any_plug_in(tmp_path, capsys, h,
+                                                       method):
+    # a beta = 0.6 sample read at a tiny mesh: sigma_hat overflows to inf
+    # and is named before V^log, V^p or the drift interval see it
+    sample = sample_increments(StableParams(0.6, 1.0), 1.0, 2001, 3)
+    src = tmp_path / "x.csv"
+    write_increments(src, IncrementSample(sample.values, h))
+    assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
+    payload = _one_error_line(capsys.readouterr())
+    assert payload["code"] == "estimation_error"
+    assert payload["context"]["field"] == "sigma_hat"
+    if method == ["pipeline"]:
+        assert payload["context"]["pipeline_step"] == "symmetrize"
+
+
+@pytest.mark.filterwarnings("ignore:.*zero increment")
+def test_pipeline_overflowing_scale_is_an_estimation_error(tmp_path, capsys):
+    # log|x| ~ N(-300, 250^2): the step-1 scale overflows, which is an
+    # estimation error naming sigma_hat, not a domain error of a plug-in
+    src = tmp_path / "x.csv"
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], 2001)
+        values = signs * np.exp(rng.normal(-300.0, 250.0, 2001))
+        write_increments(src, IncrementSample(values, 0.001))
+        assert run_cli("estimate", "--in", str(src), "--method",
+                       "pipeline") == 1
+        payload = _one_error_line(capsys.readouterr())
+        assert payload["code"] == "estimation_error"
+        assert payload["context"]["field"] == "sigma_hat"
+
+
+def test_subordinator_mle_outside_the_double_range_is_an_estimation_error(
+        tmp_path, capsys):
+    # |x| = exp(N(mu, 1)) where delta_hat or its Fisher entries leave the
+    # double range: estimation_error, never a parameter-domain error
+    src = tmp_path / "x.csv"
+    for mu, h in ((-600.0, 1e300), (600.0, 1e-300), (600.0, 1e300)):
+        values = np.exp(np.random.default_rng(1).normal(mu, 1.0, 500))
+        write_increments(src, IncrementSample(values, h))
+        for method in ("gamma-mle", "ig-mle"):
+            assert run_cli("estimate", "--in", str(src), "--method",
+                           method) == 1
+            payload = _one_error_line(capsys.readouterr())
+            assert payload["code"] == "estimation_error", (mu, h, method)
+
+
+def test_huge_skewed_sample_names_the_statistic_without_warnings(tmp_path,
+                                                                 capsys):
+    # scaled to max |x| = 1e307, the bipower sum behind sigma*_2p overflows;
+    # the report names it before delta_cov, and numpy warns of nothing
+    src = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params",
+                   "beta=1.5,p_pos=0.4", "--n", "2001", "--T", "1",
+                   "--seed", "4", "--out", str(src)) == 0
+    sample = read_increments(src)
+    values = sample.values / np.abs(sample.values).max() * 1e307
+    write_increments(src, IncrementSample(values, sample.h))
+    for method, field in (("sign-bipower", "extra.sigma_star_2p"),
+                          ("tripower", "sigma_hat")):
+        assert run_cli("estimate", "--in", str(src), "--method", method) == 1
+        payload = _one_error_line(capsys.readouterr())
+        assert payload["code"] == "estimation_error"
+        assert payload["context"]["field"] == field
+
+
+def test_overflowing_power_scale_is_named_not_raised(tmp_path, capsys):
+    # near-Gaussian increments scaled to max |x| = 1.7e308: sigma_hat =
+    # s_p^{1/p} overflows, which the sign-bipower report names instead of
+    # raising OverflowError
+    values = np.random.default_rng(0).normal(size=2001) + 0.3
+    src = tmp_path / "x.csv"
+    write_increments(src, IncrementSample(
+        values / np.abs(values).max() * 1.7e308, 1 / 2001))
+    assert run_cli("estimate", "--in", str(src), "--method",
+                   "sign-bipower") == 1
+    payload = _one_error_line(capsys.readouterr())
+    assert payload["code"] == "estimation_error"
+    assert payload["context"]["field"] == "sigma_hat"
+
+
+# ---------------------------------------------------------------------------
+# flag domains
+
+
+@pytest.mark.parametrize("p", ["0.7", "0.5", "0", "-1", "nan", "inf"])
+def test_variance_p_outside_its_domain_exits_two(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("variance", "--beta", "1.5", "--p", p)
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_variance_writes_nan_only_where_4p_reaches_beta(capsys):
+    # V^p needs moments to order 4p < beta; any other failure is an error
+    assert _run_to_lines(capsys, "variance", "--beta", "0.4",
+                         "--p", "0.1")[1].endswith(",nan,nan,nan")
+    cells = _run_to_lines(capsys, "variance", "--beta", "0.41",
+                          "--p", "0.1")[1].split(",")
+    assert all(math.isfinite(float(c)) for c in cells)
+    assert run_cli("variance", "--beta", "2.5", "--p", "0.1") == 1
+    payload = _strict_json(capsys.readouterr().err.strip())
+    assert payload["code"] == "domain_error"
+    assert payload["context"] == {"beta": 2.5}
+
+
+def test_simulate_takes_T_or_h_not_both(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
+                "--n", "10", "--T", "5", "--h", "0.01", "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--T" in err and "--h" in err
+    assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from levyestim.errors import (
     DataError,
     DomainError,
+    EstimationError,
     NonpositiveBrace,
     NonpositiveK,
 )
@@ -18,9 +19,11 @@ from levyestim.subordinators import (
     IGSubParams,
     gamma_fisher,
     gamma_mle,
+    gamma_mle_estimate,
     gamma_moment_estimate,
     ig_fisher,
     ig_mle,
+    ig_mle_estimate,
     sample_gamma_sub,
     sample_ig_sub,
 )
@@ -311,3 +314,38 @@ def test_fisher_matrices_diagonal():
             off = info - np.diag(np.diag(info))
             assert np.all(off == 0.0)
             assert np.all(np.diag(info) > 0.0)
+
+
+def test_mle_reports_carry_the_fisher_information_at_the_estimates():
+    # the report's Fisher entries are gamma_fisher's / ig_fisher's at the
+    # estimates, bit for bit
+    for report_of, mle, fisher, params, sampler, method in (
+            (gamma_mle_estimate, gamma_mle, gamma_fisher, GammaSubParams,
+             sample_gamma_sub, "gamma-mle"),
+            (ig_mle_estimate, ig_mle, ig_fisher, IGSubParams,
+             sample_ig_sub, "ig-mle")):
+        sample = sampler(params(2.0, 1.5), 0.1, 500, 4)
+        report = report_of(sample)
+        delta_hat, gamma_hat = mle(sample)
+        assert report.method == method
+        assert (report.n, report.h) == (500, 0.1)
+        assert report.gamma_hat == gamma_hat
+        assert report.extra["delta_hat"] == delta_hat
+        assert report.extra["fisher"] == fisher(
+            params(delta_hat, gamma_hat)).ravel().tolist()
+
+
+@pytest.mark.parametrize("report_of,field", [
+    (gamma_mle_estimate, "extra.fisher[3]"),
+    (ig_mle_estimate, "extra.delta_hat"),
+])
+def test_mle_report_names_an_estimate_outside_the_double_range(report_of,
+                                                               field):
+    # |x| ~ exp(N(600, 1)) at h = 1e-300: the IG delta_hat overflows, the
+    # gamma one is finite but its Fisher entry delta/gamma^2 is not; both
+    # are estimation errors naming the value, not parameter-domain errors
+    values = np.exp(np.random.default_rng(1).normal(600.0, 1.0, 500))
+    with pytest.raises(EstimationError) as info:
+        report_of(_sample(values, 1e-300))
+    assert info.value.code == "estimation_error"
+    assert info.value.context["field"] == field
