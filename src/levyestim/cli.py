@@ -117,11 +117,17 @@ def _cmd_simulate(args) -> int:
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
-    h = None  # timevarying: the scale path fixes the horizon [0, 1]
-    if args.model != "timevarying":
-        if args.T is None and args.h is None:
-            print("error: need --T or --h", file=sys.stderr)
+    h = None
+    if args.model == "timevarying":
+        if args.T is not None or args.h is not None:
+            flag = "--T" if args.T is not None else "--h"
+            print(f"error: --model timevarying takes no {flag}: the scale "
+                  "path fixes the horizon [0, 1]", file=sys.stderr)
             return 2
+    elif args.T is None and args.h is None:
+        print("error: need --T or --h", file=sys.stderr)
+        return 2
+    else:
         h = args.h if args.h is not None else args.T / args.n
     serialize.write_increments(args.out,
                                entry.sample(truth, h, args.n, args.seed))
@@ -132,31 +138,43 @@ def _skewed_q(args) -> float:
     return 0.25 if args.q is None else args.q
 
 
-# estimate --method: name -> (flag the method needs or None, report call on
-# the sample and the parsed flags).  The calls read the estimator modules'
-# attributes when they run, so a patched estimator is seen
+def _level(args) -> float:
+    return 0.95 if args.level is None else args.level
+
+
+# estimate --method: name -> (flag the method needs or None, the flags it
+# reads, report call on the sample and the parsed flags).  The calls read
+# the estimator modules' attributes when they run, so a patched estimator
+# is seen
 _ESTIMATE = {
-    "log": (None, lambda s, a: symmetric.log_moment_estimate(s, a.level)),
-    "frac": ("p", lambda s, a: symmetric.frac_moment_estimate(s, a.p,
-                                                              a.level)),
-    "sign-bipower": (None, lambda s, a: skewed.sign_bipower_estimate(
+    "log": (None, ("level",), lambda s, a: symmetric.log_moment_estimate(
+        s, _level(a))),
+    "frac": ("p", ("p", "level"), lambda s, a: symmetric.frac_moment_estimate(
+        s, a.p, _level(a))),
+    "sign-bipower": (None, ("q",), lambda s, a: skewed.sign_bipower_estimate(
         s, _skewed_q(a))),
-    "tripower": (None, lambda s, a: skewed.tripower_estimate(
+    "tripower": (None, ("q",), lambda s, a: skewed.tripower_estimate(
         s, _skewed_q(a))),
-    "gamma-mle": (None, lambda s, a: subordinators.gamma_mle_estimate(s)),
-    "ig-mle": (None, lambda s, a: subordinators.ig_mle_estimate(s)),
-    "pipeline": (None, lambda s, a: transforms.full_pipeline(
-        s, q=a.q, p=a.p, level=a.level)),
+    "gamma-mle": (None, (), lambda s, a: subordinators.gamma_mle_estimate(s)),
+    "ig-mle": (None, (), lambda s, a: subordinators.ig_mle_estimate(s)),
+    "pipeline": (None, ("p", "q", "level"),
+                 lambda s, a: transforms.full_pipeline(s, q=a.q, p=a.p,
+                                                       level=_level(a))),
 }
 
 
 def _cmd_estimate(args) -> int:
-    needs, estimate = _ESTIMATE[args.method]
-    sample = serialize.read_increments(args.infile)
+    needs, reads, estimate = _ESTIMATE[args.method]
     if needs is not None and getattr(args, needs) is None:
         print(f"error: --method {args.method} needs --{needs}",
               file=sys.stderr)
         return 2
+    for flag in ("p", "q", "level"):
+        if flag not in reads and getattr(args, flag) is not None:
+            print(f"error: --method {args.method} does not read --{flag}",
+                  file=sys.stderr)
+            return 2
+    sample = serialize.read_increments(args.infile)
     _write_lines(args.out, [estimate(sample, args).to_json()])
     return 0
 
@@ -280,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--q", type=float, default=None,
                      help="power for sign-bipower/tripower (default 0.25) "
                           "or the pipeline consistency diagnostic")
-    est.add_argument("--level", type=float, default=0.95,
-                     help="confidence level for intervals")
+    est.add_argument("--level", type=float, default=None,
+                     help="confidence level for intervals (log, frac, "
+                          "pipeline; default 0.95)")
     est.add_argument("--out", default=None)
     est.set_defaults(handler=_cmd_estimate)
 

@@ -49,41 +49,44 @@ def write_increments(path, sample: IncrementSample) -> None:
         if key in ("h", "n"):
             continue
         lines.append(f"# {key}={val!r}" if isinstance(val, str) else f"# {key}={val}")
-    lines.extend(repr(float(v)) for v in sample.values)
+    lines.extend(map(repr, sample.values.tolist()))
     with open(path, "w", encoding="utf8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_increments(path) -> IncrementSample:
-    meta: dict = {}
-    values: list[float] = []
-    with open(path, "r", encoding="utf8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise DataError("metadata line is not key=value",
-                                    line=lineno, text=line)
-                key, _, raw = body.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if raw.startswith("'") and raw.endswith("'") and len(raw) >= 2:
-                    meta[key] = raw[1:-1]
-                else:
-                    meta[key] = _meta_value(raw)
-                continue
-            try:
-                value = float(line)
-            except ValueError as exc:
-                raise DataError("unparseable increment value",
-                                line=lineno, text=line) from exc
-            if not math.isfinite(value):
-                raise DataError("non-finite increment value",
-                                line=lineno, text=line)
-            values.append(value)
+def _read_line(lineno: int, line: str, meta: dict, values: list) -> None:
+    # the format rule for one line: blank lines are skipped, '#' lines are
+    # key=value metadata, any other line is one finite value
+    line = line.strip()
+    if not line:
+        return
+    if line.startswith("#"):
+        body = line[1:].strip()
+        if "=" not in body:
+            raise DataError("metadata line is not key=value",
+                            line=lineno, text=line)
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if raw.startswith("'") and raw.endswith("'") and len(raw) >= 2:
+            meta[key] = raw[1:-1]
+        else:
+            meta[key] = _meta_value(raw)
+        return
+    try:
+        value = float(line)
+    except ValueError as exc:
+        raise DataError("unparseable increment value",
+                        line=lineno, text=line) from exc
+    if not math.isfinite(value):
+        raise DataError("non-finite increment value",
+                        line=lineno, text=line)
+    values.append(value)
+
+
+def _increment_sample(path, meta: dict, values) -> IncrementSample:
+    # the file-level rules, once every line has been read: a finite h, n
+    # (when given) an integer equal to the count, and at least one value
     if "h" not in meta:
         raise DataError("increment file lacks an h metadata line", path=str(path))
     raw_h = meta.pop("h")
@@ -104,9 +107,46 @@ def read_increments(path) -> IncrementSample:
         if int(declared_n) != len(values):
             raise DataError("declared n disagrees with the number of values",
                             declared=int(declared_n), found=len(values))
-    if not values:
+    if not len(values):
         raise DataError("increment file holds no values", path=str(path))
-    return IncrementSample(np.array(values), h, meta)
+    return IncrementSample(values, h, meta)
+
+
+def read_increments(path) -> IncrementSample:
+    """Read an increment file, as write_increments writes it.
+
+    Each line is stripped of whitespace.  A blank line is skipped.  A line
+    starting with '#' is "# key=value" metadata: a quoted value ('...') is
+    kept as a string, else it is an int or float where it parses as one,
+    else the raw text.  Any other line is one increment value and must
+    parse as a finite float.  The metadata must hold a finite h; n, when
+    present, must be an integer equal to the number of values; and there
+    must be at least one value.  A file that breaks a rule raises
+    DataError: the first bad line in file order, named by its line number
+    and text, else the first metadata or count rule it breaks.
+
+    Past the leading metadata, a block of lines that are all finite
+    numbers is converted in one pass; any other block is read line by
+    line, with the same result."""
+    with open(path, "r", encoding="utf8") as fh:
+        lines = fh.read().rstrip().split("\n")
+    meta: dict = {}
+    values: list[float] = []
+    start = 0
+    while start < len(lines) and lines[start].lstrip()[:1] in ("", "#"):
+        _read_line(start + 1, lines[start], meta, values)
+        start += 1
+    try:
+        # float() strips the same whitespace as str.strip()
+        block = np.array(list(map(float, lines[start:])))
+        plain = np.isfinite(block).all()
+    except ValueError:
+        plain = False
+    if not plain:
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            _read_line(lineno, line, meta, values)
+        block = values
+    return _increment_sample(path, meta, block)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from levyestim.errors import (
     EstimationError,
     LevyEstimError,
 )
-from levyestim.mc import ExperimentConfig, run_experiment
+from levyestim.mc import MODELS, ExperimentConfig, run_experiment
 from levyestim.serialize import (
     EstimateReport,
     read_increments,
@@ -94,6 +94,45 @@ def test_frac_without_p_is_flag_error(tmp_path, capsys):
                  "--method", "frac")
     assert rc == 2
     assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,flags,refused", [
+    ("log", ["--p", "0.1"], "--p"), ("log", ["--q", "0.3"], "--q"),
+    ("frac", ["--p", "0.1", "--q", "0.3"], "--q"),
+    ("sign-bipower", ["--level", "0.9"], "--level"),
+    ("tripower", ["--p", "0.1"], "--p"),
+    ("gamma-mle", ["--level", "0.95"], "--level"),
+    ("ig-mle", ["--q", "0.25"], "--q"),
+])
+def test_estimate_refuses_a_flag_its_method_does_not_read(tmp_path, capsys,
+                                                         method, flags,
+                                                         refused):
+    src = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "gamma", "--params",
+                   "delta=2,gamma=1.5", "--n", "50", "--T", "5",
+                   "--out", str(src)) == 0
+    capsys.readouterr()
+    rc = run_cli("estimate", "--in", str(src), "--method", method, *flags)
+    assert rc == 2
+    assert f"does not read {refused}" in capsys.readouterr().err
+
+
+def test_estimate_level_defaults_to_95_percent(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params",
+                   "beta=1.25,sigma=0.5,rho=0.2,gamma=-0.5", "--n", "2001",
+                   "--T", "5", "--seed", "1", "--out", str(src)) == 0
+    for method in (["log"], ["frac", "--p", "0.1"], ["pipeline"]):
+        capsys.readouterr()
+        assert run_cli("estimate", "--in", str(src), "--method",
+                       *method) == 0
+        bare = capsys.readouterr().out
+        assert run_cli("estimate", "--in", str(src), "--method", *method,
+                       "--level", "0.95") == 0
+        assert capsys.readouterr().out == bare
+        assert run_cli("estimate", "--in", str(src), "--method", *method,
+                       "--level", "0.5") == 0
+        assert capsys.readouterr().out != bare
 
 
 def test_grid_validation_exits_two(capsys):
@@ -189,6 +228,47 @@ def test_simulate_timevarying_cosine(tmp_path):
                  "--seed", "11", "--out", str(out))
     assert rc == 0
     assert read_increments(out).n == 400
+
+
+@pytest.mark.parametrize("flag", [["--T", "5"], ["--h", "0.01"]])
+def test_simulate_timevarying_refuses_a_mesh(tmp_path, capsys, flag):
+    # the scale path fixes the horizon [0, 1]: --T or --h would be ignored
+    out = tmp_path / "tv.csv"
+    rc = run_cli("simulate", "--model", "timevarying", "--params",
+                 "beta=1.5,p_pos=0.45", "--n", "100", *flag, "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err and "horizon [0, 1]" in err
+    assert not out.exists()
+
+
+# every model and scale path that simulate writes
+_WRITTEN = [("symmetric_stable", {"beta": 1.3, "sigma": 0.5, "rho": 0.2,
+                                  "gamma": -0.5}, 0.005),
+            ("skewed_stable", {"beta": 1.45, "p_pos": 0.55}, 0.001),
+            ("timevarying_stable", {"beta": 1.45, "p_pos": 0.55,
+                                    "path": "cosine"}, None),
+            ("timevarying_stable", {"beta": 1.45, "p_pos": 0.55,
+                                    "path": "constant", "sigma": 0.8}, None),
+            ("gamma_sub", {"delta": 2.0, "gamma": 1.5}, 0.1),
+            ("ig_sub", {"delta": 2.0, "gamma": 1.5}, 0.1)]
+
+
+@pytest.mark.parametrize("model,truth,h", _WRITTEN,
+                         ids=[f"{m}-{t.get('path', '')}" for m, t, _ in
+                              _WRITTEN])
+def test_written_values_are_the_repr_of_each_float(tmp_path, model, truth,
+                                                   h):
+    # the value lines are byte for byte repr(float(v)) of each value, after
+    # the '#' metadata lines
+    sample = MODELS[model].sample(truth, h, 500, 7)
+    out = tmp_path / "x.csv"
+    write_increments(out, sample)
+    head = [line for line in out.read_text(encoding="utf8").splitlines()
+            if line.startswith("#")]
+    expected = "\n".join(head + [repr(float(v)) for v in sample.values])
+    assert out.read_bytes() == (expected + "\n").encode("utf8")
+    assert head[:2] == [f"# h={sample.h!r}", "# n=500"]
 
 
 _MISSING_CASES = [

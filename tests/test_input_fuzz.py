@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from levyestim.cli import _parse_params
 from levyestim.errors import LevyEstimError
 from levyestim.mc import ESTIMATORS, MODELS, ExperimentConfig
-from levyestim.serialize import read_increments
+from levyestim.serialize import _increment_sample, _read_line, read_increments
 from levyestim.stable_core import IncrementSample
 
 # text that survives a utf8 round trip (no lone surrogates)
@@ -49,6 +49,64 @@ def test_read_increments_accepts_or_raises_typed_error(tmp_path, lines, head):
     assert isinstance(sample, IncrementSample)
     assert sample.n >= 1 and np.isfinite(sample.values).all()
     assert math.isfinite(sample.h) and sample.h > 0.0
+
+
+def _read_by_lines(path):
+    # the per-line rule on every line of the file, then the file-level rules
+    meta, values = {}, []
+    with open(path, "r", encoding="utf8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            _read_line(lineno, line, meta, values)
+    return _increment_sample(path, meta, values)
+
+
+def _outcome(read, path):
+    # a sample as its exact bits, or the error payload with its context
+    try:
+        sample = read(path)
+    except LevyEstimError as exc:
+        return exc.to_json_dict()
+    return sample.values.tobytes(), repr(sample.h), repr(sample.meta)
+
+
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(str),
+    st.sampled_from(["1_000", "+3", "-0.0", ".5", "1e-320", "1E5"]),
+)
+# a value line as written, or whitespace-padded
+_VALUE_LINE = st.one_of(_VALUE, st.builds(
+    lambda pad, value: pad + value + pad[::-1], st.sampled_from(
+        [" ", "\t", "  \t", "\xa0", "\x1c"]), _VALUE))
+# what breaks a plain block: '#' and blank lines, bad values, fuzz lines
+_ODD_LINE = st.one_of(_LINE, st.sampled_from(
+    ["", "   ", "\t", "nan", "inf", "-inf", "1e400", "1_000", "0x10", "#",
+     "# n=2", "# h=0.5"]))
+
+
+@st.composite
+def _increment_files(draw):
+    block = draw(st.lists(_VALUE_LINE, max_size=20))
+    for _ in range(draw(st.integers(0, 3))):
+        block.insert(draw(st.integers(0, len(block))), draw(_ODD_LINE))
+    head = draw(st.one_of(
+        st.sampled_from([[], ["# h=0.01"], ["# h=0.01", f"# n={len(block)}"],
+                         ["", "  # h=0.01 ", "", f"#n={len(block)}", "  "]]),
+        st.lists(_META_LINE, max_size=3).map(lambda lines: ["# h=1"] + lines)))
+    tail = draw(st.sampled_from(["", "\n", "\n  \n\n", "0.5"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(head + block) + newline + tail
+
+
+@given(_increment_files())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_increments_matches_the_per_line_rule(tmp_path, text):
+    # the one-pass block conversion gives the same bits, metadata and
+    # errors (code, message, line and text) as reading line by line
+    src = tmp_path / "file.csv"
+    src.write_text(text, encoding="utf8", newline="")
+    assert _outcome(read_increments, src) == _outcome(_read_by_lines, src)
 
 
 _CHUNK = st.one_of(
