@@ -3,9 +3,16 @@
 Each replication draws its own RNG stream from
 hash(master_seed, n, estimator_id, replication_index), so it is a pure
 function of the design and the master seed, in whatever order replications
-run; aggregation reduces in replication order.  The MODELS and ESTIMATORS
-tables drive simulation and estimation; the estimators are the point cores,
-so no replication computes a covariance.
+run and however they are grouped; aggregation reduces in replication
+order.  The MODELS and ESTIMATORS tables drive simulation and estimation;
+the estimators are the point cores, so no replication computes a
+covariance.
+
+A model's cell, built once per (config, n), does the parameter work (checks,
+increment scale, block averages of a scale path) once; each (n, estimator)
+cell then draws its replications in stacked blocks of at most
+_BLOCK_VALUES values, one CMS evaluation per block, each row from its own
+stream, so every value equals the one a single-stream draw gives.
 
 Estimation failures (EstimationError subclasses, e.g. an index root
 outside the admissible interval, and estimates that are not finite) are
@@ -38,10 +45,10 @@ from .stable_core import (
     ScalePath,
     StableParams,
     derive_seed,
-    sample_increments,
-    sample_timevarying,
+    increments_cell,
     skew_to_positivity,
-    sprime_increment_sampler,
+    sprime_cell,
+    timevarying_cell,
 )
 from .subordinators import (
     GammaSubParams,
@@ -72,6 +79,11 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260814
 
+# Values in one stacked block of a cell's replications: 16 rows at
+# n = 500, 1 at n = 5000.  A block this size keeps the sampler's
+# temporaries in cache; larger blocks run slower.
+_BLOCK_VALUES = 8192
+
 # The table entries call the samplers and estimators through this module's
 # names at call time (lambdas, not bound references), so a caller that
 # replaces a name here, such as a tracer, sees every call.
@@ -80,7 +92,11 @@ DEFAULT_MASTER_SEED = 20260814
 class Model(NamedTuple):
     required: tuple[str, ...]  # truth keys the sampler needs
     optional: tuple[str, ...]  # truth keys it reads when present
-    sample: Callable  # (truth, h, n, seed) -> IncrementSample
+    cell: Callable  # (truth, h, n) -> draw: seeds -> list[IncrementSample]
+
+    def sample(self, truth, h, n, seed):
+        """The IncrementSample of one stream: the cell drawn at one seed."""
+        return self.cell(truth, h, n)([seed])[0]
 
 
 class Estimator(NamedTuple):
@@ -97,30 +113,35 @@ _PATHS = {
 }
 
 
+def _each_seed(sampler, params, h, n):
+    # a cell that draws one sample per seed with a model's own sampler
+    return lambda seeds: [sampler(params, h, n, seed) for seed in seeds]
+
+
 MODELS = {
     "symmetric_stable": Model(
         ("beta",), ("sigma", "rho", "gamma"),
-        lambda t, h, n, seed: sample_increments(
+        lambda t, h, n: increments_cell(
             StableParams(t["beta"], t.get("sigma", 1.0), t.get("rho", 0.0),
-                         t.get("gamma", 0.0)), h, n, seed)),
+                         t.get("gamma", 0.0)), h, n)),
     "skewed_stable": Model(
         ("beta", "p_pos"), ("sigma",),
-        lambda t, h, n, seed: sprime_increment_sampler(
+        lambda t, h, n: sprime_cell(
             PositivityStable(t["beta"], t["p_pos"],
-                             t.get("sigma", 1.0) ** t["beta"]), h, n, seed)),
+                             t.get("sigma", 1.0) ** t["beta"]), h, n)),
     # the scale path fixes the horizon [0, 1], so h is not read
     "timevarying_stable": Model(
         ("beta", "p_pos"), ("path",),
-        lambda t, h, n, seed: sample_timevarying(
-            _PATHS[t.get("path", "cosine")][1](t), t["p_pos"], n, seed)),
+        lambda t, h, n: timevarying_cell(
+            _PATHS[t.get("path", "cosine")][1](t), t["p_pos"], n)),
     "gamma_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n, seed: sample_gamma_sub(
-            GammaSubParams(t["delta"], t["gamma"]), h, n, seed)),
+        lambda t, h, n: _each_seed(
+            sample_gamma_sub, GammaSubParams(t["delta"], t["gamma"]), h, n)),
     "ig_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n, seed: sample_ig_sub(
-            IGSubParams(t["delta"], t["gamma"]), h, n, seed)),
+        lambda t, h, n: _each_seed(
+            sample_ig_sub, IGSubParams(t["delta"], t["gamma"]), h, n)),
 }
 
 
@@ -257,6 +278,12 @@ class ExperimentConfig:
         if not _finite(h_rule.get(key), f"h_rule.{key}") > 0.0:
             raise DomainError(f"{kind} rule needs {key} > 0",
                               field=f"h_rule.{key}")
+        if self.model == "timevarying_stable" and h_rule.get("T") != 1.0:
+            # the scale path fixes the horizon [0, 1]: h = 1/n, T = 1
+            raise DomainError("the timevarying_stable model needs h_rule "
+                              "fixed_T with T = 1",
+                              field="h_rule.T" if kind == "fixed_T"
+                              else "h_rule.kind")
         checked = {
             "truth": truth,
             "h_rule": h_rule,
@@ -291,28 +318,42 @@ class ExperimentConfig:
                       if f.name in payload})
 
 
-def _replicate(config: ExperimentConfig, n: int, h: float, est: dict,
-               rep: int):
-    seed = derive_seed(config.master_seed, n, est["id"], rep)
-    sample = MODELS[config.model].sample(config.truth, h, n, seed)
+def _point(estimate: Callable, sample, est: dict):
     try:
-        point = ESTIMATORS[est["kind"]].estimate(sample, est)
+        point = estimate(sample, est)
     except EstimationError:
         return None
     # an estimate that overflowed to inf fails like an EstimationError
     return point if all(map(math.isfinite, point)) else None
 
 
+def _cell_points(config: ExperimentConfig, draw: Callable, n: int,
+                 est: dict) -> list:
+    """Point estimates of one (n, estimator) cell in replication order,
+    None for a failed replication.  Replication rep draws from the stream
+    derive_seed(master_seed, n, estimator id, rep); the streams are drawn
+    in blocks of at most _BLOCK_VALUES values, and a block's samples are
+    dropped once estimated, so memory does not grow with the replications."""
+    estimate = ESTIMATORS[est["kind"]].estimate
+    seeds = [derive_seed(config.master_seed, n, est["id"], rep)
+             for rep in range(config.replications)]
+    rows = max(1, _BLOCK_VALUES // n)
+    return [_point(estimate, sample, est)
+            for start in range(0, len(seeds), rows)
+            for sample in draw(seeds[start:start + rows])]
+
+
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Run the full design and return one SummaryRow per
     (n, estimator, parameter) cell, in that deterministic order."""
     rows: list[SummaryRow] = []
+    model = MODELS[config.model]
     for n in config.n_list:
         h = config.mesh(n)
         t_total = n * h
+        draw = model.cell(config.truth, h, n)
         for est in config.estimators:
-            results = [_replicate(config, n, h, est, rep)
-                       for rep in range(config.replications)]
+            results = _cell_points(config, draw, n, est)
             failures = sum(1 for r in results if r is None)
             kept = [r for r in results if r is not None]
             for idx, param in enumerate(ESTIMATORS[est["kind"]].params):

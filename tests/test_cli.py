@@ -655,6 +655,12 @@ def _with(**changes):
            estimators=[{"id": "sign", "kind": "sign"}]), "truth.path"),
     (_with(estimators=[{"id": "m", "kind": ["median"]}]),
      "estimators.kind"),
+    # the scale path fixes the horizon [0, 1]: rows would report T = 5
+    (_with(model="timevarying_stable", truth={"beta": 1.5, "p_pos": 0.6},
+           estimators=[{"id": "sign", "kind": "sign"}]), "h_rule.T"),
+    (_with(model="timevarying_stable", truth={"beta": 1.5, "p_pos": 0.6},
+           h_rule={"kind": "power", "a": 0.6},
+           estimators=[{"id": "sign", "kind": "sign"}]), "h_rule.kind"),
     # the label is written into the output as it is
     (_with(label={"x": float("nan")}), "label"),
 ])

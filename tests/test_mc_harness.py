@@ -4,6 +4,7 @@ summary emission."""
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from levyestim.mc import (
     MODELS,
     PRESET_NAMES,
     ExperimentConfig,
-    _replicate,
+    _cell_points,
+    _point,
     emit,
     preset,
     run_experiment,
@@ -25,9 +27,13 @@ from levyestim.mc import (
 )
 from levyestim.serialize import SUMMARY_COLUMNS, read_summary
 from levyestim.stable_core import (
+    ScalePath,
     StableParams,
     derive_seed,
+    increment_scale_shift,
+    positivity_to_skew,
     sample_increments,
+    sample_standard_stable,
     skew_to_positivity,
 )
 from levyestim.symmetric import (
@@ -190,19 +196,113 @@ def test_replication_order_never_changes_values():
                     {"id": "bipower", "kind": "bipower", "q": 0.25}),
         master_seed=7)
     h = cfg.mesh(400)
+    draw = MODELS[cfg.model].cell(cfg.truth, h, 400)
     cells = [(est["id"], rep) for est in cfg.estimators
              for rep in range(cfg.replications)]
     by_id = {est["id"]: est for est in cfg.estimators}
-    forward = {cell: _replicate(cfg, 400, h, by_id[cell[0]], cell[1])
-               for cell in cells}
-    backward = {cell: _replicate(cfg, 400, h, by_id[cell[0]], cell[1])
-                for cell in reversed(cells)}
+
+    def replicate(est_id, rep):
+        # one replication alone: its own stream, drawn as a block of one
+        (sample,) = draw([derive_seed(7, 400, est_id, rep)])
+        est = by_id[est_id]
+        return _point(ESTIMATORS[est["kind"]].estimate, sample, est)
+
+    forward = {cell: replicate(*cell) for cell in cells}
+    backward = {cell: replicate(*cell) for cell in reversed(cells)}
+    # the harness draws each cell in stacked blocks: the same values
+    for est in cfg.estimators:
+        assert _cell_points(cfg, draw, 400, est) == [
+            forward[(est["id"], rep)] for rep in range(cfg.replications)]
     assert backward == forward
     assert sum(v is not None for v in forward.values()) > 40
     # the rows are these values, aggregated in replication order
     rows = run_experiment(cfg)
     sign = [forward[("sign", rep)][0] for rep in range(24)]
     assert rows[0].mean == float(np.array(sign).mean())
+
+
+# every stable model, at truths that reach each CMS branch
+_STABLE_TRUTHS = (
+    ("symmetric_stable", {"beta": 1.3, "sigma": 0.5, "rho": 0.2,
+                          "gamma": -0.5}),
+    ("symmetric_stable", {"beta": 1.0, "sigma": 0.5, "rho": -0.3,
+                          "gamma": 0.2}),
+    ("skewed_stable", {"beta": 1.5, "p_pos": 0.55, "sigma": 0.8}),
+    ("timevarying_stable", {"beta": 1.45, "p_pos": 0.45, "path": "cosine"}),
+)
+
+
+def _one_stream(model, truth, h, n, seed):
+    # a single-stream draw written out: n uniforms, then n exponentials,
+    # one CMS evaluation on 1-d arrays, then the model's increment scale
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=n)
+    v = rng.standard_exponential(size=n)
+    beta = truth["beta"]
+    if model == "symmetric_stable":
+        params = StableParams(beta, truth["sigma"], truth["rho"],
+                              truth["gamma"])
+        scale, shift = increment_scale_shift(params, h)
+        return scale * sample_standard_stable(beta, params.rho, u, v) + shift
+    s = sample_standard_stable(beta, positivity_to_skew(beta, truth["p_pos"]),
+                               u, v)
+    if model == "skewed_stable":
+        return (h * truth["sigma"] ** beta) ** (1.0 / beta) * s
+    return (ScalePath.cosine(beta).sigma_bars(n) / n) ** (1.0 / beta) * s
+
+
+@pytest.mark.parametrize("model,truth", _STABLE_TRUTHS,
+                         ids=[f"{m}-{t['beta']:g}" for m, t in _STABLE_TRUTHS])
+@pytest.mark.parametrize("n", (1, 7, 500, 5000))
+def test_block_split_never_changes_values(model, truth, n):
+    # a cell stacks its streams into blocks for one CMS evaluation; how
+    # the streams are split into blocks, and in what order, never changes
+    # a value
+    h = 1.0 / n
+    seeds = [derive_seed(3, n, "x", rep) for rep in range(7)]
+    draw = MODELS[model].cell(truth, h, n)
+    alone = {}
+    for seed in seeds:
+        alone[seed] = MODELS[model].sample(truth, h, n, seed).values
+        assert np.array_equal(alone[seed],
+                              _one_stream(model, truth, h, n, seed))
+    for order in (seeds, seeds[::-1]):
+        for rows in (1, 3, len(order)):
+            drawn = [sample for start in range(0, len(order), rows)
+                     for sample in draw(order[start:start + rows])]
+            assert len(drawn) == len(order)
+            for seed, sample in zip(order, drawn):
+                assert np.array_equal(sample.values, alone[seed])
+
+
+def test_cell_memory_is_bounded_and_rows_are_read_only():
+    # the harness draws a cell in cache-sized blocks: stacking all 64
+    # n = 5000 streams of this cell in one block would hold 8 times the
+    # draws of 8 streams
+    def peak(replications):
+        cfg = _small_config(model="skewed_stable",
+                            truth={"beta": 1.5, "p_pos": 0.55},
+                            n_list=(5000,),
+                            h_rule={"kind": "fixed_T", "T": 1.0},
+                            replications=replications,
+                            estimators=({"id": "sign", "kind": "sign"},))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations out of the way
+    small, large = peak(8), peak(64)
+    assert small > 5000 * 8  # numpy's buffers are traced
+    assert large < 1.5 * small
+    draw = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
+                                        0.01, 100)
+    sample = draw([1, 2])[1]
+    assert not sample.values.flags.writeable
+    with pytest.raises(ValueError):
+        sample.values[0] = 0.0
 
 
 # (model, truth, n, h, the estimator kinds run on its samples)
