@@ -655,14 +655,14 @@ def _with(**changes):
            estimators=[{"id": "sign", "kind": "sign"}]), "truth.path"),
     (_with(estimators=[{"id": "m", "kind": ["median"]}]),
      "estimators.kind"),
+    # the label is written into the output as it is
+    (_with(label={"x": float("nan")}), "label"),
     # the scale path fixes the horizon [0, 1]: rows would report T = 5
     (_with(model="timevarying_stable", truth={"beta": 1.5, "p_pos": 0.6},
            estimators=[{"id": "sign", "kind": "sign"}]), "h_rule.T"),
     (_with(model="timevarying_stable", truth={"beta": 1.5, "p_pos": 0.6},
            h_rule={"kind": "power", "a": 0.6},
            estimators=[{"id": "sign", "kind": "sign"}]), "h_rule.kind"),
-    # the label is written into the output as it is
-    (_with(label={"x": float("nan")}), "label"),
 ])
 def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
                                                       payload, field):
