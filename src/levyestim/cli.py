@@ -186,10 +186,11 @@ def _cmd_montecarlo(args) -> int:
         payload = [payload]
     rows = []
     echo = {"configs": len(payload)}
-    for entry in payload:
+    for index, entry in enumerate(payload):
         config = mc.ExperimentConfig.from_json_dict(entry)
         rows.extend(mc.run_experiment(config))
-        echo[f"label_{entry.get('label', 'custom')}"] = config.model
+        # keyed by position: designs may share a label or have none
+        echo[f"config_{index}"] = f"{config.label}:{config.model}"
     mc.emit(rows, args.format, args.out, echo)
     return 0
 

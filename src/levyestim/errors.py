@@ -166,3 +166,36 @@ class NonpositiveBrace(EstimationError):
     equal)."""
 
     code = "nonpositive_brace"
+
+
+# A block core estimates every row of a (rows, n) block of samples and
+# returns one result per row: the row's point estimate, or the
+# EstimationError it failed with.  Any other error propagates, as it does
+# from a single sample.
+
+def _attempt(point, args):
+    # point(*args), or the EstimationError it raised.  No frame that the
+    # error's traceback keeps holds the result list, so a failed row
+    # leaves no reference cycle that would keep a block's arrays alive
+    try:
+        return point(*args)
+    except EstimationError as exc:
+        return exc
+
+
+def each_row(point, *columns) -> list:
+    """point(*args) for the args of each row, taken across ``columns``; a
+    row whose call raises an EstimationError yields that error."""
+    return [_attempt(point, args) for args in zip(*columns)]
+
+
+def only_row(results: list):
+    """The result of a one-row block: its point estimate, or its error
+    raised."""
+    (result,) = results
+    if isinstance(result, EstimationError):
+        try:
+            raise result
+        finally:  # this frame, kept by the traceback, drops the error
+            results = result = None
+    return result

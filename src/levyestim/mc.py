@@ -3,22 +3,30 @@
 Each replication draws its own RNG stream from
 hash(master_seed, n, estimator_id, replication_index), so it is a pure
 function of the design and the master seed, in whatever order replications
-run and however they are grouped; aggregation reduces in replication
-order.  The MODELS and ESTIMATORS tables drive simulation and estimation;
-the estimators are the point cores, so no replication computes a
-covariance.
+run and however they are grouped.  The MODELS and ESTIMATORS tables drive
+simulation and estimation.
 
-A model's cell, built once per (config, n), does the parameter work (checks,
-increment scale, block averages of a scale path) once; each (n, estimator)
-cell then draws its replications in stacked blocks of at most
-_BLOCK_VALUES values, one CMS evaluation per block, each row from its own
-stream, so every value equals the one a single-stream draw gives.
+Each (n, estimator) cell runs in three steps:
 
-Estimation failures (EstimationError subclasses, e.g. an index root
-outside the admissible interval, and estimates that are not finite) are
-counted per cell and excluded from mean/RMSE; RMSE uses the population convention
-RMSE^2 = (mean - truth)^2 + (1/R') sum (est - mean)^2 over the R'
-successes.
+1. Draw a block.  A model's cell, built once per (config, n), does the
+   parameter work (checks, increment scale, block averages of a scale
+   path) once, then draws the replications in stacked (rows, n) blocks of
+   at most _BLOCK_VALUES values, one CMS evaluation per block, each row
+   from its own stream, so every value equals the one a single-stream draw
+   gives.  A block is checked for finiteness once and handed over
+   read-only.
+2. Estimate the block.  An estimator is a block core of ``symmetric`` or
+   ``skewed``: it computes the order statistics, log residuals, moment
+   means, sign means and power sums of all rows at once and returns one
+   point estimate or EstimationError per row; each row's index root is
+   still one scalar solve.  The per-sample point cores are the same block
+   cores on a one-row block, and no replication computes a covariance.
+3. Reduce in replication order.  Estimation failures (EstimationError
+   subclasses, e.g. an index root outside the admissible interval, and
+   estimates that are not finite) are counted per cell and excluded from
+   mean/RMSE; RMSE uses the population convention
+   RMSE^2 = (mean - truth)^2 + (1/R') sum (est - mean)^2 over the R'
+   successes.
 """
 
 from __future__ import annotations
@@ -32,15 +40,17 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, each_row
 from .serialize import SummaryRow, write_summary, write_summary_json
 from .skewed import (
-    bipower_beta,
-    sign_bipower_point,
-    sign_statistic,
-    tripower_point,
+    bipower_block,
+    sign_block,
+    sign_bipower_block,
+    tripower_block,
 )
 from .stable_core import (
+    Cell,
+    IncrementSample,
     PositivityStable,
     ScalePath,
     StableParams,
@@ -55,15 +65,15 @@ from .subordinators import (
     IGSubParams,
     gamma_mle,
     gamma_moment_estimate,
+    gamma_sub_cell,
     ig_mle,
-    sample_gamma_sub,
-    sample_ig_sub,
+    ig_sub_cell,
 )
 from .symmetric import (
-    frac_moment_point,
-    known_scale_beta,
-    log_moment_point,
-    median_gamma,
+    frac_moment_block,
+    known_scale_block,
+    log_moment_block,
+    median_block,
 )
 
 __all__ = [
@@ -84,7 +94,7 @@ DEFAULT_MASTER_SEED = 20260814
 # temporaries in cache; larger blocks run slower.
 _BLOCK_VALUES = 8192
 
-# The table entries call the samplers and estimators through this module's
+# The table entries call the cells and block cores through this module's
 # names at call time (lambdas, not bound references), so a caller that
 # replaces a name here, such as a tracer, sees every call.
 
@@ -92,17 +102,19 @@ _BLOCK_VALUES = 8192
 class Model(NamedTuple):
     required: tuple[str, ...]  # truth keys the sampler needs
     optional: tuple[str, ...]  # truth keys it reads when present
-    cell: Callable  # (truth, h, n) -> draw: seeds -> list[IncrementSample]
+    cell: Callable  # (truth, h, n) -> stable_core.Cell
 
     def sample(self, truth, h, n, seed):
         """The IncrementSample of one stream: the cell drawn at one seed."""
-        return self.cell(truth, h, n)([seed])[0]
+        return self.cell(truth, h, n).sample(seed)
 
 
 class Estimator(NamedTuple):
     params: tuple[str, ...]  # reported parameters, in row order
     tuning: tuple[str, ...]  # keys of the estimator entry, floats
-    estimate: Callable  # (sample, entry) -> tuple of params
+    # (block, h, entry) -> one tuple of params or EstimationError per row
+    # of the (rows, n) block
+    block: Callable
 
 
 # scale path name -> (truth keys it reads besides beta, constructor)
@@ -111,11 +123,6 @@ _PATHS = {
     "constant": (("sigma",), lambda truth: ScalePath.constant(
         truth.get("sigma", 1.0), truth["beta"])),
 }
-
-
-def _each_seed(sampler, params, h, n):
-    # a cell that draws one sample per seed with a model's own sampler
-    return lambda seeds: [sampler(params, h, n, seed) for seed in seeds]
 
 
 MODELS = {
@@ -136,34 +143,48 @@ MODELS = {
             _PATHS[t.get("path", "cosine")][1](t), t["p_pos"], n)),
     "gamma_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n: _each_seed(
-            sample_gamma_sub, GammaSubParams(t["delta"], t["gamma"]), h, n)),
+        lambda t, h, n: gamma_sub_cell(
+            GammaSubParams(t["delta"], t["gamma"]), h, n)),
     "ig_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n: _each_seed(
-            sample_ig_sub, IGSubParams(t["delta"], t["gamma"]), h, n)),
+        lambda t, h, n: ig_sub_cell(
+            IGSubParams(t["delta"], t["gamma"]), h, n)),
 }
+
+
+def _each_row(estimate, block: np.ndarray, h: float) -> list:
+    # a per-sample estimator mapped over the rows: the subordinator MLEs
+    return each_row(lambda row: estimate(IncrementSample(row, h)), block)
+
+
+def _take(results: list, start: int, stop: int) -> list:
+    # the params start:stop of each row's point; an error stays an error
+    return [r if isinstance(r, EstimationError) else r[start:stop]
+            for r in results]
 
 
 ESTIMATORS = {
     "log": Estimator(("beta", "sigma", "gamma"), (),
-                     lambda s, e: log_moment_point(s)),
+                     lambda b, h, e: log_moment_block(b, h)),
     "frac": Estimator(("beta", "sigma", "gamma"), ("p",),
-                      lambda s, e: frac_moment_point(s, e["p"])),
+                      lambda b, h, e: frac_moment_block(b, h, e["p"])),
     "known_scale": Estimator(("beta",), ("sigma",),
-                             lambda s, e: (known_scale_beta(s, e["sigma"]),)),
-    "median": Estimator(("gamma",), (), lambda s, e: (median_gamma(s),)),
-    "sign": Estimator(("p_pos",), (), lambda s, e: (sign_statistic(s),)),
-    "bipower": Estimator(("beta",), ("q",), lambda s, e: (
-        bipower_beta(s, e["q"], sign_statistic(s)),)),
-    "power_scale": Estimator(("sigma",), ("q",),
-                             lambda s, e: sign_bipower_point(s, e["q"])[2:3]),
-    "tripower": Estimator(("sigma_star",), ("q",),
-                          lambda s, e: tripower_point(s, e["q"])[2:]),
-    "gamma_mle": Estimator(("delta", "gamma"), (), lambda s, e: gamma_mle(s)),
-    "gamma_moment": Estimator(("delta", "gamma"), (),
-                              lambda s, e: gamma_moment_estimate(s)[:2]),
-    "ig_mle": Estimator(("delta", "gamma"), (), lambda s, e: ig_mle(s)),
+                             lambda b, h, e: known_scale_block(
+                                 b, h, e["sigma"])),
+    "median": Estimator(("gamma",), (), lambda b, h, e: median_block(b, h)),
+    "sign": Estimator(("p_pos",), (), lambda b, h, e: sign_block(b)),
+    "bipower": Estimator(("beta",), ("q",),
+                         lambda b, h, e: bipower_block(b, e["q"])),
+    "power_scale": Estimator(("sigma",), ("q",), lambda b, h, e: _take(
+        sign_bipower_block(b, e["q"]), 2, 3)),
+    "tripower": Estimator(("sigma_star",), ("q",), lambda b, h, e: _take(
+        tripower_block(b, e["q"]), 2, 3)),
+    "gamma_mle": Estimator(("delta", "gamma"), (),
+                           lambda b, h, e: _each_row(gamma_mle, b, h)),
+    "gamma_moment": Estimator(("delta", "gamma"), (), lambda b, h, e: _take(
+        _each_row(gamma_moment_estimate, b, h), 0, 2)),
+    "ig_mle": Estimator(("delta", "gamma"), (),
+                        lambda b, h, e: _each_row(ig_mle, b, h)),
 }
 
 
@@ -318,29 +339,30 @@ class ExperimentConfig:
                       if f.name in payload})
 
 
-def _point(estimate: Callable, sample, est: dict):
-    try:
-        point = estimate(sample, est)
-    except EstimationError:
+def _kept(point):
+    # None for a failed replication: an EstimationError, or an estimate
+    # that overflowed to inf
+    if isinstance(point, EstimationError) \
+            or not all(map(math.isfinite, point)):
         return None
-    # an estimate that overflowed to inf fails like an EstimationError
-    return point if all(map(math.isfinite, point)) else None
+    return point
 
 
-def _cell_points(config: ExperimentConfig, draw: Callable, n: int,
+def _cell_points(config: ExperimentConfig, cell: Cell, n: int,
                  est: dict) -> list:
     """Point estimates of one (n, estimator) cell in replication order,
     None for a failed replication.  Replication rep draws from the stream
     derive_seed(master_seed, n, estimator id, rep); the streams are drawn
-    in blocks of at most _BLOCK_VALUES values, and a block's samples are
-    dropped once estimated, so memory does not grow with the replications."""
-    estimate = ESTIMATORS[est["kind"]].estimate
+    in blocks of at most _BLOCK_VALUES values, each block is estimated in
+    one pass and dropped, so memory does not grow with the replications."""
+    estimate = ESTIMATORS[est["kind"]].block
     seeds = [derive_seed(config.master_seed, n, est["id"], rep)
              for rep in range(config.replications)]
     rows = max(1, _BLOCK_VALUES // n)
-    return [_point(estimate, sample, est)
+    return [_kept(point)
             for start in range(0, len(seeds), rows)
-            for sample in draw(seeds[start:start + rows])]
+            for point in estimate(cell.draw(seeds[start:start + rows]),
+                                  cell.h, est)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
@@ -351,9 +373,9 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     for n in config.n_list:
         h = config.mesh(n)
         t_total = n * h
-        draw = model.cell(config.truth, h, n)
+        cell = model.cell(config.truth, h, n)
         for est in config.estimators:
-            results = _cell_points(config, draw, n, est)
+            results = _cell_points(config, cell, n, est)
             failures = sum(1 for r in results if r is None)
             kept = [r for r in results if r is not None]
             for idx, param in enumerate(ESTIMATORS[est["kind"]].params):

@@ -319,6 +319,10 @@ def write_summary_json(path, rows: Sequence[SummaryRow],
 
 
 def read_summary(path) -> tuple[list[SummaryRow], dict]:
+    """The inverse of write_summary: the rows of a summary CSV and its '#'
+    echo lines as a dict of strings.  Nothing in the package reads summary
+    files back; this is kept for readers of them (the tests round-trip
+    through it)."""
     meta: dict = {}
     rows: list[SummaryRow] = []
     header_seen = False

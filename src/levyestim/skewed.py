@@ -39,6 +39,8 @@ from .errors import (
     NoSignChange,
     RootOutOfBracket,
     SingularJacobian,
+    each_row,
+    only_row,
     stable_index,
 )
 from .serialize import EstimateReport, check_finite
@@ -51,6 +53,10 @@ from .special_fn import (
 from .stable_core import IncrementSample
 
 __all__ = [
+    "sign_block",
+    "bipower_block",
+    "sign_bipower_block",
+    "tripower_block",
     "sign_statistic",
     "mu_abs",
     "nu_signed",
@@ -150,28 +156,39 @@ def mu_product(beta: float, p_pos: float, r: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # sample statistics
 
+def _sign_hats(block: np.ndarray) -> list[float]:
+    # p_hat = (H_n + 1)/2 of each row, H_n the row's mean increment sign;
+    # a row with exact zeros warns
+    if not block.all():
+        zeros = np.count_nonzero(block == 0.0, axis=1)
+        for count in zeros[zeros > 0].tolist():
+            warnings.warn(f"{count} zero increment(s): data may be rounded "
+                          "or degenerate; they enter the sign statistic as 0")
+    return (0.5 * (np.mean(np.sign(block), axis=1) + 1.0)).tolist()
+
+
+def sign_block(block: np.ndarray) -> list:
+    """(p_hat,) of each row of a (rows, n) block of increments (see
+    sign_statistic)."""
+    return [(p_hat,) for p_hat in _sign_hats(block)]
+
+
 def sign_statistic(sample: IncrementSample) -> float:
     """Positivity estimate p_hat = (H_n + 1)/2 with H_n the mean increment
     sign; sqrt(n)(p_hat - p) -> N(0, p(1-p)).  Exact zeros enter H_n with
     sign 0 and trigger a data-quality warning."""
-    values = sample.values
-    zeros = int(np.count_nonzero(values == 0.0))
-    if zeros:
-        warnings.warn(f"{zeros} zero increment(s): data may be rounded or "
-                      "degenerate; they enter the sign statistic as 0")
-    h_n = float(np.mean(np.sign(values)))
-    return 0.5 * (h_n + 1.0)
+    return _sign_hats(sample.values[None])[0]
 
 
-def _power_sums(sample: IncrementSample, *rs) -> tuple[float, ...]:
+def _power_sums(x: np.ndarray, *rs) -> tuple[np.ndarray, ...]:
     """For each power vector r = (r_1, ..., r_m) the raw multipower sum
 
         sum_{j=1}^{n-m+1} prod_{l=1}^m |D_{j+l-1}|^{r_l}
 
-    of the increments D_j.  |D_j| is taken once and raised to each distinct
-    power once; the products multiply shifted slices of those arrays."""
-    x = np.abs(sample.values)
-    n = x.size
+    of each row of x, a (rows, n) block of the absolute increments |D_j|.
+    Each distinct power is raised once; the products multiply shifted
+    slices of those arrays."""
+    n = x.shape[1]
     powered = {}
     sums = []
     for r in rs:
@@ -182,10 +199,15 @@ def _power_sums(sample: IncrementSample, *rs) -> tuple[float, ...]:
         for l, rl in enumerate(r):
             if rl not in powered:
                 powered[rl] = x ** rl
-            term = powered[rl][l:n - m + 1 + l]
+            term = powered[rl][:, l:n - m + 1 + l]
             prod = term if prod is None else prod * term
-        sums.append(float(prod.sum()))
+        sums.append(prod.sum(axis=1))
     return tuple(sums)
+
+
+def _normalized(n: int, total: float, r_plus: float, beta: float) -> float:
+    # n^{r_plus/beta - 1} total: the multipower variation of a raw sum
+    return n ** (r_plus / beta - 1.0) * total
 
 
 def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
@@ -200,9 +222,57 @@ def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
         raise DomainError("power vector must be a nonempty sequence",
                           r=list(np.atleast_1d(r)))
     stable_index(beta)
-    total, = _power_sums(sample, arr)
-    r_plus = float(arr.sum())
-    return sample.n ** (r_plus / beta - 1.0) * total
+    total, = _power_sums(np.abs(sample.values)[None], arr)
+    return _normalized(sample.n, float(total[0]), float(arr.sum()), beta)
+
+
+def _bipower_rows(block: np.ndarray, q: float, p_hats: list, finish) -> list:
+    """finish(p_hat, beta_hat, den, x) of each row of a (rows, n) block,
+    beta_hat the row's bipower index root at its p_hat (see bipower_beta),
+    den its sum of |D_j|^{2q} and x its absolute increments; a row whose
+    root or finish fails yields its EstimationError."""
+    if not (0.0 < q < 0.5):
+        raise DomainError("power q must lie in (0, 1/2)", q=q)
+    for p_hat in p_hats:
+        if not (0.0 <= p_hat <= 1.0):
+            raise DomainError("positivity estimate must lie in [0, 1]",
+                              p_hat=p_hat)
+    x = np.abs(block)
+    num, den = _power_sums(x, (q, q), (2.0 * q,))
+    c1 = math.exp(log_gamma(1.0 - 2.0 * q)
+                  - 2.0 * log_gamma(1.0 - q)) * math.cos(math.pi * q) \
+        / math.cos(0.5 * math.pi * q) ** 2
+    lo, hi = max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9
+
+    def point(p_hat, num, den, x):
+        if den <= 0.0 or num <= 0.0:
+            raise InadmissiblePositivity("degenerate power sums", num=num,
+                                         den=den)
+        ang = math.pi * q * (p_hat - 0.5)
+        c2 = math.cos(ang) ** 2 / math.cos(2.0 * ang)
+        target = num / den / (c1 * c2)
+        log_target = math.log(target)
+
+        def gap(beta: float) -> float:
+            return log_gamma_ratio(beta, q) - log_target
+
+        try:
+            beta_hat = find_root_monotone(gap, lo, hi)
+        except NoSignChange as exc:
+            raise RootOutOfBracket("bipower ratio outside the admissible "
+                                   "index interval", target=target, q=q,
+                                   lo=lo, hi=hi) from exc
+        return finish(p_hat, beta_hat, den, x)
+
+    return each_row(point, p_hats, num.tolist(), den.tolist(), x)
+
+
+def bipower_block(block: np.ndarray, q: float) -> list:
+    """(beta_hat,) of each row of a (rows, n) block of increments: the
+    bipower index root at the row's sign statistic, or the row's
+    EstimationError (see bipower_beta)."""
+    return _bipower_rows(block, q, _sign_hats(block),
+                         lambda p_hat, beta_hat, den, x: (beta_hat,))
 
 
 def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
@@ -223,32 +293,8 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
 
         log Gamma(1-q/beta)^2 / Gamma(1-2q/beta) = log(ratio / (C_1 C_2)).
     """
-    if not (0.0 < q < 0.5):
-        raise DomainError("power q must lie in (0, 1/2)", q=q)
-    if not (0.0 <= p_hat <= 1.0):
-        raise DomainError("positivity estimate must lie in [0, 1]",
-                          p_hat=p_hat)
-    num, den = _power_sums(sample, (q, q), (2.0 * q,))
-    if den <= 0.0 or num <= 0.0:
-        raise InadmissiblePositivity("degenerate power sums", num=num, den=den)
-    c1 = math.exp(log_gamma(1.0 - 2.0 * q)
-                  - 2.0 * log_gamma(1.0 - q)) * math.cos(math.pi * q) \
-        / math.cos(0.5 * math.pi * q) ** 2
-    ang = math.pi * q * (p_hat - 0.5)
-    c2 = math.cos(ang) ** 2 / math.cos(2.0 * ang)
-    target = num / den / (c1 * c2)
-    log_target = math.log(target)
-
-    def gap(beta: float) -> float:
-        return log_gamma_ratio(beta, q) - log_target
-
-    lo, hi = max(4.0 * q, 1.0) + 1e-9, 2.0 - 1e-9
-    try:
-        return find_root_monotone(gap, lo, hi)
-    except NoSignChange as exc:
-        raise RootOutOfBracket("bipower ratio outside the admissible index "
-                               "interval", target=target, q=q,
-                               lo=lo, hi=hi) from exc
+    return only_row(_bipower_rows(sample.values[None], q, [p_hat],
+                                  lambda p_hat, beta_hat, den, x: beta_hat))
 
 
 def sigma_star_power(sample: IncrementSample, p_hat: float, beta_hat: float,
@@ -272,6 +318,18 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
     return mpv(sample, beta_hat, (power, power)) / (mu * mu)
 
 
+def _tripower_scale(x: np.ndarray, p_hat: float, beta_hat: float) -> float:
+    # tripower_integrated_scale of the absolute increments x.  Not
+    # through mpv: its factor n^{(t+t+t)/beta_hat - 1} need not be exactly
+    # 1 in floating point and would move the result by ulps.  The products
+    # reach |D|^beta_hat and saturate to inf for huge increments, which a
+    # report refuses by name
+    third = beta_hat / 3.0
+    with np.errstate(over="ignore"):
+        mstar, = _power_sums(x[None], (third, third, third))
+    return float(mstar[0]) / mu_abs(beta_hat, p_hat, third) ** 3
+
+
 def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
                               beta_hat: float) -> float:
     """Self-normalizing tripower estimate of sigma*_beta:
@@ -283,14 +341,7 @@ def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
     separate moment condition arises; the n^{.}-normalizations cancel at
     total power beta.
     """
-    third = beta_hat / 3.0
-    # not through mpv: its factor n^{(t+t+t)/beta_hat - 1} need not be
-    # exactly 1 in floating point and would move the result by ulps.  The
-    # products reach |D|^beta_hat and saturate to inf for huge increments,
-    # which a report refuses by name
-    with np.errstate(over="ignore"):
-        mstar, = _power_sums(sample, (third, third, third))
-    return mstar / mu_abs(beta_hat, p_hat, third) ** 3
+    return _tripower_scale(np.abs(sample.values), p_hat, beta_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +483,39 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
 # ---------------------------------------------------------------------------
 # multi-step drivers
 
+def sign_bipower_block(block: np.ndarray, q: float) -> list:
+    """(p_hat, beta_hat, sigma_hat, s_p) of each row of a (rows, n) block
+    of increments, or the row's EstimationError (see sign_bipower_point)."""
+    n = block.shape[1]
+    p = 2.0 * q
+
+    def finish(p_hat, beta_hat, den, x):
+        mu = mu_abs(beta_hat, p_hat, p)
+        s_p = _normalized(n, den, p, beta_hat) / mu
+        if s_p <= 0.0:
+            raise InadmissiblePositivity("nonpositive scale functional",
+                                         s_p=s_p)
+        return p_hat, beta_hat, overflow_to_inf(math.pow, s_p, 1.0 / p), s_p
+
+    return _bipower_rows(block, q, _sign_hats(block), finish)
+
+
 def sign_bipower_point(sample: IncrementSample,
                        q: float) -> tuple[float, float, float, float]:
     """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
     scale: p_hat from signs, beta_hat from the bipower ratio at power q, then
     s_p = sigma*_hat_p (InadmissiblePositivity unless positive) and
     sigma_hat = s_p^{1/p} with p = 2q (inf where that overflows)."""
-    p_hat = sign_statistic(sample)
-    beta_hat = bipower_beta(sample, q, p_hat)
-    p = 2.0 * q
-    s_p = sigma_star_power(sample, p_hat, beta_hat, p)
-    if s_p <= 0.0:
-        raise InadmissiblePositivity("nonpositive scale functional", s_p=s_p)
-    return p_hat, beta_hat, overflow_to_inf(math.pow, s_p, 1.0 / p), s_p
+    return only_row(sign_bipower_block(sample.values[None], q))
+
+
+def tripower_block(block: np.ndarray, q: float) -> list:
+    """(p_hat, beta_hat, sigma*_hat_beta) of each row of a (rows, n) block
+    of increments, or the row's EstimationError (see tripower_point)."""
+    return _bipower_rows(
+        block, q, _sign_hats(block),
+        lambda p_hat, beta_hat, den, x: (
+            p_hat, beta_hat, _tripower_scale(x, p_hat, beta_hat)))
 
 
 def tripower_point(sample: IncrementSample,
@@ -452,9 +523,7 @@ def tripower_point(sample: IncrementSample,
     """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta) of the
     integrated scale under time-varying scale: p_hat and beta_hat as in
     sign_bipower_point, then the self-normalizing tripower statistic."""
-    p_hat = sign_statistic(sample)
-    beta_hat = bipower_beta(sample, q, p_hat)
-    return p_hat, beta_hat, tripower_integrated_scale(sample, p_hat, beta_hat)
+    return only_row(tripower_block(sample.values[None], q))
 
 
 def sign_bipower_estimate(sample: IncrementSample,

@@ -47,6 +47,7 @@ __all__ = [
     "StableParams",
     "PositivityStable",
     "IncrementSample",
+    "Cell",
     "ScalePath",
     "sample_standard_stable",
     "increment_scale_shift",
@@ -60,7 +61,6 @@ __all__ = [
     "positivity_to_skew",
     "positivity_range",
     "derive_seed",
-    "make_rng",
 ]
 
 
@@ -135,10 +135,7 @@ class IncrementSample:
         if values.ndim != 1 or values.size == 0:
             raise DomainError("values must be a nonempty 1-d array",
                               shape=list(np.shape(self.values)))
-        if not np.isfinite(values).all():
-            bad = np.flatnonzero(~np.isfinite(values))
-            raise DataError("increment values must be finite",
-                            first_index=int(bad[0]), count=int(bad.size))
+        _check_finite_rows(values[None])
         object.__setattr__(self, "values", values)
         positive("h", self.h)
 
@@ -150,6 +147,46 @@ class IncrementSample:
     def horizon(self) -> float:
         """Total observation window T = n h."""
         return self.n * self.h
+
+
+def _check_finite_rows(block: np.ndarray) -> None:
+    # the one finiteness rule of samples: the first row holding a NaN or
+    # infinity raises DataError with its first bad index and its count
+    if np.isfinite(block).all():
+        return
+    row = block[int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])]
+    bad = np.flatnonzero(~np.isfinite(row))
+    raise DataError("increment values must be finite",
+                    first_index=int(bad[0]), count=int(bad.size))
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A sampler at fixed parameters, mesh h and sample size n.
+
+    The parameter work runs once, when the cell is built; ``fill(seeds)``
+    returns the n values that the sampler draws from each seed's stream, as
+    the rows of one (rows, n) array.  ``draw(seeds)`` is that block after
+    the finiteness check, read-only, and ``sample(seed)`` is the cell drawn
+    at one seed: the public samplers return it.
+    """
+
+    h: float
+    meta: dict
+    fill: Callable[[Sequence], np.ndarray]
+
+    def draw(self, seeds: Sequence) -> np.ndarray:
+        """The samples at ``seeds`` as the rows of one read-only block; a
+        row with a NaN or infinity raises DataError as IncrementSample
+        does."""
+        block = self.fill(seeds)
+        _check_finite_rows(block)
+        block.flags.writeable = False
+        return block
+
+    def sample(self, seed=None) -> IncrementSample:
+        """The IncrementSample of one stream."""
+        return IncrementSample(self.draw([seed])[0], self.h, dict(self.meta))
 
 
 # nodes of ScalePath.sigma_star's periodic trapezoid rule
@@ -227,11 +264,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hsh.digest(), "big")
 
 
-def make_rng(*parts) -> np.random.Generator:
-    """Generator seeded from derive_seed(*parts)."""
-    return np.random.default_rng(derive_seed(*parts))
-
-
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -300,14 +332,14 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
 
 
 def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
-                 scale, shift=None) -> Callable[[Sequence], list]:
-    # draw(seeds): one IncrementSample per seed, with values scale * S
-    # (+ shift) for S the n S_beta(1, rho, 0) draws of that seed's stream,
-    # its n uniforms and then its n exponentials.  The seeds' draws are
-    # stacked into one read-only (rows, n) block and go through one CMS
-    # evaluation; every operation is elementwise, so each row holds the
-    # values a block of that one row would.
-    def draw(seeds: Sequence) -> list[IncrementSample]:
+                 scale, shift=None) -> Cell:
+    # fill(seeds): row r holds scale * S (+ shift) for S the n
+    # S_beta(1, rho, 0) draws of seeds[r]'s stream, its n uniforms and then
+    # its n exponentials.  The seeds' draws are stacked into one (rows, n)
+    # block and go through one CMS evaluation; every operation is
+    # elementwise, so each row holds the values a block of that one row
+    # would.
+    def fill(seeds: Sequence) -> np.ndarray:
         u = np.empty((len(seeds), n))
         v = np.empty((len(seeds), n))
         for row, seed in enumerate(seeds):
@@ -317,10 +349,9 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
         values = scale * sample_standard_stable(beta, rho, u, v)
         if shift is not None:
             values += shift
-        values.flags.writeable = False
-        return [IncrementSample(row, h, dict(meta)) for row in values]
+        return values
 
-    return draw
+    return Cell(h, meta, fill)
 
 
 def _check_size(n: int) -> None:
@@ -343,12 +374,9 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
     return h ** (1.0 / params.beta) * params.sigma, h * params.gamma
 
 
-# A cell is the draw(seeds) function of one sampler at fixed parameters,
-# mesh and n: the parameter work runs once when it is built, and
-# draw(seeds) returns the samples that sampler gives at each seed, as
-# read-only arrays.  The samplers are their cell drawn at one seed.
+# The samplers are their Cell drawn at one seed.
 
-def increments_cell(params: StableParams, h: float, n: int) -> Callable:
+def increments_cell(params: StableParams, h: float, n: int) -> Cell:
     """Cell of sample_increments(params, h, n, seed)."""
     _check_size(n)
     scale, shift = increment_scale_shift(params, h)
@@ -361,10 +389,10 @@ def sample_increments(params: StableParams, h: float, n: int,
                       seed=None) -> IncrementSample:
     """n i.i.d. increments over mesh h of the Levy process with
     L(X_1) = S_beta(sigma, rho, gamma)."""
-    return increments_cell(params, h, n)([seed])[0]
+    return increments_cell(params, h, n).sample(seed)
 
 
-def sprime_cell(pp: PositivityStable, h: float, n: int) -> Callable:
+def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
     """Cell of sprime_increment_sampler(pp, h, n, seed)."""
     positive("h", h)
     _check_size(n)
@@ -379,10 +407,10 @@ def sprime_increment_sampler(pp: PositivityStable, h: float, n: int,
     """n i.i.d. increments over mesh h of the strictly stable process with
     L(X_t) = S'_beta(p, t * scale): each equals (h * scale)^{1/beta} S for
     S ~ S_beta(1, rho(p), 0)."""
-    return sprime_cell(pp, h, n)([seed])[0]
+    return sprime_cell(pp, h, n).sample(seed)
 
 
-def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Callable:
+def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
     """Cell of sample_timevarying(path, p_pos, n, seed): the block averages
     sigma_bar_j are computed once, when it is built."""
     beta = path.beta
@@ -408,7 +436,7 @@ def sample_timevarying(path: ScalePath, p_pos: float, n: int,
     within 4e-13 relative (3.7e-13 at most over beta in {1.2, 1.5, 1.7}
     and n in {500, 1000, 2000, 5000}).
     """
-    return timevarying_cell(path, p_pos, n)([seed])[0]
+    return timevarying_cell(path, p_pos, n).sample(seed)
 
 
 # ---------------------------------------------------------------------------

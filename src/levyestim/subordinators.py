@@ -38,11 +38,13 @@ from .errors import (
 )
 from .serialize import EstimateReport, check_finite
 from .special_fn import digamma, find_root_monotone
-from .stable_core import IncrementSample, _as_rng
+from .stable_core import Cell, IncrementSample, _as_rng
 
 __all__ = [
     "GammaSubParams",
     "IGSubParams",
+    "gamma_sub_cell",
+    "ig_sub_cell",
     "sample_gamma_sub",
     "sample_ig_sub",
     "gamma_mle",
@@ -88,19 +90,48 @@ def _check_mesh(h: float, n: int, shape: float):
                       "numerically degenerate at this mesh")
 
 
+def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
+    """Cell of sample_gamma_sub(params, h, n, seed)."""
+    shape = params.delta * h
+    _check_mesh(h, n, shape)
+    scale = 1.0 / params.gamma_rate
+
+    def fill(seeds):
+        block = np.empty((len(seeds), n))
+        for row, seed in enumerate(seeds):
+            block[row] = _as_rng(seed).gamma(shape, scale=scale, size=n)
+            if not block[row].all():  # small shapes underflow to 0
+                raise DomainError("gamma draws underflowed to 0 at this mesh",
+                                  shape=shape,
+                                  zeros=int(n - np.count_nonzero(block[row])))
+        return block
+
+    return Cell(h, {"model": "gamma_sub", "delta": params.delta,
+                    "gamma": params.gamma_rate}, fill)
+
+
 def sample_gamma_sub(params: GammaSubParams, h: float, n: int,
                      seed=None) -> IncrementSample:
-    """n i.i.d. Gamma(delta h, gamma) increments, none of them 0."""
+    """n i.i.d. Gamma(delta h, gamma) increments, none of them 0 (the
+    estimators reject 0)."""
+    return gamma_sub_cell(params, h, n).sample(seed)
+
+
+def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
+    """Cell of sample_ig_sub(params, h, n, seed)."""
     _check_mesh(h, n, params.delta * h)
-    rng = _as_rng(seed)
-    values = rng.gamma(params.delta * h, scale=1.0 / params.gamma_rate, size=n)
-    if not values.all():  # small shapes underflow; the estimators reject 0
-        raise DomainError("gamma draws underflowed to 0 at this mesh",
-                          shape=params.delta * h,
-                          zeros=int(values.size - np.count_nonzero(values)))
-    meta = {"model": "gamma_sub", "delta": params.delta,
-            "gamma": params.gamma_rate}
-    return IncrementSample(values, h, meta)
+    dh = params.delta * h
+    mean, shape = dh / params.gamma_ig, dh * dh
+    if not (mean > 0.0 and shape > 0.0):  # small delta h underflows
+        raise DomainError("Wald mean or shape underflowed to 0 at this mesh",
+                          mean=mean, shape=shape)
+
+    def fill(seeds):
+        return np.array([_as_rng(seed).wald(mean, shape, size=n)
+                         for seed in seeds])
+
+    return Cell(h, {"model": "ig_sub", "delta": params.delta,
+                    "gamma": params.gamma_ig}, fill)
 
 
 def sample_ig_sub(params: IGSubParams, h: float, n: int,
@@ -108,16 +139,7 @@ def sample_ig_sub(params: IGSubParams, h: float, n: int,
     """n i.i.d. IG(delta h, gamma) increments, drawn as Wald variates of
     mean delta h / gamma and shape (delta h)^2; either underflowing to 0
     raises DomainError."""
-    _check_mesh(h, n, params.delta * h)
-    dh = params.delta * h
-    mean, shape = dh / params.gamma_ig, dh * dh
-    if not (mean > 0.0 and shape > 0.0):  # small delta h underflows
-        raise DomainError("Wald mean or shape underflowed to 0 at this mesh",
-                          mean=mean, shape=shape)
-    values = _as_rng(seed).wald(mean, shape, size=n)
-    meta = {"model": "ig_sub", "delta": params.delta,
-            "gamma": params.gamma_ig}
-    return IncrementSample(values, h, meta)
+    return ig_sub_cell(params, h, n).sample(seed)
 
 
 def _positive_increments(sample: IncrementSample) -> np.ndarray:

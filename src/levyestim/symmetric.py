@@ -41,6 +41,8 @@ from .errors import (
     NotPositiveDefinite,
     RootOutOfBracket,
     ZeroResidual,
+    each_row,
+    only_row,
     positive,
     stable_index,
 )
@@ -58,8 +60,11 @@ from .stable_core import IncrementSample
 from .stable_density import median_asymptotic_sd
 
 __all__ = [
+    "median_block",
+    "log_moment_block",
+    "known_scale_block",
+    "frac_moment_block",
     "median_gamma",
-    "log_residuals",
     "log_moment_point",
     "log_moment_estimate",
     "log_moment_nu",
@@ -84,43 +89,61 @@ def _odd_count(n: int) -> int:
     return n if n % 2 else n - 1
 
 
-def _odd_values(sample: IncrementSample) -> np.ndarray:
-    values = sample.values[:_odd_count(sample.n)]
-    if values.size < 3:
-        raise DomainError("need at least 3 increments", n=int(sample.n))
-    return values
+def _odd_block(block: np.ndarray) -> np.ndarray:
+    # the odd-sample columns of a (rows, n) block
+    n = block.shape[1]
+    if _odd_count(n) < 3:
+        raise DomainError("need at least 3 increments", n=int(n))
+    return block[:, :_odd_count(n)]
 
 
-def _median(values: np.ndarray) -> float:
-    k = (values.size - 1) // 2
-    return float(np.partition(values, k)[k])
+def _medians(values: np.ndarray) -> np.ndarray:
+    # each row's median m_n, the middle order statistic of its 2k + 1 values
+    k = (values.shape[1] - 1) // 2
+    return np.partition(values, k, axis=1)[:, k]
 
 
-def _median_split(values: np.ndarray) -> tuple[float, np.ndarray, int]:
-    xs = np.sort(values)
-    k = (xs.size - 1) // 2
-    return float(xs[k]), np.concatenate((xs[:k], xs[k + 1:])), k
+def _no_ties(ties: int) -> None:
+    if ties:
+        raise ZeroResidual("increments tie the sample median", ties=ties)
+
+
+def _log_block(block: np.ndarray):
+    """(L, Lbar, m_n, k, ties) of each row: L the log residuals
+    log|x_(j) - m_n| over the 2k off-median order statistics, Lbar their
+    mean and ties the count of off-median increments equal to m_n.  A row
+    with ties has no log residuals (they would be -inf); its L and Lbar
+    are 0, and its estimates raise ZeroResidual through _no_ties."""
+    xs = np.sort(_odd_block(block), axis=1)
+    k = (xs.shape[1] - 1) // 2
+    m = xs[:, k]
+    # each step in place: a block's temporaries are what peak memory holds
+    logs = np.concatenate((xs[:, :k], xs[:, k + 1:]), axis=1)
+    logs -= m[:, None]
+    np.abs(logs, out=logs)
+    ties = np.count_nonzero(logs == 0.0, axis=1)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    if ties.any():
+        logs[ties > 0] = 0.0
+    return logs, logs.mean(axis=1), m, k, ties
+
+
+def _square_sums(logs: np.ndarray, lbar: np.ndarray) -> np.ndarray:
+    # sum_j (L_j - Lbar)^2 of each row
+    dev = logs - lbar[:, None]
+    return np.sum(np.square(dev, out=dev), axis=1)
+
+
+def median_block(block: np.ndarray, h: float) -> list:
+    """(gamma_hat,) = (m_n / h,) of each row of a (rows, n) block."""
+    return [(m / h,) for m in _medians(_odd_block(block)).tolist()]
 
 
 def median_gamma(sample: IncrementSample) -> float:
     """Drift estimate gamma_hat = m_n / h from the sample median of the
     increments (even samples drop their last increment)."""
-    return _median(_odd_values(sample)) / sample.h
-
-
-def log_residuals(sample: IncrementSample) -> tuple[np.ndarray, float, int]:
-    """(log|x_(j) - m_n| over the 2k off-median order statistics, m_n, k).
-
-    Raises ZeroResidual when an off-median increment ties the median, since
-    its log residual would be -inf.
-    """
-    values = _odd_values(sample)
-    m, rest, k = _median_split(values)
-    res = np.abs(rest - m)
-    ties = int(np.count_nonzero(res == 0.0))
-    if ties:
-        raise ZeroResidual("increments tie the sample median", ties=ties)
-    return np.log(res), m, k
+    return median_block(sample.values[None], sample.h)[0][0]
 
 
 class NuMoments(NamedTuple):
@@ -204,9 +227,26 @@ def psi_transform(beta: float) -> float:
     return math.sqrt(5.0 / 22.0) * (2.0 * math.log(beta) - math.log(inner))
 
 
-def _log_stats(sample: IncrementSample):
-    logs, m, k = log_residuals(sample)
-    return logs, float(logs.mean()), m, k
+def log_moment_block(block: np.ndarray, h: float) -> list:
+    """Log-moment estimates (beta_hat, sigma_hat, gamma_hat) of each row of
+    a (rows, n) block of increments at mesh h, or the EstimationError of a
+    row that has none (see log_moment_point)."""
+    logs, lbar, m, k, ties = _log_block(block)
+    log_inv_h = math.log(1.0 / h)
+
+    def point(ties, lbar, square_sum, m):
+        _no_ties(ties)
+        gap = 6.0 / (2.0 * k * _PI2) * square_sum - 0.5
+        if gap <= 0.0:
+            raise NonpositiveVarianceGap("log-residual variance is at most "
+                                         "pi^2/12", gap=gap, k=k)
+        beta_hat = gap ** -0.5
+        sigma_hat = overflow_to_inf(math.exp, log_inv_h / beta_hat + lbar
+                                    - EULER_GAMMA * (1.0 / beta_hat - 1.0))
+        return beta_hat, sigma_hat, m / h
+
+    return each_row(point, ties.tolist(), lbar.tolist(),
+                    _square_sums(logs, lbar).tolist(), m.tolist())
 
 
 def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
@@ -219,17 +259,11 @@ def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
         sigma_hat = exp{(1/beta_hat) log(1/h) + Lbar
                         - C (1/beta_hat - 1)}
         gamma_hat = m_n / h.
+
+    Raises ZeroResidual when an off-median increment ties the median and
+    NonpositiveVarianceGap when the bracket is not positive.
     """
-    logs, lbar, m, k = _log_stats(sample)
-    gap = 6.0 / (2.0 * k * _PI2) * float(np.sum((logs - lbar) ** 2)) - 0.5
-    if gap <= 0.0:
-        raise NonpositiveVarianceGap("log-residual variance is at most "
-                                     "pi^2/12", gap=gap, k=k)
-    beta_hat = gap ** -0.5
-    h = sample.h
-    sigma_hat = overflow_to_inf(math.exp, math.log(1.0 / h) / beta_hat + lbar
-                                - EULER_GAMMA * (1.0 / beta_hat - 1.0))
-    return beta_hat, sigma_hat, m / h
+    return only_row(log_moment_block(sample.values[None], sample.h))
 
 
 def _report(method: str, sample: IncrementSample, point, covariance,
@@ -264,8 +298,30 @@ def beta_inv_sq_unbiased(sample: IncrementSample) -> float:
     S_beta(2 h^{1/beta} sigma) draws; the value may be negative in small
     samples and is returned as is.
     """
-    logs, lbar, _, k = _log_stats(sample)
-    return 6.0 / ((2.0 * k - 1.0) * _PI2) * float(np.sum((logs - lbar) ** 2)) - 0.5
+    logs, lbar, _, k, ties = _log_block(sample.values[None])
+    _no_ties(int(ties[0]))
+    square_sum = float(_square_sums(logs, lbar)[0])
+    return 6.0 / ((2.0 * k - 1.0) * _PI2) * square_sum - 0.5
+
+
+def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
+    """(beta_tilde,) of each row of a (rows, n) block of increments at mesh
+    h, or the EstimationError of a row that has none (see
+    known_scale_beta)."""
+    positive("sigma", sigma)
+    _, lbar, _, _, ties = _log_block(block)
+    num = math.log(1.0 / h) - EULER_GAMMA
+    log_sigma = math.log(sigma) - EULER_GAMMA
+
+    def point(ties, lbar):
+        _no_ties(ties)
+        den = log_sigma - lbar
+        if abs(den) < 1e-12 * (1.0 + abs(num)):
+            raise DenominatorNearZero("known-scale denominator vanishes",
+                                      denominator=den)
+        return (num / den,)
+
+    return each_row(point, ties.tolist(), lbar.tolist())
 
 
 def known_scale_beta(sample: IncrementSample, sigma: float) -> float:
@@ -273,17 +329,12 @@ def known_scale_beta(sample: IncrementSample, sigma: float) -> float:
 
         beta_tilde = {log(1/h) - C} / {log sigma - C - S_n},
 
-    S_n the mean log residual.  Raises DenominatorNearZero when the
-    denominator vanishes to working precision.
+    S_n the mean log residual.  Raises ZeroResidual when an off-median
+    increment ties the median, and DenominatorNearZero when the denominator
+    vanishes to working precision.
     """
-    positive("sigma", sigma)
-    _, lbar, _, _ = _log_stats(sample)
-    num = math.log(1.0 / sample.h) - EULER_GAMMA
-    den = math.log(sigma) - EULER_GAMMA - lbar
-    if abs(den) < 1e-12 * (1.0 + abs(num)):
-        raise DenominatorNearZero("known-scale denominator vanishes",
-                                  denominator=den)
-    return num / den
+    return only_row(known_scale_block(sample.values[None], sample.h,
+                                      sigma))[0]
 
 
 def c_moment(beta: float, q: float) -> float:
@@ -313,6 +364,40 @@ def _log_frac_k(p: float) -> float:
             - 0.5 * math.log(math.pi))
 
 
+def frac_moment_block(block: np.ndarray, h: float, p: float) -> list:
+    """Fractional-moment estimates (beta_hat, sigma_hat, gamma_hat) at
+    order p of each row of a (rows, n) block of increments at mesh h, or the
+    EstimationError of a row that has none (see frac_moment_point)."""
+    if not (0.0 < p < 1.0 / 3.0):
+        raise DomainError("moment order p must lie in (0, 1/3)", p=p)
+    values = _odd_block(block)
+    m = _medians(values)
+    res = values - m[:, None]
+    np.abs(res, out=res)
+    log_k = _log_frac_k(p)
+    lo, hi = 6.0 * p + 1e-9, 2.0 - 1e-9
+
+    def point(h1, h2, m):
+        if h1 <= 0.0 or h2 <= 0.0:
+            raise ZeroResidual("fractional moments vanish", h1=h1, h2=h2)
+        target = h1 * h1 / h2
+        log_rhs = math.log(target) - log_k
+        try:
+            beta_hat = find_root_monotone(
+                lambda b: log_gamma_ratio(b, p) - log_rhs, lo, hi)
+        except NoSignChange as exc:
+            raise RootOutOfBracket("moment ratio outside the admissible "
+                                   "index interval", target=target, p=p,
+                                   lo=lo, hi=hi) from exc
+        sigma_hat = overflow_to_inf(
+            math.pow, h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p),
+            1.0 / p)
+        return beta_hat, sigma_hat, m / h
+
+    return each_row(point, np.mean(res ** p, axis=1).tolist(),
+                    np.mean(res ** (2.0 * p), axis=1).tolist(), m.tolist())
+
+
 def frac_moment_point(sample: IncrementSample,
                       p: float) -> tuple[float, float, float]:
     """Fractional-moment estimates (beta_hat, sigma_hat, gamma_hat) at
@@ -335,32 +420,11 @@ def frac_moment_point(sample: IncrementSample,
 
         sigma_hat = {h^{-p/beta_hat} H_1 / C(beta_hat, p)}^{1/p}.
 
-    Requires p in (0, 1/3); raises RootOutOfBracket when the moment ratio
-    falls outside the image of the interval.
+    Requires p in (0, 1/3); raises ZeroResidual when H_1 or H_2 vanishes and
+    RootOutOfBracket when the moment ratio falls outside the image of the
+    interval.
     """
-    if not (0.0 < p < 1.0 / 3.0):
-        raise DomainError("moment order p must lie in (0, 1/3)", p=p)
-    values = _odd_values(sample)
-    m = _median(values)
-    res = np.abs(values - m)
-    h1 = float(np.mean(res ** p))
-    h2 = float(np.mean(res ** (2.0 * p)))
-    if h1 <= 0.0 or h2 <= 0.0:
-        raise ZeroResidual("fractional moments vanish", h1=h1, h2=h2)
-    target = h1 * h1 / h2
-    log_rhs = math.log(target) - _log_frac_k(p)
-    lo, hi = 6.0 * p + 1e-9, 2.0 - 1e-9
-    try:
-        beta_hat = find_root_monotone(
-            lambda b: log_gamma_ratio(b, p) - log_rhs, lo, hi)
-    except NoSignChange as exc:
-        raise RootOutOfBracket("moment ratio outside the admissible index "
-                               "interval", target=target, p=p,
-                               lo=lo, hi=hi) from exc
-    h = sample.h
-    sigma_hat = overflow_to_inf(
-        math.pow, h ** (-p / beta_hat) * h1 / c_moment(beta_hat, p), 1.0 / p)
-    return beta_hat, sigma_hat, m / h
+    return only_row(frac_moment_block(sample.values[None], sample.h, p))
 
 
 def frac_moment_estimate(sample: IncrementSample, p: float,

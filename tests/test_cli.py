@@ -677,6 +677,30 @@ def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_montecarlo_echoes_every_design(tmp_path, fmt):
+    # two unlabelled designs and two sharing a label: each gets its own
+    # echo line, keyed by its position in the config
+    tv = _with(model="timevarying_stable",
+               truth={"beta": 1.5, "p_pos": 0.45, "path": "cosine"},
+               h_rule={"kind": "fixed_T", "T": 1.0},
+               estimators=[{"id": "sign", "kind": "sign"}])
+    payload = [_GOOD_ENTRY, tv, dict(_GOOD_ENTRY, label="same"),
+               dict(tv, label="same")]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / f"rows.{fmt}"
+    assert run_cli("montecarlo", "--config", str(cfg_path), "--out",
+                   str(out), "--format", fmt) == 0
+    echo = (read_summary(out)[1] if fmt == "csv"
+            else json.loads(out.read_text())["config"])
+    assert echo == {"configs": "4",
+                    "config_0": "custom:symmetric_stable",
+                    "config_1": "custom:timevarying_stable",
+                    "config_2": "same:symmetric_stable",
+                    "config_3": "same:timevarying_stable"}
+
+
 def test_montecarlo_symmetric_sigma_defaults_to_one(tmp_path):
     # the same default as simulate --model stable without sigma
     median = [{"id": "m", "kind": "median"}]

@@ -19,7 +19,7 @@ from levyestim.mc import (
     PRESET_NAMES,
     ExperimentConfig,
     _cell_points,
-    _point,
+    _kept,
     emit,
     preset,
     run_experiment,
@@ -27,6 +27,7 @@ from levyestim.mc import (
 )
 from levyestim.serialize import SUMMARY_COLUMNS, read_summary
 from levyestim.stable_core import (
+    IncrementSample,
     ScalePath,
     StableParams,
     derive_seed,
@@ -169,12 +170,13 @@ def test_all_replications_failed_gives_nan_row():
 
 def test_non_finite_estimates_count_as_failures(monkeypatch):
     # a point core that overflows returns inf; the cell must not average it
-    def half_overflow(sample, est):
-        gamma = median_gamma(sample)
-        return (math.inf if gamma > -0.5 else gamma,)
+    def half_overflow(block, h, est):
+        return [(math.inf if gamma > -0.5 else gamma,)
+                for gamma in (median_gamma(IncrementSample(row, h))
+                              for row in block)]
 
     monkeypatch.setitem(ESTIMATORS, "median",
-                        ESTIMATORS["median"]._replace(estimate=half_overflow))
+                        ESTIMATORS["median"]._replace(block=half_overflow))
     cfg = _small_config(replications=20,
                         estimators=({"id": "median", "kind": "median"},))
     row = run_experiment(cfg)[0]
@@ -196,22 +198,24 @@ def test_replication_order_never_changes_values():
                     {"id": "bipower", "kind": "bipower", "q": 0.25}),
         master_seed=7)
     h = cfg.mesh(400)
-    draw = MODELS[cfg.model].cell(cfg.truth, h, 400)
+    cell = MODELS[cfg.model].cell(cfg.truth, h, 400)
     cells = [(est["id"], rep) for est in cfg.estimators
              for rep in range(cfg.replications)]
     by_id = {est["id"]: est for est in cfg.estimators}
 
     def replicate(est_id, rep):
-        # one replication alone: its own stream, drawn as a block of one
-        (sample,) = draw([derive_seed(7, 400, est_id, rep)])
+        # one replication alone: its own stream, drawn and estimated as a
+        # block of one
+        block = cell.draw([derive_seed(7, 400, est_id, rep)])
         est = by_id[est_id]
-        return _point(ESTIMATORS[est["kind"]].estimate, sample, est)
+        (point,) = ESTIMATORS[est["kind"]].block(block, cell.h, est)
+        return _kept(point)
 
     forward = {cell: replicate(*cell) for cell in cells}
     backward = {cell: replicate(*cell) for cell in reversed(cells)}
     # the harness draws each cell in stacked blocks: the same values
     for est in cfg.estimators:
-        assert _cell_points(cfg, draw, 400, est) == [
+        assert _cell_points(cfg, cell, 400, est) == [
             forward[(est["id"], rep)] for rep in range(cfg.replications)]
     assert backward == forward
     assert sum(v is not None for v in forward.values()) > 40
@@ -260,7 +264,7 @@ def test_block_split_never_changes_values(model, truth, n):
     # a value
     h = 1.0 / n
     seeds = [derive_seed(3, n, "x", rep) for rep in range(7)]
-    draw = MODELS[model].cell(truth, h, n)
+    cell = MODELS[model].cell(truth, h, n)
     alone = {}
     for seed in seeds:
         alone[seed] = MODELS[model].sample(truth, h, n, seed).values
@@ -268,11 +272,11 @@ def test_block_split_never_changes_values(model, truth, n):
                               _one_stream(model, truth, h, n, seed))
     for order in (seeds, seeds[::-1]):
         for rows in (1, 3, len(order)):
-            drawn = [sample for start in range(0, len(order), rows)
-                     for sample in draw(order[start:start + rows])]
+            drawn = [row for start in range(0, len(order), rows)
+                     for row in cell.draw(order[start:start + rows])]
             assert len(drawn) == len(order)
-            for seed, sample in zip(order, drawn):
-                assert np.array_equal(sample.values, alone[seed])
+            for seed, row in zip(order, drawn):
+                assert np.array_equal(row, alone[seed])
 
 
 def test_cell_memory_is_bounded_and_rows_are_read_only():
@@ -297,12 +301,12 @@ def test_cell_memory_is_bounded_and_rows_are_read_only():
     small, large = peak(8), peak(64)
     assert small > 5000 * 8  # numpy's buffers are traced
     assert large < 1.5 * small
-    draw = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
+    cell = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
                                         0.01, 100)
-    sample = draw([1, 2])[1]
-    assert not sample.values.flags.writeable
+    row = cell.draw([1, 2])[1]
+    assert not row.flags.writeable
     with pytest.raises(ValueError):
-        sample.values[0] = 0.0
+        row[0] = 0.0
 
 
 # (model, truth, n, h, the estimator kinds run on its samples)
@@ -336,7 +340,8 @@ def test_monte_carlo_computes_no_covariance(monkeypatch):
     for model, truth, n, h, ks in _KIND_SAMPLES:
         sample = MODELS[model].sample(truth, h, n, 5)
         for kind in ks:
-            values = ESTIMATORS[kind].estimate(sample, tuning)
+            (values,) = ESTIMATORS[kind].block(sample.values[None],
+                                               sample.h, tuning)
             assert len(values) == len(ESTIMATORS[kind].params), kind
             assert all(math.isfinite(v) for v in values), kind
 

@@ -16,7 +16,6 @@ from levyestim.stable_core import (
     StableParams,
     derive_seed,
     increment_scale_shift,
-    make_rng,
     positivity_range,
     positivity_to_skew,
     sample_increments,
@@ -25,6 +24,11 @@ from levyestim.stable_core import (
     skew_to_positivity,
     sprime_increment_sampler,
 )
+
+def make_rng(*parts) -> np.random.Generator:
+    """Generator seeded from derive_seed(*parts)."""
+    return np.random.default_rng(derive_seed(*parts))
+
 
 # positivity parameters for rho = -0.5 (frozen from the arctan map)
 P_POS_TABLE = {

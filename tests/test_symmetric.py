@@ -17,9 +17,9 @@ from levyestim.special_fn import log_gamma_ratio
 from levyestim.stable_core import IncrementSample, StableParams, sample_increments
 from levyestim.stable_density import median_asymptotic_sd
 from levyestim.symmetric import (
+    _log_block,
     _log_frac_k,
-    _median,
-    _median_split,
+    _medians,
     beta_inv_sq_unbiased,
     c_moment,
     frac_moment_estimate,
@@ -293,11 +293,14 @@ def test_frac_root_matches_the_moment_ratio_equation(beta, p):
 def test_median_split_equals_delete(n):
     rng = np.random.default_rng(n)
     for values in (rng.standard_cauchy(n), rng.integers(-2, 3, n) * 1.0):
-        m, rest, k = _median_split(values)
+        logs, _, m, k, ties = _log_block(values[None])
         xs = np.sort(values)
         assert k == (n - 1) // 2
-        assert m == xs[k] == _median(values)
-        np.testing.assert_array_equal(rest, np.delete(xs, k))
+        assert m[0] == xs[k] == _medians(values[None])[0]
+        res = np.abs(np.delete(xs, k) - xs[k])
+        assert ties[0] == np.count_nonzero(res == 0.0)
+        if not ties[0]:
+            np.testing.assert_array_equal(logs[0], np.log(res))
 
 
 def test_frac_moment_p_validation():
