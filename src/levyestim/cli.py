@@ -130,7 +130,7 @@ def _cmd_simulate(args) -> int:
     else:
         h = args.h if args.h is not None else args.T / args.n
     serialize.write_increments(args.out,
-                               entry.sample(truth, h, args.n, args.seed))
+                               entry.cell(truth, h, args.n).sample(args.seed))
     return 0
 
 
@@ -232,6 +232,11 @@ def _cmd_density(args) -> int:
               file=sys.stderr)
         return 2
     y_min = -args.y_max if args.y_min is None else args.y_min
+    if not math.isfinite(args.y_max - y_min):
+        # linspace's step would overflow and put non-finite points on the grid
+        print(f"error: --y-min/--y-max span from {y_min} to {args.y_max} "
+              "overflows: y_max - y_min must be finite", file=sys.stderr)
+        return 2
     grid = np.linspace(y_min, args.y_max, args.points)
     if args.points > 1 and y_min == -args.y_max:
         # mirror exactly, so y and -y share one |y| and are evaluated once

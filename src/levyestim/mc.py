@@ -20,7 +20,10 @@ Each (n, estimator) cell runs in three steps:
    means, sign means and power sums of all rows at once and returns one
    point estimate or EstimationError per row; each row's index root is
    still one scalar solve.  The per-sample point cores are the same block
-   cores on a one-row block, and no replication computes a covariance.
+   cores on a one-row block, and no stable replication computes a
+   covariance; the subordinator kinds map a per-sample estimator over the
+   rows, and ``gamma_moment`` computes its 2x2 covariance for each row and
+   drops it.
 3. Reduce in replication order.  Estimation failures (EstimationError
    subclasses, e.g. an index root outside the admissible interval, and
    estimates that are not finite) are counted per cell and excluded from
@@ -103,10 +106,6 @@ class Model(NamedTuple):
     required: tuple[str, ...]  # truth keys the sampler needs
     optional: tuple[str, ...]  # truth keys it reads when present
     cell: Callable  # (truth, h, n) -> stable_core.Cell
-
-    def sample(self, truth, h, n, seed):
-        """The IncrementSample of one stream: the cell drawn at one seed."""
-        return self.cell(truth, h, n).sample(seed)
 
 
 class Estimator(NamedTuple):

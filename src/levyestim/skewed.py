@@ -318,30 +318,25 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
     return mpv(sample, beta_hat, (power, power)) / (mu * mu)
 
 
-def _tripower_scale(x: np.ndarray, p_hat: float, beta_hat: float) -> float:
-    # tripower_integrated_scale of the absolute increments x.  Not
-    # through mpv: its factor n^{(t+t+t)/beta_hat - 1} need not be exactly
-    # 1 in floating point and would move the result by ulps.  The products
-    # reach |D|^beta_hat and saturate to inf for huge increments, which a
-    # report refuses by name
-    third = beta_hat / 3.0
-    with np.errstate(over="ignore"):
-        mstar, = _power_sums(x[None], (third, third, third))
-    return float(mstar[0]) / mu_abs(beta_hat, p_hat, third) ** 3
-
-
-def tripower_integrated_scale(sample: IncrementSample, p_hat: float,
+def tripower_integrated_scale(x: np.ndarray, p_hat: float,
                               beta_hat: float) -> float:
-    """Self-normalizing tripower estimate of sigma*_beta:
+    """Self-normalizing tripower estimate of sigma*_beta from the absolute
+    increments x = |D_j|:
 
         M*_n(beta_hat) / mu_{beta_hat/3}(p_hat, beta_hat)^3,
         M*_n(beta) = sum_{j=1}^{n-2} prod_{l=1}^3 |D_{j+l-1}|^{beta/3}.
 
     The powers beta/3 stay below beta/2 for every admissible index, so no
     separate moment condition arises; the n^{.}-normalizations cancel at
-    total power beta.
+    total power beta.  Not through mpv: its factor
+    n^{(t+t+t)/beta_hat - 1} need not be exactly 1 in floating point and
+    would move the result by ulps.  The products reach |D|^beta_hat and
+    saturate to inf for huge increments, which a report refuses by name.
     """
-    return _tripower_scale(np.abs(sample.values), p_hat, beta_hat)
+    third = beta_hat / 3.0
+    with np.errstate(over="ignore"):
+        mstar, = _power_sums(x[None], (third, third, third))
+    return float(mstar[0]) / mu_abs(beta_hat, p_hat, third) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,7 @@ def tripower_block(block: np.ndarray, q: float) -> list:
     return _bipower_rows(
         block, q, _sign_hats(block),
         lambda p_hat, beta_hat, den, x: (
-            p_hat, beta_hat, _tripower_scale(x, p_hat, beta_hat)))
+            p_hat, beta_hat, tripower_integrated_scale(x, p_hat, beta_hat)))
 
 
 def tripower_point(sample: IncrementSample,

@@ -51,9 +51,6 @@ __all__ = [
     "ScalePath",
     "sample_standard_stable",
     "increment_scale_shift",
-    "sample_increments",
-    "sprime_increment_sampler",
-    "sample_timevarying",
     "increments_cell",
     "sprime_cell",
     "timevarying_cell",
@@ -168,7 +165,7 @@ class Cell:
     returns the n values that the sampler draws from each seed's stream, as
     the rows of one (rows, n) array.  ``draw(seeds)`` is that block after
     the finiteness check, read-only, and ``sample(seed)`` is the cell drawn
-    at one seed: the public samplers return it.
+    at one seed: one observed path.
     """
 
     h: float
@@ -374,10 +371,11 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
     return h ** (1.0 / params.beta) * params.sigma, h * params.gamma
 
 
-# The samplers are their Cell drawn at one seed.
+# A sample is its Cell drawn at one seed: ``<x>_cell(...).sample(seed)``.
 
 def increments_cell(params: StableParams, h: float, n: int) -> Cell:
-    """Cell of sample_increments(params, h, n, seed)."""
+    """Cell of n i.i.d. increments over mesh h of the Levy process with
+    L(X_1) = S_beta(sigma, rho, gamma)."""
     _check_size(n)
     scale, shift = increment_scale_shift(params, h)
     meta = {"model": "stable", "beta": params.beta, "sigma": params.sigma,
@@ -385,15 +383,10 @@ def increments_cell(params: StableParams, h: float, n: int) -> Cell:
     return _stable_cell(params.beta, params.rho, n, h, meta, scale, shift)
 
 
-def sample_increments(params: StableParams, h: float, n: int,
-                      seed=None) -> IncrementSample:
-    """n i.i.d. increments over mesh h of the Levy process with
-    L(X_1) = S_beta(sigma, rho, gamma)."""
-    return increments_cell(params, h, n).sample(seed)
-
-
 def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
-    """Cell of sprime_increment_sampler(pp, h, n, seed)."""
+    """Cell of n i.i.d. increments over mesh h of the strictly stable
+    process with L(X_t) = S'_beta(p, t * scale): each equals
+    (h * scale)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
     positive("h", h)
     _check_size(n)
     meta = {"model": "skewed_stable", "beta": pp.beta, "p_pos": pp.p_pos,
@@ -402,17 +395,21 @@ def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
                         (h * pp.scale) ** (1.0 / pp.beta))
 
 
-def sprime_increment_sampler(pp: PositivityStable, h: float, n: int,
-                             seed=None) -> IncrementSample:
-    """n i.i.d. increments over mesh h of the strictly stable process with
-    L(X_t) = S'_beta(p, t * scale): each equals (h * scale)^{1/beta} S for
-    S ~ S_beta(1, rho(p), 0)."""
-    return sprime_cell(pp, h, n).sample(seed)
-
-
 def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
-    """Cell of sample_timevarying(path, p_pos, n, seed): the block averages
-    sigma_bar_j are computed once, when it is built."""
+    """Cell of the increments X_{j/n} - X_{(j-1)/n}, j = 1..n, of
+    X_t = int_0^t sigma_{s-} dZ_s with L(Z_t) = S'_beta(p, t) and
+    deterministic sigma.
+
+    In law the j-th increment equals (sigma_bar_j / n)^{1/beta} zeta_j with
+    zeta_j i.i.d. S'_beta(p, 1) and sigma_bar_j the block average of
+    sigma^beta, which is what gets sampled; the block averages are computed
+    once, when the cell is built.  A constant path takes the same standard
+    draws as ``sprime_cell`` at equal seeds (scale sigma^beta, h = 1/n),
+    but its factor goes through n * diff(primitive) and so is rounded
+    differently: the values are not equal but agree to within 4e-13
+    relative (3.7e-13 at most over beta in {1.2, 1.5, 1.7} and n in
+    {500, 1000, 2000, 5000}).
+    """
     beta = path.beta
     rho = PositivityStable(beta, p_pos).rho
     _check_size(n)
@@ -420,23 +417,6 @@ def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
             "path": path.label}
     return _stable_cell(beta, rho, n, 1.0 / n, meta,
                         (path.sigma_bars(n) / n) ** (1.0 / beta))
-
-
-def sample_timevarying(path: ScalePath, p_pos: float, n: int,
-                       seed=None) -> IncrementSample:
-    """Increments X_{j/n} - X_{(j-1)/n}, j = 1..n, of X_t = int_0^t
-    sigma_{s-} dZ_s with L(Z_t) = S'_beta(p, t) and deterministic sigma.
-
-    In law the j-th increment equals (sigma_bar_j / n)^{1/beta} zeta_j with
-    zeta_j i.i.d. S'_beta(p, 1) and sigma_bar_j the block average of
-    sigma^beta, which is what gets sampled.  A constant path takes the same
-    standard draws as sprime_increment_sampler at equal seeds (scale
-    sigma^beta, h = 1/n), but its factor goes through n * diff(primitive)
-    and so is rounded differently: the values are not equal but agree to
-    within 4e-13 relative (3.7e-13 at most over beta in {1.2, 1.5, 1.7}
-    and n in {500, 1000, 2000, 5000}).
-    """
-    return timevarying_cell(path, p_pos, n).sample(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, positive
 from .special_fn import EULER_GAMMA, log_gamma, overflow_to_inf
 
-__all__ = ["phi", "phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
+__all__ = ["phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
            "median_asymptotic_sd"]
 
 # crossover from the integral forms to the tail expansion
@@ -315,13 +315,6 @@ def _eval(y, beta: float, sigma: float):
         return float(f[0] / sigma), float(d[0] / sigma ** 2)
     return ((f / sigma).reshape(arr.shape),
             (d / sigma ** 2).reshape(arr.shape))
-
-
-def phi(y, beta: float, sigma: float = 1.0):
-    """Density of S_beta(sigma) at y (scalar or array): the first row of
-    phi_pair."""
-    _check_density_domain(beta, sigma)
-    return _eval(y, beta, sigma)[0]
 
 
 def phi_pair(y, beta: float, sigma: float = 1.0):

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DataError,
     DomainError,
+    EstimationError,
     NonpositiveBrace,
     NonpositiveK,
     NoSignChange,
@@ -45,8 +46,6 @@ __all__ = [
     "IGSubParams",
     "gamma_sub_cell",
     "ig_sub_cell",
-    "sample_gamma_sub",
-    "sample_ig_sub",
     "gamma_mle",
     "gamma_moment_estimate",
     "ig_mle",
@@ -91,7 +90,9 @@ def _check_mesh(h: float, n: int, shape: float):
 
 
 def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
-    """Cell of sample_gamma_sub(params, h, n, seed)."""
+    """Cell of n i.i.d. Gamma(delta h, gamma) increments, none of them 0
+    (the estimators reject 0): a draw that underflows to 0 raises
+    DomainError."""
     shape = params.delta * h
     _check_mesh(h, n, shape)
     scale = 1.0 / params.gamma_rate
@@ -110,15 +111,10 @@ def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
                     "gamma": params.gamma_rate}, fill)
 
 
-def sample_gamma_sub(params: GammaSubParams, h: float, n: int,
-                     seed=None) -> IncrementSample:
-    """n i.i.d. Gamma(delta h, gamma) increments, none of them 0 (the
-    estimators reject 0)."""
-    return gamma_sub_cell(params, h, n).sample(seed)
-
-
 def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
-    """Cell of sample_ig_sub(params, h, n, seed)."""
+    """Cell of n i.i.d. IG(delta h, gamma) increments, drawn as Wald variates
+    of mean delta h / gamma and shape (delta h)^2; either underflowing to 0
+    raises DomainError."""
     _check_mesh(h, n, params.delta * h)
     dh = params.delta * h
     mean, shape = dh / params.gamma_ig, dh * dh
@@ -132,14 +128,6 @@ def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
 
     return Cell(h, {"model": "ig_sub", "delta": params.delta,
                     "gamma": params.gamma_ig}, fill)
-
-
-def sample_ig_sub(params: IGSubParams, h: float, n: int,
-                  seed=None) -> IncrementSample:
-    """n i.i.d. IG(delta h, gamma) increments, drawn as Wald variates of
-    mean delta h / gamma and shape (delta h)^2; either underflowing to 0
-    raises DomainError."""
-    return ig_sub_cell(params, h, n).sample(seed)
 
 
 def _positive_increments(sample: IncrementSample) -> np.ndarray:
@@ -209,19 +197,25 @@ def gamma_moment_estimate(sample: IncrementSample
         [[2 delta, 2 gamma], [2 gamma, 3 gamma^2 / delta]] / T
 
     evaluated at the estimates.  The drift estimate is 1/3 as efficient as
-    the MLE's gamma component.
+    the MLE's gamma component.  An m2 beyond the double range raises
+    EstimationError; a covariance entry beyond it saturates to 0 or inf.
     """
     values = _positive_increments(sample)
     t_total = values.size * sample.h
-    m1 = float(values.sum()) / t_total
-    m2 = float(np.sum(values ** 2)) / t_total
+    with np.errstate(over="ignore"):  # m1 overflows only if m2 does
+        m1 = float(values.sum()) / t_total
+        m2 = float(np.sum(values ** 2)) / t_total
+    if not math.isfinite(m2):
+        raise EstimationError("second empirical moment overflows", m2=m2)
     if m2 <= 0.0:
         raise DataError("second empirical moment vanishes", m2=m2)
     gamma_hat = m1 / m2
     delta_hat = m1 * m1 / m2
-    cov = np.array([[2.0 * delta_hat, 2.0 * gamma_hat],
-                    [2.0 * gamma_hat, 3.0 * gamma_hat ** 2 / delta_hat]])
-    return delta_hat, gamma_hat, cov / t_total
+    d, g = np.float64(delta_hat), np.float64(gamma_hat)
+    with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
+        cov = np.array([[2.0 * d, 2.0 * g],
+                        [2.0 * g, 3.0 * g * g / d]]) / t_total
+    return delta_hat, gamma_hat, cov
 
 
 def ig_mle(sample: IncrementSample) -> tuple[float, float]:
@@ -252,28 +246,22 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     return delta_hat, gamma_hat
 
 
-def _gamma_information(delta, rate) -> np.ndarray:
+def gamma_fisher(delta, rate) -> np.ndarray:
+    """Per-observation Fisher information diag(1/delta^2, delta/gamma^2) of
+    the gamma law in the normalization
+    (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
     delta, rate = np.float64(delta), np.float64(rate)
     with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
         return np.diag([1.0 / delta ** 2, delta / rate ** 2])
 
 
-def _ig_information(delta, rate) -> np.ndarray:
+def ig_fisher(delta, rate) -> np.ndarray:
+    """Per-observation Fisher information diag(2/delta^2, delta/gamma) of
+    the IG law in the normalization
+    (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
     delta, rate = np.float64(delta), np.float64(rate)
     with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
         return np.diag([2.0 / delta ** 2, delta / rate])
-
-
-def gamma_fisher(params: GammaSubParams) -> np.ndarray:
-    """Per-observation Fisher information diag(1/delta^2, delta/gamma^2) in
-    the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    return _gamma_information(params.delta, params.gamma_rate)
-
-
-def ig_fisher(params: IGSubParams) -> np.ndarray:
-    """Per-observation Fisher information diag(2/delta^2, delta/gamma) in
-    the normalization (sqrt(n)(delta_hat - delta), sqrt(T)(gamma_hat - gamma))."""
-    return _ig_information(params.delta, params.gamma_ig)
 
 
 def _mle_report(method: str, sample: IncrementSample, mle,
@@ -288,9 +276,9 @@ def _mle_report(method: str, sample: IncrementSample, mle,
 
 def gamma_mle_estimate(sample: IncrementSample) -> EstimateReport:
     """gamma_mle plus the gamma_fisher information at the estimates."""
-    return _mle_report("gamma-mle", sample, gamma_mle, _gamma_information)
+    return _mle_report("gamma-mle", sample, gamma_mle, gamma_fisher)
 
 
 def ig_mle_estimate(sample: IncrementSample) -> EstimateReport:
     """ig_mle plus the ig_fisher information at the estimates."""
-    return _mle_report("ig-mle", sample, ig_mle, _ig_information)
+    return _mle_report("ig-mle", sample, ig_mle, ig_fisher)

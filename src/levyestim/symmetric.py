@@ -70,8 +70,6 @@ __all__ = [
     "log_moment_nu",
     "v_log",
     "psi_transform",
-    "beta_inv_sq_unbiased",
-    "known_scale_beta",
     "c_moment",
     "frac_moment_point",
     "frac_moment_estimate",
@@ -288,26 +286,17 @@ def log_moment_estimate(sample: IncrementSample,
     return _report("log", sample, log_moment_point(sample), v_log, level)
 
 
-def beta_inv_sq_unbiased(sample: IncrementSample) -> float:
-    """Exactly unbiased estimate of beta^{-2}:
-
-        6 / ((2k - 1) pi^2) sum_j (L_j - Lbar)^2 - 1/2,
-
-    outer divisor 2k - 1 against the inner mean's divisor 2k.  The exact
-    unbiasedness comes from the off-median residuals being distributed as
-    S_beta(2 h^{1/beta} sigma) draws; the value may be negative in small
-    samples and is returned as is.
-    """
-    logs, lbar, _, k, ties = _log_block(sample.values[None])
-    _no_ties(int(ties[0]))
-    square_sum = float(_square_sums(logs, lbar)[0])
-    return 6.0 / ((2.0 * k - 1.0) * _PI2) * square_sum - 0.5
-
-
 def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
-    """(beta_tilde,) of each row of a (rows, n) block of increments at mesh
-    h, or the EstimationError of a row that has none (see
-    known_scale_beta)."""
+    """Index estimate (beta_tilde,) when sigma is known, of each row of a
+    (rows, n) block of increments at mesh h:
+
+        beta_tilde = {log(1/h) - C} / {log sigma - C - S_n},
+
+    S_n the row's mean log residual.  A row that has none holds its
+    EstimationError: ZeroResidual when an off-median increment ties the
+    median, DenominatorNearZero when the denominator vanishes to working
+    precision.
+    """
     positive("sigma", sigma)
     _, lbar, _, _, ties = _log_block(block)
     num = math.log(1.0 / h) - EULER_GAMMA
@@ -322,19 +311,6 @@ def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
         return (num / den,)
 
     return each_row(point, ties.tolist(), lbar.tolist())
-
-
-def known_scale_beta(sample: IncrementSample, sigma: float) -> float:
-    """Index estimate when sigma is known:
-
-        beta_tilde = {log(1/h) - C} / {log sigma - C - S_n},
-
-    S_n the mean log residual.  Raises ZeroResidual when an off-median
-    increment ties the median, and DenominatorNearZero when the denominator
-    vanishes to working precision.
-    """
-    return only_row(known_scale_block(sample.values[None], sample.h,
-                                      sigma))[0]
 
 
 def c_moment(beta: float, q: float) -> float:

@@ -16,18 +16,18 @@ from levyestim.special_fn import digamma, log_gamma
 from levyestim.stable_core import (
     StableParams,
     IncrementSample,
-    sample_increments,
+    increments_cell,
     skew_to_positivity,
 )
-from levyestim.stable_density import fisher_matrix, phi
+from levyestim.stable_density import fisher_matrix, phi_pair
 from levyestim.subordinators import (
     GammaSubParams,
     IGSubParams,
     gamma_mle,
     gamma_moment_estimate,
+    gamma_sub_cell,
     ig_mle,
-    sample_gamma_sub,
-    sample_ig_sub,
+    ig_sub_cell,
 )
 from levyestim.symmetric import c_moment, frac_moment_estimate, log_moment_estimate
 from levyestim.transforms import center_triple
@@ -78,9 +78,9 @@ def test_criterion_6_special_values():
     cauchy = fisher_matrix(1.0, 1.0)
     assert abs(cauchy.h_value - 0.5) <= 1e-5
     assert abs(cauchy.m_value - 0.5) <= 1e-5
-    assert abs(phi(0.0, 1.0, 1.0) - 1.0 / math.pi) <= 1e-8
+    assert abs(phi_pair(0.0, 1.0, 1.0)[0] - 1.0 / math.pi) <= 1e-8
     for beta in (0.6, 1.0, 1.5, 1.9):
-        core, _ = scipy.integrate.quad(lambda y: phi(y, beta), 0, 50,
+        core, _ = scipy.integrate.quad(lambda y: phi_pair(y, beta)[0], 0, 50,
                                        epsabs=1e-12, epsrel=1e-10, limit=300)
         tail = sum(
             (-1) ** (m + 1) / math.pi * math.exp(log_gamma(1 + m * beta))
@@ -100,7 +100,7 @@ def test_criterion_7_subordinator_mles():
     g_mle = np.empty(reps)
     g_mom = np.empty(reps)
     for r in range(reps):
-        s = sample_gamma_sub(gamma_params, h, n, seed=50_000 + r)
+        s = gamma_sub_cell(gamma_params, h, n).sample(seed=50_000 + r)
         d_gamma[r], g_mle[r] = gamma_mle(s)
         g_mom[r] = gamma_moment_estimate(s)[1]
     var_gamma = (math.sqrt(n) * (d_gamma - 2.0)).var(ddof=1)
@@ -108,7 +108,7 @@ def test_criterion_7_subordinator_mles():
 
     d_ig = np.empty(reps)
     for r in range(reps):
-        s = sample_ig_sub(IGSubParams(1.0, 2.0), h, n, seed=60_000 + r)
+        s = ig_sub_cell(IGSubParams(1.0, 2.0), h, n).sample(seed=60_000 + r)
         d_ig[r], _ = ig_mle(s)
     var_ig = (math.sqrt(n) * (d_ig - 1.0)).var(ddof=1)
     assert abs(var_ig - 0.5) <= 0.15 * 0.5  # inverse Fisher delta^2/2
@@ -119,13 +119,13 @@ def test_criterion_7_subordinator_mles():
 
 def test_criterion_8_sampler_distribution():
     draws = 100_000
-    gauss = sample_increments(StableParams(2.0, 1.0, 0.0, 0.0), 1.0, draws,
-                              seed=101).values
+    gauss = increments_cell(StableParams(2.0, 1.0, 0.0, 0.0), 1.0,
+                            draws).sample(seed=101).values
     se_var = math.sqrt(2.0 * 4.0 / draws)
     assert abs(gauss.var() - 2.0) <= 3.0 * se_var
 
-    cauchy = sample_increments(StableParams(1.0, 1.0, 0.0, 0.0), 1.0, draws,
-                               seed=102).values
+    cauchy = increments_cell(StableParams(1.0, 1.0, 0.0, 0.0), 1.0,
+                             draws).sample(seed=102).values
     q1, q3 = np.quantile(cauchy, [0.25, 0.75])
     # density 1/(2 pi) at the true quartiles drives the quantile std err
     se_q = math.sqrt(0.25 * 0.75 / draws) * 2.0 * math.pi
@@ -135,8 +135,8 @@ def test_criterion_8_sampler_distribution():
 
 def test_criterion_9_exact_algebraic_suite():
     # scale/translation equivariance of the symmetric-model estimators
-    s = sample_increments(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 601, 601,
-                          seed=77)
+    s = increments_cell(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 601,
+                        601).sample(seed=77)
     for estimate in (log_moment_estimate,
                      lambda x: frac_moment_estimate(x, 0.2)):
         base = estimate(s)
@@ -161,14 +161,15 @@ def test_criterion_9_exact_algebraic_suite():
                                                          rel=1e-9)
 
     # root residuals of the implicit estimators
-    skew = sample_increments(StableParams(1.5, 1.0, -0.5, 0.0), 1.0 / 2000,
-                             2000, seed=13)
+    skew = increments_cell(StableParams(1.5, 1.0, -0.5, 0.0), 1.0 / 2000,
+                           2000).sample(seed=13)
     p_hat = sign_statistic(skew)
     b_hat = bipower_beta(skew, 0.25, p_hat)
     lhs = mpv(skew, b_hat, (0.25, 0.25)) / mpv(skew, b_hat, (0.5,))
     rhs = mu_abs(b_hat, p_hat, 0.25) ** 2 / mu_abs(b_hat, p_hat, 0.5)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
-    gsample = sample_gamma_sub(GammaSubParams(2.0, 1.0), 0.01, 2000, seed=3)
+    gsample = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.01,
+                             2000).sample(seed=3)
     d_hat, _ = gamma_mle(gsample)
     t_total = gsample.n * gsample.h
     k_stat = (gsample.n * math.log(gsample.values.mean())

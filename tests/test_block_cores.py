@@ -15,6 +15,7 @@ from levyestim.errors import (
     NonpositiveVarianceGap,
     RootOutOfBracket,
     ZeroResidual,
+    only_row,
 )
 from levyestim.mc import ESTIMATORS
 from levyestim.skewed import (
@@ -28,7 +29,6 @@ from levyestim.subordinators import gamma_mle, gamma_moment_estimate, ig_mle
 from levyestim.symmetric import (
     frac_moment_block,
     frac_moment_point,
-    known_scale_beta,
     known_scale_block,
     log_moment_block,
     log_moment_point,
@@ -41,7 +41,8 @@ from levyestim.symmetric import (
 _PER_SAMPLE = {
     "log": lambda s, e: log_moment_point(s),
     "frac": lambda s, e: frac_moment_point(s, e["p"]),
-    "known_scale": lambda s, e: (known_scale_beta(s, e["sigma"]),),
+    "known_scale": lambda s, e: only_row(known_scale_block(
+        s.values[None], s.h, e["sigma"])),
     "median": lambda s, e: (median_gamma(s),),
     "sign": lambda s, e: (sign_statistic(s),),
     "bipower": lambda s, e: (bipower_beta(s, e["q"], sign_statistic(s)),),

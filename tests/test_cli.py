@@ -30,7 +30,7 @@ from levyestim.serialize import (
 from levyestim.stable_core import (
     IncrementSample,
     StableParams,
-    sample_increments,
+    increments_cell,
 )
 from levyestim.subordinators import gamma_mle, ig_mle
 
@@ -261,7 +261,7 @@ def test_written_values_are_the_repr_of_each_float(tmp_path, model, truth,
                                                    h):
     # the value lines are byte for byte repr(float(v)) of each value, after
     # the '#' metadata lines
-    sample = MODELS[model].sample(truth, h, 500, 7)
+    sample = MODELS[model].cell(truth, h, 500).sample(7)
     out = tmp_path / "x.csv"
     write_increments(out, sample)
     head = [line for line in out.read_text(encoding="utf8").splitlines()
@@ -395,7 +395,7 @@ def _extreme_sample(kind):
     # increments whose plug-in variances overflow a double: a stable sample
     # scaled by 1e290, or log|x| ~ N(80, 128^2), where beta_hat ~ 0.01
     if kind == "scaled":
-        sample = sample_increments(StableParams(1.5, 1.0), 0.001, 2001, 3)
+        sample = increments_cell(StableParams(1.5, 1.0), 0.001, 2001).sample(3)
         return IncrementSample(sample.values * 1e290, 0.001)
     rng = np.random.default_rng(0)
     signs = rng.choice([-1.0, 1.0], 2001)
@@ -766,6 +766,20 @@ def test_density_non_finite_bound_exits_two(capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bounds", [("--y-max", "1e308"),
+                                    ("--y-min=-1e308", "--y-max", "1e308"),
+                                    ("--y-min=-1e308", "--y-max", "9e307")])
+def test_density_overflowing_span_exits_two(capsys, bounds):
+    # finite bounds whose difference overflows: the grid step would not be
+    # finite, so the flags are refused before any point is evaluated (a
+    # negative bound is passed as --y-min=-x, which argparse does not read
+    # as an option)
+    assert run_cli("density", "--beta", "1.5", "--points", "3", *bounds) == 2
+    captured = capsys.readouterr()
+    assert "--y-min/--y-max" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_density_points_below_one_exits_two(capsys, points):
     assert run_cli("density", "--beta", "1.5", "--points", points) == 2
@@ -1002,7 +1016,7 @@ def test_overflowing_scale_is_named_before_any_plug_in(tmp_path, capsys, h,
                                                        method):
     # a beta = 0.6 sample read at a tiny mesh: sigma_hat overflows to inf
     # and is named before V^log, V^p or the drift interval see it
-    sample = sample_increments(StableParams(0.6, 1.0), 1.0, 2001, 3)
+    sample = increments_cell(StableParams(0.6, 1.0), 1.0, 2001).sample(3)
     src = tmp_path / "x.csv"
     write_increments(src, IncrementSample(sample.values, h))
     assert run_cli("estimate", "--in", str(src), "--method", *method) == 1

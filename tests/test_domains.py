@@ -16,27 +16,26 @@ from levyestim.stable_core import (
     ScalePath,
     StableParams,
     increment_scale_shift,
-    sample_increments,
+    increments_cell,
     sample_standard_stable,
     skew_to_positivity,
-    sprime_increment_sampler,
+    sprime_cell,
 )
 from levyestim.stable_density import (
     fisher_matrix,
     median_asymptotic_sd,
-    phi,
     phi_pair,
 )
 from levyestim.subordinators import (
     GammaSubParams,
     IGSubParams,
-    sample_gamma_sub,
-    sample_ig_sub,
+    gamma_sub_cell,
+    ig_sub_cell,
 )
 from levyestim.symmetric import (
     c_moment,
     gamma_confidence_interval,
-    known_scale_beta,
+    known_scale_block,
     log_moment_nu,
     psi_transform,
     v_log,
@@ -47,30 +46,35 @@ _SAMPLE = IncrementSample(np.linspace(-1.0, 1.0, 50) ** 3 + 0.01, 0.01)
 _U = np.array([-0.5, 0.1, 0.7])
 _E = np.array([0.3, 1.0, 2.5])
 
-# case id -> (context key, call with the bad value)
+# case id -> (context key, call with the bad value).  The ids
+# known_scale_beta, phi.sigma, sample_* and sprime_increment_sampler keep
+# the names of one-seed functions that are gone, so that ids stay stable;
+# their calls check the block core, phi_pair and the cells that hold those
+# checks now.
 _POSITIVE = {
     "StableParams.sigma": ("sigma", lambda v: StableParams(1.5, v)),
     "ScalePath.constant": ("sigma", lambda v: ScalePath.constant(v, 1.5)),
     "log_moment_nu.sigma": ("sigma", lambda v: log_moment_nu(1.5, v)),
     "v_log.sigma": ("sigma", lambda v: v_log(1.5, v)),
-    "known_scale_beta": ("sigma", lambda v: known_scale_beta(_SAMPLE, v)),
+    "known_scale_beta": ("sigma", lambda v: known_scale_block(
+        _SAMPLE.values[None], _SAMPLE.h, v)),
     "v_p.sigma": ("sigma", lambda v: v_p(1.5, v, 0.1)),
     "median_asymptotic_sd.sigma":
         ("sigma", lambda v: median_asymptotic_sd(1.5, v)),
-    "phi.sigma": ("sigma", lambda v: phi(0.0, 1.5, v)),
+    "phi.sigma": ("sigma", lambda v: phi_pair(0.0, 1.5, v)[0]),
     "phi_pair.sigma": ("sigma", lambda v: phi_pair(1.0, 1.5, v)),
     "fisher_matrix.sigma": ("sigma", lambda v: fisher_matrix(1.5, v)),
     "IncrementSample.h": ("h", lambda v: IncrementSample(_SAMPLE.values, v)),
     "increment_scale_shift":
         ("h", lambda v: increment_scale_shift(StableParams(1.5, 1.0), v)),
     "sample_increments":
-        ("h", lambda v: sample_increments(StableParams(1.5, 1.0), v, 5)),
-    "sprime_increment_sampler": ("h", lambda v: sprime_increment_sampler(
+        ("h", lambda v: increments_cell(StableParams(1.5, 1.0), v, 5)),
+    "sprime_increment_sampler": ("h", lambda v: sprime_cell(
         PositivityStable(1.5, 0.5), v, 5)),
     "sample_gamma_sub.h":
-        ("h", lambda v: sample_gamma_sub(GammaSubParams(1.0, 1.0), v, 5)),
+        ("h", lambda v: gamma_sub_cell(GammaSubParams(1.0, 1.0), v, 5)),
     "sample_ig_sub.h":
-        ("h", lambda v: sample_ig_sub(IGSubParams(1.0, 1.0), v, 5)),
+        ("h", lambda v: ig_sub_cell(IGSubParams(1.0, 1.0), v, 5)),
     "gamma_confidence_interval": ("h", lambda v: gamma_confidence_interval(
         0.0, 1.5, 0.5, 501, h=v)),
     "PositivityStable.scale":

@@ -32,8 +32,8 @@ from levyestim.stable_core import (
     StableParams,
     derive_seed,
     increment_scale_shift,
+    increments_cell,
     positivity_to_skew,
-    sample_increments,
     sample_standard_stable,
     skew_to_positivity,
 )
@@ -102,8 +102,8 @@ def test_config_json_round_trip():
 def test_single_replication_row_is_the_single_estimate():
     cfg = _small_config(replications=1)
     rows = {(r.estimator, r.param): r for r in run_experiment(cfg)}
-    sample = sample_increments(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 301,
-                               301, derive_seed(99, 301, "log", 0))
+    sample = increments_cell(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 301,
+                             301).sample(derive_seed(99, 301, "log", 0))
     est = log_moment_estimate(sample)
     for param, value, truth in (("beta", est.beta_hat, 1.5),
                                 ("sigma", est.sigma_hat, 0.5),
@@ -122,8 +122,8 @@ def test_rmse_identity_and_exact_aggregation():
     params = StableParams(1.5, 0.5, 0.0, -0.5)
     ests = []
     for rep in range(11):
-        s = sample_increments(params, 5.0 / 301, 301,
-                              derive_seed(99, 301, "log", rep))
+        s = increments_cell(params, 5.0 / 301,
+                            301).sample(derive_seed(99, 301, "log", rep))
         ests.append(log_moment_estimate(s).beta_hat)
     ests = np.array(ests)
     row = rows[("log", "beta")]
@@ -146,8 +146,8 @@ def test_failures_excluded_from_aggregates():
     kept = []
     fails = 0
     for rep in range(40):
-        s = sample_increments(params, 5.0 / 301, 301,
-                              derive_seed(99, 301, "frac", rep))
+        s = increments_cell(params, 5.0 / 301,
+                            301).sample(derive_seed(99, 301, "frac", rep))
         try:
             kept.append(frac_moment_estimate(s, 0.2).beta_hat)
         except EstimationError:
@@ -267,7 +267,7 @@ def test_block_split_never_changes_values(model, truth, n):
     cell = MODELS[model].cell(truth, h, n)
     alone = {}
     for seed in seeds:
-        alone[seed] = MODELS[model].sample(truth, h, n, seed).values
+        alone[seed] = MODELS[model].cell(truth, h, n).sample(seed).values
         assert np.array_equal(alone[seed],
                               _one_stream(model, truth, h, n, seed))
     for order in (seeds, seeds[::-1]):
@@ -338,7 +338,7 @@ def test_monte_carlo_computes_no_covariance(monkeypatch):
     assert sorted(kinds) == sorted(ESTIMATORS)
     tuning = {"p": 0.1, "q": 0.25, "sigma": 0.5}
     for model, truth, n, h, ks in _KIND_SAMPLES:
-        sample = MODELS[model].sample(truth, h, n, 5)
+        sample = MODELS[model].cell(truth, h, n).sample(5)
         for kind in ks:
             (values,) = ESTIMATORS[kind].block(sample.values[None],
                                                sample.h, tuning)

@@ -32,9 +32,9 @@ from levyestim.stable_core import (
     IncrementSample,
     PositivityStable,
     StableParams,
-    sample_increments,
+    increments_cell,
     skew_to_positivity,
-    sprime_increment_sampler,
+    sprime_cell,
 )
 from levyestim.symmetric import c_moment
 
@@ -113,7 +113,7 @@ def test_mu_reduces_to_symmetric_constant():
 def test_mu_against_mc_mean():
     # E|zeta|^{1/2} for the skewed law, against 1e6 simulated draws
     mu = mu_abs(1.5, P_POS, 0.5)
-    s = sprime_increment_sampler(LAW, 1.0, 1_000_000, seed=31)
+    s = sprime_cell(LAW, 1.0, 1_000_000).sample(seed=31)
     draws = np.abs(s.values) ** 0.5
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - mu) <= 1e-3
@@ -187,7 +187,7 @@ def test_mpv_lln():
     r = (2.0 * q, 0.0)
     mu_r = mu_product(beta, P_POS, r)
     se = math.sqrt(b_cross(beta, P_POS, r, r) / n)
-    s = sprime_increment_sampler(LAW, 1.0 / n, n, seed=97)
+    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
     assert abs(mpv(s, beta, r) - mu_r) <= 3.0 * se
 
 
@@ -196,7 +196,8 @@ def test_mpv_ratio_lln_symmetric():
     # band from the delta method on the joint MPV CLT
     beta, q, n = 1.5, 0.25, 10_000
     r, rp = (2.0 * q, 0.0), (q, q)
-    s = sample_increments(StableParams(beta, 1.0, 0.0, 0.0), 1.0 / n, n, seed=55)
+    s = increments_cell(StableParams(beta, 1.0, 0.0, 0.0), 1.0 / n,
+                        n).sample(seed=55)
     ratio = mpv(s, beta, rp) / mpv(s, beta, r)
     target = mu_abs(beta, 0.5, q) ** 2 / mu_abs(beta, 0.5, 2.0 * q)
     cov = mpv_cov(beta, 0.5, rp, r, lambda v: 1.0)
@@ -249,7 +250,7 @@ def test_bipower_symmetric_correction_is_one():
 
 def test_bipower_root_residual():
     q = 0.25
-    s = sprime_increment_sampler(LAW, 1.0 / 4000, 4000, seed=13)
+    s = sprime_cell(LAW, 1.0 / 4000, 4000).sample(seed=13)
     p_hat = sign_statistic(s)
     beta_hat = bipower_beta(s, q, p_hat)
     x = np.abs(s.values)
@@ -258,7 +259,7 @@ def test_bipower_root_residual():
 
 
 def test_bipower_scale_free():
-    s = sprime_increment_sampler(LAW, 1.0 / 4000, 4000, seed=13)
+    s = sprime_cell(LAW, 1.0 / 4000, 4000).sample(seed=13)
     p_hat = sign_statistic(s)
     b1 = bipower_beta(s, 0.25, p_hat)
     scaled = IncrementSample(37.0 * s.values, s.h, {})
@@ -276,8 +277,8 @@ def test_bipower_map_strictly_increasing(q):
 
 def test_bipower_out_of_bracket():
     # heavy-tailed beta = 0.8 data pushes the ratio below the map's image
-    s = sample_increments(StableParams(0.8, 1.0, 0.0, 0.0), 1.0 / 4000, 4000,
-                          seed=11)
+    s = increments_cell(StableParams(0.8, 1.0, 0.0, 0.0), 1.0 / 4000,
+                        4000).sample(seed=11)
     with pytest.raises(RootOutOfBracket):
         bipower_beta(s, 0.25, 0.5)
 
@@ -288,7 +289,7 @@ def test_bipower_root_matches_the_ratio_equation(beta, q):
     # reference: Brent on the ratio itself, Gamma(1-q/b)^2/Gamma(1-2q/b) =
     # target, where bipower_beta solves the log of both sides
     law = PositivityStable(beta, skew_to_positivity(beta, -0.5), 1.0)
-    s = sprime_increment_sampler(law, 1.0 / 4000, 4000, seed=17)
+    s = sprime_cell(law, 1.0 / 4000, 4000).sample(seed=17)
     p_hat = sign_statistic(s)
     x = np.abs(s.values)
     ratio = float(np.sum(x[:-1] ** q * x[1:] ** q)) / float(np.sum(x ** (2 * q)))
@@ -320,7 +321,7 @@ def test_bipower_validation():
 def test_sigma_star_power_lln():
     beta, q, n = 1.5, 0.25, 10_000
     r = (2.0 * q, 0.0)
-    s = sprime_increment_sampler(LAW, 1.0 / n, n, seed=97)
+    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
     est = sigma_star_power(s, P_POS, beta, 2.0 * q)
     se = math.sqrt(b_cross(beta, P_POS, r, r) / n) / mu_product(beta, P_POS, r)
     assert abs(est - 1.0) <= 3.0 * se
@@ -329,14 +330,14 @@ def test_sigma_star_power_lln():
 def test_sigma_star_bipower_lln():
     beta, q, n = 1.5, 0.25, 10_000
     rp = (q, q)
-    s = sprime_increment_sampler(LAW, 1.0 / n, n, seed=97)
+    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
     est = sigma_star_bipower(s, P_POS, beta, q)
     se = math.sqrt(b_cross(beta, P_POS, rp, rp) / n) / mu_product(beta, P_POS, rp)
     assert abs(est - 1.0) <= 3.0 * se
 
 
 def test_sigma_star_scaling():
-    s = sprime_increment_sampler(LAW, 1.0 / 500, 500, seed=5)
+    s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
     scaled = IncrementSample(3.0 * s.values, s.h, {})
     power = 0.5
     assert sigma_star_power(scaled, P_POS, 1.5, power) == pytest.approx(
@@ -348,25 +349,26 @@ def test_sigma_star_scaling():
 def test_tripower_lln():
     beta, n = 1.5, 10_000
     rt = (beta / 3.0,) * 3
-    s = sprime_increment_sampler(LAW, 1.0 / n, n, seed=97)
-    est = tripower_integrated_scale(s, P_POS, beta)
+    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
+    est = tripower_integrated_scale(np.abs(s.values), P_POS, beta)
     se = math.sqrt(b_cross(beta, P_POS, rt, rt) / n) / mu_product(beta, P_POS, rt)
     assert abs(est - 1.0) <= 3.0 * se
 
 
 def test_tripower_homogeneity():
-    s = sprime_increment_sampler(LAW, 1.0 / 500, 500, seed=5)
-    scaled = IncrementSample(2.0 * s.values, s.h, {})
+    s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
+    x = np.abs(s.values)
     beta_hat = 1.47
-    assert tripower_integrated_scale(scaled, P_POS, beta_hat) == pytest.approx(
-        2.0 ** beta_hat * tripower_integrated_scale(s, P_POS, beta_hat),
-        rel=1e-12)
+    assert tripower_integrated_scale(2.0 * x, P_POS, beta_hat) == \
+        pytest.approx(2.0 ** beta_hat
+                      * tripower_integrated_scale(x, P_POS, beta_hat),
+                      rel=1e-12)
 
 
 def test_power_sums_equal_per_slice_powers():
     # one |x|^r array multiplied along shifted slices is bit-identical to
     # raising every slice separately
-    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=23)
+    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=23)
     x = np.abs(s.values)
     n = x.size
     for q in (0.2, 0.25, 0.3):
@@ -377,7 +379,7 @@ def test_power_sums_equal_per_slice_powers():
         mstar = float(np.sum(x[:-2] ** third * x[1:-1] ** third
                              * x[2:] ** third))
         mu = mu_abs(beta_hat, P_POS, third)
-        assert tripower_integrated_scale(s, P_POS, beta_hat) == mstar / mu ** 3
+        assert tripower_integrated_scale(x, P_POS, beta_hat) == mstar / mu ** 3
         for power in (0.2, 0.25):
             num = float(np.sum(x[:-1] ** power * x[1:] ** power))
             mu = mu_abs(beta_hat, P_POS, power)
@@ -388,7 +390,7 @@ def test_power_sums_equal_per_slice_powers():
 def test_mpv_mixed_powers_equal_per_slice_reference():
     # repeated and distinct powers share one |x|^r array per distinct power;
     # the reference raises every shifted slice separately
-    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=29)
+    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=29)
     x = np.abs(s.values)
     n = x.size
     for r in ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
@@ -406,7 +408,7 @@ def test_scale_functionals_need_enough_data():
     with pytest.raises(DomainError):
         sigma_star_bipower(_sample([1.0]), P_POS, 1.5, 0.25)
     with pytest.raises(DomainError):
-        tripower_integrated_scale(_sample([1.0, 2.0]), P_POS, 1.5)
+        tripower_integrated_scale(np.array([1.0, 2.0]), P_POS, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +466,7 @@ def test_delta_cov_validation():
 def test_delta_cov_singularity_test_is_scale_free(c):
     # beta_hat and its variance V_22 do not depend on the data's scale, so
     # neither may the Jacobian's singularity test
-    base = sample_increments(StableParams(1.5, 1.0), 0.001, 2001, 3)
+    base = increments_cell(StableParams(1.5, 1.0), 0.001, 2001).sample(3)
     v22 = sign_bipower_estimate(base).cov_matrix[1, 1]
     scaled = IncrementSample(base.values * c, 0.001)
     assert sign_bipower_estimate(scaled).cov_matrix[1, 1] == pytest.approx(
@@ -481,7 +483,7 @@ def test_delta_cov_matches_mc():
     v = delta_cov(beta, P_POS, q, 1.0, 1.0)
     est = np.empty((reps, 3))
     for rep in range(reps):
-        s = sprime_increment_sampler(LAW, 1.0 / n, n, seed=900_000 + rep)
+        s = sprime_cell(LAW, 1.0 / n, n).sample(seed=900_000 + rep)
         x = np.abs(s.values)
         p_hat = sign_statistic(s)
         beta_hat = bipower_beta(s, q, p_hat)
@@ -497,7 +499,7 @@ def test_delta_cov_matches_mc():
 
 
 def test_sign_bipower_estimate_report():
-    s = sprime_increment_sampler(LAW, 1.0 / 20_000, 20_000, seed=71)
+    s = sprime_cell(LAW, 1.0 / 20_000, 20_000).sample(seed=71)
     rep = sign_bipower_estimate(s)
     assert rep.method == "sign-bipower"
     assert rep.n == 20_000
@@ -512,7 +514,7 @@ def test_sign_bipower_estimate_report():
 @pytest.mark.parametrize("seed", [3, 4, 5])
 @pytest.mark.parametrize("q", [0.2, 0.25, 0.3])
 def test_point_cores_equal_their_reports(seed, q):
-    s = sprime_increment_sampler(LAW, 1.0 / 2000, 2000, seed=seed)
+    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=seed)
     rep = sign_bipower_estimate(s, q)
     assert sign_bipower_point(s, q) == (
         rep.extra["p_pos_hat"], rep.beta_hat, rep.sigma_hat,
@@ -523,7 +525,7 @@ def test_point_cores_equal_their_reports(seed, q):
 
 
 def test_tripower_estimate_report():
-    s = sprime_increment_sampler(LAW, 1.0 / 20_000, 20_000, seed=71)
+    s = sprime_cell(LAW, 1.0 / 20_000, 20_000).sample(seed=71)
     rep = tripower_estimate(s)
     assert rep.method == "tripower"
     assert rep.extra["estimand"] == "sigma_star_beta"

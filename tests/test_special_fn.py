@@ -27,8 +27,8 @@ from levyestim.special_fn import (
 from levyestim.stable_core import (
     PositivityStable,
     StableParams,
-    sample_increments,
-    sprime_increment_sampler,
+    increments_cell,
+    sprime_cell,
 )
 
 # frozen reference values (math.lgamma / scipy at higher context, checked once)
@@ -154,10 +154,10 @@ def test_root_evaluates_each_end_once():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
-    frac_sample = sample_increments(StableParams(1.4, 1.0), 1.0 / 2000, 2001,
-                                    seed=seed)
-    bip_sample = sprime_increment_sampler(PositivityStable(1.5, 0.55), 1e-3,
-                                          2000, seed=seed)
+    frac_sample = increments_cell(StableParams(1.4, 1.0), 1.0 / 2000,
+                                  2001).sample(seed=seed)
+    bip_sample = sprime_cell(PositivityStable(1.5, 0.55), 1e-3,
+                             2000).sample(seed=seed)
 
     def roots():
         return (symmetric.frac_moment_estimate(frac_sample, 0.2).beta_hat,

@@ -16,13 +16,13 @@ from levyestim.stable_core import (
     StableParams,
     derive_seed,
     increment_scale_shift,
+    increments_cell,
     positivity_range,
     positivity_to_skew,
-    sample_increments,
     sample_standard_stable,
-    sample_timevarying,
     skew_to_positivity,
-    sprime_increment_sampler,
+    sprime_cell,
+    timevarying_cell,
 )
 
 def make_rng(*parts) -> np.random.Generator:
@@ -109,7 +109,8 @@ def test_cms_leaves_inputs_unchanged():
 
 
 def test_gaussian_variance():
-    s = sample_increments(StableParams(2.0, 1.0, 0.0, 0.0), 1.0, 100_000, seed=11)
+    s = increments_cell(StableParams(2.0, 1.0, 0.0, 0.0), 1.0,
+                        100_000).sample(seed=11)
     # X ~ N(0, 2): sample variance within 3 MC std errs (se ~ sqrt(2/n)*var)
     se = 2.0 * math.sqrt(2.0 / 100_000)
     assert abs(s.values.var() - 2.0) < 3 * se
@@ -117,7 +118,8 @@ def test_gaussian_variance():
 
 
 def test_cauchy_quartiles():
-    s = sample_increments(StableParams(1.0, 1.0, 0.0, 0.0), 1.0, 100_000, seed=12)
+    s = increments_cell(StableParams(1.0, 1.0, 0.0, 0.0), 1.0,
+                        100_000).sample(seed=12)
     q1, q3 = np.percentile(s.values, [25, 75])
     # quartile se: sqrt(p(1-p)/n)/f(x) with f(1) = 1/(2 pi)
     se = math.sqrt(0.25 * 0.75 / 100_000) * 2 * math.pi
@@ -130,7 +132,8 @@ def test_cauchy_quartiles():
 def test_characteristic_function_match(beta, rho):
     """Empirical cf of sampled increments against the model cf."""
     h, n = 0.7, 200_000
-    s = sample_increments(StableParams(beta, 1.3, rho, -0.4), h, n, seed=21)
+    s = increments_cell(StableParams(beta, 1.3, rho, -0.4), h,
+                        n).sample(seed=21)
     for u in (0.3, 1.0):
         emp = np.exp(1j * u * s.values).mean()
         scale = h ** (1.0 / beta) * 1.3
@@ -145,7 +148,8 @@ def test_characteristic_function_beta_one(rho):
     """beta = 1 carries the sigma log sigma drift correction."""
     h, n = 0.5, 200_000
     sigma, gamma = 0.8, 0.3
-    s = sample_increments(StableParams(1.0, sigma, rho, gamma), h, n, seed=22)
+    s = increments_cell(StableParams(1.0, sigma, rho, gamma), h,
+                        n).sample(seed=22)
     for u in (0.5, 1.5):
         emp = np.exp(1j * u * s.values).mean()
         exact = np.exp(-h * sigma * abs(u)
@@ -157,7 +161,7 @@ def test_characteristic_function_beta_one(rho):
 def test_sprime_characteristic_function():
     beta, p_pos, c = 1.5, P_POS_TABLE[1.5], 1.0
     pp = PositivityStable(beta, p_pos, c)
-    s = sprime_increment_sampler(pp, 1.0, 200_000, seed=23)
+    s = sprime_cell(pp, 1.0, 200_000).sample(seed=23)
     xi = beta * np.pi * (p_pos - 0.5)
     for u in (0.5, 1.0, 2.0):
         emp = np.exp(1j * u * s.values).mean()
@@ -167,7 +171,7 @@ def test_sprime_characteristic_function():
 
 def test_sprime_positivity_probability():
     pp = PositivityStable(1.5, P_POS_TABLE[1.5], 1.0)
-    s = sprime_increment_sampler(pp, 1.0, 200_000, seed=24)
+    s = sprime_cell(pp, 1.0, 200_000).sample(seed=24)
     phat = (s.values > 0).mean()
     assert abs(phat - pp.p_pos) < 3 * math.sqrt(0.25 / 200_000)
 
@@ -252,9 +256,12 @@ def test_increment_scale_shift():
 
 
 def test_seed_determinism():
-    a = sample_increments(StableParams(1.5, 1.0, -0.3, 0.1), 0.1, 500, seed=9)
-    b = sample_increments(StableParams(1.5, 1.0, -0.3, 0.1), 0.1, 500, seed=9)
-    c = sample_increments(StableParams(1.5, 1.0, -0.3, 0.1), 0.1, 500, seed=10)
+    a = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+                        500).sample(seed=9)
+    b = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+                        500).sample(seed=9)
+    c = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+                        500).sample(seed=10)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -319,18 +326,18 @@ def test_sigma_star_values():
 def test_timevarying_constant_path_matches_sprime():
     beta, p_pos, sigma = 1.5, P_POS_TABLE[1.5], 0.7
     path = ScalePath.constant(sigma, beta)
-    tv = sample_timevarying(path, p_pos, 256, seed=33)
-    direct = sprime_increment_sampler(
-        PositivityStable(beta, p_pos, sigma ** beta), 1 / 256, 256, seed=33)
+    tv = timevarying_cell(path, p_pos, 256).sample(seed=33)
+    direct = sprime_cell(PositivityStable(beta, p_pos, sigma ** beta),
+                         1 / 256, 256).sample(seed=33)
     assert np.allclose(tv.values, direct.values, rtol=0, atol=1e-14)
     assert tv.h == 1 / 256
 
 
 def test_timevarying_rejects_bad_beta():
     # beta <= 1 refused; the admissible case goes through
-    sample_timevarying(ScalePath.cosine(1.5), 0.5984, 100, seed=1)
+    timevarying_cell(ScalePath.cosine(1.5), 0.5984, 100).sample(seed=1)
     with pytest.raises(DomainError):
-        sample_timevarying(ScalePath.cosine(0.9), 0.6, 100, seed=1)
+        timevarying_cell(ScalePath.cosine(0.9), 0.6, 100).sample(seed=1)
 
 
 def test_increment_sample_basic():

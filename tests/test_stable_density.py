@@ -14,7 +14,6 @@ from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
     fisher_matrix,
     median_asymptotic_sd,
-    phi,
     phi_pair,
     phi_zero,
 )
@@ -26,9 +25,10 @@ M_BETA_15 = 0.4280969796150823
 
 def test_cauchy_closed_form():
     # beta = 1 is exactly Cauchy: phi(y) = 1/(pi (1 + y^2))
-    assert abs(phi(0.0, 1.0) - 1 / np.pi) < 1e-8
+    assert abs(phi_pair(0.0, 1.0)[0] - 1 / np.pi) < 1e-8
     for y in (0.5, 1.0, 2.0, 10.0):
-        assert phi(y, 1.0) == pytest.approx(1 / (np.pi * (1 + y * y)), abs=1e-10)
+        assert phi_pair(y, 1.0)[0] == pytest.approx(1 / (np.pi * (1 + y * y)),
+                                                    abs=1e-10)
         exact_d1 = -2 * y / (np.pi * (1 + y * y) ** 2)
         assert phi_pair(y, 1.0)[1] == pytest.approx(exact_d1, abs=1e-10)
 
@@ -36,7 +36,7 @@ def test_cauchy_closed_form():
 def test_phi_zero_formula():
     for beta in (0.6, 1.0, 1.5, 1.9):
         exact = math.exp(log_gamma(1 + 1 / beta)) / np.pi
-        assert abs(phi(0.0, beta) - exact) < 1e-10
+        assert abs(phi_pair(0.0, beta)[0] - exact) < 1e-10
         assert abs(phi_zero(beta, 1.0) - exact) < 1e-14
         assert abs(phi_zero(beta, 2.0) - exact / 2) < 1e-14
 
@@ -44,7 +44,7 @@ def test_phi_zero_formula():
 @pytest.mark.parametrize("beta", [0.5, 0.8, 0.97, 1.0, 1.0 + 1e-9, 1.3, 1.5,
                                   1.9])
 def test_phi_at_zero_is_closed_form(beta):
-    assert phi(0.0, beta) == phi_zero(beta)
+    assert phi_pair(0.0, beta)[0] == phi_zero(beta)
     assert phi_pair(0.0, beta)[1] == 0.0
 
 
@@ -54,17 +54,16 @@ def test_phi_at_zero_is_closed_form(beta):
     (-np.inf, 0, 1),
 ])
 def test_non_finite_argument_is_domain_error(y, first, count):
-    for fn in (phi, phi_pair):
-        with pytest.raises(DomainError) as exc:
-            fn(y, 1.5)
-        assert exc.value.context == {"first_index": first, "count": count}
+    with pytest.raises(DomainError) as exc:
+        phi_pair(y, 1.5)
+    assert exc.value.context == {"first_index": first, "count": count}
 
 
 @pytest.mark.parametrize("beta", [0.6, 1.0, 1.5, 1.9])
 def test_normalization(beta):
     # quadrature over [0, 50] plus the tail integral from the asymptotic
     # series, term-wise integrable in closed form
-    core, _ = scipy.integrate.quad(lambda y: phi(y, beta), 0, 50,
+    core, _ = scipy.integrate.quad(lambda y: phi_pair(y, beta)[0], 0, 50,
                                    epsabs=1e-12, epsrel=1e-10, limit=300)
     tail = 0.0
     for m in range(1, 9):
@@ -78,14 +77,14 @@ def test_gaussian_limit():
     # beta -> 2 continuity against N(0, 2)
     for y in (0.0, 1.0, 2.0):
         normal = math.exp(-y * y / 4) / math.sqrt(4 * np.pi)
-        assert abs(phi(y, 1.99) - normal) < 2e-2
+        assert abs(phi_pair(y, 1.99)[0] - normal) < 2e-2
 
 
 @pytest.mark.parametrize("beta", [0.8, 1.5])
 @pytest.mark.parametrize("y", [0.5, 2.0, 10.0])
 def test_derivative_finite_difference(beta, y):
     eps = 1e-5
-    fd1 = (phi(y + eps, beta) - phi(y - eps, beta)) / (2 * eps)
+    fd1 = (phi_pair(y + eps, beta)[0] - phi_pair(y - eps, beta)[0]) / (2 * eps)
     assert phi_pair(y, beta)[1] == pytest.approx(fd1, rel=1e-5, abs=1e-9)
 
 
@@ -95,8 +94,8 @@ def test_tail_ratio_stabilizes(beta):
     # stabilization between y = 20 and y = 40 rather than its exact value
     lead = (math.exp(log_gamma(1 + beta)) / np.pi
             * math.sin(np.pi * beta / 2))
-    r20 = phi(20.0, beta) * 20.0 ** (1 + beta)
-    r40 = phi(40.0, beta) * 40.0 ** (1 + beta)
+    r20 = phi_pair(20.0, beta)[0] * 20.0 ** (1 + beta)
+    r40 = phi_pair(40.0, beta)[0] * 40.0 ** (1 + beta)
     assert r20 > 0 and r40 > 0
     assert abs(r40 / r20 - 1.0) < 0.1
     # and the limit constant is the first series coefficient
@@ -106,7 +105,7 @@ def test_tail_ratio_stabilizes(beta):
 def test_symmetry_and_parity():
     for beta in (0.7, 1.4):
         for y in (0.3, 1.7, 35.0):
-            assert phi(-y, beta) == phi(y, beta)
+            assert phi_pair(-y, beta)[0] == phi_pair(y, beta)[0]
             assert phi_pair(-y, beta)[1] == -phi_pair(y, beta)[1]
     assert phi_pair(0.0, 1.3)[1] == 0.0
 
@@ -114,8 +113,8 @@ def test_symmetry_and_parity():
 def test_scale_family():
     for sigma in (0.5, 2.0):
         for y in (0.4, 3.0):
-            assert phi(y, 1.5, sigma) == pytest.approx(
-                phi(y / sigma, 1.5) / sigma, rel=1e-12)
+            assert phi_pair(y, 1.5, sigma)[0] == pytest.approx(
+                phi_pair(y / sigma, 1.5)[0] / sigma, rel=1e-12)
             assert phi_pair(y, 1.5, sigma)[1] == pytest.approx(
                 phi_pair(y / sigma, 1.5)[1] / sigma ** 2, rel=1e-12)
 
@@ -220,10 +219,9 @@ def test_arrays_match_scalar_calls():
     y = np.array([[-2.5, 0.0, 2.5], [0.7, -0.7, 2.5], [31.0, -31.0, 0.0]])
     for beta, sigma in ((0.7, 1.0), (1.5, 0.8)):
         for arr in (y, y[1], np.asarray(-2.5)):
-            # phi, then both rows of phi_pair
-            outs = [phi(arr, beta, sigma), *phi_pair(arr, beta, sigma)]
-            scalars = [(phi(float(v), beta, sigma),
-                        *phi_pair(float(v), beta, sigma))
+            # both rows of phi_pair
+            outs = phi_pair(arr, beta, sigma)
+            scalars = [phi_pair(float(v), beta, sigma)
                        for v in np.ravel(arr)]
             for out, expect in zip(outs, zip(*scalars)):
                 assert np.shape(out) == np.shape(arr)
@@ -252,11 +250,11 @@ def test_calls_retain_no_memory():
 def test_domain_errors_and_far_tail_warning():
     # sigma outside (0, inf) is covered in tests/test_domains.py
     with pytest.raises(DomainError):
-        phi(0.0, 0.4)
+        phi_pair(0.0, 0.4)[0]
     with pytest.raises(DomainError):
-        phi(0.0, 2.0)
+        phi_pair(0.0, 2.0)[0]
     with pytest.warns(UserWarning):
-        val = phi(51.0, 1.5)
+        val = phi_pair(51.0, 1.5)[0]
     assert val > 0
 
 
@@ -293,11 +291,11 @@ def test_routing_matches_qawo_reference(beta):
 def test_cauchy_is_exact():
     y = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 7.0, 29.0, 31.0, 45.0])
     q = 1.0 + y * y
-    np.testing.assert_allclose(phi(y, 1.0), 1.0 / (math.pi * q),
+    np.testing.assert_allclose(phi_pair(y, 1.0)[0], 1.0 / (math.pi * q),
                                rtol=1e-15, atol=0)
     np.testing.assert_allclose(phi_pair(y, 1.0)[1],
                                -2.0 * y / (math.pi * q * q), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(phi(-y, 1.0, sigma=2.0),
+    np.testing.assert_allclose(phi_pair(-y, 1.0, sigma=2.0)[0],
                                0.5 / (math.pi * (1.0 + y * y / 4.0)),
                                rtol=1e-15, atol=0)
 
@@ -325,9 +323,9 @@ def test_kernel_rows_do_not_depend_on_chunk_position(beta):
     # routes, in one call
     y = np.concatenate([[5e-4], np.linspace(0.01, 29.0, 90), [33.0]])
     f, d = phi_pair(y, beta)
-    batch = phi(y, beta)
+    batch = phi_pair(y, beta)[0]
     for i in (0, 1, 2, 31, 32, 33, 50, 51, 63, 90, 91):
-        assert batch[i] == phi(y[i], beta)
+        assert batch[i] == phi_pair(y[i], beta)[0]
         assert (f[i], d[i]) == phi_pair(y[i], beta)
 
 

@@ -21,11 +21,11 @@ from levyestim.subordinators import (
     gamma_mle,
     gamma_mle_estimate,
     gamma_moment_estimate,
+    gamma_sub_cell,
     ig_fisher,
     ig_mle,
     ig_mle_estimate,
-    sample_gamma_sub,
-    sample_ig_sub,
+    ig_sub_cell,
 )
 
 
@@ -50,7 +50,7 @@ def test_params_validation():
 
 def test_gamma_sampler_mean():
     params = GammaSubParams(2.0, 1.5)
-    s = sample_gamma_sub(params, 0.3, 100_000, seed=8)
+    s = gamma_sub_cell(params, 0.3, 100_000).sample(seed=8)
     assert np.all(s.values >= 0.0)
     se = s.values.std(ddof=1) / math.sqrt(s.values.size)
     assert abs(s.values.mean() - 2.0 * 0.3 / 1.5) <= 3.0 * se
@@ -60,7 +60,7 @@ def test_ig_sampler_mean_and_inverse_mean():
     # E X_h = delta h / gamma and E 1/X_h = 1/(delta h)^2 + gamma/(delta h)
     params = IGSubParams(1.4, 2.2)
     dh = 1.4 * 0.3
-    s = sample_ig_sub(params, 0.3, 100_000, seed=9)
+    s = ig_sub_cell(params, 0.3, 100_000).sample(seed=9)
     assert np.all(s.values > 0.0)
     se = s.values.std(ddof=1) / math.sqrt(s.values.size)
     assert abs(s.values.mean() - dh / 2.2) <= 3.0 * se
@@ -72,13 +72,13 @@ def test_ig_sampler_mean_and_inverse_mean():
 def test_sampler_mesh_validation():
     params = GammaSubParams(1.0, 1.0)
     with pytest.raises(DomainError):
-        sample_gamma_sub(params, -0.1, 10)
+        gamma_sub_cell(params, -0.1, 10)
     with pytest.raises(DomainError):
-        sample_gamma_sub(params, 0.1, 0)
+        gamma_sub_cell(params, 0.1, 0)
     # below shape 1e-12 the sampler warns, and its draws underflow to 0
     with pytest.warns(UserWarning, match="degenerate"):
         with pytest.raises(DomainError):
-            sample_gamma_sub(GammaSubParams(1e-11, 1.0), 1e-3, 3, seed=0)
+            gamma_sub_cell(GammaSubParams(1e-11, 1.0), 1e-3, 3).sample(seed=0)
 
 
 @pytest.mark.parametrize("delta, gamma, zero", [(1e-200, 1.0, "shape"),
@@ -87,7 +87,7 @@ def test_ig_sampler_refuses_underflowed_wald_parameters(delta, gamma, zero):
     # numpy's wald raises a bare ValueError for a zero mean or shape
     with pytest.warns(UserWarning, match="degenerate"):
         with pytest.raises(DomainError) as exc:
-            sample_ig_sub(IGSubParams(delta, gamma), 1.0, 5, seed=0)
+            ig_sub_cell(IGSubParams(delta, gamma), 1.0, 5).sample(seed=0)
     assert set(exc.value.context) == {"mean", "shape"}
     assert exc.value.context[zero] == 0.0
 
@@ -97,17 +97,17 @@ def test_gamma_sampler_refuses_zero_draws(seed):
     # at delta h = 0.001 numpy's gamma draws underflow to exact zeros, which
     # gamma_mle and gamma_moment_estimate reject; at 0.1 none do
     with pytest.raises(DomainError) as exc:
-        sample_gamma_sub(GammaSubParams(1.0, 1.0), 0.001, 2000, seed=seed)
+        gamma_sub_cell(GammaSubParams(1.0, 1.0), 0.001, 2000).sample(seed=seed)
     assert exc.value.context["shape"] == 0.001
     assert exc.value.context["zeros"] > 0
-    s = sample_gamma_sub(GammaSubParams(1.0, 1.0), 0.1, 2000, seed=seed)
+    s = gamma_sub_cell(GammaSubParams(1.0, 1.0), 0.1, 2000).sample(seed=seed)
     assert np.all(s.values > 0.0)
 
 
 def test_sampler_determinism():
     params = IGSubParams(1.0, 2.0)
-    a = sample_ig_sub(params, 0.1, 50, seed=42)
-    b = sample_ig_sub(params, 0.1, 50, seed=42)
+    a = ig_sub_cell(params, 0.1, 50).sample(seed=42)
+    b = ig_sub_cell(params, 0.1, 50).sample(seed=42)
     assert np.array_equal(a.values, b.values)
 
 
@@ -152,7 +152,7 @@ def test_gamma_mle_rounding_level_k_raises():
 
 
 def test_gamma_mle_estimating_equation_residual():
-    s = sample_gamma_sub(GammaSubParams(2.0, 1.0), 0.05, 400, seed=3)
+    s = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.05, 400).sample(seed=3)
     delta_hat, gamma_hat = gamma_mle(s)
     vals = s.values
     t_total = vals.size * s.h
@@ -167,7 +167,7 @@ def test_gamma_mle_estimating_equation_residual():
 def test_gamma_mle_time_rescaling():
     # the estimating equation is invariant under h -> 1, delta -> delta h:
     # delta_hat scales by h and gamma_hat is unchanged
-    s = sample_gamma_sub(GammaSubParams(2.0, 1.0), 0.05, 400, seed=3)
+    s = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.05, 400).sample(seed=3)
     d_h, g_h = gamma_mle(s)
     d_1, g_1 = gamma_mle(_sample(s.values, h=1.0))
     assert d_1 == pytest.approx(0.05 * d_h, rel=1e-9)
@@ -192,7 +192,8 @@ def test_gamma_mle_mc_variances():
     t_total = n * h
     out = np.empty((reps, 2))
     for r in range(reps):
-        s = sample_gamma_sub(GammaSubParams(2.0, 1.0), h, n, seed=50_000 + r)
+        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+                           n).sample(seed=50_000 + r)
         out[r] = gamma_mle(s)
     v_delta = np.var(math.sqrt(n) * (out[:, 0] - 2.0), ddof=1)
     v_gamma = np.var(math.sqrt(t_total) * (out[:, 1] - 1.0), ddof=1)
@@ -219,6 +220,29 @@ def test_gamma_moment_rejects_bad_data():
         gamma_moment_estimate(_sample([1.0, -1.0]))
 
 
+def test_gamma_moment_overflowing_second_moment_is_an_estimation_error():
+    # |Cauchy| * 1e290 + 0.5: the sum of squares leaves the double range
+    # without a numpy warning, and the estimate is refused by name
+    values = np.abs(np.random.default_rng(3).standard_cauchy(2000)) * 1e290
+    with pytest.raises(EstimationError) as info:
+        gamma_moment_estimate(_sample(values + 0.5, h=1e-3))
+    assert info.value.code == "estimation_error"
+    assert info.value.context == {"m2": math.inf}
+
+
+@pytest.mark.parametrize("values, h, delta, gamma", [
+    ([5e-155] * 3, 1.0, 1.0, 2e154),
+    ([1e-100] * 3, 1e100, 0.0, 1e100),
+])
+def test_gamma_moment_covariance_saturates(values, h, delta, gamma):
+    # gamma_hat^2 beyond the double range, or delta_hat underflowed to 0:
+    # the estimates stand and the covariance entry saturates to inf
+    delta_hat, gamma_hat, cov = gamma_moment_estimate(_sample(values, h))
+    assert delta_hat == pytest.approx(delta, rel=1e-12)
+    assert gamma_hat == pytest.approx(gamma, rel=1e-12)
+    assert cov[1, 1] == math.inf
+
+
 def test_gamma_moment_mc_variance():
     # T = 100 with delta h = 0.04; the finite-sample variance of
     # sqrt(T)(delta_hat - delta) sits ~18% below the limit 2 delta = 4,
@@ -227,7 +251,8 @@ def test_gamma_moment_mc_variance():
     t_total = n * h
     d_m = np.empty(reps)
     for r in range(reps):
-        s = sample_gamma_sub(GammaSubParams(2.0, 1.0), h, n, seed=200_000 + r)
+        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+                           n).sample(seed=200_000 + r)
         d_m[r] = gamma_moment_estimate(s)[0]
     v = np.var(math.sqrt(t_total) * (d_m - 2.0), ddof=1)
     assert abs(v - 4.0) <= 0.20 * 4.0
@@ -240,7 +265,8 @@ def test_gamma_moment_vs_mle_efficiency():
     g_m = np.empty(reps)
     g_l = np.empty(reps)
     for r in range(reps):
-        s = sample_gamma_sub(GammaSubParams(2.0, 1.0), h, n, seed=300_000 + r)
+        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+                           n).sample(seed=300_000 + r)
         g_m[r] = gamma_moment_estimate(s)[1]
         g_l[r] = gamma_mle(s)[1]
     eff = np.var(g_l, ddof=1) / np.var(g_m, ddof=1)
@@ -285,7 +311,7 @@ def test_ig_mle_mc_variance():
     h = n ** -0.6
     d_hat = np.empty(reps)
     for r in range(reps):
-        s = sample_ig_sub(IGSubParams(1.0, 2.0), h, n, seed=60_000 + r)
+        s = ig_sub_cell(IGSubParams(1.0, 2.0), h, n).sample(seed=60_000 + r)
         d_hat[r] = ig_mle(s)[0]
     v = np.var(math.sqrt(n) * (d_hat - 1.0), ddof=1)
     assert abs(v - 0.5) <= 0.15 * 0.5
@@ -296,12 +322,12 @@ def test_ig_mle_mc_variance():
 
 
 def test_gamma_fisher_values():
-    info = gamma_fisher(GammaSubParams(2.0, 1.0))
+    info = gamma_fisher(2.0, 1.0)
     assert np.allclose(info, np.diag([0.25, 2.0]), rtol=1e-14)
 
 
 def test_ig_fisher_values():
-    info = ig_fisher(IGSubParams(1.0, 2.0))
+    info = ig_fisher(1.0, 2.0)
     assert np.allclose(info, np.diag([2.0, 0.5]), rtol=1e-14)
 
 
@@ -309,8 +335,7 @@ def test_fisher_matrices_diagonal():
     rng = np.random.default_rng(5)
     for _ in range(20):
         d, g = rng.uniform(0.2, 5.0, size=2)
-        for info in (gamma_fisher(GammaSubParams(d, g)),
-                     ig_fisher(IGSubParams(d, g))):
+        for info in (gamma_fisher(d, g), ig_fisher(d, g)):
             off = info - np.diag(np.diag(info))
             assert np.all(off == 0.0)
             assert np.all(np.diag(info) > 0.0)
@@ -319,12 +344,12 @@ def test_fisher_matrices_diagonal():
 def test_mle_reports_carry_the_fisher_information_at_the_estimates():
     # the report's Fisher entries are gamma_fisher's / ig_fisher's at the
     # estimates, bit for bit
-    for report_of, mle, fisher, params, sampler, method in (
+    for report_of, mle, fisher, params, cell, method in (
             (gamma_mle_estimate, gamma_mle, gamma_fisher, GammaSubParams,
-             sample_gamma_sub, "gamma-mle"),
+             gamma_sub_cell, "gamma-mle"),
             (ig_mle_estimate, ig_mle, ig_fisher, IGSubParams,
-             sample_ig_sub, "ig-mle")):
-        sample = sampler(params(2.0, 1.5), 0.1, 500, 4)
+             ig_sub_cell, "ig-mle")):
+        sample = cell(params(2.0, 1.5), 0.1, 500).sample(4)
         report = report_of(sample)
         delta_hat, gamma_hat = mle(sample)
         assert report.method == method
@@ -332,7 +357,7 @@ def test_mle_reports_carry_the_fisher_information_at_the_estimates():
         assert report.gamma_hat == gamma_hat
         assert report.extra["delta_hat"] == delta_hat
         assert report.extra["fisher"] == fisher(
-            params(delta_hat, gamma_hat)).ravel().tolist()
+            delta_hat, gamma_hat).ravel().tolist()
 
 
 @pytest.mark.parametrize("report_of,field", [

@@ -12,20 +12,20 @@ from levyestim.errors import (
     DomainError,
     RootOutOfBracket,
     ZeroResidual,
+    only_row,
 )
 from levyestim.special_fn import log_gamma_ratio
-from levyestim.stable_core import IncrementSample, StableParams, sample_increments
+from levyestim.stable_core import IncrementSample, StableParams, increments_cell
 from levyestim.stable_density import median_asymptotic_sd
 from levyestim.symmetric import (
     _log_block,
     _log_frac_k,
     _medians,
-    beta_inv_sq_unbiased,
     c_moment,
     frac_moment_estimate,
     frac_moment_point,
     gamma_confidence_interval,
-    known_scale_beta,
+    known_scale_block,
     log_moment_estimate,
     log_moment_point,
     log_moment_nu,
@@ -44,7 +44,8 @@ C_08_01 = 1.0323838475753233
 
 
 def _sym_sample(beta, sigma, gamma, n, T, seed):
-    return sample_increments(StableParams(beta, sigma, 0.0, gamma), T / n, n, seed)
+    return increments_cell(StableParams(beta, sigma, 0.0, gamma), T / n,
+                           n).sample(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +168,18 @@ def test_psi_variance_stabilization_mc():
     assert abs(np.var(zs) - 1.0) < 0.15
 
 
-def test_beta_inv_sq_unbiased_mc():
-    beta, n, reps = 1.5, 501, 2000
-    vals = [beta_inv_sq_unbiased(_sym_sample(beta, 0.5, 0.0, n, 5.0, 70_000 + r))
-            for r in range(reps)]
-    vals = np.asarray(vals)
-    se = vals.std(ddof=1) / math.sqrt(reps)
-    assert abs(vals.mean() - beta ** -2) < 2 * se
+def _known_scale(sample, sigma):
+    return only_row(known_scale_block(sample.values[None], sample.h,
+                                      sigma))[0]
 
 
 def test_known_scale_beta():
     s = _sym_sample(1.5, 0.5, -0.5, 2001, 5.0, 13)
-    est = known_scale_beta(s, 0.5)
+    est = _known_scale(s, 0.5)
     assert abs(est - 1.5) < 0.07
     # scaling data and sigma together leaves the estimate unchanged
     s2 = IncrementSample(4.0 * s.values, s.h, {})
-    assert known_scale_beta(s2, 2.0) == pytest.approx(est, rel=1e-12)
+    assert _known_scale(s2, 2.0) == pytest.approx(est, rel=1e-12)
 
 
 def test_known_scale_denominator_error():
@@ -191,7 +188,7 @@ def test_known_scale_denominator_error():
     vals = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, -1.0])[:5]
     s = IncrementSample(np.array([0.0, 1.0, -1.0, 1.0, -1.0]), 0.5, {})
     with pytest.raises(DenominatorNearZero):
-        known_scale_beta(s, math.exp(EULER))
+        _known_scale(s, math.exp(EULER))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
-every name it lists in __all__ is defined there, and every module-level
-private name it defines is read by some package module."""
+every name it lists in __all__ is defined there and read by some package
+module, and every module-level private name it defines is read by some
+package module."""
 
 import ast
 import importlib
@@ -74,31 +75,44 @@ def test_module_defines_every_export(path):
     assert _stale_exports(importlib.import_module(name)) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    # module-level _name functions, classes and constants (no dunders)
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names
-            if name.startswith("_") and not name.startswith("__")]
+def _defined(stmt: ast.stmt) -> list[str]:
+    # the module-level names a top-level statement defines: a function,
+    # class or assigned constant
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) \
+            else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
 
 
-def _orphaned_privates(sources: dict[str, str]) -> list[str]:
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def _reads(tree: ast.Module, outside: str | None = None) -> set[str]:
+    # the names and attributes the module reads, leaving out the top-level
+    # statement that defines ``outside``
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for stmt in tree.body:
+        if outside in _defined(stmt):
+            continue
+        for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    # module-level _name functions, classes and constants (no dunders)
+    return [name for stmt in tree.body for name in _defined(stmt)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _orphaned_privates(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
     return sorted(f"{module}.{name}" for module, tree in trees.items()
                   for name in _private_definitions(tree) if name not in read)
 
@@ -118,3 +132,44 @@ def test_checker_sees_orphaned_privates():
 def test_package_reads_every_private_name():
     assert _orphaned_privates({path.stem: path.read_text(encoding="utf8")
                                for path in MODULES}) == []
+
+
+# __all__ entries that no package module reads, each kept for a reader
+# outside the package; a listed name that gains a caller or goes away fails
+_PUBLIC_READERS = {
+    # the inverse of write_summary, for readers of the files it writes
+    "serialize.read_summary",
+    # the variance-stabilizing map of the log-moment index estimate; its
+    # caller is to be a ci_beta interval in the log report
+    "symmetric.psi_transform",
+}
+
+
+def _unread_exports(sources: dict[str, str]) -> list[str]:
+    # the package's own __init__ lists its submodules, not definitions
+    trees = {module: ast.parse(text) for module, text in sources.items()
+             if module != "__init__"}
+    return sorted(
+        f"{module}.{name}" for module, tree in trees.items()
+        for name in _exported(tree)
+        if not any(name in _reads(other, name if other is tree else None)
+                   for other in trees.values()))
+
+
+def test_checker_sees_unread_exports():
+    sources = {
+        "__init__": "from . import a\n__all__ = ['a']\n",
+        "a": ("__all__ = ['used', 'recursive', 'LIMIT', 'local']\n"
+              "LIMIT = 3\n"
+              "def used():\n    return 1\n"
+              "def recursive(k):\n    return recursive(k - 1)\n"
+              "def local():\n    return used()\n"),
+        "b": "from . import a\n__all__ = []\nprint(a.LIMIT)\n",
+    }
+    assert _unread_exports(sources) == ["a.local", "a.recursive"]
+
+
+def test_every_export_has_a_reader():
+    unread = _unread_exports({path.stem: path.read_text(encoding="utf8")
+                              for path in MODULES})
+    assert unread == sorted(_PUBLIC_READERS), f"unread exports: {unread}"
