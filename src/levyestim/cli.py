@@ -134,48 +134,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _skewed_q(args) -> float:
-    return 0.25 if args.q is None else args.q
-
-
-def _level(args) -> float:
-    return 0.95 if args.level is None else args.level
-
-
 # estimate --method: name -> (flag the method needs or None, the flags it
-# reads, report call on the sample and the parsed flags).  The calls read
-# the estimator modules' attributes when they run, so a patched estimator
-# is seen
+# reads, the lookup of its report).  The report is looked up when it runs,
+# so a patched estimator is seen, and gets only the flags given, as
+# keywords, so each default lives in the report's signature
 _ESTIMATE = {
-    "log": (None, ("level",), lambda s, a: symmetric.log_moment_estimate(
-        s, _level(a))),
-    "frac": ("p", ("p", "level"), lambda s, a: symmetric.frac_moment_estimate(
-        s, a.p, _level(a))),
-    "sign-bipower": (None, ("q",), lambda s, a: skewed.sign_bipower_estimate(
-        s, _skewed_q(a))),
-    "tripower": (None, ("q",), lambda s, a: skewed.tripower_estimate(
-        s, _skewed_q(a))),
-    "gamma-mle": (None, (), lambda s, a: subordinators.gamma_mle_estimate(s)),
-    "ig-mle": (None, (), lambda s, a: subordinators.ig_mle_estimate(s)),
-    "pipeline": (None, ("p", "q", "level"),
-                 lambda s, a: transforms.full_pipeline(s, q=a.q, p=a.p,
-                                                       level=_level(a))),
+    "log": (None, ("level",), lambda: symmetric.log_moment_estimate),
+    "frac": ("p", ("p", "level"), lambda: symmetric.frac_moment_estimate),
+    "sign-bipower": (None, ("q",), lambda: skewed.sign_bipower_estimate),
+    "tripower": (None, ("q",), lambda: skewed.tripower_estimate),
+    "gamma-mle": (None, (), lambda: subordinators.gamma_mle_estimate),
+    "ig-mle": (None, (), lambda: subordinators.ig_mle_estimate),
+    "pipeline": (None, ("p", "q", "level"), lambda: transforms.full_pipeline),
 }
 
 
 def _cmd_estimate(args) -> int:
-    needs, reads, estimate = _ESTIMATE[args.method]
-    if needs is not None and getattr(args, needs) is None:
+    needs, reads, report = _ESTIMATE[args.method]
+    given = {flag: getattr(args, flag) for flag in ("p", "q", "level")
+             if getattr(args, flag) is not None}
+    if needs is not None and needs not in given:
         print(f"error: --method {args.method} needs --{needs}",
               file=sys.stderr)
         return 2
-    for flag in ("p", "q", "level"):
-        if flag not in reads and getattr(args, flag) is not None:
+    for flag in given:
+        if flag not in reads:
             print(f"error: --method {args.method} does not read --{flag}",
                   file=sys.stderr)
             return 2
     sample = serialize.read_increments(args.infile)
-    _write_lines(args.out, [estimate(sample, args).to_json()])
+    _write_lines(args.out, [report()(sample, **given).to_json()])
     return 0
 
 

@@ -20,10 +20,8 @@ Each (n, estimator) cell runs in three steps:
    means, sign means and power sums of all rows at once and returns one
    point estimate or EstimationError per row; each row's index root is
    still one scalar solve.  The per-sample point cores are the same block
-   cores on a one-row block, and no stable replication computes a
-   covariance; the subordinator kinds map a per-sample estimator over the
-   rows, and ``gamma_moment`` computes its 2x2 covariance for each row and
-   drops it.
+   cores on a one-row block, and no replication computes a covariance;
+   the subordinator kinds map a per-sample point estimator over the rows.
 3. Reduce in replication order.  Estimation failures (EstimationError
    subclasses, e.g. an index root outside the admissible interval, and
    estimates that are not finite) are counted per cell and excluded from
@@ -38,7 +36,7 @@ import math
 import numbers
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +65,7 @@ from .subordinators import (
     GammaSubParams,
     IGSubParams,
     gamma_mle,
-    gamma_moment_estimate,
+    gamma_moment,
     gamma_sub_cell,
     ig_mle,
     ig_sub_cell,
@@ -152,7 +150,7 @@ MODELS = {
 
 
 def _each_row(estimate, block: np.ndarray, h: float) -> list:
-    # a per-sample estimator mapped over the rows: the subordinator MLEs
+    # a per-sample point estimator mapped over the rows: subordinator kinds
     return each_row(lambda row: estimate(IncrementSample(row, h)), block)
 
 
@@ -180,8 +178,8 @@ ESTIMATORS = {
         tripower_block(b, e["q"]), 2, 3)),
     "gamma_mle": Estimator(("delta", "gamma"), (),
                            lambda b, h, e: _each_row(gamma_mle, b, h)),
-    "gamma_moment": Estimator(("delta", "gamma"), (), lambda b, h, e: _take(
-        _each_row(gamma_moment_estimate, b, h), 0, 2)),
+    "gamma_moment": Estimator(("delta", "gamma"), (),
+                              lambda b, h, e: _each_row(gamma_moment, b, h)),
     "ig_mle": Estimator(("delta", "gamma"), (),
                         lambda b, h, e: _each_row(ig_mle, b, h)),
 }
@@ -320,10 +318,6 @@ class ExperimentConfig:
         if self.h_rule["kind"] == "fixed_T":
             return float(self.h_rule["T"]) / n
         return float(n) ** (-float(self.h_rule["a"]))
-
-    def to_json_dict(self) -> dict:
-        """A copy of every field; tuples encode as JSON arrays."""
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload) -> "ExperimentConfig":

@@ -63,7 +63,6 @@ __all__ = [
     "mu_product",
     "mpv",
     "bipower_beta",
-    "sigma_star_power",
     "sigma_star_bipower",
     "tripower_integrated_scale",
     "mpv_cov",
@@ -297,16 +296,6 @@ def bipower_beta(sample: IncrementSample, q: float, p_hat: float) -> float:
                                   lambda p_hat, beta_hat, den, x: beta_hat))
 
 
-def sigma_star_power(sample: IncrementSample, p_hat: float, beta_hat: float,
-                     power: float) -> float:
-    """Plug-in estimate of sigma*_power = int_0^1 sigma_s^power ds:
-
-        n^{power/beta_hat - 1} sum_j |D_j|^{power} / mu_{power}(p_hat, beta_hat).
-    """
-    mu = mu_abs(beta_hat, p_hat, power)
-    return mpv(sample, beta_hat, (power,)) / mu
-
-
 def sigma_star_bipower(sample: IncrementSample, p_hat: float,
                        beta_hat: float, power: float) -> float:
     """Plug-in estimate of sigma*_{2 power} from adjacent products:
@@ -499,25 +488,35 @@ def sign_bipower_point(sample: IncrementSample,
                        q: float) -> tuple[float, float, float, float]:
     """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
     scale: p_hat from signs, beta_hat from the bipower ratio at power q, then
-    s_p = sigma*_hat_p (InadmissiblePositivity unless positive) and
-    sigma_hat = s_p^{1/p} with p = 2q (inf where that overflows)."""
+    the plug-in sigma*_hat_p
+
+        s_p = n^{p/beta_hat - 1} sum_j |D_j|^p / mu_p(p_hat, beta_hat)
+
+    (InadmissiblePositivity unless positive) and sigma_hat = s_p^{1/p} with
+    p = 2q (inf where that overflows)."""
     return only_row(sign_bipower_block(sample.values[None], q))
 
 
 def tripower_block(block: np.ndarray, q: float) -> list:
-    """(p_hat, beta_hat, sigma*_hat_beta) of each row of a (rows, n) block
-    of increments, or the row's EstimationError (see tripower_point)."""
-    return _bipower_rows(
-        block, q, _sign_hats(block),
-        lambda p_hat, beta_hat, den, x: (
-            p_hat, beta_hat, tripower_integrated_scale(x, p_hat, beta_hat)))
+    """(p_hat, beta_hat, sigma*_hat_beta, s_p) of each row of a (rows, n)
+    block, or the row's EstimationError (see tripower_point)."""
+    n = block.shape[1]
+    p = 2.0 * q
+
+    def finish(p_hat, beta_hat, den, x):
+        s_star = tripower_integrated_scale(x, p_hat, beta_hat)
+        s_p = _normalized(n, den, p, beta_hat) / mu_abs(beta_hat, p_hat, p)
+        return p_hat, beta_hat, s_star, s_p
+
+    return _bipower_rows(block, q, _sign_hats(block), finish)
 
 
 def tripower_point(sample: IncrementSample,
-                   q: float) -> tuple[float, float, float]:
-    """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta) of the
+                   q: float) -> tuple[float, float, float, float]:
+    """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta, s_p) of the
     integrated scale under time-varying scale: p_hat and beta_hat as in
-    sign_bipower_point, then the self-normalizing tripower statistic."""
+    sign_bipower_point, then the self-normalizing tripower statistic; s_p
+    is sign_bipower_point's, without its positivity check."""
     return only_row(tripower_block(sample.values[None], q))
 
 
@@ -544,11 +543,9 @@ def tripower_estimate(sample: IncrementSample,
     """tripower_point with sigma_hat carrying sigma*_hat_beta; its
     (log n / sqrt(n))-rate asymptotic variance (sigma*_beta / beta)^2 V_22
     is reported in extra."""
-    p_hat, beta_hat, s_star = tripower_point(sample, q)
-    p = 2.0 * q
-    s_p = sigma_star_power(sample, p_hat, beta_hat, p)
+    p_hat, beta_hat, s_star, s_p = tripower_point(sample, q)
     with np.errstate(over="ignore"):  # an inf sum is named below
-        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, p)
+        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
     check_finite("tripower", beta_hat=beta_hat, sigma_hat=s_star,
                  extra={"p_pos_hat": p_hat}, sigma_star_p=s_p,
                  sigma_star_2p=s_2p)

@@ -106,11 +106,6 @@ class PositivityStable:
         positive("scale", self.scale)
 
     @property
-    def xi(self) -> float:
-        """Skewness angle xi = beta pi (p - 1/2)."""
-        return self.beta * math.pi * (self.p_pos - 0.5)
-
-    @property
     def rho(self) -> float:
         """Equivalent skew-form rho."""
         return positivity_to_skew(self.beta, self.p_pos)
@@ -139,11 +134,6 @@ class IncrementSample:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @property
-    def horizon(self) -> float:
-        """Total observation window T = n h."""
-        return self.n * self.h
 
 
 def _check_finite_rows(block: np.ndarray) -> None:

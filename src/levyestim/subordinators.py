@@ -47,7 +47,7 @@ __all__ = [
     "gamma_sub_cell",
     "ig_sub_cell",
     "gamma_mle",
-    "gamma_moment_estimate",
+    "gamma_moment",
     "ig_mle",
     "gamma_fisher",
     "ig_fisher",
@@ -186,19 +186,16 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     return delta_hat, gamma_hat
 
 
-def gamma_moment_estimate(sample: IncrementSample
-                          ) -> tuple[float, float, np.ndarray]:
-    """Gamma-subordinator moment estimates and their covariance.
+def gamma_moment(sample: IncrementSample) -> tuple[float, float]:
+    """Gamma-subordinator moment estimates (delta_hat, gamma_hat).
 
     With m1 = (1/T) sum Delta X and m2 = (1/T) sum (Delta X)^2:
-    gamma_hat = m1/m2, delta_hat = m1^2/m2, and the attached asymptotic
-    covariance of (delta_hat, gamma_hat) is
+    gamma_hat = m1/m2 and delta_hat = m1^2/m2, of asymptotic covariance
 
-        [[2 delta, 2 gamma], [2 gamma, 3 gamma^2 / delta]] / T
+        [[2 delta, 2 gamma], [2 gamma, 3 gamma^2 / delta]] / T,
 
-    evaluated at the estimates.  The drift estimate is 1/3 as efficient as
-    the MLE's gamma component.  An m2 beyond the double range raises
-    EstimationError; a covariance entry beyond it saturates to 0 or inf.
+    so the drift estimate is 1/3 as efficient as the MLE's gamma component.
+    An m2 beyond the double range raises EstimationError.
     """
     values = _positive_increments(sample)
     t_total = values.size * sample.h
@@ -209,13 +206,7 @@ def gamma_moment_estimate(sample: IncrementSample
         raise EstimationError("second empirical moment overflows", m2=m2)
     if m2 <= 0.0:
         raise DataError("second empirical moment vanishes", m2=m2)
-    gamma_hat = m1 / m2
-    delta_hat = m1 * m1 / m2
-    d, g = np.float64(delta_hat), np.float64(gamma_hat)
-    with np.errstate(all="ignore"):  # saturate to 0 / inf; 0/0 is nan
-        cov = np.array([[2.0 * d, 2.0 * g],
-                        [2.0 * g, 3.0 * g * g / d]]) / t_total
-    return delta_hat, gamma_hat, cov
+    return m1 * m1 / m2, m1 / m2
 
 
 def ig_mle(sample: IncrementSample) -> tuple[float, float]:

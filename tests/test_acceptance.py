@@ -24,7 +24,7 @@ from levyestim.subordinators import (
     GammaSubParams,
     IGSubParams,
     gamma_mle,
-    gamma_moment_estimate,
+    gamma_moment,
     gamma_sub_cell,
     ig_mle,
     ig_sub_cell,
@@ -102,7 +102,7 @@ def test_criterion_7_subordinator_mles():
     for r in range(reps):
         s = gamma_sub_cell(gamma_params, h, n).sample(seed=50_000 + r)
         d_gamma[r], g_mle[r] = gamma_mle(s)
-        g_mom[r] = gamma_moment_estimate(s)[1]
+        g_mom[r] = gamma_moment(s)[1]
     var_gamma = (math.sqrt(n) * (d_gamma - 2.0)).var(ddof=1)
     assert abs(var_gamma - 4.0) <= 0.15 * 4.0  # inverse Fisher delta^2
 

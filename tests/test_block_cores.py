@@ -25,7 +25,7 @@ from levyestim.skewed import (
     tripower_point,
 )
 from levyestim.stable_core import IncrementSample, sample_standard_stable
-from levyestim.subordinators import gamma_mle, gamma_moment_estimate, ig_mle
+from levyestim.subordinators import gamma_mle, gamma_moment, ig_mle
 from levyestim.symmetric import (
     frac_moment_block,
     frac_moment_point,
@@ -47,9 +47,9 @@ _PER_SAMPLE = {
     "sign": lambda s, e: (sign_statistic(s),),
     "bipower": lambda s, e: (bipower_beta(s, e["q"], sign_statistic(s)),),
     "power_scale": lambda s, e: sign_bipower_point(s, e["q"])[2:3],
-    "tripower": lambda s, e: tripower_point(s, e["q"])[2:],
+    "tripower": lambda s, e: tripower_point(s, e["q"])[2:3],
     "gamma_mle": lambda s, e: gamma_mle(s),
-    "gamma_moment": lambda s, e: gamma_moment_estimate(s)[:2],
+    "gamma_moment": lambda s, e: gamma_moment(s),
     "ig_mle": lambda s, e: ig_mle(s),
 }
 _SUBORDINATOR_KINDS = ("gamma_mle", "gamma_moment", "ig_mle")

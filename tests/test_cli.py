@@ -1,5 +1,6 @@
 """Command line round trips, exit codes, and dump formats."""
 
+import dataclasses
 import json
 import math
 import os
@@ -599,7 +600,7 @@ def test_montecarlo_matches_library_run(tmp_path):
         master_seed=99,
         label="demo")
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg.to_json_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     out = tmp_path / "rows.csv"
     assert run_cli("montecarlo", "--config", str(cfg_path),
                    "--out", str(out)) == 0

@@ -2,6 +2,7 @@
 summary emission."""
 
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -91,7 +92,7 @@ def test_config_mesh_rules():
 def test_config_json_round_trip():
     cfg = _small_config()
     again = ExperimentConfig.from_json_dict(
-        json.loads(json.dumps(cfg.to_json_dict())))
+        json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 

@@ -20,7 +20,6 @@ from levyestim.skewed import (
     mu_product,
     nu_signed,
     sigma_star_bipower,
-    sigma_star_power,
     sign_bipower_estimate,
     sign_bipower_point,
     sign_statistic,
@@ -322,7 +321,10 @@ def test_sigma_star_power_lln():
     beta, q, n = 1.5, 0.25, 10_000
     r = (2.0 * q, 0.0)
     s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
-    est = sigma_star_power(s, P_POS, beta, 2.0 * q)
+    # the plug-in sigma*_hat_p at the true (p, beta): at an estimated
+    # beta_hat, as sign_bipower_point's s_p, the factor n^{p/beta_hat - 1}
+    # adds the log(n)-rate error of beta_hat, which this band leaves out
+    est = mpv(s, beta, (2.0 * q,)) / mu_abs(beta, P_POS, 2.0 * q)
     se = math.sqrt(b_cross(beta, P_POS, r, r) / n) / mu_product(beta, P_POS, r)
     assert abs(est - 1.0) <= 3.0 * se
 
@@ -339,9 +341,9 @@ def test_sigma_star_bipower_lln():
 def test_sigma_star_scaling():
     s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
     scaled = IncrementSample(3.0 * s.values, s.h, {})
-    power = 0.5
-    assert sigma_star_power(scaled, P_POS, 1.5, power) == pytest.approx(
-        3.0 ** power * sigma_star_power(s, P_POS, 1.5, power), rel=1e-12)
+    # s_p at q = 0.25: power 2q = 0.5, and (p_hat, beta_hat) are scale free
+    assert sign_bipower_point(scaled, 0.25)[3] == pytest.approx(
+        3.0 ** 0.5 * sign_bipower_point(s, 0.25)[3], rel=1e-12)
     assert sigma_star_bipower(scaled, P_POS, 1.5, 0.25) == pytest.approx(
         3.0 ** 0.5 * sigma_star_bipower(s, P_POS, 1.5, 0.25), rel=1e-12)
 
@@ -521,7 +523,8 @@ def test_point_cores_equal_their_reports(seed, q):
         rep.extra["sigma_star_p"])
     rep = tripower_estimate(s, q)
     assert tripower_point(s, q) == (rep.extra["p_pos_hat"], rep.beta_hat,
-                                    rep.sigma_hat)
+                                    rep.sigma_hat,
+                                    sign_bipower_point(s, q)[3])
 
 
 def test_tripower_estimate_report():

@@ -240,7 +240,6 @@ def test_positivity_params_validation():
     with pytest.raises(DomainError):
         PositivityStable(1.5, 1.0 / 1.5)   # boundary excluded
     pp = PositivityStable(1.5, 0.5984, 2.0)
-    assert abs(pp.xi - 1.5 * np.pi * 0.0984) < 1e-12
     assert abs(skew_to_positivity(1.5, pp.rho) - 0.5984) < 1e-12
 
 
@@ -343,7 +342,7 @@ def test_timevarying_rejects_bad_beta():
 def test_increment_sample_basic():
     s = IncrementSample(np.array([1.0, -2.0, 3.0]), 0.5, {"src": "unit"})
     assert s.n == 3
-    assert abs(s.horizon - 1.5) < 1e-15
+    assert abs(s.n * s.h - 1.5) < 1e-15
     with pytest.raises(DomainError):
         IncrementSample(np.array([1.0]), -0.5, {})
 
