@@ -172,10 +172,11 @@ def _cmd_montecarlo(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, list):
         payload = [payload]
+    # every entry is checked before any design runs
+    configs = [mc.ExperimentConfig.from_json_dict(entry) for entry in payload]
     rows = []
-    echo = {"configs": len(payload)}
-    for index, entry in enumerate(payload):
-        config = mc.ExperimentConfig.from_json_dict(entry)
+    echo = {"configs": len(configs)}
+    for index, config in enumerate(configs):
         rows.extend(mc.run_experiment(config))
         # keyed by position: designs may share a label or have none
         echo[f"config_{index}"] = f"{config.label}:{config.model}"

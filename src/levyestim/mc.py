@@ -200,29 +200,42 @@ def _integer(value, field: str, low=-math.inf) -> int:
     raise DomainError(f"{field} must be an integer >= {low}", field=field)
 
 
-def check_truth(model: str, truth: Mapping, exact: bool = False) -> Model:
-    """The MODELS entry of ``model`` after checking ``truth``: required keys
-    present, read keys finite numbers, ``path`` a known scale path and, if
-    ``exact``, no other key.  Raises DomainError naming the key."""
+def _refuse_unknown(given, allowed, what: str, prefix: str) -> None:
+    # a key that nothing reads is a DomainError naming it, not dropped
+    unknown = sorted(map(str, set(given) - set(allowed)))
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} for {what} "
+                          f"(allowed: {', '.join(sorted(set(allowed)))})",
+                          field=prefix + unknown[0])
+
+
+def _model_keys(model: str, truth: Mapping) -> tuple[str, ...]:
+    # the truth keys the model's cell reads, its scale path's among them
     entry = MODELS[model]
-    allowed = entry.required + entry.optional
+    keys = entry.required + entry.optional
     if "path" in entry.optional:
         path = truth.get("path", "cosine")
         if not isinstance(path, str) or path not in _PATHS:
             raise DomainError("unknown scale path", field="truth.path",
                               path=str(path), known=list(_PATHS))
-        allowed += _PATHS[path][0]
+        keys += _PATHS[path][0]
+    return keys
+
+
+def check_truth(model: str, truth: Mapping, exact: bool = False) -> Model:
+    """The MODELS entry of ``model`` after checking ``truth``: required keys
+    present, read keys finite numbers, ``path`` a known scale path and, if
+    ``exact``, no other key.  Raises DomainError naming the key."""
+    entry = MODELS[model]
+    allowed = _model_keys(model, truth)
     for key in allowed:
         if key in truth and key != "path":
             _finite(truth[key], f"truth.{key}")
         elif key in entry.required:
             raise DomainError(f"{model} model needs key {key!r}",
                               field=f"truth.{key}")
-    unknown = sorted(set(truth) - set(allowed)) if exact else ()
-    if unknown:
-        raise DomainError(f"unknown key {unknown[0]!r} for the {model} model "
-                          f"(allowed: {', '.join(sorted(allowed))})",
-                          field=f"truth.{unknown[0]}")
+    if exact:
+        _refuse_unknown(truth, allowed, f"the {model} model", "truth.")
     return entry
 
 
@@ -236,6 +249,8 @@ def _check_estimator(est, truth: dict) -> dict:
         raise DomainError("unknown estimator kind", field="estimators.kind",
                           kind=str(kind), known=sorted(ESTIMATORS))
     entry = ESTIMATORS[kind]
+    _refuse_unknown(est, ("id", "kind") + entry.tuning,
+                    f"the {kind} estimator", "estimators.")
     for key in entry.tuning:
         # a key the entry lacks is read from the truth: known_scale's sigma
         if key not in est and key not in truth:
@@ -259,7 +274,8 @@ class ExperimentConfig:
     a mesh rule, estimators with tuning, and a master seed.
 
     Construction checks every field against MODELS and ESTIMATORS and
-    raises DomainError naming the first bad one; tuning keys become floats.
+    raises DomainError naming the first bad one, a truth or estimator key
+    that nothing reads among them; tuning keys become floats.
     """
 
     model: str
@@ -311,6 +327,12 @@ class ExperimentConfig:
                                 for e in self.estimators),
             "master_seed": _integer(self.master_seed, "master_seed"),
         }
+        # besides the keys its cell reads, the truth holds the parameters
+        # the estimators report and tuning they may take from it
+        entries = [ESTIMATORS[est["kind"]] for est in checked["estimators"]]
+        reads = [key for e in entries for key in e.params + e.tuning]
+        _refuse_unknown(truth, _model_keys(self.model, truth) + tuple(reads),
+                        f"the {self.model} design", "truth.")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -324,6 +346,8 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise DomainError("config entry must be a JSON object",
                               field="config")
+        _refuse_unknown(payload, [f.name for f in fields(cls)], "a design",
+                        "")
         for f in fields(cls):
             if f.default is MISSING and f.name not in payload:
                 raise DomainError(f"config lacks field {f.name!r}",
@@ -358,6 +382,23 @@ def _cell_points(config: ExperimentConfig, cell: Cell, n: int,
                                   cell.h, est)]
 
 
+def _mean_rmse(vals: np.ndarray, truth: float) -> tuple[float, float]:
+    # where the sum or the squares overflow, the value is recomputed on
+    # scaled terms, so a finite mean or RMSE is never written as inf and a
+    # cell that stays in range keeps its bits
+    with np.errstate(over="ignore"):
+        mean = float(vals.mean())
+        dev = vals - truth
+        rmse = math.sqrt(float(np.mean(dev ** 2)))
+        if not math.isfinite(mean):
+            mean = float(np.sum(vals / vals.size))
+        if not math.isfinite(rmse):
+            top = float(np.max(np.abs(dev)))  # inf if a deviation overflows
+            rmse = top * math.sqrt(float(np.mean((dev / top) ** 2))) \
+                if math.isfinite(top) else math.inf
+    return mean, rmse
+
+
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Run the full design and return one SummaryRow per
     (n, estimator, parameter) cell, in that deterministic order."""
@@ -374,9 +415,8 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
             for idx, param in enumerate(ESTIMATORS[est["kind"]].params):
                 truth_val = float(config.truth[param])
                 if kept:
-                    vals = np.array([r[idx] for r in kept])
-                    mean = float(vals.mean())
-                    rmse = math.sqrt(float(np.mean((vals - truth_val) ** 2)))
+                    mean, rmse = _mean_rmse(
+                        np.array([r[idx] for r in kept]), truth_val)
                 else:
                     mean = rmse = float("nan")
                 rows.append(SummaryRow(

@@ -300,12 +300,14 @@ def write_summary(path, rows: Sequence[SummaryRow],
 
 def write_summary_json(path, rows: Sequence[SummaryRow],
                        config_echo: dict | None = None) -> None:
-    """The rows of write_summary as JSON: lowercase keys ("t" for "T"), the
-    same 6-digit numbers, and null where the CSV writes nan."""
+    """The rows of write_summary as strict JSON: lowercase keys ("t" for
+    "T"), the same 6-digit numbers, and null where the CSV writes nan or
+    inf."""
     def cell(key: str, value):
         if key not in ("T", "truth", "mean", "rmse"):
             return value
-        return None if value == "nan" else float(value)
+        number = float(value)
+        return number if math.isfinite(number) else None
 
     payload = {
         "config": {k: str(v) for k, v in (config_echo or {}).items()},
@@ -314,7 +316,7 @@ def write_summary_json(path, rows: Sequence[SummaryRow],
                  for row in rows],
     }
     with open(path, "w", encoding="utf8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

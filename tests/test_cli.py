@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import levyestim
-from levyestim import stable_density
+from levyestim import mc, stable_density
 from levyestim.cli import _parse_grid, build_parser, main
 from levyestim.errors import (
     DataError,
@@ -664,6 +664,13 @@ def _with(**changes):
     (_with(model="timevarying_stable", truth={"beta": 1.5, "p_pos": 0.6},
            h_rule={"kind": "power", "a": 0.6},
            estimators=[{"id": "sign", "kind": "sign"}]), "h_rule.kind"),
+    # keys that nothing reads: a misspelt field would run at the default
+    # seed, tuning the kind lacks and a misspelt truth key would be dropped
+    (_with(master_sead=7), "master_sead"),
+    (_with(estimators=[{"id": "log", "kind": "log", "p": 0.1}]),
+     "estimators.p"),
+    (_with(truth={"beta": 1.5, "sigam": 0.5, "gamma": -0.5},
+           estimators=[{"id": "m", "kind": "median"}]), "truth.sigam"),
 ])
 def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
                                                       payload, field):
@@ -676,6 +683,37 @@ def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
     assert err["code"] == "domain_error"
     assert err["context"]["field"] == field
     assert not out.exists()
+
+
+def test_montecarlo_checks_every_entry_before_running_any(tmp_path, capsys,
+                                                        monkeypatch):
+    ran = []
+    monkeypatch.setattr(mc, "run_experiment", ran.append)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(
+        [_GOOD_ENTRY, _with(estimators=[{"id": "x", "kind": "mystery"}])]))
+    assert run_cli("montecarlo", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "rows.csv")) == 1
+    err = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["context"]["field"] == "estimators.kind"
+    assert ran == []
+
+
+def test_montecarlo_huge_cell_writes_finite_strict_json(tmp_path):
+    # estimates near 1e160: their squared deviations overflow, yet the
+    # rmse is finite, no numpy warning is raised and the JSON is strict
+    entry = _with(model="gamma_sub", truth={"delta": 2.0, "gamma": 1e160},
+                  n_list=[200], h_rule={"kind": "fixed_T", "T": 20.0},
+                  replications=3,
+                  estimators=[{"id": "gm", "kind": "gamma_moment"}])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(entry))
+    out = tmp_path / "rows.json"
+    assert run_cli("montecarlo", "--config", str(cfg_path), "--out",
+                   str(out), "--format", "json") == 0
+    gamma_row = _strict_json(out.read_text())["rows"][1]
+    assert gamma_row["param"] == "gamma"
+    assert gamma_row["rmse"] == pytest.approx(1.899e159, rel=1e-3)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -185,6 +185,21 @@ def test_non_finite_estimates_count_as_failures(monkeypatch):
     assert math.isfinite(row.mean) and row.mean <= -0.5
 
 
+def test_overflowing_cell_keeps_its_finite_mean_and_rmse(monkeypatch):
+    # the sum and the squared deviations of these estimates overflow;
+    # their mean and RMSE do not
+    def huge(block, h, est):
+        return [(1.5e308,), (0.5e308,)]
+
+    monkeypatch.setitem(ESTIMATORS, "median",
+                        ESTIMATORS["median"]._replace(block=huge))
+    cfg = _small_config(replications=2,
+                        estimators=({"id": "median", "kind": "median"},))
+    row = run_experiment(cfg)[0]
+    assert row.mean == pytest.approx(1e308, rel=1e-15)
+    assert row.rmse == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-15)
+
+
 def test_replication_order_never_changes_values():
     # the seed contract: a replication's value depends only on the design,
     # the master seed, n, the estimator id and its index, not on what ran
@@ -530,6 +545,21 @@ def test_emit_handles_all_failed_cells(tmp_path):
     rec = json.loads(json_path.read_text())["rows"][0]
     assert rec["mean"] is None and rec["rmse"] is None
     assert rec["failures"] == 3
+
+
+def test_emit_json_is_strict(tmp_path):
+    # an rmse beyond the double range is written as null, not Infinity
+    row = dataclasses.replace(_demo_rows()[0], rmse=math.inf,
+                              mean=-math.inf)
+    path = tmp_path / "inf.json"
+    emit([row], "json", path)
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    rec = json.loads(path.read_text(), parse_constant=reject)["rows"][0]
+    assert rec["mean"] is None and rec["rmse"] is None
+    assert rec["truth"] == 1.5
 
 
 def test_emit_rejects_empty_and_unknown_format(tmp_path):
