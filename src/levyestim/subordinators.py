@@ -1,5 +1,5 @@
-"""Gamma and inverse-Gaussian subordinators: sampling, maximum likelihood,
-moment estimation, Fisher matrices, and the MLE reports.
+"""Gamma and inverse-Gaussian subordinators: sampling, the MLE and moment
+point estimators, Fisher matrices, and the MLE reports.
 
 Laws of the increments over mesh h:
 
