@@ -84,6 +84,19 @@ _scale = _positive_below(math.inf, "a finite number > 0")
 _moment_order = _positive_below(0.5, "a number in (0, 1/2)")
 
 
+def _stream_seed(text: str) -> int:
+    # argparse type of simulate --seed: an integer in [0, 2^128), the
+    # seeds a Cell takes, else a usage error naming the flag
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 128:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2^128), got {text!r}")
+    return value
+
+
 def _dump_row(*cells) -> str:
     # one CSV line of the fisher, density and variance dumps
     return ",".join(f"{v:.10g}" for v in cells)
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_mesh.add_argument("--T", type=_scale, default=None,
                           help="horizon; the mesh is T/n")
     sim_mesh.add_argument("--h", type=_scale, default=None, help="mesh")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_stream_seed, default=0)
     sim.add_argument("--path", choices=("cosine", "constant"),
                      default="cosine", help="scale path for timevarying")
     sim.add_argument("--out", required=True)

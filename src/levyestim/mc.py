@@ -10,11 +10,12 @@ Each (n, estimator) cell runs in three steps:
 
 1. Draw a block.  A model's cell, built once per (config, n), does the
    parameter work (checks, increment scale, block averages of a scale
-   path) once, then draws the replications in stacked (rows, n) blocks of
-   at most _BLOCK_VALUES values, one CMS evaluation per block, each row
-   from its own stream, so every value equals the one a single-stream draw
-   gives.  A block is checked for finiteness once and handed over
-   read-only.
+   path) once.  ``Cell.blocks`` seeds it once for all the replications,
+   computing every stream's PCG64 state in one pass, then draws them in
+   stacked (rows, n) blocks of at most _BLOCK_VALUES values, one CMS
+   evaluation per block, each row from its own stream, so every value
+   equals the one a single-stream draw gives.  A block is checked for
+   finiteness once and handed over read-only.
 2. Estimate the block.  An estimator is a block core of ``symmetric`` or
    ``skewed``: it computes the order statistics, log residuals, moment
    means, sign means and power sums of all rows at once and returns one
@@ -369,17 +370,16 @@ def _cell_points(config: ExperimentConfig, cell: Cell, n: int,
                  est: dict) -> list:
     """Point estimates of one (n, estimator) cell in replication order,
     None for a failed replication.  Replication rep draws from the stream
-    derive_seed(master_seed, n, estimator id, rep); the streams are drawn
-    in blocks of at most _BLOCK_VALUES values, each block is estimated in
-    one pass and dropped, so memory does not grow with the replications."""
+    derive_seed(master_seed, n, estimator id, rep); the cell is seeded
+    once for all of them and drawn in blocks of at most _BLOCK_VALUES
+    values, each block is estimated in one pass and dropped, so memory does
+    not grow with the replications."""
     estimate = ESTIMATORS[est["kind"]].block
     seeds = [derive_seed(config.master_seed, n, est["id"], rep)
              for rep in range(config.replications)]
-    rows = max(1, _BLOCK_VALUES // n)
     return [_kept(point)
-            for start in range(0, len(seeds), rows)
-            for point in estimate(cell.draw(seeds[start:start + rows]),
-                                  cell.h, est)]
+            for block in cell.blocks(seeds, max(1, _BLOCK_VALUES // n))
+            for point in estimate(block, cell.h, est)]
 
 
 def _mean_rmse(vals: np.ndarray, truth: float) -> tuple[float, float]:

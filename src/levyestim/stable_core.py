@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,28 +152,46 @@ def _check_finite_rows(block: np.ndarray) -> None:
 class Cell:
     """A sampler at fixed parameters, mesh h and sample size n.
 
-    The parameter work runs once, when the cell is built; ``fill(seeds)``
-    returns the n values that the sampler draws from each seed's stream, as
-    the rows of one (rows, n) array.  ``draw(seeds)`` is that block after
-    the finiteness check, read-only, and ``sample(seed)`` is the cell drawn
-    at one seed: one observed path.
+    The parameter work runs once, when the cell is built.  ``fill(streams)``
+    returns, as the rows of one (rows, n) array, the n values the sampler
+    draws from each of ``streams``: a sized iterable that yields one
+    Generator per row, started where ``np.random.default_rng(seed)`` starts
+    for that row's seed; a row is drawn before the next is taken.
+
+    ``blocks(seeds, rows)`` seeds the cell once for all ``seeds`` and yields
+    their samples in order, in read-only blocks of at most ``rows`` rows,
+    each checked for finiteness.  ``draw(seeds)`` is its one-block case and
+    ``sample(seed)`` its one-row case: one observed path.  A seed is an
+    integer in [0, 2^128); any other raises DomainError(field="seed").
     """
 
     h: float
     meta: dict
-    fill: Callable[[Sequence], np.ndarray]
+    fill: Callable[["_Streams"], np.ndarray]
 
-    def draw(self, seeds: Sequence) -> np.ndarray:
-        """The samples at ``seeds`` as the rows of one read-only block; a
+    def blocks(self, seeds: Sequence, rows: int) -> Iterator[np.ndarray]:
+        """The samples at ``seeds`` in blocks of at most ``rows`` rows; a
         row with a NaN or infinity raises DataError as IncrementSample
         does."""
-        block = self.fill(seeds)
-        _check_finite_rows(block)
-        block.flags.writeable = False
+        states = _pcg64_states(seeds)
+        # seeded at 0 only to exist: each row re-states it
+        rng = np.random.Generator(np.random.PCG64(0))
+        for start in range(0, len(states), rows):
+            block = self.fill(_Streams(rng, states[start:start + rows]))
+            _check_finite_rows(block)
+            block.flags.writeable = False
+            yield block
+
+    def draw(self, seeds: Sequence) -> np.ndarray:
+        """The samples at one or more ``seeds`` as the rows of one block."""
+        block, = self.blocks(seeds, max(1, len(seeds)))
         return block
 
     def sample(self, seed=None) -> IncrementSample:
-        """The IncrementSample of one stream."""
+        """The IncrementSample of one stream; ``seed=None`` draws a fresh
+        seed from the operating system."""
+        if seed is None:
+            seed = np.random.SeedSequence().entropy
         return IncrementSample(self.draw([seed])[0], self.h, dict(self.meta))
 
 
@@ -251,10 +270,130 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hsh.digest(), "big")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+# numpy's seeding of np.random.default_rng(seed), run for many seeds at
+# once: SeedSequence(seed) hashes the seed's little-endian 32-bit words into
+# a pool of 4 words, generate_state(4, uint64) hashes the pool into the
+# PCG64 seed and increment, and PCG64's srandom step turns them into its
+# 128-bit state.  numpy documents this seeding as stable across versions.
+# A seed of up to 4 words fills the pool without the extra mixing rounds
+# longer entropy takes, so seeds lie in [0, 2^128).  Each hash call
+# xors its word with a running constant and multiplies it by the next one;
+# those constants do not depend on the seed and are built here.  Mixing a
+# hashed word y into a pool word x gives L x - R y.  Every hash and mix
+# result is folded with its own right shift by 16; all of it is uint32
+# arithmetic, wrapping as numpy's does.
+
+_WORD = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
+
+
+def _hash_columns(init: int, mult: int, calls: int):
+    # (xor, multiplier) constants of ``calls`` successive hash calls, as
+    # read-only uint32 columns
+    xors, mults = [], []
+    for _ in range(calls):
+        xors.append(init)
+        init = init * mult & _WORD
+        mults.append(init)
+    cols = [np.array(c, dtype=np.uint32)[:, None] for c in (xors, mults)]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+_POOL_XOR, _POOL_MULT = _hash_columns(0x43B0D7E5, 0x931E8875, 16)
+
+
+def _mix_columns() -> list:
+    # The pool mixing updates, for each source word s = 0..3, every other
+    # word in ascending order, with hash calls 4 + 3 s, 4 + 3 s + 1 and
+    # 4 + 3 s + 2.  The words live in a ring of 8 rows, word k in rows k and
+    # k + 4, so the words step s updates, (s + 1..s + 3) mod 4, are the
+    # contiguous rows s + 1..s + 3: their hash constants, in ring order.
+    columns = []
+    for src in range(4):
+        words = [(src + k) % 4 for k in (1, 2, 3)]
+        calls = [4 + 3 * src + sorted(words).index(w) for w in words]
+        columns.append((_POOL_XOR[calls], _POOL_MULT[calls]))
+    return columns
+
+
+_MIX_COLUMNS = _mix_columns()
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_SHIFT = np.array(16, dtype=np.uint32)
+# generate_state reads the pool twice over: output word 4 j + k hashes
+# pool word k with hash call 4 j + k
+_STATE_XOR, _STATE_MULT = (c.reshape(2, 4, 1) for c in
+                           _hash_columns(0x8B51F9DD, 0x58F38DED, 8))
+
+
+def _fold(words: np.ndarray) -> None:
+    # the hash's final xorshift, in place
+    words ^= words >> _SHIFT
+
+
+def _pcg64_states(seeds: Sequence) -> list[dict]:
+    """``np.random.PCG64(seed).state`` for each seed, without building a
+    bit generator per seed: one pass of uint32 array arithmetic over all
+    seeds, then the 128-bit srandom step per seed."""
+    try:
+        raw = b"".join(operator.index(seed).to_bytes(16, "little")
+                       for seed in seeds)
+    except (TypeError, OverflowError):
+        raise DomainError("seed must be an integer in [0, 2^128)",
+                          field="seed") from None
+    ring = np.empty((8, len(raw) // 16), dtype=np.uint32)
+    pool = np.bitwise_xor(np.frombuffer(raw, "<u4").reshape(-1, 4).T,
+                          _POOL_XOR[:4], out=ring[:4])
+    pool *= _POOL_MULT[:4]
+    _fold(pool)
+    ring[4:7] = ring[:3]
+    for src, (xor, mult) in enumerate(_MIX_COLUMNS):
+        if src >= 2:  # row src + 3 holds word src - 1, updated at row src - 1
+            ring[src + 3] = ring[src - 1]
+        mixed = ring[src] ^ xor
+        mixed *= mult
+        _fold(mixed)
+        mixed *= _MIX_R
+        dst = ring[src + 1:src + 4]
+        dst *= _MIX_L
+        dst -= mixed
+        _fold(dst)
+    ring[7] = ring[3]  # now words 0..3 are rows 4..7
+    out = ring[4:] ^ _STATE_XOR
+    out *= _STATE_MULT
+    _fold(out)
+    words = np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4")
+    states = []
+    # srandom(seed s, sequence i): inc = 2 i + 1, then state 0 steps to
+    # inc, takes s and steps again; a step is state * _PCG_MULT + inc
+    for s_hi, s_lo, i_hi, i_lo in words.view("<u8").tolist():
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _PCG_MASK
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+class _Streams:
+    """The streams of a run of PCG64 states, for one pass in order: each
+    step re-states one Generator to the next state."""
+
+    def __init__(self, rng: np.random.Generator, states: list[dict]):
+        self._rng = rng
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bitgen = self._rng.bit_generator
+        for state in self._states:
+            bitgen.state = state
+            yield self._rng
 
 
 # ---------------------------------------------------------------------------
@@ -299,41 +438,74 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
     if beta == 2.0 and rho != 0.0:
         warnings.warn("beta = 2 is Gaussian: rho has no effect, using rho = 0")
         rho = 0.0
-    u = np.asarray(uniform_u, dtype=float)
-    v = np.asarray(exp_v, dtype=float)
-    if beta == 1.0:
-        if rho == 0.0:
-            return np.tan(u)
-        w = 0.5 * np.pi + rho * u
-        return (2.0 / np.pi) * (w * np.tan(u)
-                                - rho * np.log(0.5 * np.pi * v * np.cos(u) / w))
-    t = rho * math.tan(0.5 * math.pi * beta)
-    a = (1.0 + t * t) ** (0.5 / beta)
-    b = math.atan(t) / beta
-    phase = beta * (u + b)
-    s = np.tan(0.5 * phase)
-    sec2_u = 1.0 + np.tan(u) ** 2
-    sec2_w = 1.0 + np.tan(u - phase) ** 2
-    return (2.0 * a * s / (1.0 + s * s) * np.sqrt(sec2_u)
-            * (sec2_w * v * v / sec2_u) ** ((beta - 1.0) / (2.0 * beta)))
+    # the steps run in place on a copy of u, in the order of the formulas
+    # above, so each value is rounded as there; a 0-d input gives a
+    # scalar, as a ufunc does
+    shape = np.shape(uniform_u)
+    u = np.array(uniform_u, dtype=float, ndmin=1)
+    v = np.atleast_1d(np.asarray(exp_v, dtype=float))
+    if beta == 1.0 and rho == 0.0:
+        out = np.tan(u, out=u)
+    elif beta == 1.0:
+        w = rho * u
+        w += 0.5 * np.pi
+        arg = 0.5 * np.pi * v
+        arg *= np.cos(u)
+        arg /= w
+        np.log(arg, out=arg)
+        arg *= rho
+        out = np.tan(u, out=u)
+        out *= w
+        out -= arg
+        out *= 2.0 / np.pi
+    else:
+        t = rho * math.tan(0.5 * math.pi * beta)
+        a = (1.0 + t * t) ** (0.5 / beta)
+        b = math.atan(t) / beta
+        phase = u + b
+        phase *= beta
+        s = 0.5 * phase
+        np.tan(s, out=s)
+        sec2_w = np.subtract(u, phase, out=phase)
+        np.tan(sec2_w, out=sec2_w)
+        sec2_w **= 2
+        sec2_w += 1.0
+        sec2_u = np.tan(u, out=u)
+        sec2_u **= 2
+        sec2_u += 1.0
+        sec2_w *= v
+        sec2_w *= v
+        sec2_w /= sec2_u
+        sec2_w **= (beta - 1.0) / (2.0 * beta)
+        den = s * s
+        den += 1.0
+        s *= 2.0 * a
+        s /= den
+        s *= np.sqrt(sec2_u, out=sec2_u)
+        s *= sec2_w
+        out = s
+    return out.reshape(shape)[()]
 
 
 def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
                  scale, shift=None) -> Cell:
-    # fill(seeds): row r holds scale * S (+ shift) for S the n
-    # S_beta(1, rho, 0) draws of seeds[r]'s stream, its n uniforms and then
-    # its n exponentials.  The seeds' draws are stacked into one (rows, n)
+    # fill(streams): row r holds scale * S (+ shift) for S the n
+    # S_beta(1, rho, 0) draws of the r-th stream, its n uniforms and then
+    # its n exponentials.  The rows' draws are stacked into one (rows, n)
     # block and go through one CMS evaluation; every operation is
     # elementwise, so each row holds the values a block of that one row
-    # would.
-    def fill(seeds: Sequence) -> np.ndarray:
-        u = np.empty((len(seeds), n))
-        v = np.empty((len(seeds), n))
-        for row, seed in enumerate(seeds):
-            rng = _as_rng(seed)
-            u[row] = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=n)
+    # would.  The uniforms are mapped onto (-pi/2, pi/2) over the block as
+    # Generator.uniform maps each, -pi/2 + pi * r.
+    def fill(streams) -> np.ndarray:
+        u = np.empty((len(streams), n))
+        v = np.empty((len(streams), n))
+        for row, rng in enumerate(streams):
+            rng.random(out=u[row])
             rng.standard_exponential(out=v[row])
-        values = scale * sample_standard_stable(beta, rho, u, v)
+        u *= np.pi
+        u += -0.5 * np.pi
+        values = sample_standard_stable(beta, rho, u, v)
+        values *= scale
         if shift is not None:
             values += shift
         return values

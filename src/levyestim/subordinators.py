@@ -39,7 +39,7 @@ from .errors import (
 )
 from .serialize import EstimateReport, check_finite
 from .special_fn import digamma, find_root_monotone
-from .stable_core import Cell, IncrementSample, _as_rng
+from .stable_core import Cell, IncrementSample
 
 __all__ = [
     "GammaSubParams",
@@ -97,10 +97,10 @@ def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
     _check_mesh(h, n, shape)
     scale = 1.0 / params.gamma_rate
 
-    def fill(seeds):
-        block = np.empty((len(seeds), n))
-        for row, seed in enumerate(seeds):
-            block[row] = _as_rng(seed).gamma(shape, scale=scale, size=n)
+    def fill(streams):
+        block = np.empty((len(streams), n))
+        for row, rng in enumerate(streams):
+            block[row] = rng.gamma(shape, scale=scale, size=n)
             if not block[row].all():  # small shapes underflow to 0
                 raise DomainError("gamma draws underflowed to 0 at this mesh",
                                   shape=shape,
@@ -122,9 +122,8 @@ def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
         raise DomainError("Wald mean or shape underflowed to 0 at this mesh",
                           mean=mean, shape=shape)
 
-    def fill(seeds):
-        return np.array([_as_rng(seed).wald(mean, shape, size=n)
-                         for seed in seeds])
+    def fill(streams):
+        return np.array([rng.wald(mean, shape, size=n) for rng in streams])
 
     return Cell(h, {"model": "ig_sub", "delta": params.delta,
                     "gamma": params.gamma_ig}, fill)

@@ -1144,6 +1144,26 @@ def test_variance_p_outside_its_domain_exits_two(capsys, p):
     assert "--p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128), "1.5", "abc"])
+def test_simulate_seed_outside_its_range_exits_two(tmp_path, capsys, seed):
+    # a stream seed is an integer in [0, 2^128)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
+                "--n", "10", "--T", "1", "--seed", seed, "--out", str(out))
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_takes_the_largest_seed(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
+                   "--n", "10", "--T", "1", "--seed", str(2 ** 128 - 1),
+                   "--out", str(out)) == 0
+    assert read_increments(out).n == 10
+
+
 def test_variance_writes_nan_only_where_4p_reaches_beta(capsys):
     # V^p needs moments to order 4p < beta; any other failure is an error
     assert _run_to_lines(capsys, "variance", "--beta", "0.4",

@@ -23,6 +23,13 @@ from levyestim.stable_core import (
     skew_to_positivity,
     sprime_cell,
     timevarying_cell,
+    _pcg64_states,
+)
+from levyestim.subordinators import (
+    GammaSubParams,
+    IGSubParams,
+    gamma_sub_cell,
+    ig_sub_cell,
 )
 
 def make_rng(*parts) -> np.random.Generator:
@@ -271,6 +278,112 @@ def test_derive_seed_stable_and_distinct():
     assert s1 != derive_seed(42, 2001, "log", 8)
     assert s1 != derive_seed(43, 2001, "log", 7)
     assert 0 <= s1 < 2 ** 64
+
+
+# ---------------------------------------------------------------------------
+# bulk seeding: a cell draws the streams np.random.default_rng(seed) starts
+
+def test_pcg64_states_equal_numpy_seeding():
+    rng = make_rng("pcg64-states")
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1]
+    seeds += rng.integers(0, 2 ** 64, 1000, dtype=np.uint64).tolist()
+    assert _pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+
+def _expression_cms(beta, rho, u, v):
+    # the transform as one expression per branch, each step a NumPy
+    # temporary; sample_standard_stable runs the same steps in place
+    if beta == 1.0:
+        if rho == 0.0:
+            return np.tan(u)
+        w = 0.5 * np.pi + rho * u
+        return (2.0 / np.pi) * (w * np.tan(u)
+                                - rho * np.log(0.5 * np.pi * v * np.cos(u) / w))
+    t = rho * math.tan(0.5 * math.pi * beta)
+    a = (1.0 + t * t) ** (0.5 / beta)
+    b = math.atan(t) / beta
+    phase = beta * (u + b)
+    s = np.tan(0.5 * phase)
+    sec2_u = 1.0 + np.tan(u) ** 2
+    sec2_w = 1.0 + np.tan(u - phase) ** 2
+    return (2.0 * a * s / (1.0 + s * s) * np.sqrt(sec2_u)
+            * (sec2_w * v * v / sec2_u) ** ((beta - 1.0) / (2.0 * beta)))
+
+
+def _stable_row(beta, rho, scale, shift=None):
+    # one row as a cell drew it from a seed before bulk seeding: its own
+    # Generator, n uniforms on (-pi/2, pi/2), n exponentials, scale * S
+    def row(rng, n):
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=n)
+        v = rng.standard_exponential(size=n)
+        values = scale * _expression_cms(beta, rho, u, v)
+        return values if shift is None else values + shift
+    return row
+
+
+def _bulk_case(name, n, h=0.01):
+    # (cell, reference row of one Generator)
+    if name.startswith("increments"):
+        beta = float(name.split("-")[1])
+        params = StableParams(beta, 0.7, 0.0 if beta == 2.0 else -0.4, 0.3)
+        return (increments_cell(params, h, n),
+                _stable_row(beta, params.rho,
+                            *increment_scale_shift(params, h)))
+    pp = PositivityStable(1.5, 0.45, 0.8)
+    if name == "sprime":
+        return (sprime_cell(pp, h, n),
+                _stable_row(1.5, pp.rho, (h * pp.scale) ** (1 / 1.5)))
+    if name.startswith("timevarying"):
+        path = (ScalePath.cosine(1.5) if name.endswith("cosine")
+                else ScalePath.constant(0.8, 1.5))
+        return (timevarying_cell(path, pp.p_pos, n),
+                _stable_row(1.5, pp.rho,
+                            (path.sigma_bars(n) / n) ** (1 / 1.5)))
+    if name == "gamma":
+        gp = GammaSubParams(2.0, 1.5)
+        return (gamma_sub_cell(gp, h, n),
+                lambda rng, n: rng.gamma(gp.delta * h,
+                                         scale=1.0 / gp.gamma_rate, size=n))
+    ip = IGSubParams(2.0, 1.5)
+    dh = ip.delta * h
+    return (ig_sub_cell(ip, h, n),
+            lambda rng, n: rng.wald(dh / ip.gamma_ig, dh * dh, size=n))
+
+
+@pytest.mark.parametrize("name", [
+    "increments-0.8", "increments-1", "increments-1.5", "increments-2",
+    "sprime", "timevarying-cosine", "timevarying-constant", "gamma", "ig"])
+def test_cell_draws_equal_per_seed_generators(name):
+    n = 37
+    cell, row = _bulk_case(name, n)
+    seeds = [derive_seed("bulk", name, rep) for rep in range(7)]
+    ref = np.array([row(np.random.default_rng(seed), n) for seed in seeds])
+    for rows in (1, 3, len(seeds)):
+        blocks = list(cell.blocks(seeds, rows))
+        assert [len(b) for b in blocks] == [
+            min(rows, len(seeds) - start)
+            for start in range(0, len(seeds), rows)]
+        assert np.array_equal(np.concatenate(blocks), ref)
+        drawn = [cell.draw(seeds[start:start + rows])
+                 for start in range(0, len(seeds), rows)]
+        assert np.array_equal(np.concatenate(drawn), ref)
+    for seed, values in zip(seeds, ref):
+        assert np.array_equal(cell.sample(seed).values, values)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "7", None],
+                         ids=["negative", "2^128", "float", "str", "none"])
+def test_cell_refuses_a_seed_outside_its_range(seed):
+    # sample(None) draws a fresh seed; a list entry of None is no seed
+    cell = increments_cell(StableParams(1.5, 1.0), 0.1, 10)
+    calls = [lambda: cell.draw([3, seed])]
+    if seed is not None:
+        calls.append(lambda: cell.sample(seed))
+    for call in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.context == {"field": "seed"}
+    assert cell.sample().n == 10
 
 
 def test_cosine_path_block_integral():
