@@ -97,8 +97,14 @@ def _stream_seed(text: str) -> int:
     return value
 
 
-def _dump_row(*cells) -> str:
-    # one CSV line of the fisher, density and variance dumps
+def _dump_row(header: list[str], cells) -> str:
+    # one CSV line of the fisher, density and variance dumps; an infinite
+    # cell is a DomainError naming its column and the row's first cell (a
+    # NaN passes: variance's V^p where 4p >= beta)
+    for name, value in zip(header, cells):
+        if math.isinf(value):
+            raise DomainError("dump value is beyond the double range",
+                              column=name, **{header[0]: cells[0]})
     return ",".join(f"{v:.10g}" for v in cells)
 
 
@@ -121,7 +127,7 @@ def _cmd_simulate(args) -> int:
                  else "symmetric_stable",
                  "timevarying": "timevarying_stable", "gamma": "gamma_sub",
                  "ig": "ig_sub"}[args.model]
-        if args.model == "timevarying":
+        if args.model == "timevarying" and args.path is not None:
             truth["path"] = args.path
         entry = mc.check_truth(model, truth, exact=True)
     except (ValueError, DomainError) as exc:
@@ -137,8 +143,13 @@ def _cmd_simulate(args) -> int:
             print(f"error: --model timevarying takes no {flag}: the scale "
                   "path fixes the horizon [0, 1]", file=sys.stderr)
             return 2
+    elif args.path is not None:
+        print(f"error: --model {args.model} takes no --path: only "
+              "timevarying reads a scale path", file=sys.stderr)
+        return 2
     elif args.T is None and args.h is None:
-        print("error: need --T or --h", file=sys.stderr)
+        print(f"error: --model {args.model} needs --T or --h",
+              file=sys.stderr)
         return 2
     else:
         h = args.h if args.h is not None else args.T / args.n
@@ -212,13 +223,15 @@ def _betas(args) -> list[float]:
 
 
 def _cmd_fisher(args) -> int:
-    lines = ["beta,sigma,i_beta_beta,i_beta_sigma,i_sigma_sigma,"
-             "i_gamma_gamma,top_left_det"]
+    header = ["beta", "sigma", "i_beta_beta", "i_beta_sigma",
+              "i_sigma_sigma", "i_gamma_gamma", "top_left_det"]
+    lines = [",".join(header)]
     for beta in _betas(args):
         info = fisher_matrix(beta, args.sigma)
         m = info.matrix
-        lines.append(_dump_row(beta, args.sigma, m[0, 0], m[0, 1], m[1, 1],
-                               m[2, 2], info.top_left_det()))
+        lines.append(_dump_row(header, (beta, args.sigma, m[0, 0], m[0, 1],
+                                        m[1, 1], m[2, 2],
+                                        info.top_left_det())))
     _write_lines(args.out, lines)
     return 0
 
@@ -245,8 +258,9 @@ def _cmd_density(args) -> int:
         # (a 1-point grid is y_min alone)
         grid = 0.5 * (grid - grid[::-1])
     dens, deriv = phi_pair(grid, args.beta, args.sigma)
-    lines = ["y,phi,dphi"]
-    lines += [_dump_row(*cells) for cells in zip(grid, dens, deriv)]
+    header = ["y", "phi", "dphi"]
+    lines = [",".join(header)]
+    lines += [_dump_row(header, cells) for cells in zip(grid, dens, deriv)]
     _write_lines(args.out, lines)
     return 0
 
@@ -267,7 +281,7 @@ def _cmd_variance(args) -> int:
                 cells += [vp[0, 0], vp[0, 1], vp[1, 1]]
             else:  # V^p needs moments to order 4p < beta
                 cells += [math.nan] * 3
-        lines.append(_dump_row(*cells))
+        lines.append(_dump_row(header, cells))
     _write_lines(args.out, lines)
     return 0
 
@@ -293,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="horizon; the mesh is T/n")
     sim_mesh.add_argument("--h", type=_scale, default=None, help="mesh")
     sim.add_argument("--seed", type=_stream_seed, default=0)
-    sim.add_argument("--path", choices=("cosine", "constant"),
-                     default="cosine", help="scale path for timevarying")
+    sim.add_argument("--path", choices=("cosine", "constant"), default=None,
+                     help="scale path for timevarying (default cosine)")
     sim.add_argument("--out", required=True)
     sim.set_defaults(handler=_cmd_simulate)
 

@@ -49,8 +49,8 @@ class DomainError(LevyEstimError):
     code = "domain_error"
 
 
-# the three domain rules shared across modules; each raises DomainError with
-# the argument's name as its context key
+# the domain rules shared across modules; each raises DomainError with the
+# argument's name as its context key
 
 def positive(name: str, value) -> None:
     """A scale, mesh or rate: a finite number > 0."""
@@ -69,6 +69,12 @@ def skew(rho) -> None:
     """A skewness rho in [-1, 1]."""
     if not -1.0 <= rho <= 1.0:
         raise DomainError("skew rho must lie in [-1, 1]", rho=rho)
+
+
+def sample_size(n) -> None:
+    """A sample size n >= 1."""
+    if n < 1:
+        raise DomainError("sample size n must be >= 1", n=n)
 
 
 class DataError(LevyEstimError):

@@ -179,22 +179,17 @@ class EstimateReport:
 
     def to_json_dict(self) -> dict:
         cov = self.cov_matrix
-        if cov is not None:
-            cov = [float(v) for v in np.asarray(cov).ravel()]
-        ci = self.ci_gamma
-        if ci is not None:
-            ci = [float(ci[0]), float(ci[1])]
-        return {
+        return plain({
             "method": self.method,
-            "beta_hat": _opt_float(self.beta_hat),
-            "sigma_hat": _opt_float(self.sigma_hat),
-            "gamma_hat": _opt_float(self.gamma_hat),
-            "ci_gamma": ci,
-            "cov_matrix": cov,
-            "n": int(self.n),
+            "beta_hat": self.beta_hat,
+            "sigma_hat": self.sigma_hat,
+            "gamma_hat": self.gamma_hat,
+            "ci_gamma": self.ci_gamma,
+            "cov_matrix": None if cov is None else np.ravel(cov),
+            "n": self.n,
             "h": float(self.h),
-            "extra": plain(self.extra),
-        }
+            "extra": self.extra,
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
@@ -256,6 +251,8 @@ def _opt_float(value):
 
 SUMMARY_COLUMNS = ("table", "estimator", "param", "n", "T", "truth",
                    "mean", "rmse", "failures", "replications", "seed")
+# the columns as_record writes with 6 significant digits
+_SIG6_COLUMNS = ("T", "truth", "mean", "rmse")
 
 
 @dataclass(frozen=True)
@@ -303,18 +300,12 @@ def write_summary_json(path, rows: Sequence[SummaryRow],
     """The rows of write_summary as strict JSON: lowercase keys ("t" for
     "T"), the same 6-digit numbers, and null where the CSV writes nan or
     inf."""
-    def cell(key: str, value):
-        if key not in ("T", "truth", "mean", "rmse"):
-            return value
-        number = float(value)
-        return number if math.isfinite(number) else None
-
-    payload = {
+    payload = plain({
         "config": {k: str(v) for k, v in (config_echo or {}).items()},
-        "rows": [{key.lower(): cell(key, value)
+        "rows": [{key.lower(): float(value) if key in _SIG6_COLUMNS else value
                   for key, value in zip(SUMMARY_COLUMNS, row.as_record())}
                  for row in rows],
-    }
+    })
     with open(path, "w", encoding="utf8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -42,7 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, positive, skew, stable_index
+from .errors import (DataError, DomainError, positive, sample_size, skew,
+                     stable_index)
 
 __all__ = [
     "StableParams",
@@ -158,11 +159,11 @@ class Cell:
     Generator per row, started where ``np.random.default_rng(seed)`` starts
     for that row's seed; a row is drawn before the next is taken.
 
-    ``blocks(seeds, rows)`` seeds the cell once for all ``seeds`` and yields
-    their samples in order, in read-only blocks of at most ``rows`` rows,
-    each checked for finiteness.  ``draw(seeds)`` is its one-block case and
-    ``sample(seed)`` its one-row case: one observed path.  A seed is an
-    integer in [0, 2^128); any other raises DomainError(field="seed").
+    ``blocks(seeds, rows)``, the one draw path, seeds the cell once for all
+    ``seeds`` and yields their samples in order, in read-only blocks of at
+    most ``rows`` rows, each checked for finiteness.  ``sample(seed)`` is its
+    one-row case: one observed path.  A seed is an integer in [0, 2^128);
+    any other raises DomainError(field="seed").
     """
 
     h: float
@@ -182,17 +183,13 @@ class Cell:
             block.flags.writeable = False
             yield block
 
-    def draw(self, seeds: Sequence) -> np.ndarray:
-        """The samples at one or more ``seeds`` as the rows of one block."""
-        block, = self.blocks(seeds, max(1, len(seeds)))
-        return block
-
     def sample(self, seed=None) -> IncrementSample:
         """The IncrementSample of one stream; ``seed=None`` draws a fresh
         seed from the operating system."""
         if seed is None:
             seed = np.random.SeedSequence().entropy
-        return IncrementSample(self.draw([seed])[0], self.h, dict(self.meta))
+        (block,) = self.blocks([seed], 1)
+        return IncrementSample(block[0], self.h, dict(self.meta))
 
 
 # nodes of ScalePath.sigma_star's periodic trapezoid rule
@@ -513,11 +510,6 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
     return Cell(h, meta, fill)
 
 
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise DomainError("sample size n must be >= 1", n=n)
-
-
 def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]:
     """(scale, shift) with increment over mesh h equal to scale * S + shift,
     S ~ S_beta(1, rho, 0).
@@ -538,7 +530,7 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
 def increments_cell(params: StableParams, h: float, n: int) -> Cell:
     """Cell of n i.i.d. increments over mesh h of the Levy process with
     L(X_1) = S_beta(sigma, rho, gamma)."""
-    _check_size(n)
+    sample_size(n)
     scale, shift = increment_scale_shift(params, h)
     meta = {"model": "stable", "beta": params.beta, "sigma": params.sigma,
             "rho": params.rho, "gamma": params.gamma}
@@ -550,7 +542,7 @@ def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
     process with L(X_t) = S'_beta(p, t * scale): each equals
     (h * scale)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
     positive("h", h)
-    _check_size(n)
+    sample_size(n)
     meta = {"model": "skewed_stable", "beta": pp.beta, "p_pos": pp.p_pos,
             "scale": pp.scale}
     return _stable_cell(pp.beta, pp.rho, n, h, meta,
@@ -574,7 +566,7 @@ def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
     """
     beta = path.beta
     rho = PositivityStable(beta, p_pos).rho
-    _check_size(n)
+    sample_size(n)
     meta = {"model": "timevarying_stable", "beta": beta, "p_pos": p_pos,
             "path": path.label}
     return _stable_cell(beta, rho, n, 1.0 / n, meta,

@@ -79,6 +79,7 @@ __all__ = ["phi_pair", "phi_zero", "FisherInfo", "fisher_matrix",
 # crossover from the integral forms to the tail expansion
 _Y_SERIES = 30.0
 _SERIES_TERMS = 8
+# floor of phi where the information integrands divide by it
 _PHI_FLOOR = 1e-300
 _HALF_PI = 0.5 * math.pi
 
@@ -303,18 +304,19 @@ def _eval(y, beta: float, sigma: float):
     if bad.size:
         raise DomainError("density argument y must be finite",
                           first_index=int(bad[0]), count=int(bad.size))
-    if np.any(np.abs(arr) / sigma > 50.0):
+    flat = arr.ravel()
+    z = np.abs(flat) / sigma
+    if np.any(z > 50.0):
         warnings.warn("density evaluated at |y|/sigma > 50: series tail "
                       "accuracy only", stacklevel=3)
-    flat = arr.ravel()
-    zs, inverse = np.unique(np.abs(flat) / sigma, return_inverse=True)
+    zs, inverse = np.unique(z, return_inverse=True)
     f, d = _unit(zs, beta)[:, inverse]
-    f = np.maximum(f, _PHI_FLOOR)  # guard ratios against roundoff
-    d = np.where(flat < 0.0, -d, d)
+    # one power of sigma at a time: sigma^2 may underflow to 0
+    f /= sigma
+    d = np.where(flat < 0.0, -d, d) / sigma / sigma
     if arr.ndim == 0:
-        return float(f[0] / sigma), float(d[0] / sigma ** 2)
-    return ((f / sigma).reshape(arr.shape),
-            (d / sigma ** 2).reshape(arr.shape))
+        return float(f[0]), float(d[0])
+    return f.reshape(arr.shape), d.reshape(arr.shape)
 
 
 def phi_pair(y, beta: float, sigma: float = 1.0):
@@ -408,10 +410,12 @@ class FisherInfo:
     def matrix(self) -> np.ndarray:
         """I(theta) = [[H/beta^4, H/(sigma beta^2), 0],
         [H/(sigma beta^2), H/sigma^2, 0], [0, 0, M/sigma^2]]."""
-        w = np.array([1.0 / self.beta ** 2, 1.0 / self.sigma])
+        beta, sigma = np.float64(self.beta), np.float64(self.sigma)
         out = np.zeros((3, 3))
-        out[:2, :2] = self.h_value * np.outer(w, w)
-        out[2, 2] = self.m_value / self.sigma ** 2
+        with np.errstate(all="ignore"):  # saturate to 0 / inf
+            w = np.array([1.0 / beta ** 2, 1.0 / sigma])
+            out[:2, :2] = self.h_value * np.outer(w, w)
+            out[2, 2] = self.m_value / sigma ** 2
         return out
 
     def top_left_det(self) -> float:

@@ -36,6 +36,7 @@ from .errors import (
     NonpositiveK,
     NoSignChange,
     positive,
+    sample_size,
 )
 from .serialize import EstimateReport, check_finite
 from .special_fn import digamma, find_root_monotone
@@ -82,8 +83,7 @@ class IGSubParams:
 
 def _check_mesh(h: float, n: int, shape: float):
     positive("h", h)
-    if n < 1:
-        raise DomainError("sample size n must be >= 1", n=n)
+    sample_size(n)
     if shape < 1e-12:
         warnings.warn("per-increment shape below 1e-12: draws are "
                       "numerically degenerate at this mesh")

@@ -243,6 +243,39 @@ def test_simulate_timevarying_refuses_a_mesh(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,params", [
+    ("stable", "beta=1.5"), ("stable", "beta=1.5,p_pos=0.45"),
+    ("gamma", "delta=1,gamma=1"), ("ig", "delta=1,gamma=1")])
+def test_simulate_refuses_a_path_its_model_does_not_read(tmp_path, capsys,
+                                                          model, params):
+    # only the time-varying model reads a scale path; the others ignored it
+    out = tmp_path / "x.csv"
+    rc = run_cli("simulate", "--model", model, "--params", params, "--n",
+                 "10", "--T", "5", "--path", "constant", "--out", str(out))
+    assert rc == 2
+    assert f"--model {model} takes no --path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_stable_needs_T_or_h(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
+                 "--n", "10", "--out", str(out))
+    assert rc == 2
+    assert "--model stable needs --T or --h" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_timevarying_path_defaults_to_cosine(tmp_path):
+    files = []
+    for path in ([], ["--path", "cosine"]):
+        files.append(tmp_path / f"tv{len(files)}.csv")
+        assert run_cli("simulate", "--model", "timevarying", "--params",
+                       "beta=1.5,p_pos=0.45", "--n", "50", "--seed", "4",
+                       *path, "--out", str(files[-1])) == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
 # every model and scale path that simulate writes
 _WRITTEN = [("symmetric_stable", {"beta": 1.3, "sigma": 0.5, "rho": 0.2,
                                   "gamma": -0.5}, 0.005),
@@ -781,6 +814,42 @@ def test_fisher_dump_at_the_degenerate_point(capsys):
     cells = [float(v) for v in lines[1].split(",")]
     assert cells[2:6] == [0.5, 0.5, 0.5, 0.5]
     assert cells[6] == 0.0
+
+
+@pytest.mark.parametrize("command,column", [
+    (("fisher", "--beta", "1.5", "--sigma", "1e-170"), "i_sigma_sigma"),
+    (("variance", "--beta", "1.5", "--sigma", "1e300", "--p", "0.1"),
+     "v_log_22")])
+def test_dump_refuses_an_infinite_cell_by_column(capsys, command, column):
+    # sigma^2 beyond the double range: a ZeroDivisionError in fisher, an
+    # inf printed by variance
+    assert run_cli(*command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = _strict_json(captured.err.strip())
+    assert payload["code"] == "domain_error"
+    assert payload["context"] == {"column": column, "beta": 1.5}
+
+
+def test_fisher_dump_saturates_underflowing_entries_to_zero(capsys):
+    # 1/sigma^2 underflows: those entries are 0, not an OverflowError
+    lines = _run_to_lines(capsys, "fisher", "--beta", "1.5",
+                          "--sigma", "1e200")
+    cells = [float(v) for v in lines[1].split(",")]
+    assert cells[2] > 0.0 and 0.0 < cells[3] < 1e-199
+    assert cells[4:] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore:density evaluated")
+def test_density_dump_at_a_vanishing_scale(capsys):
+    # phi(+-10) underflows to 0: no floor lifts it to 1, no sigma^2 = 0
+    # turns phi' into nan
+    lines = _run_to_lines(capsys, "density", "--beta", "1.5",
+                          "--sigma", "1e-300", "--points", "3")
+    arr = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert not np.isnan(arr).any()
+    assert arr[[0, 2], 1].tolist() == [0.0, 0.0]
+    assert arr[1, 1] == pytest.approx(stable_density.phi_zero(1.5, 1e-300))
 
 
 def test_density_dump_normalizes(capsys):

@@ -222,7 +222,7 @@ def test_replication_order_never_changes_values():
     def replicate(est_id, rep):
         # one replication alone: its own stream, drawn and estimated as a
         # block of one
-        block = cell.draw([derive_seed(7, 400, est_id, rep)])
+        (block,) = cell.blocks([derive_seed(7, 400, est_id, rep)], 1)
         est = by_id[est_id]
         (point,) = ESTIMATORS[est["kind"]].block(block, cell.h, est)
         return _kept(point)
@@ -289,7 +289,8 @@ def test_block_split_never_changes_values(model, truth, n):
     for order in (seeds, seeds[::-1]):
         for rows in (1, 3, len(order)):
             drawn = [row for start in range(0, len(order), rows)
-                     for row in cell.draw(order[start:start + rows])]
+                     for row in next(cell.blocks(order[start:start + rows],
+                                                 rows))]
             assert len(drawn) == len(order)
             for seed, row in zip(order, drawn):
                 assert np.array_equal(row, alone[seed])
@@ -319,7 +320,7 @@ def test_cell_memory_is_bounded_and_rows_are_read_only():
     assert large < 1.5 * small
     cell = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
                                         0.01, 100)
-    row = cell.draw([1, 2])[1]
+    row = next(cell.blocks([1, 2], 2))[1]
     assert not row.flags.writeable
     with pytest.raises(ValueError):
         row[0] = 0.0

@@ -364,7 +364,7 @@ def test_cell_draws_equal_per_seed_generators(name):
             min(rows, len(seeds) - start)
             for start in range(0, len(seeds), rows)]
         assert np.array_equal(np.concatenate(blocks), ref)
-        drawn = [cell.draw(seeds[start:start + rows])
+        drawn = [next(cell.blocks(seeds[start:start + rows], rows))
                  for start in range(0, len(seeds), rows)]
         assert np.array_equal(np.concatenate(drawn), ref)
     for seed, values in zip(seeds, ref):
@@ -376,7 +376,7 @@ def test_cell_draws_equal_per_seed_generators(name):
 def test_cell_refuses_a_seed_outside_its_range(seed):
     # sample(None) draws a fresh seed; a list entry of None is no seed
     cell = increments_cell(StableParams(1.5, 1.0), 0.1, 10)
-    calls = [lambda: cell.draw([3, seed])]
+    calls = [lambda: next(cell.blocks([3, seed], 2))]
     if seed is not None:
         calls.append(lambda: cell.sample(seed))
     for call in calls:
