@@ -22,7 +22,7 @@ from .stable_density import fisher_matrix, median_asymptotic_sd, phi_pair
 
 __all__ = ["main", "build_parser"]
 
-_GRID_POINTS = 10_001  # most points --beta-grid may expand to
+_GRID_POINTS = 10_001  # most rows a dump may have: --beta-grid, --points
 
 
 def _parse_params(text: str) -> dict:
@@ -242,9 +242,9 @@ def _cmd_density(args) -> int:
             print(f"error: {flag} must be finite, got {value}",
                   file=sys.stderr)
             return 2
-    if args.points < 1:
-        print(f"error: --points must be at least 1, got {args.points}",
-              file=sys.stderr)
+    if not 1 <= args.points <= _GRID_POINTS:
+        print(f"error: --points must be from 1 to {_GRID_POINTS}, "
+              f"got {args.points}", file=sys.stderr)
         return 2
     y_min = -args.y_max if args.y_min is None else args.y_min
     if not math.isfinite(args.y_max - y_min):

@@ -1,9 +1,10 @@
 """Serialization: increment CSV files, estimate reports, summary tables.
 
 Increment files are one value per line, full repr precision, preceded by
-'#'-prefixed key=value metadata lines that always include h and n.  Summary
-tables are plain CSV with a '#'-prefixed config echo, or JSON; floats are
-written with 6 significant digits.
+'#'-prefixed key=value metadata lines that always include h and n; they are
+written and read back.  Estimate reports and summary tables are written
+only: a report is strict JSON, a summary table plain CSV with a
+'#'-prefixed config echo, or JSON, its floats with 6 significant digits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "read_increments",
     "write_summary",
     "write_summary_json",
-    "read_summary",
     "SUMMARY_COLUMNS",
 ]
 
@@ -177,9 +177,9 @@ class EstimateReport:
                      ci_gamma=self.ci_gamma, cov_matrix=self.cov_matrix,
                      extra=self.extra)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         cov = self.cov_matrix
-        return plain({
+        return json.dumps(plain({
             "method": self.method,
             "beta_hat": self.beta_hat,
             "sigma_hat": self.sigma_hat,
@@ -189,40 +189,7 @@ class EstimateReport:
             "n": self.n,
             "h": float(self.h),
             "extra": self.extra,
-        })
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "EstimateReport":
-        cov = payload.get("cov_matrix")
-        if cov is not None:
-            flat = np.asarray(cov, dtype=float)
-            side = int(round(math.sqrt(flat.size)))
-            if side * side != flat.size:
-                raise DataError("cov_matrix payload is not square",
-                                size=int(flat.size))
-            cov = flat.reshape(side, side)
-        ci = payload.get("ci_gamma")
-        if ci is not None:
-            ci = (float(ci[0]), float(ci[1]))
-        return cls(
-            method=payload["method"],
-            n=int(payload["n"]),
-            h=float(payload["h"]),
-            beta_hat=_opt_float(payload.get("beta_hat")),
-            sigma_hat=_opt_float(payload.get("sigma_hat")),
-            gamma_hat=_opt_float(payload.get("gamma_hat")),
-            ci_gamma=ci,
-            cov_matrix=cov,
-            extra=dict(payload.get("extra", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EstimateReport":
-        return cls.from_json_dict(json.loads(text))
+        }), indent=2, sort_keys=True, allow_nan=False)
 
 
 def check_finite(method: str, /, **fields) -> None:
@@ -240,10 +207,6 @@ def check_finite(method: str, /, **fields) -> None:
                 and not math.isfinite(value):
             raise EstimationError("report value is not finite",
                                   method=method, field=name)
-
-
-def _opt_float(value):
-    return None if value is None else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -309,40 +272,3 @@ def write_summary_json(path, rows: Sequence[SummaryRow],
     with open(path, "w", encoding="utf8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
-
-
-def read_summary(path) -> tuple[list[SummaryRow], dict]:
-    """The inverse of write_summary: the rows of a summary CSV and its '#'
-    echo lines as a dict of strings.  Nothing in the package reads summary
-    files back; this is kept for readers of them (the tests round-trip
-    through it)."""
-    meta: dict = {}
-    rows: list[SummaryRow] = []
-    header_seen = False
-    with open(path, "r", encoding="utf8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, raw = line[1:].strip().partition("=")
-                meta[key.strip()] = raw.strip()
-                continue
-            parts = line.split(",")
-            if not header_seen:
-                if tuple(parts) != SUMMARY_COLUMNS:
-                    raise DataError("unexpected summary header",
-                                    header=line)
-                header_seen = True
-                continue
-            if len(parts) != len(SUMMARY_COLUMNS):
-                raise DataError("summary row has wrong arity", text=line)
-            rows.append(SummaryRow(
-                table=parts[0], estimator=parts[1], param=parts[2],
-                n=int(parts[3]), T=float(parts[4]), truth=float(parts[5]),
-                mean=float(parts[6]), rmse=float(parts[7]),
-                failures=int(parts[8]), replications=int(parts[9]),
-                seed=int(parts[10])))
-    if not header_seen:
-        raise DataError("summary file lacks a header", path=str(path))
-    return rows, meta

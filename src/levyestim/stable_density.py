@@ -305,15 +305,17 @@ def _eval(y, beta: float, sigma: float):
         raise DomainError("density argument y must be finite",
                           first_index=int(bad[0]), count=int(bad.size))
     flat = arr.ravel()
-    z = np.abs(flat) / sigma
+    with np.errstate(over="ignore"):  # a subnormal sigma saturates to inf
+        z = np.abs(flat) / sigma
     if np.any(z > 50.0):
         warnings.warn("density evaluated at |y|/sigma > 50: series tail "
                       "accuracy only", stacklevel=3)
     zs, inverse = np.unique(z, return_inverse=True)
     f, d = _unit(zs, beta)[:, inverse]
     # one power of sigma at a time: sigma^2 may underflow to 0
-    f /= sigma
-    d = np.where(flat < 0.0, -d, d) / sigma / sigma
+    with np.errstate(over="ignore"):
+        f /= sigma
+        d = np.where(flat < 0.0, -d, d) / sigma / sigma
     if arr.ndim == 0:
         return float(f[0]), float(d[0])
     return f.reshape(arr.shape), d.reshape(arr.shape)

@@ -7,7 +7,7 @@ replications, the default master seed) and writes, for every SummaryRow,
 its cell key (table, estimator, param, n) and the ``repr`` of its mean,
 rmse and failures, one row per line.  ``repr`` round-trips a float
 exactly, so a change of one ulp in any mean or rmse changes the file.
-The four presets take about 35 s on one core.
+The four presets take about 20 s on one core.
 
 The ``full-tables`` CI job regenerates the file to a scratch path and
 compares it byte for byte with the committed one.

@@ -46,34 +46,29 @@ _SAMPLE = IncrementSample(np.linspace(-1.0, 1.0, 50) ** 3 + 0.01, 0.01)
 _U = np.array([-0.5, 0.1, 0.7])
 _E = np.array([0.3, 1.0, 2.5])
 
-# case id -> (context key, call with the bad value).  The ids
-# known_scale_beta, phi.sigma, sample_* and sprime_increment_sampler keep
-# the names of one-seed functions that are gone, so that ids stay stable;
-# their calls check the block core, phi_pair and the cells that hold those
-# checks now.
+# case id -> (context key, call with the bad value)
 _POSITIVE = {
     "StableParams.sigma": ("sigma", lambda v: StableParams(1.5, v)),
     "ScalePath.constant": ("sigma", lambda v: ScalePath.constant(v, 1.5)),
     "log_moment_nu.sigma": ("sigma", lambda v: log_moment_nu(1.5, v)),
     "v_log.sigma": ("sigma", lambda v: v_log(1.5, v)),
-    "known_scale_beta": ("sigma", lambda v: known_scale_block(
+    "known_scale_block.sigma": ("sigma", lambda v: known_scale_block(
         _SAMPLE.values[None], _SAMPLE.h, v)),
     "v_p.sigma": ("sigma", lambda v: v_p(1.5, v, 0.1)),
     "median_asymptotic_sd.sigma":
         ("sigma", lambda v: median_asymptotic_sd(1.5, v)),
-    "phi.sigma": ("sigma", lambda v: phi_pair(0.0, 1.5, v)[0]),
     "phi_pair.sigma": ("sigma", lambda v: phi_pair(1.0, 1.5, v)),
     "fisher_matrix.sigma": ("sigma", lambda v: fisher_matrix(1.5, v)),
     "IncrementSample.h": ("h", lambda v: IncrementSample(_SAMPLE.values, v)),
     "increment_scale_shift":
         ("h", lambda v: increment_scale_shift(StableParams(1.5, 1.0), v)),
-    "sample_increments":
+    "increments_cell.h":
         ("h", lambda v: increments_cell(StableParams(1.5, 1.0), v, 5)),
-    "sprime_increment_sampler": ("h", lambda v: sprime_cell(
+    "sprime_cell.h": ("h", lambda v: sprime_cell(
         PositivityStable(1.5, 0.5), v, 5)),
-    "sample_gamma_sub.h":
+    "gamma_sub_cell.h":
         ("h", lambda v: gamma_sub_cell(GammaSubParams(1.0, 1.0), v, 5)),
-    "sample_ig_sub.h":
+    "ig_sub_cell.h":
         ("h", lambda v: ig_sub_cell(IGSubParams(1.0, 1.0), v, 5)),
     "gamma_confidence_interval": ("h", lambda v: gamma_confidence_interval(
         0.0, 1.5, 0.5, 501, h=v)),

@@ -26,7 +26,7 @@ from levyestim.mc import (
     run_experiment,
     run_preset,
 )
-from levyestim.serialize import SUMMARY_COLUMNS, read_summary
+from levyestim.serialize import SUMMARY_COLUMNS
 from levyestim.stable_core import (
     IncrementSample,
     ScalePath,
@@ -509,12 +509,9 @@ def test_emit_csv_round_trip(tmp_path):
     rows = _demo_rows()
     path = tmp_path / "summary.csv"
     emit(rows, "csv", path, config_echo={"label": "demo", "seed": 99})
-    text = path.read_text()
-    assert text.splitlines()[0] == "# label=demo"
-    assert ",".join(SUMMARY_COLUMNS) in text
-    back, meta = read_summary(path)
-    assert meta == {"label": "demo", "seed": "99"}
-    assert [r.as_record() for r in back] == [r.as_record() for r in rows]
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# label=demo", "# seed=99", ",".join(SUMMARY_COLUMNS)]
+    assert lines[3:] == [",".join(map(str, r.as_record())) for r in rows]
 
 
 def test_emit_json_mirrors_csv(tmp_path):
@@ -539,8 +536,8 @@ def test_emit_handles_all_failed_cells(tmp_path):
     rows = run_experiment(cfg)
     csv_path = tmp_path / "nan.csv"
     emit(rows, "csv", csv_path)
-    back, _ = read_summary(csv_path)
-    assert math.isnan(back[0].mean)
+    header, line = csv_path.read_text().splitlines()[:2]
+    assert dict(zip(header.split(","), line.split(",")))["mean"] == "nan"
     json_path = tmp_path / "nan.json"
     emit(rows, "json", json_path)
     rec = json.loads(json_path.read_text())["rows"][0]

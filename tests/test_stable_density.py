@@ -258,6 +258,15 @@ def test_domain_errors_and_far_tail_warning():
     assert val > 0
 
 
+def test_subnormal_scale_saturates_without_numpy_warnings():
+    # |y|/sigma and phi(0)/sigma overflow: they saturate to inf with only
+    # the far-tail warning, which the suite's RuntimeWarning filter checks
+    with pytest.warns(UserWarning, match="series tail"):
+        f, d = phi_pair(np.array([-10.0, 0.0, 10.0]), 1.5, 1e-310)
+    assert f.tolist() == [0.0, math.inf, 0.0]
+    assert d.tolist() == [0.0, 0.0, 0.0]
+
+
 def _qawo_reference(y, beta, k):
     # (d/dy)^k phi_beta(y), y > 0, by one oscillatory (QAWO) quadrature of
     # the Fourier integral (-1)^{ceil(k/2)} / pi int u^k trig(u y) e^{-u^beta}

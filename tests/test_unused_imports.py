@@ -138,8 +138,6 @@ def test_package_reads_every_private_name():
 # __all__ entries that no package module reads, each kept for a reader
 # outside the package; a listed name that gains a caller or goes away fails
 _PUBLIC_READERS = {
-    # the inverse of write_summary, for readers of the files it writes
-    "serialize.read_summary",
     # the variance-stabilizing map of the log-moment index estimate; its
     # caller is to be a ci_beta interval in the log report
     "symmetric.psi_transform",
@@ -180,9 +178,6 @@ def test_every_export_has_a_reader():
 # reads, each kept for a reader outside the package; a listed member that
 # gains a caller or goes away fails
 _MEMBER_READERS = {
-    # the inverse of EstimateReport.to_json, for readers of the report JSON
-    # that the estimate command writes
-    "serialize.EstimateReport.from_json",
     # sigma*_q of a scale path; its caller is to be the truth-side sigma*_q
     # of the skewed covariances
     "stable_core.ScalePath.sigma_star",
