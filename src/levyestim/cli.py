@@ -3,7 +3,8 @@
 Subcommands: simulate, estimate, montecarlo, table, fisher, density,
 variance.  Exit codes: 0 success, 1 runtime error (machine-readable JSON
 {code, message, context} on stderr), 2 flag validation (argparse usage on
-stderr).
+stderr).  Each warning a command raises is one more JSON line on stderr,
+{"code": "warning", ...}, before any error line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -387,17 +389,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _report(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except LevyEstimError as exc:
-        payload = exc.to_json_dict()
-    except OSError as exc:
-        payload = {"code": "io_error", "message": str(exc), "context": {}}
-    except ValueError as exc:
-        payload = {"code": "value_error", "message": str(exc), "context": {}}
-    print(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
+    # a warning the command raises is one JSON line on stderr; the active
+    # filters still apply ("error" raises it, "ignore" drops it)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.handler(args)
+        except LevyEstimError as exc:
+            payload = exc.to_json_dict()
+        except OSError as exc:
+            payload = {"code": "io_error", "message": str(exc), "context": {}}
+        except ValueError as exc:
+            payload = {"code": "value_error", "message": str(exc),
+                       "context": {}}
+        finally:
+            for note in caught:
+                _report({"code": "warning", "message": str(note.message),
+                         "context": {"category": note.category.__name__}})
+    _report(payload)
     return 1
 
 

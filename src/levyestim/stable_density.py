@@ -41,9 +41,13 @@ applies, and every route yields the pair (phi, phi'):
                       + (beta-1) Im[2 (psi(3) - log p) / p^3]) / pi;
   its error grows like (beta - 1)^2 and the kernel's like 1/|beta - 1|
   (a log z + log V cancels at the peak); the bound balances them at ~3e-11;
-* z > 30: the large-argument expansion and its derivative,
+* z > 30 (z > 1e76 next to beta = 1): the large-argument expansion and its
+  derivative,
   phi_beta(z) = (1/pi) sum_{m>=1} (-1)^{m+1} Gamma(1 + m beta) / m!
-                sin(m pi beta / 2) z^{-1 - m beta};
+                sin(m pi beta / 2) z^{-1 - m beta},
+  summed again in logs with sigma folded into each term where a unit-scale
+  value falls below the normal range (phi(10; 1e-160) ~ 1e-243, while
+  phi(1e161) underflows);
 * otherwise the kernel.
 
 No route runs an adaptive or oscillatory (QAWO) quadrature.  Domain: beta
@@ -56,7 +60,11 @@ H_beta = int (phi + y phi')^2 / phi dy and M_beta = int (phi')^2 / phi dy
 Gauss-Kronrod (7-15) panel rule: a round evaluates (phi, phi') at every
 open panel's nodes in one call and bisects a panel whose Kronrod-Gauss
 difference exceeds its width's share of max(epsabs, 1e-9 |estimate|)
-(epsabs 1e-11 core, 1e-12 tail).  Running out of the 400-panel budget
+(epsabs 1e-11 core, 1e-12 tail).  The first panels are graded so that one
+round usually suffices: eight core panels (120 points, _CORE_EDGES) finish
+in the first round, one kernel call, for beta in [1.165, 1.91], and six
+tail panels for beta >= 0.935; below, the rule bisects toward y = 0 (at
+most 6 core rounds, at beta = 0.5).  Running out of the 400-panel budget
 raises QuadratureError (quadrature_error), the only quadrature failure
 left.  Nothing is cached across calls except the tanh-sinh node tables.
 """
@@ -65,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -88,6 +97,9 @@ _HALF_PI = 0.5 * math.pi
 _Z_SMALL = 1e-3
 _SMALL_TERMS = 7
 _NEAR_ONE = 5e-6
+# the tail expansion replaces the one about the Cauchy law above this z,
+# short of ~5e76, where its (1 + z^2)^2 overflows
+_Z_CAUCHY = 1e76
 # tanh-sinh nodes per panel as (upper beta bound, count), and the abscissae
 # t in [-_TS_T, _TS_T] (outermost node ~3e-23 panel widths from the end)
 _TS_NODES = ((0.6, 177), (0.7, 257), (0.8, 385), (0.9, 513), (0.98, 641),
@@ -100,8 +112,14 @@ _BLOCK = 1 << 13
 # relative tolerance (scalar quad's default) next to each absolute one
 _PANEL_LIMIT = 400
 _EPSREL = 1e-9
-# first panels of the core [0, 30], widening as the integrand flattens
-_CORE_EDGES = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, _Y_SERIES])
+# first panels of the core [0, 30]: the fewest whose Kronrod-Gauss
+# differences all stay within 0.62 of their tolerance share for every beta
+# in [1.2, 1.9], so those betas take one round; narrow next to 0, where
+# beta < 1 bisects
+_CORE_EDGES = np.array([0.0, 0.4, 1.3, 2.4, 4.0, 5.7, 8.3, 14.0, _Y_SERIES])
+# first panels of the tail t = log(y / 30) in [0, 60 / beta + 10], graded
+# toward t = 0, where the integrand is largest; the last edge is per beta
+_TAIL_EDGES = (0.0, 1.0, 2.5, 5.0, 10.0, 20.0)
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15); the Gauss nodes are
 # the odd-indexed Kronrod nodes
@@ -135,18 +153,40 @@ def _check_density_domain(beta: float, sigma: float):
     positive("sigma", sigma)
 
 
+def _series_terms(beta: float):
+    """(c_m, e_m) for m = 1.._SERIES_TERMS: pi phi_beta(z) = sum c_m z^-e_m
+    in the tail expansion."""
+    for m in range(1, _SERIES_TERMS + 1):
+        c = math.exp(log_gamma(1.0 + m * beta) - log_gamma(m + 1.0))
+        c *= math.sin(0.5 * m * math.pi * beta)
+        yield (-1.0) ** (m + 1) * c, 1.0 + m * beta
+
+
 def _series(z, beta: float) -> np.ndarray:
     """Rows (phi_beta(z), phi_beta'(z)) at large z > 0 (scalar or array)
     from the tail expansion."""
     f = d = 0.0
-    for m in range(1, _SERIES_TERMS + 1):
-        c = math.exp(log_gamma(1.0 + m * beta) - log_gamma(m + 1.0))
-        c *= math.sin(0.5 * m * math.pi * beta)
-        e = 1.0 + m * beta
-        sign = (-1.0) ** (m + 1)
-        f = f + sign * c * z ** -e
-        d = d + sign * (c * -e) * z ** -(e + 1.0)
+    for c, e in _series_terms(beta):
+        f = f + c * z ** -e
+        d = d + (c * -e) * z ** -(e + 1.0)
     return np.array([f, d]) / math.pi
+
+
+def _series_folded(y: np.ndarray, beta: float, sigma: float) -> np.ndarray:
+    """Rows (phi_beta(y; sigma), d/dy phi_beta(y; sigma)) at y > 0, y / sigma
+    large, from the tail expansion summed in logs with sigma folded into
+    each term, log(c z^-e / sigma) = log c - e log z - log sigma: no term
+    underflows at unit scale before 1/sigma lifts it."""
+    log_sigma = math.log(sigma)
+    log_z = np.log(y) - log_sigma
+    f = d = 0.0
+    for c, e in _series_terms(beta):
+        log_c = math.log(abs(c) / math.pi)
+        sign = math.copysign(1.0, c)
+        f = f + sign * np.exp(log_c - e * log_z - log_sigma)
+        d = d - sign * np.exp(log_c + math.log(e) - (e + 1.0) * log_z
+                              - 2.0 * log_sigma)
+    return np.array([f, d])
 
 
 def _small(z: np.ndarray, beta: float) -> np.ndarray:
@@ -284,17 +324,17 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _unit(z: np.ndarray, beta: float) -> np.ndarray:
-    """Rows (phi_beta(z), phi_beta'(z)) at unit scale for z >= 0."""
+    """Rows (phi_beta(z), phi_beta'(z)) at unit scale for z >= 0; a route
+    with no points is not called."""
     out = np.empty((2, z.size))
     small = z < _Z_SMALL
-    out[:, small] = _small(z[small], beta)
-    if abs(beta - 1.0) < _NEAR_ONE:
-        out[:, ~small] = _near_cauchy(z[~small], beta)
-        return out
-    tail = z > _Y_SERIES
-    out[:, tail] = _series(z[tail], beta)
-    kernel = ~(small | tail)
-    out[:, kernel] = _nolan(z[kernel], beta)
+    near_one = abs(beta - 1.0) < _NEAR_ONE
+    tail = z > (_Z_CAUCHY if near_one else _Y_SERIES)
+    middle = _near_cauchy if near_one else _nolan
+    for route, points in ((_small, small), (_series, tail),
+                          (middle, ~(small | tail))):
+        if points.any():
+            out[:, points] = route(z[points], beta)
     return out
 
 
@@ -311,11 +351,22 @@ def _eval(y, beta: float, sigma: float):
         warnings.warn("density evaluated at |y|/sigma > 50: series tail "
                       "accuracy only", stacklevel=3)
     zs, inverse = np.unique(z, return_inverse=True)
-    f, d = _unit(zs, beta)[:, inverse]
+    unit = _unit(zs, beta)
+    f, d = unit[:, inverse]
     # one power of sigma at a time: sigma^2 may underflow to 0
     with np.errstate(over="ignore"):
         f /= sigma
-        d = np.where(flat < 0.0, -d, d) / sigma / sigma
+        d = d / sigma / sigma
+    # a tail value below the normal range at unit scale is summed again with
+    # sigma folded in: phi(10; 1e-160) ~ 1e-243 but phi(1e161) underflows
+    lost = (np.abs(unit) < sys.float_info.min) & (zs > _Y_SERIES)
+    if lost.any():
+        lost = lost[:, inverse]
+        hit = np.flatnonzero(lost.any(axis=0))
+        folded = _series_folded(np.abs(flat[hit]), beta, sigma)
+        f[hit] = np.where(lost[0, hit], folded[0], f[hit])
+        d[hit] = np.where(lost[1, hit], folded[1], d[hit])
+    d = np.where(flat < 0.0, -d, d)
     if arr.ndim == 0:
         return float(f[0]), float(d[0])
     return f.reshape(arr.shape), d.reshape(arr.shape)
@@ -390,7 +441,7 @@ def _information(beta: float) -> tuple[float, float]:
         y = _Y_SERIES * np.exp(t)
         return pair(*_series(y, beta), y) * y
 
-    tail_edges = np.linspace(0.0, 60.0 / beta + 10.0, 9)
+    tail_edges = np.array([*_TAIL_EDGES, 60.0 / beta + 10.0])
     tail_val = _panel_integral(tail_log, tail_edges, 1e-12, beta)
     h, m = 2.0 * (core_val + tail_val)
     return float(h), float(m)

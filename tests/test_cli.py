@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import levyestim
+import levyestim.cli
 from levyestim import mc, stable_density
 from levyestim.cli import _parse_grid, build_parser, main
 from levyestim.errors import (
@@ -862,6 +864,48 @@ def test_density_dump_at_a_vanishing_scale(capsys):
     assert not np.isnan(arr).any()
     assert arr[[0, 2], 1].tolist() == [0.0, 0.0]
     assert arr[1, 1] == pytest.approx(stable_density.phi_zero(1.5, 1e-300))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--y-max", "100", "--points", "5"], 0),
+    (["--sigma", "1e-310", "--points", "3"], 1)])
+def test_warnings_reach_stderr_as_strict_json_lines(capsys, argv, code):
+    # the far-tail warning is one JSON line, not Python's warning text with
+    # its source line; a runtime error stays the last line
+    assert run_cli("density", "--beta", "1.5", *argv) == code
+    payloads = [_strict_json(line)
+                for line in capsys.readouterr().err.splitlines()]
+    assert payloads[0] == {
+        "code": "warning",
+        "message": "density evaluated at |y|/sigma > 50: series tail "
+                   "accuracy only",
+        "context": {"category": "UserWarning"}}
+    assert [p["code"] for p in payloads[1:]] == (
+        ["domain_error"] if code else [])
+
+
+def test_warning_filters_still_apply_to_commands(monkeypatch, capsys):
+    # an "error" filter still raises the warning, an "ignore" one drops it
+    def noisy(*args):
+        warnings.warn("overflow somewhere", RuntimeWarning)
+        return stable_density.phi_pair(*args)
+
+    monkeypatch.setattr(levyestim.cli, "phi_pair", noisy)
+    with pytest.raises(RuntimeWarning):  # the suite's error::RuntimeWarning
+        run_cli("density", "--beta", "1.5", "--points", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli("density", "--beta", "1.5", "--points", "3") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore:density evaluated")
+def test_density_dump_keeps_tail_values_below_unit_scale_range(capsys):
+    # phi(+-10; 1e-160) ~ 9.5e-244, where phi(1e161) itself underflows
+    lines = _run_to_lines(capsys, "density", "--beta", "1.5",
+                          "--sigma", "1e-160", "--points", "3")
+    assert lines[1].split(",")[:2] == ["-10", "9.461746958e-244"]
+    assert lines[3].split(",")[:2] == ["10", "9.461746958e-244"]
 
 
 def test_density_dump_normalizes(capsys):

@@ -3,12 +3,14 @@
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from levyestim import stable_density
+from levyestim.cli import main
 from levyestim.errors import DomainError, QuadratureError
 from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
@@ -182,6 +184,66 @@ def test_information_quadrature_failure_raises(monkeypatch):
     assert info.value.context["interval"] == [0.0, 30.0]
 
 
+def _rounds(monkeypatch, beta):
+    # (core rounds, tail rounds) of one fisher_matrix: one round is one call
+    # of the panel rule's integrand over every open panel
+    counts = {}
+    panel = stable_density._panel_integral
+
+    def counted(f, edges, epsabs, beta_):
+        key = "core" if edges[-1] == stable_density._Y_SERIES else "tail"
+        counts[key] = 0
+
+        def g(x):
+            counts[key] += 1
+            return f(x)
+        return panel(g, edges, epsabs, beta_)
+
+    monkeypatch.setattr(stable_density, "_panel_integral", counted)
+    fisher_matrix(beta, 1.0)
+    return counts["core"], counts["tail"]
+
+
+def test_analyst_range_takes_one_kernel_call(monkeypatch):
+    # every beta in [1.2, 1.9] converges in the first round of core panels:
+    # one kernel call (one theta* solve) per Fisher matrix
+    calls = []
+    unit = stable_density._unit
+
+    def counted(z, beta):
+        calls.append(beta)
+        return unit(z, beta)
+
+    monkeypatch.setattr(stable_density, "_unit", counted)
+    for beta in np.round(np.arange(1.2, 1.9 + 1e-9, 0.01), 6):
+        calls.clear()
+        fisher_matrix(float(beta), 1.0)
+        assert len(calls) == 1, beta
+
+
+# (core, tail) rounds of the panel rules before the graded first panels,
+# when the core started from [0, 1, 2, 3, 5, 8, 13, 20, 30] and the tail
+# from 8 equal panels, at _ROUND_BETAS; no beta may take more
+_OLD_CORE_ROUNDS = "77665554443333322222222222221111111112221222222222" "3"
+_OLD_TAIL_ROUNDS = "44444433333333334433333333333333333333333333333333" "3"
+_ROUND_BETAS = [round(0.5 + 0.03 * i, 2) for i in range(50)] + [1.99]
+
+
+def test_no_beta_takes_more_rounds_than_the_earlier_panels(monkeypatch):
+    for beta, core, tail in zip(_ROUND_BETAS, _OLD_CORE_ROUNDS,
+                                _OLD_TAIL_ROUNDS):
+        rounds = _rounds(monkeypatch, beta)
+        assert rounds[0] <= int(core) and rounds[1] <= int(tail), beta
+
+
+def test_fisher_grid_dump_matches_golden(capsys):
+    # the dump from before the graded first panels, byte for byte: they
+    # move H and M by ~1e-14 relative, far below the 10 printed digits
+    golden = Path(__file__).parent / "golden" / "fisher_grid.csv"
+    assert main(["fisher", "--beta-grid", "0.5:1.99:0.03"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf8")
+
+
 def test_fisher_matrix_structure():
     info = fisher_matrix(1.5, 0.7)
     m = info.matrix
@@ -265,6 +327,49 @@ def test_subnormal_scale_saturates_without_numpy_warnings():
         f, d = phi_pair(np.array([-10.0, 0.0, 10.0]), 1.5, 1e-310)
     assert f.tolist() == [0.0, math.inf, 0.0]
     assert d.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore:density evaluated")
+@pytest.mark.parametrize("beta", [1.5, 1.0, 0.5])
+def test_tail_keeps_values_that_underflow_only_at_unit_scale(beta):
+    # phi(1e161) underflows, but phi(10; 1e-160) = c 10^-e sigma^(e-1) / pi
+    # with c = Gamma(1 + beta) sin(pi beta / 2) and e = 1 + beta (the next
+    # term is ~1e-160 smaller) does not
+    sigma = 1e-160
+    f, d = phi_pair(np.array([-10.0, 10.0]), beta, sigma)
+    e = 1.0 + beta
+    log_c = log_gamma(e) + math.log(math.sin(0.5 * math.pi * beta) / math.pi)
+    lead = math.exp(log_c - e * math.log(10.0) + (e - 1.0) * math.log(sigma))
+    np.testing.assert_allclose(f, [lead, lead], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(d, [lead * e / 10.0, -lead * e / 10.0],
+                               rtol=1e-12, atol=0)
+
+
+def test_folded_tail_agrees_where_the_unit_tail_is_normal():
+    # where both are in the normal range the two tail sums agree
+    y = np.array([40.0, 1e3, 1e20, 1e60])
+    for beta, sigma in ((0.6, 1.0), (1.5, 0.01), (1.9, 3.0)):
+        folded = stable_density._series_folded(y, beta, sigma)
+        unit = stable_density._series(y / sigma, beta)
+        np.testing.assert_allclose(folded, unit / [[sigma], [sigma ** 2]],
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:density evaluated")
+def test_cauchy_far_tail_has_no_overflow():
+    # next to beta = 1 the expansion about the Cauchy law squares 1 + y^2;
+    # past 1e76 the tail series takes over, with no overflow warning
+    # (the leading tail term: the Cauchy pair 1/(pi y^2), -2/(pi y^3) at 1)
+    y = np.array([1e70, 1e80, 1e100, 1e150])
+    for beta in (1.0, 1.0 + 1e-6):
+        f, d = phi_pair(y, beta)
+        e = 1.0 + beta
+        lead = np.exp(log_gamma(e) - e * np.log(y)
+                      + math.log(math.sin(0.5 * math.pi * beta) / math.pi))
+        np.testing.assert_allclose(f, lead, rtol=1e-7, atol=0)
+        np.testing.assert_allclose(d, -e * lead / y, rtol=1e-7, atol=0)
+        assert d[3] == 0.0
+        assert phi_pair(1e150, beta, 1e-200) == (0.0, 0.0)
 
 
 def _qawo_reference(y, beta, k):
