@@ -3,8 +3,11 @@
 Subcommands: simulate, estimate, montecarlo, table, fisher, density,
 variance.  Exit codes: 0 success, 1 runtime error (machine-readable JSON
 {code, message, context} on stderr), 2 flag validation (argparse usage on
-stderr).  Each warning a command raises is one more JSON line on stderr,
-{"code": "warning", ...}, before any error line.
+stderr).  Exit 2 has one source, argparse: a rule on one flag is that
+flag's type, a rule across flags calls the subcommand parser's error(),
+which the handler reads as args.error.  A handler returns nothing: it runs
+to completion (exit 0) or raises.  Each warning a command raises is one
+more JSON line on stderr, {"code": "warning", ...}, before any error line.
 """
 
 from __future__ import annotations
@@ -28,20 +31,29 @@ _GRID_POINTS = 10_001  # most rows a dump may have: --beta-grid, --points
 
 
 def _parse_params(text: str) -> dict:
+    # simulate --params: comma-separated key=value pairs, each key once and
+    # each value a finite number; anything else is a ValueError
     out = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        key, eq, raw = chunk.partition("=")
+        if not eq:
             raise ValueError(f"expected key=value, got {chunk!r}")
-        key, _, raw = chunk.partition("=")
         key = key.strip()
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError(f"non-finite value for key {key!r}")
+        if key in out:
+            raise ValueError(f"key {key!r} is given twice")
         out[key] = value
     return out
+
+
+def _params(text: str) -> dict:
+    # argparse type of --params: a usage error that keeps the reason
+    try:
+        return _parse_params(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -68,35 +80,31 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
 
 
-def _positive_below(hi: float, what: str):
-    # an argparse type: a number in (0, hi), else a usage error naming it
-    def parse(text: str) -> float:
+def _number(convert, ok, what: str):
+    # an argparse type: convert(text) where ok(value) holds, else a usage
+    # error naming the flag
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = math.nan
-        if not 0.0 < value < hi:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return parse
 
 
-# --sigma, --h and --T; variance --p
-_scale = _positive_below(math.inf, "a finite number > 0")
-_moment_order = _positive_below(0.5, "a number in (0, 1/2)")
-
-
-def _stream_seed(text: str) -> int:
-    # argparse type of simulate --seed: an integer in [0, 2^128), the
-    # seeds a Cell takes, else a usage error naming the flag
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 1 << 128:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [0, 2^128), got {text!r}")
-    return value
+# --sigma, --h and --T; variance --p; simulate --seed, the seeds a Cell
+# takes; simulate --n, table --reps and --n; density --y-min and --y-max,
+# table --beta; density --points
+_scale = _number(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_moment_order = _number(float, lambda v: 0.0 < v < 0.5, "a number in (0, 1/2)")
+_stream_seed = _number(int, lambda v: 0 <= v < 1 << 128,
+                       "an integer in [0, 2^128)")
+_count = _number(int, lambda v: v >= 1, "an integer >= 1")
+_bound = _number(float, math.isfinite, "a finite number")
+_points = _number(int, lambda v: 1 <= v <= _GRID_POINTS,
+                  f"an integer from 1 to {_GRID_POINTS}")
 
 
 def _dump_row(header: list[str], cells) -> str:
@@ -122,42 +130,31 @@ def _write_lines(path, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
+    truth = args.params
+    model = {"stable": "skewed_stable" if "p_pos" in truth
+             else "symmetric_stable",
+             "timevarying": "timevarying_stable", "gamma": "gamma_sub",
+             "ig": "ig_sub"}[args.model]
+    if args.model == "timevarying" and args.path is not None:
+        truth["path"] = args.path
     try:
-        truth = _parse_params(args.params)
-        model = {"stable": "skewed_stable" if "p_pos" in truth
-                 else "symmetric_stable",
-                 "timevarying": "timevarying_stable", "gamma": "gamma_sub",
-                 "ig": "ig_sub"}[args.model]
-        if args.model == "timevarying" and args.path is not None:
-            truth["path"] = args.path
         entry = mc.check_truth(model, truth, exact=True)
-    except (ValueError, DomainError) as exc:
-        print(f"error: --params: {exc}", file=sys.stderr)
-        return 2
-    if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
-    h = None
+    except DomainError as exc:
+        args.error(f"--params: {exc}")
+    h = args.h if args.T is None else args.T / args.n
     if args.model == "timevarying":
-        if args.T is not None or args.h is not None:
-            flag = "--T" if args.T is not None else "--h"
-            print(f"error: --model timevarying takes no {flag}: the scale "
-                  "path fixes the horizon [0, 1]", file=sys.stderr)
-            return 2
+        if h is not None:
+            flag = "--h" if args.T is None else "--T"
+            args.error(f"--model timevarying takes no {flag}: the scale "
+                       "path fixes the horizon [0, 1]")
     elif args.path is not None:
-        print(f"error: --model {args.model} takes no --path: only "
-              "timevarying reads a scale path", file=sys.stderr)
-        return 2
-    elif args.T is None and args.h is None:
-        print(f"error: --model {args.model} needs --T or --h",
-              file=sys.stderr)
-        return 2
-    else:
-        h = args.h if args.h is not None else args.T / args.n
+        args.error(f"--model {args.model} takes no --path: only "
+                   "timevarying reads a scale path")
+    elif h is None:
+        args.error(f"--model {args.model} needs --T or --h")
     serialize.write_increments(args.out,
                                entry.cell(truth, h, args.n).sample(args.seed))
-    return 0
 
 
 # estimate --method: name -> (flag the method needs or None, the flags it
@@ -175,27 +172,33 @@ _ESTIMATE = {
 }
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     needs, reads, report = _ESTIMATE[args.method]
     given = {flag: getattr(args, flag) for flag in ("p", "q", "level")
              if getattr(args, flag) is not None}
     if needs is not None and needs not in given:
-        print(f"error: --method {args.method} needs --{needs}",
-              file=sys.stderr)
-        return 2
+        args.error(f"--method {args.method} needs --{needs}")
     for flag in given:
         if flag not in reads:
-            print(f"error: --method {args.method} does not read --{flag}",
-                  file=sys.stderr)
-            return 2
+            args.error(f"--method {args.method} does not read --{flag}")
     sample = serialize.read_increments(args.infile)
     _write_lines(args.out, [report()(sample, **given).to_json()])
-    return 0
 
 
-def _cmd_montecarlo(args) -> int:
+def _unique_keys(pairs: list) -> dict:
+    # object_pairs_hook of a montecarlo config: a key given twice in one
+    # object is refused by name, not resolved to its last value
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise DomainError(f"config key {key!r} is given twice", key=key)
+        out[key] = value
+    return out
+
+
+def _cmd_montecarlo(args) -> None:
     with open(args.config, "r", encoding="utf8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(payload, list):
         payload = [payload]
     # every entry is checked before any design runs
@@ -207,24 +210,22 @@ def _cmd_montecarlo(args) -> int:
         # keyed by position: designs may share a label or have none
         echo[f"config_{index}"] = f"{config.label}:{config.model}"
     mc.emit(rows, args.format, args.out, echo)
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     rows = mc.run_preset(args.table_id, replications=args.reps,
                          master_seed=args.seed, beta=args.beta,
                          n_list=args.n if args.n else None)
     echo = {"table": args.table_id, "master_seed": args.seed,
             "replications": args.reps if args.reps else "preset-default"}
     mc.emit(rows, args.format, args.out, echo)
-    return 0
 
 
 def _betas(args) -> list[float]:
     return [args.beta] if args.beta_grid is None else args.beta_grid
 
 
-def _cmd_fisher(args) -> int:
+def _cmd_fisher(args) -> None:
     header = ["beta", "sigma", "i_beta_beta", "i_beta_sigma",
               "i_sigma_sigma", "i_gamma_gamma", "top_left_det"]
     lines = [",".join(header)]
@@ -235,25 +236,14 @@ def _cmd_fisher(args) -> int:
                                         m[1, 1], m[2, 2],
                                         info.top_left_det())))
     _write_lines(args.out, lines)
-    return 0
 
 
-def _cmd_density(args) -> int:
-    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
-        if value is not None and not math.isfinite(value):
-            print(f"error: {flag} must be finite, got {value}",
-                  file=sys.stderr)
-            return 2
-    if not 1 <= args.points <= _GRID_POINTS:
-        print(f"error: --points must be from 1 to {_GRID_POINTS}, "
-              f"got {args.points}", file=sys.stderr)
-        return 2
+def _cmd_density(args) -> None:
     y_min = -args.y_max if args.y_min is None else args.y_min
     if not math.isfinite(args.y_max - y_min):
         # linspace's step would overflow and put non-finite points on the grid
-        print(f"error: --y-min/--y-max span from {y_min} to {args.y_max} "
-              "overflows: y_max - y_min must be finite", file=sys.stderr)
-        return 2
+        args.error(f"--y-min/--y-max span from {y_min} to {args.y_max} "
+                   "overflows: y_max - y_min must be finite")
     grid = np.linspace(y_min, args.y_max, args.points)
     if args.points > 1 and y_min == -args.y_max:
         # mirror exactly, so y and -y share one |y| and are evaluated once
@@ -264,10 +254,9 @@ def _cmd_density(args) -> int:
     lines = [",".join(header)]
     lines += [_dump_row(header, cells) for cells in zip(grid, dens, deriv)]
     _write_lines(args.out, lines)
-    return 0
 
 
-def _cmd_variance(args) -> int:
+def _cmd_variance(args) -> None:
     header = ["beta", "sigma", "v_log_11", "v_log_12", "v_log_22",
               "v_log_33", "median_sd"]
     if args.p is not None:
@@ -285,7 +274,6 @@ def _cmd_variance(args) -> int:
                 cells += [math.nan] * 3
         lines.append(_dump_row(header, cells))
     _write_lines(args.out, lines)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write an increment CSV")
     sim.add_argument("--model", required=True,
                      choices=("stable", "timevarying", "gamma", "ig"))
-    sim.add_argument("--params", required=True,
+    sim.add_argument("--params", type=_params, required=True,
                      help="comma-separated key=value parameter list")
-    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--n", type=_count, required=True)
     sim_mesh = sim.add_mutually_exclusive_group()
     sim_mesh.add_argument("--T", type=_scale, default=None,
                           help="horizon; the mesh is T/n")
@@ -312,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--path", choices=("cosine", "constant"), default=None,
                      help="scale path for timevarying (default cosine)")
     sim.add_argument("--out", required=True)
-    sim.set_defaults(handler=_cmd_simulate)
+    sim.set_defaults(handler=_cmd_simulate, error=sim.error)
 
     est = sub.add_parser("estimate", help="estimate parameters from a CSV")
     est.add_argument("--in", dest="infile", required=True)
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="confidence level for intervals (log, frac, "
                           "pipeline; default 0.95)")
     est.add_argument("--out", default=None)
-    est.set_defaults(handler=_cmd_estimate)
+    est.set_defaults(handler=_cmd_estimate, error=est.error)
 
     mcp = sub.add_parser("montecarlo", help="run experiment configs (JSON)")
     mcp.add_argument("--config", required=True)
@@ -337,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table", help="reproduce a simulation table")
     tab.add_argument("--id", dest="table_id", required=True,
                      choices=mc.PRESET_NAMES)
-    tab.add_argument("--reps", type=int, default=None)
+    tab.add_argument("--reps", type=_count, default=None)
     tab.add_argument("--seed", type=int, default=mc.DEFAULT_MASTER_SEED)
     tab.add_argument("--out", required=True)
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
-    tab.add_argument("--beta", type=float, default=None,
+    tab.add_argument("--beta", type=_bound, default=None,
                      help="restrict to one true index")
-    tab.add_argument("--n", type=int, nargs="+", default=None,
+    tab.add_argument("--n", type=_count, nargs="+", default=None,
                      help="override the preset sample sizes")
     tab.set_defaults(handler=_cmd_table)
 
@@ -362,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     den = sub.add_parser("density", help="density grid dump")
     den.add_argument("--beta", type=float, required=True)
     den.add_argument("--sigma", type=_scale, default=1.0)
-    den.add_argument("--y-min", type=float, default=None)
-    den.add_argument("--y-max", type=float, default=10.0)
-    den.add_argument("--points", type=int, default=201)
+    den.add_argument("--y-min", type=_bound, default=None)
+    den.add_argument("--y-max", type=_bound, default=10.0)
+    den.add_argument("--points", type=_points, default=201)
     den.add_argument("--out", default=None)
-    den.set_defaults(handler=_cmd_density)
+    den.set_defaults(handler=_cmd_density, error=den.error)
 
     var = sub.add_parser(
         "variance", help="fixed-mesh (h = 1) asymptotic variance dump",
@@ -399,7 +387,8 @@ def main(argv=None) -> int:
     # filters still apply ("error" raises it, "ignore" drops it)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return args.handler(args)
+            args.handler(args)
+            return 0
         except LevyEstimError as exc:
             payload = exc.to_json_dict()
         except OSError as exc:

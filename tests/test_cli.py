@@ -42,6 +42,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def flag_error(capsys, *argv):
+    # a flag error is argparse's SystemExit(2); returns what it printed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # exit code contract
 
@@ -81,6 +89,45 @@ def test_runtime_error_emits_json_and_exits_one(tmp_path, capsys):
     assert payload["code"] == "root_out_of_bracket"
 
 
+# one case per exit-2 rule that spans flags, and one flag-type case: each
+# is argparse's SystemExit(2) with the subcommand's usage line first and an
+# error line naming the flag (name -> argv, the flag named)
+_UNWRITTEN = ("--out", "unwritten.csv")
+_FLAG_RULES = {
+    "points-type": (("density", "--beta", "1.5", "--points", "10002"),
+                    "--points"),
+    "params-model": (("simulate", "--model", "stable", "--params",
+                      "beta=1.5,delta=1", "--n", "10", "--T", "5",
+                      *_UNWRITTEN), "--params"),
+    "timevarying-T": (("simulate", "--model", "timevarying", "--params",
+                       "beta=1.5,p_pos=0.45", "--n", "10", "--T", "5",
+                       *_UNWRITTEN), "--T"),
+    "timevarying-h": (("simulate", "--model", "timevarying", "--params",
+                       "beta=1.5,p_pos=0.45", "--n", "10", "--h", "0.1",
+                       *_UNWRITTEN), "--h"),
+    "path": (("simulate", "--model", "gamma", "--params", "delta=1,gamma=1",
+              "--n", "10", "--T", "5", "--path", "cosine", *_UNWRITTEN),
+             "--path"),
+    "mesh": (("simulate", "--model", "ig", "--params", "delta=1,gamma=1",
+              "--n", "10", *_UNWRITTEN), "--T or --h"),
+    "estimate-needs": (("estimate", "--in", "unread.csv", "--method", "frac"),
+                       "--p"),
+    "estimate-reads": (("estimate", "--in", "unread.csv", "--method",
+                        "tripower", "--level", "0.9"), "--level"),
+    "density-span": (("density", "--beta", "1.5", "--y-min=-1e308",
+                      "--y-max", "9e307"), "--y-min/--y-max"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_FLAG_RULES))
+def test_every_flag_error_is_a_usage_error_naming_the_flag(capsys, rule):
+    argv, flag = _FLAG_RULES[rule]
+    captured = flag_error(capsys, *argv)
+    assert captured.err.startswith(f"usage: levyestim {argv[0]} ")
+    assert flag in captured.err.splitlines()[-1]
+    assert captured.out == ""
+
+
 def test_missing_input_file_maps_to_io_error(capsys):
     rc = run_cli("estimate", "--in", "/nonexistent/increments.csv",
                  "--method", "log")
@@ -93,10 +140,9 @@ def test_frac_without_p_is_flag_error(tmp_path, capsys):
     run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
             "--n", "50", "--T", "1", "--out", str(tmp_path / "x.csv"))
     capsys.readouterr()
-    rc = run_cli("estimate", "--in", str(tmp_path / "x.csv"),
-                 "--method", "frac")
-    assert rc == 2
-    assert "--p" in capsys.readouterr().err
+    assert "--p" in flag_error(capsys, "estimate", "--in",
+                               str(tmp_path / "x.csv"), "--method",
+                               "frac").err
 
 
 @pytest.mark.parametrize("method,flags,refused", [
@@ -115,9 +161,9 @@ def test_estimate_refuses_a_flag_its_method_does_not_read(tmp_path, capsys,
                    "delta=2,gamma=1.5", "--n", "50", "--T", "5",
                    "--out", str(src)) == 0
     capsys.readouterr()
-    rc = run_cli("estimate", "--in", str(src), "--method", method, *flags)
-    assert rc == 2
-    assert f"does not read {refused}" in capsys.readouterr().err
+    err = flag_error(capsys, "estimate", "--in", str(src), "--method",
+                     method, *flags).err
+    assert f"does not read {refused}" in err
 
 
 def test_estimate_level_defaults_to_95_percent(tmp_path, capsys):
@@ -237,10 +283,9 @@ def test_simulate_timevarying_cosine(tmp_path):
 def test_simulate_timevarying_refuses_a_mesh(tmp_path, capsys, flag):
     # the scale path fixes the horizon [0, 1]: --T or --h would be ignored
     out = tmp_path / "tv.csv"
-    rc = run_cli("simulate", "--model", "timevarying", "--params",
-                 "beta=1.5,p_pos=0.45", "--n", "100", *flag, "--out", str(out))
-    assert rc == 2
-    err = capsys.readouterr().err
+    err = flag_error(capsys, "simulate", "--model", "timevarying",
+                     "--params", "beta=1.5,p_pos=0.45", "--n", "100", *flag,
+                     "--out", str(out)).err
     assert flag[0] in err and "horizon [0, 1]" in err
     assert not out.exists()
 
@@ -252,19 +297,28 @@ def test_simulate_refuses_a_path_its_model_does_not_read(tmp_path, capsys,
                                                           model, params):
     # only the time-varying model reads a scale path; the others ignored it
     out = tmp_path / "x.csv"
-    rc = run_cli("simulate", "--model", model, "--params", params, "--n",
-                 "10", "--T", "5", "--path", "constant", "--out", str(out))
-    assert rc == 2
-    assert f"--model {model} takes no --path" in capsys.readouterr().err
+    err = flag_error(capsys, "simulate", "--model", model, "--params",
+                     params, "--n", "10", "--T", "5", "--path", "constant",
+                     "--out", str(out)).err
+    assert f"--model {model} takes no --path" in err
     assert not out.exists()
 
 
 def test_simulate_stable_needs_T_or_h(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    rc = run_cli("simulate", "--model", "stable", "--params", "beta=1.5",
-                 "--n", "10", "--out", str(out))
-    assert rc == 2
-    assert "--model stable needs --T or --h" in capsys.readouterr().err
+    err = flag_error(capsys, "simulate", "--model", "stable", "--params",
+                     "beta=1.5", "--n", "10", "--out", str(out)).err
+    assert "--model stable needs --T or --h" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_params_key_given_twice(tmp_path, capsys):
+    # the last value used to win: beta=1.5,beta=0.7 simulated beta = 0.7
+    out = tmp_path / "x.csv"
+    err = flag_error(capsys, "simulate", "--model", "stable", "--params",
+                     "beta=1.5,beta=0.7,sigma=1", "--n", "10", "--T", "5",
+                     "--out", str(out)).err
+    assert "argument --params: key 'beta' is given twice" in err
     assert not out.exists()
 
 
@@ -331,11 +385,10 @@ _MISSING_CASES = [
     for m, p, k, n in _MISSING_CASES])
 def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
                                               params, key, n):
-    rc = run_cli("simulate", "--model", model, "--params", params,
-                 "--n", n, "--T", "1", "--seed", "1",
-                 "--out", str(tmp_path / "x.csv"))
-    assert rc == 2
-    assert key in capsys.readouterr().err
+    assert key in flag_error(capsys, "simulate", "--model", model,
+                             "--params", params, "--n", n, "--T", "1",
+                             "--seed", "1",
+                             "--out", str(tmp_path / "x.csv")).err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -350,11 +403,10 @@ def test_simulate_missing_param_key_exits_two(tmp_path, capsys, model,
 ])
 def test_simulate_unknown_param_key_exits_two(tmp_path, capsys, model,
                                               params, key):
-    rc = run_cli("simulate", "--model", model, "--params", params,
-                 "--n", "10", "--T", "1", "--seed", "1",
-                 "--out", str(tmp_path / "x.csv"))
-    assert rc == 2
-    assert key in capsys.readouterr().err
+    assert key in flag_error(capsys, "simulate", "--model", model,
+                             "--params", params, "--n", "10", "--T", "1",
+                             "--seed", "1",
+                             "--out", str(tmp_path / "x.csv")).err
 
 
 def _strict_json(text):
@@ -639,6 +691,21 @@ def test_table_json_format(tmp_path):
     assert any(r["estimator"] == "tripower" for r in payload["rows"])
 
 
+@pytest.mark.parametrize("flags,what", [
+    (("--reps", "0"), "an integer >= 1"),
+    (("--n", "501", "0"), "an integer >= 1"),
+    # a nan --beta filtered no design out, so every design ran
+    (("--beta", "nan", "--reps", "1", "--n", "51"), "a finite number"),
+], ids=["reps", "n", "beta"])
+def test_table_flag_outside_its_domain_exits_two(tmp_path, capsys, flags,
+                                                 what):
+    out = tmp_path / "t.csv"
+    err = flag_error(capsys, "table", "--id", "table1", *flags,
+                     "--out", str(out)).err
+    assert f"argument {flags[0]}: must be {what}" in err
+    assert not out.exists()
+
+
 def test_montecarlo_matches_library_run(tmp_path):
     cfg = ExperimentConfig(
         model="symmetric_stable",
@@ -730,6 +797,26 @@ def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
     err = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "domain_error"
     assert err["context"]["field"] == field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given,twice", [
+    ('"replications": 2', '"replications": 2, "replications": 3'),
+    ('"beta": 1.5', '"beta": 1.5, "beta": 0.8'),
+], ids=["replications", "truth.beta"])
+def test_montecarlo_refuses_a_key_given_twice(tmp_path, capsys, given,
+                                              twice):
+    # json.load keeps the last value of a key given twice, at any depth
+    text = json.dumps(_GOOD_ENTRY)
+    assert text.count(given) == 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text.replace(given, twice))
+    out = tmp_path / "rows.csv"
+    assert run_cli("montecarlo", "--config", str(cfg_path),
+                   "--out", str(out)) == 1
+    err = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "domain_error"
+    assert err["context"] == {"key": given.split('"')[1]}
     assert not out.exists()
 
 
@@ -924,8 +1011,8 @@ def test_density_dump_normalizes(capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_density_non_finite_bound_exits_two(capsys, flag, value):
     # "--y-max=-inf": argparse reads a separate "-inf" as an option
-    assert run_cli("density", "--beta", "1.5", f"{flag}={value}") == 2
-    captured = capsys.readouterr()
+    captured = flag_error(capsys, "density", "--beta", "1.5",
+                          f"{flag}={value}")
     assert flag in captured.err
     assert captured.out == ""
 
@@ -938,16 +1025,16 @@ def test_density_overflowing_span_exits_two(capsys, bounds):
     # finite, so the flags are refused before any point is evaluated (a
     # negative bound is passed as --y-min=-x, which argparse does not read
     # as an option)
-    assert run_cli("density", "--beta", "1.5", "--points", "3", *bounds) == 2
-    captured = capsys.readouterr()
+    captured = flag_error(capsys, "density", "--beta", "1.5", "--points",
+                          "3", *bounds)
     assert "--y-min/--y-max" in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_density_points_below_one_exits_two(capsys, points):
-    assert run_cli("density", "--beta", "1.5", "--points", points) == 2
-    captured = capsys.readouterr()
+    captured = flag_error(capsys, "density", "--beta", "1.5", "--points",
+                          points)
     assert "--points" in captured.err
     assert captured.out == ""
 
@@ -956,8 +1043,8 @@ def test_density_points_below_one_exits_two(capsys, points):
 def test_density_points_above_the_row_cap_exits_two(capsys, points):
     # the bound of --beta-grid: a count past it is refused before any
     # allocation, not ended by numpy's memory error
-    assert run_cli("density", "--beta", "1.5", "--points", points) == 2
-    captured = capsys.readouterr()
+    captured = flag_error(capsys, "density", "--beta", "1.5", "--points",
+                          points)
     assert "--points" in captured.err and "10001" in captured.err
     assert captured.out == ""
 
