@@ -213,6 +213,9 @@ def _cmd_montecarlo(args) -> None:
 
 
 def _cmd_table(args) -> None:
+    repeated = [n for i, n in enumerate(args.n or ()) if n in args.n[:i]]
+    if repeated:
+        args.error(f"--n: {repeated[0]} is given more than once")
     rows = mc.run_preset(args.table_id, replications=args.reps,
                          master_seed=args.seed, beta=args.beta,
                          n_list=args.n if args.n else None)
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict to one true index")
     tab.add_argument("--n", type=_count, nargs="+", default=None,
                      help="override the preset sample sizes")
-    tab.set_defaults(handler=_cmd_table)
+    tab.set_defaults(handler=_cmd_table, error=tab.error)
 
     # the flags the fisher and variance dumps share
     dump = argparse.ArgumentParser(add_help=False)

@@ -15,7 +15,12 @@ Each (n, estimator) cell runs in three steps:
    stacked (rows, n) blocks of at most _BLOCK_VALUES values, one CMS
    evaluation per block, each row from its own stream, so every value
    equals the one a single-stream draw gives.  A block is checked for
-   finiteness once and handed over read-only.
+   finiteness once and handed over read-only.  The ``sign`` kind reads
+   only signs: on a model whose cell has a sign fill (``skewed_stable``,
+   ``timevarying_stable``) its block holds the signs of those values,
+   drawn from the uniforms alone, with no exponentials and no CMS
+   evaluation; the sign of a sign is itself, so its estimates are the
+   same.
 2. Estimate the block.  An estimator is a block core of ``symmetric`` or
    ``skewed``: it computes the order statistics, log residuals, moment
    means, sign means and power sums of all rows at once and returns one
@@ -113,6 +118,9 @@ class Estimator(NamedTuple):
     # (block, h, entry) -> one tuple of params or EstimationError per row
     # of the (rows, n) block
     block: Callable
+    # the block core reads only the signs of the increments: the block is
+    # drawn with Cell.blocks(..., signs=True)
+    signs: bool = False
 
 
 # scale path name -> (truth keys it reads besides beta, constructor)
@@ -170,7 +178,8 @@ ESTIMATORS = {
                              lambda b, h, e: known_scale_block(
                                  b, h, e["sigma"])),
     "median": Estimator(("gamma",), (), lambda b, h, e: median_block(b, h)),
-    "sign": Estimator(("p_pos",), (), lambda b, h, e: sign_block(b)),
+    "sign": Estimator(("p_pos",), (), lambda b, h, e: sign_block(b),
+                      signs=True),
     "bipower": Estimator(("beta",), ("q",),
                          lambda b, h, e: bipower_block(b, e["q"])),
     "power_scale": Estimator(("sigma",), ("q",), lambda b, h, e: _take(
@@ -208,6 +217,17 @@ def _refuse_unknown(given, allowed, what: str, prefix: str) -> None:
         raise DomainError(f"unknown key {unknown[0]!r} for {what} "
                           f"(allowed: {', '.join(sorted(set(allowed)))})",
                           field=prefix + unknown[0])
+
+
+def _refuse_repeats(values, field: str) -> None:
+    # a sample size or estimator id given twice would run its cells twice,
+    # on the same streams, and write the same rows twice
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise DomainError(f"{field} value {value!r} is given more than "
+                              "once", field=field, value=value)
+        seen.add(value)
 
 
 def _model_keys(model: str, truth: Mapping) -> tuple[str, ...]:
@@ -276,7 +296,8 @@ class ExperimentConfig:
 
     Construction checks every field against MODELS and ESTIMATORS and
     raises DomainError naming the first bad one, a truth or estimator key
-    that nothing reads among them; tuning keys become floats.
+    that nothing reads, a repeated sample size or a repeated estimator id
+    among them; tuning keys become floats.
     """
 
     model: str
@@ -328,6 +349,10 @@ class ExperimentConfig:
                                 for e in self.estimators),
             "master_seed": _integer(self.master_seed, "master_seed"),
         }
+        _refuse_repeats(checked["n_list"], "n_list")
+        # rows name an estimator by its id as written
+        _refuse_repeats([str(est["id"]) for est in checked["estimators"]],
+                        "estimators.id")
         # besides the keys its cell reads, the truth holds the parameters
         # the estimators report and tuning they may take from it
         entries = [ESTIMATORS[est["kind"]] for est in checked["estimators"]]
@@ -374,12 +399,13 @@ def _cell_points(config: ExperimentConfig, cell: Cell, n: int,
     once for all of them and drawn in blocks of at most _BLOCK_VALUES
     values, each block is estimated in one pass and dropped, so memory does
     not grow with the replications."""
-    estimate = ESTIMATORS[est["kind"]].block
+    entry = ESTIMATORS[est["kind"]]
     seeds = [derive_seed(config.master_seed, n, est["id"], rep)
              for rep in range(config.replications)]
     return [_kept(point)
-            for block in cell.blocks(seeds, max(1, _BLOCK_VALUES // n))
-            for point in estimate(block, cell.h, est)]
+            for block in cell.blocks(seeds, max(1, _BLOCK_VALUES // n),
+                                     entry.signs)
+            for point in entry.block(block, cell.h, est)]
 
 
 def _mean_rmse(vals: np.ndarray, truth: float) -> tuple[float, float]:

@@ -159,9 +159,20 @@ class Cell:
     Generator per row, started where ``np.random.default_rng(seed)`` starts
     for that row's seed; a row is drawn before the next is taken.
 
+    ``signs``, when set, is a second fill: the signs, -1, 0 or 1, of the
+    rows ``fill`` returns, found without computing the values.  A stable
+    cell that adds no shift (``sprime_cell``, ``timevarying_cell``) has
+    one unless beta = 1 and rho != 0: it draws only each row's n uniforms
+    and returns sign(fl(U + B)), which is the sign of the value but for
+    the two exceptions, each of probability about 2^-53 per value, that
+    ``sample_standard_stable`` names.  ``increments_cell``, which adds its
+    shift, and the subordinator cells have none.
+
     ``blocks(seeds, rows)``, the one draw path, seeds the cell once for all
     ``seeds`` and yields their samples in order, in read-only blocks of at
-    most ``rows`` rows, each checked for finiteness.  ``sample(seed)`` is its
+    most ``rows`` rows, each checked for finiteness; ``blocks(seeds, rows,
+    signs=True)`` yields their signs instead where the cell has a sign
+    fill, and their samples where it has none.  ``sample(seed)`` is its
     one-row case: one observed path.  A seed is an integer in [0, 2^128);
     any other raises DomainError(field="seed").
     """
@@ -169,16 +180,19 @@ class Cell:
     h: float
     meta: dict
     fill: Callable[["_Streams"], np.ndarray]
+    signs: Callable[["_Streams"], np.ndarray] | None = None
 
-    def blocks(self, seeds: Sequence, rows: int) -> Iterator[np.ndarray]:
-        """The samples at ``seeds`` in blocks of at most ``rows`` rows; a
-        row with a NaN or infinity raises DataError as IncrementSample
-        does."""
+    def blocks(self, seeds: Sequence, rows: int,
+               signs: bool = False) -> Iterator[np.ndarray]:
+        """The samples at ``seeds`` in blocks of at most ``rows`` rows, or
+        with ``signs`` their signs if the cell has a sign fill; a row with
+        a NaN or infinity raises DataError as IncrementSample does."""
+        fill = self.signs if signs and self.signs else self.fill
         states = _pcg64_states(seeds)
         # seeded at 0 only to exist: each row re-states it
         rng = np.random.Generator(np.random.PCG64(0))
         for start in range(0, len(states), rows):
-            block = self.fill(_Streams(rng, states[start:start + rows]))
+            block = fill(_Streams(rng, states[start:start + rows]))
             _check_finite_rows(block)
             block.flags.writeable = False
             yield block
@@ -429,6 +443,17 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
 
     beta = 2 collapses to the Box-Muller form 2 sin(U) sqrt(V) (variance 2),
     beta = 1 with rho = 0 to the Cauchy quantile tan(U).
+
+    For beta != 1 every factor but sin phi is positive, so a value has the
+    sign of fl(U + B), the first rounded step of phi; at beta = 1 with
+    rho = 0, tan U has the sign of U = U + B (B = 0).  A sign needs neither
+    V nor the transform.  There are two exceptions, each drawn with
+    probability about 2^-53 per value.  At V = 0.0 exactly (numpy's
+    ziggurat) the value is +-0 for beta > 1 (and not finite for beta < 1)
+    while fl(U + B) has a sign.  At rho = 1 a uniform draw of 0.0 puts U on
+    -pi/2 and, for beta > 1, phi on -pi, where sin phi and cos U are both
+    0: the rounding of phi decides the value's sign, while
+    fl(U + B) = -pi/beta is negative.
     """
     stable_index(beta)
     skew(rho)
@@ -456,9 +481,7 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
         out -= arg
         out *= 2.0 / np.pi
     else:
-        t = rho * math.tan(0.5 * math.pi * beta)
-        a = (1.0 + t * t) ** (0.5 / beta)
-        b = math.atan(t) / beta
+        a, b = _cms_constants(beta, rho)
         phase = u + b
         phase *= beta
         s = 0.5 * phase
@@ -484,6 +507,12 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
     return out.reshape(shape)[()]
 
 
+def _cms_constants(beta: float, rho: float) -> tuple[float, float]:
+    # (A, B) of the CMS transform's beta != 1 branch
+    t = rho * math.tan(0.5 * math.pi * beta)
+    return (1.0 + t * t) ** (0.5 / beta), math.atan(t) / beta
+
+
 def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
                  scale, shift=None) -> Cell:
     # fill(streams): row r holds scale * S (+ shift) for S the n
@@ -492,22 +521,37 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
     # block and go through one CMS evaluation; every operation is
     # elementwise, so each row holds the values a block of that one row
     # would.  The uniforms are mapped onto (-pi/2, pi/2) over the block as
-    # Generator.uniform maps each, -pi/2 + pi * r.
-    def fill(streams) -> np.ndarray:
+    # Generator.uniform maps each, -pi/2 + pi * r.  signs(streams) draws
+    # only the uniforms and returns sign(fl(U + B)), the sign of each
+    # value (the scale is positive).
+    def uniforms(streams, exponentials=None) -> np.ndarray:
         u = np.empty((len(streams), n))
-        v = np.empty((len(streams), n))
         for row, rng in enumerate(streams):
             rng.random(out=u[row])
-            rng.standard_exponential(out=v[row])
+            if exponentials is not None:
+                rng.standard_exponential(out=exponentials[row])
         u *= np.pi
         u += -0.5 * np.pi
-        values = sample_standard_stable(beta, rho, u, v)
+        return u
+
+    def fill(streams) -> np.ndarray:
+        v = np.empty((len(streams), n))
+        values = sample_standard_stable(beta, rho, uniforms(streams, v), v)
         values *= scale
         if shift is not None:
             values += shift
         return values
 
-    return Cell(h, meta, fill)
+    if shift is not None or (beta == 1.0 and rho != 0.0):
+        return Cell(h, meta, fill)
+    b = _cms_constants(beta, rho)[1]
+
+    def signs(streams) -> np.ndarray:
+        phase = uniforms(streams)
+        phase += b
+        return np.sign(phase, out=phase)
+
+    return Cell(h, meta, fill, signs)
 
 
 def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]:

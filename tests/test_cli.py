@@ -706,6 +706,17 @@ def test_table_flag_outside_its_domain_exits_two(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+def test_table_refuses_a_repeated_sample_size(tmp_path, capsys):
+    # each repeated n ran its designs again and wrote every row twice
+    out = tmp_path / "t.csv"
+    err = flag_error(capsys, "table", "--id", "table1", "--beta", "1.5",
+                     "--n", "501", "501", "--reps", "2",
+                     "--out", str(out)).err
+    assert err.startswith("usage: levyestim table")
+    assert "--n: 501 is given more than once" in err
+    assert not out.exists()
+
+
 def test_montecarlo_matches_library_run(tmp_path):
     cfg = ExperimentConfig(
         model="symmetric_stable",
@@ -786,6 +797,11 @@ def _with(**changes):
      "estimators.p"),
     (_with(truth={"beta": 1.5, "sigam": 0.5, "gamma": -0.5},
            estimators=[{"id": "m", "kind": "median"}]), "truth.sigam"),
+    # a repeated id or sample size would write its rows twice, drawn from
+    # the same streams
+    (_with(estimators=[{"id": "a", "kind": "log"},
+                       {"id": "a", "kind": "median"}]), "estimators.id"),
+    (_with(n_list=[101, 201, 101]), "n_list"),
 ])
 def test_montecarlo_bad_config_exits_one_naming_field(tmp_path, capsys,
                                                       payload, field):

@@ -170,8 +170,11 @@ _SPOTS = st.sampled_from(
     + [("estimators", 0, k) for k in ("id", "kind", "p", "q", "sigma")])
 
 
-def _mutate(base, edits):
+def _mutate(base, edits, repeat_id):
     entry = json.loads(json.dumps(base))
+    if repeat_id:
+        # the first estimator twice: both would draw the same streams
+        entry["estimators"].append(dict(entry["estimators"][0]))
     for (*path, key), delete, value in edits:
         owner = entry
         for step in path:
@@ -192,7 +195,8 @@ def _mutate(base, edits):
 
 _CONFIG = st.builds(_mutate, st.sampled_from(_BASES),
                     st.lists(st.tuples(_SPOTS, st.booleans(), _JSON),
-                             max_size=2))
+                             max_size=2),
+                    st.integers(0, 4).map(lambda k: k == 0))
 # one payload in ten is not built from an entry: a scalar, list or dict
 _PAYLOAD = st.integers(0, 9).flatmap(lambda k: _JSON if k == 0 else _CONFIG)
 
@@ -211,6 +215,9 @@ def test_config_decoder_builds_config_or_raises_typed_error(payload):
     assert isinstance(config.label, str)
     assert config.replications >= 1 and config.n_list
     assert all(isinstance(n, int) and n >= 1 for n in config.n_list)
+    assert len(set(config.n_list)) == len(config.n_list)
+    ids = [str(est["id"]) for est in config.estimators]
+    assert len(set(ids)) == len(ids)
     for est in config.estimators:
         entry = ESTIMATORS[est["kind"]]
         for key in entry.tuning:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyestim import skewed, symmetric
+from levyestim import skewed, stable_core, symmetric
 from levyestim.errors import DomainError, EstimationError
 from levyestim.mc import (
     DEFAULT_MASTER_SEED,
@@ -81,6 +81,23 @@ def test_config_rejects_bad_fields():
     with pytest.raises(DomainError):
         # estimator reports sigma but truth omits it
         _small_config(truth={"beta": 1.5, "gamma": -0.5})
+
+
+@pytest.mark.parametrize("overrides,field,value", [
+    ({"estimators": ({"id": "a", "kind": "log"},
+                     {"id": "a", "kind": "median"})}, "estimators.id", "a"),
+    # rows name an estimator by its id as written: 7 and "7" both write 7
+    ({"estimators": ({"id": 7, "kind": "log"},
+                     {"id": "7", "kind": "median"})}, "estimators.id", "7"),
+    ({"n_list": (301, 501, 301)}, "n_list", 301),
+], ids=["id", "id-as-written", "n"])
+def test_config_refuses_a_repeated_id_or_sample_size(overrides, field,
+                                                     value):
+    # a repeated (n, id) pair draws the same streams: its rows came out
+    # twice, identical
+    with pytest.raises(DomainError) as exc:
+        _small_config(**overrides)
+    assert exc.value.context == {"field": field, "value": value}
 
 
 def test_config_mesh_rules():
@@ -294,6 +311,46 @@ def test_block_split_never_changes_values(model, truth, n):
             assert len(drawn) == len(order)
             for seed, row in zip(order, drawn):
                 assert np.array_equal(row, alone[seed])
+
+
+# (model, truth, the (n, repr(mean), repr(rmse)) rows of a sign-only
+# design, pinned from a run that drew every value; None where the cell
+# has no sign fill)
+_SIGN_ROWS = (
+    ("skewed_stable", {"beta": 1.3, "p_pos": 0.6, "sigma": 0.7}, (
+        (1, "0.5789473684210527", "0.49417661449707384"),
+        (7, "0.5413533834586466", "0.17453328896835"),
+        (500, "0.6106315789473685", "0.021932912063356937"),
+        (3000, "0.602122807017544", "0.006736042532960133"))),
+    ("timevarying_stable", {"beta": 1.7, "p_pos": 0.45, "path": "cosine"}, (
+        (1, "0.47368421052631576", "0.49986840373505464"),
+        (7, "0.47368421052631576", "0.15589904194123672"),
+        (500, "0.4543157894736842", "0.016434879468918973"),
+        (3000, "0.4514385964912281", "0.007071067811865473"))),
+    # increments_cell adds its drift shift: it still draws values
+    ("symmetric_stable", {"beta": 1.5, "sigma": 0.5, "p_pos": 0.5}, None),
+)
+
+
+@pytest.mark.parametrize("model,truth,pinned", _SIGN_ROWS,
+                         ids=[model for model, *_ in _SIGN_ROWS])
+def test_sign_cells_draw_no_values(monkeypatch, model, truth, pinned):
+    # a sign cell of a stable model without a shift draws only its
+    # uniforms: the transform never runs, and the rows are unchanged
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sign cell ran the CMS transform")
+
+    monkeypatch.setattr(stable_core, "sample_standard_stable", forbidden)
+    cfg = ExperimentConfig(
+        model=model, truth=truth, n_list=(1, 7, 500, 3000),
+        h_rule={"kind": "fixed_T", "T": 1.0}, replications=19,
+        estimators=({"id": "sign", "kind": "sign"},), master_seed=11)
+    if pinned is None:
+        with pytest.raises(AssertionError, match="CMS transform"):
+            run_experiment(cfg)
+        return
+    assert [(r.n, repr(r.mean), repr(r.rmse), r.failures)
+            for r in run_experiment(cfg)] == [row + (0,) for row in pinned]
 
 
 def test_cell_memory_is_bounded_and_rows_are_read_only():

@@ -23,7 +23,9 @@ from levyestim.stable_core import (
     skew_to_positivity,
     sprime_cell,
     timevarying_cell,
+    _cms_constants,
     _pcg64_states,
+    _stable_cell,
 )
 from levyestim.subordinators import (
     GammaSubParams,
@@ -384,6 +386,104 @@ def test_cell_refuses_a_seed_outside_its_range(seed):
             call()
         assert exc.value.context == {"field": "seed"}
     assert cell.sample().n == 10
+
+
+# ---------------------------------------------------------------------------
+# sign fills: a CMS value has the sign of fl(U + B)
+
+
+def test_which_cells_have_a_sign_fill():
+    pp = PositivityStable(1.5, 0.6)
+    assert sprime_cell(pp, 0.1, 5).signs is not None
+    assert timevarying_cell(ScalePath.cosine(1.5), 0.6, 5).signs is not None
+    # a shift moves values across zero; at beta = 1 the sign of a value
+    # depends on V unless rho = 0
+    assert increments_cell(StableParams(1.5, 1.0), 0.1, 5).signs is None
+    assert _stable_cell(1.0, 0.3, 5, 0.1, {}, 1.0).signs is None
+    assert _stable_cell(1.0, 0.0, 5, 0.1, {}, 1.0).signs is not None
+    assert gamma_sub_cell(GammaSubParams(2.0, 1.5), 0.1, 5).signs is None
+    assert ig_sub_cell(IGSubParams(2.0, 1.5), 0.1, 5).signs is None
+    # without a sign fill, signs=True draws the values
+    cell = increments_cell(StableParams(1.5, 1.0, 0.2, 0.3), 0.1, 5)
+    assert np.array_equal(next(cell.blocks([4, 5], 2, signs=True)),
+                          next(cell.blocks([4, 5], 2)))
+
+
+@st.composite
+def _sign_cells(draw):
+    # beta in [0.5, 2), beta = 1 only at rho = 0; a scalar scale or the
+    # array of block scales timevarying_cell builds
+    beta = draw(st.just(1.0) | st.floats(0.5, 2.0, exclude_max=True))
+    rho = 0.0 if beta == 1.0 else draw(
+        st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0))
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        scale = draw(st.floats(1e-3, 1e3))
+    else:
+        scale = (ScalePath.cosine(beta).sigma_bars(n) / n) ** (1.0 / beta)
+    return _stable_cell(beta, rho, n, 1.0 / n, {}, scale)
+
+
+@given(_sign_cells(), st.lists(st.integers(0, 2 ** 128 - 1), min_size=1,
+                               max_size=5), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_sign_fill_is_the_sign_of_the_values(cell, seeds, rows):
+    values = np.concatenate(list(cell.blocks(seeds, rows)))
+    signs = list(cell.blocks(seeds, rows, signs=True))
+    assert not any(block.flags.writeable for block in signs)
+    signs = np.concatenate(signs)
+    assert signs.tobytes() == np.sign(values).tobytes()
+    assert np.count_nonzero(signs == 0.0) == np.count_nonzero(values == 0.0)
+
+
+class _GivenDraws:
+    # stands in for a Generator: hands out the given Generator.random
+    # results and Exp(1) draws
+    def __init__(self, r, v):
+        self.r, self.v = r, v
+
+    def random(self, out):
+        out[:] = self.r
+
+    def standard_exponential(self, out):
+        out[:] = self.v
+
+
+def _zero_phase(beta, rho):
+    # (rho', r) with rho' a few ulps from rho and r a Generator.random
+    # result, a multiple of 2^-53, such that fl(U + B) = 0 exactly
+    for _ in range(1000):
+        b = _cms_constants(beta, rho)[1]
+        k0 = round((0.5 - b / math.pi) * 2.0 ** 53)
+        for r in np.arange(k0 - 4, k0 + 5) * 2.0 ** -53:
+            u = r * np.pi + -0.5 * np.pi
+            if u + b == 0.0:
+                return rho, r
+        rho = float(np.nextafter(rho, 0.0))
+    raise AssertionError("no uniform puts U + B on zero")
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.2, 1.5, 1.9])
+def test_sign_fill_at_a_zero_phase_and_next_to_the_ends(beta):
+    ends = np.array([0.0, 2.0 ** -53, 2.0 ** -52, 0.5, 1.0 - 2.0 ** -52,
+                     1.0 - 2.0 ** -53])
+    cases = [(-1.0, ends), (1.0, ends), (0.0, ends), (-0.5, ends)]
+    rho, r = _zero_phase(beta, -0.5)
+    cases.append((rho, np.array([r])))
+    for rho, r in cases:
+        cell = _stable_cell(beta, rho, r.size, 0.1, {}, 0.3)
+        # the documented exception: at rho = 1 a draw of 0.0 puts U on
+        # -pi/2 and phi on -pi, where the rounding of phi decides the sign
+        # of the value (at beta = 1.5 it comes out positive)
+        keep = r != 0.0 if rho == 1.0 else slice(None)
+        for v in (0.5, 3.0):
+            streams = [_GivenDraws(r, v)]
+            values = cell.fill(streams)[:, keep]
+            assert np.sign(values).tobytes() == \
+                cell.signs(streams)[:, keep].tobytes()
+    # at rho = 0, r = 1/2 gives U = 0; at rho', U = -B
+    assert sample_standard_stable(beta, 0.0, 0.0, 1.0) == 0.0
+    assert cell.fill(streams)[0, 0] == 0.0
 
 
 def test_cosine_path_block_integral():
