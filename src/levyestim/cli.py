@@ -118,15 +118,6 @@ def _dump_row(header: list[str], cells) -> str:
     return ",".join(f"{v:.10g}" for v in cells)
 
 
-def _write_lines(path, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -182,7 +173,7 @@ def _cmd_estimate(args) -> None:
         if flag not in reads:
             args.error(f"--method {args.method} does not read --{flag}")
     sample = serialize.read_increments(args.infile)
-    _write_lines(args.out, [report()(sample, **given).to_json()])
+    serialize.write_lines(args.out, [report()(sample, **given).to_json()])
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -238,7 +229,7 @@ def _cmd_fisher(args) -> None:
         lines.append(_dump_row(header, (beta, args.sigma, m[0, 0], m[0, 1],
                                         m[1, 1], m[2, 2],
                                         info.top_left_det())))
-    _write_lines(args.out, lines)
+    serialize.write_lines(args.out, lines)
 
 
 def _cmd_density(args) -> None:
@@ -256,7 +247,7 @@ def _cmd_density(args) -> None:
     header = ["y", "phi", "dphi"]
     lines = [",".join(header)]
     lines += [_dump_row(header, cells) for cells in zip(grid, dens, deriv)]
-    _write_lines(args.out, lines)
+    serialize.write_lines(args.out, lines)
 
 
 def _cmd_variance(args) -> None:
@@ -276,7 +267,7 @@ def _cmd_variance(args) -> None:
             else:  # V^p needs moments to order 4p < beta
                 cells += [math.nan] * 3
         lines.append(_dump_row(header, cells))
-    _write_lines(args.out, lines)
+    serialize.write_lines(args.out, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,11 @@ class SingularJacobian(EstimationError):
 
 
 class InadmissiblePositivity(EstimationError):
-    """A positivity estimate is incompatible with a skewed stable law of
-    the fitted index."""
+    """A skewed moment formula or estimating equation is undefined at the
+    estimates: a positivity estimate p with |p - 1/2| >= 1/(2 beta), where
+    cos(beta pi (p - 1/2)) <= 0 (fewer p than the law's range
+    (1 - 1/beta, 1/beta) leaves out), vanishing power sums, or a
+    nonpositive scale functional."""
 
     code = "inadmissible_positivity"
 

@@ -561,7 +561,7 @@ def run_preset(table_id: str, replications: int | None = None,
 
 
 def emit(rows: Sequence[SummaryRow], fmt: str, path,
-         config_echo: dict | None = None) -> None:
+         config_echo: dict) -> None:
     """Write summary rows as CSV (with '#' config echo) or JSON."""
     if not rows:
         raise DomainError("no rows to emit")

@@ -2,15 +2,17 @@
 
 Increment files are one value per line, full repr precision, preceded by
 '#'-prefixed key=value metadata lines that always include h and n; they are
-written and read back.  Estimate reports and summary tables are written
-only: a report is strict JSON, a summary table plain CSV with a
-'#'-prefixed config echo, or JSON, its floats with 6 significant digits.
+written and read back, their metadata down to h and n.  Estimate reports
+and summary tables are written only: a report is strict JSON, a summary
+table plain CSV with a '#'-prefixed config echo, or JSON, its floats with 6
+significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,6 +25,7 @@ __all__ = [
     "EstimateReport",
     "check_finite",
     "SummaryRow",
+    "write_lines",
     "write_increments",
     "read_increments",
     "write_summary",
@@ -41,6 +44,17 @@ def _meta_value(raw: str):
     return as_float
 
 
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write lines, each ended by a newline, to the file at path, or to
+    stdout when path is None.  The text is built before the file opens."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf8") as fh:
+        fh.write(text)
+
+
 def write_increments(path, sample: IncrementSample) -> None:
     """Write an increment sample: '#' k=v metadata lines, then one value
     per line at full precision."""
@@ -50,8 +64,7 @@ def write_increments(path, sample: IncrementSample) -> None:
             continue
         lines.append(f"# {key}={val!r}" if isinstance(val, str) else f"# {key}={val}")
     lines.extend(map(repr, sample.values.tolist()))
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _read_line(lineno: int, line: str, meta: dict, values: list) -> None:
@@ -109,7 +122,7 @@ def _increment_sample(path, meta: dict, values) -> IncrementSample:
                             declared=int(declared_n), found=len(values))
     if not len(values):
         raise DataError("increment file holds no values", path=str(path))
-    return IncrementSample(values, h, meta)
+    return IncrementSample(values, h)
 
 
 def read_increments(path) -> IncrementSample:
@@ -121,9 +134,10 @@ def read_increments(path) -> IncrementSample:
     else the raw text.  Any other line is one increment value and must
     parse as a finite float.  The metadata must hold a finite h; n, when
     present, must be an integer equal to the number of values; and there
-    must be at least one value.  A file that breaks a rule raises
-    DataError: the first bad line in file order, named by its line number
-    and text, else the first metadata or count rule it breaks.
+    must be at least one value; other keys are parsed and dropped.  A file
+    that breaks a rule raises DataError: the first bad line in file order,
+    named by its line number and text, else the first metadata or count
+    rule it breaks.
 
     Past the leading metadata, a block of lines that are all finite
     numbers is converted in one pass; any other block is read line by
@@ -247,28 +261,23 @@ def _sig6(x: float) -> str:
 
 
 def write_summary(path, rows: Sequence[SummaryRow],
-                  config_echo: dict | None = None) -> None:
-    lines = []
-    for key, val in sorted((config_echo or {}).items()):
-        lines.append(f"# {key}={val}")
+                  config_echo: dict) -> None:
+    lines = [f"# {key}={val}" for key, val in sorted(config_echo.items())]
     lines.append(",".join(SUMMARY_COLUMNS))
     for row in rows:
         lines.append(",".join(str(v) for v in row.as_record()))
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_summary_json(path, rows: Sequence[SummaryRow],
-                       config_echo: dict | None = None) -> None:
+                       config_echo: dict) -> None:
     """The rows of write_summary as strict JSON: lowercase keys ("t" for
     "T"), the same 6-digit numbers, and null where the CSV writes nan or
     inf."""
     payload = plain({
-        "config": {k: str(v) for k, v in (config_echo or {}).items()},
+        "config": {k: str(v) for k, v in config_echo.items()},
         "rows": [{key.lower(): float(value) if key in _SIG6_COLUMNS else value
                   for key, value in zip(SUMMARY_COLUMNS, row.as_record())}
                  for row in rows],
     })
-    with open(path, "w", encoding="utf8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload, indent=2, allow_nan=False)])

@@ -77,17 +77,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # closed-form moments
 
-def _gamma_signed(x: float) -> float:
-    # Gamma(x) on (-2, -1) u (-1, 0) u (0, inf); the table moments use
-    # exp(log_gamma(x)) above 0, so those bits stay as they are
-    if x > 0.0:
-        return math.exp(log_gamma(x))
-    if x in (0.0, -1.0) or x <= -2.0:
-        raise DomainError("Gamma argument outside (-2, inf) minus poles", x=x)
-    return math.gamma(x)
-
-
 def _xi_admissible(beta: float, p_pos: float) -> float:
+    """xi = beta pi (p - 1/2) of the moment formulas.  Only cos xi <= 0,
+    that is |p - 1/2| >= 1/(2 beta), raises InadmissiblePositivity: fewer p
+    than the law's range (1 - 1/beta, 1/beta) leaves out, so
+    mu_abs(1.5, 0.7, 0.5) = 1.2267 though no law of index 1.5 has
+    p = 0.7.  This rule decides which golden-table replications fail."""
     if not (1.0 < beta < 2.0):
         raise DomainError("moment formulas require beta in (1, 2)", beta=beta)
     if not (0.0 <= p_pos <= 1.0):
@@ -95,38 +90,41 @@ def _xi_admissible(beta: float, p_pos: float) -> float:
                           p_pos=p_pos)
     xi = beta * math.pi * (p_pos - 0.5)
     if math.cos(xi) <= 0.0:
-        raise InadmissiblePositivity("positivity parameter incompatible "
-                                     "with a stable law of this index",
+        raise InadmissiblePositivity("positivity parameter has "
+                                     "|p - 1/2| >= 1/(2 beta), where "
+                                     "cos xi <= 0",
                                      beta=beta, p_pos=p_pos, xi=xi)
     return xi
 
 
 def mu_abs(beta: float, p_pos: float, r: float) -> float:
-    """E|zeta|^r for zeta ~ S'_beta(p, 1), r in (-1, beta).
+    """E|zeta|^r for zeta ~ S'_beta(p, 1), r in [0, beta).
 
     At p = 1/2 this reduces to the symmetric constant C(beta, r)."""
     xi = _xi_admissible(beta, p_pos)
-    if not (-1.0 < r < beta):
-        raise DomainError("moment order r must lie in (-1, beta)",
+    if not (0.0 <= r < beta):
+        raise DomainError("moment order r must lie in [0, beta)",
                           r=r, beta=beta)
     if r == 0.0:
         return 1.0
-    front = 2.0 * math.sin(0.5 * math.pi * r) * _gamma_signed(r) / math.pi
+    front = (2.0 * math.sin(0.5 * math.pi * r) * math.exp(log_gamma(r))
+             / math.pi)
     return (math.exp(log_gamma(1.0 - r / beta)) * front
             * math.cos(r * xi / beta) / math.cos(xi) ** (r / beta))
 
 
 def nu_signed(beta: float, p_pos: float, r: float) -> float:
-    """E{|zeta|^r sgn(zeta)} for zeta ~ S'_beta(p, 1),
-    r in (-2, -1) u (-1, beta).  nu_0 = 2p - 1 (the sign mean) and
-    nu_1 = 0 (strictly stable laws with beta > 1 are centered)."""
+    """E{|zeta|^r sgn(zeta)} for zeta ~ S'_beta(p, 1), r in [0, beta).
+    nu_0 = 2p - 1 (the sign mean) and nu_1 = 0 (strictly stable laws with
+    beta > 1 are centered)."""
     xi = _xi_admissible(beta, p_pos)
-    if not (-2.0 < r < beta) or r == -1.0:
-        raise DomainError("signed moment order r must lie in "
-                          "(-2, -1) u (-1, beta)", r=r, beta=beta)
+    if not (0.0 <= r < beta):
+        raise DomainError("signed moment order r must lie in [0, beta)",
+                          r=r, beta=beta)
     if r == 0.0:
         return 2.0 * p_pos - 1.0
-    front = 2.0 * math.cos(0.5 * math.pi * r) * _gamma_signed(r) / math.pi
+    front = (2.0 * math.cos(0.5 * math.pi * r) * math.exp(log_gamma(r))
+             / math.pi)
     return (math.exp(log_gamma(1.0 - r / beta)) * front
             * math.sin(r * xi / beta) / math.cos(xi) ** (r / beta))
 

@@ -197,11 +197,8 @@ class Cell:
             block.flags.writeable = False
             yield block
 
-    def sample(self, seed=None) -> IncrementSample:
-        """The IncrementSample of one stream; ``seed=None`` draws a fresh
-        seed from the operating system."""
-        if seed is None:
-            seed = np.random.SeedSequence().entropy
+    def sample(self, seed) -> IncrementSample:
+        """The IncrementSample of the stream at ``seed``."""
         (block,) = self.blocks([seed], 1)
         return IncrementSample(block[0], self.h, dict(self.meta))
 
@@ -441,8 +438,8 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
         (2/pi) {(pi/2 + rho U) tan U
                 - rho log((pi/2) V cos U / (pi/2 + rho U))}.
 
-    beta = 2 collapses to the Box-Muller form 2 sin(U) sqrt(V) (variance 2),
-    beta = 1 with rho = 0 to the Cauchy quantile tan(U).
+    beta = 2 with rho = 0 collapses to the Box-Muller form 2 sin(U) sqrt(V)
+    (variance 2), beta = 1 with rho = 0 to the Cauchy quantile tan(U).
 
     For beta != 1 every factor but sin phi is positive, so a value has the
     sign of fl(U + B), the first rounded step of phi; at beta = 1 with
@@ -457,9 +454,6 @@ def sample_standard_stable(beta: float, rho: float, uniform_u, exp_v):
     """
     stable_index(beta)
     skew(rho)
-    if beta == 2.0 and rho != 0.0:
-        warnings.warn("beta = 2 is Gaussian: rho has no effect, using rho = 0")
-        rho = 0.0
     # the steps run in place on a copy of u, in the order of the formulas
     # above, so each value is rounded as there; a 0-d input gives a
     # scalar, as a ufunc does

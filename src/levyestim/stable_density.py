@@ -27,6 +27,14 @@ at the panels' shared end, leaving phi off by ~ -2e-17 / (|beta - 1| z),
 -2.1e-10 at beta = 0.9999, z = 1e-3.  Chunks hold at most 2^13 points x
 nodes (64 KB per array).
 
+Next to beta = 2 the by-parts weight is the worse one: a -> 2, while the
+least D falls to 0.31, 0.098 and 0.031 at beta = 1.99, 1.999 and 1.9999,
+and the by-parts phi' grows noisy like (2 - beta)^-2 (residual of a
+smooth fit on z in [1.5, 1.6]: 5e-14, 6e-12, 6e-10; phi's stays at
+1e-15), enough to stall the information integrals.  So from beta = 1.98
+(_DIRECT_BETA), where both weights are ~2e-14 from the Fourier integral,
+phi' takes the direct weight.
+
 Each distinct |y|/sigma goes once per call to the first route that
 applies, and every route yields the pair (phi, phi'):
 
@@ -52,7 +60,10 @@ applies, and every route yields the pair (phi, phi'):
 
 No route runs an adaptive or oscillatory (QAWO) quadrature.  Domain: beta
 in [0.5, 2), finite sigma > 0.  Against QAWO quadrature of the Fourier
-integral the worst errors for |y| <= 50 are 4e-11 (phi) and 3e-11 (phi').
+integral the worst errors for |y| <= 50 are 4e-11 (phi) and 3e-11 (phi');
+for beta in [1.98, 1.999999] phi' is within 1e-13 of a 30-digit Fourier
+reference on z in [1e-3, 30] (the by-parts weight is 9e-10 off at
+beta = 1.9999).
 
 H_beta = int (phi + y phi')^2 / phi dy and M_beta = int (phi')^2 / phi dy
 (sigma = 1) split at |y| = 30 into a core and a series tail on y = 30 e^t
@@ -106,6 +117,8 @@ _TS_NODES = ((0.6, 177), (0.7, 257), (0.8, 385), (0.9, 513), (0.98, 641),
              (1.0005, 1025), (1.02, 513), (1.1, 321), (1.2, 225), (1.3, 193),
              (1.5, 161), (1.95, 129), (2.0, 257))
 _TS_T = 3.5
+# phi' takes the direct weight from here on, the by-parts one below
+_DIRECT_BETA = 1.98
 # points x nodes per chunk of the kernel
 _BLOCK = 1 << 13
 # panels one information integral may evaluate before giving up, and the
@@ -293,6 +306,7 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
     b = beta - 1.0
     a = beta / b
     n = next(count for bound, count in _TS_NODES if beta < bound)
+    direct = beta >= _DIRECT_BETA
     s, sc, w = _tanh_sinh(n)
     logz = np.log(z)
     star, comp_star = _theta_star(logz, beta)
@@ -311,14 +325,18 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
             logv, (t_c, t_b, t_r) = _log_v(theta, comp, beta, a)
             g = np.exp(np.minimum(alogz + logv, 7.0))
             e = np.exp(-g) * g * (w * width)  # exp(-e^7) underflows to 0
+            f0 = f0 + e.sum(axis=1)
+            if direct:  # weight a - 1 - a g, as a - 1 and -a times g
+                f1 = f1 + (e * g).sum(axis=1)
+                continue
             # by-parts weight 2 (top / lead^2 - 1), lead = 2 D (module doc)
             lead = t_c + t_b + t_r
             skew = t_c - t_r / b
             top = t_b * lead + 6.0 * beta * beta * b - (0.5 * b) * skew * skew
-            f0 = f0 + e.sum(axis=1)
             f1 = f1 + (e * top / (lead * lead)).sum(axis=1)
         sums[0, i:i + rows] = f0
-        sums[1, i:i + rows] = 2.0 * (f1 - f0)
+        sums[1, i:i + rows] = ((a - 1.0) * f0 - a * f1 if direct
+                               else 2.0 * (f1 - f0))
     scale = beta / (math.pi * abs(b))
     return scale * sums / np.array([z, z * z])
 
@@ -382,11 +400,11 @@ def phi_pair(y, beta: float, sigma: float = 1.0):
     return _eval(y, beta, sigma)
 
 
-def phi_zero(beta: float, sigma: float = 1.0) -> float:
-    """Closed-form mode value phi_beta(0; sigma) = Gamma(1 + 1/beta) / (sigma pi),
-    computed as Gamma(1/beta) / (beta sigma pi)."""
-    _check_density_domain(beta, sigma)
-    return math.gamma(1.0 / beta) / (beta * sigma * math.pi)
+def phi_zero(beta: float) -> float:
+    """Closed-form mode value phi_beta(0) = Gamma(1 + 1/beta) / pi at unit
+    scale, computed as Gamma(1/beta) / (beta pi)."""
+    _check_density_domain(beta, 1.0)
+    return math.gamma(1.0 / beta) / (beta * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,10 @@ def symmetrize(sample: IncrementSample) -> IncrementSample:
     if n2 < 1:
         raise DomainError("need at least 2 increments", n=int(x.size))
     vals = x[1:2 * n2:2] - x[0:2 * n2:2]
-    return IncrementSample(vals, sample.h,
-                           dict(sample.meta, transform="symmetrized"))
+    return IncrementSample(vals, sample.h)
 
 
-def _triples(sample: IncrementSample, w: float, **meta) -> IncrementSample:
+def _triples(sample: IncrementSample, w: float) -> IncrementSample:
     # Delta_{3l} + Delta_{3l-2} - w Delta_{3l-1}, l = 1..floor(n/3)
     x = sample.values
     n3 = x.size // 3
@@ -79,14 +78,14 @@ def _triples(sample: IncrementSample, w: float, **meta) -> IncrementSample:
         raise DomainError("need at least 3 increments", n=int(x.size))
     with np.errstate(over="ignore"):  # IncrementSample refuses the infs
         vals = x[2:3 * n3:3] + x[0:3 * n3:3] - w * x[1:3 * n3:3]
-    return IncrementSample(vals, sample.h, dict(sample.meta, **meta))
+    return IncrementSample(vals, sample.h)
 
 
 def center_triple(sample: IncrementSample) -> IncrementSample:
     """Non-overlapping triples Delta_{3l} + Delta_{3l-2} - 2 Delta_{3l-1},
     l = 1..floor(n/3): trend cancels exactly (1 + 1 - 2 = 0) and the skew
     maps to rho (2 - 2^beta)/(2 + 2^beta); requires model beta != 1."""
-    return _triples(sample, 2.0, transform="centered")
+    return _triples(sample, 2.0)
 
 
 def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
@@ -98,8 +97,7 @@ def deskew_triple(sample: IncrementSample, beta: float) -> IncrementSample:
     vanishes), so beta = 1 is rejected.
     """
     _check_deskew_beta(beta)
-    return _triples(sample, 2.0 ** (1.0 / beta), transform="deskewed",
-                    beta_used=beta)
+    return _triples(sample, 2.0 ** (1.0 / beta))
 
 
 def _check_deskew_beta(beta: float):

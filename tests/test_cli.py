@@ -244,6 +244,8 @@ def test_simulate_writes_increment_file(tmp_path):
     sample = read_increments(out)
     assert sample.n == 2001
     assert sample.h == pytest.approx(5.0 / 2001, rel=1e-15)
+    # the model metadata is written, but only h and n are read back
+    assert sample.meta == {}
     # one value per line after the metadata comments
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(body) == 2001
@@ -359,6 +361,36 @@ def test_written_values_are_the_repr_of_each_float(tmp_path, model, truth,
     expected = "\n".join(head + [repr(float(v)) for v in sample.values])
     assert out.read_bytes() == (expected + "\n").encode("utf8")
     assert head[:2] == [f"# h={sample.h!r}", "# n=500"]
+
+
+# the '#' lines written for each _WRITTEN case, as literal text: the model
+# metadata stays in the file, though only h and n are read back
+_WRITTEN_HEADERS = [
+    ["# h=0.005", "# n=500", "# beta=1.3", "# gamma=-0.5",
+     "# model='stable'", "# rho=0.2", "# sigma=0.5"],
+    ["# h=0.001", "# n=500", "# beta=1.45", "# model='skewed_stable'",
+     "# p_pos=0.55", "# scale=1.0"],
+    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying_stable'",
+     "# p_pos=0.55", "# path='cosine'"],
+    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying_stable'",
+     "# p_pos=0.55", "# path='constant'"],
+    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5",
+     "# model='gamma_sub'"],
+    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5", "# model='ig_sub'"],
+]
+
+
+@pytest.mark.parametrize("model,truth,h,header",
+                         [(*case, head) for case, head in
+                          zip(_WRITTEN, _WRITTEN_HEADERS)],
+                         ids=[f"{m}-{t.get('path', '')}" for m, t, _ in
+                              _WRITTEN])
+def test_written_header_lines(tmp_path, model, truth, h, header):
+    out = tmp_path / "x.csv"
+    write_increments(out, MODELS[model].cell(truth, h, 500).sample(7))
+    lines = out.read_text(encoding="utf8").splitlines()
+    assert lines[:len(header)] == header
+    assert not lines[len(header)].startswith("#")
 
 
 _MISSING_CASES = [
@@ -966,7 +998,7 @@ def test_density_dump_at_a_vanishing_scale(capsys):
     arr = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert not np.isnan(arr).any()
     assert arr[[0, 2], 1].tolist() == [0.0, 0.0]
-    assert arr[1, 1] == pytest.approx(stable_density.phi_zero(1.5, 1e-300))
+    assert arr[1, 1] == pytest.approx(stable_density.phi_zero(1.5) / 1e-300)
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -592,11 +592,11 @@ def test_emit_handles_all_failed_cells(tmp_path):
         estimators=({"id": "frac", "kind": "frac", "p": 0.2},))
     rows = run_experiment(cfg)
     csv_path = tmp_path / "nan.csv"
-    emit(rows, "csv", csv_path)
+    emit(rows, "csv", csv_path, {})
     header, line = csv_path.read_text().splitlines()[:2]
     assert dict(zip(header.split(","), line.split(",")))["mean"] == "nan"
     json_path = tmp_path / "nan.json"
-    emit(rows, "json", json_path)
+    emit(rows, "json", json_path, {})
     rec = json.loads(json_path.read_text())["rows"][0]
     assert rec["mean"] is None and rec["rmse"] is None
     assert rec["failures"] == 3
@@ -607,7 +607,7 @@ def test_emit_json_is_strict(tmp_path):
     row = dataclasses.replace(_demo_rows()[0], rmse=math.inf,
                               mean=-math.inf)
     path = tmp_path / "inf.json"
-    emit([row], "json", path)
+    emit([row], "json", path, {})
 
     def reject(name):
         raise ValueError(f"non-finite JSON constant {name}")
@@ -617,8 +617,17 @@ def test_emit_json_is_strict(tmp_path):
     assert rec["truth"] == 1.5
 
 
+def test_a_json_summary_that_fails_leaves_no_file(tmp_path):
+    # the JSON text is built before the file opens
+    row = dataclasses.replace(_demo_rows()[0], estimator=object())
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        emit([row], "json", path, {})
+    assert not path.exists()
+
+
 def test_emit_rejects_empty_and_unknown_format(tmp_path):
     with pytest.raises(DomainError):
-        emit([], "csv", tmp_path / "x.csv")
+        emit([], "csv", tmp_path / "x.csv", {})
     with pytest.raises(DomainError):
-        emit(_demo_rows(), "parquet", tmp_path / "x.parquet")
+        emit(_demo_rows(), "parquet", tmp_path / "x.parquet", {})

@@ -87,7 +87,7 @@ def test_sign_statistic_negation_flips(mags, signs):
 
 
 def test_nu_vanishes_at_symmetry():
-    for r in (-1.5, -0.5, 0.25, 0.5, 1.0, 1.3):
+    for r in (0.25, 0.5, 1.0, 1.3):
         assert nu_signed(1.5, 0.5, r) == 0.0
 
 
@@ -120,9 +120,13 @@ def test_mu_against_mc_mean():
 
 
 def test_mu_negative_orders():
-    # moments extend down to r > -1 through the signed-gamma recurrence
-    assert mu_abs(1.5, P_POS, -0.5) > 0.0
-    assert math.isfinite(nu_signed(1.5, P_POS, -1.5))
+    # the estimators use orders in [0, beta): q, 2q, beta/3, their sums and
+    # 0; a negative order, finite in closed form above -1, is refused
+    for r in (-0.5, -1.5, -1e-300):
+        with pytest.raises(DomainError):
+            mu_abs(1.5, P_POS, r)
+        with pytest.raises(DomainError):
+            nu_signed(1.5, P_POS, r)
 
 
 def test_moment_domain_errors():
@@ -140,6 +144,15 @@ def test_moment_domain_errors():
         mu_abs(1.5, -0.1, 0.3)
     with pytest.raises(InadmissiblePositivity):
         mu_abs(1.9, 0.9, 0.3)
+
+
+def test_positivity_rule_is_cos_xi_positive():
+    # only |p - 1/2| >= 1/(2 beta) is refused, a wider set of p than the
+    # law's range (1 - 1/beta, 1/beta): p = 0.7 passes at beta = 1.5
+    assert mu_abs(1.5, 0.7, 0.5) == pytest.approx(1.2267, abs=1e-4)
+    with pytest.raises(InadmissiblePositivity) as exc:
+        mu_abs(1.5, 0.84, 0.5)
+    assert "|p - 1/2| >= 1/(2 beta)" in exc.value.message
 
 
 @given(st.floats(min_value=1.05, max_value=1.95),

@@ -376,16 +376,15 @@ def test_cell_draws_equal_per_seed_generators(name):
 @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "7", None],
                          ids=["negative", "2^128", "float", "str", "none"])
 def test_cell_refuses_a_seed_outside_its_range(seed):
-    # sample(None) draws a fresh seed; a list entry of None is no seed
+    # None is no seed either: a sample is drawn at a given seed only
     cell = increments_cell(StableParams(1.5, 1.0), 0.1, 10)
-    calls = [lambda: next(cell.blocks([3, seed], 2))]
-    if seed is not None:
-        calls.append(lambda: cell.sample(seed))
-    for call in calls:
+    for call in (lambda: next(cell.blocks([3, seed], 2)),
+                 lambda: cell.sample(seed)):
         with pytest.raises(DomainError) as exc:
             call()
         assert exc.value.context == {"field": "seed"}
-    assert cell.sample().n == 10
+    with pytest.raises(TypeError):
+        cell.sample()
 
 
 # ---------------------------------------------------------------------------

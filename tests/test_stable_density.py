@@ -39,8 +39,9 @@ def test_phi_zero_formula():
     for beta in (0.6, 1.0, 1.5, 1.9):
         exact = math.exp(log_gamma(1 + 1 / beta)) / np.pi
         assert abs(phi_pair(0.0, beta)[0] - exact) < 1e-10
-        assert abs(phi_zero(beta, 1.0) - exact) < 1e-14
-        assert abs(phi_zero(beta, 2.0) - exact / 2) < 1e-14
+        assert abs(phi_zero(beta) - exact) < 1e-14
+        # another scale enters through phi_pair alone
+        assert abs(phi_pair(0.0, beta, 2.0)[0] - exact / 2) < 1e-14
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.8, 0.97, 1.0, 1.0 + 1e-9, 1.3, 1.5,
@@ -244,6 +245,34 @@ def test_fisher_grid_dump_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf8")
 
 
+# 200-point Gauss-Legendre nodes on u in [0, 9], where exp(-u^beta) falls
+# below 1e-35 for beta next to 2
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(200)
+_GL_U = 4.5 * (_GL_X + 1.0)
+
+
+@pytest.mark.parametrize("beta", [1.98 - 1e-9, 1.98, 1.999, 1.9999, 1.99999])
+def test_phi_deriv_next_to_two_against_fourier(beta):
+    # phi'(z) = -(1/pi) int u sin(u z) exp(-u^beta) du.  From beta = 1.98
+    # on phi' takes the direct weight: the by-parts one divides by a D that
+    # vanishes as beta -> 2, is 8.8e-10 off at 1.9999 and is noisy enough
+    # there that the information integrals do not converge
+    z = np.linspace(0.01, 29.0, 59)
+    terms = _GL_U * np.sin(np.multiply.outer(z, _GL_U)) * np.exp(-_GL_U ** beta)
+    ref = -4.5 * (_GL_W * terms).sum(axis=1) / np.pi
+    assert np.abs(phi_pair(z, beta)[1] - ref).max() < 2e-13
+
+
+def test_fisher_converges_next_to_two():
+    # H and M rise toward their Gaussian limits 2 and 1/2 as beta -> 2
+    prev = fisher_matrix(1.9995, 1.0)
+    for beta in (1.9998, 1.9999, 1.99999):
+        info = fisher_matrix(beta, 1.0)
+        assert prev.h_value < info.h_value < 2.0, beta
+        assert prev.m_value < info.m_value < 0.5, beta
+        prev = info
+
+
 def test_fisher_matrix_structure():
     info = fisher_matrix(1.5, 0.7)
     m = info.matrix
@@ -273,7 +302,7 @@ def test_median_asymptotic_sd():
     # 1 / (2 phi(0)) identity
     for beta in (0.8, 1.6):
         assert median_asymptotic_sd(beta, 1.0) == pytest.approx(
-            1 / (2 * phi_zero(beta, 1.0)), rel=1e-12)
+            1 / (2 * phi_zero(beta)), rel=1e-12)
 
 
 def test_arrays_match_scalar_calls():

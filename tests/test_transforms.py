@@ -29,8 +29,8 @@ SKEWED = StableParams(1.5, 1.0, -0.5, 0.3)
 P_TRUE = skew_to_positivity(1.5, -0.5)
 
 
-def _sample(values, h=1.0):
-    return IncrementSample(np.asarray(values, dtype=float), h, {})
+def _sample(values, h=1.0, meta=None):
+    return IncrementSample(np.asarray(values, dtype=float), h, meta or {})
 
 
 def _quiet_pipeline(sample, **kw):
@@ -44,24 +44,26 @@ def _quiet_pipeline(sample, **kw):
 
 
 def test_symmetrize_hand_values():
-    out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0]))
+    out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0], 0.5, {"model": "stable"}))
     assert np.array_equal(out.values, [3.0, -7.0])
-    assert out.meta["transform"] == "symmetrized"
+    # a transformed sample keeps h and carries no metadata
+    assert out.h == 0.5 and out.meta == {}
     assert out.n == 2
 
 
 def test_center_hand_values():
-    out = center_triple(_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    out = center_triple(_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.5,
+                                {"model": "stable"}))
     assert np.array_equal(out.values, [3.0 + 1.0 - 4.0, 6.0 + 4.0 - 10.0])
-    assert out.meta["transform"] == "centered"
+    assert out.h == 0.5 and out.meta == {}
 
 
 def test_deskew_hand_values():
     w = 2.0 ** (1.0 / 1.5)
-    out = deskew_triple(_sample([1.0, 2.0, 3.0]), 1.5)
+    out = deskew_triple(_sample([1.0, 2.0, 3.0], 0.5, {"model": "stable"}),
+                        1.5)
     assert out.values[0] == pytest.approx(3.0 + 1.0 - 2.0 * w, rel=1e-14)
-    assert out.meta["transform"] == "deskewed"
-    assert out.meta["beta_used"] == 1.5
+    assert out.h == 0.5 and out.meta == {}
 
 
 def test_block_counts_and_independence():
