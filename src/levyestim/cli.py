@@ -144,8 +144,11 @@ def _cmd_simulate(args) -> None:
                    "timevarying reads a scale path")
     elif h is None:
         args.error(f"--model {args.model} needs --T or --h")
+    # the header is the request: what it leaves out takes its default
     serialize.write_increments(args.out,
-                               entry.cell(truth, h, args.n).sample(args.seed))
+                               entry.cell(truth, h, args.n).sample(args.seed),
+                               {**truth, "model": args.model,
+                                "seed": args.seed})
 
 
 # estimate --method: name -> (flag the method needs or None, the flags it

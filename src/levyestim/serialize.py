@@ -1,8 +1,9 @@
 """Serialization: increment CSV files, estimate reports, summary tables.
 
 Increment files are one value per line, full repr precision, preceded by
-'#'-prefixed key=value metadata lines that always include h and n; they are
-written and read back, their metadata down to h and n.  Estimate reports
+'#'-prefixed key=value metadata lines: h, n, then the header of the run that
+wrote them.  They are written and read back, their metadata as text of
+which only h and n are read.  Estimate reports
 and summary tables are written only: a report is strict JSON, a summary
 table plain CSV with a '#'-prefixed config echo, or JSON, its floats with 6
 significant digits.
@@ -34,16 +35,6 @@ __all__ = [
 ]
 
 
-def _meta_value(raw: str):
-    try:
-        as_float = float(raw)
-    except ValueError:
-        return raw
-    if as_float.is_integer() and "." not in raw and "e" not in raw.lower():
-        return int(raw)
-    return as_float
-
-
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write lines, each ended by a newline, to the file at path, or to
     stdout when path is None.  The text is built before the file opens."""
@@ -55,21 +46,21 @@ def write_lines(path, lines: Sequence[str]) -> None:
         fh.write(text)
 
 
-def write_increments(path, sample: IncrementSample) -> None:
-    """Write an increment sample: '#' k=v metadata lines, then one value
-    per line at full precision."""
+def write_increments(path, sample: IncrementSample, header: dict) -> None:
+    """Write an increment sample: '# h=' and '# n=' lines, a '# key=value'
+    line for each header key in sorted order (a string quoted, a number
+    plain), then one value per line at full precision."""
     lines = [f"# h={sample.h!r}", f"# n={sample.n}"]
-    for key, val in sorted(sample.meta.items()):
-        if key in ("h", "n"):
-            continue
-        lines.append(f"# {key}={val!r}" if isinstance(val, str) else f"# {key}={val}")
+    lines += [f"# {key}={val!r}" if isinstance(val, str) else f"# {key}={val}"
+              for key, val in sorted(header.items())]
     lines.extend(map(repr, sample.values.tolist()))
     write_lines(path, lines)
 
 
 def _read_line(lineno: int, line: str, meta: dict, values: list) -> None:
     # the format rule for one line: blank lines are skipped, '#' lines are
-    # key=value metadata, any other line is one finite value
+    # key=value metadata kept as text, each key once, and any other line is
+    # one finite value
     line = line.strip()
     if not line:
         return
@@ -80,11 +71,10 @@ def _read_line(lineno: int, line: str, meta: dict, values: list) -> None:
                             line=lineno, text=line)
         key, _, raw = body.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if raw.startswith("'") and raw.endswith("'") and len(raw) >= 2:
-            meta[key] = raw[1:-1]
-        else:
-            meta[key] = _meta_value(raw)
+        if key in meta:
+            raise DataError("metadata key is given twice",
+                            line=lineno, text=line)
+        meta[key] = raw.strip()
         return
     try:
         value = float(line)
@@ -97,29 +87,32 @@ def _read_line(lineno: int, line: str, meta: dict, values: list) -> None:
     values.append(value)
 
 
+def _meta_number(path, meta: dict, key: str, what: str) -> float:
+    # the one rule for h and n: the text parses as a finite float, and an
+    # integer-valued one where what is "integer"
+    raw = meta[key]
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) \
+            or (what == "integer" and not value.is_integer()):
+        raise DataError(f"metadata {key}={raw} is not a finite {what}",
+                        path=str(path), key=key, value=raw)
+    return value
+
+
 def _increment_sample(path, meta: dict, values) -> IncrementSample:
     # the file-level rules, once every line has been read: a finite h, n
     # (when given) an integer equal to the count, and at least one value
     if "h" not in meta:
         raise DataError("increment file lacks an h metadata line", path=str(path))
-    raw_h = meta.pop("h")
-    try:
-        h = float(raw_h)
-    except ValueError:
-        h = math.nan
-    if not math.isfinite(h):
-        raise DataError(f"metadata h={raw_h!r} is not a finite number",
-                        path=str(path), key="h", value=str(raw_h))
-    declared_n = meta.pop("n", None)
-    if declared_n is not None:
-        if not isinstance(declared_n, (int, float)) \
-                or not float(declared_n).is_integer():
-            raise DataError(f"metadata n={declared_n!r} is not a finite "
-                            "integer", path=str(path), key="n",
-                            value=str(declared_n))
-        if int(declared_n) != len(values):
+    h = _meta_number(path, meta, "h", "number")
+    if "n" in meta:
+        declared_n = int(_meta_number(path, meta, "n", "integer"))
+        if declared_n != len(values):
             raise DataError("declared n disagrees with the number of values",
-                            declared=int(declared_n), found=len(values))
+                            declared=declared_n, found=len(values))
     if not len(values):
         raise DataError("increment file holds no values", path=str(path))
     return IncrementSample(values, h)
@@ -129,13 +122,14 @@ def read_increments(path) -> IncrementSample:
     """Read an increment file, as write_increments writes it.
 
     Each line is stripped of whitespace.  A blank line is skipped.  A line
-    starting with '#' is "# key=value" metadata: a quoted value ('...') is
-    kept as a string, else it is an int or float where it parses as one,
-    else the raw text.  Any other line is one increment value and must
-    parse as a finite float.  The metadata must hold a finite h; n, when
-    present, must be an integer equal to the number of values; and there
-    must be at least one value; other keys are parsed and dropped.  A file
-    that breaks a rule raises DataError: the first bad line in file order,
+    starting with '#' is "# key=value" metadata, its value kept as text,
+    and a key may appear once.  Any other line is one increment value and
+    must parse as a finite float.  The metadata must hold h, whose text
+    parses as a finite float; n, when present, must parse as an
+    integer-valued finite float equal to the number of values; and there
+    must be at least one value.  Other keys are dropped.  A quoted value
+    is text like any other, so "# h='0.5'" is refused.  A file that
+    breaks a rule raises DataError: the first bad line in file order,
     named by its line number and text, else the first metadata or count
     rule it breaks.
 

@@ -37,7 +37,7 @@ import hashlib
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -115,14 +115,13 @@ class PositivityStable:
 
 @dataclass(frozen=True)
 class IncrementSample:
-    """Equispaced increments of one observed path: values, mesh h, metadata.
+    """Equispaced increments of one observed path: values and mesh h.
 
     Values must be finite; a NaN or infinity raises DataError naming the
     first bad index and the count of bad values.  h is a finite number > 0."""
 
     values: np.ndarray
     h: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -178,7 +177,6 @@ class Cell:
     """
 
     h: float
-    meta: dict
     fill: Callable[["_Streams"], np.ndarray]
     signs: Callable[["_Streams"], np.ndarray] | None = None
 
@@ -200,7 +198,7 @@ class Cell:
     def sample(self, seed) -> IncrementSample:
         """The IncrementSample of the stream at ``seed``."""
         (block,) = self.blocks([seed], 1)
-        return IncrementSample(block[0], self.h, dict(self.meta))
+        return IncrementSample(block[0], self.h)
 
 
 # nodes of ScalePath.sigma_star's periodic trapezoid rule
@@ -220,7 +218,6 @@ class ScalePath:
     beta: float
     profile: Callable[[float], float]
     primitive: Callable[[np.ndarray | float], np.ndarray | float]
-    label: str = "custom"
 
     def __post_init__(self):
         stable_index(self.beta)
@@ -229,7 +226,7 @@ class ScalePath:
     def constant(cls, sigma: float, beta: float) -> "ScalePath":
         positive("sigma", sigma)
         c = sigma ** beta
-        return cls(beta, lambda t, c=c: c, lambda t, c=c: c * t, "constant")
+        return cls(beta, lambda t, c=c: c, lambda t, c=c: c * t)
 
     @classmethod
     def cosine(cls, beta: float) -> "ScalePath":
@@ -240,7 +237,7 @@ class ScalePath:
         def prim(t):
             return 0.4 * (np.sin(2.0 * np.pi * t) / (2.0 * np.pi) + 1.5 * t)
 
-        return cls(beta, prof, prim, "cosine")
+        return cls(beta, prof, prim)
 
     def sigma_bars(self, n: int) -> np.ndarray:
         """The n block averages n * integral over ((j-1)/n, j/n] of
@@ -507,8 +504,11 @@ def _cms_constants(beta: float, rho: float) -> tuple[float, float]:
     return (1.0 + t * t) ** (0.5 / beta), math.atan(t) / beta
 
 
-def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
-                 scale, shift=None) -> Cell:
+def _stable_cell(beta: float, rho: float, n: int, h: float, scale,
+                 shift=None) -> Cell:
+    if not np.all(scale > 0.0):  # h^(1/beta) sigma underflows at tiny h
+        raise DomainError("stable increment scale underflowed to 0 at this "
+                          "mesh", beta=beta, h=h)
     # fill(streams): row r holds scale * S (+ shift) for S the n
     # S_beta(1, rho, 0) draws of the r-th stream, its n uniforms and then
     # its n exponentials.  The rows' draws are stacked into one (rows, n)
@@ -537,7 +537,7 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
         return values
 
     if shift is not None or (beta == 1.0 and rho != 0.0):
-        return Cell(h, meta, fill)
+        return Cell(h, fill)
     b = _cms_constants(beta, rho)[1]
 
     def signs(streams) -> np.ndarray:
@@ -545,7 +545,7 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, meta: dict,
         phase += b
         return np.sign(phase, out=phase)
 
-    return Cell(h, meta, fill, signs)
+    return Cell(h, fill, signs)
 
 
 def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]:
@@ -570,9 +570,7 @@ def increments_cell(params: StableParams, h: float, n: int) -> Cell:
     L(X_1) = S_beta(sigma, rho, gamma)."""
     sample_size(n)
     scale, shift = increment_scale_shift(params, h)
-    meta = {"model": "stable", "beta": params.beta, "sigma": params.sigma,
-            "rho": params.rho, "gamma": params.gamma}
-    return _stable_cell(params.beta, params.rho, n, h, meta, scale, shift)
+    return _stable_cell(params.beta, params.rho, n, h, scale, shift)
 
 
 def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
@@ -581,9 +579,7 @@ def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
     (h * scale)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
     positive("h", h)
     sample_size(n)
-    meta = {"model": "skewed_stable", "beta": pp.beta, "p_pos": pp.p_pos,
-            "scale": pp.scale}
-    return _stable_cell(pp.beta, pp.rho, n, h, meta,
+    return _stable_cell(pp.beta, pp.rho, n, h,
                         (h * pp.scale) ** (1.0 / pp.beta))
 
 
@@ -605,9 +601,7 @@ def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
     beta = path.beta
     rho = PositivityStable(beta, p_pos).rho
     sample_size(n)
-    meta = {"model": "timevarying_stable", "beta": beta, "p_pos": p_pos,
-            "path": path.label}
-    return _stable_cell(beta, rho, n, 1.0 / n, meta,
+    return _stable_cell(beta, rho, n, 1.0 / n,
                         (path.sigma_bars(n) / n) ** (1.0 / beta))
 
 

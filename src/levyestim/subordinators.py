@@ -107,8 +107,7 @@ def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
                                   zeros=int(n - np.count_nonzero(block[row])))
         return block
 
-    return Cell(h, {"model": "gamma_sub", "delta": params.delta,
-                    "gamma": params.gamma_rate}, fill)
+    return Cell(h, fill)
 
 
 def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
@@ -125,8 +124,7 @@ def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
     def fill(streams):
         return np.array([rng.wald(mean, shape, size=n) for rng in streams])
 
-    return Cell(h, {"model": "ig_sub", "delta": params.delta,
-                    "gamma": params.gamma_ig}, fill)
+    return Cell(h, fill)
 
 
 def _positive_increments(sample: IncrementSample) -> np.ndarray:

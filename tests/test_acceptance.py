@@ -140,18 +140,18 @@ def test_criterion_9_exact_algebraic_suite():
     for estimate in (log_moment_estimate,
                      lambda x: frac_moment_estimate(x, 0.2)):
         base = estimate(s)
-        scaled = estimate(IncrementSample(2.5 * s.values, s.h, {}))
+        scaled = estimate(IncrementSample(2.5 * s.values, s.h))
         assert scaled.beta_hat == pytest.approx(base.beta_hat, rel=1e-9)
         assert scaled.sigma_hat == pytest.approx(2.5 * base.sigma_hat, rel=1e-9)
         assert scaled.gamma_hat == pytest.approx(2.5 * base.gamma_hat, rel=1e-9)
-        shifted = estimate(IncrementSample(s.values + 0.7 * s.h, s.h, {}))
+        shifted = estimate(IncrementSample(s.values + 0.7 * s.h, s.h))
         assert shifted.beta_hat == pytest.approx(base.beta_hat, rel=1e-9)
         assert shifted.sigma_hat == pytest.approx(base.sigma_hat, rel=1e-9)
         assert shifted.gamma_hat == pytest.approx(base.gamma_hat + 0.7,
                                                   rel=1e-9)
 
     # trend cancellation in centered triples
-    drift = IncrementSample(np.full(9, 0.3 * 0.01), 0.01, {})
+    drift = IncrementSample(np.full(9, 0.3 * 0.01), 0.01)
     assert np.all(center_triple(drift).values == 0.0)
 
     # symmetric-case absolute moment equals the classical constant

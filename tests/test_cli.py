@@ -244,10 +244,11 @@ def test_simulate_writes_increment_file(tmp_path):
     sample = read_increments(out)
     assert sample.n == 2001
     assert sample.h == pytest.approx(5.0 / 2001, rel=1e-15)
-    # the model metadata is written, but only h and n are read back
-    assert sample.meta == {}
+    # the request is written as the header, but only h and n are read back
+    lines = out.read_text().splitlines()
+    assert "# seed=42" in lines
     # one value per line after the metadata comments
-    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    body = [ln for ln in lines if not ln.startswith("#")]
     assert len(body) == 2001
 
 
@@ -331,7 +332,12 @@ def test_simulate_timevarying_path_defaults_to_cosine(tmp_path):
         assert run_cli("simulate", "--model", "timevarying", "--params",
                        "beta=1.5,p_pos=0.45", "--n", "50", "--seed", "4",
                        *path, "--out", str(files[-1])) == 0
-    assert files[0].read_bytes() == files[1].read_bytes()
+    # the header records the request, so only the second names its path
+    texts = [f.read_text().splitlines() for f in files]
+    assert [line for line in texts[1] if line not in texts[0]] == \
+        ["# path='cosine'"]
+    assert [ln for ln in texts[0] if not ln.startswith("#")] == \
+        [ln for ln in texts[1] if not ln.startswith("#")]
 
 
 # every model and scale path that simulate writes
@@ -355,7 +361,7 @@ def test_written_values_are_the_repr_of_each_float(tmp_path, model, truth,
     # the '#' metadata lines
     sample = MODELS[model].cell(truth, h, 500).sample(7)
     out = tmp_path / "x.csv"
-    write_increments(out, sample)
+    write_increments(out, sample, {})
     head = [line for line in out.read_text(encoding="utf8").splitlines()
             if line.startswith("#")]
     expected = "\n".join(head + [repr(float(v)) for v in sample.values])
@@ -363,20 +369,21 @@ def test_written_values_are_the_repr_of_each_float(tmp_path, model, truth,
     assert head[:2] == [f"# h={sample.h!r}", "# n=500"]
 
 
-# the '#' lines written for each _WRITTEN case, as literal text: the model
-# metadata stays in the file, though only h and n are read back
+# the '#' lines simulate writes for each _WRITTEN case, as literal text: h,
+# n and the request, though only h and n are read back
 _WRITTEN_HEADERS = [
     ["# h=0.005", "# n=500", "# beta=1.3", "# gamma=-0.5",
-     "# model='stable'", "# rho=0.2", "# sigma=0.5"],
-    ["# h=0.001", "# n=500", "# beta=1.45", "# model='skewed_stable'",
-     "# p_pos=0.55", "# scale=1.0"],
-    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying_stable'",
-     "# p_pos=0.55", "# path='cosine'"],
-    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying_stable'",
-     "# p_pos=0.55", "# path='constant'"],
-    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5",
-     "# model='gamma_sub'"],
-    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5", "# model='ig_sub'"],
+     "# model='stable'", "# rho=0.2", "# seed=7", "# sigma=0.5"],
+    ["# h=0.001", "# n=500", "# beta=1.45", "# model='stable'",
+     "# p_pos=0.55", "# seed=7"],
+    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying'",
+     "# p_pos=0.55", "# path='cosine'", "# seed=7"],
+    ["# h=0.002", "# n=500", "# beta=1.45", "# model='timevarying'",
+     "# p_pos=0.55", "# path='constant'", "# seed=7", "# sigma=0.8"],
+    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5", "# model='gamma'",
+     "# seed=7"],
+    ["# h=0.1", "# n=500", "# delta=2.0", "# gamma=1.5", "# model='ig'",
+     "# seed=7"],
 ]
 
 
@@ -386,11 +393,18 @@ _WRITTEN_HEADERS = [
                          ids=[f"{m}-{t.get('path', '')}" for m, t, _ in
                               _WRITTEN])
 def test_written_header_lines(tmp_path, model, truth, h, header):
+    # simulate writes the header, then the values its cell draws
+    flag = {"symmetric_stable": "stable", "skewed_stable": "stable",
+            "timevarying_stable": "timevarying", "gamma_sub": "gamma",
+            "ig_sub": "ig"}[model]
+    params = ",".join(f"{k}={v}" for k, v in truth.items() if k != "path")
+    argv = ["--path", truth["path"]] if "path" in truth else ["--h", str(h)]
     out = tmp_path / "x.csv"
-    write_increments(out, MODELS[model].cell(truth, h, 500).sample(7))
-    lines = out.read_text(encoding="utf8").splitlines()
-    assert lines[:len(header)] == header
-    assert not lines[len(header)].startswith("#")
+    assert run_cli("simulate", "--model", flag, "--params", params, "--n",
+                   "500", "--seed", "7", *argv, "--out", str(out)) == 0
+    sample = MODELS[model].cell(truth, h, 500).sample(7)
+    assert out.read_text(encoding="utf8").splitlines() == \
+        header + [repr(v) for v in sample.values.tolist()]
 
 
 _MISSING_CASES = [
@@ -475,6 +489,8 @@ def test_non_finite_mesh_is_data_error(tmp_path):
 @pytest.mark.parametrize("key,raw", [
     ("n", "1e400"), ("n", "nan"), ("n", "2.5"), ("n", "'2'"),
     ("h", "'abc'"), ("h", "abc"), ("h", "1e400"),
+    # a quoted value is text, for h as for n
+    ("h", "'0.01'"),
 ])
 def test_bad_n_or_h_metadata_is_data_error(tmp_path, capsys, key, raw):
     meta = {"h": "0.01", "n": "2", key: raw}
@@ -492,6 +508,38 @@ def test_integer_valued_n_metadata_is_accepted(tmp_path):
     src = tmp_path / "ok.csv"
     src.write_text("# h=0.01\n# n=2.0\n0.5\n-0.2\n")
     assert read_increments(src).n == 2
+
+
+@pytest.mark.parametrize("lines,bad_line", [
+    (["# h=0.1", "# h=0.2", "0.5", "-0.2"], 2),
+    # a line past the values overrode the header's h
+    (["# h=0.1", "# n=2", "0.5", "-0.2", "# h=0.7"], 5),
+    (["# h=0.1", "# model='a'", "0.5", "#model = 'b'", "-0.2"], 4),
+])
+def test_repeated_metadata_key_is_data_error(tmp_path, capsys, lines,
+                                             bad_line):
+    # the last value used to win; the repeat is refused by its line
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="given twice"):
+        read_increments(src)
+    assert run_cli("estimate", "--in", str(src), "--method", "log") == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "data_error"
+    assert payload["context"] == {"line": bad_line,
+                                  "text": lines[bad_line - 1]}
+
+
+def test_simulate_refuses_an_underflowing_stable_scale(tmp_path, capsys):
+    # h^(1/beta) sigma underflowed to 0, and five 0.0 lines were written
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params",
+                   "beta=0.5,sigma=1", "--n", "5", "--h", "1e-300",
+                   "--out", str(out)) == 1
+    payload = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["code"] == "domain_error"
+    assert payload["context"] == {"beta": 0.5, "h": 1e-300}
+    assert not out.exists()
 
 
 def test_error_payload_is_strict_json(tmp_path, capsys):
@@ -532,7 +580,7 @@ def _extreme_sample(kind):
 def test_overflowing_estimate_is_a_strict_json_error(tmp_path, capsys, kind,
                                                      method, code, field):
     src = tmp_path / "x.csv"
-    write_increments(src, _extreme_sample(kind))
+    write_increments(src, _extreme_sample(kind), {})
     assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -548,7 +596,7 @@ def test_scaled_sign_bipower_report_matches_unscaled(tmp_path, capsys):
     # the 1e290-scaled sample's sigma* values stay finite, and beta_hat and
     # its variance do not depend on the data's scale
     src = tmp_path / "x.csv"
-    write_increments(src, _extreme_sample("scaled"))
+    write_increments(src, _extreme_sample("scaled"), {})
     assert run_cli("estimate", "--in", str(src), "--method",
                    "sign-bipower") == 0
     report = _strict_json(capsys.readouterr().out)
@@ -565,7 +613,7 @@ def test_extreme_scale_subordinator_mle_is_typed(tmp_path, capsys, method,
     # RuntimeWarning filter of the suite turns a numpy overflow into a failure
     values = np.exp(np.random.default_rng(1).normal(mu, 1.0, 500))
     src = tmp_path / "x.csv"
-    write_increments(src, IncrementSample(values, h))
+    write_increments(src, IncrementSample(values, h), {})
     rc = run_cli("estimate", "--in", str(src), "--method", method)
     captured = capsys.readouterr()
     if rc == 0:
@@ -605,7 +653,7 @@ def test_pipeline_overflowing_triples_print_only_json(tmp_path, capsys):
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], 2001)
         values = signs * np.exp(rng.normal(-300.0, 250.0, 2001))
-        write_increments(src, IncrementSample(values, 0.001))
+        write_increments(src, IncrementSample(values, 0.001), {})
         rc = run_cli("estimate", "--in", str(src), "--method", "pipeline")
         captured = capsys.readouterr()
         if rc == 1:
@@ -1327,7 +1375,7 @@ def test_overflowing_scale_is_named_before_any_plug_in(tmp_path, capsys, h,
     # and is named before V^log, V^p or the drift interval see it
     sample = increments_cell(StableParams(0.6, 1.0), 1.0, 2001).sample(3)
     src = tmp_path / "x.csv"
-    write_increments(src, IncrementSample(sample.values, h))
+    write_increments(src, IncrementSample(sample.values, h), {})
     assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
     payload = _one_error_line(capsys.readouterr())
     assert payload["code"] == "estimation_error"
@@ -1345,7 +1393,7 @@ def test_pipeline_overflowing_scale_is_an_estimation_error(tmp_path, capsys):
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], 2001)
         values = signs * np.exp(rng.normal(-300.0, 250.0, 2001))
-        write_increments(src, IncrementSample(values, 0.001))
+        write_increments(src, IncrementSample(values, 0.001), {})
         assert run_cli("estimate", "--in", str(src), "--method",
                        "pipeline") == 1
         payload = _one_error_line(capsys.readouterr())
@@ -1360,7 +1408,7 @@ def test_subordinator_mle_outside_the_double_range_is_an_estimation_error(
     src = tmp_path / "x.csv"
     for mu, h in ((-600.0, 1e300), (600.0, 1e-300), (600.0, 1e300)):
         values = np.exp(np.random.default_rng(1).normal(mu, 1.0, 500))
-        write_increments(src, IncrementSample(values, h))
+        write_increments(src, IncrementSample(values, h), {})
         for method in ("gamma-mle", "ig-mle"):
             assert run_cli("estimate", "--in", str(src), "--method",
                            method) == 1
@@ -1378,7 +1426,7 @@ def test_huge_skewed_sample_names_the_statistic_without_warnings(tmp_path,
                    "--seed", "4", "--out", str(src)) == 0
     sample = read_increments(src)
     values = sample.values / np.abs(sample.values).max() * 1e307
-    write_increments(src, IncrementSample(values, sample.h))
+    write_increments(src, IncrementSample(values, sample.h), {})
     for method, field in (("sign-bipower", "extra.sigma_star_2p"),
                           ("tripower", "sigma_hat")):
         assert run_cli("estimate", "--in", str(src), "--method", method) == 1
@@ -1394,7 +1442,7 @@ def test_overflowing_power_scale_is_named_not_raised(tmp_path, capsys):
     values = np.random.default_rng(0).normal(size=2001) + 0.3
     src = tmp_path / "x.csv"
     write_increments(src, IncrementSample(
-        values / np.abs(values).max() * 1.7e308, 1 / 2001))
+        values / np.abs(values).max() * 1.7e308, 1 / 2001), {})
     assert run_cli("estimate", "--in", str(src), "--method",
                    "sign-bipower") == 1
     payload = _one_error_line(capsys.readouterr())

@@ -66,7 +66,7 @@ def _outcome(read, path):
         sample = read(path)
     except LevyEstimError as exc:
         return exc.to_json_dict()
-    return sample.values.tobytes(), repr(sample.h), repr(sample.meta)
+    return sample.values.tobytes(), repr(sample.h)
 
 
 _VALUE = st.one_of(
@@ -102,8 +102,8 @@ def _increment_files(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_read_increments_matches_the_per_line_rule(tmp_path, text):
-    # the one-pass block conversion gives the same bits, metadata and
-    # errors (code, message, line and text) as reading line by line
+    # the one-pass block conversion gives the same bits, h and errors
+    # (code, message, line and text) as reading line by line
     src = tmp_path / "file.csv"
     src.write_text(text, encoding="utf8", newline="")
     assert _outcome(read_increments, src) == _outcome(_read_by_lines, src)

@@ -45,7 +45,7 @@ LAW = PositivityStable(1.5, P_POS, 1.0)
 
 
 def _sample(values):
-    return IncrementSample(np.asarray(values, dtype=float), 1.0, {})
+    return IncrementSample(np.asarray(values, dtype=float), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_bipower_scale_free():
     s = sprime_cell(LAW, 1.0 / 4000, 4000).sample(seed=13)
     p_hat = sign_statistic(s)
     b1 = bipower_beta(s, 0.25, p_hat)
-    scaled = IncrementSample(37.0 * s.values, s.h, {})
+    scaled = IncrementSample(37.0 * s.values, s.h)
     assert bipower_beta(scaled, 0.25, p_hat) == pytest.approx(b1, abs=1e-6)
 
 
@@ -353,7 +353,7 @@ def test_sigma_star_bipower_lln():
 
 def test_sigma_star_scaling():
     s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
-    scaled = IncrementSample(3.0 * s.values, s.h, {})
+    scaled = IncrementSample(3.0 * s.values, s.h)
     # s_p at q = 0.25: power 2q = 0.5, and (p_hat, beta_hat) are scale free
     assert sign_bipower_point(scaled, 0.25)[3] == pytest.approx(
         3.0 ** 0.5 * sign_bipower_point(s, 0.25)[3], rel=1e-12)

@@ -398,8 +398,8 @@ def test_which_cells_have_a_sign_fill():
     # a shift moves values across zero; at beta = 1 the sign of a value
     # depends on V unless rho = 0
     assert increments_cell(StableParams(1.5, 1.0), 0.1, 5).signs is None
-    assert _stable_cell(1.0, 0.3, 5, 0.1, {}, 1.0).signs is None
-    assert _stable_cell(1.0, 0.0, 5, 0.1, {}, 1.0).signs is not None
+    assert _stable_cell(1.0, 0.3, 5, 0.1, 1.0).signs is None
+    assert _stable_cell(1.0, 0.0, 5, 0.1, 1.0).signs is not None
     assert gamma_sub_cell(GammaSubParams(2.0, 1.5), 0.1, 5).signs is None
     assert ig_sub_cell(IGSubParams(2.0, 1.5), 0.1, 5).signs is None
     # without a sign fill, signs=True draws the values
@@ -420,7 +420,7 @@ def _sign_cells(draw):
         scale = draw(st.floats(1e-3, 1e3))
     else:
         scale = (ScalePath.cosine(beta).sigma_bars(n) / n) ** (1.0 / beta)
-    return _stable_cell(beta, rho, n, 1.0 / n, {}, scale)
+    return _stable_cell(beta, rho, n, 1.0 / n, scale)
 
 
 @given(_sign_cells(), st.lists(st.integers(0, 2 ** 128 - 1), min_size=1,
@@ -470,7 +470,7 @@ def test_sign_fill_at_a_zero_phase_and_next_to_the_ends(beta):
     rho, r = _zero_phase(beta, -0.5)
     cases.append((rho, np.array([r])))
     for rho, r in cases:
-        cell = _stable_cell(beta, rho, r.size, 0.1, {}, 0.3)
+        cell = _stable_cell(beta, rho, r.size, 0.1, 0.3)
         # the documented exception: at rho = 1 a draw of 0.0 puts U on
         # -pi/2 and phi on -pi, where the rounding of phi decides the sign
         # of the value (at beta = 1.5 it comes out positive)
@@ -544,6 +544,21 @@ def test_timevarying_constant_path_matches_sprime():
     assert tv.h == 1 / 256
 
 
+@pytest.mark.parametrize("build,beta,h", [
+    (lambda: increments_cell(StableParams(0.5, 1.0), 1e-300, 5), 0.5,
+     1e-300),
+    (lambda: sprime_cell(PositivityStable(1.5, 0.45, 1e-300), 1e-300, 5),
+     1.5, 1e-300),
+    (lambda: timevarying_cell(ScalePath.constant(1e-300, 1.5), 0.45, 5),
+     1.5, 0.2),
+])
+def test_stable_cells_refuse_an_underflowing_scale(build, beta, h):
+    # the scale h^(1/beta) sigma underflowed to 0 and every value was 0.0
+    with pytest.raises(DomainError, match="underflowed") as exc:
+        build()
+    assert exc.value.context == {"beta": beta, "h": h}
+
+
 def test_timevarying_rejects_bad_beta():
     # beta <= 1 refused; the admissible case goes through
     timevarying_cell(ScalePath.cosine(1.5), 0.5984, 100).sample(seed=1)
@@ -552,11 +567,11 @@ def test_timevarying_rejects_bad_beta():
 
 
 def test_increment_sample_basic():
-    s = IncrementSample(np.array([1.0, -2.0, 3.0]), 0.5, {"src": "unit"})
+    s = IncrementSample(np.array([1.0, -2.0, 3.0]), 0.5)
     assert s.n == 3
     assert abs(s.n * s.h - 1.5) < 1e-15
     with pytest.raises(DomainError):
-        IncrementSample(np.array([1.0]), -0.5, {})
+        IncrementSample(np.array([1.0]), -0.5)
 
 
 def test_increment_sample_rejects_non_finite_values():

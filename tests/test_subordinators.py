@@ -30,7 +30,7 @@ from levyestim.subordinators import (
 
 
 def _sample(values, h=1.0):
-    return IncrementSample(np.asarray(values, dtype=float), h, {})
+    return IncrementSample(np.asarray(values, dtype=float), h)
 
 
 # ---------------------------------------------------------------------------

@@ -52,22 +52,22 @@ def _sym_sample(beta, sigma, gamma, n, T, seed):
 # median
 
 def test_median_hand_values():
-    assert median_gamma(IncrementSample(np.array([-1.0, 0.0, 3.0]), 0.5, {})) == 0.0
-    assert median_gamma(IncrementSample(np.array([1., 2., 3., 4., 5.]), 1.0, {})) == 3.0
+    assert median_gamma(IncrementSample(np.array([-1.0, 0.0, 3.0]), 0.5)) == 0.0
+    assert median_gamma(IncrementSample(np.array([1., 2., 3., 4., 5.]), 1.0)) == 3.0
 
 
 def test_median_even_drops_last():
     # even n: the final increment is dropped before taking the median
     vals = np.array([1.0, 2.0, 100.0, -50.0])
-    est = median_gamma(IncrementSample(vals, 1.0, {}))
+    est = median_gamma(IncrementSample(vals, 1.0))
     assert est == 2.0
 
 
 def test_median_translation():
     vals = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
     h = 0.25
-    base = median_gamma(IncrementSample(vals, h, {}))
-    shifted = median_gamma(IncrementSample(vals + 5.0 * h, h, {}))
+    base = median_gamma(IncrementSample(vals, h))
+    shifted = median_gamma(IncrementSample(vals + 5.0 * h, h))
     assert shifted == pytest.approx(base + 5.0, rel=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_point_cores_equal_their_reports(beta, n, seed):
 def test_log_moment_scale_equivariance():
     s = _sym_sample(1.3, 0.8, 0.0, 1001, 5.0, 5)
     r1 = log_moment_estimate(s)
-    r2 = log_moment_estimate(IncrementSample(3.0 * s.values, s.h, {}))
+    r2 = log_moment_estimate(IncrementSample(3.0 * s.values, s.h))
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-12)
     assert r2.sigma_hat == pytest.approx(3.0 * r1.sigma_hat, rel=1e-12)
 
@@ -127,7 +127,7 @@ def test_log_moment_scale_equivariance():
 def test_log_moment_translation_invariance():
     s = _sym_sample(1.3, 0.8, 0.0, 1001, 5.0, 6)
     r1 = log_moment_estimate(s)
-    r2 = log_moment_estimate(IncrementSample(s.values + 2.0 * s.h, s.h, {}))
+    r2 = log_moment_estimate(IncrementSample(s.values + 2.0 * s.h, s.h))
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-10)
     assert r2.sigma_hat == pytest.approx(r1.sigma_hat, rel=1e-10)
     assert r2.gamma_hat == pytest.approx(r1.gamma_hat + 2.0, rel=1e-10)
@@ -137,7 +137,7 @@ def test_log_moment_zero_residual():
     # an off-median value equal to the median gives a zero residual
     vals = np.array([1.0, 2.0, 2.0, 30.0, 0.1])
     with pytest.raises(ZeroResidual):
-        log_moment_estimate(IncrementSample(vals, 1.0, {}))
+        log_moment_estimate(IncrementSample(vals, 1.0))
 
 
 def test_log_moment_nonpositive_gap():
@@ -146,7 +146,7 @@ def test_log_moment_nonpositive_gap():
     # all log-residuals identical: centered sum is 0, braced term <= 0
     vals = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
     with pytest.raises(NonpositiveVarianceGap):
-        log_moment_estimate(IncrementSample(vals, 1.0, {}))
+        log_moment_estimate(IncrementSample(vals, 1.0))
 
 
 def test_psi_transform_monotone_and_derivative():
@@ -178,7 +178,7 @@ def test_known_scale_beta():
     est = _known_scale(s, 0.5)
     assert abs(est - 1.5) < 0.07
     # scaling data and sigma together leaves the estimate unchanged
-    s2 = IncrementSample(4.0 * s.values, s.h, {})
+    s2 = IncrementSample(4.0 * s.values, s.h)
     assert _known_scale(s2, 2.0) == pytest.approx(est, rel=1e-12)
 
 
@@ -186,7 +186,7 @@ def test_known_scale_denominator_error():
     # residuals |x - m| = 1 give S_n = 0; sigma = exp(euler) makes the
     # denominator log(sigma) - euler - S_n vanish
     vals = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, -1.0])[:5]
-    s = IncrementSample(np.array([0.0, 1.0, -1.0, 1.0, -1.0]), 0.5, {})
+    s = IncrementSample(np.array([0.0, 1.0, -1.0, 1.0, -1.0]), 0.5)
     with pytest.raises(DenominatorNearZero):
         _known_scale(s, math.exp(EULER))
 
@@ -246,7 +246,7 @@ def test_frac_moment_root_residual():
 def test_frac_moment_scale_equivariance():
     s = _sym_sample(1.6, 0.7, 0.0, 1001, 5.0, 23)
     r1 = frac_moment_estimate(s, 0.15)
-    r2 = frac_moment_estimate(IncrementSample(2.5 * s.values, s.h, {}), 0.15)
+    r2 = frac_moment_estimate(IncrementSample(2.5 * s.values, s.h), 0.15)
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-10)
     assert r2.sigma_hat == pytest.approx(2.5 * r1.sigma_hat, rel=1e-10)
 

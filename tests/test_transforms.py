@@ -29,8 +29,8 @@ SKEWED = StableParams(1.5, 1.0, -0.5, 0.3)
 P_TRUE = skew_to_positivity(1.5, -0.5)
 
 
-def _sample(values, h=1.0, meta=None):
-    return IncrementSample(np.asarray(values, dtype=float), h, meta or {})
+def _sample(values, h=1.0):
+    return IncrementSample(np.asarray(values, dtype=float), h)
 
 
 def _quiet_pipeline(sample, **kw):
@@ -44,26 +44,24 @@ def _quiet_pipeline(sample, **kw):
 
 
 def test_symmetrize_hand_values():
-    out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0], 0.5, {"model": "stable"}))
+    out = symmetrize(_sample([1.0, 4.0, 9.0, 2.0], 0.5))
     assert np.array_equal(out.values, [3.0, -7.0])
-    # a transformed sample keeps h and carries no metadata
-    assert out.h == 0.5 and out.meta == {}
+    # a transformed sample keeps h
+    assert out.h == 0.5
     assert out.n == 2
 
 
 def test_center_hand_values():
-    out = center_triple(_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.5,
-                                {"model": "stable"}))
+    out = center_triple(_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.5))
     assert np.array_equal(out.values, [3.0 + 1.0 - 4.0, 6.0 + 4.0 - 10.0])
-    assert out.h == 0.5 and out.meta == {}
+    assert out.h == 0.5
 
 
 def test_deskew_hand_values():
     w = 2.0 ** (1.0 / 1.5)
-    out = deskew_triple(_sample([1.0, 2.0, 3.0], 0.5, {"model": "stable"}),
-                        1.5)
+    out = deskew_triple(_sample([1.0, 2.0, 3.0], 0.5), 1.5)
     assert out.values[0] == pytest.approx(3.0 + 1.0 - 2.0 * w, rel=1e-14)
-    assert out.h == 0.5 and out.meta == {}
+    assert out.h == 0.5
 
 
 def test_block_counts_and_independence():
@@ -220,7 +218,7 @@ def test_pipeline_single_sample_interval_covers_zero_trend():
 def test_pipeline_scale_equivariance():
     s = increments_cell(SKEWED, 5.0 / 3000, 3000).sample(seed=29)
     r1 = _quiet_pipeline(s)
-    r2 = _quiet_pipeline(IncrementSample(4.0 * s.values, s.h, {}))
+    r2 = _quiet_pipeline(IncrementSample(4.0 * s.values, s.h))
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-9)
     assert r2.extra["p_pos_hat"] == pytest.approx(r1.extra["p_pos_hat"],
                                                   rel=1e-9)
