@@ -68,8 +68,6 @@ from .stable_core import (
     timevarying_cell,
 )
 from .subordinators import (
-    GammaSubParams,
-    IGSubParams,
     gamma_mle,
     gamma_moment,
     gamma_sub_cell,
@@ -140,8 +138,8 @@ MODELS = {
     "skewed_stable": Model(
         ("beta", "p_pos"), ("sigma",),
         lambda t, h, n: sprime_cell(
-            PositivityStable(t["beta"], t["p_pos"],
-                             t.get("sigma", 1.0) ** t["beta"]), h, n)),
+            PositivityStable(t["beta"], t["p_pos"], t.get("sigma", 1.0)),
+            h, n)),
     # the scale path fixes the horizon [0, 1], so h is not read
     "timevarying_stable": Model(
         ("beta", "p_pos"), ("path",),
@@ -149,12 +147,10 @@ MODELS = {
             _PATHS[t.get("path", "cosine")][1](t), t["p_pos"], n)),
     "gamma_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n: gamma_sub_cell(
-            GammaSubParams(t["delta"], t["gamma"]), h, n)),
+        lambda t, h, n: gamma_sub_cell(t["delta"], t["gamma"], h, n)),
     "ig_sub": Model(
         ("delta", "gamma"), (),
-        lambda t, h, n: ig_sub_cell(
-            IGSubParams(t["delta"], t["gamma"]), h, n)),
+        lambda t, h, n: ig_sub_cell(t["delta"], t["gamma"], h, n)),
 }
 
 

@@ -23,7 +23,8 @@ Positivity form ``S'_beta(p, c)`` for beta in (1, 2), defined by
 
 where p = P(S > 0) ranges over (1 - 1/beta, 1/beta).  The forms are linked
 by tan xi = rho tan(beta pi/2) and c = sigma^beta, so
-S'_beta(p, c) = S_beta(c^{1/beta}, rho(p), 0).
+S'_beta(p, sigma^beta) = S_beta(sigma, rho(p), 0).  Parameters are named by
+sigma in both forms; c is computed where a cell is built.
 
 Sampling uses the Chambers-Mallows-Stuck transform with the corrected
 beta = 1 branch (the pi/2 factor inside the logarithm); the beta != 1
@@ -44,6 +45,7 @@ import numpy as np
 
 from .errors import (DataError, DomainError, positive, sample_size, skew,
                      stable_index)
+from .special_fn import overflow_to_inf
 
 __all__ = [
     "StableParams",
@@ -88,14 +90,13 @@ class StableParams:
 class PositivityStable:
     """Positivity-form parameters of a strictly stable law with beta in (1, 2).
 
-    ``scale`` is the characteristic-function level c in
-    exp{-c |u|^beta (1 - i sgn(u) tan xi)}; it equals sigma^beta of the skew
-    form.
+    ``sigma`` is the skew-form scale: the characteristic-function level in
+    exp{-c |u|^beta (1 - i sgn(u) tan xi)} is c = sigma^beta.
     """
 
     beta: float
     p_pos: float
-    scale: float = 1.0
+    sigma: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.beta < 2.0):
@@ -105,7 +106,7 @@ class PositivityStable:
         if not (lo < self.p_pos < hi):
             raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
                               p_pos=self.p_pos, lo=lo, hi=hi)
-        positive("scale", self.scale)
+        positive("sigma", self.sigma)
 
     @property
     def rho(self) -> float:
@@ -225,7 +226,9 @@ class ScalePath:
     @classmethod
     def constant(cls, sigma: float, beta: float) -> "ScalePath":
         positive("sigma", sigma)
-        c = sigma ** beta
+        c = overflow_to_inf(operator.pow, sigma, beta)
+        if c == math.inf:  # the primitive c t would be nan at t = 0
+            raise DomainError("sigma^beta overflows", sigma=sigma, beta=beta)
         return cls(beta, lambda t, c=c: c, lambda t, c=c: c * t)
 
     @classmethod
@@ -506,9 +509,11 @@ def _cms_constants(beta: float, rho: float) -> tuple[float, float]:
 
 def _stable_cell(beta: float, rho: float, n: int, h: float, scale,
                  shift=None) -> Cell:
-    if not np.all(scale > 0.0):  # h^(1/beta) sigma underflows at tiny h
-        raise DomainError("stable increment scale underflowed to 0 at this "
-                          "mesh", beta=beta, h=h)
+    # h^(1/beta) sigma underflows to 0 at a tiny h or sigma and overflows
+    # to inf at a huge one
+    if not np.all((scale > 0.0) & (scale < math.inf)):
+        raise DomainError("stable increment scale underflowed to 0 or "
+                          "overflowed to inf", beta=beta, h=h)
     # fill(streams): row r holds scale * S (+ shift) for S the n
     # S_beta(1, rho, 0) draws of the r-th stream, its n uniforms and then
     # its n exponentials.  The rows' draws are stacked into one (rows, n)
@@ -553,14 +558,19 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
     S ~ S_beta(1, rho, 0).
 
     For beta = 1 the shift absorbs the logarithmic drift of the scaling
-    relation: shift = (2 h sigma rho / pi) log(h sigma) + h gamma.
+    relation: shift = (2 h sigma rho / pi) log(h sigma) + h gamma, where
+    h sigma lies in (0, inf).  A scale of 0 or inf, which the cells refuse,
+    comes with the shift h gamma.
     """
     positive("h", h)
-    if params.beta == 1.0:
+    if params.beta != 1.0:
+        return (overflow_to_inf(operator.pow, h, 1.0 / params.beta)
+                * params.sigma, h * params.gamma)
+    scale, shift = h * params.sigma, h * params.gamma
+    if 0.0 < scale < math.inf:
         shift = (2.0 * h * params.sigma * params.rho / math.pi
-                 * math.log(h * params.sigma) + h * params.gamma)
-        return h * params.sigma, shift
-    return h ** (1.0 / params.beta) * params.sigma, h * params.gamma
+                 * math.log(scale) + h * params.gamma)
+    return scale, shift
 
 
 # A sample is its Cell drawn at one seed: ``<x>_cell(...).sample(seed)``.
@@ -575,12 +585,12 @@ def increments_cell(params: StableParams, h: float, n: int) -> Cell:
 
 def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
     """Cell of n i.i.d. increments over mesh h of the strictly stable
-    process with L(X_t) = S'_beta(p, t * scale): each equals
-    (h * scale)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
+    process with L(X_t) = S'_beta(p, t sigma^beta): each equals
+    (h sigma^beta)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
     positive("h", h)
     sample_size(n)
-    return _stable_cell(pp.beta, pp.rho, n, h,
-                        (h * pp.scale) ** (1.0 / pp.beta))
+    level = h * overflow_to_inf(operator.pow, pp.sigma, pp.beta)
+    return _stable_cell(pp.beta, pp.rho, n, h, level ** (1.0 / pp.beta))
 
 
 def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
@@ -592,7 +602,7 @@ def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
     zeta_j i.i.d. S'_beta(p, 1) and sigma_bar_j the block average of
     sigma^beta, which is what gets sampled; the block averages are computed
     once, when the cell is built.  A constant path takes the same standard
-    draws as ``sprime_cell`` at equal seeds (scale sigma^beta, h = 1/n),
+    draws as ``sprime_cell`` at equal seeds (the same sigma, h = 1/n),
     but its factor goes through n * diff(primitive) and so is rounded
     differently: the values are not equal but agree to within 4e-13
     relative (3.7e-13 at most over beta in {1.2, 1.5, 1.7} and n in

@@ -8,6 +8,9 @@ Laws of the increments over mesh h:
         (delta t e^{delta t gamma} / sqrt(2 pi)) x^{-3/2}
             exp{-(gamma^2 x + (delta t)^2 / x) / 2},  x > 0.
 
+Each cell takes delta and gamma under these names, the keys a design's
+truth writes, and checks both where it is built.
+
 The IG law coincides with the Wald law of mean delta t / gamma and shape
 (delta t)^2, which is how it is sampled; gamma draws boost tiny shapes
 through the Ahrens-Dieter identity inside numpy's standard_gamma.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +45,6 @@ from .special_fn import digamma, find_root_monotone
 from .stable_core import Cell, IncrementSample
 
 __all__ = [
-    "GammaSubParams",
-    "IGSubParams",
     "gamma_sub_cell",
     "ig_sub_cell",
     "gamma_mle",
@@ -57,45 +57,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaSubParams:
-    """Gamma subordinator: L(X_t) = Gamma(delta t, gamma_rate)."""
-
-    delta: float
-    gamma_rate: float
-
-    def __post_init__(self):
-        positive("delta", self.delta)
-        positive("gamma_rate", self.gamma_rate)
-
-
-@dataclass(frozen=True)
-class IGSubParams:
-    """Inverse-Gaussian subordinator: L(X_t) = IG(delta t, gamma_ig)."""
-
-    delta: float
-    gamma_ig: float
-
-    def __post_init__(self):
-        positive("delta", self.delta)
-        positive("gamma_ig", self.gamma_ig)
-
-
-def _check_mesh(h: float, n: int, shape: float):
+def _check_cell(delta: float, gamma: float, h: float, n: int):
+    positive("delta", delta)
+    positive("gamma", gamma)
     positive("h", h)
     sample_size(n)
-    if shape < 1e-12:
+    if delta * h < 1e-12:
         warnings.warn("per-increment shape below 1e-12: draws are "
                       "numerically degenerate at this mesh")
 
 
-def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
+def gamma_sub_cell(delta: float, gamma: float, h: float, n: int) -> Cell:
     """Cell of n i.i.d. Gamma(delta h, gamma) increments, none of them 0
     (the estimators reject 0): a draw that underflows to 0 raises
     DomainError."""
-    shape = params.delta * h
-    _check_mesh(h, n, shape)
-    scale = 1.0 / params.gamma_rate
+    _check_cell(delta, gamma, h, n)
+    shape, scale = delta * h, 1.0 / gamma
 
     def fill(streams):
         block = np.empty((len(streams), n))
@@ -110,13 +87,13 @@ def gamma_sub_cell(params: GammaSubParams, h: float, n: int) -> Cell:
     return Cell(h, fill)
 
 
-def ig_sub_cell(params: IGSubParams, h: float, n: int) -> Cell:
+def ig_sub_cell(delta: float, gamma: float, h: float, n: int) -> Cell:
     """Cell of n i.i.d. IG(delta h, gamma) increments, drawn as Wald variates
     of mean delta h / gamma and shape (delta h)^2; either underflowing to 0
     raises DomainError."""
-    _check_mesh(h, n, params.delta * h)
-    dh = params.delta * h
-    mean, shape = dh / params.gamma_ig, dh * dh
+    _check_cell(delta, gamma, h, n)
+    dh = delta * h
+    mean, shape = dh / gamma, dh * dh
     if not (mean > 0.0 and shape > 0.0):  # small delta h underflows
         raise DomainError("Wald mean or shape underflowed to 0 at this mesh",
                           mean=mean, shape=shape)

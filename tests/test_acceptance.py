@@ -21,8 +21,6 @@ from levyestim.stable_core import (
 )
 from levyestim.stable_density import fisher_matrix, phi_pair
 from levyestim.subordinators import (
-    GammaSubParams,
-    IGSubParams,
     gamma_mle,
     gamma_moment,
     gamma_sub_cell,
@@ -95,12 +93,11 @@ def test_criterion_6_special_values():
 def test_criterion_7_subordinator_mles():
     n, reps = 2000, 500
     h = float(n) ** -0.6
-    gamma_params = GammaSubParams(2.0, 1.0)
     d_gamma = np.empty(reps)
     g_mle = np.empty(reps)
     g_mom = np.empty(reps)
     for r in range(reps):
-        s = gamma_sub_cell(gamma_params, h, n).sample(seed=50_000 + r)
+        s = gamma_sub_cell(2.0, 1.0, h, n).sample(seed=50_000 + r)
         d_gamma[r], g_mle[r] = gamma_mle(s)
         g_mom[r] = gamma_moment(s)[1]
     var_gamma = (math.sqrt(n) * (d_gamma - 2.0)).var(ddof=1)
@@ -108,7 +105,7 @@ def test_criterion_7_subordinator_mles():
 
     d_ig = np.empty(reps)
     for r in range(reps):
-        s = ig_sub_cell(IGSubParams(1.0, 2.0), h, n).sample(seed=60_000 + r)
+        s = ig_sub_cell(1.0, 2.0, h, n).sample(seed=60_000 + r)
         d_ig[r], _ = ig_mle(s)
     var_ig = (math.sqrt(n) * (d_ig - 1.0)).var(ddof=1)
     assert abs(var_ig - 0.5) <= 0.15 * 0.5  # inverse Fisher delta^2/2
@@ -168,8 +165,7 @@ def test_criterion_9_exact_algebraic_suite():
     lhs = mpv(skew, b_hat, (0.25, 0.25)) / mpv(skew, b_hat, (0.5,))
     rhs = mu_abs(b_hat, p_hat, 0.25) ** 2 / mu_abs(b_hat, p_hat, 0.5)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
-    gsample = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.01,
-                             2000).sample(seed=3)
+    gsample = gamma_sub_cell(2.0, 1.0, 0.01, 2000).sample(seed=3)
     d_hat, _ = gamma_mle(gsample)
     t_total = gsample.n * gsample.h
     k_stat = (gsample.n * math.log(gsample.values.mean())

@@ -542,6 +542,28 @@ def test_simulate_refuses_an_underflowing_stable_scale(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, mesh, context", [
+    ("beta=1.5,p_pos=0.45,sigma=-1", ("--T", "1"), {"sigma": -1.0}),
+    ("beta=1,sigma=1e-30", ("--h", "1e-300"), {"beta": 1.0, "h": 1e-300}),
+    ("beta=0.5,sigma=1", ("--h", "1e300"), {"beta": 0.5, "h": 1e300}),
+    ("beta=1.9,p_pos=0.5,sigma=1e200", ("--T", "1"), {"beta": 1.9, "h": 0.2}),
+], ids=["negative-sigma", "log-drift-underflow", "power-overflow",
+        "sigma-power-overflow"])
+def test_simulate_refuses_a_scale_outside_its_domain(tmp_path, capsys,
+                                                     params, mesh, context):
+    # a TypeError, a math domain error and two OverflowError tracebacks
+    # before sigma was checked where it is first used and the scale's
+    # powers saturated to inf
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params", params,
+                   "--n", "5", *mesh, "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = _strict_json(line)
+    assert payload["code"] == "domain_error"
+    assert payload["context"] == context
+    assert not out.exists()
+
+
 def test_error_payload_is_strict_json(tmp_path, capsys):
     rc = run_cli("fisher", "--beta", "nan")
     assert rc == 1
@@ -1337,8 +1359,7 @@ def test_estimate_methods_are_one_table():
     source = Path(cli.__file__).read_text(encoding="utf8")
     for method in cli._ESTIMATE:
         assert source.count(f'"{method}"') == 1, method
-    for name in ("GammaSubParams", "IGSubParams", "gamma_fisher",
-                 "ig_fisher", "EstimateReport"):
+    for name in ("gamma_fisher", "ig_fisher", "EstimateReport"):
         assert name not in source
 
 

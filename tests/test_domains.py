@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from levyestim.errors import DomainError
+from levyestim.mc import check_truth
 from levyestim.skewed import mpv
 from levyestim.stable_core import (
     IncrementSample,
@@ -27,8 +28,6 @@ from levyestim.stable_density import (
     phi_pair,
 )
 from levyestim.subordinators import (
-    GammaSubParams,
-    IGSubParams,
     gamma_sub_cell,
     ig_sub_cell,
 )
@@ -67,18 +66,19 @@ _POSITIVE = {
     "sprime_cell.h": ("h", lambda v: sprime_cell(
         PositivityStable(1.5, 0.5), v, 5)),
     "gamma_sub_cell.h":
-        ("h", lambda v: gamma_sub_cell(GammaSubParams(1.0, 1.0), v, 5)),
+        ("h", lambda v: gamma_sub_cell(1.0, 1.0, v, 5)),
     "ig_sub_cell.h":
-        ("h", lambda v: ig_sub_cell(IGSubParams(1.0, 1.0), v, 5)),
+        ("h", lambda v: ig_sub_cell(1.0, 1.0, v, 5)),
     "gamma_confidence_interval": ("h", lambda v: gamma_confidence_interval(
         0.0, 1.5, 0.5, 501, h=v)),
-    "PositivityStable.scale":
-        ("scale", lambda v: PositivityStable(1.5, 0.5, v)),
-    "GammaSubParams.delta": ("delta", lambda v: GammaSubParams(v, 1.0)),
-    "GammaSubParams.gamma_rate":
-        ("gamma_rate", lambda v: GammaSubParams(1.0, v)),
-    "IGSubParams.delta": ("delta", lambda v: IGSubParams(v, 1.0)),
-    "IGSubParams.gamma_ig": ("gamma_ig", lambda v: IGSubParams(1.0, v)),
+    "PositivityStable.sigma":
+        ("sigma", lambda v: PositivityStable(1.5, 0.5, v)),
+    "gamma_sub_cell.delta":
+        ("delta", lambda v: gamma_sub_cell(v, 1.0, 0.1, 5)),
+    "gamma_sub_cell.gamma":
+        ("gamma", lambda v: gamma_sub_cell(1.0, v, 0.1, 5)),
+    "ig_sub_cell.delta": ("delta", lambda v: ig_sub_cell(v, 1.0, 0.1, 5)),
+    "ig_sub_cell.gamma": ("gamma", lambda v: ig_sub_cell(1.0, v, 0.1, 5)),
     "log_moment_nu.beta": ("beta", lambda v: log_moment_nu(v, 1.0)),
     "psi_transform": ("beta", psi_transform),
     "median_asymptotic_sd.beta":
@@ -113,4 +113,34 @@ def test_out_of_domain_argument_is_a_named_domain_error(case, value):
     with pytest.raises(DomainError) as exc:
         call(value)
     assert exc.value.code == "domain_error"
+    assert key in exc.value.context
+
+
+# a valid truth of each model, the constant scale path's besides the
+# cosine's, and values outside each key's domain (at beta = 1.5 for p_pos)
+_MODEL_TRUTHS = [
+    ("symmetric_stable", {"beta": 1.5, "sigma": 1.0, "rho": 0.3}),
+    ("skewed_stable", {"beta": 1.5, "p_pos": 0.5, "sigma": 1.0}),
+    ("timevarying_stable", {"beta": 1.5, "p_pos": 0.5}),
+    ("timevarying_stable",
+     {"beta": 1.5, "p_pos": 0.5, "path": "constant", "sigma": 1.0}),
+    ("gamma_sub", {"delta": 1.0, "gamma": 1.0}),
+    ("ig_sub", {"delta": 1.0, "gamma": 1.0}),
+]
+_BAD_TRUTH = {"beta": (0.0, -1.0, 2.5), "sigma": (0.0, -1.0),
+              "rho": (1.5, -2.0), "p_pos": (0.0, 1.0), "delta": (0.0, -1.0),
+              "gamma": (0.0, -1.0)}
+
+
+@pytest.mark.parametrize("model, truth, key, value", [
+    pytest.param(model, truth, key, value, id="-".join(filter(None, [
+        model, truth.get("path"), f"{key}={value}"])))
+    for model, truth in _MODEL_TRUTHS for key in truth if key != "path"
+    for value in _BAD_TRUTH[key]])
+def test_every_model_key_names_itself(model, truth, key, value):
+    # a truth key is checked under the name a design writes, where the
+    # model's cell is built
+    bad = {**truth, key: value}
+    with pytest.raises(DomainError) as exc:
+        check_truth(model, bad).cell(bad, 0.01, 5)
     assert key in exc.value.context

@@ -1,18 +1,21 @@
-"""Generated inputs at three boundaries: the increment CSV reader, the
-``simulate --params`` parser and the ``montecarlo`` config decoder.  Each
-either accepts its input or fails with its documented error type, never
-with anything else."""
+"""Generated inputs at four boundaries: the increment CSV reader, the
+``simulate --params`` parser, the ``montecarlo`` config decoder and a
+model's cell, built and drawn.  Each either accepts its input or fails with
+its documented error type, never with anything else."""
 
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levyestim.cli import _parse_params
 from levyestim.errors import LevyEstimError
-from levyestim.mc import ESTIMATORS, MODELS, ExperimentConfig
+from levyestim.mc import ESTIMATORS, MODELS, ExperimentConfig, check_truth
 from levyestim.serialize import _increment_sample, _read_line, read_increments
 from levyestim.stable_core import IncrementSample
 
@@ -224,3 +227,42 @@ def test_config_decoder_builds_config_or_raises_typed_error(payload):
             assert isinstance(est[key], float) and math.isfinite(est[key])
         for param in entry.params:
             assert math.isfinite(config.truth[param])
+
+
+# a valid truth of each model, with beta = 1 and rho != 0 (the logarithmic
+# drift) and the constant scale path besides; each run sets one key to an
+# extreme value and draws at an extreme or a plain mesh
+_TRUTHS = [
+    ("symmetric_stable", {"beta": 1.5, "sigma": 1.0, "rho": 0.3,
+                          "gamma": 0.5}),
+    ("symmetric_stable", {"beta": 1.0, "sigma": 1.0, "rho": 0.3,
+                          "gamma": 0.5}),
+    ("skewed_stable", {"beta": 1.5, "p_pos": 0.5, "sigma": 1.0}),
+    ("timevarying_stable", {"beta": 1.5, "p_pos": 0.5}),
+    ("timevarying_stable",
+     {"beta": 1.5, "p_pos": 0.5, "path": "constant", "sigma": 1.0}),
+    ("gamma_sub", {"delta": 1.0, "gamma": 1.0}),
+    ("ig_sub", {"delta": 1.0, "gamma": 1.0}),
+]
+_EXTREMES = (0.0, -1.0, 1e-300, 1e300)
+_MESHES = (1e-300, 0.01, 1e300)
+
+
+@pytest.mark.parametrize("model, truth, key", [
+    pytest.param(model, truth, key, id="-".join(filter(None, [
+        model, f"beta={truth['beta']}" if "beta" in truth else "",
+        truth.get("path"), key])))
+    for model, truth in _TRUTHS for key in truth if key != "path"])
+def test_model_cell_draws_a_sample_or_raises_typed_error(model, truth, key):
+    for value, h in itertools.product(_EXTREMES, _MESHES):
+        bad = {**truth, key: value}
+        try:
+            with warnings.catch_warnings():
+                # a subordinator's degenerate-shape warning at a tiny delta h
+                warnings.filterwarnings("ignore", "per-increment shape",
+                                        UserWarning)
+                sample = check_truth(model, bad).cell(bad, h, 5).sample(3)
+        except LevyEstimError:
+            continue
+        assert isinstance(sample, IncrementSample)
+        assert sample.n == 5 and np.isfinite(sample.values).all()

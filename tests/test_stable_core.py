@@ -28,8 +28,6 @@ from levyestim.stable_core import (
     _stable_cell,
 )
 from levyestim.subordinators import (
-    GammaSubParams,
-    IGSubParams,
     gamma_sub_cell,
     ig_sub_cell,
 )
@@ -168,13 +166,14 @@ def test_characteristic_function_beta_one(rho):
 
 
 def test_sprime_characteristic_function():
-    beta, p_pos, c = 1.5, P_POS_TABLE[1.5], 1.0
-    pp = PositivityStable(beta, p_pos, c)
+    beta, p_pos, sigma = 1.5, P_POS_TABLE[1.5], 1.0
+    pp = PositivityStable(beta, p_pos, sigma)
     s = sprime_cell(pp, 1.0, 200_000).sample(seed=23)
     xi = beta * np.pi * (p_pos - 0.5)
     for u in (0.5, 1.0, 2.0):
         emp = np.exp(1j * u * s.values).mean()
-        exact = np.exp(-c * abs(u) ** beta * (1 - 1j * np.sign(u) * math.tan(xi)))
+        exact = np.exp(-sigma ** beta * abs(u) ** beta
+                       * (1 - 1j * np.sign(u) * math.tan(xi)))
         assert abs(emp - exact) < 4.0 / math.sqrt(200_000)
 
 
@@ -334,7 +333,7 @@ def _bulk_case(name, n, h=0.01):
     pp = PositivityStable(1.5, 0.45, 0.8)
     if name == "sprime":
         return (sprime_cell(pp, h, n),
-                _stable_row(1.5, pp.rho, (h * pp.scale) ** (1 / 1.5)))
+                _stable_row(1.5, pp.rho, (h * pp.sigma ** 1.5) ** (1 / 1.5)))
     if name.startswith("timevarying"):
         path = (ScalePath.cosine(1.5) if name.endswith("cosine")
                 else ScalePath.constant(0.8, 1.5))
@@ -342,14 +341,11 @@ def _bulk_case(name, n, h=0.01):
                 _stable_row(1.5, pp.rho,
                             (path.sigma_bars(n) / n) ** (1 / 1.5)))
     if name == "gamma":
-        gp = GammaSubParams(2.0, 1.5)
-        return (gamma_sub_cell(gp, h, n),
-                lambda rng, n: rng.gamma(gp.delta * h,
-                                         scale=1.0 / gp.gamma_rate, size=n))
-    ip = IGSubParams(2.0, 1.5)
-    dh = ip.delta * h
-    return (ig_sub_cell(ip, h, n),
-            lambda rng, n: rng.wald(dh / ip.gamma_ig, dh * dh, size=n))
+        return (gamma_sub_cell(2.0, 1.5, h, n),
+                lambda rng, n: rng.gamma(2.0 * h, scale=1.0 / 1.5, size=n))
+    dh = 2.0 * h
+    return (ig_sub_cell(2.0, 1.5, h, n),
+            lambda rng, n: rng.wald(dh / 1.5, dh * dh, size=n))
 
 
 @pytest.mark.parametrize("name", [
@@ -400,8 +396,8 @@ def test_which_cells_have_a_sign_fill():
     assert increments_cell(StableParams(1.5, 1.0), 0.1, 5).signs is None
     assert _stable_cell(1.0, 0.3, 5, 0.1, 1.0).signs is None
     assert _stable_cell(1.0, 0.0, 5, 0.1, 1.0).signs is not None
-    assert gamma_sub_cell(GammaSubParams(2.0, 1.5), 0.1, 5).signs is None
-    assert ig_sub_cell(IGSubParams(2.0, 1.5), 0.1, 5).signs is None
+    assert gamma_sub_cell(2.0, 1.5, 0.1, 5).signs is None
+    assert ig_sub_cell(2.0, 1.5, 0.1, 5).signs is None
     # without a sign fill, signs=True draws the values
     cell = increments_cell(StableParams(1.5, 1.0, 0.2, 0.3), 0.1, 5)
     assert np.array_equal(next(cell.blocks([4, 5], 2, signs=True)),
@@ -538,7 +534,7 @@ def test_timevarying_constant_path_matches_sprime():
     beta, p_pos, sigma = 1.5, P_POS_TABLE[1.5], 0.7
     path = ScalePath.constant(sigma, beta)
     tv = timevarying_cell(path, p_pos, 256).sample(seed=33)
-    direct = sprime_cell(PositivityStable(beta, p_pos, sigma ** beta),
+    direct = sprime_cell(PositivityStable(beta, p_pos, sigma),
                          1 / 256, 256).sample(seed=33)
     assert np.allclose(tv.values, direct.values, rtol=0, atol=1e-14)
     assert tv.h == 1 / 256
@@ -551,12 +547,28 @@ def test_timevarying_constant_path_matches_sprime():
      1.5, 1e-300),
     (lambda: timevarying_cell(ScalePath.constant(1e-300, 1.5), 0.45, 5),
      1.5, 0.2),
+    # h sigma = 0, where the beta = 1 drift took log(0)
+    (lambda: increments_cell(StableParams(1.0, 1e-30, 0.5), 1e-300, 5), 1.0,
+     1e-300),
+    # h^(1/beta) and sigma^beta overflow: an OverflowError was raised
+    (lambda: increments_cell(StableParams(0.5, 1.0), 1e300, 5), 0.5, 1e300),
+    (lambda: sprime_cell(PositivityStable(1.9, 0.5, 1e200), 0.2, 5), 1.9,
+     0.2),
 ])
 def test_stable_cells_refuse_an_underflowing_scale(build, beta, h):
-    # the scale h^(1/beta) sigma underflowed to 0 and every value was 0.0
-    with pytest.raises(DomainError, match="underflowed") as exc:
+    # the scale h^(1/beta) sigma underflowed to 0 and every value was 0.0;
+    # one refusal covers both ends of the double range
+    with pytest.raises(DomainError, match="underflowed to 0 or overflowed "
+                       "to inf") as exc:
         build()
     assert exc.value.context == {"beta": beta, "h": h}
+
+
+def test_constant_path_refuses_an_overflowing_level():
+    # c = sigma^beta = inf made the primitive c t nan at t = 0
+    with pytest.raises(DomainError) as exc:
+        ScalePath.constant(1e300, 1.9)
+    assert exc.value.context == {"sigma": 1e300, "beta": 1.9}
 
 
 def test_timevarying_rejects_bad_beta():

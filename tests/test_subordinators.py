@@ -15,8 +15,6 @@ from levyestim.errors import (
 from levyestim.special_fn import digamma
 from levyestim.stable_core import IncrementSample
 from levyestim.subordinators import (
-    GammaSubParams,
-    IGSubParams,
     gamma_fisher,
     gamma_mle,
     gamma_mle_estimate,
@@ -39,18 +37,17 @@ def _sample(values, h=1.0):
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        GammaSubParams(0.0, 1.0)
+        gamma_sub_cell(0.0, 1.0, 0.1, 10)
     with pytest.raises(DomainError):
-        GammaSubParams(1.0, -2.0)
+        gamma_sub_cell(1.0, -2.0, 0.1, 10)
     with pytest.raises(DomainError):
-        IGSubParams(-1.0, 1.0)
+        ig_sub_cell(-1.0, 1.0, 0.1, 10)
     with pytest.raises(DomainError):
-        IGSubParams(1.0, 0.0)
+        ig_sub_cell(1.0, 0.0, 0.1, 10)
 
 
 def test_gamma_sampler_mean():
-    params = GammaSubParams(2.0, 1.5)
-    s = gamma_sub_cell(params, 0.3, 100_000).sample(seed=8)
+    s = gamma_sub_cell(2.0, 1.5, 0.3, 100_000).sample(seed=8)
     assert np.all(s.values >= 0.0)
     se = s.values.std(ddof=1) / math.sqrt(s.values.size)
     assert abs(s.values.mean() - 2.0 * 0.3 / 1.5) <= 3.0 * se
@@ -58,9 +55,8 @@ def test_gamma_sampler_mean():
 
 def test_ig_sampler_mean_and_inverse_mean():
     # E X_h = delta h / gamma and E 1/X_h = 1/(delta h)^2 + gamma/(delta h)
-    params = IGSubParams(1.4, 2.2)
     dh = 1.4 * 0.3
-    s = ig_sub_cell(params, 0.3, 100_000).sample(seed=9)
+    s = ig_sub_cell(1.4, 2.2, 0.3, 100_000).sample(seed=9)
     assert np.all(s.values > 0.0)
     se = s.values.std(ddof=1) / math.sqrt(s.values.size)
     assert abs(s.values.mean() - dh / 2.2) <= 3.0 * se
@@ -70,15 +66,14 @@ def test_ig_sampler_mean_and_inverse_mean():
 
 
 def test_sampler_mesh_validation():
-    params = GammaSubParams(1.0, 1.0)
     with pytest.raises(DomainError):
-        gamma_sub_cell(params, -0.1, 10)
+        gamma_sub_cell(1.0, 1.0, -0.1, 10)
     with pytest.raises(DomainError):
-        gamma_sub_cell(params, 0.1, 0)
+        gamma_sub_cell(1.0, 1.0, 0.1, 0)
     # below shape 1e-12 the sampler warns, and its draws underflow to 0
     with pytest.warns(UserWarning, match="degenerate"):
         with pytest.raises(DomainError):
-            gamma_sub_cell(GammaSubParams(1e-11, 1.0), 1e-3, 3).sample(seed=0)
+            gamma_sub_cell(1e-11, 1.0, 1e-3, 3).sample(seed=0)
 
 
 @pytest.mark.parametrize("delta, gamma, zero", [(1e-200, 1.0, "shape"),
@@ -87,7 +82,7 @@ def test_ig_sampler_refuses_underflowed_wald_parameters(delta, gamma, zero):
     # numpy's wald raises a bare ValueError for a zero mean or shape
     with pytest.warns(UserWarning, match="degenerate"):
         with pytest.raises(DomainError) as exc:
-            ig_sub_cell(IGSubParams(delta, gamma), 1.0, 5).sample(seed=0)
+            ig_sub_cell(delta, gamma, 1.0, 5).sample(seed=0)
     assert set(exc.value.context) == {"mean", "shape"}
     assert exc.value.context[zero] == 0.0
 
@@ -97,17 +92,16 @@ def test_gamma_sampler_refuses_zero_draws(seed):
     # at delta h = 0.001 numpy's gamma draws underflow to exact zeros, which
     # gamma_mle and gamma_moment reject; at 0.1 none do
     with pytest.raises(DomainError) as exc:
-        gamma_sub_cell(GammaSubParams(1.0, 1.0), 0.001, 2000).sample(seed=seed)
+        gamma_sub_cell(1.0, 1.0, 0.001, 2000).sample(seed=seed)
     assert exc.value.context["shape"] == 0.001
     assert exc.value.context["zeros"] > 0
-    s = gamma_sub_cell(GammaSubParams(1.0, 1.0), 0.1, 2000).sample(seed=seed)
+    s = gamma_sub_cell(1.0, 1.0, 0.1, 2000).sample(seed=seed)
     assert np.all(s.values > 0.0)
 
 
 def test_sampler_determinism():
-    params = IGSubParams(1.0, 2.0)
-    a = ig_sub_cell(params, 0.1, 50).sample(seed=42)
-    b = ig_sub_cell(params, 0.1, 50).sample(seed=42)
+    a = ig_sub_cell(1.0, 2.0, 0.1, 50).sample(seed=42)
+    b = ig_sub_cell(1.0, 2.0, 0.1, 50).sample(seed=42)
     assert np.array_equal(a.values, b.values)
 
 
@@ -152,7 +146,7 @@ def test_gamma_mle_rounding_level_k_raises():
 
 
 def test_gamma_mle_estimating_equation_residual():
-    s = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.05, 400).sample(seed=3)
+    s = gamma_sub_cell(2.0, 1.0, 0.05, 400).sample(seed=3)
     delta_hat, gamma_hat = gamma_mle(s)
     vals = s.values
     t_total = vals.size * s.h
@@ -167,7 +161,7 @@ def test_gamma_mle_estimating_equation_residual():
 def test_gamma_mle_time_rescaling():
     # the estimating equation is invariant under h -> 1, delta -> delta h:
     # delta_hat scales by h and gamma_hat is unchanged
-    s = gamma_sub_cell(GammaSubParams(2.0, 1.0), 0.05, 400).sample(seed=3)
+    s = gamma_sub_cell(2.0, 1.0, 0.05, 400).sample(seed=3)
     d_h, g_h = gamma_mle(s)
     d_1, g_1 = gamma_mle(_sample(s.values, h=1.0))
     assert d_1 == pytest.approx(0.05 * d_h, rel=1e-9)
@@ -192,7 +186,7 @@ def test_gamma_mle_mc_variances():
     t_total = n * h
     out = np.empty((reps, 2))
     for r in range(reps):
-        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+        s = gamma_sub_cell(2.0, 1.0, h,
                            n).sample(seed=50_000 + r)
         out[r] = gamma_mle(s)
     v_delta = np.var(math.sqrt(n) * (out[:, 0] - 2.0), ddof=1)
@@ -247,7 +241,7 @@ def test_gamma_moment_mc_variance():
     t_total = n * h
     d_m = np.empty(reps)
     for r in range(reps):
-        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+        s = gamma_sub_cell(2.0, 1.0, h,
                            n).sample(seed=200_000 + r)
         d_m[r] = gamma_moment(s)[0]
     v = np.var(math.sqrt(t_total) * (d_m - 2.0), ddof=1)
@@ -261,7 +255,7 @@ def test_gamma_moment_vs_mle_efficiency():
     g_m = np.empty(reps)
     g_l = np.empty(reps)
     for r in range(reps):
-        s = gamma_sub_cell(GammaSubParams(2.0, 1.0), h,
+        s = gamma_sub_cell(2.0, 1.0, h,
                            n).sample(seed=300_000 + r)
         g_m[r] = gamma_moment(s)[1]
         g_l[r] = gamma_mle(s)[1]
@@ -307,7 +301,7 @@ def test_ig_mle_mc_variance():
     h = n ** -0.6
     d_hat = np.empty(reps)
     for r in range(reps):
-        s = ig_sub_cell(IGSubParams(1.0, 2.0), h, n).sample(seed=60_000 + r)
+        s = ig_sub_cell(1.0, 2.0, h, n).sample(seed=60_000 + r)
         d_hat[r] = ig_mle(s)[0]
     v = np.var(math.sqrt(n) * (d_hat - 1.0), ddof=1)
     assert abs(v - 0.5) <= 0.15 * 0.5
@@ -340,12 +334,11 @@ def test_fisher_matrices_diagonal():
 def test_mle_reports_carry_the_fisher_information_at_the_estimates():
     # the report's Fisher entries are gamma_fisher's / ig_fisher's at the
     # estimates, bit for bit
-    for report_of, mle, fisher, params, cell, method in (
-            (gamma_mle_estimate, gamma_mle, gamma_fisher, GammaSubParams,
-             gamma_sub_cell, "gamma-mle"),
-            (ig_mle_estimate, ig_mle, ig_fisher, IGSubParams,
-             ig_sub_cell, "ig-mle")):
-        sample = cell(params(2.0, 1.5), 0.1, 500).sample(4)
+    for report_of, mle, fisher, cell, method in (
+            (gamma_mle_estimate, gamma_mle, gamma_fisher, gamma_sub_cell,
+             "gamma-mle"),
+            (ig_mle_estimate, ig_mle, ig_fisher, ig_sub_cell, "ig-mle")):
+        sample = cell(2.0, 1.5, 0.1, 500).sample(4)
         report = report_of(sample)
         delta_hat, gamma_hat = mle(sample)
         assert report.method == method
