@@ -94,11 +94,15 @@ def _number(convert, ok, what: str):
     return parse
 
 
-# --sigma, --h and --T; variance --p; simulate --seed, the seeds a Cell
-# takes; simulate --n, table --reps and --n; density --y-min and --y-max,
-# table --beta; density --points
+# --sigma, --h and --T; variance --p, estimate --q; estimate --p, the
+# order frac and pipeline take; estimate --level; simulate --seed, the
+# seeds a Cell takes; simulate --n, table --reps and --n; density --y-min
+# and --y-max, table --beta; density --points
 _scale = _number(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _moment_order = _number(float, lambda v: 0.0 < v < 0.5, "a number in (0, 1/2)")
+_frac_order = _number(float, lambda v: 0.0 < v < 1.0 / 3.0,
+                      "a number in (0, 1/3)")
+_level = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _stream_seed = _number(int, lambda v: 0 <= v < 1 << 128,
                        "an integer in [0, 2^128)")
 _count = _number(int, lambda v: v >= 1, "an integer >= 1")
@@ -302,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate parameters from a CSV")
     est.add_argument("--in", dest="infile", required=True)
     est.add_argument("--method", required=True, choices=_ESTIMATE)
-    est.add_argument("--p", type=float, default=None,
+    est.add_argument("--p", type=_frac_order, default=None,
                      help="fractional moment power (frac, pipeline)")
-    est.add_argument("--q", type=float, default=None,
+    est.add_argument("--q", type=_moment_order, default=None,
                      help="power for sign-bipower/tripower (default 0.25) "
                           "or the pipeline consistency diagnostic")
-    est.add_argument("--level", type=float, default=None,
+    est.add_argument("--level", type=_level, default=None,
                      help="confidence level for intervals (log, frac, "
                           "pipeline; default 0.95)")
     est.add_argument("--out", default=None)

@@ -58,9 +58,7 @@ from .skewed import (
 from .stable_core import (
     Cell,
     IncrementSample,
-    PositivityStable,
     ScalePath,
-    StableParams,
     derive_seed,
     increments_cell,
     skew_to_positivity,
@@ -133,13 +131,12 @@ MODELS = {
     "symmetric_stable": Model(
         ("beta",), ("sigma", "rho", "gamma"),
         lambda t, h, n: increments_cell(
-            StableParams(t["beta"], t.get("sigma", 1.0), t.get("rho", 0.0),
-                         t.get("gamma", 0.0)), h, n)),
+            t["beta"], t.get("sigma", 1.0), t.get("rho", 0.0),
+            t.get("gamma", 0.0), h, n)),
     "skewed_stable": Model(
         ("beta", "p_pos"), ("sigma",),
         lambda t, h, n: sprime_cell(
-            PositivityStable(t["beta"], t["p_pos"], t.get("sigma", 1.0)),
-            h, n)),
+            t["beta"], t["p_pos"], t.get("sigma", 1.0), h, n)),
     # the scale path fixes the horizon [0, 1], so h is not read
     "timevarying_stable": Model(
         ("beta", "p_pos"), ("path",),

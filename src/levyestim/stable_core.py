@@ -23,8 +23,11 @@ Positivity form ``S'_beta(p, c)`` for beta in (1, 2), defined by
 
 where p = P(S > 0) ranges over (1 - 1/beta, 1/beta).  The forms are linked
 by tan xi = rho tan(beta pi/2) and c = sigma^beta, so
-S'_beta(p, sigma^beta) = S_beta(sigma, rho(p), 0).  Parameters are named by
-sigma in both forms; c is computed where a cell is built.
+S'_beta(p, sigma^beta) = S_beta(sigma, rho(p), 0).  A law is its scalars,
+named by the truth keys a design writes: ``increments_cell`` takes
+(beta, sigma, rho, gamma) and ``sprime_cell`` (beta, p_pos, sigma).  A cell
+checks its scalars when it is built; ``sprime_cell`` then computes rho(p)
+and c = sigma^beta.
 
 Sampling uses the Chambers-Mallows-Stuck transform with the corrected
 beta = 1 branch (the pi/2 factor inside the logarithm); the beta != 1
@@ -48,8 +51,6 @@ from .errors import (DataError, DomainError, positive, sample_size, skew,
 from .special_fn import overflow_to_inf
 
 __all__ = [
-    "StableParams",
-    "PositivityStable",
     "IncrementSample",
     "Cell",
     "ScalePath",
@@ -66,53 +67,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
-
-@dataclass(frozen=True)
-class StableParams:
-    """Skew-form parameters (beta, sigma, rho, gamma) of a stable law."""
-
-    beta: float
-    sigma: float
-    rho: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        stable_index(self.beta)
-        positive("sigma", self.sigma)
-        skew(self.rho)
-        if self.beta == 2.0 and self.rho != 0.0:
-            warnings.warn("beta = 2 is Gaussian: rho has no effect, resetting to 0")
-            object.__setattr__(self, "rho", 0.0)
-
-
-@dataclass(frozen=True)
-class PositivityStable:
-    """Positivity-form parameters of a strictly stable law with beta in (1, 2).
-
-    ``sigma`` is the skew-form scale: the characteristic-function level in
-    exp{-c |u|^beta (1 - i sgn(u) tan xi)} is c = sigma^beta.
-    """
-
-    beta: float
-    p_pos: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (1.0 < self.beta < 2.0):
-            raise DomainError("positivity form requires beta in (1, 2)",
-                              beta=self.beta)
-        lo, hi = positivity_range(self.beta)
-        if not (lo < self.p_pos < hi):
-            raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
-                              p_pos=self.p_pos, lo=lo, hi=hi)
-        positive("sigma", self.sigma)
-
-    @property
-    def rho(self) -> float:
-        """Equivalent skew-form rho."""
-        return positivity_to_skew(self.beta, self.p_pos)
-
+# samples and cells
 
 @dataclass(frozen=True)
 class IncrementSample:
@@ -191,7 +146,9 @@ class Cell:
         # seeded at 0 only to exist: each row re-states it
         rng = np.random.Generator(np.random.PCG64(0))
         for start in range(0, len(states), rows):
-            block = fill(_Streams(rng, states[start:start + rows]))
+            # a value that overflows or is nan is named by the check below
+            with np.errstate(all="ignore"):
+                block = fill(_Streams(rng, states[start:start + rows]))
             _check_finite_rows(block)
             block.flags.writeable = False
             yield block
@@ -553,9 +510,10 @@ def _stable_cell(beta: float, rho: float, n: int, h: float, scale,
     return Cell(h, fill, signs)
 
 
-def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]:
+def increment_scale_shift(beta: float, sigma: float, rho: float,
+                          gamma: float, h: float) -> tuple[float, float]:
     """(scale, shift) with increment over mesh h equal to scale * S + shift,
-    S ~ S_beta(1, rho, 0).
+    S ~ S_beta(1, rho, 0), for L(X_1) = S_beta(sigma, rho, gamma).
 
     For beta = 1 the shift absorbs the logarithmic drift of the scaling
     relation: shift = (2 h sigma rho / pi) log(h sigma) + h gamma, where
@@ -563,34 +521,58 @@ def increment_scale_shift(params: StableParams, h: float) -> tuple[float, float]
     comes with the shift h gamma.
     """
     positive("h", h)
-    if params.beta != 1.0:
-        return (overflow_to_inf(operator.pow, h, 1.0 / params.beta)
-                * params.sigma, h * params.gamma)
-    scale, shift = h * params.sigma, h * params.gamma
+    if beta != 1.0:
+        return overflow_to_inf(operator.pow, h, 1.0 / beta) * sigma, h * gamma
+    scale, shift = h * sigma, h * gamma
     if 0.0 < scale < math.inf:
-        shift = (2.0 * h * params.sigma * params.rho / math.pi
-                 * math.log(scale) + h * params.gamma)
+        shift = 2.0 * h * sigma * rho / math.pi * math.log(scale) + h * gamma
     return scale, shift
+
+
+def _positivity_rho(beta: float, p_pos: float) -> float:
+    # the positivity form's domain, beta in (1, 2) and p in the open range
+    # (1 - 1/beta, 1/beta); returns the skew-form rho(p)
+    if not (1.0 < beta < 2.0):
+        raise DomainError("positivity form requires beta in (1, 2)", beta=beta)
+    lo, hi = positivity_range(beta)
+    if not (lo < p_pos < hi):
+        raise DomainError("positivity parameter outside (1 - 1/beta, 1/beta)",
+                          p_pos=p_pos, lo=lo, hi=hi)
+    return positivity_to_skew(beta, p_pos)
 
 
 # A sample is its Cell drawn at one seed: ``<x>_cell(...).sample(seed)``.
 
-def increments_cell(params: StableParams, h: float, n: int) -> Cell:
+def increments_cell(beta: float, sigma: float, rho: float, gamma: float,
+                    h: float, n: int) -> Cell:
     """Cell of n i.i.d. increments over mesh h of the Levy process with
-    L(X_1) = S_beta(sigma, rho, gamma)."""
+    L(X_1) = S_beta(sigma, rho, gamma).
+
+    At beta = 2 the law is Gaussian and rho has no effect: a rho != 0 is
+    reset to 0 with a warning, so the CMS constants are those of rho = 0."""
+    stable_index(beta)
+    positive("sigma", sigma)
+    skew(rho)
+    if beta == 2.0 and rho != 0.0:
+        warnings.warn("beta = 2 is Gaussian: rho has no effect, resetting to 0")
+        rho = 0.0
     sample_size(n)
-    scale, shift = increment_scale_shift(params, h)
-    return _stable_cell(params.beta, params.rho, n, h, scale, shift)
+    scale, shift = increment_scale_shift(beta, sigma, rho, gamma, h)
+    return _stable_cell(beta, rho, n, h, scale, shift)
 
 
-def sprime_cell(pp: PositivityStable, h: float, n: int) -> Cell:
+def sprime_cell(beta: float, p_pos: float, sigma: float, h: float,
+                n: int) -> Cell:
     """Cell of n i.i.d. increments over mesh h of the strictly stable
-    process with L(X_t) = S'_beta(p, t sigma^beta): each equals
-    (h sigma^beta)^{1/beta} S for S ~ S_beta(1, rho(p), 0)."""
+    process with L(X_t) = S'_beta(p, t sigma^beta), beta in (1, 2) and p in
+    (1 - 1/beta, 1/beta): each equals (h sigma^beta)^{1/beta} S for
+    S ~ S_beta(1, rho(p), 0)."""
+    rho = _positivity_rho(beta, p_pos)
+    positive("sigma", sigma)
     positive("h", h)
     sample_size(n)
-    level = h * overflow_to_inf(operator.pow, pp.sigma, pp.beta)
-    return _stable_cell(pp.beta, pp.rho, n, h, level ** (1.0 / pp.beta))
+    level = h * overflow_to_inf(operator.pow, sigma, beta)
+    return _stable_cell(beta, rho, n, h, level ** (1.0 / beta))
 
 
 def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
@@ -609,7 +591,7 @@ def timevarying_cell(path: ScalePath, p_pos: float, n: int) -> Cell:
     {500, 1000, 2000, 5000}).
     """
     beta = path.beta
-    rho = PositivityStable(beta, p_pos).rho
+    rho = _positivity_rho(beta, p_pos)
     sample_size(n)
     return _stable_cell(beta, rho, n, 1.0 / n,
                         (path.sigma_bars(n) / n) ** (1.0 / beta))

@@ -14,7 +14,6 @@ from levyestim.mc import ExperimentConfig, run_experiment
 from levyestim.skewed import bipower_beta, mpv, mu_abs, sign_statistic
 from levyestim.special_fn import digamma, log_gamma
 from levyestim.stable_core import (
-    StableParams,
     IncrementSample,
     increments_cell,
     skew_to_positivity,
@@ -116,12 +115,12 @@ def test_criterion_7_subordinator_mles():
 
 def test_criterion_8_sampler_distribution():
     draws = 100_000
-    gauss = increments_cell(StableParams(2.0, 1.0, 0.0, 0.0), 1.0,
+    gauss = increments_cell(2.0, 1.0, 0.0, 0.0, 1.0,
                             draws).sample(seed=101).values
     se_var = math.sqrt(2.0 * 4.0 / draws)
     assert abs(gauss.var() - 2.0) <= 3.0 * se_var
 
-    cauchy = increments_cell(StableParams(1.0, 1.0, 0.0, 0.0), 1.0,
+    cauchy = increments_cell(1.0, 1.0, 0.0, 0.0, 1.0,
                              draws).sample(seed=102).values
     q1, q3 = np.quantile(cauchy, [0.25, 0.75])
     # density 1/(2 pi) at the true quartiles drives the quantile std err
@@ -132,7 +131,7 @@ def test_criterion_8_sampler_distribution():
 
 def test_criterion_9_exact_algebraic_suite():
     # scale/translation equivariance of the symmetric-model estimators
-    s = increments_cell(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 601,
+    s = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 601,
                         601).sample(seed=77)
     for estimate in (log_moment_estimate,
                      lambda x: frac_moment_estimate(x, 0.2)):
@@ -158,7 +157,7 @@ def test_criterion_9_exact_algebraic_suite():
                                                          rel=1e-9)
 
     # root residuals of the implicit estimators
-    skew = increments_cell(StableParams(1.5, 1.0, -0.5, 0.0), 1.0 / 2000,
+    skew = increments_cell(1.5, 1.0, -0.5, 0.0, 1.0 / 2000,
                            2000).sample(seed=13)
     p_hat = sign_statistic(skew)
     b_hat = bipower_beta(skew, 0.25, p_hat)

@@ -32,7 +32,6 @@ from levyestim.serialize import (
 )
 from levyestim.stable_core import (
     IncrementSample,
-    StableParams,
     increments_cell,
 )
 from levyestim.subordinators import gamma_mle, ig_mle
@@ -564,6 +563,24 @@ def test_simulate_refuses_a_scale_outside_its_domain(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, mesh", [
+    ("beta=1,sigma=1,rho=0.3,gamma=0.5", "1.7976931348623157e308"),
+    ("beta=5e-324,sigma=1", "1"),
+], ids=["drift-overflow", "tiny-index"])
+def test_simulate_overflowing_values_are_one_data_error(tmp_path, capsys,
+                                                        params, mesh):
+    # the scale is finite but the values are not: numpy's RuntimeWarning
+    # lines came before the data_error
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", "stable", "--params", params,
+                   "--n", "5", "--h", mesh, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert _strict_json(line)["code"] == "data_error"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_error_payload_is_strict_json(tmp_path, capsys):
     rc = run_cli("fisher", "--beta", "nan")
     assert rc == 1
@@ -585,7 +602,7 @@ def _extreme_sample(kind):
     # increments whose plug-in variances overflow a double: a stable sample
     # scaled by 1e290, or log|x| ~ N(80, 128^2), where beta_hat ~ 0.01
     if kind == "scaled":
-        sample = increments_cell(StableParams(1.5, 1.0), 0.001, 2001).sample(3)
+        sample = increments_cell(1.5, 1.0, 0.0, 0.0, 0.001, 2001).sample(3)
         return IncrementSample(sample.values * 1e290, 0.001)
     rng = np.random.default_rng(0)
     signs = rng.choice([-1.0, 1.0], 2001)
@@ -1394,7 +1411,7 @@ def test_overflowing_scale_is_named_before_any_plug_in(tmp_path, capsys, h,
                                                        method):
     # a beta = 0.6 sample read at a tiny mesh: sigma_hat overflows to inf
     # and is named before V^log, V^p or the drift interval see it
-    sample = increments_cell(StableParams(0.6, 1.0), 1.0, 2001).sample(3)
+    sample = increments_cell(0.6, 1.0, 0.0, 0.0, 1.0, 2001).sample(3)
     src = tmp_path / "x.csv"
     write_increments(src, IncrementSample(sample.values, h), {})
     assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
@@ -1481,6 +1498,24 @@ def test_variance_p_outside_its_domain_exits_two(capsys, p):
         run_cli("variance", "--beta", "1.5", "--p", p)
     assert exc.value.code == 2
     assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, flag, value", [
+    ("log", "--level", "1.5"), ("frac", "--level", "0"),
+    ("pipeline", "--level", "nan"), ("frac", "--p", "0.5"),
+    ("pipeline", "--p", "-0.1"), ("tripower", "--q", "0.7"),
+    ("pipeline", "--q", "0.5"), ("sign-bipower", "--q", "inf"),
+])
+def test_estimate_flag_outside_its_domain_exits_two(capsys, method, flag,
+                                                    value):
+    # refused by the flag's type, before the (missing) file is read
+    argv = ["estimate", "--in", "/nonexistent/increments.csv",
+            "--method", method, flag, value]
+    if method == "frac" and flag != "--p":
+        argv += ["--p", "0.1"]
+    err = flag_error(capsys, *argv).err
+    assert err.startswith("usage: levyestim estimate ")
+    assert f"argument {flag}:" in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 128), "1.5", "abc"])

@@ -13,9 +13,7 @@ from levyestim.mc import check_truth
 from levyestim.skewed import mpv
 from levyestim.stable_core import (
     IncrementSample,
-    PositivityStable,
     ScalePath,
-    StableParams,
     increment_scale_shift,
     increments_cell,
     sample_standard_stable,
@@ -47,7 +45,8 @@ _E = np.array([0.3, 1.0, 2.5])
 
 # case id -> (context key, call with the bad value)
 _POSITIVE = {
-    "StableParams.sigma": ("sigma", lambda v: StableParams(1.5, v)),
+    "increments_cell.sigma":
+        ("sigma", lambda v: increments_cell(1.5, v, 0.0, 0.0, 0.1, 5)),
     "ScalePath.constant": ("sigma", lambda v: ScalePath.constant(v, 1.5)),
     "log_moment_nu.sigma": ("sigma", lambda v: log_moment_nu(1.5, v)),
     "v_log.sigma": ("sigma", lambda v: v_log(1.5, v)),
@@ -60,19 +59,18 @@ _POSITIVE = {
     "fisher_matrix.sigma": ("sigma", lambda v: fisher_matrix(1.5, v)),
     "IncrementSample.h": ("h", lambda v: IncrementSample(_SAMPLE.values, v)),
     "increment_scale_shift":
-        ("h", lambda v: increment_scale_shift(StableParams(1.5, 1.0), v)),
+        ("h", lambda v: increment_scale_shift(1.5, 1.0, 0.0, 0.0, v)),
     "increments_cell.h":
-        ("h", lambda v: increments_cell(StableParams(1.5, 1.0), v, 5)),
-    "sprime_cell.h": ("h", lambda v: sprime_cell(
-        PositivityStable(1.5, 0.5), v, 5)),
+        ("h", lambda v: increments_cell(1.5, 1.0, 0.0, 0.0, v, 5)),
+    "sprime_cell.h": ("h", lambda v: sprime_cell(1.5, 0.5, 1.0, v, 5)),
     "gamma_sub_cell.h":
         ("h", lambda v: gamma_sub_cell(1.0, 1.0, v, 5)),
     "ig_sub_cell.h":
         ("h", lambda v: ig_sub_cell(1.0, 1.0, v, 5)),
     "gamma_confidence_interval": ("h", lambda v: gamma_confidence_interval(
         0.0, 1.5, 0.5, 501, h=v)),
-    "PositivityStable.sigma":
-        ("sigma", lambda v: PositivityStable(1.5, 0.5, v)),
+    "sprime_cell.sigma":
+        ("sigma", lambda v: sprime_cell(1.5, 0.5, v, 0.1, 5)),
     "gamma_sub_cell.delta":
         ("delta", lambda v: gamma_sub_cell(v, 1.0, 0.1, 5)),
     "gamma_sub_cell.gamma":
@@ -85,7 +83,8 @@ _POSITIVE = {
         ("beta", lambda v: median_asymptotic_sd(v, 1.0)),
 }
 _INDEX = {
-    "StableParams.beta": ("beta", lambda v: StableParams(v, 1.0)),
+    "increments_cell.beta":
+        ("beta", lambda v: increments_cell(v, 1.0, 0.0, 0.0, 0.1, 5)),
     "ScalePath":
         ("beta", lambda v: ScalePath(v, lambda t: 1.0, lambda t: t)),
     "sample_standard_stable.beta":
@@ -94,7 +93,8 @@ _INDEX = {
     "mpv": ("beta", lambda v: mpv(_SAMPLE, v, [0.5, 0.5])),
 }
 _SKEW = {
-    "StableParams.rho": ("rho", lambda v: StableParams(1.5, 1.0, v)),
+    "increments_cell.rho":
+        ("rho", lambda v: increments_cell(1.5, 1.0, v, 0.0, 0.1, 5)),
     "sample_standard_stable.rho":
         ("rho", lambda v: sample_standard_stable(1.5, v, _U, _E)),
     "skew_to_positivity": ("rho", lambda v: skew_to_positivity(1.5, v)),

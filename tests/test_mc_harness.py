@@ -30,7 +30,6 @@ from levyestim.serialize import SUMMARY_COLUMNS
 from levyestim.stable_core import (
     IncrementSample,
     ScalePath,
-    StableParams,
     derive_seed,
     increment_scale_shift,
     increments_cell,
@@ -120,7 +119,7 @@ def test_config_json_round_trip():
 def test_single_replication_row_is_the_single_estimate():
     cfg = _small_config(replications=1)
     rows = {(r.estimator, r.param): r for r in run_experiment(cfg)}
-    sample = increments_cell(StableParams(1.5, 0.5, 0.0, -0.5), 5.0 / 301,
+    sample = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 301,
                              301).sample(derive_seed(99, 301, "log", 0))
     est = log_moment_estimate(sample)
     for param, value, truth in (("beta", est.beta_hat, 1.5),
@@ -137,10 +136,9 @@ def test_rmse_identity_and_exact_aggregation():
     # mean and the population convention rmse^2 = bias^2 + var
     cfg = _small_config(replications=11)
     rows = {(r.estimator, r.param): r for r in run_experiment(cfg)}
-    params = StableParams(1.5, 0.5, 0.0, -0.5)
     ests = []
     for rep in range(11):
-        s = increments_cell(params, 5.0 / 301,
+        s = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 301,
                             301).sample(derive_seed(99, 301, "log", rep))
         ests.append(log_moment_estimate(s).beta_hat)
     ests = np.array(ests)
@@ -160,11 +158,10 @@ def test_failures_excluded_from_aggregates():
         estimators=({"id": "frac", "kind": "frac", "p": 0.2},))
     row = run_experiment(cfg)[0]
     assert 0 < row.failures < 40
-    params = StableParams(1.2, 0.5, 0.0, -0.5)
     kept = []
     fails = 0
     for rep in range(40):
-        s = increments_cell(params, 5.0 / 301,
+        s = increments_cell(1.2, 0.5, 0.0, -0.5, 5.0 / 301,
                             301).sample(derive_seed(99, 301, "frac", rep))
         try:
             kept.append(frac_moment_estimate(s, 0.2).beta_hat)
@@ -277,10 +274,9 @@ def _one_stream(model, truth, h, n, seed):
     v = rng.standard_exponential(size=n)
     beta = truth["beta"]
     if model == "symmetric_stable":
-        params = StableParams(beta, truth["sigma"], truth["rho"],
-                              truth["gamma"])
-        scale, shift = increment_scale_shift(params, h)
-        return scale * sample_standard_stable(beta, params.rho, u, v) + shift
+        scale, shift = increment_scale_shift(beta, truth["sigma"], truth["rho"],
+                                             truth["gamma"], h)
+        return scale * sample_standard_stable(beta, truth["rho"], u, v) + shift
     s = sample_standard_stable(beta, positivity_to_skew(beta, truth["p_pos"]),
                                u, v)
     if model == "skewed_stable":

@@ -29,8 +29,6 @@ from levyestim.skewed import (
 )
 from levyestim.stable_core import (
     IncrementSample,
-    PositivityStable,
-    StableParams,
     increments_cell,
     skew_to_positivity,
     sprime_cell,
@@ -41,7 +39,7 @@ from levyestim.symmetric import c_moment
 # skew_to_positivity (arctan identity, cross-checked in test_stable_core)
 P_POS = 0.5983890784336222
 
-LAW = PositivityStable(1.5, P_POS, 1.0)
+LAW = (1.5, P_POS, 1.0)  # (beta, p_pos, sigma)
 
 
 def _sample(values):
@@ -112,7 +110,7 @@ def test_mu_reduces_to_symmetric_constant():
 def test_mu_against_mc_mean():
     # E|zeta|^{1/2} for the skewed law, against 1e6 simulated draws
     mu = mu_abs(1.5, P_POS, 0.5)
-    s = sprime_cell(LAW, 1.0, 1_000_000).sample(seed=31)
+    s = sprime_cell(*LAW, 1.0, 1_000_000).sample(seed=31)
     draws = np.abs(s.values) ** 0.5
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - mu) <= 1e-3
@@ -199,7 +197,7 @@ def test_mpv_lln():
     r = (2.0 * q, 0.0)
     mu_r = mu_product(beta, P_POS, r)
     se = math.sqrt(b_cross(beta, P_POS, r, r) / n)
-    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
+    s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     assert abs(mpv(s, beta, r) - mu_r) <= 3.0 * se
 
 
@@ -208,7 +206,7 @@ def test_mpv_ratio_lln_symmetric():
     # band from the delta method on the joint MPV CLT
     beta, q, n = 1.5, 0.25, 10_000
     r, rp = (2.0 * q, 0.0), (q, q)
-    s = increments_cell(StableParams(beta, 1.0, 0.0, 0.0), 1.0 / n,
+    s = increments_cell(beta, 1.0, 0.0, 0.0, 1.0 / n,
                         n).sample(seed=55)
     ratio = mpv(s, beta, rp) / mpv(s, beta, r)
     target = mu_abs(beta, 0.5, q) ** 2 / mu_abs(beta, 0.5, 2.0 * q)
@@ -262,7 +260,7 @@ def test_bipower_symmetric_correction_is_one():
 
 def test_bipower_root_residual():
     q = 0.25
-    s = sprime_cell(LAW, 1.0 / 4000, 4000).sample(seed=13)
+    s = sprime_cell(*LAW, 1.0 / 4000, 4000).sample(seed=13)
     p_hat = sign_statistic(s)
     beta_hat = bipower_beta(s, q, p_hat)
     x = np.abs(s.values)
@@ -271,7 +269,7 @@ def test_bipower_root_residual():
 
 
 def test_bipower_scale_free():
-    s = sprime_cell(LAW, 1.0 / 4000, 4000).sample(seed=13)
+    s = sprime_cell(*LAW, 1.0 / 4000, 4000).sample(seed=13)
     p_hat = sign_statistic(s)
     b1 = bipower_beta(s, 0.25, p_hat)
     scaled = IncrementSample(37.0 * s.values, s.h)
@@ -289,7 +287,7 @@ def test_bipower_map_strictly_increasing(q):
 
 def test_bipower_out_of_bracket():
     # heavy-tailed beta = 0.8 data pushes the ratio below the map's image
-    s = increments_cell(StableParams(0.8, 1.0, 0.0, 0.0), 1.0 / 4000,
+    s = increments_cell(0.8, 1.0, 0.0, 0.0, 1.0 / 4000,
                         4000).sample(seed=11)
     with pytest.raises(RootOutOfBracket):
         bipower_beta(s, 0.25, 0.5)
@@ -300,8 +298,8 @@ def test_bipower_out_of_bracket():
 def test_bipower_root_matches_the_ratio_equation(beta, q):
     # reference: Brent on the ratio itself, Gamma(1-q/b)^2/Gamma(1-2q/b) =
     # target, where bipower_beta solves the log of both sides
-    law = PositivityStable(beta, skew_to_positivity(beta, -0.5), 1.0)
-    s = sprime_cell(law, 1.0 / 4000, 4000).sample(seed=17)
+    s = sprime_cell(beta, skew_to_positivity(beta, -0.5), 1.0, 1.0 / 4000,
+                    4000).sample(seed=17)
     p_hat = sign_statistic(s)
     x = np.abs(s.values)
     ratio = float(np.sum(x[:-1] ** q * x[1:] ** q)) / float(np.sum(x ** (2 * q)))
@@ -333,7 +331,7 @@ def test_bipower_validation():
 def test_sigma_star_power_lln():
     beta, q, n = 1.5, 0.25, 10_000
     r = (2.0 * q, 0.0)
-    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
+    s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     # the plug-in sigma*_hat_p at the true (p, beta): at an estimated
     # beta_hat, as sign_bipower_point's s_p, the factor n^{p/beta_hat - 1}
     # adds the log(n)-rate error of beta_hat, which this band leaves out
@@ -345,14 +343,14 @@ def test_sigma_star_power_lln():
 def test_sigma_star_bipower_lln():
     beta, q, n = 1.5, 0.25, 10_000
     rp = (q, q)
-    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
+    s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     est = sigma_star_bipower(s, P_POS, beta, q)
     se = math.sqrt(b_cross(beta, P_POS, rp, rp) / n) / mu_product(beta, P_POS, rp)
     assert abs(est - 1.0) <= 3.0 * se
 
 
 def test_sigma_star_scaling():
-    s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
+    s = sprime_cell(*LAW, 1.0 / 500, 500).sample(seed=5)
     scaled = IncrementSample(3.0 * s.values, s.h)
     # s_p at q = 0.25: power 2q = 0.5, and (p_hat, beta_hat) are scale free
     assert sign_bipower_point(scaled, 0.25)[3] == pytest.approx(
@@ -364,14 +362,14 @@ def test_sigma_star_scaling():
 def test_tripower_lln():
     beta, n = 1.5, 10_000
     rt = (beta / 3.0,) * 3
-    s = sprime_cell(LAW, 1.0 / n, n).sample(seed=97)
+    s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     est = tripower_integrated_scale(np.abs(s.values), P_POS, beta)
     se = math.sqrt(b_cross(beta, P_POS, rt, rt) / n) / mu_product(beta, P_POS, rt)
     assert abs(est - 1.0) <= 3.0 * se
 
 
 def test_tripower_homogeneity():
-    s = sprime_cell(LAW, 1.0 / 500, 500).sample(seed=5)
+    s = sprime_cell(*LAW, 1.0 / 500, 500).sample(seed=5)
     x = np.abs(s.values)
     beta_hat = 1.47
     assert tripower_integrated_scale(2.0 * x, P_POS, beta_hat) == \
@@ -383,7 +381,7 @@ def test_tripower_homogeneity():
 def test_power_sums_equal_per_slice_powers():
     # one |x|^r array multiplied along shifted slices is bit-identical to
     # raising every slice separately
-    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=23)
+    s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=23)
     x = np.abs(s.values)
     n = x.size
     for q in (0.2, 0.25, 0.3):
@@ -405,7 +403,7 @@ def test_power_sums_equal_per_slice_powers():
 def test_mpv_mixed_powers_equal_per_slice_reference():
     # repeated and distinct powers share one |x|^r array per distinct power;
     # the reference raises every shifted slice separately
-    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=29)
+    s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=29)
     x = np.abs(s.values)
     n = x.size
     for r in ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
@@ -481,7 +479,7 @@ def test_delta_cov_validation():
 def test_delta_cov_singularity_test_is_scale_free(c):
     # beta_hat and its variance V_22 do not depend on the data's scale, so
     # neither may the Jacobian's singularity test
-    base = increments_cell(StableParams(1.5, 1.0), 0.001, 2001).sample(3)
+    base = increments_cell(1.5, 1.0, 0.0, 0.0, 0.001, 2001).sample(3)
     v22 = sign_bipower_estimate(base).cov_matrix[1, 1]
     scaled = IncrementSample(base.values * c, 0.001)
     assert sign_bipower_estimate(scaled).cov_matrix[1, 1] == pytest.approx(
@@ -498,7 +496,7 @@ def test_delta_cov_matches_mc():
     v = delta_cov(beta, P_POS, q, 1.0, 1.0)
     est = np.empty((reps, 3))
     for rep in range(reps):
-        s = sprime_cell(LAW, 1.0 / n, n).sample(seed=900_000 + rep)
+        s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=900_000 + rep)
         x = np.abs(s.values)
         p_hat = sign_statistic(s)
         beta_hat = bipower_beta(s, q, p_hat)
@@ -514,7 +512,7 @@ def test_delta_cov_matches_mc():
 
 
 def test_sign_bipower_estimate_report():
-    s = sprime_cell(LAW, 1.0 / 20_000, 20_000).sample(seed=71)
+    s = sprime_cell(*LAW, 1.0 / 20_000, 20_000).sample(seed=71)
     rep = sign_bipower_estimate(s)
     assert rep.method == "sign-bipower"
     assert rep.n == 20_000
@@ -529,7 +527,7 @@ def test_sign_bipower_estimate_report():
 @pytest.mark.parametrize("seed", [3, 4, 5])
 @pytest.mark.parametrize("q", [0.2, 0.25, 0.3])
 def test_point_cores_equal_their_reports(seed, q):
-    s = sprime_cell(LAW, 1.0 / 2000, 2000).sample(seed=seed)
+    s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=seed)
     rep = sign_bipower_estimate(s, q)
     assert sign_bipower_point(s, q) == (
         rep.extra["p_pos_hat"], rep.beta_hat, rep.sigma_hat,
@@ -541,7 +539,7 @@ def test_point_cores_equal_their_reports(seed, q):
 
 
 def test_tripower_estimate_report():
-    s = sprime_cell(LAW, 1.0 / 20_000, 20_000).sample(seed=71)
+    s = sprime_cell(*LAW, 1.0 / 20_000, 20_000).sample(seed=71)
     rep = tripower_estimate(s)
     assert rep.method == "tripower"
     assert rep.extra["estimand"] == "sigma_star_beta"

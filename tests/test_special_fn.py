@@ -25,8 +25,6 @@ from levyestim.special_fn import (
     log_gamma_ratio,
 )
 from levyestim.stable_core import (
-    PositivityStable,
-    StableParams,
     increments_cell,
     sprime_cell,
 )
@@ -154,9 +152,9 @@ def test_root_evaluates_each_end_once():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
-    frac_sample = increments_cell(StableParams(1.4, 1.0), 1.0 / 2000,
+    frac_sample = increments_cell(1.4, 1.0, 0.0, 0.0, 1.0 / 2000,
                                   2001).sample(seed=seed)
-    bip_sample = sprime_cell(PositivityStable(1.5, 0.55), 1e-3,
+    bip_sample = sprime_cell(1.5, 0.55, 1.0, 1e-3,
                              2000).sample(seed=seed)
 
     def roots():

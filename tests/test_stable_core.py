@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from levyestim.errors import DataError, DomainError
 from levyestim.stable_core import (
     IncrementSample,
-    PositivityStable,
     ScalePath,
-    StableParams,
     derive_seed,
     increment_scale_shift,
     increments_cell,
@@ -116,7 +114,7 @@ def test_cms_leaves_inputs_unchanged():
 
 
 def test_gaussian_variance():
-    s = increments_cell(StableParams(2.0, 1.0, 0.0, 0.0), 1.0,
+    s = increments_cell(2.0, 1.0, 0.0, 0.0, 1.0,
                         100_000).sample(seed=11)
     # X ~ N(0, 2): sample variance within 3 MC std errs (se ~ sqrt(2/n)*var)
     se = 2.0 * math.sqrt(2.0 / 100_000)
@@ -125,7 +123,7 @@ def test_gaussian_variance():
 
 
 def test_cauchy_quartiles():
-    s = increments_cell(StableParams(1.0, 1.0, 0.0, 0.0), 1.0,
+    s = increments_cell(1.0, 1.0, 0.0, 0.0, 1.0,
                         100_000).sample(seed=12)
     q1, q3 = np.percentile(s.values, [25, 75])
     # quartile se: sqrt(p(1-p)/n)/f(x) with f(1) = 1/(2 pi)
@@ -139,7 +137,7 @@ def test_cauchy_quartiles():
 def test_characteristic_function_match(beta, rho):
     """Empirical cf of sampled increments against the model cf."""
     h, n = 0.7, 200_000
-    s = increments_cell(StableParams(beta, 1.3, rho, -0.4), h,
+    s = increments_cell(beta, 1.3, rho, -0.4, h,
                         n).sample(seed=21)
     for u in (0.3, 1.0):
         emp = np.exp(1j * u * s.values).mean()
@@ -155,7 +153,7 @@ def test_characteristic_function_beta_one(rho):
     """beta = 1 carries the sigma log sigma drift correction."""
     h, n = 0.5, 200_000
     sigma, gamma = 0.8, 0.3
-    s = increments_cell(StableParams(1.0, sigma, rho, gamma), h,
+    s = increments_cell(1.0, sigma, rho, gamma, h,
                         n).sample(seed=22)
     for u in (0.5, 1.5):
         emp = np.exp(1j * u * s.values).mean()
@@ -167,8 +165,7 @@ def test_characteristic_function_beta_one(rho):
 
 def test_sprime_characteristic_function():
     beta, p_pos, sigma = 1.5, P_POS_TABLE[1.5], 1.0
-    pp = PositivityStable(beta, p_pos, sigma)
-    s = sprime_cell(pp, 1.0, 200_000).sample(seed=23)
+    s = sprime_cell(beta, p_pos, sigma, 1.0, 200_000).sample(seed=23)
     xi = beta * np.pi * (p_pos - 0.5)
     for u in (0.5, 1.0, 2.0):
         emp = np.exp(1j * u * s.values).mean()
@@ -178,10 +175,9 @@ def test_sprime_characteristic_function():
 
 
 def test_sprime_positivity_probability():
-    pp = PositivityStable(1.5, P_POS_TABLE[1.5], 1.0)
-    s = sprime_cell(pp, 1.0, 200_000).sample(seed=24)
+    s = sprime_cell(1.5, P_POS_TABLE[1.5], 1.0, 1.0, 200_000).sample(seed=24)
     phat = (s.values > 0).mean()
-    assert abs(phat - pp.p_pos) < 3 * math.sqrt(0.25 / 200_000)
+    assert abs(phat - P_POS_TABLE[1.5]) < 3 * math.sqrt(0.25 / 200_000)
 
 
 def test_skew_positivity_round_trip():
@@ -221,53 +217,61 @@ def test_positivity_range_is_the_image_of_rho(beta):
     if beta > 1.0:
         assert (lo, hi) == (1.0 - 1.0 / beta, 1.0 / beta)
         with pytest.raises(DomainError):
-            PositivityStable(beta, lo)   # the open range: ends excluded
+            sprime_cell(beta, lo, 1.0, 1.0, 5)   # the open range: ends excluded
     else:
         assert (lo, hi) == (0.0, 1.0)
 
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        StableParams(0.0, 1.0)
+        increments_cell(0.0, 1.0, 0.0, 0.0, 1.0, 5)
     with pytest.raises(DomainError):
-        StableParams(2.1, 1.0)
+        increments_cell(2.1, 1.0, 0.0, 0.0, 1.0, 5)
     with pytest.raises(DomainError):
-        StableParams(1.5, -1.0)
+        increments_cell(1.5, -1.0, 0.0, 0.0, 1.0, 5)
     with pytest.raises(DomainError):
-        StableParams(1.5, 1.0, 1.5)
-    with pytest.warns(UserWarning):
-        p = StableParams(2.0, 1.0, 0.5)
-    assert p.rho == 0.0
+        increments_cell(1.5, 1.0, 1.5, 0.0, 1.0, 5)
+
+
+def test_gaussian_cell_resets_rho():
+    # at beta = 2 the CMS constant B = atan(rho tan pi) / 2 is about
+    # -6e-17 rho, not 0: without the reset a rho != 0 would move the
+    # values next to U = 0 in their last bits
+    with pytest.warns(UserWarning, match="resetting to 0") as record:
+        reset = increments_cell(2.0, 1.0, 0.5, 0.0, 0.1, 200)
+    assert len(record) == 1
+    plain = increments_cell(2.0, 1.0, 0.0, 0.0, 0.1, 200)
+    assert (reset.sample(7).values.tobytes()
+            == plain.sample(7).values.tobytes())
 
 
 def test_positivity_params_validation():
     with pytest.raises(DomainError):
-        PositivityStable(1.0, 0.5)
+        sprime_cell(1.0, 0.5, 1.0, 1.0, 5)
     with pytest.raises(DomainError):
-        PositivityStable(2.0, 0.5)
+        sprime_cell(2.0, 0.5, 1.0, 1.0, 5)
     with pytest.raises(DomainError):
-        PositivityStable(1.5, 1.0 / 1.5)   # boundary excluded
-    pp = PositivityStable(1.5, 0.5984, 2.0)
-    assert abs(skew_to_positivity(1.5, pp.rho) - 0.5984) < 1e-12
+        sprime_cell(1.5, 1.0 / 1.5, 1.0, 1.0, 5)   # boundary excluded
+    sprime_cell(1.5, 0.5984, 2.0, 1.0, 5)   # inside the open range
 
 
 def test_increment_scale_shift():
-    scale, shift = increment_scale_shift(StableParams(1.5, 0.5, 0.0, -0.5), 0.01)
+    scale, shift = increment_scale_shift(1.5, 0.5, 0.0, -0.5, 0.01)
     assert abs(scale - 0.01 ** (1 / 1.5) * 0.5) < 1e-15
     assert abs(shift - 0.01 * (-0.5)) < 1e-15
     # beta = 1: extra (2 h sigma rho / pi) log(h sigma) drift
-    scale1, shift1 = increment_scale_shift(StableParams(1.0, 0.5, -0.4, 0.3), 0.01)
+    scale1, shift1 = increment_scale_shift(1.0, 0.5, -0.4, 0.3, 0.01)
     assert abs(scale1 - 0.005) < 1e-15
     expected = 0.01 * 0.3 + (2 * 0.01 * 0.5 * (-0.4) / np.pi) * math.log(0.005)
     assert abs(shift1 - expected) < 1e-15
 
 
 def test_seed_determinism():
-    a = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+    a = increments_cell(1.5, 1.0, -0.3, 0.1, 0.1,
                         500).sample(seed=9)
-    b = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+    b = increments_cell(1.5, 1.0, -0.3, 0.1, 0.1,
                         500).sample(seed=9)
-    c = increments_cell(StableParams(1.5, 1.0, -0.3, 0.1), 0.1,
+    c = increments_cell(1.5, 1.0, -0.3, 0.1, 0.1,
                         500).sample(seed=10)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
@@ -326,20 +330,18 @@ def _bulk_case(name, n, h=0.01):
     # (cell, reference row of one Generator)
     if name.startswith("increments"):
         beta = float(name.split("-")[1])
-        params = StableParams(beta, 0.7, 0.0 if beta == 2.0 else -0.4, 0.3)
-        return (increments_cell(params, h, n),
-                _stable_row(beta, params.rho,
-                            *increment_scale_shift(params, h)))
-    pp = PositivityStable(1.5, 0.45, 0.8)
+        law = (beta, 0.7, 0.0 if beta == 2.0 else -0.4, 0.3)
+        return (increments_cell(*law, h, n),
+                _stable_row(beta, law[2], *increment_scale_shift(*law, h)))
+    rho = positivity_to_skew(1.5, 0.45)
     if name == "sprime":
-        return (sprime_cell(pp, h, n),
-                _stable_row(1.5, pp.rho, (h * pp.sigma ** 1.5) ** (1 / 1.5)))
+        return (sprime_cell(1.5, 0.45, 0.8, h, n),
+                _stable_row(1.5, rho, (h * 0.8 ** 1.5) ** (1 / 1.5)))
     if name.startswith("timevarying"):
         path = (ScalePath.cosine(1.5) if name.endswith("cosine")
                 else ScalePath.constant(0.8, 1.5))
-        return (timevarying_cell(path, pp.p_pos, n),
-                _stable_row(1.5, pp.rho,
-                            (path.sigma_bars(n) / n) ** (1 / 1.5)))
+        return (timevarying_cell(path, 0.45, n),
+                _stable_row(1.5, rho, (path.sigma_bars(n) / n) ** (1 / 1.5)))
     if name == "gamma":
         return (gamma_sub_cell(2.0, 1.5, h, n),
                 lambda rng, n: rng.gamma(2.0 * h, scale=1.0 / 1.5, size=n))
@@ -373,7 +375,7 @@ def test_cell_draws_equal_per_seed_generators(name):
                          ids=["negative", "2^128", "float", "str", "none"])
 def test_cell_refuses_a_seed_outside_its_range(seed):
     # None is no seed either: a sample is drawn at a given seed only
-    cell = increments_cell(StableParams(1.5, 1.0), 0.1, 10)
+    cell = increments_cell(1.5, 1.0, 0.0, 0.0, 0.1, 10)
     for call in (lambda: next(cell.blocks([3, seed], 2)),
                  lambda: cell.sample(seed)):
         with pytest.raises(DomainError) as exc:
@@ -388,18 +390,17 @@ def test_cell_refuses_a_seed_outside_its_range(seed):
 
 
 def test_which_cells_have_a_sign_fill():
-    pp = PositivityStable(1.5, 0.6)
-    assert sprime_cell(pp, 0.1, 5).signs is not None
+    assert sprime_cell(1.5, 0.6, 1.0, 0.1, 5).signs is not None
     assert timevarying_cell(ScalePath.cosine(1.5), 0.6, 5).signs is not None
     # a shift moves values across zero; at beta = 1 the sign of a value
     # depends on V unless rho = 0
-    assert increments_cell(StableParams(1.5, 1.0), 0.1, 5).signs is None
+    assert increments_cell(1.5, 1.0, 0.0, 0.0, 0.1, 5).signs is None
     assert _stable_cell(1.0, 0.3, 5, 0.1, 1.0).signs is None
     assert _stable_cell(1.0, 0.0, 5, 0.1, 1.0).signs is not None
     assert gamma_sub_cell(2.0, 1.5, 0.1, 5).signs is None
     assert ig_sub_cell(2.0, 1.5, 0.1, 5).signs is None
     # without a sign fill, signs=True draws the values
-    cell = increments_cell(StableParams(1.5, 1.0, 0.2, 0.3), 0.1, 5)
+    cell = increments_cell(1.5, 1.0, 0.2, 0.3, 0.1, 5)
     assert np.array_equal(next(cell.blocks([4, 5], 2, signs=True)),
                           next(cell.blocks([4, 5], 2)))
 
@@ -534,25 +535,24 @@ def test_timevarying_constant_path_matches_sprime():
     beta, p_pos, sigma = 1.5, P_POS_TABLE[1.5], 0.7
     path = ScalePath.constant(sigma, beta)
     tv = timevarying_cell(path, p_pos, 256).sample(seed=33)
-    direct = sprime_cell(PositivityStable(beta, p_pos, sigma),
-                         1 / 256, 256).sample(seed=33)
+    direct = sprime_cell(beta, p_pos, sigma, 1 / 256, 256).sample(seed=33)
     assert np.allclose(tv.values, direct.values, rtol=0, atol=1e-14)
     assert tv.h == 1 / 256
 
 
 @pytest.mark.parametrize("build,beta,h", [
-    (lambda: increments_cell(StableParams(0.5, 1.0), 1e-300, 5), 0.5,
+    (lambda: increments_cell(0.5, 1.0, 0.0, 0.0, 1e-300, 5), 0.5,
      1e-300),
-    (lambda: sprime_cell(PositivityStable(1.5, 0.45, 1e-300), 1e-300, 5),
+    (lambda: sprime_cell(1.5, 0.45, 1e-300, 1e-300, 5),
      1.5, 1e-300),
     (lambda: timevarying_cell(ScalePath.constant(1e-300, 1.5), 0.45, 5),
      1.5, 0.2),
     # h sigma = 0, where the beta = 1 drift took log(0)
-    (lambda: increments_cell(StableParams(1.0, 1e-30, 0.5), 1e-300, 5), 1.0,
+    (lambda: increments_cell(1.0, 1e-30, 0.5, 0.0, 1e-300, 5), 1.0,
      1e-300),
     # h^(1/beta) and sigma^beta overflow: an OverflowError was raised
-    (lambda: increments_cell(StableParams(0.5, 1.0), 1e300, 5), 0.5, 1e300),
-    (lambda: sprime_cell(PositivityStable(1.9, 0.5, 1e200), 0.2, 5), 1.9,
+    (lambda: increments_cell(0.5, 1.0, 0.0, 0.0, 1e300, 5), 0.5, 1e300),
+    (lambda: sprime_cell(1.9, 0.5, 1e200, 0.2, 5), 1.9,
      0.2),
 ])
 def test_stable_cells_refuse_an_underflowing_scale(build, beta, h):

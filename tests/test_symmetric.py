@@ -15,7 +15,7 @@ from levyestim.errors import (
     only_row,
 )
 from levyestim.special_fn import log_gamma_ratio
-from levyestim.stable_core import IncrementSample, StableParams, increments_cell
+from levyestim.stable_core import IncrementSample, increments_cell
 from levyestim.stable_density import median_asymptotic_sd
 from levyestim.symmetric import (
     _log_block,
@@ -44,7 +44,7 @@ C_08_01 = 1.0323838475753233
 
 
 def _sym_sample(beta, sigma, gamma, n, T, seed):
-    return increments_cell(StableParams(beta, sigma, 0.0, gamma), T / n,
+    return increments_cell(beta, sigma, 0.0, gamma, T / n,
                            n).sample(seed)
 
 

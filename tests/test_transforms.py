@@ -11,7 +11,6 @@ from levyestim.errors import DomainError, EstimationError
 from levyestim.skewed import sign_statistic
 from levyestim.stable_core import (
     IncrementSample,
-    StableParams,
     increments_cell,
     skew_to_positivity,
 )
@@ -25,7 +24,7 @@ from levyestim.transforms import (
     symmetrize,
 )
 
-SKEWED = StableParams(1.5, 1.0, -0.5, 0.3)
+SKEWED = (1.5, 1.0, -0.5, 0.3)  # (beta, sigma, rho, gamma)
 P_TRUE = skew_to_positivity(1.5, -0.5)
 
 
@@ -121,7 +120,7 @@ def test_symmetrized_law_recovers_index_and_scale():
     betas = np.empty(reps)
     sigmas = np.empty(reps)
     for r in range(reps):
-        s = increments_cell(SKEWED, 5.0 / 4001, 4001).sample(seed=150_000 + r)
+        s = increments_cell(*SKEWED, 5.0 / 4001, 4001).sample(seed=150_000 + r)
         est = log_moment_estimate(symmetrize(s))
         betas[r] = est.beta_hat
         sigmas[r] = est.sigma_hat / 2.0 ** (1.0 / est.beta_hat)
@@ -135,7 +134,7 @@ def test_symmetrized_law_recovers_index_and_scale():
 
 
 def test_symmetrized_law_has_balanced_signs():
-    s = increments_cell(SKEWED, 5.0 / 4001, 4001).sample(seed=17)
+    s = increments_cell(*SKEWED, 5.0 / 4001, 4001).sample(seed=17)
     sym = symmetrize(s)
     assert abs(sign_statistic(sym) - 0.5) <= 3.0 * math.sqrt(0.25 / sym.n)
 
@@ -143,7 +142,7 @@ def test_symmetrized_law_has_balanced_signs():
 def test_centered_law_positivity():
     # centered triples follow the skew-mapped law; their sign statistic
     # estimates the mapped positivity parameter
-    s = increments_cell(SKEWED, 5.0 / 6000, 6000).sample(seed=21)
+    s = increments_cell(*SKEWED, 5.0 / 6000, 6000).sample(seed=21)
     cen = center_triple(s)
     rho_cen = -0.5 * center_skew_factor(1.5)
     p_cen = skew_to_positivity(1.5, rho_cen)
@@ -159,7 +158,7 @@ def test_deskewed_law_recovers_drift():
     reps = 300
     out = np.empty(reps)
     for r in range(reps):
-        s = increments_cell(SKEWED, 5.0 / 6000, 6000).sample(seed=40_000 + r)
+        s = increments_cell(*SKEWED, 5.0 / 6000, 6000).sample(seed=40_000 + r)
         out[r] = median_gamma(deskew_triple(s, 1.5)) / deskew_trend_factor(1.5)
     se = out.std(ddof=1) / math.sqrt(reps)
     assert abs(out.mean() - 0.3) <= 3.0 * se
@@ -183,7 +182,7 @@ def test_pipeline_mc_recovers_all_four_parameters():
     reps = 500
     out = np.empty((reps, 4))
     for r in range(reps):
-        s = increments_cell(SKEWED, 5.0 / 9000, 9000).sample(seed=83_500 + r)
+        s = increments_cell(*SKEWED, 5.0 / 9000, 9000).sample(seed=83_500 + r)
         rep = _quiet_pipeline(s)
         out[r] = (rep.beta_hat, rep.sigma_hat, rep.extra["p_pos_hat"],
                   rep.gamma_hat)
@@ -195,11 +194,11 @@ def test_pipeline_mc_recovers_all_four_parameters():
 def test_pipeline_symmetric_zero_trend():
     # degenerate case: p_hat centers on 1/2 and gamma_hat on 0 (both exact
     # symmetries of the estimator), checked as means over 100 replications
-    par = StableParams(1.5, 1.0, 0.0, 0.0)
+    par = (1.5, 1.0, 0.0, 0.0)
     ps = np.empty(100)
     gs = np.empty(100)
     for r in range(100):
-        rep = _quiet_pipeline(increments_cell(par, 5.0 / 9000,
+        rep = _quiet_pipeline(increments_cell(*par, 5.0 / 9000,
                                               9000).sample(seed=160_000 + r))
         ps[r] = rep.extra["p_pos_hat"]
         gs[r] = rep.gamma_hat
@@ -208,15 +207,14 @@ def test_pipeline_symmetric_zero_trend():
 
 
 def test_pipeline_single_sample_interval_covers_zero_trend():
-    par = StableParams(1.5, 1.0, 0.0, 0.0)
-    rep = _quiet_pipeline(increments_cell(par, 5.0 / 9000,
+    rep = _quiet_pipeline(increments_cell(1.5, 1.0, 0.0, 0.0, 5.0 / 9000,
                                           9000).sample(seed=23))
     lo, hi = rep.ci_gamma
     assert lo <= 0.0 <= hi
 
 
 def test_pipeline_scale_equivariance():
-    s = increments_cell(SKEWED, 5.0 / 3000, 3000).sample(seed=29)
+    s = increments_cell(*SKEWED, 5.0 / 3000, 3000).sample(seed=29)
     r1 = _quiet_pipeline(s)
     r2 = _quiet_pipeline(IncrementSample(4.0 * s.values, s.h))
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-9)
@@ -239,7 +237,7 @@ def test_pipeline_rejects_index_out_of_invertible_range():
 
 
 def test_pipeline_fractional_moment_variant():
-    s = increments_cell(SKEWED, 5.0 / 3000, 3000).sample(seed=29)
+    s = increments_cell(*SKEWED, 5.0 / 3000, 3000).sample(seed=29)
     rep = _quiet_pipeline(s, p=0.2)
     assert rep.extra["p"] == 0.2
     assert rep.extra["step1"]["method"] != "log"
@@ -247,7 +245,7 @@ def test_pipeline_fractional_moment_variant():
 
 
 def test_pipeline_bipower_diagnostic():
-    s = increments_cell(SKEWED, 5.0 / 3000, 3000).sample(seed=29)
+    s = increments_cell(*SKEWED, 5.0 / 3000, 3000).sample(seed=29)
     rep = _quiet_pipeline(s, q=0.25)
     assert rep.extra["q"] == 0.25
     diag = rep.extra["beta_hat_centered"]
@@ -255,7 +253,7 @@ def test_pipeline_bipower_diagnostic():
 
 
 def test_pipeline_report_structure():
-    s = increments_cell(SKEWED, 5.0 / 3000, 3000).sample(seed=29)
+    s = increments_cell(*SKEWED, 5.0 / 3000, 3000).sample(seed=29)
     rep = _quiet_pipeline(s)
     assert rep.method == "pipeline"
     assert set(rep.extra["step1"]) >= {"method", "beta_hat", "n"}
