@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import mc, serialize, skewed, subordinators, symmetric, transforms
-from .errors import DomainError, LevyEstimError
+from .errors import DomainError, LevyEstimError, stable_index
 from .stable_density import fisher_matrix, median_asymptotic_sd, phi_pair
 
 __all__ = ["main", "build_parser"]
@@ -264,6 +264,8 @@ def _cmd_variance(args) -> None:
         header += ["v_p_11", "v_p_12", "v_p_22"]
     lines = [",".join(header)]
     for beta in _betas(args):
+        # v_log takes a plug-in beta_hat > 2; a dumped beta is an index
+        stable_index(beta)
         vlog = symmetric.v_log(beta, args.sigma)
         cells = [beta, args.sigma, vlog[0, 0], vlog[0, 1], vlog[1, 1],
                  vlog[2, 2], median_asymptotic_sd(beta, args.sigma)]
@@ -396,6 +398,10 @@ def main(argv=None) -> int:
             payload = {"code": "io_error", "message": str(exc), "context": {}}
         except ValueError as exc:
             payload = {"code": "value_error", "message": str(exc),
+                       "context": {}}
+        except MemoryError as exc:
+            # numpy refuses an array larger than it can allocate
+            payload = {"code": "memory_error", "message": str(exc),
                        "context": {}}
         finally:
             for note in caught:

@@ -18,18 +18,17 @@ xi = beta pi (p - 1/2):
           = Gamma(1 - r/beta) sin(r xi / beta)
             / {Gamma(1 - r) sin(r pi / 2) |cos xi|^{r/beta}},   r in (-2, beta), r != -1.
 
-Both are evaluated through the reflection identities
+Both are evaluated at the orders r in (0, beta) the estimators use (q to
+4q, and beta/3) through the reflection identities
 1 / {Gamma(1-r) cos(r pi/2)} = 2 sin(r pi/2) Gamma(r) / pi and
 1 / {Gamma(1-r) sin(r pi/2)} = 2 cos(r pi/2) Gamma(r) / pi, which removes
-the spurious singularities at r = 1 (and r = 0 after the obvious limits
-mu_0 = 1, nu_0 = 2p - 1).
+the spurious singularity at r = 1.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .errors import (
     SingularJacobian,
     each_row,
     only_row,
-    stable_index,
 )
 from .serialize import EstimateReport, check_finite
 from .special_fn import (
@@ -60,12 +58,9 @@ __all__ = [
     "sign_statistic",
     "mu_abs",
     "nu_signed",
-    "mu_product",
-    "mpv",
     "bipower_beta",
     "sigma_star_bipower",
     "tripower_integrated_scale",
-    "mpv_cov",
     "delta_cov",
     "sign_bipower_point",
     "tripower_point",
@@ -98,15 +93,13 @@ def _xi_admissible(beta: float, p_pos: float) -> float:
 
 
 def mu_abs(beta: float, p_pos: float, r: float) -> float:
-    """E|zeta|^r for zeta ~ S'_beta(p, 1), r in [0, beta).
+    """E|zeta|^r for zeta ~ S'_beta(p, 1), r in (0, beta).
 
     At p = 1/2 this reduces to the symmetric constant C(beta, r)."""
     xi = _xi_admissible(beta, p_pos)
-    if not (0.0 <= r < beta):
-        raise DomainError("moment order r must lie in [0, beta)",
+    if not (0.0 < r < beta):
+        raise DomainError("moment order r must lie in (0, beta)",
                           r=r, beta=beta)
-    if r == 0.0:
-        return 1.0
     front = (2.0 * math.sin(0.5 * math.pi * r) * math.exp(log_gamma(r))
              / math.pi)
     return (math.exp(log_gamma(1.0 - r / beta)) * front
@@ -114,40 +107,16 @@ def mu_abs(beta: float, p_pos: float, r: float) -> float:
 
 
 def nu_signed(beta: float, p_pos: float, r: float) -> float:
-    """E{|zeta|^r sgn(zeta)} for zeta ~ S'_beta(p, 1), r in [0, beta).
-    nu_0 = 2p - 1 (the sign mean) and nu_1 = 0 (strictly stable laws with
-    beta > 1 are centered)."""
+    """E{|zeta|^r sgn(zeta)} for zeta ~ S'_beta(p, 1), r in (0, beta).
+    nu_1 = 0 (strictly stable laws with beta > 1 are centered)."""
     xi = _xi_admissible(beta, p_pos)
-    if not (0.0 <= r < beta):
-        raise DomainError("signed moment order r must lie in [0, beta)",
+    if not (0.0 < r < beta):
+        raise DomainError("signed moment order r must lie in (0, beta)",
                           r=r, beta=beta)
-    if r == 0.0:
-        return 2.0 * p_pos - 1.0
     front = (2.0 * math.cos(0.5 * math.pi * r) * math.exp(log_gamma(r))
              / math.pi)
     return (math.exp(log_gamma(1.0 - r / beta)) * front
             * math.sin(r * xi / beta) / math.cos(xi) ** (r / beta))
-
-
-def _check_powers(beta: float, r: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("power vector must be a nonempty sequence",
-                          r=list(np.atleast_1d(r)))
-    if np.any(arr < 0.0):
-        raise DomainError("powers must be nonnegative", r=arr.tolist())
-    if not float(arr.sum()) > 0.0:
-        raise DomainError("powers must not all vanish", r=arr.tolist())
-    if not float(arr.max()) < 0.5 * beta:
-        raise DomainError("each power must stay below beta / 2",
-                          r=arr.tolist(), beta=beta)
-    return arr
-
-
-def mu_product(beta: float, p_pos: float, r: Sequence[float]) -> float:
-    """mu(r; p, beta) = prod_l mu_{r_l}, the multipower-variation mean."""
-    arr = _check_powers(beta, r)
-    return math.prod(mu_abs(beta, p_pos, float(rl)) for rl in arr)
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +174,6 @@ def _power_sums(x: np.ndarray, *rs) -> tuple[np.ndarray, ...]:
 def _normalized(n: int, total: float, r_plus: float, beta: float) -> float:
     # n^{r_plus/beta - 1} total: the multipower variation of a raw sum
     return n ** (r_plus / beta - 1.0) * total
-
-
-def mpv(sample: IncrementSample, beta: float, r: Sequence[float]) -> float:
-    """Normalized multipower variation
-
-        M_n(r) = (1/n) sum_{j=1}^{n-m+1} prod_{l=1}^m
-                 |n^{1/beta} Delta_{j+l-1} X|^{r_l}
-
-    for increments over [0, 1] (mesh 1/n)."""
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("power vector must be a nonempty sequence",
-                          r=list(np.atleast_1d(r)))
-    stable_index(beta)
-    total, = _power_sums(np.abs(sample.values)[None], arr)
-    return _normalized(sample.n, float(total[0]), float(arr.sum()), beta)
 
 
 def _bipower_rows(block: np.ndarray, q: float, p_hats: list, finish) -> list:
@@ -302,7 +255,9 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
             / mu_{power}(p_hat, beta_hat)^2.
     """
     mu = mu_abs(beta_hat, p_hat, power)
-    return mpv(sample, beta_hat, (power, power)) / (mu * mu)
+    total, = _power_sums(np.abs(sample.values)[None], (power, power))
+    return _normalized(sample.n, float(total[0]), 2.0 * power,
+                       beta_hat) / (mu * mu)
 
 
 def tripower_integrated_scale(x: np.ndarray, p_hat: float,
@@ -315,7 +270,7 @@ def tripower_integrated_scale(x: np.ndarray, p_hat: float,
 
     The powers beta/3 stay below beta/2 for every admissible index, so no
     separate moment condition arises; the n^{.}-normalizations cancel at
-    total power beta.  Not through mpv: its factor
+    total power beta, so none is applied: the factor
     n^{(t+t+t)/beta_hat - 1} need not be exactly 1 in floating point and
     would move the result by ulps.  The products reach |D|^beta_hat and
     saturate to inf for huge increments, which a report refuses by name.
@@ -329,90 +284,46 @@ def tripower_integrated_scale(x: np.ndarray, p_hat: float,
 # ---------------------------------------------------------------------------
 # asymptotic covariances
 
-def a_cross(beta: float, p_pos: float, r: Sequence[float]) -> float:
-    """Sign/power covariance weight
+def _system_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
+                sigma_star_4q: float) -> np.ndarray:
+    """Asymptotic covariance Sigma of sqrt(n) (H_n - c, M_n(r) - mu_2q s,
+    M_n(r') - mu_q^2 s), r = (2q, 0), r' = (q, q), c = 2p - 1,
+    s = sigma*_{2q}, with mu_k = mu_abs(beta, p_pos, k) and
+    nu_k = nu_signed(beta, p_pos, k):
 
-        A(r) = sum_q (prod_{l != q} mu_{r_l}) {nu_{r_q} - (2p-1) mu_{r_q}}.
+        [[4 p (1-p),  A(r) s,        A(r') s],
+         [.,          B(r, r) s_4,   B(r, r') s_4],
+         [.,          .,             B(r', r') s_4]],   s_4 = sigma*_{4q},
+
+    where for power pairs r = (r_1, r_2), with mu(r) = mu_{r_1} mu_{r_2},
+    mu_0 = 1 and nu_0 = c,
+
+        A(r)     = sum_l mu_{r_{3-l}} (nu_{r_l} - c mu_{r_l}),
+        B(r, r') = mu_{r_1 + r'_1} mu_{r_2 + r'_2} - 3 mu(r) mu(r')
+                   + mu_{r'_1} mu_{r'_2 + r_1} mu_{r_2}
+                   + mu_{r_1} mu_{r_2 + r'_1} mu_{r'_2},
+
+    so that B(r, r) = mu_4q - mu_2q^2 and B(r', r') = mu_2q^2 - 3 mu_q^4
+    + 2 mu_q^2 mu_2q.  Each entry sums its terms in this order, with the
+    zero and unit factors dropped, and takes 3q as the order sum 2q + q.
     """
-    arr = _check_powers(beta, r)
-    mus = [mu_abs(beta, p_pos, float(rl)) for rl in arr]
-    total = 0.0
-    for qi in range(arr.size):
-        rest = math.prod(m for l, m in enumerate(mus) if l != qi)
-        nu = nu_signed(beta, p_pos, float(arr[qi]))
-        total += rest * (nu - (2.0 * p_pos - 1.0) * mus[qi])
-    return total
-
-
-def b_cross(beta: float, p_pos: float, r: Sequence[float],
-            r_prime: Sequence[float]) -> float:
-    """Power/power covariance weight for two power vectors of equal length m:
-
-        B(r, r') = prod_l mu_{r_l + r'_l} - (2m - 1) prod_l mu_{r_l} prod_l mu_{r'_l}
-                   + sum_{q=1}^{m-1} {
-                       (prod_{l<=m-q} mu_{r'_l})
-                       (prod_{l>m-q} mu_{r'_l + r_{l-m+q}})
-                       (prod_{l>q} mu_{r_l})
-                     + the same with r and r' exchanged }.
-
-    For m = 1 this is the plain variance weight mu_{2s} - mu_s^2.
-    """
-    arr = _check_powers(beta, r)
-    arr2 = _check_powers(beta, r_prime)
-    m = arr.size
-    if arr2.size != m:
-        raise DomainError("power vectors must share one length",
-                          m=m, m_prime=int(arr2.size))
-
-    def mu(v: float) -> float:
-        return mu_abs(beta, p_pos, v)
-
-    def lagged(a, mus_a, b, mus_b, q: int) -> float:
-        # (prod_{l<=m-q} mu_{b_l}) (prod_{l>m-q} mu_{b_l + a_{l-m+q}})
-        # (prod_{l>q} mu_{a_l}), l 1-based as in the docstring
-        return math.prod([*mus_b[:m - q],
-                          *(mu(float(b[k] + a[k - m + q]))
-                            for k in range(m - q, m)),
-                          *mus_a[q:]])
-
-    mus = [mu(float(v)) for v in arr]
-    mus2 = [mu(float(v)) for v in arr2]
-    total = math.prod(mu(float(a + a2)) for a, a2 in zip(arr, arr2))
-    total -= (2.0 * m - 1.0) * math.prod(mus) * math.prod(mus2)
-    for qi in range(1, m):
-        total += (lagged(arr, mus, arr2, mus2, qi)
-                  + lagged(arr2, mus2, arr, mus, qi))
-    return total
-
-
-def mpv_cov(beta: float, p_pos: float, r: Sequence[float],
-            r_prime: Sequence[float], sigma_star) -> np.ndarray:
-    """Asymptotic covariance of sqrt(n) (H_n - (2p-1), M_n(r) - mu(r) sigma*_{r+},
-    M_n(r') - mu(r') sigma*_{r'+}):
-
-        [[4 p (1-p),            A(r) sigma*_{r+},        A(r') sigma*_{r'+}],
-         [.,                    B(r, r) sigma*_{2 r+},   B(r, r') sigma*_{r+ + r'+}],
-         [.,                    .,                       B(r', r') sigma*_{2 r'+}]].
-
-    sigma_star is a callable q -> sigma*_q; pass ``path.sigma_star`` for a
-    ScalePath.
-    """
-    arr = _check_powers(beta, r)
-    arr2 = _check_powers(beta, r_prime)
-    rp = float(arr.sum())
-    rp2 = float(arr2.sum())
-    s_rp = float(sigma_star(rp))
-    s_rp2 = float(sigma_star(rp2))
-    s_2rp = float(sigma_star(2.0 * rp))
-    s_cross = float(sigma_star(rp + rp2))
-    s_2rp2 = float(sigma_star(2.0 * rp2))
+    c = 2.0 * p_pos - 1.0
+    mu_q = mu_abs(beta, p_pos, q)
+    mu_2q = mu_abs(beta, p_pos, 2.0 * q)
+    mu_3q = mu_abs(beta, p_pos, 2.0 * q + q)
+    mu_4q = mu_abs(beta, p_pos, 4.0 * q)
+    s, s_4 = float(sigma_star_2q), float(sigma_star_4q)
+    a_q = mu_q * (nu_signed(beta, p_pos, q) - c * mu_q)
+    lag = mu_3q * mu_q
     out = np.empty((3, 3))
     out[0, 0] = 4.0 * p_pos * (1.0 - p_pos)
-    out[0, 1] = out[1, 0] = a_cross(beta, p_pos, arr) * s_rp
-    out[0, 2] = out[2, 0] = a_cross(beta, p_pos, arr2) * s_rp2
-    out[1, 1] = b_cross(beta, p_pos, arr, arr) * s_2rp
-    out[1, 2] = out[2, 1] = b_cross(beta, p_pos, arr, arr2) * s_cross
-    out[2, 2] = b_cross(beta, p_pos, arr2, arr2) * s_2rp2
+    out[0, 1] = out[1, 0] = (nu_signed(beta, p_pos, 2.0 * q) - c * mu_2q) * s
+    out[0, 2] = out[2, 0] = (a_q + a_q) * s
+    out[1, 1] = (mu_4q - 3.0 * mu_2q * mu_2q + 2.0 * mu_2q * mu_2q) * s_4
+    out[1, 2] = out[2, 1] = (lag - 3.0 * mu_2q * (mu_q * mu_q)
+                             + (lag + mu_2q * mu_q * mu_q)) * s_4
+    out[2, 2] = (mu_2q * mu_2q - 3.0 * (mu_q * mu_q) * (mu_q * mu_q)
+                 + 2.0 * (mu_q * mu_2q * mu_q)) * s_4
     return out
 
 
@@ -421,39 +332,37 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
     """Delta-method covariance of (p_hat, beta_hat, sigma*_hat_{2q}) from the
     estimating system r = (2q, 0), r' = (q, q):
 
-        F(p, beta, s) = (2p - 1, mu(r) s, mu(r') s),   s = sigma*_{2q},
+        F(p, beta, s) = (2p - 1, mu_2q s, mu_q^2 s),   s = sigma*_{2q},
         V = (grad F)^{-1} Sigma (grad F)^{-T},
 
-    with Sigma = mpv_cov(...) evaluated at sigma*_{2q} and sigma*_{4q}.
-    Partial derivatives of mu in (p, beta) use central differences with
-    relative step 1e-6.  Requires q < beta/4; raises SingularJacobian when
-    grad F is numerically singular.
+    with Sigma evaluated at sigma*_{2q} and sigma*_{4q} (see _system_cov).
+    Partial derivatives of (mu_2q, mu_q^2) in (p, beta) use central
+    differences with relative step 1e-6.  Requires q < beta/4; raises
+    SingularJacobian when grad F is numerically singular.
     """
     if not (0.0 < q < 0.25 * beta):
         raise DomainError("power q must lie in (0, beta/4)", q=q, beta=beta)
-    r = (2.0 * q, 0.0)
-    rp = (q, q)
+    sigma = _system_cov(beta, p_pos, q, sigma_star_2q, sigma_star_4q)
     s = float(sigma_star_2q)
-    # the power sums of r and r' are 2q and the cross/doubled sums 4q,
-    # all exact in floating point, so the lookups hit these keys
-    powers = {2.0 * q: sigma_star_2q, 4.0 * q: sigma_star_4q}
-    sigma = mpv_cov(beta, p_pos, r, rp, powers.__getitem__)
+
+    def means(b: float, pp: float) -> np.ndarray:
+        # (mu(r), mu(r')) = (mu_2q, mu_q^2)
+        mu_q = mu_abs(b, pp, q)
+        return np.array([mu_abs(b, pp, 2.0 * q), mu_q * mu_q])
 
     db = 1e-6 * beta
     dp = 1e-6 * max(p_pos, 0.1)
+    d_p = (means(beta, p_pos + dp) - means(beta, p_pos - dp)) / (2.0 * dp)
+    d_b = (means(beta + db, p_pos) - means(beta - db, p_pos)) / (2.0 * db)
+    mu = means(beta, p_pos)
     grad = np.zeros((3, 3))
     grad[0, 0] = 2.0
-    d_beta = []
-    for row, vec in ((1, r), (2, rp)):
-        d_p = (mu_product(beta, p_pos + dp, vec)
-               - mu_product(beta, p_pos - dp, vec)) / (2.0 * dp)
-        d_b = (mu_product(beta + db, p_pos, vec)
-               - mu_product(beta - db, p_pos, vec)) / (2.0 * db)
-        grad[row] = s * d_p, s * d_b, mu_product(beta, p_pos, vec)
-        d_beta.append(d_b)
+    grad[1:, 0] = s * d_p
+    grad[1:, 1] = s * d_b
+    grad[1:, 2] = mu
     # det(grad F) = 2 s {mu_b(r) mu(r') - mu_b(r') mu(r)}, mu_b = d mu / d
     # beta; testing the bracket against its terms keeps the scale s out
-    lead, cross = d_beta[0] * grad[2, 2], d_beta[1] * grad[1, 2]
+    lead, cross = d_b[0] * mu[1], d_b[1] * mu[0]
     if abs(lead - cross) <= 1e-12 * (abs(lead) + abs(cross)):
         raise SingularJacobian("estimating-equation Jacobian is singular",
                                det=float(np.linalg.det(grad)), beta=beta,

@@ -581,6 +581,25 @@ def test_simulate_overflowing_values_are_one_data_error(tmp_path, capsys,
     assert not out.exists()
 
 
+# 1e15 float64 values, about 7 PiB: numpy refuses the allocation outright
+_UNALLOCATABLE_N = "1000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--model", "stable", "--params", "beta=1.5",
+     "--n", _UNALLOCATABLE_N, "--T", "5"),
+    ("table", "--id", "table1", "--reps", "2", "--beta", "1.5",
+     "--n", _UNALLOCATABLE_N),
+], ids=["simulate", "table"])
+def test_an_unallocatable_sample_is_one_memory_error(tmp_path, capsys, argv):
+    # numpy's _ArrayMemoryError ended in a Python traceback
+    out = tmp_path / "huge.csv"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert _strict_json(line)["code"] == "memory_error"
+    assert not out.exists()
+
+
 def test_error_payload_is_strict_json(tmp_path, capsys):
     rc = run_cli("fisher", "--beta", "nan")
     assert rc == 1
@@ -1228,6 +1247,20 @@ def test_variance_grid_with_inadmissible_cells(tmp_path, capsys):
             assert math.isfinite(float(cells[j])) and float(cells[j]) > 0.0
         assert float(cells[header.index("v_log_11")]) > 0.0
         assert float(cells[header.index("median_sd")]) > 0.0
+
+
+@pytest.mark.parametrize("flags", [("--beta", "3"),
+                                   ("--beta-grid", "1.5:2.5:0.5")],
+                         ids=["beta", "grid"])
+def test_variance_refuses_a_beta_above_two(tmp_path, capsys, flags):
+    # V^log was dumped, exit 0, for an index no stable law has
+    out = tmp_path / "v.csv"
+    assert run_cli("variance", *flags, "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = _strict_json(line)
+    assert payload["code"] == "domain_error"
+    assert payload["context"]["beta"] > 2.0
+    assert not out.exists()
 
 
 def test_variance_single_beta_without_p(capsys):

@@ -10,7 +10,6 @@ import pytest
 
 from levyestim.errors import DomainError
 from levyestim.mc import check_truth
-from levyestim.skewed import mpv
 from levyestim.stable_core import (
     IncrementSample,
     ScalePath,
@@ -90,7 +89,6 @@ _INDEX = {
     "sample_standard_stable.beta":
         ("beta", lambda v: sample_standard_stable(v, 0.0, _U, _E)),
     "c_moment": ("beta", lambda v: c_moment(v, 0.1)),
-    "mpv": ("beta", lambda v: mpv(_SAMPLE, v, [0.5, 0.5])),
 }
 _SKEW = {
     "increments_cell.rho":

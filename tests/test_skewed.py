@@ -10,14 +10,11 @@ from scipy.optimize import brentq
 
 from levyestim.errors import DomainError, InadmissiblePositivity, RootOutOfBracket
 from levyestim.skewed import (
-    a_cross,
-    b_cross,
+    _power_sums,
+    _system_cov,
     bipower_beta,
     delta_cov,
-    mpv,
-    mpv_cov,
     mu_abs,
-    mu_product,
     nu_signed,
     sigma_star_bipower,
     sign_bipower_estimate,
@@ -89,11 +86,6 @@ def test_nu_vanishes_at_symmetry():
         assert nu_signed(1.5, 0.5, r) == 0.0
 
 
-def test_nu_order_zero_is_sign_mean():
-    assert nu_signed(1.5, P_POS, 0.0) == pytest.approx(2.0 * P_POS - 1.0)
-    assert nu_signed(1.5, 0.5, 0.0) == 0.0
-
-
 def test_nu_first_moment_centered():
     # strictly stable with beta > 1 has mean zero; the reflection form
     # carries an exact-zero cos(pi/2) factor up to rounding
@@ -118,8 +110,8 @@ def test_mu_against_mc_mean():
 
 
 def test_mu_negative_orders():
-    # the estimators use orders in [0, beta): q, 2q, beta/3, their sums and
-    # 0; a negative order, finite in closed form above -1, is refused
+    # the estimators use orders in (0, beta): q to 4q and beta/3; a
+    # negative order, finite in closed form above -1, is refused
     for r in (-0.5, -1.5, -1e-300):
         with pytest.raises(DomainError):
             mu_abs(1.5, P_POS, r)
@@ -130,6 +122,10 @@ def test_mu_negative_orders():
 def test_moment_domain_errors():
     with pytest.raises(DomainError):
         mu_abs(1.5, P_POS, 1.5)
+    with pytest.raises(DomainError):
+        mu_abs(1.5, P_POS, 0.0)
+    with pytest.raises(DomainError):
+        nu_signed(1.5, P_POS, 0.0)
     with pytest.raises(DomainError):
         mu_abs(1.5, P_POS, -1.0)
     with pytest.raises(DomainError):
@@ -164,68 +160,47 @@ def test_mu_positive_on_admissible_range(beta, t_pos, t_r):
     assert mu_abs(beta, p_pos, r) > 0.0
 
 
-def test_mu_product_is_product():
-    vals = [mu_abs(1.5, P_POS, v) for v in (0.5, 0.2)]
-    assert mu_product(1.5, P_POS, (0.5, 0.2)) == pytest.approx(
-        vals[0] * vals[1], rel=1e-12)
-    with pytest.raises(DomainError):
-        mu_product(1.5, P_POS, (0.0, 0.0))
-    with pytest.raises(DomainError):
-        mu_product(1.5, P_POS, (0.8, 0.1))
-    with pytest.raises(DomainError):
-        mu_product(1.5, P_POS, (-0.1, 0.2))
-
-
 # ---------------------------------------------------------------------------
-# multipower variation
-
-
-def test_mpv_zero_power_is_one():
-    s = _sample([0.4, -1.0, 2.5, 0.1])
-    assert mpv(s, 1.5, (0.0,)) == 1.0
+# power variations
 
 
 def test_mpv_constant_data():
+    # M_n(q, q) on constant data, through sigma_star_bipower's normalization
     n, c, q, beta = 50, 0.7, 0.2, 1.4
     s = _sample(np.full(n, c))
-    expect = (n - 1) / n * abs(n ** (1.0 / beta) * c) ** (2.0 * q)
-    assert mpv(s, beta, (q, q)) == pytest.approx(expect, rel=1e-12)
+    mu = mu_abs(beta, P_POS, q)
+    expect = (n - 1) / n * abs(n ** (1.0 / beta) * c) ** (2.0 * q) / mu ** 2
+    assert sigma_star_bipower(s, P_POS, beta, q) == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_mpv_lln():
     beta, q, n = 1.5, 0.25, 10_000
-    r = (2.0 * q, 0.0)
-    mu_r = mu_product(beta, P_POS, r)
-    se = math.sqrt(b_cross(beta, P_POS, r, r) / n)
+    se = math.sqrt(_system_cov(beta, P_POS, q, 1.0, 1.0)[1, 1] / n)
     s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
-    assert abs(mpv(s, beta, r) - mu_r) <= 3.0 * se
+    # M_n(2q, 0) = n^{2q/beta - 1} sum_{j<n} |D_j|^{2q}
+    x = np.abs(s.values)
+    m_r = n ** (2.0 * q / beta - 1.0) * float(np.sum(x[:-1] ** (2.0 * q)))
+    assert abs(m_r - mu_abs(beta, P_POS, 2.0 * q)) <= 3.0 * se
 
 
 def test_mpv_ratio_lln_symmetric():
     # M_n(q,q) / M_n(2q,0) -> mu_q^2 / mu_2q for symmetric stable data;
-    # band from the delta method on the joint MPV CLT
+    # band from the delta method on the joint CLT.  The n-powers cancel,
+    # so the ratio is one of plain sums
     beta, q, n = 1.5, 0.25, 10_000
-    r, rp = (2.0 * q, 0.0), (q, q)
     s = increments_cell(beta, 1.0, 0.0, 0.0, 1.0 / n,
                         n).sample(seed=55)
-    ratio = mpv(s, beta, rp) / mpv(s, beta, r)
-    target = mu_abs(beta, 0.5, q) ** 2 / mu_abs(beta, 0.5, 2.0 * q)
-    cov = mpv_cov(beta, 0.5, rp, r, lambda v: 1.0)
-    mu_num = mu_product(beta, 0.5, rp)
-    mu_den = mu_product(beta, 0.5, r)
-    grad = np.array([1.0 / mu_den, -mu_num / mu_den ** 2])
+    x = np.abs(s.values)
+    ratio = (float(np.sum(x[:-1] ** q * x[1:] ** q))
+             / float(np.sum(x[:-1] ** (2.0 * q))))
+    mu_den = mu_abs(beta, 0.5, 2.0 * q)
+    mu_num = mu_abs(beta, 0.5, q) ** 2
+    target = mu_num / mu_den
+    cov = _system_cov(beta, 0.5, q, 1.0, 1.0)
+    grad = np.array([-mu_num / mu_den ** 2, 1.0 / mu_den])
     se = math.sqrt(grad @ cov[1:, 1:] @ grad / n)
     assert abs(ratio - target) <= 3.0 * se
-
-
-def test_mpv_validation():
-    s = _sample([1.0, 2.0])
-    with pytest.raises(DomainError):
-        mpv(s, 1.5, (0.2, 0.2, 0.2))
-    with pytest.raises(DomainError):
-        mpv(s, 2.5, (0.2,))
-    with pytest.raises(DomainError):
-        mpv(s, 1.5, ())
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +305,23 @@ def test_bipower_validation():
 
 def test_sigma_star_power_lln():
     beta, q, n = 1.5, 0.25, 10_000
-    r = (2.0 * q, 0.0)
     s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     # the plug-in sigma*_hat_p at the true (p, beta): at an estimated
     # beta_hat, as sign_bipower_point's s_p, the factor n^{p/beta_hat - 1}
     # adds the log(n)-rate error of beta_hat, which this band leaves out
-    est = mpv(s, beta, (2.0 * q,)) / mu_abs(beta, P_POS, 2.0 * q)
-    se = math.sqrt(b_cross(beta, P_POS, r, r) / n) / mu_product(beta, P_POS, r)
+    x = np.abs(s.values)
+    mu = mu_abs(beta, P_POS, 2.0 * q)
+    est = n ** (2.0 * q / beta - 1.0) * float(np.sum(x ** (2.0 * q))) / mu
+    se = math.sqrt(_system_cov(beta, P_POS, q, 1.0, 1.0)[1, 1] / n) / mu
     assert abs(est - 1.0) <= 3.0 * se
 
 
 def test_sigma_star_bipower_lln():
     beta, q, n = 1.5, 0.25, 10_000
-    rp = (q, q)
     s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     est = sigma_star_bipower(s, P_POS, beta, q)
-    se = math.sqrt(b_cross(beta, P_POS, rp, rp) / n) / mu_product(beta, P_POS, rp)
+    se = (math.sqrt(_system_cov(beta, P_POS, q, 1.0, 1.0)[2, 2] / n)
+          / mu_abs(beta, P_POS, q) ** 2)
     assert abs(est - 1.0) <= 3.0 * se
 
 
@@ -361,10 +337,14 @@ def test_sigma_star_scaling():
 
 def test_tripower_lln():
     beta, n = 1.5, 10_000
-    rt = (beta / 3.0,) * 3
     s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     est = tripower_integrated_scale(np.abs(s.values), P_POS, beta)
-    se = math.sqrt(b_cross(beta, P_POS, rt, rt) / n) / mu_product(beta, P_POS, rt)
+    # the variance weight of three equal powers t = beta/3
+    t = beta / 3.0
+    mu_t, mu_2t = mu_abs(beta, P_POS, t), mu_abs(beta, P_POS, 2.0 * t)
+    weight = (mu_2t * mu_2t * mu_2t - 5.0 * mu_t ** 6 + 2.0 * mu_t ** 4 * mu_2t
+              + 2.0 * mu_t ** 2 * mu_2t ** 2)
+    se = math.sqrt(weight / n) / mu_t ** 3
     assert abs(est - 1.0) <= 3.0 * se
 
 
@@ -406,15 +386,15 @@ def test_mpv_mixed_powers_equal_per_slice_reference():
     s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=29)
     x = np.abs(s.values)
     n = x.size
-    for r in ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
-              (0.1, 0.3, 0.1, 0.3)):
+    rs = ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
+          (0.1, 0.3, 0.1, 0.3))
+    sums = _power_sums(x[None], *rs)
+    for r, total in zip(rs, sums):
         m = len(r)
         prod = np.ones(n - m + 1)
         for l, rl in enumerate(r):
             prod = prod * x[l:n - m + 1 + l] ** rl
-        for beta in (1.2, 1.5, 1.9):
-            expect = n ** (float(np.sum(r)) / beta - 1.0) * float(prod.sum())
-            assert mpv(s, beta, r) == expect
+        assert float(total[0]) == float(prod.sum())
 
 
 def test_scale_functionals_need_enough_data():
@@ -429,37 +409,44 @@ def test_scale_functionals_need_enough_data():
 
 
 def test_cov_sign_entry():
-    cov = mpv_cov(1.5, 0.5, (0.5, 0.0), (0.25, 0.25), lambda v: 1.0)
+    cov = _system_cov(1.5, 0.5, 0.25, 1.0, 1.0)
     assert cov[0, 0] == 1.0
-    cov = mpv_cov(1.5, P_POS, (0.5, 0.0), (0.25, 0.25), lambda v: 1.0)
+    cov = _system_cov(1.5, P_POS, 0.25, 1.0, 1.0)
     assert cov[0, 0] == pytest.approx(4.0 * P_POS * (1.0 - P_POS), rel=1e-14)
 
 
 def test_a_cross_vanishes_at_symmetry():
-    assert a_cross(1.5, 0.5, (0.4, 0.2)) == 0.0
+    # the sign/power covariances A(r) s and A(r') s vanish at p = 1/2
+    for q in (0.1, 0.2, 0.25):
+        cov = _system_cov(1.5, 0.5, q, 1.0, 1.0)
+        assert cov[0, 1] == cov[0, 2] == 0.0
 
 
 def test_b_cross_single_power_variance():
+    # M_n(2q, 0) has the variance weight of the single power 2q
     s = 0.3
     expect = mu_abs(1.5, P_POS, 2 * s) - mu_abs(1.5, P_POS, s) ** 2
-    assert b_cross(1.5, P_POS, (s,), (s,)) == pytest.approx(expect, rel=1e-12)
+    assert _system_cov(1.5, P_POS, s / 2, 1.0, 1.0)[1, 1] == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_b_cross_two_powers_closed_form():
-    s, t = 0.3, 0.2
+    q = 0.2
 
     def mu(v):
         return mu_abs(1.5, P_POS, v)
 
-    expect = (mu(2 * s) * mu(2 * t) - 3.0 * mu(s) ** 2 * mu(t) ** 2
-              + 2.0 * mu(s) * mu(t) * mu(s + t))
-    assert b_cross(1.5, P_POS, (s, t), (s, t)) == pytest.approx(
-        expect, rel=1e-12)
+    cov = _system_cov(1.5, P_POS, q, 1.0, 1.0)
+    assert cov[2, 2] == pytest.approx(
+        mu(2 * q) ** 2 - 3.0 * mu(q) ** 4 + 2.0 * mu(q) ** 2 * mu(2 * q),
+        rel=1e-12)
+    assert cov[1, 2] == pytest.approx(
+        2.0 * mu(q) * mu(3 * q) - 2.0 * mu(2 * q) * mu(q) ** 2, rel=1e-12)
 
 
 def test_mpv_cov_symmetric_psd():
     for p_pos in (0.5, P_POS):
-        cov = mpv_cov(1.5, p_pos, (0.5, 0.0), (0.25, 0.25), lambda v: 1.0)
+        cov = _system_cov(1.5, p_pos, 0.25, 1.0, 1.0)
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > -1e-12
 
@@ -473,6 +460,76 @@ def test_delta_cov_symmetric_pd():
 def test_delta_cov_validation():
     with pytest.raises(DomainError):
         delta_cov(1.5, P_POS, 0.4, 1.0, 1.0)
+
+
+# delta_cov(beta, p_pos, q, 1.3, 0.7).tobytes().hex() at (beta, p_pos, q),
+# one matrix row a line, so that any moved bit fails; the last two q lie
+# within 1e-3 relative of beta/4
+_DELTA_COV_BITS = {
+    (1.2, 0.5, 0.1):
+        "000000000000d03f00000000000000000000000000000000"
+        "000000000000000031535cc86664fa3f1447e5e4dc0ac93f"
+        "0000000000000000fe46e5e4dc0ac93f3a77e10878c9b33f",
+    (1.2, 0.5, 0.25):
+        "000000000000d03f00000000000000000000000000000000"
+        "0000000000000000461c9021113c1340e7e39e889d61fc3f"
+        "0000000000000000e4e39e889d61fc3f1c7ec2c29046f03f",
+    (1.2, P_POS, 0.1):
+        "f09a32d4cac2ce3f5ec105936110c1bf15199c48db82b6bf"
+        "5ec105936110c1bf2630029be2c4f93ff00f21148cfaca3f"
+        "15199c48db82b6bfd10f21148cfaca3f9d29cd1558c0b93f",
+    (1.2, P_POS, 0.25):
+        "f09a32d4cac2ce3f50c42a457b94b6bf8dc1dd6559d8c9bf"
+        "50c42a457b94b6bf8cbe2ed9c58b1240d4222cfb2cd8f93f"
+        "8dc1dd6559d8c9bfd1222cfb2cd8f93f27ca9228d272f03f",
+    (1.5, 0.5, 0.1):
+        "000000000000d03f00000000000000000000000000000000"
+        "0000000000000000542a9c21d81f0a40f4e16c9b5552d53f"
+        "0000000000000000ffe16c9b5552d53f4a1d73eaae96b23f",
+    (1.5, 0.5, 0.25):
+        "000000000000d03f00000000000000000000000000000000"
+        "0000000000000000728f103af7930a406a537506f34de83f"
+        "000000000000000073537506f34de83f2049c89cead6da3f",
+    (1.5, P_POS, 0.1):
+        "f09a32d4cac2ce3fd613f5516b65d1bf943b9d3460b1bcbf"
+        "d613f5516b65d1bffe4a34ee8ae90940e66d13eeb347d93f"
+        "943b9d3460b1bcbfe26d13eeb347d93fffa223b208c5bc3f",
+    (1.5, P_POS, 0.25):
+        "f09a32d4cac2ce3fe3d3ac1bad83c9bf1ad352b948eed0bf"
+        "e3d3ac1bad83c9bfd4acf716ba80094037615c240af4e93f"
+        "1ad352b948eed0bf35615c240af4e93f61b956b48b46e43f",
+    (1.9, 0.5, 0.1):
+        "000000000000d03f00000000000000000000000000000000"
+        "00000000000000004093af01cfc62040929577122e4fe53f"
+        "00000000000000008b9577122e4fe53f1189dc264667b33f",
+    (1.9, 0.5, 0.25):
+        "000000000000d03f00000000000000000000000000000000"
+        "00000000000000005b24ff15ac5e0b40170ca68048b5e93f"
+        "00000000000000000a0ca68048b5e93fbfb511faeb37d53f",
+    (1.9, P_POS, 0.1):
+        "f09a32d4cac2ce3f5c0d156b464ee2bf42f0d5ecbca1c2bf"
+        "5c0d156b464ee2bf1ed76d2e163c2140a463871e6054eb3f"
+        "42f0d5ecbca1c2bfa463871e6054eb3f5f363c2c2a35c23f",
+    (1.9, P_POS, 0.25):
+        "f09a32d4cac2ce3fb31469c088eddcbf13c715622978d6bf"
+        "b31469c088eddcbf593794b371510c40b7786b03916ff43f"
+        "13c715622978d6bfb3786b03916ff43f80d5069e5084e83f",
+    (1.5, P_POS, 0.3748125):
+        "f09a32d4cac2ce3fa6aa3e3a16d9c1bf0d754730baaad7bf"
+        "a6aa3e3a16d9c1bfa73958784971a140de89939ee7278d40"
+        "0d754730baaad7bfdf89939ee7278d40aa38c7c19a6d7840",
+    (1.9, 0.5, 0.474905):
+        "000000000000d03f00000000000000000000000000000000"
+        "000000000000000018747f70a293a54062c3715974069040"
+        "000000000000000062c37159740690407cdd5ba2c7d67740",
+}
+
+
+@pytest.mark.parametrize("point", list(_DELTA_COV_BITS))
+def test_delta_cov_bits_are_pinned(point):
+    beta, p_pos, q = point
+    v = delta_cov(beta, p_pos, q, 1.3, 0.7)
+    assert v.tobytes().hex() == _DELTA_COV_BITS[point]
 
 
 @pytest.mark.parametrize("c", [1e3, 1e10, 1e20, 1e100, 1e250, 1e-100])
