@@ -6,7 +6,10 @@ L(Z_t) = S'_beta(p, t), beta in (1, 2), positivity parameter
 p = P(Z_1 > 0) in (1 - 1/beta, 1/beta).  In law the j-th of n increments is
 (sigma_bar_j / n)^{1/beta} zeta_j with zeta_j i.i.d. S'_beta(p, 1), and the
 estimands besides (p, beta) are the scale functionals
-sigma*_q = int_0^1 sigma_s^q ds.
+sigma*_q = int_0^1 sigma_s^q ds.  Every power statistic sums one power r
+of the absolute increments over m consecutive factors: the power sum of
+|D_j|^{2q} (m = 1), the bipower sums (m = 2) and the tripower sum at
+r = beta_hat/3 (m = 3).
 
 Closed-form fractional moments of zeta ~ S'_beta(p, 1), with
 xi = beta pi (p - 1/2):
@@ -146,29 +149,22 @@ def sign_statistic(sample: IncrementSample) -> float:
     return _sign_hats(sample.values[None])[0]
 
 
-def _power_sums(x: np.ndarray, *rs) -> tuple[np.ndarray, ...]:
-    """For each power vector r = (r_1, ..., r_m) the raw multipower sum
+def _lag_sum(x: np.ndarray, r: float, m: int) -> np.ndarray:
+    """The raw multipower sum of one power r over m consecutive factors,
 
-        sum_{j=1}^{n-m+1} prod_{l=1}^m |D_{j+l-1}|^{r_l}
+        sum_{j=1}^{n-m+1} prod_{l=1}^m |D_{j+l-1}|^r,
 
     of each row of x, a (rows, n) block of the absolute increments |D_j|.
-    Each distinct power is raised once; the products multiply shifted
-    slices of those arrays."""
+    The power is raised once; the product multiplies shifted slices of
+    that array, left to right."""
     n = x.shape[1]
-    powered = {}
-    sums = []
-    for r in rs:
-        m = len(r)
-        if n < m:
-            raise DomainError("sample shorter than the power vector", n=n, m=m)
-        prod = None
-        for l, rl in enumerate(r):
-            if rl not in powered:
-                powered[rl] = x ** rl
-            term = powered[rl][:, l:n - m + 1 + l]
-            prod = term if prod is None else prod * term
-        sums.append(prod.sum(axis=1))
-    return tuple(sums)
+    if n < m:
+        raise DomainError("sample shorter than the power vector", n=n, m=m)
+    powered = x ** r
+    prod = powered[:, :n - m + 1]
+    for l in range(1, m):
+        prod = prod * powered[:, l:n - m + 1 + l]
+    return prod.sum(axis=1)
 
 
 def _normalized(n: int, total: float, r_plus: float, beta: float) -> float:
@@ -188,7 +184,7 @@ def _bipower_rows(block: np.ndarray, q: float, p_hats: list, finish) -> list:
             raise DomainError("positivity estimate must lie in [0, 1]",
                               p_hat=p_hat)
     x = np.abs(block)
-    num, den = _power_sums(x, (q, q), (2.0 * q,))
+    num, den = _lag_sum(x, q, 2), _lag_sum(x, 2.0 * q, 1)
     c1 = math.exp(log_gamma(1.0 - 2.0 * q)
                   - 2.0 * log_gamma(1.0 - q)) * math.cos(math.pi * q) \
         / math.cos(0.5 * math.pi * q) ** 2
@@ -253,9 +249,13 @@ def sigma_star_bipower(sample: IncrementSample, p_hat: float,
 
         n^{2 power/beta_hat - 1} sum_{j<n} |D_j D_{j+1}|^{power}
             / mu_{power}(p_hat, beta_hat)^2.
+
+    The products saturate to inf for huge increments, which a report
+    refuses by name.
     """
     mu = mu_abs(beta_hat, p_hat, power)
-    total, = _power_sums(np.abs(sample.values)[None], (power, power))
+    with np.errstate(over="ignore"):
+        total = _lag_sum(np.abs(sample.values)[None], power, 2)
     return _normalized(sample.n, float(total[0]), 2.0 * power,
                        beta_hat) / (mu * mu)
 
@@ -277,7 +277,7 @@ def tripower_integrated_scale(x: np.ndarray, p_hat: float,
     """
     third = beta_hat / 3.0
     with np.errstate(over="ignore"):
-        mstar, = _power_sums(x[None], (third, third, third))
+        mstar = _lag_sum(x[None], third, 3)
     return float(mstar[0]) / mu_abs(beta_hat, p_hat, third) ** 3
 
 
@@ -432,8 +432,7 @@ def sign_bipower_estimate(sample: IncrementSample,
     """sign_bipower_point plus the delta-method covariance V of
     (p_hat, beta_hat, sigma*_hat_p)."""
     p_hat, beta_hat, sigma_hat, s_p = sign_bipower_point(sample, q)
-    with np.errstate(over="ignore"):  # an inf sum is named below
-        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
+    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
     extra = {"p_pos_hat": p_hat, "q": q, "sigma_star_p": s_p,
              "sigma_star_2p": s_2p,
              "cov_coords": ["p_pos", "beta", "sigma_star_p"]}
@@ -451,8 +450,7 @@ def tripower_estimate(sample: IncrementSample,
     (log n / sqrt(n))-rate asymptotic variance (sigma*_beta / beta)^2 V_22
     is reported in extra."""
     p_hat, beta_hat, s_star, s_p = tripower_point(sample, q)
-    with np.errstate(over="ignore"):  # an inf sum is named below
-        s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
+    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
     check_finite("tripower", beta_hat=beta_hat, sigma_hat=s_star,
                  extra={"p_pos_hat": p_hat}, sigma_star_p=s_p,
                  sigma_star_2p=s_2p)

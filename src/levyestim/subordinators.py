@@ -122,7 +122,9 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     delta_hat is the unique root of n h {log(delta h) - psi(delta h)} = K:
     the left side decreases strictly from +inf (delta -> 0) to 0
     (delta -> inf), and K > 0 by strict concavity of the logarithm unless
-    all increments are equal (NonpositiveK); where Delta_j X / h leaves the
+    all increments are equal.  NonpositiveK refuses a K at rounding level,
+    at most n eps T (1 + |log(X_T / T)| + mean_j |log(Delta_j X / h)|),
+    which is what equal increments leave; where Delta_j X / h leaves the
     double range, K is taken as T {log(X_T / n) - (1/n) sum_j log Delta_j X},
     the same number without h.  Then
     gamma_hat = delta_hat T / X_T.  The bounds 1/(2x) < log x - psi(x) < 1/x
@@ -137,14 +139,18 @@ def gamma_mle(sample: IncrementSample) -> tuple[float, float]:
     x_total = float(values.sum())
     if (float(values.min()) / h >= sys.float_info.min
             and float(values.max()) / h <= sys.float_info.max):
-        k_stat = (t_total * math.log(x_total / t_total)
-                  - h * float(np.sum(np.log(values / h))))
+        log_mean, logs = math.log(x_total / t_total), np.log(values / h)
+        k_stat = t_total * log_mean - h * float(np.sum(logs))
     else:  # Delta_j X / h leaves the double range; h cancels out of K / T
-        k_stat = t_total * (math.log(x_total / n)
-                            - float(np.mean(np.log(values))))
-    if k_stat <= 0.0:
-        raise NonpositiveK("likelihood statistic K is nonpositive: all "
-                           "increments equal", K=k_stat)
+        log_mean, logs = math.log(x_total / n), np.log(values)
+        k_stat = t_total * (log_mean - float(np.mean(logs)))
+    # K is T log(X_T / T) minus h sum_j log(Delta_j X / h); the rounding
+    # errors of the two reach about n eps times their size, and a K no
+    # larger is what equal increments leave
+    if k_stat <= n * sys.float_info.epsilon * t_total * (
+            1.0 + abs(log_mean) + float(np.mean(np.abs(logs)))):
+        raise NonpositiveK("likelihood statistic K is at rounding level: "
+                           "all increments equal", K=k_stat, T=t_total)
 
     def gap(delta: float) -> float:
         return t_total * (math.log(delta * h) - digamma(delta * h)) - k_stat
@@ -190,9 +196,10 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
         gamma_hat = delta_hat T / X_T.
 
     The braced mean is nonnegative by Cauchy-Schwarz and vanishes only when
-    all increments are equal (NonpositiveBrace).  Where h^2 leaves the
-    double range, the brace is taken over h^2 and delta_hat is 1/h over its
-    square root.
+    all increments are equal.  NonpositiveBrace refuses a brace at rounding
+    level, at most (n + 2) eps h^2 (1/n) sum_j 1/Delta_j X, which is what
+    equal increments leave.  Where h^2 leaves the double range, the brace
+    is taken over h^2 and delta_hat is 1/h over its square root.
     """
     values = _positive_increments(sample)
     h = sample.h
@@ -203,8 +210,12 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     scaled = not sys.float_info.min <= h * h <= sys.float_info.max
     brace = (s_inv / n - n / x_total if scaled
              else (h * h * s_inv - t_total * t_total / x_total) / n)
-    if brace <= 0.0:
-        raise NonpositiveBrace("shape expression is nonpositive: all "
+    # the brace is lead = h^2 sum_j (1/Delta_j X) / n minus T^2 / (n X_T);
+    # the rounding errors of the two reach about (n + 2) eps lead, and a
+    # brace no larger is what equal increments leave
+    lead = (s_inv if scaled else h * h * s_inv) / n
+    if brace <= (n + 2) * sys.float_info.epsilon * lead:
+        raise NonpositiveBrace("shape expression is at rounding level: all "
                                "increments equal", brace=brace)
     delta_hat = 1.0 / h / math.sqrt(brace) if scaled else brace ** -0.5
     gamma_hat = delta_hat * t_total / x_total

@@ -29,13 +29,13 @@ from __future__ import annotations
 import math
 import sys
 from statistics import NormalDist
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DenominatorNearZero,
     DomainError,
+    EstimationError,
     NonpositiveVarianceGap,
     NoSignChange,
     NotPositiveDefinite,
@@ -67,7 +67,6 @@ __all__ = [
     "median_gamma",
     "log_moment_point",
     "log_moment_estimate",
-    "log_moment_nu",
     "v_log",
     "psi_transform",
     "c_moment",
@@ -117,10 +116,12 @@ def _log_block(block: np.ndarray):
     m = xs[:, k]
     # each step in place: a block's temporaries are what peak memory holds
     logs = np.concatenate((xs[:, :k], xs[:, k + 1:]), axis=1)
-    logs -= m[:, None]
-    np.abs(logs, out=logs)
-    ties = np.count_nonzero(logs == 0.0, axis=1)
-    with np.errstate(divide="ignore"):
+    # a residual that overflows saturates to inf; the log-moment estimates
+    # it reaches are nan, which the reports refuse
+    with np.errstate(divide="ignore", over="ignore"):
+        logs -= m[:, None]
+        np.abs(logs, out=logs)
+        ties = np.count_nonzero(logs == 0.0, axis=1)
         np.log(logs, out=logs)
     if ties.any():
         logs[ties > 0] = 0.0
@@ -128,8 +129,10 @@ def _log_block(block: np.ndarray):
 
 
 def _square_sums(logs: np.ndarray, lbar: np.ndarray) -> np.ndarray:
-    # sum_j (L_j - Lbar)^2 of each row
-    dev = logs - lbar[:, None]
+    # sum_j (L_j - Lbar)^2 of each row; nan where an inf log residual
+    # makes Lbar inf
+    with np.errstate(invalid="ignore"):
+        dev = logs - lbar[:, None]
     return np.sum(np.square(dev, out=dev), axis=1)
 
 
@@ -144,42 +147,6 @@ def median_gamma(sample: IncrementSample) -> float:
     return median_block(sample.values[None], sample.h)[0][0]
 
 
-class NuMoments(NamedTuple):
-    """nu_1..nu_4: mean of log|Y|, then second/third/fourth central moments,
-    for Y ~ S_beta(sigma)."""
-
-    nu1: float
-    nu2: float
-    nu3: float
-    nu4: float
-
-
-def log_moment_nu(beta: float, sigma: float) -> NuMoments:
-    """Central moments of log|Y|, Y ~ S_beta(sigma):
-
-    nu1 = C (1/beta - 1) + log sigma          (C = Euler-Mascheroni)
-    nu2 = (pi^2/6) (1/beta^2 + 1/2)
-    nu3 = 2 zeta(3) (1/beta^3 - 1)
-    nu4 = pi^4 {3/(20 beta^4) + 1/(12 beta^2) + 19/240}
-
-    Accepts any finite beta > 0 and sigma > 0, so plug-in covariances stay
-    defined when an index estimate lands above 2; a beta below ~2.7e-77,
-    where nu4 would overflow, raises DomainError.
-    """
-    positive("beta", beta)
-    positive("sigma", sigma)
-    b2 = beta * beta
-    if b2 * b2 * sys.float_info.max < _PI4:  # pi^4 / beta^4 overflows
-        raise DomainError("beta is so small that the moments of log|Y| "
-                          "overflow", beta=beta)
-    return NuMoments(
-        EULER_GAMMA * (1.0 / beta - 1.0) + math.log(sigma),
-        _PI2 / 6.0 * (1.0 / b2 + 0.5),
-        2.0 * ZETA3 * (1.0 / (b2 * beta) - 1.0),
-        _PI4 * (3.0 / (20.0 * b2 * b2) + 1.0 / (12.0 * b2) + 19.0 / 240.0),
-    )
-
-
 def v_log(beta: float, sigma: float) -> np.ndarray:
     """Fixed-mesh (h = 1) covariance V^log of the log-moment estimates
     (beta_hat, sigma_hat, gamma_hat; other meshes: module docstring):
@@ -188,20 +155,36 @@ def v_log(beta: float, sigma: float) -> np.ndarray:
     V_12 = (sigma/pi^4) {9 C beta^4 (nu4 - nu2^2) - 3 pi^2 beta^3 nu3}
     V_22 = (sigma^2/pi^4) {9 C^2 beta^2 (nu4 - nu2^2) + pi^4 nu2
                            - 6 C pi^2 beta nu3}
-    V_33 = {sigma pi / (2 Gamma(1 + 1/beta))}^2,   V_13 = V_23 = 0.
+    V_33 = {sigma pi / (2 Gamma(1 + 1/beta))}^2,   V_13 = V_23 = 0,
 
-    Raises NotPositiveDefinite when a Cholesky factorization of the result
-    fails.
+    with C the Euler-Mascheroni constant and nu2, nu3, nu4 the second,
+    third and fourth central moments of log|Y|, Y ~ S_beta(sigma):
+
+    nu2 = (pi^2/6) (1/beta^2 + 1/2)
+    nu3 = 2 zeta(3) (1/beta^3 - 1)
+    nu4 = pi^4 {3/(20 beta^4) + 1/(12 beta^2) + 19/240}.
+
+    Accepts any finite beta > 0 and sigma > 0, so plug-in covariances stay
+    defined when an index estimate lands above 2; a beta below ~2.7e-77,
+    where nu4 would overflow, raises DomainError.  Raises
+    NotPositiveDefinite when a Cholesky factorization of the result fails.
     """
-    nu = log_moment_nu(beta, sigma)
-    d4 = nu.nu4 - nu.nu2 ** 2
+    positive("beta", beta)
+    positive("sigma", sigma)
     b2 = beta * beta
+    if b2 * b2 * sys.float_info.max < _PI4:  # pi^4 / beta^4 overflows
+        raise DomainError("beta is so small that the moments of log|Y| "
+                          "overflow", beta=beta)
+    nu2 = _PI2 / 6.0 * (1.0 / b2 + 0.5)
+    nu3 = 2.0 * ZETA3 * (1.0 / (b2 * beta) - 1.0)
+    nu4 = _PI4 * (3.0 / (20.0 * b2 * b2) + 1.0 / (12.0 * b2) + 19.0 / 240.0)
+    d4 = nu4 - nu2 ** 2
     v11 = 1.1 * b2 + 0.5 * b2 * b2 + 0.65 * b2 * b2 * b2
     v12 = sigma / _PI4 * (9.0 * EULER_GAMMA * b2 * b2 * d4
-                          - 3.0 * _PI2 * b2 * beta * nu.nu3)
+                          - 3.0 * _PI2 * b2 * beta * nu3)
     v22 = sigma * sigma / _PI4 * (9.0 * EULER_GAMMA ** 2 * b2 * d4
-                                  + _PI4 * nu.nu2
-                                  - 6.0 * EULER_GAMMA * _PI2 * beta * nu.nu3)
+                                  + _PI4 * nu2
+                                  - 6.0 * EULER_GAMMA * _PI2 * beta * nu3)
     v33 = overflow_to_inf(math.pow, median_asymptotic_sd(beta, sigma), 2)
     out = np.array([[v11, v12, 0.0], [v12, v22, 0.0], [0.0, 0.0, v33]])
     try:
@@ -319,14 +302,13 @@ def c_moment(beta: float, q: float) -> float:
         C(beta, q) = 2^q Gamma((q+1)/2) Gamma(1 - q/beta)
                      / {sqrt(pi) Gamma(1 - q/2)},
 
-    so E|Y|^q = C(beta, q) sigma^q for Y ~ S_beta(sigma), q in (-1, beta).
+    so E|Y|^q = C(beta, q) sigma^q for Y ~ S_beta(sigma), at the orders
+    q in (0, beta) the estimators use (p, 2p, 3p and 4p, p > 0).
     """
     stable_index(beta)
-    if not (-1.0 < q < beta):
-        raise DomainError("moment order q must lie in (-1, beta)",
+    if not (0.0 < q < beta):
+        raise DomainError("moment order q must lie in (0, beta)",
                           q=q, beta=beta)
-    if q == 0.0:
-        return 1.0
     return 2.0 ** q * math.exp(log_gamma(0.5 * (q + 1.0))
                                + log_gamma(1.0 - q / beta)
                                - log_gamma(1.0 - 0.5 * q)) / math.sqrt(math.pi)
@@ -348,7 +330,8 @@ def frac_moment_block(block: np.ndarray, h: float, p: float) -> list:
         raise DomainError("moment order p must lie in (0, 1/3)", p=p)
     values = _odd_block(block)
     m = _medians(values)
-    res = values - m[:, None]
+    with np.errstate(over="ignore"):  # an inf residual is refused below
+        res = values - m[:, None]
     np.abs(res, out=res)
     log_k = _log_frac_k(p)
     lo, hi = 6.0 * p + 1e-9, 2.0 - 1e-9
@@ -356,6 +339,10 @@ def frac_moment_block(block: np.ndarray, h: float, p: float) -> list:
     def point(h1, h2, m):
         if h1 <= 0.0 or h2 <= 0.0:
             raise ZeroResidual("fractional moments vanish", h1=h1, h2=h2)
+        if not (math.isfinite(h1) and math.isfinite(h2)):
+            raise EstimationError("fractional moments H_1 and H_2 are not "
+                                  "finite: a residual overflows", h1=h1,
+                                  h2=h2)
         target = h1 * h1 / h2
         log_rhs = math.log(target) - log_k
         try:

@@ -66,7 +66,8 @@ def symmetrize(sample: IncrementSample) -> IncrementSample:
     n2 = x.size // 2
     if n2 < 1:
         raise DomainError("need at least 2 increments", n=int(x.size))
-    vals = x[1:2 * n2:2] - x[0:2 * n2:2]
+    with np.errstate(over="ignore"):  # IncrementSample refuses the infs
+        vals = x[1:2 * n2:2] - x[0:2 * n2:2]
     return IncrementSample(vals, sample.h)
 
 

@@ -581,6 +581,35 @@ def test_simulate_overflowing_values_are_one_data_error(tmp_path, capsys,
     assert not out.exists()
 
 
+# a residual x - m overflows: a pair of values near +-1.7e308 in a small
+# sample, and a median near 1.7e308 with one value near -1.7e308
+_OVERFLOW_PAIR = (1.0, 2.0, -1.0, 0.5, 1.7e308, -1.7e308, 3.0, -2.0, 0.25)
+_OVERFLOW_MEDIAN = (1.7e308, 1.65e308, 1.75e308, 1.6e308, -1.7e308,
+                    1.78e308, 1.55e308)
+
+
+@pytest.mark.parametrize("values, method, code, context", [
+    (_OVERFLOW_PAIR, ("pipeline",), "data_error",
+     {"count": 1, "first_index": 2}),
+    (_OVERFLOW_MEDIAN, ("log",), "estimation_error",
+     {"field": "beta_hat", "method": "log"}),
+    (_OVERFLOW_MEDIAN, ("frac", "--p", "0.1"), "estimation_error",
+     {"h1": None, "h2": None}),
+], ids=["pipeline", "log", "frac"])
+def test_an_overflowing_residual_is_one_error(tmp_path, capsys, values,
+                                              method, code, context):
+    # numpy's RuntimeWarning lines came before the error, and frac ended in
+    # root_out_of_bracket with a null target
+    src = tmp_path / "x.csv"
+    src.write_text("# h=1\n" + "".join(f"{v!r}\n" for v in values))
+    assert run_cli("estimate", "--in", str(src), "--method", *method) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    payload = _strict_json(line)
+    assert (payload["code"], payload["context"]) == (code, context)
+    assert captured.out == ""
+
+
 # 1e15 float64 values, about 7 PiB: numpy refuses the allocation outright
 _UNALLOCATABLE_N = "1000000000000000"
 

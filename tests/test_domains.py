@@ -32,7 +32,6 @@ from levyestim.symmetric import (
     c_moment,
     gamma_confidence_interval,
     known_scale_block,
-    log_moment_nu,
     psi_transform,
     v_log,
     v_p,
@@ -47,8 +46,9 @@ _POSITIVE = {
     "increments_cell.sigma":
         ("sigma", lambda v: increments_cell(1.5, v, 0.0, 0.0, 0.1, 5)),
     "ScalePath.constant": ("sigma", lambda v: ScalePath.constant(v, 1.5)),
-    "log_moment_nu.sigma": ("sigma", lambda v: log_moment_nu(1.5, v)),
     "v_log.sigma": ("sigma", lambda v: v_log(1.5, v)),
+    # sigma is checked before the beta^4 overflow
+    "v_log.sigma_at_tiny_beta": ("sigma", lambda v: v_log(1e-80, v)),
     "known_scale_block.sigma": ("sigma", lambda v: known_scale_block(
         _SAMPLE.values[None], _SAMPLE.h, v)),
     "v_p.sigma": ("sigma", lambda v: v_p(1.5, v, 0.1)),
@@ -76,7 +76,7 @@ _POSITIVE = {
         ("gamma", lambda v: gamma_sub_cell(1.0, v, 0.1, 5)),
     "ig_sub_cell.delta": ("delta", lambda v: ig_sub_cell(v, 1.0, 0.1, 5)),
     "ig_sub_cell.gamma": ("gamma", lambda v: ig_sub_cell(1.0, v, 0.1, 5)),
-    "log_moment_nu.beta": ("beta", lambda v: log_moment_nu(v, 1.0)),
+    "v_log.beta": ("beta", lambda v: v_log(v, 1.0)),
     "psi_transform": ("beta", psi_transform),
     "median_asymptotic_sd.beta":
         ("beta", lambda v: median_asymptotic_sd(v, 1.0)),

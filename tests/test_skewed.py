@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from levyestim.errors import DomainError, InadmissiblePositivity, RootOutOfBracket
 from levyestim.skewed import (
-    _power_sums,
+    _lag_sum,
     _system_cov,
     bipower_beta,
     delta_cov,
@@ -380,28 +380,47 @@ def test_power_sums_equal_per_slice_powers():
                 n ** (2.0 * power / beta_hat - 1.0) * num / (mu * mu)
 
 
-def test_mpv_mixed_powers_equal_per_slice_reference():
-    # repeated and distinct powers share one |x|^r array per distinct power;
-    # the reference raises every shifted slice separately
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lag_sum_equals_per_slice_reference(m):
+    # one |x|^r array multiplied along m shifted slices, left to right; the
+    # reference raises every shifted slice separately
     s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=29)
     x = np.abs(s.values)
     n = x.size
-    rs = ((0.2, 0.4, 0.2), (0.3,), (0.25, 0.25), (0.5, 0.0),
-          (0.1, 0.3, 0.1, 0.3))
-    sums = _power_sums(x[None], *rs)
-    for r, total in zip(rs, sums):
-        m = len(r)
-        prod = np.ones(n - m + 1)
-        for l, rl in enumerate(r):
-            prod = prod * x[l:n - m + 1 + l] ** rl
-        assert float(total[0]) == float(prod.sum())
+    for r in (0.1, 0.25, 0.5):
+        prod = x[:n - m + 1] ** r
+        for l in range(1, m):
+            prod = prod * x[l:n - m + 1 + l] ** r
+        assert float(_lag_sum(x[None], r, m)[0]) == float(prod.sum())
+
+
+# (sigma_star_bipower(s, 0.58, 1.45, 0.25),
+#  tripower_integrated_scale(|D|, 0.58, 1.45)) as float64 bytes (hex) of
+# seeded S'_1.5(0.6) samples: the order of the lag products is part of the
+# result
+_POWER_STATISTIC_BITS = {
+    3: ("09a6edbcae93f03f", "58360c50ec48f13f"),
+    11: ("0a922130aaebf03f", "a31f2eae8b2bf23f"),
+    29: ("70519d2004adf03f", "6cb84a9f2d0df23f"),
+}
+
+
+@pytest.mark.parametrize("seed", list(_POWER_STATISTIC_BITS))
+def test_power_statistic_bits_are_pinned(seed):
+    s = sprime_cell(1.5, 0.6, 1.0, 1 / 400, 400).sample(seed=seed)
+    got = (sigma_star_bipower(s, 0.58, 1.45, 0.25),
+           tripower_integrated_scale(np.abs(s.values), 0.58, 1.45))
+    assert tuple(np.float64(v).tobytes().hex() for v in got) == \
+        _POWER_STATISTIC_BITS[seed]
 
 
 def test_scale_functionals_need_enough_data():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="shorter") as info:
         sigma_star_bipower(_sample([1.0]), P_POS, 1.5, 0.25)
-    with pytest.raises(DomainError):
+    assert info.value.context == {"n": 1, "m": 2}
+    with pytest.raises(DomainError, match="shorter") as info:
         tripower_integrated_scale(np.array([1.0, 2.0]), P_POS, 1.5)
+    assert info.value.context == {"n": 2, "m": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,16 @@ def test_gamma_mle_constant_data():
         gamma_mle(_sample([0.7, 0.7, 0.7, 0.7]))
 
 
+@pytest.mark.parametrize("value, h, n", [
+    (0.28, 0.01, 101), (2.5, 0.1, 101), (1e-5, 0.05, 1000),
+    (3e4, 1.0, 1000)])
+def test_gamma_mle_refuses_equal_increments_at_rounding_level(value, h, n):
+    # K came out a few ulps above 0 and delta_hat near 1e16 was reported
+    with pytest.raises(NonpositiveK) as exc:
+        gamma_mle(_sample(np.full(n, value), h=h))
+    assert set(exc.value.context) == {"K", "T"}
+
+
 def test_gamma_mle_near_equal_data_blows_up():
     # K -> 0+ forces delta_hat -> infinity
     vals = 1.0 + 1e-5 * np.array([0.5, -0.5, 0.25, -0.25, 0.1, -0.1])
@@ -276,6 +286,16 @@ def test_ig_mle_hand_values():
 def test_ig_mle_constant_data():
     with pytest.raises(NonpositiveBrace):
         ig_mle(_sample([1.3, 1.3, 1.3]))
+
+
+@pytest.mark.parametrize("value, h, n", [
+    (1.0, 0.1, 10), (0.28, 0.01, 3), (1.0, 0.01, 101), (1.0, 0.05, 1000)])
+def test_ig_mle_refuses_equal_increments_at_rounding_level(value, h, n):
+    # the brace came out a few ulps above 0 and delta_hat near 1e9 was
+    # reported
+    with pytest.raises(NonpositiveBrace) as exc:
+        ig_mle(_sample(np.full(n, value), h=h))
+    assert set(exc.value.context) == {"brace"}
 
 
 def test_ig_mle_rejects_nonpositive_data():

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from levyestim.errors import (
     DenominatorNearZero,
     DomainError,
+    NotPositiveDefinite,
     RootOutOfBracket,
     ZeroResidual,
     only_row,
@@ -28,7 +29,6 @@ from levyestim.symmetric import (
     known_scale_block,
     log_moment_estimate,
     log_moment_point,
-    log_moment_nu,
     median_gamma,
     psi_transform,
     v_log,
@@ -199,12 +199,11 @@ def test_c_moment_values():
     assert c_moment(1.5, 0.25) == pytest.approx(C_15_025, rel=1e-10)
     assert c_moment(1.5, 0.5) == pytest.approx(C_15_05, rel=1e-10)
     assert c_moment(0.8, 0.1) == pytest.approx(C_08_01, rel=1e-10)
-    assert c_moment(1.3, 0.0) == 1.0
 
 
 def test_c_moment_scipy_dual_route():
     for beta in (0.6, 1.0, 1.5, 1.9):
-        for q in (-0.5, 0.1, 0.3, beta / 2):
+        for q in (0.1, 0.3, beta / 2):
             mine = c_moment(beta, q)
             ref = (2 ** q * ss.gamma((q + 1) / 2) * ss.gamma(1 - q / beta)
                    / (math.sqrt(np.pi) * ss.gamma(1 - q / 2)))
@@ -212,12 +211,35 @@ def test_c_moment_scipy_dual_route():
 
 
 def test_c_moment_domain():
-    with pytest.raises(DomainError):
-        c_moment(1.5, 1.5)
-    with pytest.raises(DomainError):
-        c_moment(1.5, -1.0)
+    # orders in (0, beta): the estimators use p, 2p, 3p and 4p with p > 0
+    for q in (1.5, 0.0, -0.5, -1.0, math.nan):
+        with pytest.raises(DomainError, match=r"\(0, beta\)") as info:
+            c_moment(1.5, q)
+        assert set(info.value.context) == {"q", "beta"}
     with pytest.raises(DomainError):
         c_moment(2.5, 0.5)
+
+
+# C(beta, k p), k = 1..4, as frac_moment_block and v_p call it, as float64
+# bytes (hex): every estimate and dump that reads it keeps its bits only if
+# these do
+_C_MOMENT_BITS = {
+    (0.8, 0.05): ("584b25576a2ff03f", "1a13e4eca484f03f",
+                  "85bcd5413e04f13f", "704a0eca22b5f13f"),
+    (1.3, 0.1): ("66167ce4fddaef3f", "3616dac9fd20f03f",
+                 "c4a4ac63169cf03f", "8c70afc11867f13f"),
+    (1.7, 0.2): ("e1b625a8ba4eef3f", "6cd3a2534505f03f",
+                 "050279071410f13f", "65d1ed2c59e8f23f"),
+    (2.0, 0.3): ("ddd1e876b2c7ee3f", "23e60a66e5dbef3f",
+                 "a3f52ba0f75ff13f", "82109c4ad1baf33f"),
+}
+
+
+@pytest.mark.parametrize("beta, p", list(_C_MOMENT_BITS))
+def test_c_moment_bits_are_pinned(beta, p):
+    got = tuple(np.float64(c_moment(beta, k * p)).tobytes().hex()
+                for k in (1, 2, 3, 4))
+    assert got == _C_MOMENT_BITS[beta, p]
 
 
 def test_frac_moment_basic():
@@ -312,18 +334,74 @@ def test_frac_moment_p_validation():
 # nu moments and covariance matrices
 
 def test_nu_moments_cauchy():
-    nu = log_moment_nu(1.0, 1.0)
-    assert nu.nu1 == 0.0
-    assert nu.nu2 == pytest.approx(np.pi ** 2 / 4, rel=1e-14)
-    assert nu.nu3 == 0.0
-    assert nu.nu4 == pytest.approx(np.pi ** 4 * (3 / 20 + 1 / 12 + 19 / 240),
-                                   rel=1e-14)
-    # sigma enters nu1 only
-    nu2 = log_moment_nu(1.0, 2.0)
-    assert nu2.nu1 == pytest.approx(math.log(2.0), rel=1e-14)
-    assert nu2.nu2 == nu.nu2
+    # at beta = 1, nu2 = pi^2/4, nu3 = 0 and
+    # nu4 = pi^4 (3/20 + 1/12 + 19/240), which V_12 and V_22 carry
+    nu2 = np.pi ** 2 / 4
+    d4 = np.pi ** 4 * (3 / 20 + 1 / 12 + 19 / 240) - nu2 ** 2
+    for sigma in (1.0, 2.0):
+        v = v_log(1.0, sigma)
+        assert v[0, 1] == pytest.approx(sigma * 9 * EULER * d4 / np.pi ** 4,
+                                        rel=1e-14)
+        assert v[1, 1] == pytest.approx(
+            sigma ** 2 * (9 * EULER ** 2 * d4 / np.pi ** 4 + nu2), rel=1e-14)
 
 
+# V^log as float64 bytes (hex, row-major), which the log reports and the
+# variance dump print; a plug-in beta_hat above 2 is accepted
+_V_LOG_BITS = {
+    (0.3, 1.0):
+        "72231bfe8980ba3f92888e610d1ba8bf0000000000000000"
+        "92888e610d1ba8bf546b6c2785792c400000000000000000"
+        "00000000000000000000000000000000eac76c2360769d3f",
+    (0.8, 0.5):
+        "12d720826044f13f2fe6de691abcd33f0000000000000000"
+        "2fe6de691abcd33f8cb5bdf1a004ed3f0000000000000000"
+        "000000000000000000000000000000003b765845f3c0de3f",
+    (1.0, 1.0):
+        "0000000000000240dcacfd9b9ec7f43f0000000000000000"
+        "dcacfd9b9ec7f43f3855a37585bc09400000000000000000"
+        "00000000000000000000000000000000de45bec93cbd0340",
+    (1.2, 2.0):
+        "6603fa8e2b3f12403b03d48559e212400000000000000000"
+        "3b03d48559e21240309c82026dfe28400000000000000000"
+        "0000000000000000000000000000000002838797f24e2640",
+    (1.5, 0.7):
+        "0000000000d22840596e49ef428c0b400000000000000000"
+        "596e49ef428c0b405cb02a6e8490f93f0000000000000000"
+        "000000000000000000000000000000000a609851aabcf73f",
+    (1.9, 0.001):
+        "985f72488f884440fffb9f286837863f0000000000000000"
+        "fffb9f286837863f1b7ca946b903cf3e0000000000000000"
+        "00000000000000000000000000000000aba0270f4049ca3e",
+    (2.0, 1000.0):
+        "0000000000004b40b3de1e4ae035c9400000000000000000"
+        "b3de1e4ae035c940e17fceba43414d410000000000000000"
+        "0000000000000000000000000000000093d4a853ecf74741",
+    (2.3, 1.1):
+        "395d273f33025d408d21e3e352e736400000000000000000"
+        "8d21e3e352e73640586a5d529fca14400000000000000000"
+        "00000000000000000000000000000000b343f0349b6e0e40",
+    (4.7, 0.2):
+        "1f553ce4c56abc4053e2feb8e5854a400000000000000000"
+        "53e2feb8e5854a40ba47003a8810d93f0000000000000000"
+        "0000000000000000000000000000000009b4dfd2b32fbe3f",
+}
+
+
+@pytest.mark.parametrize("beta, sigma", list(_V_LOG_BITS))
+def test_v_log_bits_are_pinned(beta, sigma):
+    assert v_log(beta, sigma).tobytes().hex() == _V_LOG_BITS[beta, sigma]
+
+
+@pytest.mark.parametrize("beta, error, context", [
+    (2.72e-77, NotPositiveDefinite, {"beta": 2.72e-77, "sigma": 1.0}),
+    (2.7e-77, DomainError, {"beta": 2.7e-77})])
+def test_v_log_next_to_the_nu4_overflow(beta, error, context):
+    # nu4 ~ pi^4 / beta^4 overflows below beta ~ 2.7e-77; just above, the
+    # matrix is finite but not positive definite
+    with pytest.raises(error) as info:
+        v_log(beta, 1.0)
+    assert info.value.context == context
 def test_v_log_values():
     v = v_log(1.0, 1.0)
     assert v[0, 0] == pytest.approx(2.25, rel=1e-14)
