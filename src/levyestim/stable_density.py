@@ -25,7 +25,11 @@ where the peak narrows like 1/|a|).  The abscissae span t in [-3.5, 3.5]:
 at 3.15 the outermost nodes stopped ~1e-16 panel widths short of the peak
 at the panels' shared end, leaving phi off by ~ -2e-17 / (|beta - 1| z),
 -2.1e-10 at beta = 0.9999, z = 1e-3.  Chunks hold at most 2^13 points x
-nodes (64 KB per array).
+nodes, and a kernel call allocates one workspace of nine chunk-sized
+arrays: every step of every chunk writes into it in place, in the same
+operations and order as fresh temporaries would take, so no step
+allocates (freed temporaries would shrink the heap, and the next chunk
+would fault its pages back in).
 
 Next to beta = 2 the by-parts weight is the worse one: a -> 2, while the
 least D falls to 0.31, 0.098 and 0.031 at beta = 1.99, 1.999 and 1.9999,
@@ -241,27 +245,36 @@ def _tanh_sinh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, sc, w
 
 
-def _log_v(theta, comp, beta: float, a: float):
-    """(log V(theta), (t_c, t_b, t_r)) with comp = pi/2 - theta and the
-    three terms t_c = 2 tan theta, t_b = 2 beta^2 cot(beta theta),
-    t_r = 2 (beta-1)^2 tan((beta-1) theta) of -2 (beta-1) d/dtheta log V."""
+def _log_v(theta, comp, beta: float, a: float, out: np.ndarray):
+    """Write log V(theta) to out[0] and the three terms t_c = 2 tan theta,
+    t_b = 2 beta^2 cot(beta theta), t_r = 2 (beta-1)^2 tan((beta-1) theta)
+    of -2 (beta-1) d/dtheta log V to out[1], out[2], out[3], with comp =
+    pi/2 - theta.  out holds seven arrays shaped like theta; out[4:] is
+    scratch.  theta and comp are only read, and every step writes in
+    place, so a call allocates no array."""
     # t = tan(x/2) gives 2 csc x = 1/t + t, 2 cot x = 1/t - t, 2 tan x =
     # 4t/(1-t^2), cos x = (1-t^2)/(1+t^2) to a few ulp for 0 < x < pi; tan
     # takes 2.3 ns per element, sin and cos 11-14 (numpy 2.4, AVX-512 core)
-    tc = np.tan(0.5 * comp)
-    tb = np.tan((0.5 * beta) * theta)
-    tr = np.tan((0.5 * (beta - 1.0)) * theta)
-    inv_c = 1.0 / tc
-    inv_b = 1.0 / tb
-    csc_c = inv_c + tc  # 2 / cos(theta)
-    tr2 = tr * tr
-    cos_r = 1.0 - tr2  # (1 + tr^2) cos((beta-1) theta)
-    # V = (cos theta / sin(beta theta))^a cos((beta-1) theta) / cos theta
-    logv = (a * np.log((inv_b + tb) / csc_c)
-            + np.log(csc_c * cos_r / (2.0 + 2.0 * tr2)))
+    logv, t_c, t_b, t_r, s0, s1, s2 = out
     b = beta - 1.0
-    return logv, (inv_c - tc, (beta * beta) * (inv_b - tb),
-                  (4.0 * b * b) * tr / cos_r)
+    tb = np.tan(np.multiply(theta, 0.5 * beta, out=logv), out=logv)
+    tc = np.tan(np.multiply(comp, 0.5, out=t_c), out=t_c)
+    tr = np.tan(np.multiply(theta, 0.5 * b, out=t_r), out=t_r)
+    tr2 = np.multiply(tr, tr, out=s0)
+    cos_r = np.subtract(1.0, tr2, out=s1)  # (1 + tr^2) cos((beta-1) theta)
+    np.add(2.0, np.multiply(2.0, tr2, out=s0), out=s0)  # 2 + 2 tr^2
+    np.divide(np.multiply(4.0 * b * b, tr, out=t_r), cos_r, out=t_r)
+    inv_c = np.divide(1.0, tc, out=t_b)
+    csc_c = np.add(inv_c, tc, out=s2)  # 2 / cos(theta)
+    np.subtract(inv_c, tc, out=t_c)
+    # V = (cos theta / sin(beta theta))^a cos((beta-1) theta) / cos theta,
+    # as a log((1/tb + tb) / csc_c) + log(csc_c cos_r / (2 + 2 tr^2))
+    np.log(np.divide(np.multiply(csc_c, cos_r, out=s1), s0, out=s1), out=s1)
+    inv_b = np.divide(1.0, tb, out=s0)
+    np.multiply(beta * beta, np.subtract(inv_b, tb, out=t_b), out=t_b)
+    np.add(inv_b, tb, out=logv)
+    np.log(np.divide(logv, csc_c, out=logv), out=logv)
+    np.add(np.multiply(a, logv, out=logv), s1, out=logv)
 
 
 def _theta_star(logz: np.ndarray,
@@ -280,16 +293,18 @@ def _theta_star(logz: np.ndarray,
     lo = np.full_like(logz, -40.0)
     hi = np.full_like(logz, 40.0)
     live = np.arange(logz.size)
+    work = np.empty((7, logz.size))
     for _ in range(100):
         ul = u[live]
         theta = _HALF_PI / (1.0 + np.exp(-ul))
         comp = _HALF_PI / (1.0 + np.exp(ul))
-        logv, terms = _log_v(theta, comp, beta, a)
-        f = logv - target[live]
+        out = work[:, :live.size]
+        _log_v(theta, comp, beta, a, out)
+        f = out[0] - target[live]
         right = sign * f > 0.0
         lo[live] = np.where(right, ul, lo[live])
         hi[live] = np.where(right, hi[live], ul)
-        dlogv = -sum(terms) / (2.0 * b)
+        dlogv = -sum(out[1:4]) / (2.0 * b)
         step = f / (dlogv * theta * comp / _HALF_PI)
         un = ul - step
         inside = (un >= lo[live]) & (un <= hi[live])
@@ -312,28 +327,43 @@ def _nolan(z: np.ndarray, beta: float) -> np.ndarray:
     star, comp_star = _theta_star(logz, beta)
     sums = np.empty((2, z.size))
     rows = max(1, _BLOCK // n)
+    # every step of every chunk writes into this one workspace: theta, comp,
+    # the seven arrays _log_v fills, of which the last three are free after
+    # it; a last, partial chunk takes the leading rows, still C-contiguous,
+    # so each row sums in the same pairwise order
+    work = np.empty((9, min(rows, z.size), n))
+    shift = 6.0 * beta * beta * b
     for i in range(0, z.size, rows):
         t = star[i:i + rows, None]
         c = comp_star[i:i + rows, None]
         alogz = a * logz[i:i + rows, None]
+        chunk = work[:, :t.shape[0]]
+        theta, comp, g, t_c, t_b, t_r, e, lead, tmp = chunk
         f0 = f1 = 0.0
         # panels [0, theta*] and [theta*, pi/2] as (left end, width,
         # distance of the right end from pi/2)
         for left, width, right in ((0.0, t, c), (t, c, 0.0)):
-            theta = left + width * s
-            comp = right + width * sc
-            logv, (t_c, t_b, t_r) = _log_v(theta, comp, beta, a)
-            g = np.exp(np.minimum(alogz + logv, 7.0))
-            e = np.exp(-g) * g * (w * width)  # exp(-e^7) underflows to 0
+            np.add(left, np.multiply(width, s, out=theta), out=theta)
+            np.add(right, np.multiply(width, sc, out=comp), out=comp)
+            _log_v(theta, comp, beta, a, chunk[2:])
+            # g = exp(min(a log z + log V, 7)); exp(-e^7) underflows to 0
+            np.exp(np.minimum(np.add(alogz, g, out=g), 7.0, out=g), out=g)
+            np.multiply(np.exp(np.negative(g, out=e), out=e), g, out=e)
+            np.multiply(e, np.multiply(w, width, out=tmp), out=e)
             f0 = f0 + e.sum(axis=1)
             if direct:  # weight a - 1 - a g, as a - 1 and -a times g
-                f1 = f1 + (e * g).sum(axis=1)
+                f1 = f1 + np.multiply(e, g, out=tmp).sum(axis=1)
                 continue
-            # by-parts weight 2 (top / lead^2 - 1), lead = 2 D (module doc)
-            lead = t_c + t_b + t_r
-            skew = t_c - t_r / b
-            top = t_b * lead + 6.0 * beta * beta * b - (0.5 * b) * skew * skew
-            f1 = f1 + (e * top / (lead * lead)).sum(axis=1)
+            # by-parts weight 2 (top / lead^2 - 1), lead = 2 D (module doc),
+            # top = t_b lead + 6 beta^2 b - (b / 2) skew^2
+            np.add(np.add(t_c, t_b, out=lead), t_r, out=lead)
+            skew = np.subtract(t_c, np.divide(t_r, b, out=t_r), out=t_c)
+            np.multiply(np.multiply(0.5 * b, skew, out=tmp), skew, out=tmp)
+            top = np.add(np.multiply(t_b, lead, out=t_b), shift, out=t_b)
+            np.subtract(top, tmp, out=top)
+            np.divide(np.multiply(e, top, out=top),
+                      np.multiply(lead, lead, out=lead), out=top)
+            f1 = f1 + top.sum(axis=1)
         sums[0, i:i + rows] = f0
         sums[1, i:i + rows] = ((a - 1.0) * f0 - a * f1 if direct
                                else 2.0 * (f1 - f0))

@@ -199,21 +199,32 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     all increments are equal.  NonpositiveBrace refuses a brace at rounding
     level, at most (n + 2) eps h^2 (1/n) sum_j 1/Delta_j X, which is what
     equal increments leave.  Where h^2 leaves the double range, the brace
-    is taken over h^2 and delta_hat is 1/h over its square root.
+    is taken over h^2 and delta_hat is 1/h over its square root.  An X_T
+    that overflows (gamma_hat would read 0), or a lead term h^2 (1/n)
+    sum_j 1/Delta_j X that does (the brace would be inf or nan), is an
+    EstimationError.
     """
     values = _positive_increments(sample)
     h = sample.h
     n = values.size
     t_total = n * h
-    x_total = float(values.sum())
-    s_inv = float(np.sum(1.0 / values))
+    with np.errstate(over="ignore"):  # overflowing sums are refused below
+        x_total = float(values.sum())
+        s_inv = float(np.sum(1.0 / values))
+    if not math.isfinite(x_total):
+        raise EstimationError("IG total X_T overflows",
+                              largest_increment=float(values.max()))
     scaled = not sys.float_info.min <= h * h <= sys.float_info.max
-    brace = (s_inv / n - n / x_total if scaled
-             else (h * h * s_inv - t_total * t_total / x_total) / n)
     # the brace is lead = h^2 sum_j (1/Delta_j X) / n minus T^2 / (n X_T);
     # the rounding errors of the two reach about (n + 2) eps lead, and a
     # brace no larger is what equal increments leave
     lead = (s_inv if scaled else h * h * s_inv) / n
+    if not math.isfinite(lead):
+        raise EstimationError("IG brace term h^2 (1/n) sum_j 1/Delta_j X "
+                              "overflows", h=h,
+                              least_increment=float(values.min()))
+    brace = (s_inv / n - n / x_total if scaled
+             else (h * h * s_inv - t_total * t_total / x_total) / n)
     if brace <= (n + 2) * sys.float_info.epsilon * lead:
         raise NonpositiveBrace("shape expression is at rounding level: all "
                                "increments equal", brace=brace)

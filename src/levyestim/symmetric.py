@@ -277,7 +277,8 @@ def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
 
     S_n the row's mean log residual.  A row that has none holds its
     EstimationError: ZeroResidual when an off-median increment ties the
-    median, DenominatorNearZero when the denominator vanishes to working
+    median, a plain EstimationError when a residual overflows (S_n is
+    inf), DenominatorNearZero when the denominator vanishes to working
     precision.
     """
     positive("sigma", sigma)
@@ -287,6 +288,9 @@ def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
 
     def point(ties, lbar):
         _no_ties(ties)
+        if not math.isfinite(lbar):
+            raise EstimationError("mean log residual S_n is not finite: a "
+                                  "residual overflows", s_n=lbar)
         den = log_sigma - lbar
         if abs(den) < 1e-12 * (1.0 + abs(num)):
             raise DenominatorNearZero("known-scale denominator vanishes",

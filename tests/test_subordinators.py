@@ -298,6 +298,21 @@ def test_ig_mle_refuses_equal_increments_at_rounding_level(value, h, n):
     assert set(exc.value.context) == {"brace"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values, h, context", [
+    ([1e-310, 2e-310, 3e-310], 1.0, {"h": 1.0, "least_increment": 1e-310}),
+    ([0.5, 1.0, 2.0], 1e154, {"h": 1e154, "least_increment": 0.5}),
+    ([1e308, 1e308, 1.0], 1.0, {"largest_increment": 1e308})])
+def test_ig_mle_refuses_an_overflowing_sum(values, h, context):
+    # 1 / 1e-310 overflows in sum_j 1/Delta_j X, and at h = 1e154 h^2 times
+    # that sum does: with T^2 / X_T inf as well, the brace was nan.  X_T =
+    # 2e308 overflows, and gamma_hat = delta_hat T / X_T read 0.0
+    with pytest.raises(EstimationError) as info:
+        ig_mle(_sample(values, h))
+    assert info.value.code == "estimation_error"
+    assert info.value.context == context
+
+
 def test_ig_mle_rejects_nonpositive_data():
     with pytest.raises(DataError):
         ig_mle(_sample([1.0, 0.0]))

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from levyestim.errors import (
     DenominatorNearZero,
     DomainError,
+    EstimationError,
     NotPositiveDefinite,
     RootOutOfBracket,
     ZeroResidual,
@@ -189,6 +190,18 @@ def test_known_scale_denominator_error():
     s = IncrementSample(np.array([0.0, 1.0, -1.0, 1.0, -1.0]), 0.5)
     with pytest.raises(DenominatorNearZero):
         _known_scale(s, math.exp(EULER))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_known_scale_refuses_an_overflowing_residual():
+    # 1.75e308 - (-1.7e308) overflows, so S_n is inf; the denominator -inf
+    # gave beta_tilde = 0.0
+    row = [1.7e308, 1.65e308, 1.75e308, 1.6e308, -1.7e308, 1.78e308, 1.55e308]
+    s = IncrementSample(np.array(row), 1.0)
+    with pytest.raises(EstimationError) as info:
+        _known_scale(s, 1.0)
+    assert info.value.code == "estimation_error"
+    assert info.value.to_json_dict()["context"] == {"s_n": None}
 
 
 # ---------------------------------------------------------------------------
