@@ -70,18 +70,23 @@ reference on z in [1e-3, 30] (the by-parts weight is 9e-10 off at
 beta = 1.9999).
 
 H_beta = int (phi + y phi')^2 / phi dy and M_beta = int (phi')^2 / phi dy
-(sigma = 1) split at |y| = 30 into a core and a series tail on y = 30 e^t
-(the integrands decay like |y|^{-beta-1}), each by one batched adaptive
-Gauss-Kronrod (7-15) panel rule: a round evaluates (phi, phi') at every
-open panel's nodes in one call and bisects a panel whose Kronrod-Gauss
-difference exceeds its width's share of max(epsabs, 1e-9 |estimate|)
-(epsabs 1e-11 core, 1e-12 tail).  The first panels are graded so that one
-round usually suffices: eight core panels (120 points, _CORE_EDGES) finish
-in the first round, one kernel call, for beta in [1.165, 1.91], and six
-tail panels for beta >= 0.935; below, the rule bisects toward y = 0 (at
-most 6 core rounds, at beta = 0.5).  Running out of the 400-panel budget
-raises QuadratureError (quadrature_error), the only quadrature failure
-left.  Nothing is cached across calls except the tanh-sinh node tables.
+(sigma = 1) split at |y| = 30 into a core on y = sinh t, t in
+[0, asinh 30], and a series tail on y = 30 e^t.  The integrands decay like
+|y|^{-beta-1}; both substitutions make that decay exponential in t, and
+sinh t ~ t keeps the core's smooth start at 0.  Each part is one batched
+adaptive Gauss-Kronrod 10-21 panel rule (QUADPACK qk21): a round evaluates
+(phi, phi') at every open panel's nodes in one call and bisects a panel
+whose Kronrod-Gauss difference exceeds its width's share of
+max(epsabs, 1e-9 |estimate|) (epsabs 1e-11 core, 1e-12 tail).  The first
+panels are graded so that one round usually suffices: four core panels
+(84 points, _CORE_EDGES) finish in the first round, one kernel call, for
+beta in [0.93, 1.95), and five (105 points) for beta in [1.95, 2), where
+the Gaussian fall meets the tail further out as beta -> 2; four tail
+panels finish in one round for beta >= 0.85.  Below, the rule bisects
+toward t = 0 (at most 6 core rounds, at beta = 0.5).  Running out of the
+400-panel budget raises QuadratureError (quadrature_error), the only
+quadrature failure left; its interval is the one in t.  Nothing is cached
+across calls except the tanh-sinh node tables.
 """
 
 from __future__ import annotations
@@ -129,39 +134,51 @@ _BLOCK = 1 << 13
 # relative tolerance (scalar quad's default) next to each absolute one
 _PANEL_LIMIT = 400
 _EPSREL = 1e-9
-# first panels of the core [0, 30]: the fewest whose Kronrod-Gauss
-# differences all stay within 0.62 of their tolerance share for every beta
-# in [1.2, 1.9], so those betas take one round; narrow next to 0, where
-# beta < 1 bisects
-_CORE_EDGES = np.array([0.0, 0.4, 1.3, 2.4, 4.0, 5.7, 8.3, 14.0, _Y_SERIES])
+# first panels of the core in t = asinh y, t in [0, asinh 30], as (upper
+# beta bound, edges): the fewest whose first-round Kronrod-Gauss
+# differences stay within 0.55 of their tolerance share for every beta in
+# [0.95, 1.95) (a 0.0025 grid), and within 0.71 on [1.95, 2) (2 - beta
+# log-spaced down to 1e-7), where the Gaussian fall meets the tail further
+# out as beta -> 2; below 0.93 the rule bisects toward t = 0
+_CORE_END = math.asinh(_Y_SERIES)
+_CORE_EDGES = ((1.95, np.array([0.0, 1.092, 2.116, 2.662, _CORE_END])),
+               (2.0, np.array([0.0, 1.6, 2.32, 2.66, 2.92, _CORE_END])))
 # first panels of the tail t = log(y / 30) in [0, 60 / beta + 10], graded
 # toward t = 0, where the integrand is largest; the last edge is per beta
-_TAIL_EDGES = (0.0, 1.0, 2.5, 5.0, 10.0, 20.0)
+_TAIL_EDGES = (0.0, 0.75, 5.0, 18.0)
 
-# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15); the Gauss nodes are
-# the odd-indexed Kronrod nodes
-_XGK = np.array([0.991455371120812639206854697526329,
-                 0.949107912342758524526189684047851,
-                 0.864864423359769072789712788640926,
-                 0.741531185599394439863864773280788,
-                 0.586087235467691130294144845693013,
-                 0.405845151377397166906606412076961,
-                 0.207784955007898467600689403773245, 0.0])
-_WGK = np.array([0.022935322010529224963732008058970,
-                 0.063092092629978553290700663189204,
-                 0.104790010322250183839876322541518,
-                 0.140653259715525918745189590510238,
-                 0.169004726639267902826583426598550,
-                 0.190350578064785409913256402421014,
-                 0.204432940075298892414161999234649,
-                 0.209482141084727828012999174891714])
-_WG = np.array([0.129484966168869693270611432679082,
-                0.279705391489276667901467771423780,
-                0.381830050505118944950369775488975,
-                0.417959183673469387755102040816327])
+# Gauss-Kronrod 10-21 rule on [-1, 1] (QUADPACK qk21), to 33 decimals from
+# the Legendre and Stieltjes polynomials; the Gauss nodes are the
+# odd-indexed Kronrod nodes, and 0 is not among them
+_XGK = np.array([0.995657163025808080735527280689003,
+                 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508,
+                 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042,
+                 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694,
+                 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866,
+                 0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([0.011694638867371874278064396062192,
+                 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580,
+                 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366,
+                 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074,
+                 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717,
+                 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.array([0.066671344308688137593568809893332,
+                0.149451349150580593145776339657697,
+                0.219086362515982043995534934228163,
+                0.269266719309996355091226921569469,
+                0.295524224714752870173892994651338])
 _GK_X = np.concatenate([-_XGK, _XGK[-2::-1]])
 _GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
-_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[::-1]])
 
 
 def _check_density_domain(beta: float, sigma: float):
@@ -442,7 +459,7 @@ def phi_zero(beta: float) -> float:
 
 def _panel_integral(f, edges: np.ndarray, epsabs: float,
                     beta: float) -> np.ndarray:
-    """int f over [edges[0], edges[-1]] by adaptive Gauss-Kronrod 7-15
+    """int f over [edges[0], edges[-1]] by adaptive Gauss-Kronrod 10-21
     panels starting from the given ones; f maps a 1-d node array to a
     (2, nodes) array, once per round for every open panel."""
     a, b = float(edges[0]), float(edges[-1])
@@ -478,10 +495,14 @@ def _information(beta: float) -> tuple[float, float]:
         g = f + y * d
         return np.array([g * g / f, d * d / f])
 
-    def core(y: np.ndarray) -> np.ndarray:
-        return pair(*_unit(y, beta), y)
+    # core on y = sinh t: the integrand's y^{-beta-1} decay becomes
+    # exponential in t, while sinh t ~ t keeps the smooth start at 0
+    def core(t: np.ndarray) -> np.ndarray:
+        y = np.sinh(t)
+        return pair(*_unit(y, beta), y) * np.cosh(t)
 
-    core_val = _panel_integral(core, _CORE_EDGES, 1e-11, beta)
+    edges = next(e for bound, e in _CORE_EDGES if beta < bound)
+    core_val = _panel_integral(core, edges, 1e-11, beta)
 
     # tail on y = 30 e^t: the integrand decays like y^{-beta-1}, so the
     # substitution gives an exponentially decaying smooth integrand

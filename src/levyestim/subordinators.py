@@ -198,8 +198,8 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     The braced mean is nonnegative by Cauchy-Schwarz and vanishes only when
     all increments are equal.  NonpositiveBrace refuses a brace at rounding
     level, at most (n + 2) eps h^2 (1/n) sum_j 1/Delta_j X, which is what
-    equal increments leave.  Where h^2 leaves the double range, the brace
-    is taken over h^2 and delta_hat is 1/h over its square root.  An X_T
+    equal increments leave.  Where h^2 or T^2 leaves the double range, the
+    brace is taken over h^2 and delta_hat is 1/h over its square root.  An X_T
     that overflows (gamma_hat would read 0), or a lead term h^2 (1/n)
     sum_j 1/Delta_j X that does (the brace would be inf or nan), is an
     EstimationError.
@@ -214,16 +214,20 @@ def ig_mle(sample: IncrementSample) -> tuple[float, float]:
     if not math.isfinite(x_total):
         raise EstimationError("IG total X_T overflows",
                               largest_increment=float(values.max()))
-    scaled = not sys.float_info.min <= h * h <= sys.float_info.max
+    wide = not sys.float_info.min <= h * h <= sys.float_info.max
     # the brace is lead = h^2 sum_j (1/Delta_j X) / n minus T^2 / (n X_T);
     # the rounding errors of the two reach about (n + 2) eps lead, and a
     # brace no larger is what equal increments leave
-    lead = (s_inv if scaled else h * h * s_inv) / n
+    lead = (s_inv if wide else h * h * s_inv) / n
     if not math.isfinite(lead):
         raise EstimationError("IG brace term h^2 (1/n) sum_j 1/Delta_j X "
                               "overflows", h=h,
                               least_increment=float(values.min()))
-    brace = (s_inv / n - n / x_total if scaled
+    # T^2 = (n h)^2 may overflow where h^2 does not: the brace would be -inf
+    scaled = wide or t_total * t_total > sys.float_info.max
+    if scaled:
+        lead = s_inv / n
+    brace = (lead - n / x_total if scaled
              else (h * h * s_inv - t_total * t_total / x_total) / n)
     if brace <= (n + 2) * sys.float_info.epsilon * lead:
         raise NonpositiveBrace("shape expression is at rounding level: all "

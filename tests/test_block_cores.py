@@ -2,6 +2,7 @@
 as the per-sample core estimates that row alone."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,8 +21,11 @@ from levyestim.errors import (
 from levyestim.mc import ESTIMATORS
 from levyestim.skewed import (
     bipower_beta,
+    bipower_block,
+    sign_bipower_block,
     sign_bipower_point,
     sign_statistic,
+    tripower_block,
     tripower_point,
 )
 from levyestim.stable_core import IncrementSample, sample_standard_stable
@@ -196,3 +200,54 @@ def test_short_one_row_block_is_a_domain_error(core, n):
     with pytest.raises(DomainError) as info:
         core(np.arange(1.0, n + 1.0)[None])
     assert info.value.context == {"n": n}
+
+
+# block core -> the power of c that multiplies each of its estimates on cX:
+# an index or positivity estimate is unchanged, a scale or drift estimate
+# is multiplied by c, s_p (p = 2q = 0.5) by c^p and the tripower
+# integrated scale sigma*^beta by c^beta_hat
+_EQUIVARIANT = {
+    "log": (lambda b: log_moment_block(b, 1.0), (0, 1, 1)),
+    "frac": (lambda b: frac_moment_block(b, 1.0, 0.1), (0, 1, 1)),
+    "median": (lambda b: median_block(b, 1.0), (1,)),
+    "bipower": (lambda b: bipower_block(b, 0.25), (0,)),
+    "sign_bipower": (lambda b: sign_bipower_block(b, 0.25), (0, 0, 1, 0.5)),
+    "tripower": (lambda b: tripower_block(b, 0.25), (0, 0, "beta", 0.5)),
+}
+
+
+# logs of the least normal double and of a tenth of the largest
+_LOG_NORMAL = (math.log(sys.float_info.min),
+               math.log(sys.float_info.max / 10.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", (1.2, 1.5, 1.9))
+def test_block_cores_are_scale_equivariant(beta):
+    # every c = 10^k for which each value of cX is normal; a subnormal cX
+    # has lost digits of the sample itself, so it is not a scaled copy
+    x = _stable(np.random.default_rng(2001), 2001, beta)
+    least = float(np.abs(x[x != 0.0]).min())
+    largest = float(np.abs(x).max())
+    ks = [k for k in range(-323, 309)
+          if sys.float_info.min <= 10.0 ** k * least
+          and 10.0 ** k * largest <= sys.float_info.max]
+    block = np.array([10.0 ** k * x for k in ks])
+    for name, (core, powers) in _EQUIVARIANT.items():
+        rows = core(block)
+        base = rows[ks.index(0)]
+        for k, row in zip(ks, rows):
+            assert not isinstance(row, EstimationError), (name, k, row)
+            for value, ref, power in zip(row, base, powers):
+                power = base[1] if power == "beta" else power
+                # log |estimate| moves by k power log 10; its sign stays
+                shift = k * power * math.log(10.0)
+                if not sys.float_info.min <= abs(value) < math.inf:
+                    # c^beta sigma*^beta outside the normal range, or next
+                    # to its top, where the raw tripower sum saturates
+                    assert not (_LOG_NORMAL[0] <= math.log(ref) + shift
+                                <= _LOG_NORMAL[1]), (name, k, value)
+                    continue
+                assert math.copysign(1.0, value) == math.copysign(1.0, ref)
+                assert math.log(abs(value)) - shift == pytest.approx(
+                    math.log(abs(ref)), rel=0.0, abs=1e-9), (name, k)

@@ -182,44 +182,66 @@ def test_information_quadrature_failure_raises(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         fisher_matrix(1.5, 1.0)
     assert info.value.context["beta"] == 1.5
-    assert info.value.context["interval"] == [0.0, 30.0]
+    # the core's interval in its variable t = asinh y: y in [0, 30]
+    assert info.value.context["interval"] == [0.0, math.asinh(30.0)]
+
+
+@pytest.mark.parametrize("nodes, weights, degree", [
+    (stable_density._GK_X, stable_density._GK_WK, 31),
+    (stable_density._GK_X[1::2], stable_density._GK_WG, 19)],
+    ids=("kronrod", "gauss"))
+def test_panel_rule_integrates_polynomials_exactly(nodes, weights, degree):
+    # the 21-point Kronrod rule is exact up to degree 31 and its 10-point
+    # Gauss rule up to 19: a mistyped digit in the first ~15 of a node or
+    # weight shows as a moment error above rounding
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** k - exact) < 1e-15, k
 
 
 def _rounds(monkeypatch, beta):
-    # (core rounds, tail rounds) of one fisher_matrix: one round is one call
-    # of the panel rule's integrand over every open panel
+    # (core rounds, tail rounds, core points) of one fisher_matrix: one
+    # round is one call of the panel rule's integrand over every open panel
     counts = {}
     panel = stable_density._panel_integral
 
     def counted(f, edges, epsabs, beta_):
-        key = "core" if edges[-1] == stable_density._Y_SERIES else "tail"
-        counts[key] = 0
+        key = "core" if edges[-1] == stable_density._CORE_END else "tail"
+        counts[key] = [0, 0]
 
         def g(x):
-            counts[key] += 1
+            counts[key][0] += 1
+            counts[key][1] += x.size
             return f(x)
         return panel(g, edges, epsabs, beta_)
 
     monkeypatch.setattr(stable_density, "_panel_integral", counted)
     fisher_matrix(beta, 1.0)
-    return counts["core"], counts["tail"]
+    return counts["core"][0], counts["tail"][0], counts["core"][1]
 
 
 def test_analyst_range_takes_one_kernel_call(monkeypatch):
-    # every beta in [1.2, 1.9] converges in the first round of core panels:
-    # one kernel call (one theta* solve) per Fisher matrix
+    # every beta in [0.95, 1.94] converges in the first round of core
+    # panels: one kernel call (one theta* solve) of 4 x 21 points per
+    # Fisher matrix
     calls = []
     unit = stable_density._unit
 
     def counted(z, beta):
-        calls.append(beta)
+        calls.append(z.size)
         return unit(z, beta)
 
     monkeypatch.setattr(stable_density, "_unit", counted)
-    for beta in np.round(np.arange(1.2, 1.9 + 1e-9, 0.01), 6):
+    for beta in np.round(np.arange(0.95, 1.94 + 1e-9, 0.01), 6):
         calls.clear()
         fisher_matrix(float(beta), 1.0)
-        assert len(calls) == 1, beta
+        assert calls == [84], beta
+    # from 1.95 on, five first panels: the Gaussian fall meets the tail
+    # further out as beta -> 2
+    for beta in (1.95, 1.97, 1.99, 1.999, 1.9999, 1.99999, 2.0 - 1e-12):
+        calls.clear()
+        fisher_matrix(beta, 1.0)
+        assert calls == [105], beta
 
 
 # (core, tail) rounds of the panel rules before the graded first panels,
@@ -228,13 +250,18 @@ def test_analyst_range_takes_one_kernel_call(monkeypatch):
 _OLD_CORE_ROUNDS = "77665554443333322222222222221111111112221222222222" "3"
 _OLD_TAIL_ROUNDS = "44444433333333334433333333333333333333333333333333" "3"
 _ROUND_BETAS = [round(0.5 + 0.03 * i, 2) for i in range(50)] + [1.99]
+# core kernel points at _ROUND_BETAS of the 7-15 rule on eight graded
+# panels in y, before the 10-21 rule in t = asinh y; no beta may take more
+_GK15_CORE_POINTS = ([360, 300, 300, 270, 270, 270, 240, 240, 210, 210]
+                     + [180] * 4 + [150] * 9 + [120] * 25 + [180] * 3)
 
 
 def test_no_beta_takes_more_rounds_than_the_earlier_panels(monkeypatch):
-    for beta, core, tail in zip(_ROUND_BETAS, _OLD_CORE_ROUNDS,
-                                _OLD_TAIL_ROUNDS):
+    for beta, core, tail, points in zip(_ROUND_BETAS, _OLD_CORE_ROUNDS,
+                                        _OLD_TAIL_ROUNDS, _GK15_CORE_POINTS):
         rounds = _rounds(monkeypatch, beta)
         assert rounds[0] <= int(core) and rounds[1] <= int(tail), beta
+        assert rounds[2] <= points, beta
 
 
 def test_fisher_grid_dump_matches_golden(capsys):
@@ -242,6 +269,14 @@ def test_fisher_grid_dump_matches_golden(capsys):
     # move H and M by ~1e-14 relative, far below the 10 printed digits
     golden = Path(__file__).parent / "golden" / "fisher_grid.csv"
     assert main(["fisher", "--beta-grid", "0.5:1.99:0.03"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf8")
+
+
+def test_fisher_dump_next_to_two_matches_golden(capsys):
+    # the band where the core's round count moves with beta, as the 7-15
+    # rule on eight panels in y printed it, byte for byte
+    golden = Path(__file__).parent / "golden" / "fisher_near_two.csv"
+    assert main(["fisher", "--beta-grid", "1.99:1.9999:0.0001"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf8")
 
 

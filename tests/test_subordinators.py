@@ -313,6 +313,18 @@ def test_ig_mle_refuses_an_overflowing_sum(values, h, context):
     assert info.value.context == context
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", [6e153, 1e154, 1e200])
+def test_ig_mle_is_the_unit_mesh_answer_rescaled(h):
+    # delta_hat(h) = delta_hat(1) / h and gamma_hat(h) = gamma_hat(1).  At
+    # h = 1e154 h^2 is finite but T^2 = (2 h)^2 overflows: the brace came out
+    # -inf, and [1, 2] was refused as if all increments were equal
+    delta_one, gamma_one = ig_mle(_sample([1.0, 2.0]))
+    delta_hat, gamma_hat = ig_mle(_sample([1.0, 2.0], h))
+    assert delta_hat == pytest.approx(delta_one / h, rel=1e-14)
+    assert gamma_hat == pytest.approx(gamma_one, rel=1e-14)
+
+
 def test_ig_mle_rejects_nonpositive_data():
     with pytest.raises(DataError):
         ig_mle(_sample([1.0, 0.0]))
