@@ -6,15 +6,19 @@ function of the design and the master seed, in whatever order replications
 run and however they are grouped.  The MODELS and ESTIMATORS tables drive
 simulation and estimation.
 
-Each (n, estimator) cell runs in three steps:
+A design is checked once, when its ExperimentConfig is built (``preset``
+builds only the designs a filter selects, with their overrides), and
+seeded once: ``run_experiment`` derives the seeds of all its streams, in
+design order, and computes their PCG64 states in one pass into one
+``Streams`` with one Generator, re-stated per row.  Each (n, estimator)
+cell then runs on its slice of those streams in three steps:
 
 1. Draw a block.  A model's cell, built once per (config, n), does the
    parameter work (checks, increment scale, block averages of a scale
-   path) once.  ``Cell.blocks`` seeds it once for all the replications,
-   computing every stream's PCG64 state in one pass, then draws them in
-   stacked (rows, n) blocks of at most _BLOCK_VALUES values, one CMS
-   evaluation per block, each row from its own stream, so every value
-   equals the one a single-stream draw gives.  A block is checked for
+   path) once.  ``Cell.blocks`` draws the cell's streams in stacked
+   (rows, n) blocks of at most _BLOCK_VALUES values, one CMS evaluation
+   per block, each row from its own stream, so every value equals the
+   one a single-stream draw gives.  A block is checked for
    finiteness once and handed over read-only.  The ``sign`` kind reads
    only signs: on a model whose cell has a sign fill (``skewed_stable``,
    ``timevarying_stable``) its block holds the signs of those values,
@@ -42,7 +46,7 @@ import math
 import numbers
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +63,7 @@ from .stable_core import (
     Cell,
     IncrementSample,
     ScalePath,
+    Streams,
     derive_seed,
     increments_cell,
     skew_to_positivity,
@@ -384,19 +389,17 @@ def _kept(point):
     return point
 
 
-def _cell_points(config: ExperimentConfig, cell: Cell, n: int,
-                 est: dict) -> list:
+def _cell_points(cell: Cell, n: int, est: dict, streams: Streams) -> list:
     """Point estimates of one (n, estimator) cell in replication order,
-    None for a failed replication.  Replication rep draws from the stream
-    derive_seed(master_seed, n, estimator id, rep); the cell is seeded
-    once for all of them and drawn in blocks of at most _BLOCK_VALUES
-    values, each block is estimated in one pass and dropped, so memory does
-    not grow with the replications."""
+    None for a failed replication.  ``streams`` is the cell's slice of its
+    design's streams, seeded once by run_experiment: replication rep draws
+    from the stream derive_seed(master_seed, n, estimator id, rep).  The
+    cell is drawn in blocks of at most _BLOCK_VALUES values; each block is
+    estimated in one pass and dropped, so only the streams' states, not
+    their samples, grow with the replications."""
     entry = ESTIMATORS[est["kind"]]
-    seeds = [derive_seed(config.master_seed, n, est["id"], rep)
-             for rep in range(config.replications)]
     return [_kept(point)
-            for block in cell.blocks(seeds, max(1, _BLOCK_VALUES // n),
+            for block in cell.blocks(streams, max(1, _BLOCK_VALUES // n),
                                      entry.signs)
             for point in entry.block(block, cell.h, est)]
 
@@ -423,12 +426,20 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     (n, estimator, parameter) cell, in that deterministic order."""
     rows: list[SummaryRow] = []
     model = MODELS[config.model]
+    reps = config.replications
+    # every stream of the design, in design order, seeded in one pass
+    streams = Streams.from_seeds([
+        derive_seed(config.master_seed, n, est["id"], rep)
+        for n in config.n_list for est in config.estimators
+        for rep in range(reps)])
+    start = 0
     for n in config.n_list:
         h = config.mesh(n)
         t_total = n * h
         cell = model.cell(config.truth, h, n)
         for est in config.estimators:
-            results = _cell_points(config, cell, n, est)
+            results = _cell_points(cell, n, est, streams[start:start + reps])
+            start += reps
             failures = sum(1 for r in results if r is None)
             kept = [r for r in results if r is not None]
             for idx, param in enumerate(ESTIMATORS[est["kind"]].params):
@@ -441,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
                 rows.append(SummaryRow(
                     table=config.label, estimator=est["id"], param=param,
                     n=n, T=t_total, truth=truth_val, mean=mean, rmse=rmse,
-                    failures=failures, replications=config.replications,
+                    failures=failures, replications=reps,
                     seed=config.master_seed))
     return rows
 
@@ -474,10 +485,15 @@ def _skewed_estimators(final: str) -> tuple[dict, ...]:
     )
 
 
-def preset(table_id: str,
-           master_seed: int = DEFAULT_MASTER_SEED) -> list[ExperimentConfig]:
+def preset(table_id: str, master_seed: int = DEFAULT_MASTER_SEED, *,
+           beta: float | None = None, replications: int | None = None,
+           n_list: Sequence[int] | None = None) -> list[ExperimentConfig]:
     """Exact designs of the four simulation tables, one config per true
-    index.
+    index; only the designs a filter selects are built.
+
+    ``beta`` keeps the design whose true index is within 1e-12 of it;
+    ``replications`` and ``n_list`` replace the design's values.  Each
+    design built is checked once, with its overrides.
 
     table1: symmetric stable, (sigma, gamma) = (0.5, -0.5),
             beta in {0.8, 1, 1.5, 1.8}, n in {501, 1001, 2001}, h = 5/n;
@@ -491,45 +507,42 @@ def preset(table_id: str,
     table4: as table3 with the cosine scale path (sigma*_beta = 0.6) and
             the tripower integrated-scale estimator.
     """
-    if table_id in ("table1", "table2"):
-        h_rule = ({"kind": "fixed_T", "T": 5.0} if table_id == "table1"
-                  else {"kind": "power", "a": 0.6})
-        return [
-            ExperimentConfig(
-                model="symmetric_stable",
-                truth={"beta": beta, "sigma": 0.5, "gamma": -0.5, "rho": 0.0},
-                n_list=(501, 1001, 2001),
-                h_rule=h_rule,
-                replications=1000,
-                estimators=_symmetric_estimators(beta),
-                master_seed=master_seed,
-                label=f"{table_id}[beta={beta:g}]")
-            for beta in _SYMMETRIC_BETAS
-        ]
-    if table_id in ("table3", "table4"):
-        configs = []
-        for beta in _SKEWED_BETAS:
-            p_pos = skew_to_positivity(beta, -0.5)
-            if table_id == "table3":
-                model = "skewed_stable"
-                truth = {"beta": beta, "p_pos": p_pos, "sigma": 1.0}
-                estimators = _skewed_estimators("power_scale")
-            else:
-                model = "timevarying_stable"
-                truth = {"beta": beta, "p_pos": p_pos, "sigma_star": 0.6,
-                         "path": "cosine"}
-                estimators = _skewed_estimators("tripower")
-            configs.append(ExperimentConfig(
-                model=model, truth=truth,
-                n_list=(500, 1000, 2000, 5000),
-                h_rule={"kind": "fixed_T", "T": 1.0},
-                replications=1000,
-                estimators=estimators,
-                master_seed=master_seed,
-                label=f"{table_id}[beta={beta:g}]"))
-        return configs
-    raise DomainError("unknown preset", table_id=table_id,
-                      known=list(PRESET_NAMES))
+    if table_id not in PRESET_NAMES:
+        raise DomainError("unknown preset", table_id=table_id,
+                          known=list(PRESET_NAMES))
+    symmetric = table_id in ("table1", "table2")
+    sizes = (501, 1001, 2001) if symmetric else (500, 1000, 2000, 5000)
+    h_rule = {"table1": {"kind": "fixed_T", "T": 5.0},
+              "table2": {"kind": "power", "a": 0.6}}.get(
+                  table_id, {"kind": "fixed_T", "T": 1.0})
+    configs = []
+    for truth_beta in _SYMMETRIC_BETAS if symmetric else _SKEWED_BETAS:
+        if beta is not None and abs(truth_beta - beta) > 1e-12:
+            continue
+        if symmetric:
+            model = "symmetric_stable"
+            truth = {"beta": truth_beta, "sigma": 0.5, "gamma": -0.5,
+                     "rho": 0.0}
+            estimators = _symmetric_estimators(truth_beta)
+        elif table_id == "table3":
+            model = "skewed_stable"
+            truth = {"beta": truth_beta,
+                     "p_pos": skew_to_positivity(truth_beta, -0.5),
+                     "sigma": 1.0}
+            estimators = _skewed_estimators("power_scale")
+        else:
+            model = "timevarying_stable"
+            truth = {"beta": truth_beta,
+                     "p_pos": skew_to_positivity(truth_beta, -0.5),
+                     "sigma_star": 0.6, "path": "cosine"}
+            estimators = _skewed_estimators("tripower")
+        configs.append(ExperimentConfig(
+            model=model, truth=truth, h_rule=h_rule,
+            n_list=sizes if n_list is None else tuple(int(n) for n in n_list),
+            replications=1000 if replications is None else int(replications),
+            estimators=estimators, master_seed=master_seed,
+            label=f"{table_id}[beta={truth_beta:g}]"))
+    return configs
 
 
 def run_preset(table_id: str, replications: int | None = None,
@@ -538,19 +551,12 @@ def run_preset(table_id: str, replications: int | None = None,
                n_list: Sequence[int] | None = None) -> list[SummaryRow]:
     """Run one preset, optionally overriding replications, restricting to a
     single true index, or overriding the sample sizes."""
-    rows: list[SummaryRow] = []
-    for config in preset(table_id, master_seed):
-        if beta is not None and abs(config.truth["beta"] - beta) > 1e-12:
-            continue
-        if replications is not None:
-            config = replace(config, replications=int(replications))
-        if n_list is not None:
-            config = replace(config, n_list=tuple(int(n) for n in n_list))
-        rows.extend(run_experiment(config))
-    if not rows:
+    configs = preset(table_id, master_seed, beta=beta,
+                     replications=replications, n_list=n_list)
+    if not configs:
         raise DomainError("preset filter selected no design",
                           table_id=table_id, beta=beta)
-    return rows
+    return [row for config in configs for row in run_experiment(config)]
 
 
 def emit(rows: Sequence[SummaryRow], fmt: str, path,

@@ -149,10 +149,10 @@ def sign_statistic(sample: IncrementSample) -> float:
     return _sign_hats(sample.values[None])[0]
 
 
-def _lag_sum(x: np.ndarray, r: float, m: int) -> np.ndarray:
-    """The raw multipower sum of one power r over m consecutive factors,
+def _lag_products(x: np.ndarray, r: float, m: int) -> np.ndarray:
+    """The multipower terms of one power r over m consecutive factors,
 
-        sum_{j=1}^{n-m+1} prod_{l=1}^m |D_{j+l-1}|^r,
+        prod_{l=1}^m |D_{j+l-1}|^r,  j = 1..n-m+1,
 
     of each row of x, a (rows, n) block of the absolute increments |D_j|.
     The power is raised once; the product multiplies shifted slices of
@@ -164,7 +164,12 @@ def _lag_sum(x: np.ndarray, r: float, m: int) -> np.ndarray:
     prod = powered[:, :n - m + 1]
     for l in range(1, m):
         prod = prod * powered[:, l:n - m + 1 + l]
-    return prod.sum(axis=1)
+    return prod
+
+
+def _lag_sum(x: np.ndarray, r: float, m: int) -> np.ndarray:
+    """The raw multipower sum of each row: its _lag_products summed."""
+    return _lag_products(x, r, m).sum(axis=1)
 
 
 def _normalized(n: int, total: float, r_plus: float, beta: float) -> float:
@@ -272,13 +277,22 @@ def tripower_integrated_scale(x: np.ndarray, p_hat: float,
     separate moment condition arises; the n^{.}-normalizations cancel at
     total power beta, so none is applied: the factor
     n^{(t+t+t)/beta_hat - 1} need not be exactly 1 in floating point and
-    would move the result by ulps.  The products reach |D|^beta_hat and
-    saturate to inf for huge increments, which a report refuses by name.
+    would move the result by ulps.  The products reach |D|^beta_hat: where
+    their sum overflows but none of them does, the sum is recomputed in
+    units of the largest, so a finite estimate is not read as inf, and a
+    sum in range keeps its bits.  A product that saturates to inf for huge
+    increments gives inf, which a report refuses by name.
     """
     third = beta_hat / 3.0
     with np.errstate(over="ignore"):
-        mstar = _lag_sum(x[None], third, 3)
-    return float(mstar[0]) / mu_abs(beta_hat, p_hat, third) ** 3
+        terms = _lag_products(x[None], third, 3)
+        mstar = float(terms.sum(axis=1)[0])
+    mu3 = mu_abs(beta_hat, p_hat, third) ** 3
+    if mstar == math.inf:
+        top = float(terms.max())
+        if top < math.inf:
+            return top * (float(np.sum(terms / top)) / mu3)
+    return mstar / mu3
 
 
 # ---------------------------------------------------------------------------

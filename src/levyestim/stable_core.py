@@ -53,6 +53,7 @@ from .special_fn import overflow_to_inf
 __all__ = [
     "IncrementSample",
     "Cell",
+    "Streams",
     "ScalePath",
     "sample_standard_stable",
     "increment_scale_shift",
@@ -123,39 +124,36 @@ class Cell:
     ``sample_standard_stable`` names.  ``increments_cell``, which adds its
     shift, and the subordinator cells have none.
 
-    ``blocks(seeds, rows)``, the one draw path, seeds the cell once for all
-    ``seeds`` and yields their samples in order, in read-only blocks of at
-    most ``rows`` rows, each checked for finiteness; ``blocks(seeds, rows,
-    signs=True)`` yields their signs instead where the cell has a sign
-    fill, and their samples where it has none.  ``sample(seed)`` is its
-    one-row case: one observed path.  A seed is an integer in [0, 2^128);
-    any other raises DomainError(field="seed").
+    ``blocks(streams, rows)``, the one draw path, yields the samples of
+    ``streams``, seeded ``Streams``, in order, in read-only blocks of at
+    most ``rows`` rows, each checked for finiteness; ``blocks(streams,
+    rows, signs=True)`` yields their signs instead where the cell has a
+    sign fill, and their samples where it has none.  ``sample(seed)`` is
+    its one-row case: one observed path.
     """
 
     h: float
-    fill: Callable[["_Streams"], np.ndarray]
-    signs: Callable[["_Streams"], np.ndarray] | None = None
+    fill: Callable[["Streams"], np.ndarray]
+    signs: Callable[["Streams"], np.ndarray] | None = None
 
-    def blocks(self, seeds: Sequence, rows: int,
+    def blocks(self, streams: "Streams", rows: int,
                signs: bool = False) -> Iterator[np.ndarray]:
-        """The samples at ``seeds`` in blocks of at most ``rows`` rows, or
-        with ``signs`` their signs if the cell has a sign fill; a row with
-        a NaN or infinity raises DataError as IncrementSample does."""
+        """The samples of ``streams`` in blocks of at most ``rows`` rows,
+        or with ``signs`` their signs if the cell has a sign fill; a row
+        with a NaN or infinity raises DataError as IncrementSample does."""
         fill = self.signs if signs and self.signs else self.fill
-        states = _pcg64_states(seeds)
-        # seeded at 0 only to exist: each row re-states it
-        rng = np.random.Generator(np.random.PCG64(0))
-        for start in range(0, len(states), rows):
+        for start in range(0, len(streams), rows):
             # a value that overflows or is nan is named by the check below
             with np.errstate(all="ignore"):
-                block = fill(_Streams(rng, states[start:start + rows]))
+                block = fill(streams[start:start + rows])
             _check_finite_rows(block)
             block.flags.writeable = False
             yield block
 
     def sample(self, seed) -> IncrementSample:
-        """The IncrementSample of the stream at ``seed``."""
-        (block,) = self.blocks([seed], 1)
+        """The IncrementSample of the stream at ``seed``, an integer in
+        [0, 2^128) as ``Streams.from_seeds`` takes."""
+        (block,) = self.blocks(Streams.from_seeds([seed]), 1)
         return IncrementSample(block[0], self.h)
 
 
@@ -299,10 +297,14 @@ def _fold(words: np.ndarray) -> None:
     words ^= words >> _SHIFT
 
 
-def _pcg64_states(seeds: Sequence) -> list[dict]:
-    """``np.random.PCG64(seed).state`` for each seed, without building a
-    bit generator per seed: one pass of uint32 array arithmetic over all
-    seeds, then the 128-bit srandom step per seed."""
+def _pcg64_states(seeds: Sequence) -> np.ndarray:
+    """The PCG64 states of ``np.random.default_rng(seed)`` for each seed,
+    without building a SeedSequence per seed: one pass of uint32 array
+    arithmetic over all seeds.  Row i holds, as the uint64 words
+    (s_hi, s_lo, i_hi, i_lo), the 128-bit seed s and sequence i that
+    seeds[i] hashes to; ``Streams`` takes a row through PCG64's srandom
+    step when it re-states its Generator, so a state costs 32 bytes until
+    its stream is drawn."""
     try:
         raw = b"".join(operator.index(seed).to_bytes(16, "little")
                        for seed in seeds)
@@ -330,34 +332,47 @@ def _pcg64_states(seeds: Sequence) -> list[dict]:
     out = ring[4:] ^ _STATE_XOR
     out *= _STATE_MULT
     _fold(out)
-    words = np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4")
-    states = []
-    # srandom(seed s, sequence i): inc = 2 i + 1, then state 0 steps to
-    # inc, takes s and steps again; a step is state * _PCG_MULT + inc
-    for s_hi, s_lo, i_hi, i_lo in words.view("<u8").tolist():
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _PCG_MASK
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return np.ascontiguousarray(out.reshape(8, -1).T,
+                                dtype="<u4").view("<u8")
 
 
-class _Streams:
+class Streams:
     """The streams of a run of PCG64 states, for one pass in order: each
-    step re-states one Generator to the next state."""
+    step re-states one Generator to the next state.  A slice holds a run
+    of the states and shares the Generator.
 
-    def __init__(self, rng: np.random.Generator, states: list[dict]):
+    ``from_seeds(seeds)`` starts stream i where
+    ``np.random.default_rng(seeds[i])`` starts, computing every state in
+    one pass.  A seed is an integer in [0, 2^128); any other raises
+    DomainError(field="seed")."""
+
+    def __init__(self, rng: np.random.Generator, states: np.ndarray):
         self._rng = rng
         self._states = states
+
+    @classmethod
+    def from_seeds(cls, seeds: Sequence) -> "Streams":
+        states = _pcg64_states(seeds)
+        # seeded at 0 only to exist: each step re-states it
+        return cls(np.random.Generator(np.random.PCG64(0)), states)
+
+    def __getitem__(self, index: slice) -> "Streams":
+        return Streams(self._rng, self._states[index])
 
     def __len__(self) -> int:
         return len(self._states)
 
     def __iter__(self) -> Iterator[np.random.Generator]:
         bitgen = self._rng.bit_generator
-        for state in self._states:
-            bitgen.state = state
+        # srandom(seed s, sequence i): inc = 2 i + 1, then state 0 steps to
+        # inc, takes s and steps again; a step is state * _PCG_MULT + inc
+        for s_hi, s_lo, i_hi, i_lo in self._states.tolist():
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _PCG_MASK
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) \
+                & _PCG_MASK
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
             yield self._rng
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyestim import skewed, stable_core, symmetric
+from levyestim import mc, skewed, stable_core, symmetric
 from levyestim.errors import DomainError, EstimationError
 from levyestim.mc import (
     DEFAULT_MASTER_SEED,
@@ -30,6 +30,7 @@ from levyestim.serialize import SUMMARY_COLUMNS
 from levyestim.stable_core import (
     IncrementSample,
     ScalePath,
+    Streams,
     derive_seed,
     increment_scale_shift,
     increments_cell,
@@ -236,7 +237,8 @@ def test_replication_order_never_changes_values():
     def replicate(est_id, rep):
         # one replication alone: its own stream, drawn and estimated as a
         # block of one
-        (block,) = cell.blocks([derive_seed(7, 400, est_id, rep)], 1)
+        (block,) = cell.blocks(
+            Streams.from_seeds([derive_seed(7, 400, est_id, rep)]), 1)
         est = by_id[est_id]
         (point,) = ESTIMATORS[est["kind"]].block(block, cell.h, est)
         return _kept(point)
@@ -245,7 +247,9 @@ def test_replication_order_never_changes_values():
     backward = {cell: replicate(*cell) for cell in reversed(cells)}
     # the harness draws each cell in stacked blocks: the same values
     for est in cfg.estimators:
-        assert _cell_points(cfg, cell, 400, est) == [
+        streams = Streams.from_seeds([derive_seed(7, 400, est["id"], rep)
+                                      for rep in range(cfg.replications)])
+        assert _cell_points(cell, 400, est, streams) == [
             forward[(est["id"], rep)] for rep in range(cfg.replications)]
     assert backward == forward
     assert sum(v is not None for v in forward.values()) > 40
@@ -302,8 +306,8 @@ def test_block_split_never_changes_values(model, truth, n):
     for order in (seeds, seeds[::-1]):
         for rows in (1, 3, len(order)):
             drawn = [row for start in range(0, len(order), rows)
-                     for row in next(cell.blocks(order[start:start + rows],
-                                                 rows))]
+                     for row in next(cell.blocks(
+                         Streams.from_seeds(order[start:start + rows]), rows))]
             assert len(drawn) == len(order)
             for seed, row in zip(order, drawn):
                 assert np.array_equal(row, alone[seed])
@@ -373,7 +377,7 @@ def test_cell_memory_is_bounded_and_rows_are_read_only():
     assert large < 1.5 * small
     cell = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
                                         0.01, 100)
-    row = next(cell.blocks([1, 2], 2))[1]
+    row = next(cell.blocks(Streams.from_seeds([1, 2]), 2))[1]
     assert not row.flags.writeable
     with pytest.raises(ValueError):
         row[0] = 0.0
@@ -495,6 +499,100 @@ def test_run_preset_filters():
     assert all(r.table == "table1[beta=0.8]" for r in rows)
     with pytest.raises(DomainError):
         run_preset("table1", beta=0.77)
+
+
+def test_each_selected_design_is_checked_and_seeded_once(monkeypatch):
+    # a design is checked once, with its overrides, and seeded in one
+    # pass into one Generator; designs the filter drops are never built
+    counts = {"checks": 0, "states": 0, "generators": 0}
+
+    def counted(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        counted("checks", ExperimentConfig.__post_init__))
+    monkeypatch.setattr(stable_core, "_pcg64_states",
+                        counted("states", stable_core._pcg64_states))
+    monkeypatch.setattr(np.random, "Generator",
+                        counted("generators", np.random.Generator))
+    run_preset("table3", replications=2, beta=1.5, n_list=[500])
+    assert counts == {"checks": 1, "states": 1, "generators": 1}
+    run_preset("table1", replications=1)
+    assert counts == {"checks": 5, "states": 5, "generators": 5}
+
+
+def test_filtered_designs_equal_the_overridden_preset_designs():
+    for table_id in PRESET_NAMES:
+        full = preset(table_id, 7)
+        assert preset(table_id, 7, replications=3) == [
+            dataclasses.replace(cfg, replications=3) for cfg in full]
+        for cfg in full:
+            assert preset(table_id, 7, beta=cfg.truth["beta"] + 1e-13,
+                          replications=3, n_list=[600, 700]) == [
+                dataclasses.replace(cfg, replications=3, n_list=(600, 700))]
+
+
+def test_filtered_rows_equal_the_full_preset_rows():
+    # a design's streams do not depend on which other designs run
+    full = run_preset("table3", replications=3)
+    assert [repr(r) for r in run_preset("table3", replications=3,
+                                        beta=1.5)] == \
+        [repr(r) for r in full if r.table == "table3[beta=1.5]"]
+
+
+def test_design_cells_equal_per_replication_samples(monkeypatch):
+    # the design is seeded once and every cell drawn from its slice of the
+    # streams, the sign kind through the sign fill: each point equals the
+    # one its replication's own sample gives, estimated alone
+    cfg = ExperimentConfig(
+        model="skewed_stable",
+        truth={"beta": 1.5, "p_pos": 0.5984, "sigma": 1.0},
+        n_list=(300, 700), h_rule={"kind": "fixed_T", "T": 1.0},
+        replications=5,
+        estimators=({"id": "sign", "kind": "sign"},
+                    {"id": "bipower", "kind": "bipower", "q": 0.25},
+                    {"id": "power_scale", "kind": "power_scale", "q": 0.25}),
+        master_seed=13)
+    drawn = []
+
+    def recorded(cell, n, est, streams):
+        points = _cell_points(cell, n, est, streams)
+        drawn.append(((n, est["id"]), points))
+        return points
+
+    monkeypatch.setattr(mc, "_cell_points", recorded)
+    run_experiment(cfg)
+    want = []
+    for n in cfg.n_list:
+        cell = MODELS[cfg.model].cell(cfg.truth, cfg.mesh(n), n)
+        for est in cfg.estimators:
+            points = []
+            for rep in range(cfg.replications):
+                sample = cell.sample(derive_seed(13, n, est["id"], rep))
+                (point,) = ESTIMATORS[est["kind"]].block(
+                    sample.values[None], cell.h, est)
+                points.append(_kept(point))
+            want.append(((n, est["id"]), points))
+    assert drawn == want
+    assert sum(p is not None for _, points in want for p in points) > 20
+
+
+@pytest.mark.parametrize("signs", (False, True))
+def test_a_partial_draw_leaves_the_next_cell_unchanged(signs):
+    # the cells of a design share one Generator; each row re-states it, so
+    # a cell drawn after another cell's unfinished draw gets the rows a
+    # fresh draw gives
+    cell = MODELS["skewed_stable"].cell({"beta": 1.5, "p_pos": 0.55},
+                                        0.01, 100)
+    seeds = [derive_seed(5, 100, "x", rep) for rep in range(7)]
+    streams = Streams.from_seeds(seeds)
+    fresh = list(cell.blocks(Streams.from_seeds(seeds[3:]), 2))
+    next(cell.blocks(streams[:3], 2, signs))
+    after = list(cell.blocks(streams[3:], 2))
+    assert [b.tobytes() for b in after] == [b.tobytes() for b in fresh]
 
 
 def test_table1_log_cell_reproduces_published_row(table1_beta08):

@@ -358,6 +358,19 @@ def test_tripower_homogeneity():
                       rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_tripower_is_finite_where_only_its_raw_sum_overflows():
+    # at beta = 1.2 the raw sum M*_n is mu^3 = 1.42 times the estimate, so
+    # an estimate of 1.3e308 has a sum past the largest double, though
+    # every term of it is finite
+    x = np.abs(sprime_cell(1.2, 0.5, 1.0, 1 / 2001, 2001).sample(7).values)
+    base = tripower_integrated_scale(x, 0.5, 1.2)
+    for target in (1.0e308, 1.3e308, 1.6e308):
+        c = (target / base) ** (1 / 1.2)
+        assert tripower_integrated_scale(c * x, 0.5, 1.2) == pytest.approx(
+            target, rel=1e-12)
+
+
 def test_power_sums_equal_per_slice_powers():
     # one |x|^r array multiplied along shifted slices is bit-identical to
     # raising every slice separately

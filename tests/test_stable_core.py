@@ -12,6 +12,7 @@ from levyestim.errors import DataError, DomainError
 from levyestim.stable_core import (
     IncrementSample,
     ScalePath,
+    Streams,
     derive_seed,
     increment_scale_shift,
     increments_cell,
@@ -22,7 +23,6 @@ from levyestim.stable_core import (
     sprime_cell,
     timevarying_cell,
     _cms_constants,
-    _pcg64_states,
     _stable_cell,
 )
 from levyestim.subordinators import (
@@ -292,7 +292,9 @@ def test_pcg64_states_equal_numpy_seeding():
     rng = make_rng("pcg64-states")
     seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1]
     seeds += rng.integers(0, 2 ** 64, 1000, dtype=np.uint64).tolist()
-    assert _pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+    streams = Streams.from_seeds(seeds)
+    assert [stream.bit_generator.state for stream in streams] == \
+        [np.random.PCG64(s).state for s in seeds]
 
 
 def _expression_cms(beta, rho, u, v):
@@ -359,12 +361,13 @@ def test_cell_draws_equal_per_seed_generators(name):
     seeds = [derive_seed("bulk", name, rep) for rep in range(7)]
     ref = np.array([row(np.random.default_rng(seed), n) for seed in seeds])
     for rows in (1, 3, len(seeds)):
-        blocks = list(cell.blocks(seeds, rows))
+        blocks = list(cell.blocks(Streams.from_seeds(seeds), rows))
         assert [len(b) for b in blocks] == [
             min(rows, len(seeds) - start)
             for start in range(0, len(seeds), rows)]
         assert np.array_equal(np.concatenate(blocks), ref)
-        drawn = [next(cell.blocks(seeds[start:start + rows], rows))
+        drawn = [next(cell.blocks(
+                     Streams.from_seeds(seeds[start:start + rows]), rows))
                  for start in range(0, len(seeds), rows)]
         assert np.array_equal(np.concatenate(drawn), ref)
     for seed, values in zip(seeds, ref):
@@ -376,7 +379,7 @@ def test_cell_draws_equal_per_seed_generators(name):
 def test_cell_refuses_a_seed_outside_its_range(seed):
     # None is no seed either: a sample is drawn at a given seed only
     cell = increments_cell(1.5, 1.0, 0.0, 0.0, 0.1, 10)
-    for call in (lambda: next(cell.blocks([3, seed], 2)),
+    for call in (lambda: Streams.from_seeds([3, seed]),
                  lambda: cell.sample(seed)):
         with pytest.raises(DomainError) as exc:
             call()
@@ -401,8 +404,9 @@ def test_which_cells_have_a_sign_fill():
     assert ig_sub_cell(2.0, 1.5, 0.1, 5).signs is None
     # without a sign fill, signs=True draws the values
     cell = increments_cell(1.5, 1.0, 0.2, 0.3, 0.1, 5)
-    assert np.array_equal(next(cell.blocks([4, 5], 2, signs=True)),
-                          next(cell.blocks([4, 5], 2)))
+    assert np.array_equal(
+        next(cell.blocks(Streams.from_seeds([4, 5]), 2, signs=True)),
+        next(cell.blocks(Streams.from_seeds([4, 5]), 2)))
 
 
 @st.composite
@@ -424,8 +428,9 @@ def _sign_cells(draw):
                                max_size=5), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_sign_fill_is_the_sign_of_the_values(cell, seeds, rows):
-    values = np.concatenate(list(cell.blocks(seeds, rows)))
-    signs = list(cell.blocks(seeds, rows, signs=True))
+    values = np.concatenate(list(cell.blocks(Streams.from_seeds(seeds),
+                                             rows)))
+    signs = list(cell.blocks(Streams.from_seeds(seeds), rows, signs=True))
     assert not any(block.flags.writeable for block in signs)
     signs = np.concatenate(signs)
     assert signs.tobytes() == np.sign(values).tobytes()
