@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import mc, serialize, skewed, subordinators, symmetric, transforms
-from .errors import DomainError, LevyEstimError, stable_index
+from .errors import DomainError, LevyEstimError, only_row, stable_index
 from .stable_density import fisher_matrix, median_asymptotic_sd, phi_pair
 
 __all__ = ["main", "build_parser"]
@@ -155,32 +155,50 @@ def _cmd_simulate(args) -> None:
                                 "seed": args.seed})
 
 
-# estimate --method: name -> (flag the method needs or None, the flags it
-# reads, the lookup of its report).  The report is looked up when it runs,
-# so a patched estimator is seen, and gets only the flags given, as
-# keywords, so each default lives in the report's signature
+# estimate --method: name -> (the mc.ESTIMATORS kind whose block core gives
+# the point, the defaults of the flags, the lookup of its report).  A
+# method reads its kind's tuning keys and the flags it has defaults for,
+# and needs each tuning key without one.  The report is looked up when it
+# runs, so a patched report is seen; it gets the method, the sample, the
+# point and the flags.  pipeline has no kind: its report runs three block
+# cores on transformed samples and gets the sample and the flags
 _ESTIMATE = {
-    "log": (None, ("level",), lambda: symmetric.log_moment_estimate),
-    "frac": ("p", ("p", "level"), lambda: symmetric.frac_moment_estimate),
-    "sign-bipower": (None, ("q",), lambda: skewed.sign_bipower_estimate),
-    "tripower": (None, ("q",), lambda: skewed.tripower_estimate),
-    "gamma-mle": (None, (), lambda: subordinators.gamma_mle_estimate),
-    "ig-mle": (None, (), lambda: subordinators.ig_mle_estimate),
-    "pipeline": (None, ("p", "q", "level"), lambda: transforms.full_pipeline),
+    "log": ("log", {"level": 0.95}, lambda: symmetric.moment_report),
+    "frac": ("frac", {"level": 0.95}, lambda: symmetric.moment_report),
+    "sign-bipower": ("power_scale", {"q": 0.25}, lambda: skewed.power_report),
+    "tripower": ("tripower", {"q": 0.25}, lambda: skewed.power_report),
+    "gamma-mle": ("gamma_mle", {}, lambda: subordinators.mle_report),
+    "ig-mle": ("ig_mle", {}, lambda: subordinators.mle_report),
+    "pipeline": (None, {"p": None, "q": None, "level": 0.95},
+                 lambda: transforms.full_pipeline),
 }
 
 
+def _estimate(method: str, sample, given: dict):
+    # the report of method on sample, the flags given over its defaults
+    kind, defaults, report = _ESTIMATE[method]
+    flags = {**defaults, **given}
+    if kind is None:
+        return report()(sample, **flags)
+    point = only_row(mc.ESTIMATORS[kind].block(sample.values[None],
+                                               sample.h, flags))
+    return report()(method, sample, point, **flags)
+
+
 def _cmd_estimate(args) -> None:
-    needs, reads, report = _ESTIMATE[args.method]
+    kind, defaults, _ = _ESTIMATE[args.method]
+    tuning = () if kind is None else mc.ESTIMATORS[kind].tuning
     given = {flag: getattr(args, flag) for flag in ("p", "q", "level")
              if getattr(args, flag) is not None}
-    if needs is not None and needs not in given:
-        args.error(f"--method {args.method} needs --{needs}")
+    for flag in tuning:
+        if flag not in defaults and flag not in given:
+            args.error(f"--method {args.method} needs --{flag}")
     for flag in given:
-        if flag not in reads:
+        if flag not in tuning and flag not in defaults:
             args.error(f"--method {args.method} does not read --{flag}")
     sample = serialize.read_increments(args.infile)
-    serialize.write_lines(args.out, [report()(sample, **given).to_json()])
+    serialize.write_lines(args.out,
+                          [_estimate(args.method, sample, given).to_json()])
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -3,8 +3,9 @@
 Each replication draws its own RNG stream from
 hash(master_seed, n, estimator_id, replication_index), so it is a pure
 function of the design and the master seed, in whatever order replications
-run and however they are grouped.  The MODELS and ESTIMATORS tables drive
-simulation and estimation.
+run and however they are grouped.  Two tables drive simulation and
+estimation: MODELS, one cell per model, and ESTIMATORS, one block core per
+estimator kind, which ``levyestim estimate`` runs too, on a one-row block.
 
 A design is checked once, when its ExperimentConfig is built (``preset``
 builds only the designs a filter selects, with their overrides), and
@@ -29,9 +30,12 @@ cell then runs on its slice of those streams in three steps:
    ``skewed``: it computes the order statistics, log residuals, moment
    means, sign means and power sums of all rows at once and returns one
    point estimate or EstimationError per row; each row's index root is
-   still one scalar solve.  The per-sample point cores are the same block
-   cores on a one-row block, and no replication computes a covariance;
-   the subordinator kinds map a per-sample point estimator over the rows.
+   still one scalar solve.  A kind's point may hold more than the params
+   it reports (``power_scale`` and ``tripower`` return p_hat, beta_hat and
+   s_p beside the scale, which the ``estimate`` reports read); its
+   ``start`` says where the params begin.  No replication computes a
+   covariance; the subordinator kinds map a per-sample point estimator
+   over the rows.
 3. Reduce in replication order.  Estimation failures (EstimationError
    subclasses, e.g. an index root outside the admissible interval, and
    estimates that are not finite) are counted per cell and excluded from
@@ -116,12 +120,15 @@ class Model(NamedTuple):
 class Estimator(NamedTuple):
     params: tuple[str, ...]  # reported parameters, in row order
     tuning: tuple[str, ...]  # keys of the estimator entry, floats
-    # (block, h, entry) -> one tuple of params or EstimationError per row
-    # of the (rows, n) block
+    # (block, h, entry) -> one point tuple or EstimationError per row of
+    # the (rows, n) block
     block: Callable
     # the block core reads only the signs of the increments: the block is
     # drawn with Cell.blocks(..., signs=True)
     signs: bool = False
+    # index of the first reported param in a point: the params are
+    # point[start:start + len(params)]
+    start: int = 0
 
 
 # scale path name -> (truth keys it reads besides beta, constructor)
@@ -161,12 +168,6 @@ def _each_row(estimate, block: np.ndarray, h: float) -> list:
     return each_row(lambda row: estimate(IncrementSample(row, h)), block)
 
 
-def _take(results: list, start: int, stop: int) -> list:
-    # the params start:stop of each row's point; an error stays an error
-    return [r if isinstance(r, EstimationError) else r[start:stop]
-            for r in results]
-
-
 ESTIMATORS = {
     "log": Estimator(("beta", "sigma", "gamma"), (),
                      lambda b, h, e: log_moment_block(b, h)),
@@ -180,10 +181,10 @@ ESTIMATORS = {
                       signs=True),
     "bipower": Estimator(("beta",), ("q",),
                          lambda b, h, e: bipower_block(b, e["q"])),
-    "power_scale": Estimator(("sigma",), ("q",), lambda b, h, e: _take(
-        sign_bipower_block(b, e["q"]), 2, 3)),
-    "tripower": Estimator(("sigma_star",), ("q",), lambda b, h, e: _take(
-        tripower_block(b, e["q"]), 2, 3)),
+    "power_scale": Estimator(("sigma",), ("q",), lambda b, h, e:
+                             sign_bipower_block(b, e["q"]), start=2),
+    "tripower": Estimator(("sigma_star",), ("q",), lambda b, h, e:
+                          tripower_block(b, e["q"]), start=2),
     "gamma_mle": Estimator(("delta", "gamma"), (),
                            lambda b, h, e: _each_row(gamma_mle, b, h)),
     "gamma_moment": Estimator(("delta", "gamma"), (),
@@ -380,13 +381,15 @@ class ExperimentConfig:
                       if f.name in payload})
 
 
-def _kept(point):
-    # None for a failed replication: an EstimationError, or an estimate
-    # that overflowed to inf
-    if isinstance(point, EstimationError) \
-            or not all(map(math.isfinite, point)):
+def _kept(point, entry: Estimator):
+    # the params entry reports from a point, sliced only where they do not
+    # start at 0; None for a failed replication: an EstimationError, or an
+    # estimate that overflowed to inf
+    if isinstance(point, EstimationError):
         return None
-    return point
+    if entry.start:
+        point = point[entry.start:entry.start + len(entry.params)]
+    return point if all(map(math.isfinite, point)) else None
 
 
 def _cell_points(cell: Cell, n: int, est: dict, streams: Streams) -> list:
@@ -398,7 +401,7 @@ def _cell_points(cell: Cell, n: int, est: dict, streams: Streams) -> list:
     estimated in one pass and dropped, so only the streams' states, not
     their samples, grow with the replications."""
     entry = ESTIMATORS[est["kind"]]
-    return [_kept(point)
+    return [_kept(point, entry)
             for block in cell.blocks(streams, max(1, _BLOCK_VALUES // n),
                                      entry.signs)
             for point in entry.block(block, cell.h, est)]
@@ -491,9 +494,10 @@ def preset(table_id: str, master_seed: int = DEFAULT_MASTER_SEED, *,
     """Exact designs of the four simulation tables, one config per true
     index; only the designs a filter selects are built.
 
-    ``beta`` keeps the design whose true index is within 1e-12 of it;
-    ``replications`` and ``n_list`` replace the design's values.  Each
-    design built is checked once, with its overrides.
+    ``beta``, a finite number, keeps the design whose true index is within
+    1e-12 of it; ``replications`` and ``n_list`` replace the design's
+    values as given.  Each design built is checked once, with its
+    overrides, so an override that is not an integer >= 1 is refused.
 
     table1: symmetric stable, (sigma, gamma) = (0.5, -0.5),
             beta in {0.8, 1, 1.5, 1.8}, n in {501, 1001, 2001}, h = 5/n;
@@ -510,6 +514,8 @@ def preset(table_id: str, master_seed: int = DEFAULT_MASTER_SEED, *,
     if table_id not in PRESET_NAMES:
         raise DomainError("unknown preset", table_id=table_id,
                           known=list(PRESET_NAMES))
+    if beta is not None:
+        _finite(beta, "beta")
     symmetric = table_id in ("table1", "table2")
     sizes = (501, 1001, 2001) if symmetric else (500, 1000, 2000, 5000)
     h_rule = {"table1": {"kind": "fixed_T", "T": 5.0},
@@ -538,8 +544,8 @@ def preset(table_id: str, master_seed: int = DEFAULT_MASTER_SEED, *,
             estimators = _skewed_estimators("tripower")
         configs.append(ExperimentConfig(
             model=model, truth=truth, h_rule=h_rule,
-            n_list=sizes if n_list is None else tuple(int(n) for n in n_list),
-            replications=1000 if replications is None else int(replications),
+            n_list=sizes if n_list is None else tuple(n_list),
+            replications=1000 if replications is None else replications,
             estimators=estimators, master_seed=master_seed,
             label=f"{table_id}[beta={truth_beta:g}]"))
     return configs

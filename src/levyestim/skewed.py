@@ -58,17 +58,13 @@ __all__ = [
     "bipower_block",
     "sign_bipower_block",
     "tripower_block",
-    "sign_statistic",
     "mu_abs",
     "nu_signed",
     "bipower_beta",
     "sigma_star_bipower",
     "tripower_integrated_scale",
     "delta_cov",
-    "sign_bipower_point",
-    "tripower_point",
-    "sign_bipower_estimate",
-    "tripower_estimate",
+    "power_report",
 ]
 
 
@@ -137,16 +133,11 @@ def _sign_hats(block: np.ndarray) -> list[float]:
 
 
 def sign_block(block: np.ndarray) -> list:
-    """(p_hat,) of each row of a (rows, n) block of increments (see
-    sign_statistic)."""
+    """Positivity estimate (p_hat,) of each row of a (rows, n) block of
+    increments: p_hat = (H_n + 1)/2 with H_n the row's mean increment sign;
+    sqrt(n)(p_hat - p) -> N(0, p(1-p)).  Exact zeros enter H_n with sign 0
+    and trigger a data-quality warning."""
     return [(p_hat,) for p_hat in _sign_hats(block)]
-
-
-def sign_statistic(sample: IncrementSample) -> float:
-    """Positivity estimate p_hat = (H_n + 1)/2 with H_n the mean increment
-    sign; sqrt(n)(p_hat - p) -> N(0, p(1-p)).  Exact zeros enter H_n with
-    sign 0 and trigger a data-quality warning."""
-    return _sign_hats(sample.values[None])[0]
 
 
 def _lag_products(x: np.ndarray, r: float, m: int) -> np.ndarray:
@@ -389,8 +380,15 @@ def delta_cov(beta: float, p_pos: float, q: float, sigma_star_2q: float,
 # multi-step drivers
 
 def sign_bipower_block(block: np.ndarray, q: float) -> list:
-    """(p_hat, beta_hat, sigma_hat, s_p) of each row of a (rows, n) block
-    of increments, or the row's EstimationError (see sign_bipower_point)."""
+    """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
+    scale of each row of a (rows, n) block of increments, or the row's
+    EstimationError: p_hat from signs (sign_block), beta_hat from the
+    bipower ratio at power q (bipower_beta), then the plug-in sigma*_hat_p
+
+        s_p = n^{p/beta_hat - 1} sum_j |D_j|^p / mu_p(p_hat, beta_hat)
+
+    (InadmissiblePositivity unless positive) and sigma_hat = s_p^{1/p} with
+    p = 2q (inf where that overflows)."""
     n = block.shape[1]
     p = 2.0 * q
 
@@ -405,22 +403,13 @@ def sign_bipower_block(block: np.ndarray, q: float) -> list:
     return _bipower_rows(block, q, _sign_hats(block), finish)
 
 
-def sign_bipower_point(sample: IncrementSample,
-                       q: float) -> tuple[float, float, float, float]:
-    """Three-step estimate (p_hat, beta_hat, sigma_hat, s_p) for constant
-    scale: p_hat from signs, beta_hat from the bipower ratio at power q, then
-    the plug-in sigma*_hat_p
-
-        s_p = n^{p/beta_hat - 1} sum_j |D_j|^p / mu_p(p_hat, beta_hat)
-
-    (InadmissiblePositivity unless positive) and sigma_hat = s_p^{1/p} with
-    p = 2q (inf where that overflows)."""
-    return only_row(sign_bipower_block(sample.values[None], q))
-
-
 def tripower_block(block: np.ndarray, q: float) -> list:
-    """(p_hat, beta_hat, sigma*_hat_beta, s_p) of each row of a (rows, n)
-    block, or the row's EstimationError (see tripower_point)."""
+    """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta, s_p) of the
+    integrated scale under time-varying scale, of each row of a (rows, n)
+    block, or the row's EstimationError: p_hat and beta_hat as in
+    sign_bipower_block, then the self-normalizing tripower statistic
+    (tripower_integrated_scale); s_p is sign_bipower_block's, without its
+    positivity check."""
     n = block.shape[1]
     p = 2.0 * q
 
@@ -432,46 +421,35 @@ def tripower_block(block: np.ndarray, q: float) -> list:
     return _bipower_rows(block, q, _sign_hats(block), finish)
 
 
-def tripower_point(sample: IncrementSample,
-                   q: float) -> tuple[float, float, float, float]:
-    """Three-step estimate (p_hat, beta_hat, sigma*_hat_beta, s_p) of the
-    integrated scale under time-varying scale: p_hat and beta_hat as in
-    sign_bipower_point, then the self-normalizing tripower statistic; s_p
-    is sign_bipower_point's, without its positivity check."""
-    return only_row(tripower_block(sample.values[None], q))
+def power_report(method: str, sample: IncrementSample, point,
+                 q: float) -> EstimateReport:
+    """The report of a sign-bipower or tripower point
+    (p_hat, beta_hat, scale, s_p) of ``sample`` at power q, with s_2p the
+    adjacent-product estimate of sigma*_{4q} (sigma_star_bipower).
 
-
-def sign_bipower_estimate(sample: IncrementSample,
-                          q: float = 0.25) -> EstimateReport:
-    """sign_bipower_point plus the delta-method covariance V of
-    (p_hat, beta_hat, sigma*_hat_p)."""
-    p_hat, beta_hat, sigma_hat, s_p = sign_bipower_point(sample, q)
+    sign-bipower adds the delta-method covariance V of
+    (p_hat, beta_hat, sigma*_hat_p), p = 2q, and reports s_p and s_2p.
+    tripower reports sigma_hat = sigma*_hat_beta and, in extra, its
+    (log n / sqrt(n))-rate asymptotic variance (sigma*_beta / beta)^2 V_22.
+    """
+    p_hat, beta_hat, scale, s_p = point
     s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
-    extra = {"p_pos_hat": p_hat, "q": q, "sigma_star_p": s_p,
-             "sigma_star_2p": s_2p,
-             "cov_coords": ["p_pos", "beta", "sigma_star_p"]}
-    check_finite("sign-bipower", beta_hat=beta_hat, sigma_hat=sigma_hat,
-                 extra=extra)
-    return EstimateReport(
-        method="sign-bipower", n=sample.n, h=sample.h,
-        beta_hat=beta_hat, sigma_hat=sigma_hat,
-        cov_matrix=delta_cov(beta_hat, p_hat, q, s_p, s_2p), extra=extra)
-
-
-def tripower_estimate(sample: IncrementSample,
-                      q: float = 0.25) -> EstimateReport:
-    """tripower_point with sigma_hat carrying sigma*_hat_beta; its
-    (log n / sqrt(n))-rate asymptotic variance (sigma*_beta / beta)^2 V_22
-    is reported in extra."""
-    p_hat, beta_hat, s_star, s_p = tripower_point(sample, q)
-    s_2p = sigma_star_bipower(sample, p_hat, beta_hat, 2.0 * q)
-    check_finite("tripower", beta_hat=beta_hat, sigma_hat=s_star,
-                 extra={"p_pos_hat": p_hat}, sigma_star_p=s_p,
-                 sigma_star_2p=s_2p)
-    v22 = float(delta_cov(beta_hat, p_hat, q, s_p, s_2p)[1, 1])
-    avar = overflow_to_inf(math.pow, s_star / beta_hat, 2) * v22
-    return EstimateReport(
-        method="tripower", n=sample.n, h=sample.h,
-        beta_hat=beta_hat, sigma_hat=s_star,
-        extra={"p_pos_hat": p_hat, "q": q, "estimand": "sigma_star_beta",
-               "avar_sigma_star": avar, "rate": "sqrt(n)/log(n)"})
+    extra = {"p_pos_hat": p_hat, "q": q}
+    sums = {"sigma_star_p": s_p, "sigma_star_2p": s_2p}
+    if method == "tripower":
+        # tripower reports neither sum, so a non-finite one is named bare
+        check_finite(method, beta_hat=beta_hat, sigma_hat=scale,
+                     extra=extra, **sums)
+        v22 = float(delta_cov(beta_hat, p_hat, q, s_p, s_2p)[1, 1])
+        extra.update(estimand="sigma_star_beta", rate="sqrt(n)/log(n)",
+                     avar_sigma_star=overflow_to_inf(
+                         math.pow, scale / beta_hat, 2) * v22)
+        cov = None
+    else:
+        extra.update(sums, cov_coords=["p_pos", "beta", "sigma_star_p"])
+        check_finite(method, beta_hat=beta_hat, sigma_hat=scale,
+                     extra=extra)
+        cov = delta_cov(beta_hat, p_hat, q, s_p, s_2p)
+    return EstimateReport(method=method, n=sample.n, h=sample.h,
+                          beta_hat=beta_hat, sigma_hat=scale,
+                          cov_matrix=cov, extra=extra)

@@ -1,5 +1,5 @@
 """Gamma and inverse-Gaussian subordinators: sampling, the MLE and moment
-point estimators, Fisher matrices, and the MLE reports.
+point estimators, Fisher matrices, and the MLE report.
 
 Laws of the increments over mesh h:
 
@@ -52,8 +52,7 @@ __all__ = [
     "ig_mle",
     "gamma_fisher",
     "ig_fisher",
-    "gamma_mle_estimate",
-    "ig_mle_estimate",
+    "mle_report",
 ]
 
 
@@ -255,21 +254,15 @@ def ig_fisher(delta, rate) -> np.ndarray:
         return np.diag([2.0 / delta ** 2, delta / rate])
 
 
-def _mle_report(method: str, sample: IncrementSample, mle,
-                information) -> EstimateReport:
-    delta_hat, gamma_hat = mle(sample)
+def mle_report(method: str, sample: IncrementSample,
+               point) -> EstimateReport:
+    """The report of an MLE point (delta_hat, gamma_hat) of ``sample``: the
+    estimates, checked finite, and the Fisher information at them,
+    gamma_fisher for gamma-mle and ig_fisher for ig-mle."""
+    delta_hat, gamma_hat = point
     check_finite(method, extra={"delta_hat": delta_hat}, gamma_hat=gamma_hat)
+    information = gamma_fisher if method == "gamma-mle" else ig_fisher
     fisher = information(delta_hat, gamma_hat).ravel().tolist()
     return EstimateReport(method=method, n=sample.n, h=sample.h,
                           gamma_hat=gamma_hat,
                           extra={"delta_hat": delta_hat, "fisher": fisher})
-
-
-def gamma_mle_estimate(sample: IncrementSample) -> EstimateReport:
-    """gamma_mle plus the gamma_fisher information at the estimates."""
-    return _mle_report("gamma-mle", sample, gamma_mle, gamma_fisher)
-
-
-def ig_mle_estimate(sample: IncrementSample) -> EstimateReport:
-    """ig_mle plus the ig_fisher information at the estimates."""
-    return _mle_report("ig-mle", sample, ig_mle, ig_fisher)

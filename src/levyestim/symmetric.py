@@ -8,8 +8,9 @@ giving gamma_hat = m_n / h, and works with the residuals x_(j) - m_n of the
 order statistics (the middle one is zero and is excluded from log-type
 statistics).
 
-Each *_point core returns (beta_hat, sigma_hat, gamma_hat); its *_estimate
-report adds the covariance and the drift interval.
+The log-moment and fractional-moment block cores give each row's
+(beta_hat, sigma_hat, gamma_hat); ``moment_report`` adds, to the point of
+one sample, the covariance and the drift interval.
 
 Reports carry the fixed-mesh (h = 1) covariance V of
 
@@ -42,7 +43,6 @@ from .errors import (
     RootOutOfBracket,
     ZeroResidual,
     each_row,
-    only_row,
     positive,
     stable_index,
 )
@@ -64,14 +64,10 @@ __all__ = [
     "log_moment_block",
     "known_scale_block",
     "frac_moment_block",
-    "median_gamma",
-    "log_moment_point",
-    "log_moment_estimate",
+    "moment_report",
     "v_log",
     "psi_transform",
     "c_moment",
-    "frac_moment_point",
-    "frac_moment_estimate",
     "v_p",
     "gamma_confidence_interval",
 ]
@@ -137,14 +133,10 @@ def _square_sums(logs: np.ndarray, lbar: np.ndarray) -> np.ndarray:
 
 
 def median_block(block: np.ndarray, h: float) -> list:
-    """(gamma_hat,) = (m_n / h,) of each row of a (rows, n) block."""
+    """Drift estimate (gamma_hat,) = (m_n / h,) of each row of a (rows, n)
+    block, from the row's sample median m_n (an even row drops its last
+    increment)."""
     return [(m / h,) for m in _medians(_odd_block(block)).tolist()]
-
-
-def median_gamma(sample: IncrementSample) -> float:
-    """Drift estimate gamma_hat = m_n / h from the sample median of the
-    increments (even samples drop their last increment)."""
-    return median_block(sample.values[None], sample.h)[0][0]
 
 
 def v_log(beta: float, sigma: float) -> np.ndarray:
@@ -210,8 +202,20 @@ def psi_transform(beta: float) -> float:
 
 def log_moment_block(block: np.ndarray, h: float) -> list:
     """Log-moment estimates (beta_hat, sigma_hat, gamma_hat) of each row of
-    a (rows, n) block of increments at mesh h, or the EstimationError of a
-    row that has none (see log_moment_point)."""
+    a (rows, n) block of increments at mesh h.
+
+    With L_j = log|x_(j) - m_n| over the 2k off-median order statistics and
+    Lbar their mean,
+
+        beta_hat  = {(6 / (2k pi^2)) sum (L_j - Lbar)^2 - 1/2}^{-1/2}
+        sigma_hat = exp{(1/beta_hat) log(1/h) + Lbar
+                        - C (1/beta_hat - 1)}
+        gamma_hat = m_n / h.
+
+    A row that has none holds its EstimationError: ZeroResidual when an
+    off-median increment ties the median, NonpositiveVarianceGap when the
+    bracket is not positive.
+    """
     logs, lbar, m, k, ties = _log_block(block)
     log_inv_h = math.log(1.0 / h)
 
@@ -230,43 +234,27 @@ def log_moment_block(block: np.ndarray, h: float) -> list:
                     _square_sums(logs, lbar).tolist(), m.tolist())
 
 
-def log_moment_point(sample: IncrementSample) -> tuple[float, float, float]:
-    """Log-moment estimates (beta_hat, sigma_hat, gamma_hat).
-
-    With L_j = log|x_(j) - m_n| over the 2k off-median order statistics and
-    Lbar their mean,
-
-        beta_hat  = {(6 / (2k pi^2)) sum (L_j - Lbar)^2 - 1/2}^{-1/2}
-        sigma_hat = exp{(1/beta_hat) log(1/h) + Lbar
-                        - C (1/beta_hat - 1)}
-        gamma_hat = m_n / h.
-
-    Raises ZeroResidual when an off-median increment ties the median and
-    NonpositiveVarianceGap when the bracket is not positive.
-    """
-    return only_row(log_moment_block(sample.values[None], sample.h))
-
-
-def _report(method: str, sample: IncrementSample, point, covariance,
-            level: float, **extra) -> EstimateReport:
+def moment_report(method: str, sample: IncrementSample, point,
+                  level: float, p: float | None = None) -> EstimateReport:
+    """The report of a log-moment (p None) or order-p fractional-moment
+    point (beta_hat, sigma_hat, gamma_hat) of ``sample``: the plug-in V^log
+    or V^p covariance and the gamma confidence interval at ``level``,
+    over the 2k + 1 increments the point used."""
     beta_hat, sigma_hat, gamma_hat = point
     check_finite(method, beta_hat=beta_hat, sigma_hat=sigma_hat,
                  gamma_hat=gamma_hat)
-    cov = covariance(beta_hat, sigma_hat)
+    cov = (v_log(beta_hat, sigma_hat) if p is None
+           else v_p(beta_hat, sigma_hat, p))
     n_used = _odd_count(sample.n)
     ci = gamma_confidence_interval(gamma_hat, beta_hat, sigma_hat,
                                    n_used, sample.h, level)
+    extra = {"k": n_used // 2, "level": level}
+    if p is not None:
+        extra["p"] = p
     return EstimateReport(method=method, n=n_used, h=sample.h,
                           beta_hat=beta_hat, sigma_hat=sigma_hat,
                           gamma_hat=gamma_hat, ci_gamma=ci, cov_matrix=cov,
-                          extra={**extra, "k": n_used // 2, "level": level})
-
-
-def log_moment_estimate(sample: IncrementSample,
-                        level: float = 0.95) -> EstimateReport:
-    """log_moment_point plus the plug-in V^log covariance and the gamma
-    confidence interval at the given level."""
-    return _report("log", sample, log_moment_point(sample), v_log, level)
+                          extra=extra)
 
 
 def known_scale_block(block: np.ndarray, h: float, sigma: float) -> list:
@@ -320,7 +308,7 @@ def c_moment(beta: float, q: float) -> float:
 
 def _log_frac_k(p: float) -> float:
     # log K(p), the beta-free factor of C(beta, p)^2 / C(beta, 2p) (see
-    # frac_moment_estimate)
+    # frac_moment_block)
     return (2.0 * log_gamma(0.5 * (p + 1.0)) + log_gamma(1.0 - p)
             - 2.0 * log_gamma(1.0 - 0.5 * p) - log_gamma(p + 0.5)
             - 0.5 * math.log(math.pi))
@@ -328,8 +316,29 @@ def _log_frac_k(p: float) -> float:
 
 def frac_moment_block(block: np.ndarray, h: float, p: float) -> list:
     """Fractional-moment estimates (beta_hat, sigma_hat, gamma_hat) at
-    order p of each row of a (rows, n) block of increments at mesh h, or the
-    EstimationError of a row that has none (see frac_moment_point)."""
+    order p of each row of a (rows, n) block of increments at mesh h.
+
+    With H_l = (1/n) sum_j |x_j - gamma_hat h|^{lp} over all n increments
+    (the median one contributes zero), beta_hat solves
+
+        C(beta, p)^2 / C(beta, 2p) = H_1^2 / H_2
+
+    on the admissible interval (6p, 2), where the left side is strictly
+    increasing.  The beta-free Gamma factors are split off once, so the
+    root solved is that of the log form
+
+        log Gamma(1 - p/beta)^2 / Gamma(1 - 2p/beta)
+            = log(H_1^2 / H_2) - log K(p),
+
+    K(p) = Gamma((p+1)/2)^2 Gamma(1-p) / {sqrt(pi) Gamma(1-p/2)^2 Gamma(p+1/2)},
+    and
+
+        sigma_hat = {h^{-p/beta_hat} H_1 / C(beta_hat, p)}^{1/p}.
+
+    Requires p in (0, 1/3).  A row that has none holds its EstimationError:
+    ZeroResidual when H_1 or H_2 vanishes, RootOutOfBracket when the moment
+    ratio falls outside the image of the interval.
+    """
     if not (0.0 < p < 1.0 / 3.0):
         raise DomainError("moment order p must lie in (0, 1/3)", p=p)
     values = _odd_block(block)
@@ -363,43 +372,6 @@ def frac_moment_block(block: np.ndarray, h: float, p: float) -> list:
 
     return each_row(point, np.mean(res ** p, axis=1).tolist(),
                     np.mean(res ** (2.0 * p), axis=1).tolist(), m.tolist())
-
-
-def frac_moment_point(sample: IncrementSample,
-                      p: float) -> tuple[float, float, float]:
-    """Fractional-moment estimates (beta_hat, sigma_hat, gamma_hat) at
-    order p.
-
-    With H_l = (1/n) sum_j |x_j - gamma_hat h|^{lp} over all n increments
-    (the median one contributes zero), beta_hat solves
-
-        C(beta, p)^2 / C(beta, 2p) = H_1^2 / H_2
-
-    on the admissible interval (6p, 2), where the left side is strictly
-    increasing.  The beta-free Gamma factors are split off once, so the
-    root solved is that of the log form
-
-        log Gamma(1 - p/beta)^2 / Gamma(1 - 2p/beta)
-            = log(H_1^2 / H_2) - log K(p),
-
-    K(p) = Gamma((p+1)/2)^2 Gamma(1-p) / {sqrt(pi) Gamma(1-p/2)^2 Gamma(p+1/2)},
-    and
-
-        sigma_hat = {h^{-p/beta_hat} H_1 / C(beta_hat, p)}^{1/p}.
-
-    Requires p in (0, 1/3); raises ZeroResidual when H_1 or H_2 vanishes and
-    RootOutOfBracket when the moment ratio falls outside the image of the
-    interval.
-    """
-    return only_row(frac_moment_block(sample.values[None], sample.h, p))
-
-
-def frac_moment_estimate(sample: IncrementSample, p: float,
-                         level: float = 0.95) -> EstimateReport:
-    """frac_moment_point plus the plug-in V^p covariance and the gamma
-    confidence interval at the given level."""
-    return _report("frac", sample, frac_moment_point(sample, p),
-                   lambda beta, sigma: v_p(beta, sigma, p), level, p=p)
 
 
 def v_p(beta: float, sigma: float, p: float) -> np.ndarray:

@@ -30,9 +30,9 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, only_row
 from .serialize import EstimateReport, check_finite
-from .skewed import bipower_beta, sign_statistic
+from .skewed import bipower_beta, sign_block
 from .stable_core import (
     IncrementSample,
     _check_conversion_beta,
@@ -42,10 +42,10 @@ from .stable_core import (
 )
 from .symmetric import (
     _odd_count,
-    frac_moment_point,
+    frac_moment_block,
     gamma_confidence_interval,
-    log_moment_point,
-    median_gamma,
+    log_moment_block,
+    median_block,
 )
 
 __all__ = [
@@ -149,9 +149,12 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     sample divided by 2 - 2^{1/beta_hat} recovers gamma_hat.  Its interval
     is plug-in and uncorrected for the step-1 estimation error.
 
-    When q is given, a bipower index estimate at power q on the centered
-    sample is recorded in extra as a consistency diagnostic.  An estimation
-    failure in step 1 raises with pipeline_step "symmetrize" in its context.
+    Each step runs a block core on its transformed sample as a one-row
+    block, so the pipeline is a report of its own, not one core on the
+    sample.  When q is given, a bipower index estimate at power q on the
+    centered sample is recorded in extra as a consistency diagnostic.  An
+    estimation failure in step 1 raises with pipeline_step "symmetrize" in
+    its context.
     """
     if sample.n < 9:
         raise DomainError("pipeline needs at least 9 increments",
@@ -160,8 +163,9 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     sym = symmetrize(sample)
     method = "log" if p is None else "frac"
     try:  # steps 2 and 3 raise no EstimationError
-        beta_hat, sigma_sym, _ = (log_moment_point(sym) if p is None
-                                  else frac_moment_point(sym, p))
+        beta_hat, sigma_sym, _ = only_row(
+            log_moment_block(sym.values[None], sym.h) if p is None
+            else frac_moment_block(sym.values[None], sym.h, p))
         if not (0.0 < beta_hat < 2.0) or beta_hat == 1.0:
             # the skew/positivity inversion degenerates at 1 and 2, so steps
             # 2-3 need an index estimate in (0,1) or (1,2)
@@ -175,7 +179,7 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
         raise
 
     cen = center_triple(sample)
-    p_cen = sign_statistic(cen)
+    (p_cen,) = only_row(sign_block(cen.values[None]))
     lo, hi = positivity_range(beta_hat)
     p_cen_adm = _clamp(p_cen, lo, hi, "centered positivity estimate")
     rho_cen = positivity_to_skew(beta_hat, p_cen_adm)
@@ -184,7 +188,7 @@ def full_pipeline(sample: IncrementSample, q: float | None = None,
     p_hat = skew_to_positivity(beta_hat, rho_hat)
 
     des = deskew_triple(sample, beta_hat)
-    gamma_des = median_gamma(des)
+    (gamma_des,) = only_row(median_block(des.values[None], des.h))
     trend = deskew_trend_factor(beta_hat)
     gamma_hat = gamma_des / trend
     # interval for the deskewed drift, mapped through the trend factor;

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from levyestim.cli import _estimate
+from levyestim.errors import only_row
 from levyestim.mc import ExperimentConfig, run_experiment
-from levyestim.skewed import bipower_beta, mu_abs, sign_statistic
+from levyestim.skewed import bipower_beta, mu_abs, sign_block
 from levyestim.special_fn import digamma, log_gamma
 from levyestim.stable_core import (
     IncrementSample,
@@ -26,7 +28,7 @@ from levyestim.subordinators import (
     ig_mle,
     ig_sub_cell,
 )
-from levyestim.symmetric import c_moment, frac_moment_estimate, log_moment_estimate
+from levyestim.symmetric import c_moment
 from levyestim.transforms import center_triple
 
 
@@ -133,8 +135,8 @@ def test_criterion_9_exact_algebraic_suite():
     # scale/translation equivariance of the symmetric-model estimators
     s = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 601,
                         601).sample(seed=77)
-    for estimate in (log_moment_estimate,
-                     lambda x: frac_moment_estimate(x, 0.2)):
+    for estimate in (lambda x: _estimate("log", x, {}),
+                     lambda x: _estimate("frac", x, {"p": 0.2})):
         base = estimate(s)
         scaled = estimate(IncrementSample(2.5 * s.values, s.h))
         assert scaled.beta_hat == pytest.approx(base.beta_hat, rel=1e-9)
@@ -159,7 +161,7 @@ def test_criterion_9_exact_algebraic_suite():
     # root residuals of the implicit estimators
     skew = increments_cell(1.5, 1.0, -0.5, 0.0, 1.0 / 2000,
                            2000).sample(seed=13)
-    p_hat = sign_statistic(skew)
+    (p_hat,) = only_row(sign_block(skew.values[None]))
     b_hat = bipower_beta(skew, 0.25, p_hat)
     # M_n(q, q) / M_n(2q): the n-powers cancel, leaving plain sums
     x = np.abs(skew.values)

@@ -1,5 +1,5 @@
 """Block cores: every row of a stacked (rows, n) block is estimated exactly
-as the per-sample core estimates that row alone."""
+as the block core estimates that row alone, as a one-row block."""
 
 import math
 import sys
@@ -23,35 +23,29 @@ from levyestim.skewed import (
     bipower_beta,
     bipower_block,
     sign_bipower_block,
-    sign_bipower_point,
-    sign_statistic,
     tripower_block,
-    tripower_point,
 )
 from levyestim.stable_core import IncrementSample, sample_standard_stable
 from levyestim.subordinators import gamma_mle, gamma_moment, ig_mle
 from levyestim.symmetric import (
     frac_moment_block,
-    frac_moment_point,
     known_scale_block,
     log_moment_block,
-    log_moment_point,
     median_block,
-    median_gamma,
 )
 
-# kind -> the per-sample core of that kind, as mc reported it before the
-# block cores: one sample in, the reported params out
+
+def _one_row(kind, s, e):
+    # the point of one sample: its kind's block core on a one-row block
+    return only_row(ESTIMATORS[kind].block(s.values[None], s.h, e))
+
+
+# kind -> a per-sample reference that is not the kind's block core: the
+# bipower root at the sample's own sign mean, and the subordinator
+# estimators, which take one sample
 _PER_SAMPLE = {
-    "log": lambda s, e: log_moment_point(s),
-    "frac": lambda s, e: frac_moment_point(s, e["p"]),
-    "known_scale": lambda s, e: only_row(known_scale_block(
-        s.values[None], s.h, e["sigma"])),
-    "median": lambda s, e: (median_gamma(s),),
-    "sign": lambda s, e: (sign_statistic(s),),
-    "bipower": lambda s, e: (bipower_beta(s, e["q"], sign_statistic(s)),),
-    "power_scale": lambda s, e: sign_bipower_point(s, e["q"])[2:3],
-    "tripower": lambda s, e: tripower_point(s, e["q"])[2:3],
+    "bipower": lambda s, e: (bipower_beta(s, e["q"],
+                                          _one_row("sign", s, e)[0]),),
     "gamma_mle": lambda s, e: gamma_mle(s),
     "gamma_moment": lambda s, e: gamma_moment(s),
     "ig_mle": lambda s, e: ig_mle(s),
@@ -109,7 +103,9 @@ def _singles(kind, block, h, est):
     out = []
     for row in block:
         try:
-            out.append(_PER_SAMPLE[kind](IncrementSample(row, h), est))
+            sample = IncrementSample(row, h)
+            out.append(_PER_SAMPLE[kind](sample, est) if kind in _PER_SAMPLE
+                       else _one_row(kind, sample, est))
         except EstimationError as exc:
             out.append(exc)
     return out
@@ -192,8 +188,8 @@ def test_mixed_block_names_each_failure():
     lambda b: frac_moment_block(b, 1.0, 0.1),
     lambda b: known_scale_block(b, 1.0, 0.5),
     lambda b: median_block(b, 1.0),
-    lambda b: log_moment_point(IncrementSample(b[0], 1.0)),
-    lambda b: median_gamma(IncrementSample(b[0], 1.0)),
+    lambda b: _one_row("log", IncrementSample(b[0], 1.0), {}),
+    lambda b: _one_row("median", IncrementSample(b[0], 1.0), {}),
 ), ids=("log", "frac", "known_scale", "median", "log_point",
         "median_point"))
 def test_short_one_row_block_is_a_domain_error(core, n):

@@ -144,25 +144,69 @@ def test_frac_without_p_is_flag_error(tmp_path, capsys):
                                "frac").err
 
 
-@pytest.mark.parametrize("method,flags,refused", [
+# the estimate flag rules, the whole method x {--p, --q, --level} matrix:
+# a method refuses each flag it does not read (given with the flags it
+# needs) and accepts each flag it reads
+_REFUSED_FLAGS = [
     ("log", ["--p", "0.1"], "--p"), ("log", ["--q", "0.3"], "--q"),
     ("frac", ["--p", "0.1", "--q", "0.3"], "--q"),
     ("sign-bipower", ["--level", "0.9"], "--level"),
     ("tripower", ["--p", "0.1"], "--p"),
     ("gamma-mle", ["--level", "0.95"], "--level"),
     ("ig-mle", ["--q", "0.25"], "--q"),
-])
-def test_estimate_refuses_a_flag_its_method_does_not_read(tmp_path, capsys,
-                                                         method, flags,
-                                                         refused):
+    ("sign-bipower", ["--p", "0.1"], "--p"),
+    ("tripower", ["--level", "0.9"], "--level"),
+    ("gamma-mle", ["--p", "0.1"], "--p"),
+    ("gamma-mle", ["--q", "0.25"], "--q"),
+    ("ig-mle", ["--p", "0.1"], "--p"),
+    ("ig-mle", ["--level", "0.9"], "--level"),
+]
+_ACCEPTED_FLAGS = [
+    ("log", ["--level", "0.9"]), ("frac", ["--p", "0.1"]),
+    ("frac", ["--p", "0.1", "--level", "0.9"]),
+    ("sign-bipower", ["--q", "0.3"]), ("tripower", ["--q", "0.3"]),
+    ("pipeline", ["--p", "0.1"]), ("pipeline", ["--q", "0.3"]),
+    ("pipeline", ["--level", "0.9"]),
+]
+
+
+def test_estimate_flag_rules_cover_every_method_and_flag():
+    refused = [(method, flag) for method, _, flag in _REFUSED_FLAGS]
+    accepted = [(method, flags[-2]) for method, flags in _ACCEPTED_FLAGS]
+    methods = ("log", "frac", "sign-bipower", "tripower", "gamma-mle",
+               "ig-mle", "pipeline")
+    assert sorted(refused + accepted) == sorted(
+        (method, flag) for method in methods
+        for flag in ("--p", "--q", "--level"))
+
+
+def _gamma_file(tmp_path, capsys):
     src = tmp_path / "x.csv"
     assert run_cli("simulate", "--model", "gamma", "--params",
                    "delta=2,gamma=1.5", "--n", "50", "--T", "5",
                    "--out", str(src)) == 0
     capsys.readouterr()
+    return src
+
+
+@pytest.mark.parametrize("method,flags,refused", _REFUSED_FLAGS)
+def test_estimate_refuses_a_flag_its_method_does_not_read(tmp_path, capsys,
+                                                         method, flags,
+                                                         refused):
+    src = _gamma_file(tmp_path, capsys)
     err = flag_error(capsys, "estimate", "--in", str(src), "--method",
                      method, *flags).err
     assert f"does not read {refused}" in err
+
+
+@pytest.mark.parametrize("method,flags", _ACCEPTED_FLAGS)
+def test_estimate_accepts_a_flag_its_method_reads(tmp_path, capsys, method,
+                                                  flags):
+    # a flag error would raise SystemExit(2); exit 1 is an estimate that
+    # failed on this sample
+    src = _gamma_file(tmp_path, capsys)
+    assert run_cli("estimate", "--in", str(src), "--method", method,
+                   *flags) in (0, 1)
 
 
 def test_estimate_level_defaults_to_95_percent(tmp_path, capsys):
@@ -1425,8 +1469,11 @@ def test_commands_load_no_scipy(every_command_probe):
 
 
 def test_estimate_methods_are_one_table():
-    # the --method choices are the keys of one table; cli names each method
-    # once and builds no report itself
+    # the --method choices are the keys of one table; each row but
+    # pipeline's names the mc.ESTIMATORS kind whose block core gives its
+    # point.  cli restates no tuning key: a row names a flag only to give
+    # its default, and a method reads and needs what its kind's tuning
+    # says.  cli names each method once and builds no report itself
     from levyestim import cli
 
     assert list(cli._ESTIMATE) == ["log", "frac", "sign-bipower", "tripower",
@@ -1436,10 +1483,57 @@ def test_estimate_methods_are_one_table():
         args = parser.parse_args(["estimate", "--in", "x", "--method", method])
         assert args.method == method
     source = Path(cli.__file__).read_text(encoding="utf8")
-    for method in cli._ESTIMATE:
-        assert source.count(f'"{method}"') == 1, method
-    for name in ("gamma_fisher", "ig_fisher", "EstimateReport"):
+    for method, (kind, defaults, _) in cli._ESTIMATE.items():
+        if method == "pipeline":
+            assert kind is None
+        else:
+            assert kind in mc.ESTIMATORS, method
+            assert None not in defaults.values(), method
+        assert source.count(f'"{method}"') == 1 + (kind == method), method
+    for name in ("gamma_fisher", "ig_fisher", "EstimateReport", "delta_cov",
+                 "check_finite"):
         assert name not in source
+
+
+# method -> (model, params, mesh flag, estimate flags, the sorted extra
+# keys of its report) of a seeded sample that estimates
+_REPORT_SHAPES = {
+    "log": ("stable", "beta=1.5,sigma=0.5,gamma=-0.5", "--T", [],
+            ["k", "level"]),
+    "frac": ("stable", "beta=1.5,sigma=0.5,gamma=-0.5", "--T",
+             ["--p", "0.1"], ["k", "level", "p"]),
+    "sign-bipower": ("stable", "beta=1.5,p_pos=0.6", "--T", [],
+                     ["cov_coords", "p_pos_hat", "q", "sigma_star_2p",
+                      "sigma_star_p"]),
+    "tripower": ("stable", "beta=1.5,p_pos=0.6", "--T", [],
+                 ["avar_sigma_star", "estimand", "p_pos_hat", "q", "rate"]),
+    "gamma-mle": ("gamma", "delta=2,gamma=1.5", "--h", [],
+                  ["delta_hat", "fisher"]),
+    "ig-mle": ("ig", "delta=2,gamma=1.5", "--h", [], ["delta_hat", "fisher"]),
+    "pipeline": ("stable", "beta=1.5,sigma=0.5,gamma=-0.5", "--T",
+                 ["--q", "0.25"],
+                 ["beta_hat_centered", "ci_note", "level", "p_pos_hat", "q",
+                  "rho_hat", "step1", "step2", "step3"]),
+}
+
+
+@pytest.mark.parametrize("method", list(_REPORT_SHAPES))
+def test_estimate_reports_keep_their_shape(tmp_path, capsys, method):
+    # keys and n only, so the check holds whatever SIMD path numpy takes;
+    # n is the odd count 2k + 1 for log and frac, the sample size otherwise
+    model, params, mesh, flags, extra = _REPORT_SHAPES[method]
+    src = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", model, "--params", params,
+                   "--n", "2000", mesh, "0.1" if mesh == "--h" else "5",
+                   "--seed", "1", "--out", str(src)) == 0
+    capsys.readouterr()
+    assert run_cli("estimate", "--in", str(src), "--method", method,
+                   *flags) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["beta_hat", "ci_gamma", "cov_matrix", "extra",
+                              "gamma_hat", "h", "method", "n", "sigma_hat"]
+    assert sorted(report["extra"]) == extra
+    assert report["n"] == (1999 if method in ("log", "frac") else 2000)
 
 
 def test_check_finite_names_the_first_bad_value_by_its_report_path():

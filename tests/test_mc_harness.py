@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from levyestim import mc, skewed, stable_core, symmetric
-from levyestim.errors import DomainError, EstimationError
+from levyestim.errors import DomainError, EstimationError, only_row
 from levyestim.mc import (
     DEFAULT_MASTER_SEED,
     ESTIMATORS,
@@ -28,7 +28,6 @@ from levyestim.mc import (
 )
 from levyestim.serialize import SUMMARY_COLUMNS
 from levyestim.stable_core import (
-    IncrementSample,
     ScalePath,
     Streams,
     derive_seed,
@@ -39,9 +38,9 @@ from levyestim.stable_core import (
     skew_to_positivity,
 )
 from levyestim.symmetric import (
-    frac_moment_estimate,
-    log_moment_estimate,
-    median_gamma,
+    frac_moment_block,
+    log_moment_block,
+    median_block,
 )
 
 
@@ -122,10 +121,9 @@ def test_single_replication_row_is_the_single_estimate():
     rows = {(r.estimator, r.param): r for r in run_experiment(cfg)}
     sample = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 301,
                              301).sample(derive_seed(99, 301, "log", 0))
-    est = log_moment_estimate(sample)
-    for param, value, truth in (("beta", est.beta_hat, 1.5),
-                                ("sigma", est.sigma_hat, 0.5),
-                                ("gamma", est.gamma_hat, -0.5)):
+    est = only_row(log_moment_block(sample.values[None], sample.h))
+    for param, value, truth in zip(("beta", "sigma", "gamma"), est,
+                                   (1.5, 0.5, -0.5)):
         row = rows[("log", param)]
         assert row.mean == value
         assert row.rmse == abs(value - truth)
@@ -141,7 +139,7 @@ def test_rmse_identity_and_exact_aggregation():
     for rep in range(11):
         s = increments_cell(1.5, 0.5, 0.0, -0.5, 5.0 / 301,
                             301).sample(derive_seed(99, 301, "log", rep))
-        ests.append(log_moment_estimate(s).beta_hat)
+        ests.append(only_row(log_moment_block(s.values[None], s.h))[0])
     ests = np.array(ests)
     row = rows[("log", "beta")]
     assert row.mean == pytest.approx(ests.mean(), rel=1e-15)
@@ -165,7 +163,8 @@ def test_failures_excluded_from_aggregates():
         s = increments_cell(1.2, 0.5, 0.0, -0.5, 5.0 / 301,
                             301).sample(derive_seed(99, 301, "frac", rep))
         try:
-            kept.append(frac_moment_estimate(s, 0.2).beta_hat)
+            kept.append(only_row(frac_moment_block(s.values[None], s.h,
+                                                   0.2))[0])
         except EstimationError:
             fails += 1
     assert fails == row.failures
@@ -185,11 +184,10 @@ def test_all_replications_failed_gives_nan_row():
 
 
 def test_non_finite_estimates_count_as_failures(monkeypatch):
-    # a point core that overflows returns inf; the cell must not average it
+    # a block core that overflows returns inf; the cell must not average it
     def half_overflow(block, h, est):
         return [(math.inf if gamma > -0.5 else gamma,)
-                for gamma in (median_gamma(IncrementSample(row, h))
-                              for row in block)]
+                for (gamma,) in median_block(block, h)]
 
     monkeypatch.setitem(ESTIMATORS, "median",
                         ESTIMATORS["median"]._replace(block=half_overflow))
@@ -240,8 +238,9 @@ def test_replication_order_never_changes_values():
         (block,) = cell.blocks(
             Streams.from_seeds([derive_seed(7, 400, est_id, rep)]), 1)
         est = by_id[est_id]
-        (point,) = ESTIMATORS[est["kind"]].block(block, cell.h, est)
-        return _kept(point)
+        entry = ESTIMATORS[est["kind"]]
+        (point,) = entry.block(block, cell.h, est)
+        return _kept(point, entry)
 
     forward = {cell: replicate(*cell) for cell in cells}
     backward = {cell: replicate(*cell) for cell in reversed(cells)}
@@ -399,7 +398,7 @@ _KIND_SAMPLES = (
 
 
 def test_monte_carlo_computes_no_covariance(monkeypatch):
-    """Every estimator kind runs a point core: with the covariances and
+    """Every estimator kind runs its block core: with the covariances and
     the drift interval made to raise, each still returns finite values."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a replication computed a covariance")
@@ -414,10 +413,10 @@ def test_monte_carlo_computes_no_covariance(monkeypatch):
     for model, truth, n, h, ks in _KIND_SAMPLES:
         sample = MODELS[model].cell(truth, h, n).sample(5)
         for kind in ks:
-            (values,) = ESTIMATORS[kind].block(sample.values[None],
-                                               sample.h, tuning)
-            assert len(values) == len(ESTIMATORS[kind].params), kind
-            assert all(math.isfinite(v) for v in values), kind
+            entry = ESTIMATORS[kind]
+            (point,) = entry.block(sample.values[None], sample.h, tuning)
+            assert all(math.isfinite(v) for v in point), kind
+            assert len(_kept(point, entry)) == len(entry.params), kind
 
 
 def test_rows_cover_every_cell_in_order():
@@ -535,6 +534,30 @@ def test_filtered_designs_equal_the_overridden_preset_designs():
                 dataclasses.replace(cfg, replications=3, n_list=(600, 700))]
 
 
+@pytest.mark.parametrize("beta", (math.nan, math.inf, "1.5"))
+def test_preset_refuses_a_beta_that_is_not_a_finite_number(beta):
+    # a nan is within 1e-12 of no index, but failed the distance test of
+    # every design and built all four
+    for build in (preset, run_preset):
+        with pytest.raises(DomainError) as info:
+            build("table1", beta=beta)
+        assert info.value.context == {"field": "beta"}
+
+
+@pytest.mark.parametrize("override,field", [
+    ({"n_list": [501.7]}, "n_list"), ({"replications": 2.9}, "replications"),
+    ({"n_list": [True]}, "n_list"), ({"n_list": ["501"]}, "n_list"),
+    ({"n_list": [math.inf]}, "n_list"),
+])
+def test_preset_overrides_are_checked_as_given(override, field):
+    # int() would run 501.7 as n = 501, 2.9 as 2 replications and True as
+    # n = 1, and raise a bare OverflowError on inf; a montecarlo config
+    # refuses each by name
+    with pytest.raises(DomainError) as info:
+        preset("table1", beta=0.8, **override)
+    assert info.value.context == {"field": field}
+
+
 def test_filtered_rows_equal_the_full_preset_rows():
     # a design's streams do not depend on which other designs run
     full = run_preset("table3", replications=3)
@@ -572,9 +595,9 @@ def test_design_cells_equal_per_replication_samples(monkeypatch):
             points = []
             for rep in range(cfg.replications):
                 sample = cell.sample(derive_seed(13, n, est["id"], rep))
-                (point,) = ESTIMATORS[est["kind"]].block(
-                    sample.values[None], cell.h, est)
-                points.append(_kept(point))
+                entry = ESTIMATORS[est["kind"]]
+                (point,) = entry.block(sample.values[None], cell.h, est)
+                points.append(_kept(point, entry))
             want.append(((n, est["id"]), points))
     assert drawn == want
     assert sum(p is not None for _, points in want for p in points) > 20

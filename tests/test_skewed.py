@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from levyestim.errors import DomainError, InadmissiblePositivity, RootOutOfBracket
+from levyestim.cli import _estimate
+from levyestim.errors import (
+    DomainError,
+    InadmissiblePositivity,
+    RootOutOfBracket,
+    only_row,
+)
 from levyestim.skewed import (
     _lag_sum,
     _system_cov,
@@ -17,12 +23,10 @@ from levyestim.skewed import (
     mu_abs,
     nu_signed,
     sigma_star_bipower,
-    sign_bipower_estimate,
-    sign_bipower_point,
-    sign_statistic,
-    tripower_estimate,
+    sign_bipower_block,
+    sign_block,
+    tripower_block,
     tripower_integrated_scale,
-    tripower_point,
 )
 from levyestim.stable_core import (
     IncrementSample,
@@ -43,26 +47,38 @@ def _sample(values):
     return IncrementSample(np.asarray(values, dtype=float), 1.0)
 
 
+def _sign_hat(sample):
+    # p_hat of one sample: the sign block core on one row
+    (p_hat,) = only_row(sign_block(sample.values[None]))
+    return p_hat
+
+
+def _three_step(core, sample, q):
+    # (p_hat, beta_hat, scale, s_p) of one sample: sign_bipower_block or
+    # tripower_block on one row
+    return only_row(core(sample.values[None], q))
+
+
 # ---------------------------------------------------------------------------
 # sign statistic
 
 
 def test_sign_statistic_hand_values():
-    assert sign_statistic(_sample([1.0, -1.0, 2.0])) == pytest.approx(2.0 / 3.0)
-    assert sign_statistic(_sample([0.3, 5.0, 1e-12])) == 1.0
-    assert sign_statistic(_sample([-0.3, -5.0])) == 0.0
+    assert _sign_hat(_sample([1.0, -1.0, 2.0])) == pytest.approx(2.0 / 3.0)
+    assert _sign_hat(_sample([0.3, 5.0, 1e-12])) == 1.0
+    assert _sign_hat(_sample([-0.3, -5.0])) == 0.0
 
 
 def test_sign_statistic_negation_reversal():
     # any sample equal to its own negation-reversal balances signs exactly
     vals = [1.5, -2.0, 0.7, -0.7, 2.0, -1.5]
     assert np.allclose(vals, -np.asarray(vals)[::-1])
-    assert sign_statistic(_sample(vals)) == 0.5
+    assert _sign_hat(_sample(vals)) == 0.5
 
 
 def test_sign_statistic_zero_counts_as_zero_sign():
     with pytest.warns(UserWarning, match="zero increment"):
-        p = sign_statistic(_sample([1.0, 0.0, -1.0, 1.0]))
+        p = _sign_hat(_sample([1.0, 0.0, -1.0, 1.0]))
     assert p == pytest.approx(0.5 * (0.25 + 1.0))
 
 
@@ -72,9 +88,9 @@ def test_sign_statistic_zero_counts_as_zero_sign():
 def test_sign_statistic_negation_flips(mags, signs):
     n = min(len(mags), len(signs))
     vals = np.array([m if s else -m for m, s in zip(mags[:n], signs[:n])])
-    p = sign_statistic(_sample(vals))
+    p = _sign_hat(_sample(vals))
     assert 0.0 <= p <= 1.0
-    assert sign_statistic(_sample(-vals)) == pytest.approx(1.0 - p)
+    assert _sign_hat(_sample(-vals)) == pytest.approx(1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +252,7 @@ def test_bipower_symmetric_correction_is_one():
 def test_bipower_root_residual():
     q = 0.25
     s = sprime_cell(*LAW, 1.0 / 4000, 4000).sample(seed=13)
-    p_hat = sign_statistic(s)
+    p_hat = _sign_hat(s)
     beta_hat = bipower_beta(s, q, p_hat)
     x = np.abs(s.values)
     lhs = float(np.sum(x[:-1] ** q * x[1:] ** q)) / float(np.sum(x ** (2 * q)))
@@ -245,7 +261,7 @@ def test_bipower_root_residual():
 
 def test_bipower_scale_free():
     s = sprime_cell(*LAW, 1.0 / 4000, 4000).sample(seed=13)
-    p_hat = sign_statistic(s)
+    p_hat = _sign_hat(s)
     b1 = bipower_beta(s, 0.25, p_hat)
     scaled = IncrementSample(37.0 * s.values, s.h)
     assert bipower_beta(scaled, 0.25, p_hat) == pytest.approx(b1, abs=1e-6)
@@ -275,7 +291,7 @@ def test_bipower_root_matches_the_ratio_equation(beta, q):
     # target, where bipower_beta solves the log of both sides
     s = sprime_cell(beta, skew_to_positivity(beta, -0.5), 1.0, 1.0 / 4000,
                     4000).sample(seed=17)
-    p_hat = sign_statistic(s)
+    p_hat = _sign_hat(s)
     x = np.abs(s.values)
     ratio = float(np.sum(x[:-1] ** q * x[1:] ** q)) / float(np.sum(x ** (2 * q)))
     target = ratio / _ratio_const(q, p_hat)
@@ -307,7 +323,7 @@ def test_sigma_star_power_lln():
     beta, q, n = 1.5, 0.25, 10_000
     s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=97)
     # the plug-in sigma*_hat_p at the true (p, beta): at an estimated
-    # beta_hat, as sign_bipower_point's s_p, the factor n^{p/beta_hat - 1}
+    # beta_hat, as sign_bipower_block's s_p, the factor n^{p/beta_hat - 1}
     # adds the log(n)-rate error of beta_hat, which this band leaves out
     x = np.abs(s.values)
     mu = mu_abs(beta, P_POS, 2.0 * q)
@@ -329,8 +345,9 @@ def test_sigma_star_scaling():
     s = sprime_cell(*LAW, 1.0 / 500, 500).sample(seed=5)
     scaled = IncrementSample(3.0 * s.values, s.h)
     # s_p at q = 0.25: power 2q = 0.5, and (p_hat, beta_hat) are scale free
-    assert sign_bipower_point(scaled, 0.25)[3] == pytest.approx(
-        3.0 ** 0.5 * sign_bipower_point(s, 0.25)[3], rel=1e-12)
+    s_p = _three_step(sign_bipower_block, s, 0.25)[3]
+    assert _three_step(sign_bipower_block, scaled, 0.25)[3] == \
+        pytest.approx(3.0 ** 0.5 * s_p, rel=1e-12)
     assert sigma_star_bipower(scaled, P_POS, 1.5, 0.25) == pytest.approx(
         3.0 ** 0.5 * sigma_star_bipower(s, P_POS, 1.5, 0.25), rel=1e-12)
 
@@ -569,10 +586,10 @@ def test_delta_cov_singularity_test_is_scale_free(c):
     # beta_hat and its variance V_22 do not depend on the data's scale, so
     # neither may the Jacobian's singularity test
     base = increments_cell(1.5, 1.0, 0.0, 0.0, 0.001, 2001).sample(3)
-    v22 = sign_bipower_estimate(base).cov_matrix[1, 1]
+    v22 = _estimate("sign-bipower", base, {}).cov_matrix[1, 1]
     scaled = IncrementSample(base.values * c, 0.001)
-    assert sign_bipower_estimate(scaled).cov_matrix[1, 1] == pytest.approx(
-        v22, rel=1e-7)
+    assert _estimate("sign-bipower", scaled, {}).cov_matrix[1, 1] == \
+        pytest.approx(v22, rel=1e-7)
 
 
 def test_delta_cov_matches_mc():
@@ -587,7 +604,7 @@ def test_delta_cov_matches_mc():
     for rep in range(reps):
         s = sprime_cell(*LAW, 1.0 / n, n).sample(seed=900_000 + rep)
         x = np.abs(s.values)
-        p_hat = sign_statistic(s)
+        p_hat = _sign_hat(s)
         beta_hat = bipower_beta(s, q, p_hat)
         m_r = n ** (2.0 * q / beta - 1.0) * float(np.sum(x ** (2.0 * q)))
         est[rep] = (p_hat, beta_hat, m_r / mu_abs(beta_hat, p_hat, 2.0 * q))
@@ -602,13 +619,13 @@ def test_delta_cov_matches_mc():
 
 def test_sign_bipower_estimate_report():
     s = sprime_cell(*LAW, 1.0 / 20_000, 20_000).sample(seed=71)
-    rep = sign_bipower_estimate(s)
+    rep = _estimate("sign-bipower", s, {})
     assert rep.method == "sign-bipower"
     assert rep.n == 20_000
     assert 1.4 < rep.beta_hat < 1.6
     assert 0.9 < rep.sigma_hat < 1.1
     assert abs(rep.extra["p_pos_hat"] - P_POS) < 0.02
-    assert rep.extra["p_pos_hat"] == sign_statistic(s)
+    assert rep.extra["p_pos_hat"] == _sign_hat(s)
     assert np.asarray(rep.cov_matrix).shape == (3, 3)
     assert rep.extra["sigma_star_p"] > 0.0
 
@@ -617,23 +634,23 @@ def test_sign_bipower_estimate_report():
 @pytest.mark.parametrize("q", [0.2, 0.25, 0.3])
 def test_point_cores_equal_their_reports(seed, q):
     s = sprime_cell(*LAW, 1.0 / 2000, 2000).sample(seed=seed)
-    rep = sign_bipower_estimate(s, q)
-    assert sign_bipower_point(s, q) == (
+    rep = _estimate("sign-bipower", s, {"q": q})
+    assert _three_step(sign_bipower_block, s, q) == (
         rep.extra["p_pos_hat"], rep.beta_hat, rep.sigma_hat,
         rep.extra["sigma_star_p"])
-    rep = tripower_estimate(s, q)
-    assert tripower_point(s, q) == (rep.extra["p_pos_hat"], rep.beta_hat,
-                                    rep.sigma_hat,
-                                    sign_bipower_point(s, q)[3])
+    rep = _estimate("tripower", s, {"q": q})
+    assert _three_step(tripower_block, s, q) == (
+        rep.extra["p_pos_hat"], rep.beta_hat, rep.sigma_hat,
+        _three_step(sign_bipower_block, s, q)[3])
 
 
 def test_tripower_estimate_report():
     s = sprime_cell(*LAW, 1.0 / 20_000, 20_000).sample(seed=71)
-    rep = tripower_estimate(s)
+    rep = _estimate("tripower", s, {})
     assert rep.method == "tripower"
     assert rep.extra["estimand"] == "sigma_star_beta"
     assert 0.8 < rep.sigma_hat < 1.2
     assert rep.extra["avar_sigma_star"] > 0.0
     assert rep.extra["rate"] == "sqrt(n)/log(n)"
     # same first two steps as the constant-scale driver
-    assert rep.beta_hat == sign_bipower_estimate(s).beta_hat
+    assert rep.beta_hat == _estimate("sign-bipower", s, {}).beta_hat

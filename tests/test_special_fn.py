@@ -15,6 +15,7 @@ from levyestim.errors import (
     LevyEstimError,
     MaxIterExceeded,
     NoSignChange,
+    only_row,
 )
 from levyestim.special_fn import (
     EULER_GAMMA,
@@ -158,7 +159,8 @@ def test_estimator_roots_equal_two_pass_roots(seed, monkeypatch):
                              2000).sample(seed=seed)
 
     def roots():
-        return (symmetric.frac_moment_estimate(frac_sample, 0.2).beta_hat,
+        return (only_row(symmetric.frac_moment_block(
+                    frac_sample.values[None], frac_sample.h, 0.2))[0],
                 skewed.bipower_beta(bip_sample, 0.25, 0.55))
 
     new = roots()

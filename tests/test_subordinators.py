@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levyestim.cli import _estimate
 from levyestim.errors import (
     DataError,
     DomainError,
@@ -17,12 +18,10 @@ from levyestim.stable_core import IncrementSample
 from levyestim.subordinators import (
     gamma_fisher,
     gamma_mle,
-    gamma_mle_estimate,
     gamma_moment,
     gamma_sub_cell,
     ig_fisher,
     ig_mle,
-    ig_mle_estimate,
     ig_sub_cell,
 )
 
@@ -381,12 +380,11 @@ def test_fisher_matrices_diagonal():
 def test_mle_reports_carry_the_fisher_information_at_the_estimates():
     # the report's Fisher entries are gamma_fisher's / ig_fisher's at the
     # estimates, bit for bit
-    for report_of, mle, fisher, cell, method in (
-            (gamma_mle_estimate, gamma_mle, gamma_fisher, gamma_sub_cell,
-             "gamma-mle"),
-            (ig_mle_estimate, ig_mle, ig_fisher, ig_sub_cell, "ig-mle")):
+    for mle, fisher, cell, method in (
+            (gamma_mle, gamma_fisher, gamma_sub_cell, "gamma-mle"),
+            (ig_mle, ig_fisher, ig_sub_cell, "ig-mle")):
         sample = cell(2.0, 1.5, 0.1, 500).sample(4)
-        report = report_of(sample)
+        report = _estimate(method, sample, {})
         delta_hat, gamma_hat = mle(sample)
         assert report.method == method
         assert (report.n, report.h) == (500, 0.1)
@@ -396,17 +394,17 @@ def test_mle_reports_carry_the_fisher_information_at_the_estimates():
             delta_hat, gamma_hat).ravel().tolist()
 
 
-@pytest.mark.parametrize("report_of,field", [
-    (gamma_mle_estimate, "extra.fisher[3]"),
-    (ig_mle_estimate, "extra.delta_hat"),
-])
-def test_mle_report_names_an_estimate_outside_the_double_range(report_of,
+@pytest.mark.parametrize("method,field", [
+    ("gamma-mle", "extra.fisher[3]"),
+    ("ig-mle", "extra.delta_hat"),
+], ids=("gamma-mle", "ig-mle"))
+def test_mle_report_names_an_estimate_outside_the_double_range(method,
                                                                field):
     # |x| ~ exp(N(600, 1)) at h = 1e-300: the IG delta_hat overflows, the
     # gamma one is finite but its Fisher entry delta/gamma^2 is not; both
     # are estimation errors naming the value, not parameter-domain errors
     values = np.exp(np.random.default_rng(1).normal(600.0, 1.0, 500))
     with pytest.raises(EstimationError) as info:
-        report_of(_sample(values, 1e-300))
+        _estimate(method, _sample(values, 1e-300), {})
     assert info.value.code == "estimation_error"
     assert info.value.context["field"] == field

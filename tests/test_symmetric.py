@@ -7,6 +7,7 @@ import pytest
 import scipy.special as ss
 from scipy.optimize import brentq
 
+from levyestim.cli import _estimate
 from levyestim.errors import (
     DenominatorNearZero,
     DomainError,
@@ -24,13 +25,11 @@ from levyestim.symmetric import (
     _log_frac_k,
     _medians,
     c_moment,
-    frac_moment_estimate,
-    frac_moment_point,
+    frac_moment_block,
     gamma_confidence_interval,
     known_scale_block,
-    log_moment_estimate,
-    log_moment_point,
-    median_gamma,
+    log_moment_block,
+    median_block,
     psi_transform,
     v_log,
     v_p,
@@ -49,26 +48,31 @@ def _sym_sample(beta, sigma, gamma, n, T, seed):
                            n).sample(seed)
 
 
+def _median(sample):
+    # gamma_hat of one sample: the median block core on one row
+    return only_row(median_block(sample.values[None], sample.h))[0]
+
+
 # ---------------------------------------------------------------------------
 # median
 
 def test_median_hand_values():
-    assert median_gamma(IncrementSample(np.array([-1.0, 0.0, 3.0]), 0.5)) == 0.0
-    assert median_gamma(IncrementSample(np.array([1., 2., 3., 4., 5.]), 1.0)) == 3.0
+    assert _median(IncrementSample(np.array([-1.0, 0.0, 3.0]), 0.5)) == 0.0
+    assert _median(IncrementSample(np.array([1., 2., 3., 4., 5.]), 1.0)) == 3.0
 
 
 def test_median_even_drops_last():
     # even n: the final increment is dropped before taking the median
     vals = np.array([1.0, 2.0, 100.0, -50.0])
-    est = median_gamma(IncrementSample(vals, 1.0))
+    est = _median(IncrementSample(vals, 1.0))
     assert est == 2.0
 
 
 def test_median_translation():
     vals = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
     h = 0.25
-    base = median_gamma(IncrementSample(vals, h))
-    shifted = median_gamma(IncrementSample(vals + 5.0 * h, h))
+    base = _median(IncrementSample(vals, h))
+    shifted = _median(IncrementSample(vals + 5.0 * h, h))
     assert shifted == pytest.approx(base + 5.0, rel=1e-12)
 
 
@@ -81,7 +85,7 @@ def test_median_standardized_variance():
     for rep in range(1000):
         s = _sym_sample(beta, sigma, gamma, n, 5.0, 50_000 + rep)
         zs.append(math.sqrt(n) * h ** (1 - 1 / beta)
-                  * (median_gamma(s) - gamma) / sd)
+                  * (_median(s) - gamma) / sd)
     assert abs(np.var(zs) - 1.0) < 0.15
 
 
@@ -90,7 +94,7 @@ def test_median_standardized_variance():
 
 def test_log_moment_basic_report():
     s = _sym_sample(1.5, 0.5, -0.5, 2001, 5.0, 77)
-    rep = log_moment_estimate(s)
+    rep = _estimate("log", s, {})
     assert rep.method == "log"
     assert abs(rep.beta_hat - 1.5) < 0.25
     assert abs(rep.sigma_hat - 0.5) < 0.2
@@ -104,31 +108,32 @@ def test_log_moment_basic_report():
 ])
 def test_point_cores_equal_their_reports(beta, n, seed):
     s = _sym_sample(beta, 0.5, -0.5, n, 5.0, seed)
-    rep = log_moment_estimate(s, level=0.9)
-    assert log_moment_point(s) == (rep.beta_hat, rep.sigma_hat, rep.gamma_hat)
+    rep = _estimate("log", s, {"level": 0.9})
+    assert only_row(log_moment_block(s.values[None], s.h)) == (
+        rep.beta_hat, rep.sigma_hat, rep.gamma_hat)
     # the odd-sample rule keeps 2k + 1 increments
     assert rep.n == 2 * rep.extra["k"] + 1 == n - (1 - n % 2)
     for p in (0.05, 0.1, 0.2):
         if 6.0 * p >= beta:
             continue
-        rep = frac_moment_estimate(s, p)
-        assert frac_moment_point(s, p) == (rep.beta_hat, rep.sigma_hat,
-                                           rep.gamma_hat)
+        rep = _estimate("frac", s, {"p": p})
+        assert only_row(frac_moment_block(s.values[None], s.h, p)) == (
+            rep.beta_hat, rep.sigma_hat, rep.gamma_hat)
         assert rep.n == 2 * rep.extra["k"] + 1
 
 
 def test_log_moment_scale_equivariance():
     s = _sym_sample(1.3, 0.8, 0.0, 1001, 5.0, 5)
-    r1 = log_moment_estimate(s)
-    r2 = log_moment_estimate(IncrementSample(3.0 * s.values, s.h))
+    r1 = _estimate("log", s, {})
+    r2 = _estimate("log", IncrementSample(3.0 * s.values, s.h), {})
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-12)
     assert r2.sigma_hat == pytest.approx(3.0 * r1.sigma_hat, rel=1e-12)
 
 
 def test_log_moment_translation_invariance():
     s = _sym_sample(1.3, 0.8, 0.0, 1001, 5.0, 6)
-    r1 = log_moment_estimate(s)
-    r2 = log_moment_estimate(IncrementSample(s.values + 2.0 * s.h, s.h))
+    r1 = _estimate("log", s, {})
+    r2 = _estimate("log", IncrementSample(s.values + 2.0 * s.h, s.h), {})
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-10)
     assert r2.sigma_hat == pytest.approx(r1.sigma_hat, rel=1e-10)
     assert r2.gamma_hat == pytest.approx(r1.gamma_hat + 2.0, rel=1e-10)
@@ -138,7 +143,7 @@ def test_log_moment_zero_residual():
     # an off-median value equal to the median gives a zero residual
     vals = np.array([1.0, 2.0, 2.0, 30.0, 0.1])
     with pytest.raises(ZeroResidual):
-        log_moment_estimate(IncrementSample(vals, 1.0))
+        _estimate("log", IncrementSample(vals, 1.0), {})
 
 
 def test_log_moment_nonpositive_gap():
@@ -147,7 +152,7 @@ def test_log_moment_nonpositive_gap():
     # all log-residuals identical: centered sum is 0, braced term <= 0
     vals = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
     with pytest.raises(NonpositiveVarianceGap):
-        log_moment_estimate(IncrementSample(vals, 1.0))
+        _estimate("log", IncrementSample(vals, 1.0), {})
 
 
 def test_psi_transform_monotone_and_derivative():
@@ -164,7 +169,8 @@ def test_psi_variance_stabilization_mc():
     zs = []
     for rep in range(1000):
         s = _sym_sample(beta, 0.5, -0.5, n, 5.0, 60_000 + rep)
-        zs.append(math.sqrt(n) * (psi_transform(log_moment_estimate(s).beta_hat)
+        beta_hat = _estimate("log", s, {}).beta_hat
+        zs.append(math.sqrt(n) * (psi_transform(beta_hat)
                                   - psi_transform(beta)))
     assert abs(np.var(zs) - 1.0) < 0.15
 
@@ -257,7 +263,7 @@ def test_c_moment_bits_are_pinned(beta, p):
 
 def test_frac_moment_basic():
     s = _sym_sample(1.5, 0.5, -0.5, 2001, 5.0, 21)
-    rep = frac_moment_estimate(s, 0.2)
+    rep = _estimate("frac", s, {"p": 0.2})
     assert rep.method == "frac"
     assert abs(rep.beta_hat - 1.5) < 0.25
     assert abs(rep.sigma_hat - 0.5) < 0.25
@@ -268,9 +274,9 @@ def test_frac_moment_root_residual():
     # the fitted root re-solves the moment-ratio equation to 1e-10 relative
     s = _sym_sample(1.4, 1.0, 0.0, 1501, 5.0, 22)
     p = 0.2
-    rep = frac_moment_estimate(s, p)
+    rep = _estimate("frac", s, {"p": p})
     vals = s.values if s.n % 2 == 1 else s.values[:-1]
-    resid = np.abs(vals - median_gamma(s) * s.h)
+    resid = np.abs(vals - _median(s) * s.h)
     h1 = np.mean(resid ** p)
     h2 = np.mean(resid ** (2 * p))
     lhs = h1 ** 2 / h2
@@ -280,8 +286,8 @@ def test_frac_moment_root_residual():
 
 def test_frac_moment_scale_equivariance():
     s = _sym_sample(1.6, 0.7, 0.0, 1001, 5.0, 23)
-    r1 = frac_moment_estimate(s, 0.15)
-    r2 = frac_moment_estimate(IncrementSample(2.5 * s.values, s.h), 0.15)
+    r1 = _estimate("frac", s, {"p": 0.15})
+    r2 = _estimate("frac", IncrementSample(2.5 * s.values, s.h), {"p": 0.15})
     assert r2.beta_hat == pytest.approx(r1.beta_hat, rel=1e-10)
     assert r2.sigma_hat == pytest.approx(2.5 * r1.sigma_hat, rel=1e-10)
 
@@ -290,7 +296,7 @@ def test_frac_moment_out_of_bracket():
     # p = 0.2 needs beta > 1.2; data at beta = 0.8 pushes the ratio outside
     s = _sym_sample(0.8, 0.5, -0.5, 2001, 5.0, 24)
     with pytest.raises(RootOutOfBracket):
-        frac_moment_estimate(s, 0.2)
+        _estimate("frac", s, {"p": 0.2})
 
 
 # (beta, p) pairs with the admissible interval (6p, 2) well below beta
@@ -313,7 +319,7 @@ def test_frac_log_form_splits_the_moment_ratio(beta, p):
 def test_frac_root_matches_the_moment_ratio_equation(beta, p):
     # reference: Brent on C(b,p)^2 / C(b,2p) = H_1^2 / H_2 directly
     s = _sym_sample(beta, 0.5, -0.5, 2001, 5.0, 31)
-    rep = frac_moment_estimate(s, p)
+    rep = _estimate("frac", s, {"p": p})
     resid = np.abs(s.values - np.median(s.values))
     target = np.mean(resid ** p) ** 2 / np.mean(resid ** (2.0 * p))
     ref = brentq(lambda b: c_moment(b, p) ** 2 / c_moment(b, 2.0 * p) - target,
@@ -338,9 +344,9 @@ def test_median_split_equals_delete(n):
 def test_frac_moment_p_validation():
     s = _sym_sample(1.5, 0.5, 0.0, 101, 1.0, 25)
     with pytest.raises(DomainError):
-        frac_moment_estimate(s, 0.4)
+        _estimate("frac", s, {"p": 0.4})
     with pytest.raises(DomainError):
-        frac_moment_estimate(s, 0.0)
+        _estimate("frac", s, {"p": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +527,7 @@ def test_ci_coverage_mc():
     hits = 0
     for rep in range(1000):
         s = _sym_sample(beta, sigma, gamma, n, 5.0, 80_000 + rep)
-        r = log_moment_estimate(s, level=0.95)
+        r = _estimate("log", s, {"level": 0.95})
         lo, hi = r.ci_gamma
         hits += lo <= gamma <= hi
     assert abs(hits / 1000 - 0.95) < 0.03

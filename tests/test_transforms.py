@@ -7,14 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from levyestim.errors import DomainError, EstimationError
-from levyestim.skewed import sign_statistic
+from levyestim.cli import _estimate
+from levyestim.errors import DomainError, EstimationError, only_row
+from levyestim.skewed import sign_block
 from levyestim.stable_core import (
     IncrementSample,
     increments_cell,
     skew_to_positivity,
 )
-from levyestim.symmetric import log_moment_estimate
+from levyestim.symmetric import median_block
 from levyestim.transforms import (
     center_skew_factor,
     center_triple,
@@ -121,7 +122,7 @@ def test_symmetrized_law_recovers_index_and_scale():
     sigmas = np.empty(reps)
     for r in range(reps):
         s = increments_cell(*SKEWED, 5.0 / 4001, 4001).sample(seed=150_000 + r)
-        est = log_moment_estimate(symmetrize(s))
+        est = _estimate("log", symmetrize(s), {})
         betas[r] = est.beta_hat
         sigmas[r] = est.sigma_hat / 2.0 ** (1.0 / est.beta_hat)
     se = betas.std(ddof=1) / math.sqrt(reps)
@@ -136,7 +137,8 @@ def test_symmetrized_law_recovers_index_and_scale():
 def test_symmetrized_law_has_balanced_signs():
     s = increments_cell(*SKEWED, 5.0 / 4001, 4001).sample(seed=17)
     sym = symmetrize(s)
-    assert abs(sign_statistic(sym) - 0.5) <= 3.0 * math.sqrt(0.25 / sym.n)
+    (p_hat,) = only_row(sign_block(sym.values[None]))
+    assert abs(p_hat - 0.5) <= 3.0 * math.sqrt(0.25 / sym.n)
 
 
 def test_centered_law_positivity():
@@ -147,19 +149,20 @@ def test_centered_law_positivity():
     rho_cen = -0.5 * center_skew_factor(1.5)
     p_cen = skew_to_positivity(1.5, rho_cen)
     se = math.sqrt(p_cen * (1.0 - p_cen) / cen.n)
-    assert abs(sign_statistic(cen) - p_cen) <= 3.0 * se
+    (p_hat,) = only_row(sign_block(cen.values[None]))
+    assert abs(p_hat - p_cen) <= 3.0 * se
 
 
 def test_deskewed_law_recovers_drift():
     # median of the deskewed sample over (2 - 2^{1/beta}) h estimates gamma;
     # the drift rate is slow at beta > 1 so the band is wide
-    from levyestim.symmetric import median_gamma
-
     reps = 300
     out = np.empty(reps)
     for r in range(reps):
         s = increments_cell(*SKEWED, 5.0 / 6000, 6000).sample(seed=40_000 + r)
-        out[r] = median_gamma(deskew_triple(s, 1.5)) / deskew_trend_factor(1.5)
+        des = deskew_triple(s, 1.5)
+        (gamma_des,) = only_row(median_block(des.values[None], des.h))
+        out[r] = gamma_des / deskew_trend_factor(1.5)
     se = out.std(ddof=1) / math.sqrt(reps)
     assert abs(out.mean() - 0.3) <= 3.0 * se
 
