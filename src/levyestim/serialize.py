@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,13 +39,36 @@ __all__ = [
 
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write lines, each ended by a newline, to the file at path, or to
-    stdout when path is None.  The text is built before the file opens."""
+    stdout when path is None.  The text is built before the file opens, so
+    a payload that fails to build leaves an existing file untouched.
+
+    An existing file is overwritten in place, then a regular file is cut
+    to the written length.  It is not opened with truncation, because ext4
+    and XFS flush a file truncated to zero and rewritten to the device
+    when it closes, which would make each rewrite wait on a writeback.
+    A write that raises leaves a regular file empty.  A process killed
+    between the write and the cut can leave the new text over the tail
+    of a longer old file."""
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write(text)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = False
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        # closing the text layer flushes it and leaves fd open, so a
+        # failed write is cut to 0 after its last buffered bytes land
+        with open(fd, "w", encoding="utf8", closefd=False) as fh:
+            fh.write(text)
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except BaseException:
+        if regular:
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def write_increments(path, sample: IncrementSample, header: dict) -> None:

@@ -14,8 +14,9 @@ absent otherwise.
 
 The cases run in order in one directory, so one may read what an earlier
 one wrote.  tests/test_cli_contract.py replays them in-process.  Run as a
-script, this file replays them in a fresh temporary directory through the
-command its arguments give, importing only the standard library:
+script, this file replays them twice in a fresh temporary directory, the
+second pass overwriting the first's outputs, through the command its
+arguments give, importing only the standard library:
 
     python tests/cli_contract.py levyestim
     PYTHONPATH=src python tests/cli_contract.py python -m levyestim.cli
@@ -141,6 +142,11 @@ CASES = [
     # next to beta = 2 phi' takes the direct weight, and the information
     # integrals converge
     ok("fisher-next-to-two", "fisher --beta 1.9999 --out f2.csv"),
+    # a one-value grid is --beta; its output overwrites a longer file and
+    # leaves none of that file's tail
+    ok("fisher-one-value-grid", "fisher --beta-grid 1.9999 --out f2-grid.csv",
+       files={"f2-grid.csv": ("same", "f2.csv")},
+       write={"f2-grid.csv": "an earlier, longer file\n" * 20}),
     ok("variance-grid", "variance --beta-grid 0.5:2:0.5 --p 0.1 --out v.csv"),
     ok("table1-json", "table --id table1 --reps 2 --beta 1.5 --n 501 "
        "--format json --out t.json"),
@@ -427,14 +433,20 @@ def command(prefix):
 
 
 def main(prefix) -> int:
+    """Replay the table twice in one directory, so the second pass
+    overwrites every output the first wrote; print each pass's count."""
     if not prefix:
         sys.exit("usage: python cli_contract.py PROGRAM [ARG ...]")
+    failed = 0
     with tempfile.TemporaryDirectory() as cwd:
-        failures = run(command(prefix), cwd)
-    for message in failures:
-        print(f"FAIL {message}")
-    print(f"{len(CASES) - len(failures)} of {len(CASES)} cases passed")
-    return 1 if failures else 0
+        for replay in ("first", "second"):
+            failures = run(command(prefix), cwd)
+            for message in failures:
+                print(f"FAIL {message}")
+            print(f"{replay} pass: {len(CASES) - len(failures)} of "
+                  f"{len(CASES)} cases passed")
+            failed += len(failures)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

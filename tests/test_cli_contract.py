@@ -62,6 +62,18 @@ def test_runner_calls_a_subprocess(tmp_path, monkeypatch):
                cases) == []
 
 
+def test_a_second_replay_overwrites_every_output(monkeypatch, capsys):
+    # the script's two passes in one directory, run in-process: every
+    # --out file of the second pass is one the first pass wrote
+    monkeypatch.setattr(cli_contract, "command", lambda prefix: invoke)
+    code = cli_contract.main(["levyestim"])
+    total = len(CASES)
+    assert capsys.readouterr().out.splitlines() == [
+        f"first pass: {total} of {total} cases passed",
+        f"second pass: {total} of {total} cases passed"]
+    assert code == 0
+
+
 def test_a_case_sees_warnings_as_a_fresh_process_would(tmp_path):
     # an outer "once" filter would drop the second run's warning line
     with warnings.catch_warnings():

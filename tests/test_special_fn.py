@@ -261,6 +261,18 @@ def test_nan_inside_the_bracket_is_a_typed_error():
     assert (payload["lo"], payload["hi"]) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_nan_at_a_bracket_end_is_named(x):
+    # f is NaN at x and positive at the other end, so the sign check passes
+    # it on and the solver's NaN guard at that end raises
+    def f(t):
+        return math.nan if t == x else 1.0
+
+    with pytest.raises(DomainError) as exc:
+        find_root_monotone(f, 1.0, 2.0)
+    assert exc.value.context == {"x": x, "lo": 1.0, "hi": 2.0}
+
+
 @given(st.floats(min_value=-5.0, max_value=5.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=100, deadline=None)

@@ -591,6 +591,13 @@ def test_increment_sample_basic():
         IncrementSample(np.array([1.0]), -0.5)
 
 
+@pytest.mark.parametrize("values", [np.array([]), np.ones((2, 3))])
+def test_increment_sample_refuses_an_empty_or_2d_array(values):
+    with pytest.raises(DomainError) as exc:
+        IncrementSample(values, 0.5)
+    assert exc.value.context == {"shape": list(values.shape)}
+
+
 def test_increment_sample_rejects_non_finite_values():
     values = np.array([1.0, np.nan, 2.0, np.inf] * 50)
     with pytest.raises(DataError) as exc:
